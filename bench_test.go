@@ -156,6 +156,7 @@ func BenchmarkGMLakeExactMatch(b *testing.B) {
 	alloc := core.NewDefault(newBenchDriver(8 * sim.GiB))
 	warm, _ := alloc.Alloc(256 * sim.MiB)
 	alloc.Free(warm)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf, err := alloc.Alloc(256 * sim.MiB)
@@ -163,6 +164,56 @@ func BenchmarkGMLakeExactMatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		alloc.Free(buf)
+	}
+}
+
+// BenchmarkGMLakeExactMatchOwners is the same S1 pair on a pBlock that 1 to
+// 256 cached stitched views share, as converged training leaves them (≈ 55
+// views per pBlock on train-lro). Each pair flips the pBlock's state twice
+// and each flip visits every view. The visit is one counter step on the view
+// — no map iteration, no rescan of the view's members, no index node — so
+// ns/op grows by about a nanosecond per view and allocs/op stays at the one
+// returned Buffer.
+func BenchmarkGMLakeExactMatchOwners(b *testing.B) {
+	const shared = 600 * sim.MiB
+	for _, owners := range []int{1, 16, 64, 256} {
+		b.Run(fmt.Sprint(owners), func(b *testing.B) {
+			alloc := core.NewDefault(newBenchDriver(8 * sim.GiB))
+			must := func(size int64) *memalloc.Buffer {
+				buf, err := alloc.Alloc(size)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return buf
+			}
+			// Stitch the shared pBlock with one partner pBlock per view.
+			// Only the two are free while a view is stitched, and the
+			// partner is taken back afterwards: each view stays cached over
+			// the shared pBlock, unavailable.
+			sharedBuf := must(shared)
+			partners := make([]*memalloc.Buffer, owners)
+			for i := range partners {
+				partners[i] = must(core.ChunkSize)
+			}
+			alloc.Free(sharedBuf)
+			for _, partner := range partners {
+				alloc.Free(partner)
+				alloc.Free(must(shared + core.ChunkSize))
+				must(core.ChunkSize)
+			}
+			if _, _, s3, _ := alloc.StrategyCounts(); int(s3) != owners || alloc.SBlockCount() != owners {
+				b.Fatalf("set-up stitched %d views (%d cached), want %d", s3, alloc.SBlockCount(), owners)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				alloc.Free(must(shared))
+			}
+			b.StopTimer()
+			if s1, _, _, _ := alloc.StrategyCounts(); int(s1) < b.N {
+				b.Fatalf("%d exact matches in %d pairs", s1, b.N)
+			}
+		})
 	}
 }
 
@@ -175,6 +226,7 @@ func BenchmarkGMLakeStitch(b *testing.B) {
 	b2, _ := alloc.Alloc(128 * sim.MiB)
 	alloc.Free(b1)
 	alloc.Free(b2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf, err := alloc.Alloc(256 * sim.MiB)

@@ -7,6 +7,7 @@
 //	gmlake-bench -experiment figure10
 //	gmlake-bench -experiment all -out results.txt
 //	gmlake-bench -experiment headline -parallel 8
+//	gmlake-bench -experiment figure10 -cpuprofile cpu.out -memprofile mem.out
 //
 // Each experiment prints the same rows or series the paper reports, with the
 // paper's expected values in the notes. Runs are deterministic: the same
@@ -23,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/cmd/internal/profile"
 	"repro/internal/harness"
 	"repro/internal/sim"
 )
@@ -40,6 +42,7 @@ func main() {
 		traceIn  = flag.String("trace-in", "", "servetrace: replay this request-trace file instead of the canonical mixes")
 		traceSc  = flag.Float64("trace-scale", 0, "servetrace: rate multiplier for the replayed trace (needs -trace-in)")
 		exactSmp = flag.Int("exact-samples", 0, "serving latency-digest exact-retention threshold (0 = serve default; negative = sketch from the first sample)")
+		prof     = profile.Register()
 	)
 	flag.Parse()
 
@@ -90,6 +93,18 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gmlake-bench:", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "gmlake-bench:", err)
+			os.Exit(1)
+		}
+	}()
+
 	for _, id := range ids {
 		// The experiments themselves run on virtual time; this is real
 		// elapsed time shown to the operator, not simulation state.

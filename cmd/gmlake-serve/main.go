@@ -18,6 +18,7 @@
 //	gmlake-serve -trace-in prod.csv -fit -policy chunked
 //	gmlake-serve -replicas 3 -mttf 2s -mttr 400ms -timeout 30s -retries 3 -policy chunked
 //	gmlake-serve -replicas 2 -fault-plan "crash@t=12s:r1/restart@t=14s:r1" -timeout 30s -retries 1 -shed -policy chunked
+//	gmlake-serve -conf backend:gmlake -policy chunked -n 20000 -cpuprofile cpu.out -memprofile mem.out
 //
 // The workload keys (serve_mix, serve_rate, burst_cv, parallel), the
 // cluster keys (replicas, dispatch, aging, min_replicas, max_replicas,
@@ -76,6 +77,9 @@
 // admission once the deadline is provably unreachable. The fault seed is
 // the workload seed, so one -seed pins the whole run, faults included.
 //
+// -cpuprofile and -memprofile write host profiles of the run for `go tool
+// pprof`; they observe the host only and change no report.
+//
 // Runs are deterministic: one seed, one request stream, whatever the
 // policy — scaling and stealing decisions happen at event boundaries of
 // the virtual-time co-simulation — and because each policy (and each
@@ -92,6 +96,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro/cmd/internal/profile"
 	"repro/internal/conf"
 	"repro/internal/cuda"
 	"repro/internal/gpu"
@@ -142,6 +147,7 @@ func main() {
 		backoffF = flag.Float64("backoff", 0, "exponential retry-backoff multiplier >= 1 (0 = conf's backoff key or 2)")
 		rBudget  = flag.Int("retry-budget", 0, "total retries one client class may consume (0 = conf's retry_budget key or unlimited)")
 		shedF    = flag.Bool("shed", false, "deadline-aware admission shedding of provably-late requests (needs a timeout)")
+		prof     = profile.Register()
 	)
 	flag.Parse()
 	nVisited := false
@@ -302,6 +308,16 @@ func main() {
 	if cfg.AffinityBase != "" && cfg.Dispatch != serve.DispatchSessionAffinity {
 		fatal(fmt.Errorf("-affinity-base needs -dispatch session-affinity"))
 	}
+
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	// The request stream: replayed (or fitted) from a trace file when
 	// trace_in is configured, generated from the mix otherwise.

@@ -207,6 +207,61 @@ func TestTreeRandomOps(t *testing.T) {
 	}
 }
 
+// TestTreeInsertNodeRelinks flips caller-owned nodes in and out of a tree the
+// way a pool block flips between active and inactive: the same node must be
+// relinkable any number of times, keep the tree a valid sorted multiset, and
+// refuse a double link.
+func TestTreeInsertNodeRelinks(t *testing.T) {
+	rng := sim.NewRNG(99)
+	tr := intTree()
+	nodes := make([]Node[int], 64)
+	for i := range nodes {
+		nodes[i].Value = rng.Intn(40)
+	}
+	want := map[int]int{}
+	for step := 0; step < 4000; step++ {
+		n := &nodes[rng.Intn(len(nodes))]
+		if n.Linked() {
+			tr.Delete(n)
+			want[n.Value]--
+		} else {
+			tr.InsertNode(n)
+			want[n.Value]++
+		}
+		if step%200 == 0 {
+			if err := tr.checkInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+	if err := tr.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	got := map[int]int{}
+	prev := -1
+	for _, v := range treeContents(tr) {
+		if v < prev {
+			t.Fatalf("traversal not sorted: %d after %d", v, prev)
+		}
+		prev = v
+		got[v]++
+	}
+	for v, c := range want {
+		if got[v] != c {
+			t.Fatalf("value %d linked %d times, tree holds %d", v, c, got[v])
+		}
+	}
+
+	linked := &Node[int]{Value: 1}
+	tr.InsertNode(linked)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("InsertNode of a linked node did not panic")
+		}
+	}()
+	tr.InsertNode(linked)
+}
+
 // TestTreeQuickSorted uses testing/quick: inserting any slice yields a sorted
 // traversal of the same multiset.
 func TestTreeQuickSorted(t *testing.T) {

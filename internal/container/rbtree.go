@@ -11,7 +11,7 @@ package container
 //
 // Insert returns a *Node handle which the caller may retain for O(log n)
 // deletion, the pattern both allocators use to remove a specific block from
-// a pool.
+// a pool; InsertNode links a node the caller owns instead of allocating one.
 type Tree[T any] struct {
 	root *Node[T]
 	size int
@@ -36,7 +36,25 @@ func (t *Tree[T]) Len() int { return t.size }
 
 // Insert adds v to the tree and returns its node handle.
 func (t *Tree[T]) Insert(v T) *Node[T] {
-	n := &Node[T]{Value: v, red: true, tree: t}
+	n := &Node[T]{Value: v}
+	t.InsertNode(n)
+	return n
+}
+
+// Linked reports whether n is currently in a tree.
+func (n *Node[T]) Linked() bool { return n.tree != nil }
+
+// InsertNode links the caller's node n into the tree under n.Value. n must be
+// detached: fresh (a zero Node with Value set, possibly embedded in the
+// element itself) or removed by Delete. An element that leaves and re-enters
+// a tree many times, like a pool block flipping between active and inactive,
+// keeps one node for life instead of allocating one per entry.
+func (t *Tree[T]) InsertNode(n *Node[T]) {
+	if n.tree != nil {
+		panic("container: InsertNode of node already in a tree")
+	}
+	v := n.Value
+	n.red, n.tree = true, t
 	var parent *Node[T]
 	cur := t.root
 	for cur != nil {
@@ -58,7 +76,6 @@ func (t *Tree[T]) Insert(v T) *Node[T] {
 	}
 	t.size++
 	t.insertFixup(n)
-	return n
 }
 
 // Delete removes the node n from the tree. It panics if n does not belong to

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/caching"
 	"repro/internal/cuda"
@@ -71,12 +72,6 @@ type Allocator struct {
 	gcRuns      int64
 }
 
-// assignment is the Buffer impl payload: which block a tensor occupies.
-type assignment struct {
-	p *PBlock
-	s *SBlock
-}
-
 // New returns a GMLake allocator over driver with cfg.
 func New(driver *cuda.Driver, cfg Config) *Allocator {
 	if cfg.SmallThreshold < ChunkSize {
@@ -129,7 +124,14 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 		return nil, fmt.Errorf("core: Alloc(%d)", size)
 	}
 	if size < a.cfg.SmallThreshold {
-		return a.small.Alloc(size)
+		buf, err := a.small.Alloc(size)
+		if err != nil {
+			// The stitched pool may be caching the whole device: release
+			// its inactive physical memory and retry once, as allocNew does.
+			a.gcInactive(nil)
+			buf, err = a.small.Alloc(size)
+		}
+		return buf, err
 	}
 	a.driver.Clock().Advance(a.driver.Cost().HostOp())
 	rounded := sim.RoundUp(size, ChunkSize)
@@ -174,7 +176,7 @@ func (a *Allocator) assignPBlock(p *PBlock, requested int64) *memalloc.Buffer {
 	a.activatePBlock(p)
 	a.acct.OnAlloc(p.size)
 	buf := &memalloc.Buffer{Ptr: p.va, Requested: requested, BlockSize: p.size}
-	buf.SetImpl(&assignment{p: p})
+	buf.SetImpl(p)
 	return buf
 }
 
@@ -191,18 +193,22 @@ func (a *Allocator) assignSBlock(s *SBlock, requested int64) *memalloc.Buffer {
 	}
 	a.acct.OnAlloc(s.size)
 	buf := &memalloc.Buffer{Ptr: s.va, Requested: requested, BlockSize: s.size}
-	buf.SetImpl(&assignment{s: s})
+	buf.SetImpl(s)
 	return buf
 }
 
-// activatePBlock increments p's active references, pulling p and every
-// sBlock stitched over it out of the inactive indexes on the 0→1 edge.
+// activatePBlock increments p's active references. On the 0→1 edge p leaves
+// the inactive index and every sBlock stitched over it counts one more active
+// member, leaving the available index on its own 0→1 edge.
 func (a *Allocator) activatePBlock(p *PBlock) {
 	p.activeRefs++
 	if p.activeRefs == 1 {
 		a.pblocks.markActive(p)
-		for s := range p.owners {
-			a.sblocks.markUnavailable(s)
+		for _, s := range p.owners {
+			s.activeMembers++
+			if s.activeMembers == 1 {
+				a.sblocks.markUnavailable(s)
+			}
 		}
 	}
 }
@@ -217,8 +223,9 @@ func (a *Allocator) deactivatePBlock(p *PBlock) {
 	p.activeRefs--
 	if p.activeRefs == 0 {
 		a.pblocks.markInactive(p)
-		for s := range p.owners {
-			if !s.assigned && !s.Active() {
+		for _, s := range p.owners {
+			s.activeMembers--
+			if s.activeMembers == 0 && !s.assigned {
 				a.sblocks.markAvailable(s)
 			}
 		}
@@ -249,16 +256,13 @@ func (a *Allocator) allocSplit(cand *PBlock, rounded, requested int64) *memalloc
 func (a *Allocator) split(p *PBlock, size int64) (front, back *PBlock) {
 	var rebind []*SBlock
 	if a.cfg.RebindOnSplit {
-		for s := range p.owners {
+		rebind, p.owners = p.owners, nil
+		for _, s := range rebind {
 			if s.assigned {
 				panic("core: owner sBlock assigned while member inactive")
 			}
-			rebind = append(rebind, s)
-			delete(p.owners, s)
 		}
-		// p.owners is a map: sort so the rebind sequence (and any driver
-		// call order behind it) never depends on iteration order.
-		sort.Slice(rebind, func(i, j int) bool { return rebind[i].va < rebind[j].va })
+		slices.SortFunc(rebind, byVA)
 	} else {
 		a.dropOwners(p)
 	}
@@ -268,8 +272,8 @@ func (a *Allocator) split(p *PBlock, size int64) (front, back *PBlock) {
 	a.pblocks.add(back)
 	for _, s := range rebind {
 		replaceMember(s, p, front, back)
-		front.owners[s] = struct{}{}
-		back.owners[s] = struct{}{}
+		front.owners = append(front.owners, s)
+		back.owners = append(back.owners, s)
 	}
 	return front, back
 }
@@ -326,16 +330,12 @@ func (a *Allocator) trimCandidates(cands []*PBlock, rounded int64) ([]*PBlock, i
 // findExactCompletion returns an inactive pBlock of exactly need bytes that
 // is not already among cands, or nil.
 func (a *Allocator) findExactCompletion(cands []*PBlock, need int64) *PBlock {
-	taken := make(map[*PBlock]struct{}, len(cands))
-	for _, p := range cands {
-		taken[p] = struct{}{}
-	}
-	for n := a.pblocks.inactive.Ceil(&PBlock{size: need}); n != nil; n = a.pblocks.inactive.Next(n) {
+	for n := a.pblocks.ceil(need); n != nil; n = a.pblocks.inactive.Next(n) {
 		p := n.Value
 		if p.size != need {
 			return nil
 		}
-		if _, dup := taken[p]; !dup {
+		if !slices.Contains(cands, p) {
 			return p
 		}
 	}
@@ -372,47 +372,36 @@ func (a *Allocator) allocNew(cands []*PBlock, total, rounded, requested int64) (
 // never releases physical memory — it only flips active state (Update), so a
 // future same-size allocation exact-matches instantly.
 func (a *Allocator) Free(buf *memalloc.Buffer) {
-	if buf.Impl() == nil {
+	// The paper's Update function: restore inactive state on the freed block
+	// and, through its pBlocks' owners, on its neighbours in the pools.
+	switch b := buf.Impl().(type) {
+	case nil:
 		panic("core: Free of unowned or already-freed buffer")
-	}
-	if asg, ok := buf.Impl().(*assignment); ok {
-		a.driver.Clock().Advance(a.driver.Cost().HostOp())
-		a.update(asg)
-		a.acct.OnFree(buf.BlockSize)
-		buf.SetImpl(nil)
-		return
-	}
-	// Small-pool buffer: owned by the embedded caching allocator.
-	a.small.Free(buf)
-}
-
-// update is the paper's Update function: restore inactive state on the freed
-// block and its neighbours in the pools.
-func (a *Allocator) update(asg *assignment) {
-	switch {
-	case asg.p != nil:
-		p := asg.p
-		if !p.assigned {
+	case *PBlock:
+		if !b.assigned {
 			panic("core: double Free of pBlock")
 		}
-		p.assigned = false
-		a.deactivatePBlock(p)
-	case asg.s != nil:
-		s := asg.s
-		if !s.assigned {
+		b.assigned = false
+		a.deactivatePBlock(b)
+	case *SBlock:
+		if !b.assigned {
 			panic("core: double Free of sBlock")
 		}
-		s.assigned = false
-		a.sblocks.touch(s)
-		for _, p := range s.members {
+		b.assigned = false
+		a.sblocks.touch(b)
+		// The last member's 1→0 edge re-indexes b itself: it is one of that
+		// member's owners.
+		for _, p := range b.members {
 			a.deactivatePBlock(p)
 		}
-		if !s.Active() {
-			a.sblocks.markAvailable(s)
-		}
 	default:
-		panic("core: empty assignment")
+		// Small-pool buffer: owned by the embedded caching allocator.
+		a.small.Free(buf)
+		return
 	}
+	a.driver.Clock().Advance(a.driver.Cost().HostOp())
+	a.acct.OnFree(buf.BlockSize)
+	buf.SetImpl(nil)
 }
 
 // addSBlock registers a freshly stitched sBlock. The caller runs
@@ -454,6 +443,8 @@ func (a *Allocator) oldestUnassigned() *SBlock {
 	return victim
 }
 
+func byVA(a, b *SBlock) int { return cmp.Compare(a.va, b.va) }
+
 // dropSBlock unstitches s and removes it from the pool.
 func (a *Allocator) dropSBlock(s *SBlock) {
 	a.sblocks.remove(s)
@@ -466,17 +457,14 @@ func (a *Allocator) dropOwners(p *PBlock) {
 	if p.Active() {
 		panic("core: dropOwners of active pBlock")
 	}
-	owners := make([]*SBlock, 0, len(p.owners))
-	for s := range p.owners {
+	// Unstitching edits p.owners and issues driver calls (unmap, VA free):
+	// walk a copy, in VA order whatever order the views were stitched in.
+	owners := slices.Clone(p.owners)
+	slices.SortFunc(owners, byVA)
+	for _, s := range owners {
 		if s.assigned {
 			panic("core: owner sBlock assigned while member inactive")
 		}
-		owners = append(owners, s)
-	}
-	// Unstitching issues driver calls (unmap, VA free); sort by VA so the
-	// call sequence is independent of map iteration order.
-	sort.Slice(owners, func(i, j int) bool { return owners[i].va < owners[j].va })
-	for _, s := range owners {
 		a.dropSBlock(s)
 	}
 }
@@ -502,7 +490,7 @@ func (a *Allocator) gcInactive(keep []*PBlock) {
 	// a.pblocks.all is a map: destroy in VA order so the driver sees the
 	// same release sequence (clock charges, VA free-range coalescing)
 	// every run, not one chosen by map iteration.
-	sort.Slice(victims, func(i, j int) bool { return victims[i].va < victims[j].va })
+	slices.SortFunc(victims, func(x, y *PBlock) int { return cmp.Compare(x.va, y.va) })
 	for _, p := range victims {
 		a.dropOwners(p)
 		a.pblocks.remove(p)
@@ -542,30 +530,49 @@ func (a *Allocator) StitchFreeCount() int64 { return a.stitchFrees }
 // GCRuns reports how many times the OOM fallback garbage collector ran.
 func (a *Allocator) GCRuns() int64 { return a.gcRuns }
 
-// CheckInvariants validates the §4.2.1 structural guarantees; tests call it
-// after workloads:
+// CheckInvariants validates the §4.2.1 structural guarantees and the counted
+// state the indexes rest on; tests call it after (and during) workloads:
 //
 //   - pPool bytes equal the allocator's reserved accounting.
-//   - every inactive pBlock is indexed, every active one is not;
-//   - an sBlock is indexed as available iff unassigned with all members
-//     inactive;
-//   - sBlock membership and owner back-pointers agree (the "sPool is a
-//     subset of pPool" soft-link rule).
+//   - every inactive pBlock is linked into the index by its own node, every
+//     active one is not;
+//   - an sBlock's activeMembers equals its members with activeRefs > 0;
+//   - an sBlock sits in its size class's heap, at its recorded position, iff
+//     unassigned with all members inactive; each heap is VA-ordered and each
+//     class counts its live sBlocks;
+//   - sBlock membership and owner back-pointers agree both ways, without
+//     duplicates (the "sPool is a subset of pPool" soft-link rule).
 func (a *Allocator) CheckInvariants() error {
 	var bytes int64
+	inactive := 0
 	for p := range a.pblocks.all {
 		bytes += p.size
-		if p.Active() && p.node != nil {
+		if p.node.Value != p {
+			return fmt.Errorf("core: pBlock node does not point back at it")
+		}
+		if p.Active() && p.node.Linked() {
 			return fmt.Errorf("core: active pBlock in inactive index")
 		}
-		if !p.Active() && p.node == nil {
-			return fmt.Errorf("core: inactive pBlock missing from index")
+		if !p.Active() {
+			if !p.node.Linked() {
+				return fmt.Errorf("core: inactive pBlock missing from index")
+			}
+			inactive++
 		}
-		for s := range p.owners {
+		for i, s := range p.owners {
 			if _, ok := a.sblocks.all[s]; !ok {
 				return fmt.Errorf("core: pBlock owner sBlock not in sPool")
 			}
+			if slices.Contains(p.owners[:i], s) {
+				return fmt.Errorf("core: sBlock twice among a pBlock's owners")
+			}
+			if !slices.Contains(s.members, p) {
+				return fmt.Errorf("core: pBlock owner sBlock does not list it as member")
+			}
 		}
+	}
+	if inactive != a.pblocks.inactive.Len() {
+		return fmt.Errorf("core: %d inactive pBlocks, index holds %d", inactive, a.pblocks.inactive.Len())
 	}
 	if bytes != a.pblocks.bytes {
 		return fmt.Errorf("core: pPool bytes %d != tracked %d", bytes, a.pblocks.bytes)
@@ -573,20 +580,48 @@ func (a *Allocator) CheckInvariants() error {
 	if got := a.acct.Stats().Reserved; got != bytes {
 		return fmt.Errorf("core: reserved accounting %d != pPool bytes %d", got, bytes)
 	}
+	live := make(map[*sClass]int)
 	for s := range a.sblocks.all {
-		available := !s.assigned && !s.Active()
-		if available && s.node == nil {
-			return fmt.Errorf("core: available sBlock missing from index")
-		}
-		if !available && s.node != nil {
-			return fmt.Errorf("core: unavailable sBlock present in index")
-		}
+		active := 0
 		for _, p := range s.members {
 			if _, ok := a.pblocks.all[p]; !ok {
 				return fmt.Errorf("core: sBlock member not in pPool")
 			}
-			if _, ok := p.owners[s]; !ok {
+			if !slices.Contains(p.owners, s) {
 				return fmt.Errorf("core: sBlock missing from member's owners")
+			}
+			if p.Active() {
+				active++
+			}
+		}
+		if s.activeMembers != active {
+			return fmt.Errorf("core: sBlock counts %d active members, has %d", s.activeMembers, active)
+		}
+		if s.class == nil || s.class != a.sblocks.classes[s.size] {
+			return fmt.Errorf("core: sBlock not bound to its size class")
+		}
+		live[s.class]++
+		available := !s.assigned && !s.Active()
+		if available && s.heapPos < 0 {
+			return fmt.Errorf("core: available sBlock missing from index")
+		}
+		if !available && s.heapPos >= 0 {
+			return fmt.Errorf("core: unavailable sBlock present in index")
+		}
+		if available && (s.heapPos >= len(s.class.avail) || s.class.avail[s.heapPos] != s) {
+			return fmt.Errorf("core: sBlock heap position %d does not hold it", s.heapPos)
+		}
+	}
+	for size, c := range a.sblocks.classes {
+		if c.live == 0 || c.live != live[c] {
+			return fmt.Errorf("core: size class %d counts %d live sBlocks, has %d", size, c.live, live[c])
+		}
+		for i, s := range c.avail {
+			if _, ok := a.sblocks.all[s]; !ok || s.size != size || s.heapPos != i {
+				return fmt.Errorf("core: size class %d slot %d holds a foreign or misplaced sBlock", size, i)
+			}
+			if i > 0 && c.avail[(i-1)/2].va > s.va {
+				return fmt.Errorf("core: size class %d heap order violated at slot %d", size, i)
 			}
 		}
 	}

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // fitState is the outcome of the BestFit search, paper Algorithm 1.
 type fitState int
 
@@ -43,17 +45,17 @@ type bestFitResult struct {
 func (a *Allocator) bestFit(size int64) bestFitResult {
 	// S1: exact match, sBlocks first (reusing a cached stitched block is
 	// the convergence mechanism of §5.4).
-	if s := findExactS(a.sblocks.inactive, size); s != nil {
+	if s := a.sblocks.findExact(size); s != nil {
 		return bestFitResult{state: fitExact, exactS: s}
 	}
-	if p := findExactP(a.pblocks.inactive, size); p != nil {
+	if p := a.pblocks.findExact(size); p != nil {
 		return bestFitResult{state: fitExact, exactP: p}
 	}
 
 	// Single-block regime: the smallest inactive pBlock covering the whole
 	// request (best fit). Exact sizes were handled above, so this is a
 	// strictly larger block headed for a split.
-	if n := a.pblocks.inactive.Ceil(&PBlock{size: size}); n != nil {
+	if n := a.pblocks.ceil(size); n != nil {
 		return bestFitResult{state: fitSingle, cands: []*PBlock{n.Value}, total: n.Value.size}
 	}
 
@@ -83,10 +85,7 @@ func (a *Allocator) bestFit(size int64) bestFitResult {
 // remainder is appended for the caller to split — preferring, among
 // same-sized choices, a block with the fewest stitched views over it.
 func (a *Allocator) collectCandidates(size, minBlock int64) ([]*PBlock, int64) {
-	var (
-		cands []*PBlock
-		taken map[*PBlock]struct{}
-	)
+	var cands []*PBlock
 	needed := size
 	a.pblocks.inactive.Descend(func(n *pNode) bool {
 		p := n.Value
@@ -105,15 +104,11 @@ func (a *Allocator) collectCandidates(size, minBlock int64) ([]*PBlock, int64) {
 	// Top up with a block to split. Everything accumulated so far is
 	// excluded; ties on size prefer fewer owner sBlocks to limit tape
 	// damage.
-	taken = make(map[*PBlock]struct{}, len(cands))
-	for _, p := range cands {
-		taken[p] = struct{}{}
-	}
 	var top *PBlock
 	scanned := 0
-	for n := a.pblocks.inactive.Ceil(&PBlock{size: needed}); n != nil && scanned < 8; n = a.pblocks.inactive.Next(n) {
+	for n := a.pblocks.ceil(needed); n != nil && scanned < 8; n = a.pblocks.inactive.Next(n) {
 		p := n.Value
-		if _, dup := taken[p]; dup {
+		if slices.Contains(cands, p) {
 			continue
 		}
 		scanned++

@@ -11,15 +11,56 @@
 //   - SBlock ("stitched block"): a second VA reservation mapped onto the
 //     chunks of one or more pBlocks. sBlocks never own physical memory; they
 //     give tensors one contiguous view over scattered pBlocks.
-//   - pPool / sPool: ordered pools of the inactive blocks, searched by the
-//     BestFit algorithm (paper Algorithm 1).
+//   - pPool / sPool: pools of the inactive blocks, searched by the BestFit
+//     algorithm (paper Algorithm 1). The pPool is ordered by (size, VA); the
+//     sPool, only ever asked for an exact size, keeps a VA-ordered heap per
+//     size.
 //
 // The allocator (see allocator.go) wires these into the multi-state
 // allocation strategy of paper Figure 9.
+//
+// # State propagation
+//
+// A tensor activates its pBlock, or every member of its sBlock; the paper's
+// rule "if even one pBlock is active, all corresponding sBlocks are labeled
+// as active" is kept by counting, never by rescanning:
+//
+//   - PBlock.activeRefs counts the tensors using the pBlock (directly, or
+//     through an assigned sBlock). Only activatePBlock and deactivatePBlock
+//     change it.
+//   - SBlock.activeMembers counts the members whose activeRefs is non-zero.
+//     activatePBlock increments it on every owner when a member goes 0→1 and
+//     deactivatePBlock decrements it when the member goes 1→0; stitchSBlock
+//     seeds it. Nothing else writes it: a split replaces an inactive member
+//     by two inactive halves, and unstitching discards the sBlock.
+//   - PBlock.owners lists the sBlocks stitched over the pBlock, once each, in
+//     stitch order. It is a slice, so every walk is in a fixed order; the
+//     walks that issue driver calls (rebind, teardown) sort a copy by VA.
+//   - A pBlock is linked into the pPool tree, through the node it embeds,
+//     exactly while activeRefs == 0. An sBlock is in its size class's heap
+//     exactly while it is unassigned and activeMembers == 0: it enters on
+//     its own 1→0 edge (or when freed or stitched in that state) and leaves
+//     on its 0→1 edge or when assigned.
+//
+// CheckInvariants recomputes every one of these from scratch.
+//
+// Host cost per Figure 9 state, with P inactive pBlocks, m the pBlocks that
+// flip (1, or the members of the sBlock handed out), "owners" the views
+// stitched over those m, and k the available sBlocks of one owner's size:
+//
+//	S1 exact match   O(m·log P + owners), one allocation (the Buffer)
+//	S2 split         S1 + O(owners) rebinding + the driver's remap
+//	S3 stitch        O(P) candidate walk + S1 + the driver's maps
+//	S4 new memory    S3 + chunk creation; on OOM a GC pass over every pBlock
+//	Free             O(m·log P + owners), no allocation
+//
+// An owner costs one counter step per flip; only an owner whose availability
+// changes pays a heap step on top, O(log k) within its own size.
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/container"
 	"repro/internal/cuda"
@@ -43,12 +84,13 @@ type PBlock struct {
 	// assigned reports a tensor living directly in this pBlock.
 	assigned bool
 
-	// owners are the sBlocks stitched over this pBlock.
-	owners map[*SBlock]struct{}
+	// owners are the sBlocks stitched over this pBlock, each exactly once.
+	owners []*SBlock
 
-	// node is the pBlock's position in the pPool inactive tree (nil while
-	// active).
-	node *container.Node[*PBlock]
+	// node is the pBlock's own node for the pPool inactive tree, linked
+	// while the pBlock is inactive and re-linked, never reallocated, on
+	// every state flip.
+	node container.Node[*PBlock]
 }
 
 // VA returns the block's base virtual address.
@@ -67,12 +109,20 @@ type SBlock struct {
 	size    int64
 	members []*PBlock
 
+	// activeMembers counts the members with activeRefs > 0. It moves only on
+	// a member's 0→1 / 1→0 edge (activatePBlock, deactivatePBlock) and is
+	// seeded at stitch; a split leaves it alone because only inactive
+	// pBlocks split.
+	activeMembers int
+
 	// assigned reports a tensor living in this sBlock.
 	assigned bool
 
-	// node is the sBlock's position in the sPool inactive tree (nil while
-	// any member is active or while assigned).
-	node *container.Node[*SBlock]
+	// class is the sPool index of this sBlock's size and heapPos its
+	// position in class.avail, -1 while any member is active or while
+	// assigned.
+	class   *sClass
+	heapPos int
 
 	// lru is the sBlock's position in the StitchFree LRU queue.
 	lru *container.QueueNode[*SBlock]
@@ -90,14 +140,7 @@ func (s *SBlock) Members() []*PBlock { return s.members }
 
 // Active reports whether any member pBlock is active (paper §3.2: "if even
 // one pBlock is active, all corresponding sBlocks are labeled as active").
-func (s *SBlock) Active() bool {
-	for _, p := range s.members {
-		if p.Active() {
-			return true
-		}
-	}
-	return false
-}
+func (s *SBlock) Active() bool { return s.activeMembers > 0 }
 
 // newPBlock allocates a fresh pBlock of size bytes (a multiple of ChunkSize):
 // one AddrReserve, then Create+Map per 2 MiB chunk, then SetAccess — the
@@ -131,7 +174,7 @@ func newPBlock(drv *cuda.Driver, size int64) (*PBlock, error) {
 	if err := drv.MemSetAccess(va, size); err != nil {
 		panic("core: MemSetAccess on fresh pBlock: " + err.Error())
 	}
-	return &PBlock{va: va, size: size, chunks: chunks, owners: make(map[*SBlock]struct{})}, nil
+	return &PBlock{va: va, size: size, chunks: chunks}, nil
 }
 
 // mapChunksAt maps chunks consecutively starting at va and enables access.
@@ -202,7 +245,7 @@ func remapAsPBlock(drv *cuda.Driver, size int64, chunks []cuda.MemHandle) *PBloc
 		panic("core: remapAsPBlock reserve: " + err.Error())
 	}
 	mapChunksAt(drv, va, chunks)
-	return &PBlock{va: va, size: size, chunks: chunks, owners: make(map[*SBlock]struct{})}
+	return &PBlock{va: va, size: size, chunks: chunks}
 }
 
 // stitchSBlock builds an sBlock over members: one VA reservation of the
@@ -226,9 +269,12 @@ func stitchSBlock(drv *cuda.Driver, members []*PBlock) *SBlock {
 		mapChunksAt(drv, va+off, p.chunks)
 		off += cuda.DevicePtr(p.size)
 	}
-	s := &SBlock{va: va, size: total, members: members}
+	s := &SBlock{va: va, size: total, members: members, heapPos: -1}
 	for _, p := range members {
-		p.owners[s] = struct{}{}
+		p.owners = append(p.owners, s)
+		if p.Active() {
+			s.activeMembers++
+		}
 	}
 	return s
 }
@@ -264,7 +310,11 @@ func unstitchSBlock(drv *cuda.Driver, s *SBlock) {
 		panic("core: unstitch address free: " + err.Error())
 	}
 	for _, p := range s.members {
-		delete(p.owners, s)
+		i := slices.Index(p.owners, s)
+		if i < 0 {
+			panic("core: unstitch: sBlock missing from member's owners")
+		}
+		p.owners = slices.Delete(p.owners, i, i+1)
 	}
 	s.members = nil
 }

@@ -544,3 +544,68 @@ func TestBlockAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExactMatchAllocationBudget pins the S1 hot path to one heap allocation
+// per Alloc+Free pair — the returned Buffer (the pair cost five before the
+// block itself became the Buffer's impl and the indexes stopped allocating
+// nodes and probe keys) — for a plain pBlock and for an sBlock whose member
+// pBlocks each carry at least 32 other stitched views.
+func TestExactMatchAllocationBudget(t *testing.T) {
+	pair := func(a *Allocator, size int64) func() {
+		return func() {
+			b, err := a.Alloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Free(b)
+		}
+	}
+
+	a, _ := newTestAllocator(8 * sim.GiB)
+	a.Free(mustAlloc(t, a, 256*sim.MiB))
+	if n := testing.AllocsPerRun(200, pair(a, 256*sim.MiB)); n > 1 {
+		t.Errorf("pBlock exact match: %.0f allocations per Alloc+Free, want <= 1", n)
+	}
+
+	// Two pBlocks, each stitched in turn with 32 one-chunk partners while
+	// nothing else is free; taking the partner back leaves the view cached
+	// over the pBlock. Then the pair is stitched into the sBlock under test.
+	const views = 32
+	a, _ = newTestAllocator(8 * sim.GiB)
+	sizes := [2]int64{600 * sim.MiB, 700 * sim.MiB}
+	held := [2]*memalloc.Buffer{mustAlloc(t, a, sizes[0]), mustAlloc(t, a, sizes[1])}
+	var partners [2 * views]*memalloc.Buffer
+	for i := range partners {
+		partners[i] = mustAlloc(t, a, ChunkSize)
+	}
+	for m, size := range sizes {
+		a.Free(held[m])
+		for _, partner := range partners[m*views : (m+1)*views] {
+			a.Free(partner)
+			a.Free(mustAlloc(t, a, size+ChunkSize))
+			mustAlloc(t, a, ChunkSize)
+		}
+		held[m] = mustAlloc(t, a, size)
+	}
+	a.Free(held[0])
+	a.Free(held[1])
+	a.Free(mustAlloc(t, a, sizes[0]+sizes[1]))
+
+	s := a.sblocks.findExact(sizes[0] + sizes[1])
+	if s == nil || len(s.members) != 2 {
+		t.Fatalf("no cached two-member sBlock of %d bytes", sizes[0]+sizes[1])
+	}
+	for _, p := range s.members {
+		if len(p.owners) <= views {
+			t.Fatalf("member carries %d views, want more than %d", len(p.owners), views)
+		}
+	}
+	s1Before, _, _, _ := a.StrategyCounts()
+	if n := testing.AllocsPerRun(200, pair(a, s.size)); n > 1 {
+		t.Errorf("sBlock exact match: %.0f allocations per Alloc+Free, want <= 1", n)
+	}
+	if s1After, _, _, _ := a.StrategyCounts(); s1After-s1Before < 200 {
+		t.Fatalf("measured pairs were not all exact matches: S1 moved by %d", s1After-s1Before)
+	}
+	checkInv(t, a)
+}

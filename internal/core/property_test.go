@@ -10,35 +10,48 @@ import (
 	"repro/internal/sim"
 )
 
-// opSeq is a compact encoding of an alloc/free sequence for property tests:
-// non-negative values allocate (value scales the size), negative values free
-// the oldest live buffer.
-func runOpSeq(a *Allocator, ops []int16) (live []*memalloc.Buffer) {
-	for _, op := range ops {
+// runOpSeq drives a compact encoding of an alloc/free sequence: non-negative
+// values allocate (the value scales the size), negative values free a live
+// buffer picked by the value. CheckInvariants runs after every operation, so
+// a counter or index that drifts is caught at the operation that broke it,
+// not at the end of the run.
+func runOpSeq(t *testing.T, a *Allocator, ops []int16) (live []*memalloc.Buffer, ok bool) {
+	for i, op := range ops {
 		if op >= 0 {
 			size := (int64(op)%1024 + 1) * sim.MiB
 			if b, err := a.Alloc(size); err == nil {
 				live = append(live, b)
 			}
 		} else if len(live) > 0 {
-			a.Free(live[0])
-			live = live[1:]
+			j := int(-(op + 1)) % len(live)
+			a.Free(live[j])
+			live = append(live[:j], live[j+1:]...)
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Logf("after op %d (%d): %v", i, op, err)
+			return live, false
 		}
 	}
-	return live
+	return live, true
 }
 
-// TestQuickInvariants drives arbitrary alloc/free sequences and checks the
-// §4.2.1 structural invariants plus device-accounting agreement throughout.
-func TestQuickInvariants(t *testing.T) {
+// quickInvariants drives arbitrary alloc/free sequences over a fresh
+// allocator each and checks the §4.2.1 structural invariants throughout,
+// device-accounting agreement, and a leak-free teardown. It returns the
+// allocators' summed GC runs and StitchFree evictions and the most stitched
+// views any pBlock carried, so callers can assert the sequences reached the
+// paths they are meant to cover.
+func quickInvariants(t *testing.T, capacity int64, cfg Config, count int) (gcRuns, stitchFrees int64, maxOwners int) {
 	f := func(ops []int16) bool {
-		dev := gpu.NewDevice("q", 8*sim.GiB)
+		dev := gpu.NewDevice("q", capacity)
 		drv := cuda.NewDriver(dev, sim.NewClock(), sim.DefaultCostModel())
-		a := NewDefault(drv)
-		live := runOpSeq(a, ops)
-		if err := a.CheckInvariants(); err != nil {
-			t.Log(err)
+		a := New(drv, cfg)
+		live, ok := runOpSeq(t, a, ops)
+		if !ok {
 			return false
+		}
+		for p := range a.pblocks.all {
+			maxOwners = max(maxOwners, len(p.owners))
 		}
 		// Reserved must equal what the device has handed out.
 		if a.Stats().Reserved != dev.Used() {
@@ -48,6 +61,8 @@ func TestQuickInvariants(t *testing.T) {
 		for _, b := range live {
 			a.Free(b)
 		}
+		gcRuns += a.GCRuns()
+		stitchFrees += a.StitchFreeCount()
 		a.EmptyCache()
 		if dev.Used() != 0 {
 			t.Logf("device leak: %d", dev.Used())
@@ -55,8 +70,40 @@ func TestQuickInvariants(t *testing.T) {
 		}
 		return a.CheckInvariants() == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: count}); err != nil {
 		t.Fatal(err)
+	}
+	return gcRuns, stitchFrees, maxOwners
+}
+
+// TestQuickInvariants checks the structural invariants after every operation
+// of arbitrary sequences under the default configuration.
+func TestQuickInvariants(t *testing.T) {
+	quickInvariants(t, 8*sim.GiB, DefaultConfig(), 60)
+}
+
+// TestQuickInvariantsDestroyOnSplit re-runs the structural property test
+// under the ablation configuration.
+func TestQuickInvariantsDestroyOnSplit(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RebindOnSplit = false
+	quickInvariants(t, 8*sim.GiB, cfg, 40)
+}
+
+// TestQuickInvariantsUnderEviction shrinks the device and the stitched pool
+// until the sequences run the GC fallback and StitchFree while sBlocks share
+// member pBlocks — the teardown paths that must keep activeMembers, owners
+// and the size-class heaps in step — under both split semantics.
+func TestQuickInvariantsUnderEviction(t *testing.T) {
+	for _, rebind := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.MaxSBlocks = 6
+		cfg.RebindOnSplit = rebind
+		gcRuns, stitchFrees, maxOwners := quickInvariants(t, 2*sim.GiB, cfg, 60)
+		if gcRuns == 0 || stitchFrees == 0 || maxOwners < 2 {
+			t.Fatalf("rebind=%v: %d GC runs, %d StitchFree evictions, at most %d views over one pBlock: sequences missed the paths under test",
+				rebind, gcRuns, stitchFrees, maxOwners)
+		}
 	}
 }
 
@@ -159,31 +206,6 @@ func TestDestroyOnSplitAblation(t *testing.T) {
 	checkInv(t, a)
 }
 
-// TestQuickInvariantsDestroyOnSplit re-runs the structural property test
-// under the ablation configuration.
-func TestQuickInvariantsDestroyOnSplit(t *testing.T) {
-	f := func(ops []int16) bool {
-		dev := gpu.NewDevice("q", 8*sim.GiB)
-		drv := cuda.NewDriver(dev, sim.NewClock(), sim.DefaultCostModel())
-		cfg := DefaultConfig()
-		cfg.RebindOnSplit = false
-		a := New(drv, cfg)
-		live := runOpSeq(a, ops)
-		if err := a.CheckInvariants(); err != nil {
-			t.Log(err)
-			return false
-		}
-		for _, b := range live {
-			a.Free(b)
-		}
-		a.EmptyCache()
-		return dev.Used() == 0 && a.CheckInvariants() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestVASpaceReleasedOnEmptyCache confirms no virtual address space leaks
 // across heavy stitch/split churn followed by a full GC.
 func TestVASpaceReleasedOnEmptyCache(t *testing.T) {
@@ -209,5 +231,40 @@ func TestVASpaceReleasedOnEmptyCache(t *testing.T) {
 	a.EmptyCache()
 	if got := dev.VAFragments(); got != 1 {
 		t.Fatalf("virtual address space fragmented into %d pieces after full GC, want 1", got)
+	}
+}
+
+// TestSizeClassHeapOrder drives one size class's heap with random
+// pushes and removals from the middle and checks, after each, the heap order
+// (so the top is the minimum) and every recorded position against the slot
+// holding it.
+func TestSizeClassHeapOrder(t *testing.T) {
+	rng := sim.NewRNG(3)
+	var c sClass
+	var in []*SBlock
+	for op := 0; op < 5000; op++ {
+		if len(in) == 0 || rng.Float64() < 0.55 {
+			s := &SBlock{va: cuda.DevicePtr(rng.Int63n(1 << 40)), heapPos: -1}
+			c.push(s)
+			in = append(in, s)
+		} else {
+			j := rng.Intn(len(in))
+			c.remove(in[j])
+			if in[j].heapPos != -1 {
+				t.Fatalf("op %d: removed sBlock keeps position %d", op, in[j].heapPos)
+			}
+			in = append(in[:j], in[j+1:]...)
+		}
+		if len(c.avail) != len(in) {
+			t.Fatalf("op %d: heap holds %d, want %d", op, len(c.avail), len(in))
+		}
+		for i, s := range c.avail {
+			if s.heapPos != i {
+				t.Fatalf("op %d: slot %d holds an sBlock recording position %d", op, i, s.heapPos)
+			}
+			if i > 0 && c.avail[(i-1)/2].va > s.va {
+				t.Fatalf("op %d: slot %d (va %d) sits under a higher parent (va %d)", op, i, s.va, c.avail[(i-1)/2].va)
+			}
+		}
 	}
 }
