@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/cmd/internal/profile"
+	"repro/internal/conf"
 	"repro/internal/harness"
 	"repro/internal/sim"
 )
@@ -38,20 +39,15 @@ func main() {
 		capacity = flag.Int64("capacity-gb", 80, "per-GPU memory in GiB")
 		minSteps = flag.Int("min-steps", 40, "minimum training steps per run")
 		maxSteps = flag.Int("max-steps", 200, "maximum training steps per run")
-		par      = flag.Int("parallel", 0, "experiment-cell workers (0 = GOMAXPROCS, 1 = sequential)")
-		traceIn  = flag.String("trace-in", "", "servetrace: replay this request-trace file instead of the canonical mixes")
-		traceSc  = flag.Float64("trace-scale", 0, "servetrace: rate multiplier for the replayed trace (needs -trace-in)")
-		exactSmp = flag.Int("exact-samples", 0, "serving latency-digest exact-retention threshold (0 = serve default; negative = sketch from the first sample)")
-		prof     = profile.Register()
+		// The serving knobs the experiments share with gmlake-serve are the
+		// same keys, with the same values, docs and cross-key rules.
+		keys = conf.RegisterFlags(flag.CommandLine, "parallel", "trace_in", "trace_scale", "exact_samples")
+		prof = profile.Register()
 	)
 	flag.Parse()
-
-	if *par < 0 {
-		fmt.Fprintf(os.Stderr, "gmlake-bench: -parallel must be >= 0, got %d\n", *par)
-		os.Exit(2)
-	}
-	if *traceIn == "" && *traceSc != 0 {
-		fmt.Fprintln(os.Stderr, "gmlake-bench: -trace-scale needs -trace-in")
+	cfg, err := keys.Parse("")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gmlake-bench:", err)
 		os.Exit(2)
 	}
 
@@ -67,10 +63,10 @@ func main() {
 	env.Capacity = *capacity * sim.GiB
 	env.TotalSteps = *minSteps
 	env.MaxSteps = *maxSteps
-	env.Parallelism = *par
-	env.TraceIn = *traceIn
-	env.TraceScale = *traceSc
-	env.ExactSamples = *exactSmp
+	env.Parallelism = cfg.Parallelism
+	env.TraceIn = cfg.TraceIn
+	env.TraceScale = cfg.TraceScale
+	env.ExactSamples = cfg.ExactSamples
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

@@ -20,15 +20,13 @@
 //	gmlake-serve -replicas 2 -fault-plan "crash@t=12s:r1/restart@t=14s:r1" -timeout 30s -retries 1 -shed -policy chunked
 //	gmlake-serve -conf backend:gmlake -policy chunked -n 20000 -cpuprofile cpu.out -memprofile mem.out
 //
-// The workload keys (serve_mix, serve_rate, burst_cv, parallel), the
-// cluster keys (replicas, dispatch, aging, min_replicas, max_replicas,
-// scale_up, scale_down, scale_cooldown, steal, replica_caps), the
-// session keys (prefix_reuse, affinity_base) and the
-// request-trace keys (trace_in, trace_out, trace_scale, fit) and the
-// fault keys (mttf, mttr, fault_plan, timeout, retries, backoff,
-// retry_budget, shed) ride in the
-// same PYTORCH_CUDA_ALLOC_CONF-style string that selects the pool
-// allocator; the corresponding flags are shorthands for the same knobs.
+// Every serving knob is a key of the -conf string — the same
+// PYTORCH_CUDA_ALLOC_CONF-style string that selects the pool allocator —
+// and, under the same name with '-' for '_' (-mix and -rate for serve_mix
+// and serve_rate), a flag: -x v is -conf x:v, takes the same values,
+// fails with the same message, and overrides the key in -conf wherever it
+// stands on the command line. The keys, their docs and their rules live in
+// one table (internal/conf/fields.go); `gmlake-serve -h` prints it.
 //
 // With -trace-in the request stream is replayed from a request trace file
 // (internal/reqtrace JSONL or CSV) instead of generated: -trace-scale
@@ -88,10 +86,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -112,44 +113,26 @@ import (
 func main() {
 	var (
 		list     = flag.Bool("list", false, "list mix names and exit")
-		confStr  = flag.String("conf", "", "allocator+workload configuration string, e.g. backend:gmlake,serve_mix:chat+batch")
-		mixName  = flag.String("mix", "", "mix name (overrides serve_mix in -conf; default mixed-bursty)")
-		rate     = flag.Float64("rate", 0, "aggregate request rate per second (0 = mix default)")
-		burstCV  = flag.Float64("burst-cv", 0, "interarrival CV for bursty classes (0 = mix default)")
+		confStr  = flag.String("conf", "", "configuration string of key:value pairs, e.g. backend:gmlake,serve_mix:chat+batch; a key's own flag overrides it")
 		n        = flag.Int("n", 200, "number of requests")
 		seed     = flag.Uint64("seed", 7, "workload generator seed")
 		policy   = flag.String("policy", "all", "KV policy: contiguous, paged, chunked or all")
 		batch    = flag.Int("batch", 24, "max concurrent decoding sequences per replica")
 		capacity = flag.Float64("capacity-gb", 1.5, "device memory in GiB (per replica, scaled by its capacity weight)")
-		par      = flag.Int("parallel", 0, "policy-run workers (0 = conf's parallel key or GOMAXPROCS)")
-		replicas = flag.Int("replicas", 0, "replica servers behind the cluster queue (0 = conf's replicas key or 1)")
-		dispatch = flag.String("dispatch", "", "cluster dispatch policy: round-robin, jsq, least-kv, session-affinity (default conf's dispatch key or round-robin)")
-		aging    = flag.Duration("aging", 0, "priority-aging rate, e.g. 2s (0 = conf's aging key or off)")
-		prefixRe = flag.Bool("prefix-reuse", false, "session KV prefix reuse: a follow-up turn skips the prefill still resident on its replica")
-		affBase  = flag.String("affinity-base", "", "fallback dispatch policy for session-affinity (default conf's affinity_base key or jsq)")
-		exactSmp = flag.Int("exact-samples", 0, "latency-digest exact-retention threshold (0 = conf's exact_samples key or the serve default; negative = sketch from the first sample)")
-		minRep   = flag.Int("min-replicas", 0, "autoscaler floor (0 = conf's min_replicas key)")
-		maxRep   = flag.Int("max-replicas", 0, "autoscaler ceiling; > 0 enables queue-depth autoscaling (0 = conf's max_replicas key)")
-		scaleUp  = flag.Int("scale-up", 0, "queued backlog per active replica that spawns one more (0 = conf's scale_up key or 4)")
-		scaleDn  = flag.Int("scale-down", 0, "backlog per remaining replica below which one drains (0 = conf's scale_down key or 1)")
-		cooldown = flag.Duration("scale-cooldown", 0, "minimum virtual time between scale decisions (0 = conf's scale_cooldown key or 250ms)")
-		steal    = flag.Bool("steal", false, "work-stealing re-dispatch of queued requests to starving replicas")
-		capsFlag = flag.String("replica-caps", "", "comma-separated per-replica capacity weights, e.g. 2,1 (overrides conf's replica_caps)")
-		traceIn  = flag.String("trace-in", "", "replay this request-trace file (JSONL or CSV) instead of generating a mix")
-		traceOut = flag.String("trace-out", "", "capture the completed run into this trace file")
-		traceSc  = flag.Float64("trace-scale", 0, "rate multiplier for the replayed trace (0 = recorded rate; needs -trace-in)")
-		fit      = flag.Bool("fit", false, "calibrate a mix to the trace and serve it, with a fit-error report (needs -trace-in)")
-		mttf     = flag.Duration("mttf", 0, "mean time to failure per replica, exponential (0 = conf's mttf key or no faults; needs -mttr)")
-		mttr     = flag.Duration("mttr", 0, "mean time to restart after a crash (needs -mttf)")
-		faultPl  = flag.String("fault-plan", "", "scripted crash/restart schedule, e.g. crash@t=12s:r1/restart@t=14s:r1 (excludes -mttf)")
-		timeoutF = flag.Duration("timeout", 0, "per-request deadline from arrival; late completions miss, not goodput (0 = conf's timeout key or none)")
-		retries  = flag.Int("retries", 0, "re-dispatch attempts per crashed in-flight request (0 = conf's retries key or none; needs a timeout)")
-		backoffF = flag.Float64("backoff", 0, "exponential retry-backoff multiplier >= 1 (0 = conf's backoff key or 2)")
-		rBudget  = flag.Int("retry-budget", 0, "total retries one client class may consume (0 = conf's retry_budget key or unlimited)")
-		shedF    = flag.Bool("shed", false, "deadline-aware admission shedding of provably-late requests (needs a timeout)")
+		keys     = conf.RegisterFlags(flag.CommandLine)
 		prof     = profile.Register()
 	)
-	flag.Parse()
+	// Every usage error is one "gmlake-serve: …" line and exit 1, so the
+	// flag package parses quietly and reports through fatal.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	if err := flag.CommandLine.Parse(os.Args[1:]); errors.Is(err, flag.ErrHelp) {
+		flag.CommandLine.SetOutput(os.Stderr)
+		flag.Usage()
+		return
+	} else if err != nil {
+		fatal(err)
+	}
 	nVisited := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "n" {
@@ -157,156 +140,23 @@ func main() {
 		}
 	})
 
-	if *par < 0 {
-		fatal(fmt.Errorf("-parallel must be >= 0, got %d", *par))
-	}
-	if *replicas < 0 || *minRep < 0 || *maxRep < 0 || *scaleUp < 0 || *scaleDn < 0 {
-		fatal(fmt.Errorf("replica and scaling counts must be >= 0"))
-	}
-	if *aging < 0 || *cooldown < 0 || *mttf < 0 || *mttr < 0 || *timeoutF < 0 {
-		fatal(fmt.Errorf("durations must be >= 0"))
-	}
-	if *retries < 0 || *rBudget < 0 {
-		fatal(fmt.Errorf("-retries and -retry-budget must be >= 0"))
-	}
-
 	if *list {
 		fmt.Println(strings.Join(servegen.MixNames(), "\n"))
 		return
 	}
-
-	cfg, err := conf.Parse(*confStr)
+	if !(*capacity > 0) || math.IsInf(*capacity, 0) {
+		fatal(fmt.Errorf("-capacity-gb must be a positive finite number, got %v", *capacity))
+	}
+	policies := []string{"contiguous", "paged", "chunked"}
+	if *policy != "all" {
+		if !slices.Contains(policies, *policy) {
+			fatal(fmt.Errorf("unknown policy %q (contiguous, paged, chunked, all)", *policy))
+		}
+		policies = []string{*policy}
+	}
+	cfg, err := keys.Parse(*confStr)
 	if err != nil {
 		fatal(err)
-	}
-	if *mixName != "" {
-		cfg.ServeMix = *mixName
-	}
-	if *rate > 0 {
-		cfg.ServeRate = *rate
-	}
-	if *burstCV > 0 {
-		cfg.BurstCV = *burstCV
-	}
-	if *replicas > 0 {
-		cfg.Replicas = *replicas
-	}
-	if *dispatch != "" {
-		p, err := serve.ParseDispatch(*dispatch)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Dispatch = p
-	}
-	if *aging > 0 {
-		cfg.Aging = *aging
-	}
-	if *prefixRe {
-		cfg.PrefixReuse = true
-	}
-	if *affBase != "" {
-		p, err := serve.ParseDispatch(*affBase)
-		if err != nil {
-			fatal(err)
-		}
-		if p == serve.DispatchSessionAffinity {
-			fatal(fmt.Errorf("-affinity-base cannot itself be session-affinity"))
-		}
-		cfg.AffinityBase = p
-	}
-	if *exactSmp != 0 {
-		cfg.ExactSamples = *exactSmp
-	}
-	if *minRep > 0 {
-		cfg.MinReplicas = *minRep
-	}
-	if *maxRep > 0 {
-		cfg.MaxReplicas = *maxRep
-	}
-	if *scaleUp > 0 {
-		cfg.ScaleUpDepth = *scaleUp
-	}
-	if *scaleDn > 0 {
-		cfg.ScaleDownDepth = *scaleDn
-	}
-	if *cooldown > 0 {
-		cfg.ScaleCooldown = *cooldown
-	}
-	if *steal {
-		cfg.Steal = true
-	}
-	if *capsFlag != "" {
-		caps, err := parseCapsFlag(*capsFlag)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.ReplicaCaps = caps
-	}
-	if *traceIn != "" {
-		cfg.TraceIn = *traceIn
-	}
-	if *traceOut != "" {
-		cfg.TraceOut = *traceOut
-	}
-	if *traceSc > 0 {
-		cfg.TraceScale = *traceSc
-	}
-	if *fit {
-		cfg.Fit = true
-	}
-	if *mttf > 0 {
-		cfg.MTTF = *mttf
-	}
-	if *mttr > 0 {
-		cfg.MTTR = *mttr
-	}
-	if *faultPl != "" {
-		plan, err := serve.ParseFaultPlan(*faultPl)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.FaultPlan = plan
-	}
-	if *timeoutF > 0 {
-		cfg.Timeout = *timeoutF
-	}
-	if *retries > 0 {
-		cfg.Retries = *retries
-	}
-	if *backoffF > 0 {
-		cfg.Backoff = *backoffF
-	}
-	if *rBudget > 0 {
-		cfg.RetryBudget = *rBudget
-	}
-	if *shedF {
-		cfg.Shed = true
-	}
-	// Flags bypass conf.Parse, so re-assert its cross-key contracts on the
-	// merged configuration.
-	if (cfg.MTTF > 0) != (cfg.MTTR > 0) {
-		fatal(fmt.Errorf("-mttf and -mttr must be set together"))
-	}
-	if len(cfg.FaultPlan) > 0 && cfg.MTTF > 0 {
-		fatal(fmt.Errorf("-fault-plan and -mttf/-mttr are mutually exclusive"))
-	}
-	if cfg.Retries > 0 && cfg.Timeout == 0 {
-		fatal(fmt.Errorf("-retries needs -timeout (unbounded retries need a deadline)"))
-	}
-	if cfg.Backoff > 0 && cfg.Retries == 0 {
-		fatal(fmt.Errorf("-backoff needs -retries"))
-	}
-	if cfg.RetryBudget > 0 && cfg.Retries == 0 {
-		fatal(fmt.Errorf("-retry-budget needs -retries"))
-	}
-	if cfg.Shed && cfg.Timeout == 0 {
-		fatal(fmt.Errorf("-shed needs -timeout"))
-	}
-	if cfg.TraceIn == "" && (cfg.Fit || cfg.TraceScale > 0) {
-		fatal(fmt.Errorf("-fit and -trace-scale need -trace-in"))
-	}
-	if cfg.AffinityBase != "" && cfg.Dispatch != serve.DispatchSessionAffinity {
-		fatal(fmt.Errorf("-affinity-base needs -dispatch session-affinity"))
 	}
 
 	stopProfile, err := prof.Start()
@@ -488,18 +338,6 @@ func main() {
 	}
 	fmt.Println()
 
-	policies := []string{"contiguous", "paged", "chunked"}
-	if *policy != "all" {
-		policies = []string{*policy}
-	}
-	for _, p := range policies {
-		switch p {
-		case "contiguous", "paged", "chunked":
-		default:
-			fatal(fmt.Errorf("unknown policy %q (contiguous, paged, chunked, all)", p))
-		}
-	}
-
 	// buildMgr assembles one replica's manager over its own pool; the
 	// returned closer releases a paged slab after the run.
 	buildMgr := func(policy string, replica int, alloc memalloc.Allocator) (serve.CacheManager, func(), error) {
@@ -524,22 +362,18 @@ func main() {
 	// Policy runs are independent (each builds its own devices, pools and
 	// managers over the identical request stream), so they sweep on the
 	// worker pool; reports print in policy order regardless of which
-	// finished first. -parallel overrides the conf string's parallel key.
+	// finished first.
 	// Every policy serves through the cluster — with one replica the
 	// cluster loop is byte-identical to the single-server Serve loop.
 	// Replica managers are built lazily: with autoscaling on, replicas
 	// past the initial fleet exist only if the scaler spawned them.
-	workers := cfg.Parallelism
-	if *par > 0 {
-		workers = *par
-	}
 	type outcome struct {
 		rep   serve.ClusterReport
 		stats []memalloc.Stats
 		cap   *reqtrace.Capture
 		err   error
 	}
-	results, err := runner.Collect(workers, len(policies), func(i int) (out outcome) {
+	results, err := runner.Collect(cfg.Parallelism, len(policies), func(i int) (out outcome) {
 		allocs := make([]memalloc.Allocator, 0, fleetMax)
 		closers := make([]func(), 0, fleetMax)
 		defer func() {
@@ -636,20 +470,6 @@ func printFit(tr reqtrace.Trace, fitted servegen.Mix, served []serve.Request) {
 // replicaBuildError carries a cache-manager build failure out of the
 // ServeCluster factory callback via panic, aborting the run up front.
 type replicaBuildError struct{ err error }
-
-// parseCapsFlag parses the -replica-caps comma list ("2,1,1.5").
-func parseCapsFlag(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	caps := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || !(f > 0) {
-			return nil, fmt.Errorf("-replica-caps needs positive numbers, got %q", p)
-		}
-		caps = append(caps, f)
-	}
-	return caps, nil
-}
 
 func printReport(policy string, rep serve.ClusterReport, stats []memalloc.Stats) {
 	var util float64

@@ -40,24 +40,12 @@
 // on-off), rate shares, prompt/output length distributions (deterministic,
 // uniform, lognormal) and SLO class tags. The same seed always yields a
 // byte-identical request stream. Canonical mixes are ChatHeavyMix,
-// BatchHeavyMix and MixedBurstyMix; configuration strings select and tune
-// them with the serving keys parsed alongside the allocator knobs:
-//
-//	serve_mix:<name>    named mix (chat-heavy, batch-heavy, mixed-bursty,
-//	                    chat-sessions, chat+batch, …)
-//	serve_rate:<r>      aggregate request rate override, requests/second
-//	burst_cv:<cv>       interarrival CV override for bursty classes
-//	parallel:<n>        worker-pool bound for experiment/policy sweeps
-//	                    (0 = GOMAXPROCS)
-//	replicas:<n>        replica servers behind the cluster admission queue
-//	dispatch:<policy>   cluster dispatch: round-robin, jsq, least-kv,
-//	                    session-affinity
-//	aging:<dur>         priority-aging rate (one level per <dur> of wait)
-//	exact_samples:<n>   latency-digest exact-retention threshold (0 =
-//	                    DefaultServeExactSamples, negative = sketch-only)
-//	prefix_reuse:<b>    session KV prefix reuse: resident prefixes skip
-//	                    their share of prefill on follow-up turns
-//	affinity_base:<p>   session-affinity's fallback policy (default jsq)
+// BatchHeavyMix and MixedBurstyMix; a configuration string selects and
+// tunes them — and the cluster, session, fault and trace knobs of the
+// sections below — with serving keys parsed alongside the allocator
+// knobs, e.g. "backend:gmlake,serve_mix:chat+batch,burst_cv:4,replicas:4".
+// The keys are described once, in the field table of internal/conf;
+// `go run ./cmd/gmlake-serve -h` prints it.
 //
 // ServeRequests runs a stream under continuous batching with SLO-aware
 // admission and preemption, and its ServeReport breaks TTFT and end-to-end

@@ -7,110 +7,26 @@
 //	backend:caching,max_split_size_mb:128,garbage_collection_threshold:0.8
 //	backend:gmlake,frag_limit_mb:256,max_sblocks:4096
 //
-// Keys are comma-separated key:value pairs, unknown keys are errors (typos
-// in environment variables should never be silent), and every knob maps to
-// a field of the corresponding allocator's Config.
+// A string is comma-separated key:value pairs, and unknown keys are errors
+// (typos in environment variables should never be silent) that name the
+// nearest key. The same string carries the serving configuration —
+// workload mix, cluster, elastic fleet, sessions, faults and recovery,
+// request traces:
 //
-// Beyond allocator knobs, the same string configures the serving-workload
-// generator (consumed by cmd/gmlake-serve and the harness, not by Build):
+//	backend:gmlake,serve_mix:chat+batch,burst_cv:4,replicas:4,dispatch:jsq
 //
-//	backend:gmlake,serve_mix:chat+batch,burst_cv:4,serve_rate:6
-//
-//	serve_mix:<name>    named multi-tenant client mix (chat-heavy,
-//	                    batch-heavy, mixed-bursty, chat+batch, …)
-//	serve_rate:<r>      aggregate request rate override, requests/second
-//	burst_cv:<cv>       interarrival CV override for the mix's bursty
-//	                    (Gamma-arrival) classes
-//	parallel:<n>        worker-pool bound for the parallel experiment
-//	                    engine and policy sweeps (0 = GOMAXPROCS)
-//
-// and the multi-replica serving cluster (consumed by cmd/gmlake-serve and
-// the servecluster experiment):
-//
-//	replicas:<n>        replica servers behind the cluster admission
-//	                    queue (1 = the single-server loop); with
-//	                    autoscaling on, the initial fleet size
-//	dispatch:<policy>   cluster dispatch policy: round-robin, jsq
-//	                    (join-shortest-queue), least-kv or
-//	                    session-affinity (route follow-up session turns
-//	                    to the replica holding their KV prefix)
-//	aging:<dur>         priority-aging rate, e.g. aging:2s — a waiting
-//	                    request gains one priority level per <dur> of
-//	                    queue wait; 0 disables aging
-//	exact_samples:<n>   exact-retention threshold of the latency digests:
-//	                    up to n raw samples per digest are summarized by
-//	                    the exact nearest-rank rule before spilling into
-//	                    a fixed-size quantile sketch (0 = the default
-//	                    8192; negative = sketch from the first sample)
-//
-// the session-serving knobs (PR 10, consumed by the cluster runners):
-//
-//	prefix_reuse:<bool> session KV prefix reuse: a follow-up turn whose
-//	                    session prefix is still resident on its replica
-//	                    skips that many prompt tokens of prefill
-//	affinity_base:<p>   fallback dispatch policy for session-affinity
-//	                    when a request has no resident prefix (default
-//	                    jsq; requires dispatch:session-affinity and
-//	                    cannot itself be session-affinity)
-//
-// the elastic heterogeneous fleet (PR 4):
-//
-//	min_replicas:<n>    autoscaler floor (needs max_replicas)
-//	max_replicas:<n>    autoscaler ceiling; > 0 enables queue-depth
-//	                    autoscaling between the two bounds
-//	scale_up:<n>        queued backlog per active replica that spawns
-//	                    one more (default 4)
-//	scale_down:<n>      backlog per remaining replica below which one
-//	                    replica starts draining (default 1); a draining
-//	                    replica leaves only after it empties
-//	scale_cooldown:<d>  minimum virtual time between scale decisions
-//	                    (default 250ms)
-//	steal:<bool>        work-stealing re-dispatch: a starving replica
-//	                    takes queued (never running) requests from a
-//	                    backlogged peer
-//	replica_caps:<a/b/…> per-replica capacity weights, slash-separated
-//	                    (e.g. replica_caps:2/1/1): load-aware dispatch
-//	                    divides a replica's load by its weight
-//
-// the fault-injection and recovery knobs (PR 7, consumed by the cluster
-// runners):
-//
-//	mttf:<dur>          mean time to failure per replica (exponential,
-//	                    seeded); requires mttr
-//	mttr:<dur>          mean time to restart after a crash; requires mttf
-//	fault_plan:<plan>   scripted crash/restart schedule, '/'-separated
-//	                    events like crash@t=12s:r1/restart@t=14s:r1;
-//	                    mutually exclusive with mttf/mttr
-//	timeout:<dur>       per-request deadline from arrival; completions
-//	                    past it count as deadline misses, not goodput
-//	retries:<n>         re-dispatch attempts per crashed in-flight
-//	                    request (requires timeout — unbounded retries
-//	                    with no deadline would mask every crash)
-//	backoff:<f>         exponential retry-backoff multiplier, >= 1
-//	                    (requires retries)
-//	retry_budget:<n>    total retries one client class may consume
-//	                    (requires retries)
-//	shed:<bool>         deadline-aware admission shedding: reject
-//	                    requests that provably cannot meet the deadline
-//	                    (requires timeout)
-//
-// and the request-trace subsystem (internal/reqtrace, consumed by
-// cmd/gmlake-serve and the servetrace experiment):
-//
-//	trace_in:<path>     replay the request trace at <path> (JSONL or CSV)
-//	                    instead of generating a synthetic mix
-//	trace_out:<path>    capture the completed run back into a trace file
-//	trace_scale:<f>     rate-scale the replayed trace: 2 doubles the
-//	                    request rate (requires trace_in)
-//	fit:<bool>          calibrate: fit a servegen mix to the trace and
-//	                    serve the fitted mix instead of the replay, with a
-//	                    fit-error report (requires trace_in)
+// Every key — its name, its flag, its one-line description and the values
+// it takes — is one entry of the fields table in fields.go, and Validate
+// holds the rules that span keys; nothing else lists them. `gmlake-serve
+// -h` is the table rendered. Build consumes the six allocator keys;
+// cmd/gmlake-serve consumes the serving keys through Flags.Parse,
+// ServeWorkload and Cluster, and cmd/gmlake-bench takes four of their
+// flags. (internal/harness is configured through its own Env fields and
+// never imports this package.)
 package conf
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 	"strings"
 	"time"
 
@@ -140,15 +56,14 @@ type Config struct {
 	MaxSBlocks  int   // 0 = default
 	RebindSplit *bool // nil = default (on)
 
-	// Serving-workload knobs (see the package comment; applied by
-	// ServeWorkload, ignored by Build).
+	// Serving-workload knobs (applied by ServeWorkload, ignored by Build).
 	ServeMix  string  // named client mix ("" = none configured)
 	ServeRate float64 // aggregate requests/second override (0 = mix default)
 	BurstCV   float64 // bursty-class interarrival CV override (0 = mix default)
 
 	// Request-trace knobs (internal/reqtrace; consumed by the serving
 	// runners, ignored by Build). TraceScale and Fit require TraceIn —
-	// Parse rejects them without it.
+	// Validate rejects them without it.
 	TraceIn    string  // replay this trace file instead of a synthetic mix
 	TraceOut   string  // capture the completed run into this trace file
 	TraceScale float64 // replay rate multiplier (0 = recorded rate)
@@ -171,10 +86,10 @@ type Config struct {
 	// negative sketches from the first sample.
 	ExactSamples int
 
-	// Elastic-fleet knobs (see the package comment). MaxReplicas > 0
-	// enables queue-depth autoscaling; Steal enables work-stealing
-	// re-dispatch; ReplicaCaps are per-replica capacity weights for
-	// capacity-aware dispatch over a heterogeneous fleet.
+	// Elastic-fleet knobs. MaxReplicas > 0 enables queue-depth
+	// autoscaling; Steal enables work-stealing re-dispatch; ReplicaCaps are
+	// per-replica capacity weights for capacity-aware dispatch over a
+	// heterogeneous fleet.
 	MinReplicas    int
 	MaxReplicas    int
 	ScaleUpDepth   int
@@ -187,7 +102,7 @@ type Config struct {
 	// runners, ignored by Build). MTTF/MTTR arm the seeded per-replica
 	// crash/restart process (both or neither); FaultPlan is the scripted
 	// alternative. Timeout is the per-request deadline; Retries, Backoff
-	// and RetryBudget shape crash recovery (all require Timeout — Parse
+	// and RetryBudget shape crash recovery (all require Timeout — Validate
 	// rejects retry knobs with no deadline bounding them); Shed rejects
 	// provably-late requests at admission (requires Timeout).
 	MTTF        time.Duration
@@ -232,11 +147,12 @@ func (c Config) ServeWorkload() (servegen.Mix, error) {
 
 // Parse parses a configuration string. The empty string is the default
 // caching backend.
-func Parse(s string) (Config, error) {
+func Parse(s string) (Config, error) { return parse(s, nil) }
+
+// parse sets the keys of s, then the flag assignments over them, and
+// validates the result.
+func parse(s string, flags []assignment) (Config, error) {
 	cfg := Config{Backend: "caching"}
-	if strings.TrimSpace(s) == "" {
-		return cfg, nil
-	}
 	for _, kv := range strings.Split(s, ",") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
@@ -246,365 +162,43 @@ func Parse(s string) (Config, error) {
 		if !ok {
 			return cfg, fmt.Errorf("conf: %q is not key:value", kv)
 		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		switch key {
-		case "backend":
-			switch val {
-			case "caching", "gmlake", "native", "expandable", "compact":
-				cfg.Backend = val
-			default:
-				return cfg, fmt.Errorf("conf: unknown backend %q", val)
-			}
-		case "max_split_size_mb":
-			n, err := parsePositive(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.MaxSplitSizeMB = n
-		case "garbage_collection_threshold":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
-				return cfg, fmt.Errorf("conf: %s must be in [0,1], got %q", key, val)
-			}
-			cfg.GCThreshold = f
-		case "frag_limit_mb":
-			n, err := parsePositive(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.FragLimitMB = n
-		case "max_sblocks":
-			n, err := parsePositive(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.MaxSBlocks = int(n)
-		case "rebind_on_split":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return cfg, fmt.Errorf("conf: %s must be a bool, got %q", key, val)
-			}
-			cfg.RebindSplit = &b
-		case "serve_mix":
-			if _, err := servegen.MixByName(val); err != nil {
-				return cfg, fmt.Errorf("conf: %w", err)
-			}
-			cfg.ServeMix = val
-		case "serve_rate":
-			f, err := parsePositiveFloat(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.ServeRate = f
-		case "burst_cv":
-			f, err := parsePositiveFloat(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.BurstCV = f
-		case "replicas":
-			n, err := parsePositive(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Replicas = int(n)
-		case "dispatch":
-			p, err := serve.ParseDispatch(val)
-			if err != nil {
-				return cfg, fmt.Errorf("conf: %w", err)
-			}
-			cfg.Dispatch = p
-		case "prefix_reuse":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return cfg, fmt.Errorf("conf: %s must be a bool, got %q", key, val)
-			}
-			cfg.PrefixReuse = b
-		case "affinity_base":
-			if val == "" {
-				return cfg, fmt.Errorf("conf: affinity_base needs a policy name")
-			}
-			p, err := serve.ParseDispatch(val)
-			if err != nil {
-				return cfg, fmt.Errorf("conf: %w", err)
-			}
-			if p == serve.DispatchSessionAffinity {
-				return cfg, fmt.Errorf("conf: affinity_base cannot itself be session-affinity")
-			}
-			cfg.AffinityBase = p
-		case "aging":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return cfg, fmt.Errorf("conf: %s must be a non-negative duration (e.g. 2s), got %q", key, val)
-			}
-			cfg.Aging = d
-		case "exact_samples":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return cfg, fmt.Errorf("conf: %s must be an integer (negative = sketch-only), got %q", key, val)
-			}
-			cfg.ExactSamples = int(n)
-		case "min_replicas":
-			n, err := parsePositive(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.MinReplicas = int(n)
-		case "max_replicas":
-			n, err := parsePositive(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.MaxReplicas = int(n)
-		case "scale_up":
-			n, err := parsePositive(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.ScaleUpDepth = int(n)
-		case "scale_down":
-			n, err := parsePositive(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.ScaleDownDepth = int(n)
-		case "scale_cooldown":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return cfg, fmt.Errorf("conf: %s must be a non-negative duration (e.g. 500ms), got %q", key, val)
-			}
-			cfg.ScaleCooldown = d
-		case "steal":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return cfg, fmt.Errorf("conf: %s must be a bool, got %q", key, val)
-			}
-			cfg.Steal = b
-		case "replica_caps":
-			caps, err := parseReplicaCaps(val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.ReplicaCaps = caps
-		case "mttf":
-			d, err := parsePositiveDuration(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.MTTF = d
-		case "mttr":
-			d, err := parsePositiveDuration(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.MTTR = d
-		case "fault_plan":
-			plan, err := serve.ParseFaultPlan(val)
-			if err != nil {
-				return cfg, fmt.Errorf("conf: %w", err)
-			}
-			cfg.FaultPlan = plan
-		case "timeout":
-			d, err := parsePositiveDuration(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Timeout = d
-		case "retries":
-			n, err := parsePositive(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Retries = int(n)
-		case "backoff":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 1 {
-				return cfg, fmt.Errorf("conf: %s must be a finite number >= 1, got %q", key, val)
-			}
-			cfg.Backoff = f
-		case "retry_budget":
-			n, err := parsePositive(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.RetryBudget = int(n)
-		case "shed":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return cfg, fmt.Errorf("conf: %s must be a bool, got %q", key, val)
-			}
-			cfg.Shed = b
-		case "trace_in":
-			if val == "" {
-				return cfg, fmt.Errorf("conf: trace_in needs a file path")
-			}
-			cfg.TraceIn = val
-		case "trace_out":
-			if val == "" {
-				return cfg, fmt.Errorf("conf: trace_out needs a file path")
-			}
-			cfg.TraceOut = val
-		case "trace_scale":
-			f, err := parsePositiveFloat(key, val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.TraceScale = f
-		case "fit":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return cfg, fmt.Errorf("conf: %s must be a bool, got %q", key, val)
-			}
-			cfg.Fit = b
-		case "parallel":
-			// Parsed as an integer, so "NaN", floats and junk are rejected
-			// outright; 0 is legal and means GOMAXPROCS.
-			n, err := strconv.ParseInt(val, 10, 32)
-			if err != nil || n < 0 {
-				return cfg, fmt.Errorf("conf: %s must be a non-negative integer, got %q", key, val)
-			}
-			cfg.Parallelism = int(n)
-		default:
-			if s := nearestKey(key); s != "" {
-				return cfg, fmt.Errorf("conf: unknown key %q (did you mean %q?)", key, s)
-			}
-			return cfg, fmt.Errorf("conf: unknown key %q", key)
+		if err := setKey(&cfg, strings.TrimSpace(key), strings.TrimSpace(val)); err != nil {
+			return cfg, err
 		}
 	}
-	// Cross-key validation: the trace transforms are meaningless without a
-	// trace to transform, and silently ignoring them would hide a typo'd or
-	// forgotten trace_in.
-	if cfg.TraceIn == "" {
-		if cfg.Fit {
-			return cfg, fmt.Errorf("conf: fit requires trace_in")
-		}
-		if cfg.TraceScale > 0 {
-			return cfg, fmt.Errorf("conf: trace_scale requires trace_in")
+	for _, a := range flags {
+		if err := a.f.set(&cfg, a.f.key, a.val); err != nil {
+			return cfg, err
 		}
 	}
-	// Fault knobs: an MTTF with no MTTR (or vice versa) is an incomplete
-	// fault process, a scripted plan alongside one is ambiguous, and retry/
-	// shed knobs without the keys they modulate would silently do nothing.
-	if (cfg.MTTF > 0) != (cfg.MTTR > 0) {
-		return cfg, fmt.Errorf("conf: mttf and mttr must be set together")
-	}
-	if len(cfg.FaultPlan) > 0 && cfg.MTTF > 0 {
-		return cfg, fmt.Errorf("conf: fault_plan and mttf/mttr are mutually exclusive")
-	}
-	if cfg.Retries > 0 && cfg.Timeout == 0 {
-		return cfg, fmt.Errorf("conf: retries requires timeout (unbounded retries need a deadline)")
-	}
-	if cfg.Backoff > 0 && cfg.Retries == 0 {
-		return cfg, fmt.Errorf("conf: backoff requires retries")
-	}
-	if cfg.RetryBudget > 0 && cfg.Retries == 0 {
-		return cfg, fmt.Errorf("conf: retry_budget requires retries")
-	}
-	if cfg.Shed && cfg.Timeout == 0 {
-		return cfg, fmt.Errorf("conf: shed requires timeout")
-	}
-	// A fallback policy with nothing to fall back from is a typo'd or
-	// half-edited configuration, not a request for a default.
-	if cfg.AffinityBase != "" && cfg.Dispatch != serve.DispatchSessionAffinity {
-		return cfg, fmt.Errorf("conf: affinity_base requires dispatch:session-affinity")
-	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
-// knownKeys lists every key Parse's switch accepts, for did-you-mean
-// suggestions on typos. Keep in sync with the switch above —
-// TestKnownKeysAccepted pins the list against the parser.
-var knownKeys = []string{
-	"backend", "max_split_size_mb", "garbage_collection_threshold",
-	"frag_limit_mb", "max_sblocks", "rebind_on_split",
-	"serve_mix", "serve_rate", "burst_cv",
-	"replicas", "dispatch", "aging", "exact_samples",
-	"prefix_reuse", "affinity_base",
-	"min_replicas", "max_replicas", "scale_up", "scale_down",
-	"scale_cooldown", "steal", "replica_caps",
-	"mttf", "mttr", "fault_plan", "timeout",
-	"retries", "backoff", "retry_budget", "shed",
-	"trace_in", "trace_out", "trace_scale", "fit",
-	"parallel",
-}
-
-// nearestKey returns the known key closest to key by edit distance, or ""
-// when nothing is close enough to be a plausible typo (distance must be
-// at most 2, or a third of the key's length for long keys).
-func nearestKey(key string) string {
-	best, bestDist := "", int(^uint(0)>>1)
-	for _, k := range knownKeys {
-		if d := editDistance(key, k); d < bestDist || (d == bestDist && k < best) {
-			best, bestDist = k, d
-		}
+// Validate checks the rules that span keys: a knob whose subject is
+// missing would silently do nothing, which hides a typo'd or forgotten
+// key. Parse and Flags.Parse call it on the merged configuration.
+func (c Config) Validate() error {
+	switch {
+	case c.Fit && c.TraceIn == "":
+		return fmt.Errorf("conf: fit requires trace_in")
+	case c.TraceScale > 0 && c.TraceIn == "":
+		return fmt.Errorf("conf: trace_scale requires trace_in")
+	case (c.MTTF > 0) != (c.MTTR > 0):
+		return fmt.Errorf("conf: mttf and mttr must be set together")
+	case len(c.FaultPlan) > 0 && c.MTTF > 0:
+		return fmt.Errorf("conf: fault_plan and mttf/mttr are mutually exclusive")
+	case c.Retries > 0 && c.Timeout == 0:
+		return fmt.Errorf("conf: retries requires timeout (unbounded retries need a deadline)")
+	case c.Backoff > 0 && c.Retries == 0:
+		return fmt.Errorf("conf: backoff requires retries")
+	case c.RetryBudget > 0 && c.Retries == 0:
+		return fmt.Errorf("conf: retry_budget requires retries")
+	case c.Shed && c.Timeout == 0:
+		return fmt.Errorf("conf: shed requires timeout")
+	case c.AffinityBase != "" && c.Dispatch != serve.DispatchSessionAffinity:
+		return fmt.Errorf("conf: affinity_base requires dispatch:session-affinity")
 	}
-	limit := 2
-	if l := len(key) / 3; l > limit {
-		limit = l
-	}
-	if bestDist > limit {
-		return ""
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance between a and b (unit costs),
-// computed with a rolling single-row table.
-func editDistance(a, b string) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	row := make([]int, len(a)+1)
-	for i := range row {
-		row[i] = i
-	}
-	for j := 1; j <= len(b); j++ {
-		prev := row[0] // row[j-1][0]
-		row[0] = j
-		for i := 1; i <= len(a); i++ {
-			ins := row[i-1] + 1 // insert
-			del := row[i] + 1   // delete
-			sub := prev         // substitute (or match)
-			if a[i-1] != b[j-1] {
-				sub++
-			}
-			prev = row[i]
-			row[i] = min(ins, min(del, sub))
-		}
-	}
-	return row[len(a)]
-}
-
-func parsePositiveDuration(key, val string) (time.Duration, error) {
-	d, err := time.ParseDuration(val)
-	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("conf: %s must be a positive duration (e.g. 30s), got %q", key, val)
-	}
-	return d, nil
-}
-
-func parsePositive(key, val string) (int64, error) {
-	n, err := strconv.ParseInt(val, 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("conf: %s must be a positive integer, got %q", key, val)
-	}
-	return n, nil
-}
-
-// parseReplicaCaps parses a slash-separated list of positive capacity
-// weights, e.g. "2/1/1". Commas separate conf keys, so they cannot
-// separate list elements.
-func parseReplicaCaps(val string) ([]float64, error) {
-	parts := strings.Split(val, "/")
-	caps := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		f, err := parsePositiveFloat("replica_caps", strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		caps = append(caps, f)
-	}
-	return caps, nil
+	return nil
 }
 
 // Cluster assembles the serving-cluster configuration the string describes
@@ -648,15 +242,6 @@ func (c Config) Cluster(server serve.ServerConfig) serve.ClusterConfig {
 		cc.Server.PrefixReuse = c.PrefixReuse
 	}
 	return cc
-}
-
-func parsePositiveFloat(key, val string) (float64, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	// !(f > 0) also rejects NaN, which compares false to everything.
-	if err != nil || !(f > 0) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("conf: %s must be a positive finite number, got %q", key, val)
-	}
-	return f, nil
 }
 
 // Build constructs the configured allocator over driver.

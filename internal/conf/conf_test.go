@@ -48,18 +48,21 @@ func TestParseGMLakeKnobs(t *testing.T) {
 	}
 }
 
+// parseErrorCases is also a seed table of FuzzParse.
+var parseErrorCases = []string{
+	"backend:turbo",                    // unknown backend
+	"max_split_size_mb:-1",             // negative
+	"max_split_size_mb:lots",           // not a number
+	"garbage_collection_threshold:1.5", // out of range
+	"garbage_collection_threshold:NaN", // NaN is in no range
+	"rebind_on_split:perhaps",          // not a bool
+	"frag_limit_mb",                    // not key:value
+	"warp_speed:9",                     // unknown key
+	"max_sblocks:0",                    // zero
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"backend:turbo",                    // unknown backend
-		"max_split_size_mb:-1",             // negative
-		"max_split_size_mb:lots",           // not a number
-		"garbage_collection_threshold:1.5", // out of range
-		"rebind_on_split:perhaps",          // not a bool
-		"frag_limit_mb",                    // not key:value
-		"warp_speed:9",                     // unknown key
-		"max_sblocks:0",                    // zero
-	}
-	for _, s := range cases {
+	for _, s := range parseErrorCases {
 		if _, err := Parse(s); err == nil {
 			t.Fatalf("accepted %q", s)
 		}
@@ -166,28 +169,30 @@ func TestServeWorkloadDefaults(t *testing.T) {
 	}
 }
 
+// parallelCases is also a seed table of FuzzParse.
+var parallelCases = []struct {
+	in   string
+	want int
+	ok   bool
+}{
+	{"parallel:0", 0, true},
+	{"parallel:1", 1, true},
+	{"parallel:8", 8, true},
+	{"backend:gmlake,parallel:4", 4, true},
+	{"parallel:-1", 0, false},
+	{"parallel:-8", 0, false},
+	{"parallel:NaN", 0, false},
+	{"parallel:+Inf", 0, false},
+	{"parallel:2.5", 0, false},
+	{"parallel:many", 0, false},
+	{"parallel:", 0, false},
+}
+
 // TestParseParallel is table-driven over the parallel:<n> engine knob:
 // 0 (= GOMAXPROCS) and positive worker counts parse; negatives, floats,
 // NaN and junk are rejected.
 func TestParseParallel(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-		ok   bool
-	}{
-		{"parallel:0", 0, true},
-		{"parallel:1", 1, true},
-		{"parallel:8", 8, true},
-		{"backend:gmlake,parallel:4", 4, true},
-		{"parallel:-1", 0, false},
-		{"parallel:-8", 0, false},
-		{"parallel:NaN", 0, false},
-		{"parallel:+Inf", 0, false},
-		{"parallel:2.5", 0, false},
-		{"parallel:many", 0, false},
-		{"parallel:", 0, false},
-	}
-	for _, c := range cases {
+	for _, c := range parallelCases {
 		cfg, err := Parse(c.in)
 		if c.ok != (err == nil) {
 			t.Errorf("Parse(%q) err = %v, want ok=%v", c.in, err, c.ok)
@@ -199,16 +204,19 @@ func TestParseParallel(t *testing.T) {
 	}
 }
 
+// serveKeyErrorCases is also a seed table of FuzzParse.
+var serveKeyErrorCases = []string{
+	"serve_mix:nope",  // unknown mix
+	"serve_rate:0",    // must be positive
+	"serve_rate:fast", // not a number
+	"serve_rate:NaN",  // NaN compares false to everything
+	"serve_rate:+Inf", // infinite rate
+	"burst_cv:-2",     // negative
+	"burst_cv:-Inf",   // negative infinity
+}
+
 func TestParseServeKeyErrors(t *testing.T) {
-	for _, s := range []string{
-		"serve_mix:nope",  // unknown mix
-		"serve_rate:0",    // must be positive
-		"serve_rate:fast", // not a number
-		"serve_rate:NaN",  // NaN compares false to everything
-		"serve_rate:+Inf", // infinite rate
-		"burst_cv:-2",     // negative
-		"burst_cv:-Inf",   // negative infinity
-	} {
+	for _, s := range serveKeyErrorCases {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) accepted", s)
 		}
@@ -266,16 +274,19 @@ func TestParseExactSamples(t *testing.T) {
 	}
 }
 
+// clusterKeyErrorCases is also a seed table of FuzzParse.
+var clusterKeyErrorCases = []string{
+	"replicas:0",       // cluster needs at least one replica
+	"replicas:-2",      // negative
+	"replicas:many",    // not a number
+	"dispatch:fastest", // unknown policy
+	"aging:-1s",        // negative duration
+	"aging:2 parsecs",  // not a duration
+	"aging:1000000",    // missing unit
+}
+
 func TestParseClusterKeyErrors(t *testing.T) {
-	for _, s := range []string{
-		"replicas:0",       // cluster needs at least one replica
-		"replicas:-2",      // negative
-		"replicas:many",    // not a number
-		"dispatch:fastest", // unknown policy
-		"aging:-1s",        // negative duration
-		"aging:2 parsecs",  // not a duration
-		"aging:1000000",    // missing unit
-	} {
+	for _, s := range clusterKeyErrorCases {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) accepted", s)
 		}
@@ -309,19 +320,22 @@ func TestParseElasticKeys(t *testing.T) {
 	}
 }
 
+// elasticKeyErrorCases is also a seed table of FuzzParse.
+var elasticKeyErrorCases = []string{
+	"min_replicas:0",      // positive
+	"max_replicas:-3",     // negative
+	"scale_up:0",          // positive
+	"scale_down:none",     // not a number
+	"scale_cooldown:-1s",  // negative duration
+	"steal:perhaps",       // not a bool
+	"replica_caps:2/0/1",  // zero weight
+	"replica_caps:2,1",    // comma splits keys, not weights
+	"replica_caps:fast/1", // not a number
+	"replica_caps:",       // empty
+}
+
 func TestParseElasticKeyErrors(t *testing.T) {
-	for _, s := range []string{
-		"min_replicas:0",      // positive
-		"max_replicas:-3",     // negative
-		"scale_up:0",          // positive
-		"scale_down:none",     // not a number
-		"scale_cooldown:-1s",  // negative duration
-		"steal:perhaps",       // not a bool
-		"replica_caps:2/0/1",  // zero weight
-		"replica_caps:2,1",    // comma splits keys, not weights
-		"replica_caps:fast/1", // not a number
-		"replica_caps:",       // empty
-	} {
+	for _, s := range elasticKeyErrorCases {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) accepted", s)
 		}
@@ -362,6 +376,16 @@ func TestClusterAssembly(t *testing.T) {
 	}
 }
 
+// sessionKeyErrorCases is also a seed table of FuzzParse.
+var sessionKeyErrorCases = []string{
+	"prefix_reuse:maybe",                  // not a bool
+	"affinity_base:fastest",               // unknown policy
+	"affinity_base:",                      // empty
+	"affinity_base:jsq",                   // needs session-affinity dispatch
+	"dispatch:jsq,affinity_base:least-kv", // ditto, with dispatch set
+	"dispatch:session-affinity,affinity_base:session-affinity", // self-referential
+}
+
 func TestParseSessionKeys(t *testing.T) {
 	cfg, err := Parse("replicas:4,dispatch:session-affinity,affinity_base:least-kv,prefix_reuse:true")
 	if err != nil {
@@ -389,14 +413,7 @@ func TestParseSessionKeys(t *testing.T) {
 	if _, err := Parse("dispatch:session-affinity,prefix_reuse:true"); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []string{
-		"prefix_reuse:maybe",                  // not a bool
-		"affinity_base:fastest",               // unknown policy
-		"affinity_base:",                      // empty
-		"affinity_base:jsq",                   // needs session-affinity dispatch
-		"dispatch:jsq,affinity_base:least-kv", // ditto, with dispatch set
-		"dispatch:session-affinity,affinity_base:session-affinity", // self-referential
-	} {
+	for _, s := range sessionKeyErrorCases {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) accepted", s)
 		}

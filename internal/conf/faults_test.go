@@ -34,31 +34,33 @@ func TestParseFaultKeys(t *testing.T) {
 	}
 }
 
+// faultKeyErrorCases is also a seed table of FuzzParse.
+var faultKeyErrorCases = []struct {
+	s    string
+	frag string // expected error fragment
+}{
+	{"mttf:2m", "mttr"},
+	{"mttr:15s", "mttf"},
+	{"mttf:0s,mttr:1s", "positive duration"},
+	{"mttf:-2m,mttr:15s", "positive duration"},
+	{"mttr:nope,mttf:1m", "positive duration"},
+	{"fault_plan:garbage", "fault"},
+	{"fault_plan:crash@t=1s:r0,mttf:1m,mttr:1s", "mutually exclusive"},
+	{"timeout:0s", "positive duration"},
+	{"timeout:-5s", "positive duration"},
+	{"retries:3", "timeout"},
+	{"retries:0,timeout:30s", "positive integer"},
+	{"retries:-1,timeout:30s", "positive integer"},
+	{"backoff:1.5,timeout:30s", "retries"},
+	{"backoff:0.5,retries:2,timeout:30s", ">= 1"},
+	{"backoff:NaN,retries:2,timeout:30s", ">= 1"},
+	{"retry_budget:4,timeout:30s", "retries"},
+	{"shed:yes-please,timeout:30s", "bool"},
+	{"shed:true", "timeout"},
+}
+
 func TestParseFaultKeyErrors(t *testing.T) {
-	cases := []struct {
-		s    string
-		frag string // expected error fragment
-	}{
-		{"mttf:2m", "mttr"},
-		{"mttr:15s", "mttf"},
-		{"mttf:0s,mttr:1s", "positive duration"},
-		{"mttf:-2m,mttr:15s", "positive duration"},
-		{"mttr:nope,mttf:1m", "positive duration"},
-		{"fault_plan:garbage", "fault"},
-		{"fault_plan:crash@t=1s:r0,mttf:1m,mttr:1s", "mutually exclusive"},
-		{"timeout:0s", "positive duration"},
-		{"timeout:-5s", "positive duration"},
-		{"retries:3", "timeout"},
-		{"retries:0,timeout:30s", "positive integer"},
-		{"retries:-1,timeout:30s", "positive integer"},
-		{"backoff:1.5,timeout:30s", "retries"},
-		{"backoff:0.5,retries:2,timeout:30s", ">= 1"},
-		{"backoff:NaN,retries:2,timeout:30s", ">= 1"},
-		{"retry_budget:4,timeout:30s", "retries"},
-		{"shed:yes-please,timeout:30s", "bool"},
-		{"shed:true", "timeout"},
-	}
-	for _, tc := range cases {
+	for _, tc := range faultKeyErrorCases {
 		_, err := Parse(tc.s)
 		if err == nil {
 			t.Errorf("Parse(%q): expected error", tc.s)

@@ -42,66 +42,3 @@ func TestUnknownKeySuggestions(t *testing.T) {
 		}
 	}
 }
-
-// TestKnownKeysAccepted pins knownKeys against Parse's switch: every
-// listed key must be recognized (its error, if any, is about the value or
-// cross-key validation — never "unknown key"), so the suggestion list
-// cannot drift from the parser.
-func TestKnownKeysAccepted(t *testing.T) {
-	samples := map[string]string{
-		"backend":                      "gmlake",
-		"serve_mix":                    "chat-heavy",
-		"dispatch":                     "jsq",
-		"fault_plan":                   "crash@t=12s:r1",
-		"rebind_on_split":              "true",
-		"steal":                        "true",
-		"shed":                         "true",
-		"fit":                          "true",
-		"aging":                        "2s",
-		"scale_cooldown":               "500ms",
-		"mttf":                         "8s",
-		"mttr":                         "1s",
-		"timeout":                      "30s",
-		"garbage_collection_threshold": "0.5",
-		"replica_caps":                 "2/1",
-		"trace_in":                     "t.jsonl",
-		"trace_out":                    "t.jsonl",
-		"trace_scale":                  "2",
-		"serve_rate":                   "6",
-		"burst_cv":                     "4",
-		"backoff":                      "2",
-	}
-	for _, key := range knownKeys {
-		val, ok := samples[key]
-		if !ok {
-			val = "4"
-		}
-		_, err := Parse(key + ":" + val)
-		if err != nil && strings.Contains(err.Error(), "unknown key") {
-			t.Errorf("Parse rejects listed key %q as unknown: %v", key, err)
-		}
-	}
-}
-
-// TestEditDistance spot-checks the Levenshtein helper.
-func TestEditDistance(t *testing.T) {
-	cases := []struct {
-		a, b string
-		d    int
-	}{
-		{"", "", 0},
-		{"", "abc", 3},
-		{"abc", "abc", 0},
-		{"kitten", "sitting", 3},
-		{"replicas", "replicaz", 1},
-		{"steal", "scale_up", 6},
-	}
-	for _, c := range cases {
-		if got := editDistance(c.a, c.b); got != c.d {
-			t.Errorf("editDistance(%q,%q) = %d, want %d", c.a, c.b, got, c.d)
-		}
-		if got := editDistance(c.b, c.a); got != c.d {
-			t.Errorf("editDistance(%q,%q) = %d, want %d (symmetry)", c.b, c.a, got, c.d)
-		}
-	}
-}

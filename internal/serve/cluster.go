@@ -62,57 +62,47 @@ func ParseDispatch(name string) (DispatchPolicy, error) {
 	for i, p := range known {
 		names[i] = string(p)
 	}
-	have := strings.Join(names, ", ")
-	if guess := nearestPolicy(norm, names); guess != "" {
-		return "", fmt.Errorf("serve: unknown dispatch policy %q (did you mean %q? have %s)", name, guess, have)
+	hint := ""
+	if guess := NearestName(norm, names); guess != "" {
+		hint = fmt.Sprintf("did you mean %q? ", guess)
 	}
-	return "", fmt.Errorf("serve: unknown dispatch policy %q (have %s)", name, have)
+	return "", fmt.Errorf("serve: unknown dispatch policy %q (%shave %s)", name, hint, strings.Join(names, ", "))
 }
 
-// nearestPolicy returns the known policy name closest to name in edit
-// distance, within a conservative budget — max(2, len/3), the same rule
-// conf applies to unknown keys — or "" when nothing is plausibly close
-// (garbage input should not earn a confident suggestion).
-func nearestPolicy(name string, known []string) string {
-	limit := len(name) / 3
-	if limit < 2 {
-		limit = 2
-	}
-	best, bestDist := "", limit+1
+// NearestName returns the known name closest to name in edit distance, the
+// lexically first of equally close ones, or "" when none is within
+// max(2, len(name)/3) edits: garbage should not earn a confident
+// did-you-mean. conf's unknown-key hint uses it too.
+func NearestName(name string, known []string) string {
+	best, bestDist := "", max(2, len(name)/3)+1
 	for _, k := range known {
-		if d := editDistance(name, k); d < bestDist {
+		if d := editDistance(name, k); d < bestDist || (d == bestDist && k < best) {
 			best, bestDist = k, d
 		}
 	}
 	return best
 }
 
-// editDistance is the Levenshtein distance between a and b, two-row DP.
+// editDistance is the Levenshtein distance between a and b (unit costs),
+// computed with a rolling single-row table.
 func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
+	row := make([]int, len(a)+1)
+	for i := range row {
+		row[i] = i
 	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
+	for j := 1; j <= len(b); j++ {
+		diag := row[0] // the previous row's entry left of the one being filled
+		row[0] = j
+		for i := 1; i <= len(a); i++ {
+			sub := diag
+			if a[i-1] != b[j-1] {
+				sub++
 			}
-			m := prev[j-1] + cost        // substitute
-			if d := prev[j] + 1; d < m { // delete
-				m = d
-			}
-			if d := cur[j-1] + 1; d < m { // insert
-				m = d
-			}
-			cur[j] = m
+			diag = row[i]
+			row[i] = min(row[i-1]+1, row[i]+1, sub)
 		}
-		prev, cur = cur, prev
 	}
-	return prev[len(b)]
+	return row[len(a)]
 }
 
 // Autoscaler defaults (see ClusterConfig).

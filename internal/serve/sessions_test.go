@@ -267,3 +267,51 @@ func TestParseDispatchSuggestions(t *testing.T) {
 		}
 	}
 }
+
+// TestEditDistance spot-checks the Levenshtein helper behind NearestName
+// (conf's unknown-key hints and ParseDispatch's share it).
+func TestEditDistance(t *testing.T) {
+	cases := []struct {
+		a, b string
+		d    int
+	}{
+		{"", "", 0},
+		{"", "abc", 3},
+		{"abc", "abc", 0},
+		{"kitten", "sitting", 3},
+		{"replicas", "replicaz", 1},
+		{"steal", "scale_up", 6},
+	}
+	for _, c := range cases {
+		if got := editDistance(c.a, c.b); got != c.d {
+			t.Errorf("editDistance(%q,%q) = %d, want %d", c.a, c.b, got, c.d)
+		}
+		if got := editDistance(c.b, c.a); got != c.d {
+			t.Errorf("editDistance(%q,%q) = %d, want %d (symmetry)", c.b, c.a, got, c.d)
+		}
+	}
+}
+
+// TestNearestName pins the shared did-you-mean rule: nearest within
+// max(2, len/3) edits, equally near names resolve to the lexically first
+// whatever the list order, and nothing near means no suggestion.
+func TestNearestName(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		known []string
+		want  string
+	}{
+		{"jqs", []string{"round-robin", "jsq", "least-kv"}, "jsq"},
+		{"mttx", []string{"mttr", "mttf"}, "mttf"},
+		{"mttx", []string{"mttf", "mttr"}, "mttf"},
+		{"scale_cool_down", []string{"scale_up", "scale_cooldown"}, "scale_cooldown"},
+		{"abc", []string{"abcdef"}, ""},
+		{"garbage_collection_treshold", []string{"garbage_collection_threshold"}, "garbage_collection_threshold"},
+		{"zzzzqqq", []string{"steal", "shed"}, ""},
+		{"x", nil, ""},
+	} {
+		if got := NearestName(c.name, c.known); got != c.want {
+			t.Errorf("NearestName(%q, %v) = %q, want %q", c.name, c.known, got, c.want)
+		}
+	}
+}
