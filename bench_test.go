@@ -298,7 +298,7 @@ func BenchmarkTrainerStep(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md design choices) ---
+// --- Ablations (the design choices of harness experiment "ablations") ---
 
 // ablationRun measures peak reserved and virtual step time for one GMLake
 // configuration on the fragmentation-prone LRO workload.

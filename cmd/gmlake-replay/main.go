@@ -17,14 +17,13 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/caching"
-	"repro/internal/compact"
-	"repro/internal/core"
+	"repro/internal/conf"
 	"repro/internal/cuda"
-	"repro/internal/expandable"
 	"repro/internal/gpu"
-	"repro/internal/memalloc"
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -36,7 +35,7 @@ func main() {
 		record   = flag.Bool("record", false, "record a new trace instead of replaying")
 		inPath   = flag.String("in", "", "trace JSON to replay")
 		outPath  = flag.String("out", "trace.json", "output path for -record")
-		alloc    = flag.String("alloc", "all", "replay target: caching|gmlake|expandable|compact|native|all")
+		alloc    = flag.String("alloc", "all", "replay target: "+strings.Join(conf.Backends(), "|")+"|all")
 		modelStr = flag.String("model", "OPT-13B", "model to record")
 		strategy = flag.String("strategy", "LRO", "strategy letters for -record (e.g. N, R, LR, LRO)")
 		world    = flag.Int("world", 4, "data-parallel world for -record")
@@ -46,6 +45,19 @@ func main() {
 		seed     = flag.Uint64("seed", 7, "workload seed")
 	)
 	flag.Parse()
+	// Every error is one "gmlake-replay: …" line; bad values are rejected
+	// before anything is printed.
+	log.SetFlags(0)
+	log.SetPrefix("gmlake-replay: ")
+	if *capacity <= 0 {
+		log.Fatalf("-capacity-gb must be positive, got %d", *capacity)
+	}
+	names := []string{*alloc}
+	if *alloc == "all" {
+		names = conf.Pools()
+	} else if !slices.Contains(conf.Backends(), *alloc) {
+		log.Fatalf("unknown allocator %q (%s or all)", *alloc, strings.Join(conf.Backends(), ", "))
+	}
 
 	if *record {
 		if err := doRecord(*modelStr, *strategy, *world, *batch, *steps, *capacity, *seed, *outPath); err != nil {
@@ -56,7 +68,7 @@ func main() {
 	if *inPath == "" {
 		log.Fatal("either -record or -in <trace.json> is required")
 	}
-	if err := doReplay(*inPath, *alloc, *capacity); err != nil {
+	if err := doReplay(*inPath, names, *capacity); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -103,7 +115,7 @@ func doRecord(modelStr, strategy string, world, batch, steps int, capacityGB int
 	return nil
 }
 
-func doReplay(inPath, allocName string, capacityGB int64) error {
+func doReplay(inPath string, names []string, capacityGB int64) error {
 	f, err := os.Open(inPath)
 	if err != nil {
 		return err
@@ -116,13 +128,10 @@ func doReplay(inPath, allocName string, capacityGB int64) error {
 	st := tr.Stats()
 	fmt.Printf("replaying %d allocations (avg %s)\n\n", st.Allocs, sim.FormatBytes(st.MeanBytes))
 
-	names := []string{allocName}
-	if allocName == "all" {
-		names = []string{"caching", "gmlake", "expandable", "compact"}
-	}
 	fmt.Printf("%-12s %14s %14s %8s\n", "allocator", "peak active", "peak reserved", "util")
 	for _, name := range names {
-		a, err := newAllocator(name, capacityGB)
+		drv := cuda.NewDriver(gpu.NewDevice(name, capacityGB*sim.GiB), sim.NewClock(), sim.DefaultCostModel())
+		a, err := conf.Config{Backend: name}.Build(drv)
 		if err != nil {
 			return err
 		}
@@ -136,24 +145,6 @@ func doReplay(inPath, allocName string, capacityGB int64) error {
 			float64(s.PeakReserved)/float64(sim.GiB), 100*s.Utilization())
 	}
 	return nil
-}
-
-func newAllocator(name string, capacityGB int64) (memalloc.Allocator, error) {
-	drv := cuda.NewDriver(gpu.NewDevice(name, capacityGB*sim.GiB), sim.NewClock(), sim.DefaultCostModel())
-	switch name {
-	case "caching":
-		return caching.New(drv), nil
-	case "gmlake":
-		return core.NewDefault(drv), nil
-	case "expandable":
-		return expandable.New(drv), nil
-	case "compact":
-		return compact.New(drv), nil
-	case "native":
-		return memalloc.NewNative(drv), nil
-	default:
-		return nil, fmt.Errorf("unknown allocator %q", name)
-	}
 }
 
 func parseStrategy(s string) (workload.Strategy, error) {

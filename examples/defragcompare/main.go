@@ -13,6 +13,7 @@ import (
 	"log"
 
 	gmlake "repro"
+	"repro/internal/conf"
 )
 
 func main() {
@@ -27,18 +28,11 @@ func main() {
 		spec.Model.Name, spec.Strategy.Label(), spec.World, spec.Batch)
 	fmt.Printf("%-12s %15s %12s %14s\n", "allocator", "peak reserved", "utilization", "virt s/step")
 
-	for _, name := range []string{"caching", "gmlake", "expandable", "compact"} {
+	for _, name := range conf.Pools() {
 		sys := gmlake.NewSystem(80 * gmlake.GiB)
-		var alloc gmlake.MemoryAllocator
-		switch name {
-		case "gmlake":
-			alloc = gmlake.New(sys.Driver)
-		case "expandable":
-			alloc = gmlake.NewExpandable(sys.Driver)
-		case "compact":
-			alloc = gmlake.NewCompact(sys.Driver)
-		default:
-			alloc = gmlake.NewCaching(sys.Driver)
+		alloc, err := conf.Config{Backend: name}.Build(sys.Driver)
+		if err != nil {
+			log.Fatal(err)
 		}
 		tr, err := gmlake.NewTrainer(spec, alloc, sys.Clock)
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 	"log"
 
 	gmlake "repro"
+	"repro/internal/conf"
 	"repro/internal/trace"
 )
 
@@ -51,18 +52,11 @@ func main() {
 
 	// Replay it on every allocator.
 	fmt.Printf("%-12s %14s %14s %8s\n", "allocator", "peak active", "peak reserved", "util")
-	for _, name := range []string{"caching", "gmlake", "expandable", "compact"} {
+	for _, name := range conf.Pools() {
 		sys := gmlake.NewSystem(80 * gmlake.GiB)
-		var alloc gmlake.MemoryAllocator
-		switch name {
-		case "caching":
-			alloc = gmlake.NewCaching(sys.Driver)
-		case "gmlake":
-			alloc = gmlake.New(sys.Driver)
-		case "expandable":
-			alloc = gmlake.NewExpandable(sys.Driver)
-		case "compact":
-			alloc = gmlake.NewCompact(sys.Driver)
+		alloc, err := conf.Config{Backend: name}.Build(sys.Driver)
+		if err != nil {
+			log.Fatal(err)
 		}
 		if err := trace.Replay(rec, alloc); err != nil {
 			fmt.Printf("%-12s OOM: %v\n", name, err)

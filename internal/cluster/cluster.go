@@ -14,11 +14,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/caching"
-	"repro/internal/compact"
-	"repro/internal/core"
+	"repro/internal/conf"
 	"repro/internal/cuda"
-	"repro/internal/expandable"
 	"repro/internal/gpu"
 	"repro/internal/memalloc"
 	"repro/internal/sim"
@@ -30,8 +27,8 @@ type Config struct {
 	// Spec is the per-rank workload; Spec.World is the number of ranks.
 	Spec workload.Spec
 
-	// Allocator names the allocator every rank uses: "caching", "gmlake",
-	// "expandable" or "compact".
+	// Allocator names the allocator every rank uses, one of
+	// conf.Backends(); "" is the caching default.
 	Allocator string
 
 	// Capacity is per-GPU memory in bytes.
@@ -74,7 +71,7 @@ func New(cfg Config) (*Cluster, error) {
 		dev := gpu.NewDevice(fmt.Sprintf("sim-gpu-%d", r), cfg.Capacity)
 		clock := sim.NewClock()
 		driver := cuda.NewDriver(dev, clock, sim.DefaultCostModel())
-		alloc, err := newAllocator(cfg.Allocator, driver)
+		alloc, err := conf.Config{Backend: cfg.Allocator}.Build(driver)
 		if err != nil {
 			return nil, err
 		}
@@ -94,21 +91,6 @@ func New(cfg Config) (*Cluster, error) {
 		})
 	}
 	return c, nil
-}
-
-func newAllocator(name string, driver *cuda.Driver) (memalloc.Allocator, error) {
-	switch name {
-	case "", "caching":
-		return caching.New(driver), nil
-	case "gmlake":
-		return core.NewDefault(driver), nil
-	case "expandable":
-		return expandable.New(driver), nil
-	case "compact":
-		return compact.New(driver), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown allocator %q", name)
-	}
 }
 
 // Ranks returns the cluster's ranks.

@@ -1,431 +1,15 @@
-// Package compact implements a compaction-based defragmenting allocator,
-// the classic alternative the paper's §6 contrasts GMLake with: when
-// fragmentation blocks an allocation, live blocks are copied downward until
-// all free space is one contiguous tail.
-//
-// Compaction achieves the same zero-fragmentation steady state as GMLake's
-// stitching but pays for it with data movement: every compaction copies the
-// moved bytes through HBM and requires a device synchronization (tensors
-// move, so every in-flight kernel must drain and every pointer be rewritten
-// — which is also why real frameworks cannot adopt it transparently; this
-// implementation exists as the quantitative comparison point).
-//
-// Structure: one arena (a full-capacity VA reservation, physically committed
-// in 2 MiB chunks by a growing frontier, like the expandable allocator) with
-// best-fit/split/coalesce block management inside the mapped prefix.
+// Package compact is the compaction-based defragmenting allocator of the
+// paper's §6 comparison: internal/expandable's arena with compaction on
+// (see that package for the design and its cost model).
 package compact
 
 import (
-	"fmt"
-	"time"
-
-	"repro/internal/caching"
-	"repro/internal/container"
 	"repro/internal/cuda"
-	"repro/internal/memalloc"
-	"repro/internal/sim"
+	"repro/internal/expandable"
 )
 
-// ChunkSize is the physical mapping granularity.
-const ChunkSize = cuda.ChunkGranularity
-
-// SmallThreshold routes sub-2 MiB requests to the embedded small pool.
-const SmallThreshold = 2 * sim.MiB
-
-// copyBandwidth prices compaction's data movement: an on-device copy reads
-// and writes HBM (A100: ~2 TB/s raw, ~1.3 TB/s effective for a memcpy).
-const copyBandwidth = 1.3e12
-
-// syncStall is the device synchronization each compaction requires before
-// tensors may move.
-const syncStall = 5 * time.Millisecond
-
 // Allocator is the compaction allocator.
-type Allocator struct {
-	driver *cuda.Driver
-	acct   memalloc.Accounting
-
-	va       cuda.DevicePtr
-	vaSize   int64
-	frontier int64
-	chunks   []cuda.MemHandle
-
-	blocks *block
-	free   *container.Tree[*block]
-
-	small *caching.Allocator
-
-	compactions int64
-	movedBytes  int64
-}
-
-type block struct {
-	off       int64
-	size      int64
-	allocated bool
-	prev      *block
-	next      *block
-	node      *container.Node[*block]
-}
+type Allocator = expandable.Allocator
 
 // New returns a compaction allocator over driver.
-func New(driver *cuda.Driver) *Allocator {
-	return &Allocator{
-		driver: driver,
-		free: container.NewTree[*block](func(a, b *block) bool {
-			if a.size != b.size {
-				return a.size < b.size
-			}
-			return a.off < b.off
-		}),
-		small: caching.New(driver),
-	}
-}
-
-// Name implements memalloc.Allocator.
-func (a *Allocator) Name() string { return "compact" }
-
-// Stats implements memalloc.Allocator.
-func (a *Allocator) Stats() memalloc.Stats {
-	st := a.acct.Stats()
-	ss := a.small.Stats()
-	st.Active += ss.Active
-	st.Reserved += ss.Reserved
-	st.PeakActive += ss.PeakActive
-	st.PeakReserved += ss.PeakReserved
-	st.AllocCount += ss.AllocCount
-	st.FreeCount += ss.FreeCount
-	return st
-}
-
-// ResetPeaks restarts peak tracking.
-func (a *Allocator) ResetPeaks() {
-	a.acct.ResetPeaks()
-	a.small.ResetPeaks()
-}
-
-// Compactions reports how many compaction passes have run.
-func (a *Allocator) Compactions() int64 { return a.compactions }
-
-// MovedBytes reports the total bytes copied by compaction.
-func (a *Allocator) MovedBytes() int64 { return a.movedBytes }
-
-func (a *Allocator) ensureArena() error {
-	if a.vaSize != 0 {
-		return nil
-	}
-	_, total := a.driver.MemGetInfo()
-	size := sim.RoundUp(total, ChunkSize)
-	va, err := a.driver.MemAddressReserve(size)
-	if err != nil {
-		return err
-	}
-	a.va = va
-	a.vaSize = size
-	return nil
-}
-
-// Alloc implements memalloc.Allocator: best fit, then compact, then grow.
-func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("compact: Alloc(%d)", size)
-	}
-	if size < SmallThreshold {
-		return a.small.Alloc(size)
-	}
-	a.driver.Clock().Advance(a.driver.Cost().HostOp())
-	if err := a.ensureArena(); err != nil {
-		return nil, err
-	}
-	rounded := caching.RoundSize(size)
-
-	blk := a.findBestFit(rounded)
-	if blk == nil && a.freeBytesInArena() >= rounded {
-		a.compact()
-		blk = a.findBestFit(rounded)
-	}
-	if blk == nil {
-		var err error
-		blk, err = a.extend(rounded)
-		if err != nil {
-			return nil, err
-		}
-	}
-	blk = a.maybeSplit(blk, rounded)
-	blk.allocated = true
-	a.acct.OnAlloc(blk.size)
-	buf := &memalloc.Buffer{
-		Ptr:       a.va + cuda.DevicePtr(blk.off),
-		Requested: size,
-		BlockSize: blk.size,
-	}
-	buf.SetImpl(blk)
-	return buf, nil
-}
-
-func (a *Allocator) freeBytesInArena() int64 {
-	var n int64
-	a.free.Ascend(func(node *container.Node[*block]) bool {
-		n += node.Value.size
-		return true
-	})
-	return n
-}
-
-func (a *Allocator) findBestFit(size int64) *block {
-	n := a.free.Ceil(&block{size: size})
-	if n == nil {
-		return nil
-	}
-	blk := n.Value
-	a.free.Delete(n)
-	blk.node = nil
-	return blk
-}
-
-// compact slides every allocated block downward so all free space becomes
-// one contiguous tail, charging the copy and synchronization costs.
-func (a *Allocator) compact() {
-	a.compactions++
-	a.driver.Clock().Advance(syncStall)
-
-	// Snapshot the chain before rewriting links.
-	var chain []*block
-	for blk := a.blocks; blk != nil; blk = blk.next {
-		chain = append(chain, blk)
-	}
-
-	var moved int64
-	off := int64(0)
-	var firstAlloc *block
-	var last *block
-	for _, blk := range chain {
-		if !blk.allocated {
-			if blk.node != nil {
-				a.free.Delete(blk.node)
-				blk.node = nil
-			}
-			continue
-		}
-		if blk.off != off {
-			moved += blk.size
-			blk.off = off
-		}
-		blk.prev = last
-		blk.next = nil
-		if last != nil {
-			last.next = blk
-		} else {
-			firstAlloc = blk
-		}
-		last = blk
-		off += blk.size
-	}
-	a.blocks = firstAlloc
-	if off < a.frontier {
-		tail := &block{off: off, size: a.frontier - off, prev: last}
-		if last != nil {
-			last.next = tail
-		} else {
-			a.blocks = tail
-		}
-		tail.node = a.free.Insert(tail)
-	}
-	a.movedBytes += moved
-	a.driver.Clock().Advance(time.Duration(float64(moved) / copyBandwidth * float64(time.Second)))
-}
-
-func (a *Allocator) tail() *block {
-	if a.blocks == nil {
-		return nil
-	}
-	b := a.blocks
-	for b.next != nil {
-		b = b.next
-	}
-	return b
-}
-
-func (a *Allocator) extend(size int64) (*block, error) {
-	tail := a.tail()
-	tailFree := int64(0)
-	if tail != nil && !tail.allocated {
-		tailFree = tail.size
-	}
-	need := sim.RoundUp(size-tailFree, ChunkSize)
-	if a.frontier+need > a.vaSize {
-		return nil, fmt.Errorf("compact: %w: arena frontier at %d of %d",
-			cuda.ErrOutOfMemory, a.frontier, a.vaSize)
-	}
-	var created []cuda.MemHandle
-	for off := int64(0); off < need; off += ChunkSize {
-		h, err := a.driver.MemCreate(ChunkSize)
-		if err != nil {
-			for i, hh := range created {
-				base := a.va + cuda.DevicePtr(a.frontier+int64(i)*ChunkSize)
-				if e := a.driver.MemUnmap(base, ChunkSize); e != nil {
-					panic("compact: rollback unmap: " + e.Error())
-				}
-				if e := a.driver.MemRelease(hh); e != nil {
-					panic("compact: rollback release: " + e.Error())
-				}
-			}
-			return nil, err
-		}
-		if err := a.driver.MemMap(a.va+cuda.DevicePtr(a.frontier+off), h); err != nil {
-			panic("compact: MemMap: " + err.Error())
-		}
-		created = append(created, h)
-	}
-	if err := a.driver.MemSetAccess(a.va+cuda.DevicePtr(a.frontier), need); err != nil {
-		panic("compact: MemSetAccess: " + err.Error())
-	}
-	a.chunks = append(a.chunks, created...)
-	a.acct.OnReserve(need)
-
-	grown := &block{off: a.frontier, size: need, prev: tail}
-	a.frontier += need
-	if tail != nil {
-		tail.next = grown
-	} else {
-		a.blocks = grown
-	}
-	if tail != nil && !tail.allocated {
-		a.free.Delete(tail.node)
-		tail.node = nil
-		tail.size += grown.size
-		tail.next = nil
-		if tail.prev != nil {
-			tail.prev.next = tail
-		} else {
-			a.blocks = tail
-		}
-		return tail, nil
-	}
-	return grown, nil
-}
-
-func (a *Allocator) maybeSplit(blk *block, size int64) *block {
-	remaining := blk.size - size
-	if remaining < caching.MinBlockSize {
-		return blk
-	}
-	rest := &block{
-		off:  blk.off + size,
-		size: remaining,
-		prev: blk,
-		next: blk.next,
-	}
-	if blk.next != nil {
-		blk.next.prev = rest
-	}
-	blk.next = rest
-	blk.size = size
-	rest.node = a.free.Insert(rest)
-	return blk
-}
-
-// Free implements memalloc.Allocator.
-func (a *Allocator) Free(buf *memalloc.Buffer) {
-	blk, ok := buf.Impl().(*block)
-	if !ok || blk == nil {
-		a.small.Free(buf)
-		return
-	}
-	if !blk.allocated {
-		panic("compact: double Free")
-	}
-	a.driver.Clock().Advance(a.driver.Cost().HostOp())
-	a.acct.OnFree(blk.size)
-	blk.allocated = false
-	buf.SetImpl(nil)
-
-	if nb := blk.next; nb != nil && !nb.allocated {
-		a.free.Delete(nb.node)
-		blk.size += nb.size
-		blk.next = nb.next
-		if nb.next != nil {
-			nb.next.prev = blk
-		}
-	}
-	if pb := blk.prev; pb != nil && !pb.allocated {
-		a.free.Delete(pb.node)
-		pb.size += blk.size
-		pb.next = blk.next
-		if blk.next != nil {
-			blk.next.prev = pb
-		}
-		blk = pb
-	}
-	blk.node = a.free.Insert(blk)
-}
-
-// EmptyCache implements memalloc.Allocator: trim the free tail.
-func (a *Allocator) EmptyCache() {
-	a.small.EmptyCache()
-	tail := a.tail()
-	if tail == nil || tail.allocated {
-		return
-	}
-	releaseFrom := sim.RoundUp(tail.off, ChunkSize)
-	releaseBytes := a.frontier - releaseFrom
-	if releaseBytes <= 0 {
-		return
-	}
-	if err := a.driver.MemUnmap(a.va+cuda.DevicePtr(releaseFrom), releaseBytes); err != nil {
-		panic("compact: trim unmap: " + err.Error())
-	}
-	nChunks := releaseBytes / ChunkSize
-	for _, h := range a.chunks[int64(len(a.chunks))-nChunks:] {
-		if err := a.driver.MemRelease(h); err != nil {
-			panic("compact: trim release: " + err.Error())
-		}
-	}
-	a.chunks = a.chunks[:int64(len(a.chunks))-nChunks]
-	a.acct.OnRelease(releaseBytes)
-	a.frontier = releaseFrom
-
-	a.free.Delete(tail.node)
-	tail.node = nil
-	if tail.off == releaseFrom {
-		if tail.prev != nil {
-			tail.prev.next = nil
-		} else {
-			a.blocks = nil
-		}
-		return
-	}
-	tail.size = releaseFrom - tail.off
-	tail.next = nil
-	tail.node = a.free.Insert(tail)
-}
-
-// CheckInvariants validates the block chain tiling and free-index state.
-func (a *Allocator) CheckInvariants() error {
-	var off int64
-	prevFree := false
-	for blk := a.blocks; blk != nil; blk = blk.next {
-		if blk.off != off {
-			return fmt.Errorf("compact: gap at offset %d", off)
-		}
-		if blk.next != nil && blk.next.prev != blk {
-			return fmt.Errorf("compact: broken chain links")
-		}
-		if !blk.allocated {
-			if prevFree {
-				return fmt.Errorf("compact: adjacent free blocks not merged")
-			}
-			if blk.node == nil {
-				return fmt.Errorf("compact: free block missing from index")
-			}
-			prevFree = true
-		} else {
-			prevFree = false
-		}
-		off += blk.size
-	}
-	if off != a.frontier {
-		return fmt.Errorf("compact: blocks tile %d of frontier %d", off, a.frontier)
-	}
-	return nil
-}
+func New(driver *cuda.Driver) *Allocator { return expandable.NewCompact(driver) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cuda"
+	"repro/internal/expandable"
 	"repro/internal/gpu"
 	"repro/internal/memalloc"
 	"repro/internal/sim"
@@ -32,11 +33,12 @@ func checkInv(t *testing.T, a *Allocator) {
 	}
 }
 
-func TestCompactionDefeatsFragmentation(t *testing.T) {
-	// Interleave keep/free blocks, then request more than any single hole:
-	// compaction must fire and serve it without growing the arena.
-	a, _ := newTestAllocator(4 * sim.GiB)
-	var keep, junk []*memalloc.Buffer
+// fragment interleaves eight 96 MiB and eight 32 MiB blocks and frees the
+// 96 MiB ones: 768 MiB free, in holes of 96 MiB. It returns the kept
+// buffers and the address of the arena's first block.
+func fragment(t *testing.T, a *Allocator) (keep []*memalloc.Buffer, base cuda.DevicePtr) {
+	t.Helper()
+	var junk []*memalloc.Buffer
 	for i := 0; i < 8; i++ {
 		junk = append(junk, mustAlloc(t, a, 96*sim.MiB))
 		keep = append(keep, mustAlloc(t, a, 32*sim.MiB))
@@ -44,6 +46,14 @@ func TestCompactionDefeatsFragmentation(t *testing.T) {
 	for _, b := range junk {
 		a.Free(b)
 	}
+	return keep, junk[0].Ptr
+}
+
+func TestCompactionDefeatsFragmentation(t *testing.T) {
+	// Request more than any single hole: compaction must fire and serve it
+	// without growing the arena.
+	a, _ := newTestAllocator(4 * sim.GiB)
+	keep, _ := fragment(t, a)
 	reserved := a.Stats().Reserved
 	big := mustAlloc(t, a, 512*sim.MiB) // bigger than any 96 MiB hole
 	if a.Compactions() != 1 {
@@ -64,25 +74,45 @@ func TestCompactionDefeatsFragmentation(t *testing.T) {
 
 func TestCompactionChargesCopyTime(t *testing.T) {
 	a, drv := newTestAllocator(4 * sim.GiB)
-	var junk []*memalloc.Buffer
-	var keep []*memalloc.Buffer
-	for i := 0; i < 8; i++ {
-		junk = append(junk, mustAlloc(t, a, 96*sim.MiB))
-		keep = append(keep, mustAlloc(t, a, 32*sim.MiB))
-	}
-	for _, b := range junk {
-		a.Free(b)
-	}
+	keep, _ := fragment(t, a)
 	before := drv.Clock().Now()
 	big := mustAlloc(t, a, 512*sim.MiB)
 	elapsed := drv.Clock().Now() - before
-	if elapsed < syncStall {
-		t.Fatalf("compaction took %v, below the sync stall %v", elapsed, syncStall)
+	if elapsed < expandable.SyncStall {
+		t.Fatalf("compaction took %v, below the sync stall %v", elapsed, expandable.SyncStall)
 	}
 	a.Free(big)
 	for _, b := range keep {
 		a.Free(b)
 	}
+}
+
+// TestCompactionRewritesLivePointers: blocks slide, so every live buffer's
+// Ptr must slide with its block — afterwards the live [Ptr, Ptr+BlockSize)
+// ranges are pairwise disjoint and inside the mapped prefix.
+func TestCompactionRewritesLivePointers(t *testing.T) {
+	a, _ := newTestAllocator(4 * sim.GiB)
+	live, base := fragment(t, a)
+	live = append(live, mustAlloc(t, a, 512*sim.MiB))
+	if a.Compactions() != 1 {
+		t.Fatalf("Compactions = %d, want 1", a.Compactions())
+	}
+	end := base + cuda.DevicePtr(a.Frontier())
+	for i, b := range live {
+		if b.Ptr < base || b.Ptr+cuda.DevicePtr(b.BlockSize) > end {
+			t.Errorf("buffer %d [%#x, +%d) outside the mapped prefix [%#x, %#x)", i, b.Ptr, b.BlockSize, base, end)
+		}
+		for j, c := range live[:i] {
+			if b.Ptr < c.Ptr+cuda.DevicePtr(c.BlockSize) && c.Ptr < b.Ptr+cuda.DevicePtr(b.BlockSize) {
+				t.Errorf("buffers %d [%#x, +%d) and %d [%#x, +%d) overlap", j, c.Ptr, c.BlockSize, i, b.Ptr, b.BlockSize)
+			}
+		}
+	}
+	checkInv(t, a)
+	for _, b := range live {
+		a.Free(b)
+	}
+	checkInv(t, a)
 }
 
 func TestNoCompactionWhenFitExists(t *testing.T) {
@@ -134,35 +164,6 @@ func TestEmptyCacheTrims(t *testing.T) {
 		t.Fatal("device not free")
 	}
 	checkInv(t, a)
-}
-
-func TestRandomWorkloadInvariants(t *testing.T) {
-	a, drv := newTestAllocator(8 * sim.GiB)
-	rng := sim.NewRNG(77)
-	var live []*memalloc.Buffer
-	for step := 0; step < 2500; step++ {
-		if rng.Float64() < 0.55 {
-			size := int64(rng.Intn(int(256*sim.MiB)) + 1)
-			if b, err := a.Alloc(size); err == nil {
-				live = append(live, b)
-			}
-		} else if len(live) > 0 {
-			i := rng.Intn(len(live))
-			a.Free(live[i])
-			live = append(live[:i], live[i+1:]...)
-		}
-		if step%500 == 0 {
-			checkInv(t, a)
-		}
-	}
-	for _, b := range live {
-		a.Free(b)
-	}
-	checkInv(t, a)
-	a.EmptyCache()
-	if free, total := drv.MemGetInfo(); free != total {
-		t.Fatalf("device leak: %d of %d", free, total)
-	}
 }
 
 func TestSmallPoolPath(t *testing.T) {

@@ -22,7 +22,7 @@
 // cmd/gmlake-serve consumes the serving keys through Flags.Parse,
 // ServeWorkload and Cluster, and cmd/gmlake-bench takes four of their
 // flags. (internal/harness is configured through its own Env fields and
-// never imports this package.)
+// uses this package only to build its rigs' allocators by name.)
 package conf
 
 import (
@@ -43,8 +43,8 @@ import (
 
 // Config is a parsed allocator configuration.
 type Config struct {
-	// Backend selects the allocator: "caching" (default), "gmlake",
-	// "native", "expandable", "compact".
+	// Backend selects the allocator, one of Backends(); "" is the first
+	// of them, the caching default.
 	Backend string
 
 	// Caching knobs (PYTORCH_CUDA_ALLOC_CONF names).
@@ -152,7 +152,7 @@ func Parse(s string) (Config, error) { return parse(s, nil) }
 // parse sets the keys of s, then the flag assignments over them, and
 // validates the result.
 func parse(s string, flags []assignment) (Config, error) {
-	cfg := Config{Backend: "caching"}
+	cfg := Config{Backend: backends[0].name}
 	for _, kv := range strings.Split(s, ",") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
@@ -244,15 +244,27 @@ func (c Config) Cluster(server serve.ServerConfig) serve.ClusterConfig {
 	return cc
 }
 
-// Build constructs the configured allocator over driver.
-func (c Config) Build(driver *cuda.Driver) (memalloc.Allocator, error) {
-	switch c.Backend {
-	case "caching":
+// A backend is one allocator the backend key selects.
+type backend struct {
+	name  string
+	pools bool // caches freed device memory (all but the native strawman)
+	build func(c Config, driver *cuda.Driver) memalloc.Allocator
+}
+
+// backends is the one table of allocators by name, in the row order of a
+// side-by-side comparison; the first is the default. The backend key
+// validates against it, Build constructs from it, and everything that
+// picks an allocator by name — the harness rigs, internal/cluster,
+// gmlake-replay, the differential tests, the examples — goes through
+// Backends/Pools and Build.
+var backends = []backend{
+	{"caching", true, func(c Config, driver *cuda.Driver) memalloc.Allocator {
 		return caching.NewWithConfig(driver, caching.Config{
 			MaxSplitSize: c.MaxSplitSizeMB * sim.MiB,
 			GCThreshold:  c.GCThreshold,
-		}), nil
-	case "gmlake":
+		})
+	}},
+	{"gmlake", true, func(c Config, driver *cuda.Driver) memalloc.Allocator {
 		gc := core.DefaultConfig()
 		if c.FragLimitMB > 0 {
 			gc.FragLimit = c.FragLimitMB * sim.MiB
@@ -263,16 +275,50 @@ func (c Config) Build(driver *cuda.Driver) (memalloc.Allocator, error) {
 		if c.RebindSplit != nil {
 			gc.RebindOnSplit = *c.RebindSplit
 		}
-		return core.New(driver, gc), nil
-	case "native":
-		return memalloc.NewNative(driver), nil
-	case "expandable":
-		return expandable.New(driver), nil
-	case "compact":
-		return compact.New(driver), nil
-	default:
-		return nil, fmt.Errorf("conf: unknown backend %q", c.Backend)
+		return core.New(driver, gc)
+	}},
+	{"expandable", true, func(_ Config, driver *cuda.Driver) memalloc.Allocator { return expandable.New(driver) }},
+	{"compact", true, func(_ Config, driver *cuda.Driver) memalloc.Allocator { return compact.New(driver) }},
+	{"native", false, func(_ Config, driver *cuda.Driver) memalloc.Allocator { return memalloc.NewNative(driver) }},
+}
+
+// Backends returns every backend name, in table order.
+func Backends() []string { return backendNames(false) }
+
+// Pools returns the backends that pool device memory — the rows of an
+// allocator comparison; native, which holds nothing back, is left out.
+func Pools() []string { return backendNames(true) }
+
+func backendNames(poolsOnly bool) []string {
+	var names []string
+	for _, b := range backends {
+		if b.pools || !poolsOnly {
+			names = append(names, b.name)
+		}
 	}
+	return names
+}
+
+func findBackend(name string) (backend, error) {
+	for _, b := range backends {
+		if b.name == name {
+			return b, nil
+		}
+	}
+	return backend{}, fmt.Errorf("conf: unknown backend %q", name)
+}
+
+// Build constructs the configured allocator over driver. The zero Config
+// builds the default caching backend.
+func (c Config) Build(driver *cuda.Driver) (memalloc.Allocator, error) {
+	if c.Backend == "" {
+		c.Backend = backends[0].name
+	}
+	b, err := findBackend(c.Backend)
+	if err != nil {
+		return nil, err
+	}
+	return b.build(c, driver), nil
 }
 
 // New parses s and builds the allocator in one step.

@@ -1,6 +1,7 @@
 package conf
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -101,6 +102,36 @@ func TestBuildAllBackends(t *testing.T) {
 		if got := a.Stats().Active; got != 0 {
 			t.Fatalf("%q: active %d after free", s, got)
 		}
+	}
+}
+
+// TestBackendTable: the backend key and Build accept exactly the names of
+// the backend table — each builds the allocator of that name — and Pools is
+// the table without native. (cmd/gmlake-replay's test holds its -alloc
+// values and help text to the same Backends().)
+func TestBackendTable(t *testing.T) {
+	for _, name := range Backends() {
+		cfg, err := Parse("backend:" + name)
+		if err != nil || cfg.Backend != name {
+			t.Errorf("backend:%s parses to %q, %v", name, cfg.Backend, err)
+		}
+		if a, err := (Config{Backend: name}).Build(newDriver()); err != nil || a.Name() != name {
+			t.Errorf("Build(%s): %v, %v", name, a, err)
+		}
+	}
+	for _, name := range []string{"caching-tuned", "Caching", "all"} {
+		if _, err := Parse("backend:" + name); err == nil {
+			t.Errorf("backend:%s parsed", name)
+		}
+		if _, err := (Config{Backend: name}).Build(newDriver()); err == nil {
+			t.Errorf("Build(%s) built", name)
+		}
+	}
+	if a, err := (Config{}).Build(newDriver()); err != nil || a.Name() != Backends()[0] {
+		t.Errorf("the zero Config builds %v, %v; want the first backend", a, err)
+	}
+	if want := slices.DeleteFunc(Backends(), func(n string) bool { return n == "native" }); !slices.Equal(Pools(), want) {
+		t.Errorf("Pools() = %v, want %v", Pools(), want)
 	}
 }
 

@@ -45,7 +45,7 @@ func parsed[T any](parse func(key, val string) (T, error), at func(*Config) *T) 
 }
 
 var fields = []field{
-	{"backend", "", "pool allocator: caching (default), gmlake, native, expandable or compact",
+	{"backend", "", "pool allocator, the first being the default: " + strings.Join(Backends(), ", "),
 		parsed(parseBackend, func(c *Config) *string { return &c.Backend })},
 	{"max_split_size_mb", "", "caching: cached blocks larger than this many MiB are never split",
 		parsed(parsePositive[int64], func(c *Config) *int64 { return &c.MaxSplitSizeMB })},
@@ -181,11 +181,8 @@ func (v flagValue) Set(s string) error {
 }
 
 func parseBackend(_, val string) (string, error) {
-	switch val {
-	case "caching", "gmlake", "native", "expandable", "compact":
-		return val, nil
-	}
-	return "", fmt.Errorf("conf: unknown backend %q", val)
+	b, err := findBackend(val)
+	return b.name, err
 }
 
 func parsePositive[T int | int64](key, val string) (T, error) {

@@ -11,29 +11,27 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/caching"
-	"repro/internal/compact"
-	"repro/internal/core"
+	"repro/internal/conf"
 	"repro/internal/cuda"
-	"repro/internal/expandable"
 	"repro/internal/gpu"
 	"repro/internal/memalloc"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// allAllocators builds one fresh instance of every allocator on its own
-// device.
+// allAllocators builds one fresh instance of every pooling allocator in
+// conf's backend table, each on its own device.
 func allAllocators(capacity int64) map[string]memalloc.Allocator {
-	mk := func() *cuda.Driver {
-		return cuda.NewDriver(gpu.NewDevice("diff", capacity), sim.NewClock(), sim.DefaultCostModel())
+	all := map[string]memalloc.Allocator{}
+	for _, name := range conf.Pools() {
+		drv := cuda.NewDriver(gpu.NewDevice("diff", capacity), sim.NewClock(), sim.DefaultCostModel())
+		alloc, err := conf.Config{Backend: name}.Build(drv)
+		if err != nil {
+			panic(err)
+		}
+		all[name] = alloc
 	}
-	return map[string]memalloc.Allocator{
-		"caching":    caching.New(mk()),
-		"gmlake":     core.NewDefault(mk()),
-		"expandable": expandable.New(mk()),
-		"compact":    compact.New(mk()),
-	}
+	return all
 }
 
 // genStream builds a random but well-formed alloc/free stream with the
@@ -133,8 +131,8 @@ func TestDifferentialRandomStreams(t *testing.T) {
 			}
 
 			// Structural invariant checks on every allocator that exposes
-			// them (all four do): no overlapping blocks, tiling intact,
-			// free-index state consistent after the full stream.
+			// them (every pooling backend does): no overlapping blocks, tiling
+			// intact, free-index state consistent after the full stream.
 			fresh := allAllocators(capacity)
 			for name, alloc := range fresh {
 				chk, ok := alloc.(interface{ CheckInvariants() error })

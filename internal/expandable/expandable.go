@@ -1,11 +1,19 @@
-// Package expandable implements PyTorch's "expandable segments" allocator,
-// the VMM-based alternative to GMLake that PyTorch later shipped
-// (PYTORCH_CUDA_ALLOC_CONF=expandable_segments:True). The paper's §6
-// positions GMLake against this family of techniques; including it makes the
-// evaluation a three-way comparison between the splitting baseline, stitching
-// (GMLake) and growing (expandable segments).
+// Package expandable implements the two single-arena allocators the paper's
+// §6 sets GMLake's stitching against, over one shared arena:
 //
-// Design, mirroring the PyTorch implementation:
+//   - New: PyTorch's "expandable segments" allocator, the VMM-based
+//     alternative PyTorch later shipped
+//     (PYTORCH_CUDA_ALLOC_CONF=expandable_segments:True) — growing.
+//   - NewCompact: a compaction-based defragmenter, the classic alternative —
+//     copying. It is the same arena with one extra step in Alloc: when
+//     fragmentation blocks a request the free bytes could serve, live blocks
+//     are copied downward until all free space is one contiguous tail.
+//
+// With the splitting baseline and GMLake that makes the evaluation a
+// four-way comparison in which the two arena rows differ in nothing but the
+// compaction pass.
+//
+// The arena, mirroring the PyTorch implementation:
 //
 //   - One huge virtual address reservation (the expandable segment) per
 //     device, sized at device capacity. Nothing is mapped up front.
@@ -15,18 +23,25 @@
 //     a trailing free block.
 //   - Inside the mapped prefix, blocks are managed exactly like the caching
 //     allocator: best fit, split, and coalesce on free.
+//   - Requests below the small threshold use a conventional caching small
+//     pool, as in PyTorch.
 //
 // Because every size class draws from one contiguous arena, the cross-class
 // segment fragmentation that dooms the caching allocator disappears; unlike
-// GMLake, interior holes can still pin the frontier (no stitching), so its
-// reserved memory sits between the two.
+// GMLake, interior holes can still pin the frontier (no stitching), so the
+// growing allocator's reserved memory sits between the two.
 //
-// Requests below the small threshold use a conventional caching small pool,
-// as in PyTorch.
+// Compaction reaches the same zero-fragmentation steady state as stitching
+// but pays for it with data movement: every pass copies the moved bytes
+// through HBM and requires a device synchronization (tensors move, so every
+// in-flight kernel must drain and every pointer be rewritten — which is also
+// why real frameworks cannot adopt it transparently; it exists here as the
+// quantitative comparison point).
 package expandable
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/caching"
 	"repro/internal/container"
@@ -41,10 +56,20 @@ const ChunkSize = cuda.ChunkGranularity
 // SmallThreshold routes sub-2 MiB requests to the embedded small pool.
 const SmallThreshold = 2 * sim.MiB
 
-// Allocator is the expandable-segments allocator.
+// copyBandwidth prices compaction's data movement: an on-device copy reads
+// and writes HBM (A100: ~2 TB/s raw, ~1.3 TB/s effective for a memcpy).
+const copyBandwidth = 1.3e12
+
+// SyncStall is the device synchronization each compaction requires before
+// tensors may move.
+const SyncStall = 5 * time.Millisecond
+
+// Allocator is the single-arena allocator, growing only (New) or growing
+// and compacting (NewCompact).
 type Allocator struct {
-	driver *cuda.Driver
-	acct   memalloc.Accounting
+	driver   *cuda.Driver
+	acct     memalloc.Accounting
+	compacts bool
 
 	va       cuda.DevicePtr // segment base (reserved once, lazily)
 	vaSize   int64          // reservation size (device capacity)
@@ -55,15 +80,18 @@ type Allocator struct {
 	free   *container.Tree[*block]
 
 	small *caching.Allocator
+
+	compactions int64
+	movedBytes  int64
 }
 
 type block struct {
-	off       int64
-	size      int64
-	allocated bool
-	prev      *block
-	next      *block
-	node      *container.Node[*block]
+	off  int64
+	size int64
+	buf  *memalloc.Buffer // the live buffer, whose Ptr compaction rewrites; nil = free
+	prev *block
+	next *block
+	node *container.Node[*block]
 }
 
 // New returns an expandable-segments allocator over driver.
@@ -80,8 +108,25 @@ func New(driver *cuda.Driver) *Allocator {
 	}
 }
 
+// NewCompact returns a compaction allocator over driver.
+func NewCompact(driver *cuda.Driver) *Allocator {
+	a := New(driver)
+	a.compacts = true
+	return a
+}
+
 // Name implements memalloc.Allocator.
-func (a *Allocator) Name() string { return "expandable" }
+func (a *Allocator) Name() string {
+	if a.compacts {
+		return "compact"
+	}
+	return "expandable"
+}
+
+// errorf prefixes an error with the allocator's name.
+func (a *Allocator) errorf(format string, args ...any) error {
+	return fmt.Errorf(a.Name()+": "+format, args...)
+}
 
 // Stats implements memalloc.Allocator.
 func (a *Allocator) Stats() memalloc.Stats {
@@ -102,6 +147,12 @@ func (a *Allocator) ResetPeaks() {
 	a.small.ResetPeaks()
 }
 
+// Compactions reports how many compaction passes have run.
+func (a *Allocator) Compactions() int64 { return a.compactions }
+
+// MovedBytes reports the total bytes copied by compaction.
+func (a *Allocator) MovedBytes() int64 { return a.movedBytes }
+
 // ensureSegment lazily reserves the segment VA at first use.
 func (a *Allocator) ensureSegment() error {
 	if a.vaSize != 0 {
@@ -118,10 +169,11 @@ func (a *Allocator) ensureSegment() error {
 	return nil
 }
 
-// Alloc implements memalloc.Allocator.
+// Alloc implements memalloc.Allocator: best fit, then (when compacting and
+// the arena's free bytes suffice) compact, then grow.
 func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 	if size <= 0 {
-		return nil, fmt.Errorf("expandable: Alloc(%d)", size)
+		return nil, a.errorf("Alloc(%d)", size)
 	}
 	if size < SmallThreshold {
 		return a.small.Alloc(size)
@@ -133,6 +185,10 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 	rounded := caching.RoundSize(size)
 
 	blk := a.findBestFit(rounded)
+	if st := a.acct.Stats(); blk == nil && a.compacts && st.Reserved-st.Active >= rounded {
+		a.compact()
+		blk = a.findBestFit(rounded)
+	}
 	if blk == nil {
 		var err error
 		blk, err = a.extend(rounded)
@@ -141,15 +197,14 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 		}
 	}
 	blk = a.maybeSplit(blk, rounded)
-	blk.allocated = true
 	a.acct.OnAlloc(blk.size)
-	buf := &memalloc.Buffer{
+	blk.buf = &memalloc.Buffer{
 		Ptr:       a.va + cuda.DevicePtr(blk.off),
 		Requested: size,
 		BlockSize: blk.size,
 	}
-	buf.SetImpl(blk)
-	return buf, nil
+	blk.buf.SetImpl(blk)
+	return blk.buf, nil
 }
 
 func (a *Allocator) findBestFit(size int64) *block {
@@ -163,19 +218,62 @@ func (a *Allocator) findBestFit(size int64) *block {
 	return blk
 }
 
+// compact slides every allocated block downward so all free space becomes
+// one contiguous tail, charging the copy and synchronization costs.
+func (a *Allocator) compact() {
+	a.compactions++
+	a.driver.Clock().Advance(SyncStall)
+
+	var moved, off int64
+	var last *block
+	for blk := a.blocks; blk != nil; blk = blk.next {
+		if blk.buf == nil {
+			a.free.Delete(blk.node)
+			continue
+		}
+		if blk.off != off {
+			moved += blk.size
+			blk.off = off
+			blk.buf.Ptr = a.va + cuda.DevicePtr(off)
+		}
+		a.link(last, blk)
+		last = blk
+		off += blk.size
+	}
+	var tail *block
+	if off < a.frontier {
+		tail = &block{off: off, size: a.frontier - off}
+		tail.node = a.free.Insert(tail)
+	}
+	a.link(last, tail)
+	a.movedBytes += moved
+	a.driver.Clock().Advance(time.Duration(float64(moved) / copyBandwidth * float64(time.Second)))
+}
+
+// link makes next (nil = end of chain) follow prev (nil = head of chain).
+func (a *Allocator) link(prev, next *block) {
+	if prev != nil {
+		prev.next = next
+	} else {
+		a.blocks = next
+	}
+	if next != nil {
+		next.prev = prev
+	}
+}
+
 // extend grows the mapped frontier so a block of size bytes fits at the
 // tail, merging with a trailing free block if one exists. Returns the
 // ready-to-split free block covering the request.
 func (a *Allocator) extend(size int64) (*block, error) {
 	tail := a.tail()
 	tailFree := int64(0)
-	if tail != nil && !tail.allocated {
+	if tail != nil && tail.buf == nil {
 		tailFree = tail.size
 	}
 	need := sim.RoundUp(size-tailFree, ChunkSize)
 	if a.frontier+need > a.vaSize {
-		return nil, fmt.Errorf("expandable: %w: segment frontier at %d of %d",
-			cuda.ErrOutOfMemory, a.frontier, a.vaSize)
+		return nil, a.errorf("%w: segment frontier at %d of %d", cuda.ErrOutOfMemory, a.frontier, a.vaSize)
 	}
 	// Commit physical chunks; roll back on device OOM.
 	var created []cuda.MemHandle
@@ -204,26 +302,16 @@ func (a *Allocator) extend(size int64) (*block, error) {
 	a.chunks = append(a.chunks, created...)
 	a.acct.OnReserve(need)
 
-	grown := &block{off: a.frontier, size: need, prev: tail}
 	a.frontier += need
-	if tail != nil {
-		tail.next = grown
-	} else {
-		a.blocks = grown
-	}
-	// Merge with a free tail block.
-	if tail != nil && !tail.allocated {
+	if tail != nil && tail.buf == nil {
+		// Merge into the free tail block.
 		a.free.Delete(tail.node)
 		tail.node = nil
-		tail.size += grown.size
-		tail.next = nil
-		if tail.prev != nil {
-			tail.prev.next = tail
-		} else {
-			a.blocks = tail
-		}
+		tail.size += need
 		return tail, nil
 	}
+	grown := &block{off: a.frontier - need, size: need}
+	a.link(tail, grown)
 	return grown, nil
 }
 
@@ -243,16 +331,9 @@ func (a *Allocator) maybeSplit(blk *block, size int64) *block {
 	if remaining < caching.MinBlockSize {
 		return blk
 	}
-	rest := &block{
-		off:  blk.off + size,
-		size: remaining,
-		prev: blk,
-		next: blk.next,
-	}
-	if blk.next != nil {
-		blk.next.prev = rest
-	}
-	blk.next = rest
+	rest := &block{off: blk.off + size, size: remaining}
+	a.link(rest, blk.next)
+	a.link(blk, rest)
 	blk.size = size
 	rest.node = a.free.Insert(rest)
 	return blk
@@ -266,29 +347,23 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 		a.small.Free(buf)
 		return
 	}
-	if !blk.allocated {
+	if blk.buf != buf {
 		panic("expandable: double Free")
 	}
 	a.driver.Clock().Advance(a.driver.Cost().HostOp())
 	a.acct.OnFree(blk.size)
-	blk.allocated = false
+	blk.buf = nil
 	buf.SetImpl(nil)
 
-	if nb := blk.next; nb != nil && !nb.allocated {
+	if nb := blk.next; nb != nil && nb.buf == nil {
 		a.free.Delete(nb.node)
 		blk.size += nb.size
-		blk.next = nb.next
-		if nb.next != nil {
-			nb.next.prev = blk
-		}
+		a.link(blk, nb.next)
 	}
-	if pb := blk.prev; pb != nil && !pb.allocated {
+	if pb := blk.prev; pb != nil && pb.buf == nil {
 		a.free.Delete(pb.node)
 		pb.size += blk.size
-		pb.next = blk.next
-		if blk.next != nil {
-			blk.next.prev = pb
-		}
+		a.link(pb, blk.next)
 		blk = pb
 	}
 	blk.node = a.free.Insert(blk)
@@ -300,7 +375,7 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 func (a *Allocator) EmptyCache() {
 	a.small.EmptyCache()
 	tail := a.tail()
-	if tail == nil || tail.allocated {
+	if tail == nil || tail.buf != nil {
 		return
 	}
 	// Unmap whole chunks contained in the free tail.
@@ -312,13 +387,13 @@ func (a *Allocator) EmptyCache() {
 	if err := a.driver.MemUnmap(a.va+cuda.DevicePtr(releaseFrom), releaseBytes); err != nil {
 		panic("expandable: trim unmap: " + err.Error())
 	}
-	nChunks := releaseBytes / ChunkSize
-	for _, h := range a.chunks[int64(len(a.chunks))-nChunks:] {
+	keep := int64(len(a.chunks)) - releaseBytes/ChunkSize
+	for _, h := range a.chunks[keep:] {
 		if err := a.driver.MemRelease(h); err != nil {
 			panic("expandable: trim release: " + err.Error())
 		}
 	}
-	a.chunks = a.chunks[:int64(len(a.chunks))-nChunks]
+	a.chunks = a.chunks[:keep]
 	a.acct.OnRelease(releaseBytes)
 	a.frontier = releaseFrom
 
@@ -326,15 +401,10 @@ func (a *Allocator) EmptyCache() {
 	a.free.Delete(tail.node)
 	tail.node = nil
 	if tail.off == releaseFrom {
-		if tail.prev != nil {
-			tail.prev.next = nil
-		} else {
-			a.blocks = nil
-		}
+		a.link(tail.prev, nil)
 		return
 	}
 	tail.size = releaseFrom - tail.off
-	tail.next = nil
 	tail.node = a.free.Insert(tail)
 }
 
@@ -342,35 +412,36 @@ func (a *Allocator) EmptyCache() {
 func (a *Allocator) Frontier() int64 { return a.frontier }
 
 // CheckInvariants validates the block chain: it must tile [0, frontier)
-// exactly, with free blocks indexed and coalesced.
+// exactly, with free blocks indexed and coalesced, and every live buffer
+// must point at its block.
 func (a *Allocator) CheckInvariants() error {
 	var off int64
 	prevFree := false
 	for blk := a.blocks; blk != nil; blk = blk.next {
 		if blk.off != off {
-			return fmt.Errorf("expandable: gap at offset %d", off)
+			return a.errorf("gap at offset %d", off)
 		}
 		if blk.next != nil && blk.next.prev != blk {
-			return fmt.Errorf("expandable: broken chain links")
+			return a.errorf("broken chain links")
 		}
-		if !blk.allocated {
+		if blk.buf == nil {
 			if prevFree {
-				return fmt.Errorf("expandable: adjacent free blocks not merged")
+				return a.errorf("adjacent free blocks not merged")
 			}
 			if blk.node == nil {
-				return fmt.Errorf("expandable: free block missing from index")
+				return a.errorf("free block missing from index")
 			}
-			prevFree = true
-		} else {
-			prevFree = false
+		} else if blk.buf.Ptr != a.va+cuda.DevicePtr(off) {
+			return a.errorf("buffer at %#x, its block at offset %d", blk.buf.Ptr, off)
 		}
+		prevFree = blk.buf == nil
 		off += blk.size
 	}
 	if off != a.frontier {
-		return fmt.Errorf("expandable: blocks tile %d of frontier %d", off, a.frontier)
+		return a.errorf("blocks tile %d of frontier %d", off, a.frontier)
 	}
 	if got := int64(len(a.chunks)) * ChunkSize; got != a.frontier {
-		return fmt.Errorf("expandable: %d chunk bytes vs frontier %d", got, a.frontier)
+		return a.errorf("%d chunk bytes vs frontier %d", got, a.frontier)
 	}
 	return nil
 }

@@ -175,35 +175,47 @@ func TestDoubleFreePanics(t *testing.T) {
 	a.Free(b)
 }
 
+// TestRandomWorkloadInvariants drives the arena in each mode with a random
+// alloc/free stream, checking the invariants after every operation.
 func TestRandomWorkloadInvariants(t *testing.T) {
-	a, drv := newTestAllocator(8 * sim.GiB)
-	rng := sim.NewRNG(31)
-	var live []*memalloc.Buffer
-	for step := 0; step < 3000; step++ {
-		if rng.Float64() < 0.55 {
-			size := int64(rng.Intn(int(256*sim.MiB)) + 1)
-			if b, err := a.Alloc(size); err == nil {
-				live = append(live, b)
+	for _, mode := range []struct {
+		name string
+		ctor func(*cuda.Driver) *Allocator
+		seed uint64
+	}{{"expandable", New, 31}, {"compact", NewCompact, 77}} {
+		t.Run(mode.name, func(t *testing.T) {
+			drv := cuda.NewDriver(gpu.NewDevice("test", 8*sim.GiB), sim.NewClock(), sim.DefaultCostModel())
+			a := mode.ctor(drv)
+			rng := sim.NewRNG(mode.seed)
+			var live []*memalloc.Buffer
+			for step := 0; step < 3000; step++ {
+				if rng.Float64() < 0.55 {
+					size := int64(rng.Intn(int(256*sim.MiB)) + 1)
+					if b, err := a.Alloc(size); err == nil {
+						live = append(live, b)
+					}
+				} else if len(live) > 0 {
+					i := rng.Intn(len(live))
+					a.Free(live[i])
+					live = append(live[:i], live[i+1:]...)
+				}
+				checkInv(t, a)
 			}
-		} else if len(live) > 0 {
-			i := rng.Intn(len(live))
-			a.Free(live[i])
-			live = append(live[:i], live[i+1:]...)
-		}
-		if step%500 == 0 {
+			if mode.name == "compact" && a.Compactions() == 0 {
+				t.Fatal("the stream never forced a compaction")
+			}
+			for _, b := range live {
+				a.Free(b)
+			}
 			checkInv(t, a)
-		}
-	}
-	for _, b := range live {
-		a.Free(b)
-	}
-	checkInv(t, a)
-	if st := a.Stats(); st.Active != 0 {
-		t.Fatalf("leaked %d bytes", st.Active)
-	}
-	a.EmptyCache()
-	if free, total := drv.MemGetInfo(); free != total {
-		t.Fatalf("device leak: %d of %d", free, total)
+			if st := a.Stats(); st.Active != 0 {
+				t.Fatalf("leaked %d bytes", st.Active)
+			}
+			a.EmptyCache()
+			if free, total := drv.MemGetInfo(); free != total {
+				t.Fatalf("device leak: %d of %d", free, total)
+			}
+		})
 	}
 }
 

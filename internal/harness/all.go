@@ -2,95 +2,88 @@ package harness
 
 import "io"
 
-// Experiment names runnable via RunExperiment.
-var Experiments = []string{
-	"table1", "figure3", "figure4", "figure5", "figure6",
-	"figure10", "figure11", "figure12", "figure13", "figure14",
-	"headline", "extended", "ablations", "cluster",
-	"zero", "topology", "recompute", "offload", "streams",
-	"serving", "servemix", "servecluster", "serveelastic", "servetrace",
-	"servefault", "servesession",
-	"fragindex", "pipefrag",
+// An experiment is one runnable id and its runner.
+type experiment struct {
+	id  string
+	run func(*Env) []*Table
 }
 
-// RunExperiment executes one experiment by id and returns its tables.
-func (e *Env) RunExperiment(id string) []*Table {
-	switch id {
-	case "table1":
-		return []*Table{e.Table1()}
-	case "figure3":
-		return []*Table{e.Figure3()}
-	case "figure4":
-		return []*Table{e.Figure4()}
-	case "figure5":
-		return []*Table{e.Figure5()}
-	case "figure6":
-		return []*Table{e.Figure6()}
-	case "figure10":
-		return e.Figure10()
-	case "figure11":
-		return e.Figure11()
-	case "figure12":
-		return []*Table{e.Figure12()}
-	case "figure13":
-		return e.Figure13()
-	case "figure14":
-		t, _ := e.Figure14()
-		return []*Table{t}
-	case "headline":
-		return []*Table{e.Headline()}
-	case "extended":
-		return []*Table{e.Extended()}
-	case "ablations":
-		return []*Table{e.Ablations()}
-	case "cluster":
-		return []*Table{e.ClusterExperiment()}
-	case "zero":
-		return []*Table{e.ZeROExperiment()}
-	case "topology":
-		return []*Table{e.TopologyExperiment()}
-	case "recompute":
-		return []*Table{e.RecomputeExperiment()}
-	case "offload":
-		return []*Table{e.OffloadExperiment()}
-	case "streams":
-		return []*Table{e.StreamsExperiment()}
-	case "serving":
-		return []*Table{e.ServingExperiment()}
-	case "servemix":
-		return []*Table{e.ServeMixExperiment()}
-	case "servecluster":
-		return e.ServeClusterExperiment()
-	case "serveelastic":
-		return e.ServeElasticExperiment()
-	case "servefault":
-		return e.ServeFaultExperiment()
-	case "servesession":
-		return []*Table{e.ServeSessionExperiment()}
-	case "servetrace":
-		ts, err := e.ServeTraceExperiment()
-		if err != nil {
-			// Trace paths come from user configuration: surface the load
-			// error as a rendered note rather than panicking the suite.
-			t := &Table{ID: "servetrace", Title: "request-trace replay and calibration"}
-			t.AddNote("error: %v", err)
-			return []*Table{t}
-		}
-		return ts
-	case "fragindex":
-		return []*Table{e.FragIndexExperiment()}
-	case "pipefrag":
-		return []*Table{e.PipelineExperiment()}
-	default:
-		return nil
+// experiments returns the one ordered table of experiments; Experiments,
+// RunExperiment and RunAll derive from it. It is built in a function body
+// rather than a package-level initializer so that the determinism linter's
+// call graph, which resolves function references only inside bodies, still
+// sees RunExperiment reach every runner.
+func experiments() []experiment {
+	one := func(run func(*Env) *Table) func(*Env) []*Table {
+		return func(e *Env) []*Table { return []*Table{run(e)} }
 	}
+	return []experiment{
+		{"table1", one((*Env).Table1)},
+		{"figure3", one((*Env).Figure3)},
+		{"figure4", one((*Env).Figure4)},
+		{"figure5", one((*Env).Figure5)},
+		{"figure6", one((*Env).Figure6)},
+		{"figure10", (*Env).Figure10},
+		{"figure11", (*Env).Figure11},
+		{"figure12", one((*Env).Figure12)},
+		{"figure13", (*Env).Figure13},
+		{"figure14", one(func(e *Env) *Table { t, _ := e.Figure14(); return t })},
+		{"headline", one((*Env).Headline)},
+		{"extended", one((*Env).Extended)},
+		{"ablations", one((*Env).Ablations)},
+		{"cluster", one((*Env).ClusterExperiment)},
+		{"zero", one((*Env).ZeROExperiment)},
+		{"topology", one((*Env).TopologyExperiment)},
+		{"recompute", one((*Env).RecomputeExperiment)},
+		{"offload", one((*Env).OffloadExperiment)},
+		{"streams", one((*Env).StreamsExperiment)},
+		{"serving", one((*Env).ServingExperiment)},
+		{"servemix", one((*Env).ServeMixExperiment)},
+		{"servecluster", (*Env).ServeClusterExperiment},
+		{"serveelastic", (*Env).ServeElasticExperiment},
+		{"servetrace", func(e *Env) []*Table {
+			ts, err := e.ServeTraceExperiment()
+			if err != nil {
+				// Trace paths come from user configuration: surface the load
+				// error as a rendered note rather than panicking the suite.
+				t := &Table{ID: "servetrace", Title: "request-trace replay and calibration"}
+				t.AddNote("error: %v", err)
+				return []*Table{t}
+			}
+			return ts
+		}},
+		{"servefault", (*Env).ServeFaultExperiment},
+		{"servesession", one((*Env).ServeSessionExperiment)},
+		{"fragindex", one((*Env).FragIndexExperiment)},
+		{"pipefrag", one((*Env).PipelineExperiment)},
+	}
+}
+
+// Experiments names the experiments runnable via RunExperiment, in the
+// order RunAll runs them.
+var Experiments = func() (ids []string) {
+	for _, x := range experiments() {
+		ids = append(ids, x.id)
+	}
+	return ids
+}()
+
+// RunExperiment executes one experiment by id and returns its tables, or
+// nil for an unknown id.
+func (e *Env) RunExperiment(id string) []*Table {
+	for _, x := range experiments() {
+		if x.id == id {
+			return x.run(e)
+		}
+	}
+	return nil
 }
 
 // RunAll executes every experiment, rendering each table to w as it
 // completes.
 func (e *Env) RunAll(w io.Writer) {
-	for _, id := range Experiments {
-		for _, t := range e.RunExperiment(id) {
+	for _, x := range experiments() {
+		for _, t := range x.run(e) {
 			t.Render(w)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // common batch size per model chosen so that every strategy combination
 // (including plain N, which keeps full activations) fits the 80 GB device.
 // GPT-NeoX-20B's full fine-tuning state exceeds 4x80 GB under our sizing, so
-// its panel runs on 8 GPUs, as noted in EXPERIMENTS.md.
+// its panel runs on 8 GPUs, as its table title says.
 var figure10Models = []struct {
 	model model.Config
 	world int

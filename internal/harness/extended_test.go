@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,6 +59,24 @@ func TestExtendedOrdering(t *testing.T) {
 			t.Errorf("%s: gmlake %.1f GB worse than expandable %.1f GB",
 				strat, m[AllocGMLake], m[AllocExpandable])
 		}
+	}
+}
+
+// TestExtendedGolden pins the full-budget `extended` table — the one table
+// with an expandable and a compact row — to the bytes recorded from commit
+// 97d824e, before the two allocators shared one arena.
+func TestExtendedGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-budget experiment")
+	}
+	want, err := os.ReadFile("testdata/extended.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	NewEnv().Extended().Render(&got)
+	if got.String() != string(want) {
+		t.Errorf("extended renders\n%s\nwant\n%s", got.String(), want)
 	}
 }
 

@@ -1,18 +1,16 @@
 // Package harness reproduces the paper's evaluation: one runner per table
 // and figure, each returning a renderable text table with the same rows or
-// series the paper reports. DESIGN.md maps experiment ids to these
-// functions; EXPERIMENTS.md records paper-vs-measured values.
+// series the paper reports. The experiment table in all.go maps experiment
+// ids to these functions (`gmlake-bench -list` prints the ids).
 package harness
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/caching"
-	"repro/internal/compact"
+	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/cuda"
-	"repro/internal/expandable"
 	"repro/internal/gpu"
 	"repro/internal/memalloc"
 	"repro/internal/metrics"
@@ -111,25 +109,13 @@ func (e *Env) newRigCap(name string, capacity int64) rig {
 	dev := gpu.NewDevice("sim-a100", capacity)
 	clock := sim.NewClock()
 	driver := cuda.NewDriver(dev, clock, sim.DefaultCostModel())
-	var alloc memalloc.Allocator
-	switch name {
-	case AllocCaching:
-		alloc = caching.New(driver)
-	case AllocCachingTuned:
-		alloc = caching.NewWithConfig(driver, caching.Config{
-			MaxSplitSize: 128 * sim.MiB,
-			GCThreshold:  0.8,
-		})
-	case AllocGMLake:
-		alloc = core.NewDefault(driver)
-	case AllocNative:
-		alloc = memalloc.NewNative(driver)
-	case AllocExpandable:
-		alloc = expandable.New(driver)
-	case AllocCompact:
-		alloc = compact.New(driver)
-	default:
-		panic("harness: unknown allocator " + name)
+	cfg := conf.Config{Backend: name}
+	if name == AllocCachingTuned {
+		cfg = conf.Config{Backend: AllocCaching, MaxSplitSizeMB: 128, GCThreshold: 0.8}
+	}
+	alloc, err := cfg.Build(driver)
+	if err != nil {
+		panic("harness: " + err.Error())
 	}
 	return rig{dev: dev, clock: clock, driver: driver, alloc: alloc}
 }

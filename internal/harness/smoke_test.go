@@ -18,8 +18,7 @@ var heavyExperiments = map[string]bool{
 // TestAllExperimentsSmoke runs every registered experiment with a tiny step
 // budget, exercising all runner code paths and validating table structure.
 // In -short mode the shapes scale down further and the heavyweight sweeps
-// are skipped; the full-budget numbers live in results_full.txt /
-// EXPERIMENTS.md.
+// are skipped; the full-budget numbers are what `gmlake-bench` prints.
 func TestAllExperimentsSmoke(t *testing.T) {
 	e := NewEnv()
 	e.TotalSteps = 3

@@ -5,9 +5,20 @@
 #
 #   scripts/loc.sh                  # every package directory, then a total
 #   scripts/loc.sh internal/conf    # only the named directories
+#   scripts/loc.sh --check          # as the first, and fail if the total
+#                                   # exceeds the one in scripts/loc_baseline
+#
+# The baseline is a ratchet: a PR that shrinks the tree lowers it to the new
+# total, and one that has to grow it raises it in the same change, where the
+# growth is reviewed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+check=0
+if [ "${1:-}" = "--check" ]; then
+  check=1
+  shift
+fi
 dirs=("$@")
 if [ ${#dirs[@]} -eq 0 ]; then
   mapfile -t dirs < <(git ls-files '*.go' | grep -v -e '_test\.go$' -e /testdata/ | xargs -n1 dirname | sort -u)
@@ -21,3 +32,11 @@ for d in "${dirs[@]}"; do
   total=$((total + n))
 done
 printf '%6d  total\n' "$total"
+if [ "$check" = 1 ]; then
+  baseline=$(cat scripts/loc_baseline)
+  if [ "$total" -gt "$baseline" ]; then
+    echo "loc: total $total exceeds the baseline $baseline (scripts/loc_baseline)" >&2
+    exit 1
+  fi
+  echo "loc: total $total within the baseline $baseline" >&2
+fi
