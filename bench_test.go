@@ -244,6 +244,46 @@ func BenchmarkGMLakeStitch(b *testing.B) {
 	}
 }
 
+// BenchmarkDriverMapUnmap measures the simulated driver's page table under
+// the call pattern every VMM allocator makes: map N consecutive chunks of one
+// reservation, set access on the range, unmap it. It must read 0 allocs/op at
+// every N and the same ns/chunk across N — the host cost of a mapping does
+// not depend on how many mappings its reservation already holds.
+func BenchmarkDriverMapUnmap(b *testing.B) {
+	for _, n := range []int{1, 64, 1024} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			d := newBenchDriver(4 * sim.GiB)
+			size := int64(n) * cuda.ChunkGranularity
+			va, err := d.MemAddressReserve(size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			handles := make([]cuda.MemHandle, n)
+			for i := range handles {
+				if handles[i], err = d.MemCreate(cuda.ChunkGranularity); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, h := range handles {
+					if err := d.MemMap(va+cuda.DevicePtr(int64(j)*cuda.ChunkGranularity), h); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := d.MemSetAccess(va, size); err != nil {
+					b.Fatal(err)
+				}
+				if err := d.MemUnmap(va, size); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/chunk")
+		})
+	}
+}
+
 // BenchmarkCachingBestFit measures the baseline's cache-hit path.
 func BenchmarkCachingBestFit(b *testing.B) {
 	alloc := caching.New(newBenchDriver(8 * sim.GiB))

@@ -76,6 +76,10 @@ type Allocator struct {
 
 	small, large *pool
 	segments     map[cuda.DevicePtr]*segment
+
+	// probe is the search key findBestFit reuses: the tree compares through
+	// a func value, so a key built per lookup would escape to the heap.
+	probe block
 }
 
 type pool struct {
@@ -97,7 +101,7 @@ type block struct {
 	allocated bool
 	prev      *block // address-order neighbours inside the segment
 	next      *block
-	node      *container.Node[*block] // position in pool.free when inactive
+	node      container.Node[*block] // linked into pool.free while inactive
 }
 
 // New returns a caching allocator over driver with PyTorch's default
@@ -125,6 +129,12 @@ func newPool(isSmall bool) *pool {
 			return a.ptr < b.ptr
 		}),
 	}
+}
+
+// insertFree indexes the inactive block blk through its own tree node.
+func (p *pool) insertFree(blk *block) {
+	blk.node.Value = blk
+	p.free.InsertNode(&blk.node)
 }
 
 // Name implements memalloc.Allocator.
@@ -198,7 +208,8 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 // candidates would be wasted whole, so the search reports a miss instead
 // (PyTorch's rule).
 func (a *Allocator) findBestFit(p *pool, size int64) *block {
-	n := p.free.Ceil(&block{size: size})
+	a.probe.size = size
+	n := p.free.Ceil(&a.probe)
 	if n == nil {
 		return nil
 	}
@@ -208,7 +219,6 @@ func (a *Allocator) findBestFit(p *pool, size int64) *block {
 		return nil
 	}
 	p.free.Delete(n)
-	blk.node = nil
 	return blk
 }
 
@@ -274,7 +284,7 @@ func (a *Allocator) maybeSplit(p *pool, blk *block, size int64) *block {
 	}
 	blk.next = rest
 	blk.size = size
-	rest.node = p.free.Insert(rest)
+	p.insertFree(rest)
 	return blk
 }
 
@@ -296,7 +306,7 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 	p := blk.seg.pool
 	// Merge right then left; the merged block keeps the leftmost identity.
 	if nb := blk.next; nb != nil && !nb.allocated {
-		p.free.Delete(nb.node)
+		p.free.Delete(&nb.node)
 		blk.size += nb.size
 		blk.next = nb.next
 		if nb.next != nil {
@@ -304,7 +314,7 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 		}
 	}
 	if pb := blk.prev; pb != nil && !pb.allocated {
-		p.free.Delete(pb.node)
+		p.free.Delete(&pb.node)
 		pb.size += blk.size
 		pb.next = blk.next
 		if blk.next != nil {
@@ -312,7 +322,7 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 		}
 		blk = pb
 	}
-	blk.node = p.free.Insert(blk)
+	p.insertFree(blk)
 }
 
 // EmptyCache implements memalloc.Allocator.
@@ -327,7 +337,7 @@ func (a *Allocator) releaseCachedSegments() int {
 		if blk.allocated || blk.next != nil {
 			continue
 		}
-		seg.pool.free.Delete(blk.node)
+		seg.pool.free.Delete(&blk.node)
 		if err := a.driver.Free(seg.ptr); err != nil {
 			panic("caching: releasing cached segment: " + err.Error())
 		}
@@ -383,7 +393,7 @@ func (a *Allocator) CheckInvariants() error {
 				if prevInactive {
 					return fmt.Errorf("caching: adjacent inactive blocks not merged")
 				}
-				if blk.node == nil {
+				if !blk.node.Linked() {
 					return fmt.Errorf("caching: inactive block missing from free tree")
 				}
 				prevInactive = true

@@ -55,7 +55,9 @@
 //	Free             O(m·log P + owners), no allocation
 //
 // An owner costs one counter step per flip; only an owner whose availability
-// changes pays a heap step on top, O(log k) within its own size.
+// changes pays a heap step on top, O(log k) within its own size. The driver's
+// maps, remaps and unmaps are O(1) per chunk and allocate nothing (package
+// cuda's page table), so they add no term of their own to S2–S4.
 package core
 
 import (

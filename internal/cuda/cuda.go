@@ -16,7 +16,25 @@
 //     physical chunks from both a pBlock VA and one or more sBlock VAs.
 //   - Virtual address reservations are contiguous and distinct; mappings must
 //     land inside a reservation and may not overlap one another.
-//   - Physical chunks are sized in multiples of the 2 MiB granularity.
+//   - Physical chunks are sized in multiples of the 2 MiB granularity, and a
+//     mapping starts on a granule boundary of its reservation.
+//
+// # Page table
+//
+// A reservation is a dense, granule-aligned range, so its mappings live in a
+// page table with one slot per 2 MiB granule rather than in an ordered set.
+// The first granule of a mapping holds its physical handle and span = the
+// number of granules it covers; each later granule holds span = minus the
+// distance back to the first; an unmapped granule holds span 0. On the host
+// MemMap costs O(granules of the handle) — index, check the slots are empty,
+// fill them — and MemSetAccess, MemUnmap and MappedBytes cost O(granules of
+// the range) through one iterator over the mappings a range contains; none
+// of them allocates. Resolving an address to its reservation is O(1) when it
+// hits the reservation the previous call resolved (allocators map a block's
+// chunks one after another) and O(log reservations) otherwise.
+//
+// Host cost is not simulated cost: what a call charges to the sim.Clock comes
+// from the cost model alone and does not depend on any of the above.
 package cuda
 
 import (
@@ -73,6 +91,12 @@ type Driver struct {
 	resByAddr    *container.Tree[*reservation] // ordered by base for range lookup
 	handles      map[MemHandle]*physical
 	nextHandle   MemHandle
+
+	// findReservation state: the reservation it resolved last, and the key
+	// its tree search reuses — the tree compares through a func value, so a
+	// key built per lookup would escape to the heap.
+	last  *reservation
+	probe reservation
 }
 
 type mallocAlloc struct {
@@ -81,22 +105,20 @@ type mallocAlloc struct {
 }
 
 type reservation struct {
-	base     DevicePtr
-	size     int64
-	mappings *container.Tree[*mapping] // ordered by mapped address
-	node     *container.Node[*reservation]
+	base  DevicePtr
+	size  int64
+	slots []slot // page table, one entry per ChunkGranularity
+	live  int    // mappings in slots
+	node  *container.Node[*reservation]
 }
 
-type mapping struct {
-	addr   DevicePtr
-	size   int64
-	handle MemHandle
+// slot is one granule of a reservation's page table (see the package
+// comment for the span encoding). p and access are meaningful on a
+// mapping's first granule only.
+type slot struct {
+	p      *physical
+	span   int32
 	access bool
-	node   *container.Node[*mapping]
-}
-
-func newMappingTree() *container.Tree[*mapping] {
-	return container.NewTree[*mapping](func(a, b *mapping) bool { return a.addr < b.addr })
 }
 
 type physical struct {
@@ -192,9 +214,9 @@ func (d *Driver) MemAddressReserve(size int64) (DevicePtr, error) {
 	}
 	ptr := DevicePtr(va)
 	r := &reservation{
-		base:     ptr,
-		size:     size,
-		mappings: newMappingTree(),
+		base:  ptr,
+		size:  size,
+		slots: make([]slot, size/ChunkGranularity),
 	}
 	r.node = d.resByAddr.Insert(r)
 	d.reservations[ptr] = r
@@ -210,14 +232,17 @@ func (d *Driver) MemAddressFree(ptr DevicePtr, size int64) error {
 	if r.size != size {
 		return fmt.Errorf("%w: MemAddressFree size %d != reserved %d", ErrInvalidValue, size, r.size)
 	}
-	if r.mappings.Len() != 0 {
-		return fmt.Errorf("%w: %d mappings live", ErrRangeStillUsed, r.mappings.Len())
+	if r.live != 0 {
+		return fmt.Errorf("%w: %d mappings live", ErrRangeStillUsed, r.live)
 	}
 	d.clock.Advance(d.cost.MemAddressFree(size))
 	d.counters.AddressFree++
 	d.dev.ReleaseVA(uint64(ptr), size)
 	d.resByAddr.Delete(r.node)
 	delete(d.reservations, ptr)
+	if d.last == r {
+		d.last = nil
+	}
 	return nil
 }
 
@@ -255,8 +280,9 @@ func (d *Driver) MemRelease(h MemHandle) error {
 	return nil
 }
 
-// MemMap maps the whole physical handle h at address ptr, which must lie
-// inside a reservation with enough room and no overlapping mapping.
+// MemMap maps the whole physical handle h at address ptr, which must lie on
+// a granule boundary inside a reservation with enough room and no
+// overlapping mapping.
 func (d *Driver) MemMap(ptr DevicePtr, h MemHandle) error {
 	p, ok := d.handles[h]
 	if !ok || p.released {
@@ -266,48 +292,46 @@ func (d *Driver) MemMap(ptr DevicePtr, h MemHandle) error {
 	if r == nil {
 		return fmt.Errorf("%w: MemMap(%#x, %d bytes)", ErrRangeNotFound, uint64(ptr), p.size)
 	}
-	// Overlap check against the nearest mappings on either side.
-	if fn := r.mappings.Floor(&mapping{addr: ptr}); fn != nil {
-		if m := fn.Value; ptr < m.addr+DevicePtr(m.size) {
-			return fmt.Errorf("%w: [%#x,%#x)", ErrAlreadyMapped, uint64(ptr), uint64(ptr)+uint64(p.size))
-		}
+	off := int64(ptr - r.base)
+	if off%ChunkGranularity != 0 {
+		return fmt.Errorf("%w: MemMap(%#x): not aligned to %d", ErrInvalidValue, uint64(ptr), ChunkGranularity)
 	}
-	if cn := r.mappings.Ceil(&mapping{addr: ptr}); cn != nil {
-		if m := cn.Value; m.addr < ptr+DevicePtr(p.size) {
+	lo, k := int(off/ChunkGranularity), int(p.size/ChunkGranularity)
+	for _, s := range r.slots[lo : lo+k] {
+		if s.span != 0 {
 			return fmt.Errorf("%w: [%#x,%#x)", ErrAlreadyMapped, uint64(ptr), uint64(ptr)+uint64(p.size))
 		}
 	}
 	d.clock.Advance(d.cost.MemMap(p.size))
 	d.counters.MemMap++
-	m := &mapping{addr: ptr, size: p.size, handle: h}
-	m.node = r.mappings.Insert(m)
+	r.slots[lo] = slot{p: p, span: int32(k)}
+	for i := 1; i < k; i++ {
+		r.slots[lo+i].span = int32(-i)
+	}
+	r.live++
 	p.mapCount++
 	return nil
 }
 
 // MemSetAccess enables access on [ptr, ptr+size), which must exactly cover
-// one or more existing mappings.
+// one or more existing mappings. A call that fails changes nothing.
 func (d *Driver) MemSetAccess(ptr DevicePtr, size int64) error {
 	r := d.findReservation(ptr, size)
 	if r == nil {
 		return fmt.Errorf("%w: MemSetAccess(%#x)", ErrRangeNotFound, uint64(ptr))
 	}
 	covered := int64(0)
-	for n := r.mappings.Ceil(&mapping{addr: ptr}); n != nil; n = r.mappings.Next(n) {
-		m := n.Value
-		if m.addr+DevicePtr(m.size) > ptr+DevicePtr(size) {
-			break
-		}
-		if !m.access {
-			d.clock.Advance(d.cost.MemSetAccess(m.size))
-			d.counters.MemSet++
-			m.access = true
-		}
-		covered += m.size
-	}
+	r.contained(ptr, size, func(_ int, s *slot) { covered += s.p.size })
 	if covered != size {
 		return fmt.Errorf("%w: MemSetAccess covers %d of %d bytes", ErrNotMapped, covered, size)
 	}
+	r.contained(ptr, size, func(_ int, s *slot) {
+		if !s.access {
+			d.clock.Advance(d.cost.MemSetAccess(s.p.size))
+			d.counters.MemSet++
+			s.access = true
+		}
+	})
 	return nil
 }
 
@@ -317,24 +341,18 @@ func (d *Driver) MemUnmap(ptr DevicePtr, size int64) error {
 	if r == nil {
 		return fmt.Errorf("%w: MemUnmap(%#x)", ErrRangeNotFound, uint64(ptr))
 	}
-	var victims []*mapping
-	for n := r.mappings.Ceil(&mapping{addr: ptr}); n != nil; n = r.mappings.Next(n) {
-		m := n.Value
-		if m.addr+DevicePtr(m.size) > ptr+DevicePtr(size) {
-			break
-		}
-		victims = append(victims, m)
-	}
-	if len(victims) == 0 {
-		return fmt.Errorf("%w: MemUnmap(%#x, %d)", ErrNotMapped, uint64(ptr), size)
-	}
-	for _, m := range victims {
-		d.clock.Advance(d.cost.MemUnmap(m.size))
+	live := r.live
+	r.contained(ptr, size, func(i int, s *slot) {
+		p := s.p
+		d.clock.Advance(d.cost.MemUnmap(p.size))
 		d.counters.MemUnmap++
-		p := d.handles[m.handle]
+		clear(r.slots[i : i+int(s.span)])
+		r.live--
 		p.mapCount--
-		r.mappings.Delete(m.node)
 		d.maybeReclaim(p)
+	})
+	if r.live == live {
+		return fmt.Errorf("%w: MemUnmap(%#x, %d)", ErrNotMapped, uint64(ptr), size)
 	}
 	return nil
 }
@@ -344,10 +362,7 @@ func (d *Driver) MemUnmap(ptr DevicePtr, size int64) error {
 func (d *Driver) MappedBytes() int64 {
 	var total int64
 	for _, r := range d.reservations {
-		r.mappings.Ascend(func(n *container.Node[*mapping]) bool {
-			total += n.Value.size
-			return true
-		})
+		r.contained(r.base, r.size, func(_ int, s *slot) { total += s.p.size })
 	}
 	return total
 }
@@ -363,14 +378,48 @@ func (d *Driver) maybeReclaim(p *physical) {
 	}
 }
 
+// contained calls fn with the first slot (and its index) of every mapping
+// that lies wholly inside [ptr, ptr+size), in address order; the range must
+// lie inside r. fn may unmap the mapping it is handed.
+func (r *reservation) contained(ptr DevicePtr, size int64, fn func(i int, s *slot)) {
+	off := int64(ptr - r.base)
+	i := int((off + ChunkGranularity - 1) / ChunkGranularity)
+	hi := int((off + size) / ChunkGranularity)
+	if i < hi && r.slots[i].span < 0 {
+		// The range begins inside a mapping, which it therefore does not
+		// contain: step back to the mapping's first granule, then past it.
+		i += int(r.slots[i].span)
+		i += int(r.slots[i].span)
+	}
+	for i < hi {
+		switch k := int(r.slots[i].span); {
+		case k == 0:
+			i++
+		case i+k > hi:
+			return
+		default:
+			fn(i, &r.slots[i])
+			i += k
+		}
+	}
+}
+
+func (r *reservation) holds(ptr DevicePtr, size int64) bool {
+	return ptr >= r.base && ptr+DevicePtr(size) <= r.base+DevicePtr(r.size)
+}
+
+// findReservation returns the reservation holding [ptr, ptr+size), or nil.
+// Reservations are disjoint, so when the last one resolved holds the range
+// no tree search is needed.
 func (d *Driver) findReservation(ptr DevicePtr, size int64) *reservation {
-	n := d.resByAddr.Floor(&reservation{base: ptr})
-	if n == nil {
+	if d.last != nil && d.last.holds(ptr, size) {
+		return d.last
+	}
+	d.probe.base = ptr
+	n := d.resByAddr.Floor(&d.probe)
+	if n == nil || !n.Value.holds(ptr, size) {
 		return nil
 	}
-	r := n.Value
-	if ptr >= r.base && ptr+DevicePtr(size) <= r.base+DevicePtr(r.size) {
-		return r
-	}
-	return nil
+	d.last = n.Value
+	return d.last
 }

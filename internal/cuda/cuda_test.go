@@ -171,9 +171,26 @@ func TestVMMValidation(t *testing.T) {
 	if err := d.MemAddressFree(va, 4*sim.MiB); !errors.Is(err, ErrRangeStillUsed) {
 		t.Errorf("MemAddressFree err = %v, want ErrRangeStillUsed", err)
 	}
-	// SetAccess over a hole must fail.
+	// Map at an address off the reservation's granule grid must fail.
+	va2, _ := d.MemAddressReserve(6 * sim.MiB)
+	if err := d.MemMap(va2+DevicePtr(sim.MiB), h2); !errors.Is(err, ErrInvalidValue) {
+		t.Errorf("misaligned MemMap err = %v, want ErrInvalidValue", err)
+	}
+	// SetAccess over a hole must fail, and fail before it charges the clock,
+	// counts a call or grants access to the part that is mapped.
+	now, counters := d.Clock().Now(), d.Counters()
 	if err := d.MemSetAccess(va, 4*sim.MiB); !errors.Is(err, ErrNotMapped) {
 		t.Errorf("MemSetAccess over hole err = %v, want ErrNotMapped", err)
+	}
+	if d.Clock().Now() != now || d.Counters() != counters {
+		t.Errorf("failed MemSetAccess moved the clock by %v, counters %+v -> %+v",
+			d.Clock().Now()-now, counters, d.Counters())
+	}
+	if err := d.MemSetAccess(va, 2*sim.MiB); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Counters().MemSet; got != counters.MemSet+1 {
+		t.Errorf("MemSet = %d after the first successful MemSetAccess, want %d: the failed call granted access", got, counters.MemSet+1)
 	}
 	// Unmap of an unmapped region must fail.
 	if err := d.MemUnmap(va+DevicePtr(2*sim.MiB), 2*sim.MiB); !errors.Is(err, ErrNotMapped) {

@@ -1,0 +1,453 @@
+package cuda
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+)
+
+// refDriver is a deliberately naive model of the VMM half of Driver: a sorted
+// slice of mappings per reservation, every lookup a linear scan. It states
+// the semantics the page table has to keep, in the plainest form available.
+type refDriver struct {
+	cost    *sim.CostModel
+	now     time.Duration
+	c       Counters
+	free    int64 // device bytes not held by a handle
+	res     []*refReservation
+	handles map[MemHandle]*refHandle
+	next    MemHandle
+}
+
+type refReservation struct {
+	base DevicePtr
+	size int64
+	maps []refMapping // ascending addr
+}
+
+type refMapping struct {
+	addr   DevicePtr
+	size   int64
+	h      *refHandle
+	access bool
+}
+
+type refHandle struct {
+	id       MemHandle
+	size     int64
+	mapCount int
+	released bool
+}
+
+func badSize(size int64) bool { return size <= 0 || size%ChunkGranularity != 0 }
+
+// reserve models MemAddressReserve; va is the address the real driver chose.
+func (m *refDriver) reserve(size int64, va DevicePtr) error {
+	m.now += m.cost.MemAddressReserve(size)
+	m.c.AddressReserve++
+	if badSize(size) {
+		return ErrInvalidValue
+	}
+	m.res = append(m.res, &refReservation{base: va, size: size})
+	return nil
+}
+
+func (m *refDriver) addressFree(ptr DevicePtr, size int64) error {
+	for i, r := range m.res {
+		if r.base != ptr {
+			continue
+		}
+		if r.size != size {
+			return ErrInvalidValue
+		}
+		if len(r.maps) != 0 {
+			return ErrRangeStillUsed
+		}
+		m.now += m.cost.MemAddressFree(size)
+		m.c.AddressFree++
+		m.res = append(m.res[:i], m.res[i+1:]...)
+		return nil
+	}
+	return ErrRangeNotFound
+}
+
+func (m *refDriver) create(size int64) error {
+	m.now += m.cost.MemCreate(size)
+	m.c.MemCreate++
+	if badSize(size) {
+		return ErrInvalidValue
+	}
+	if size > m.free {
+		return ErrOutOfMemory
+	}
+	m.next++
+	m.handles[m.next] = &refHandle{id: m.next, size: size}
+	m.free -= size
+	m.c.BytesAllocated += size
+	return nil
+}
+
+func (m *refDriver) reclaim(h *refHandle) {
+	if h.released && h.mapCount == 0 {
+		m.free += h.size
+		m.c.BytesReleased += h.size
+		delete(m.handles, h.id)
+	}
+}
+
+func (m *refDriver) release(id MemHandle) error {
+	h := m.handles[id]
+	if h == nil || h.released {
+		return ErrInvalidHandle
+	}
+	m.now += m.cost.MemRelease(h.size)
+	m.c.MemRelease++
+	h.released = true
+	m.reclaim(h)
+	return nil
+}
+
+// find returns the reservation with the greatest base at or below ptr, if
+// [ptr, ptr+size) ends inside it.
+func (m *refDriver) find(ptr DevicePtr, size int64) *refReservation {
+	var best *refReservation
+	for _, r := range m.res {
+		if r.base <= ptr && (best == nil || r.base > best.base) {
+			best = r
+		}
+	}
+	if best == nil || ptr+DevicePtr(size) > best.base+DevicePtr(best.size) {
+		return nil
+	}
+	return best
+}
+
+func (m *refDriver) mapAt(ptr DevicePtr, id MemHandle) error {
+	h := m.handles[id]
+	if h == nil || h.released {
+		return ErrInvalidHandle
+	}
+	r := m.find(ptr, h.size)
+	if r == nil {
+		return ErrRangeNotFound
+	}
+	if (ptr-r.base)%DevicePtr(ChunkGranularity) != 0 {
+		return ErrInvalidValue
+	}
+	for _, o := range r.maps {
+		if ptr < o.addr+DevicePtr(o.size) && o.addr < ptr+DevicePtr(h.size) {
+			return ErrAlreadyMapped
+		}
+	}
+	m.now += m.cost.MemMap(h.size)
+	m.c.MemMap++
+	r.maps = append(r.maps, refMapping{addr: ptr, size: h.size, h: h})
+	sort.Slice(r.maps, func(i, j int) bool { return r.maps[i].addr < r.maps[j].addr })
+	h.mapCount++
+	return nil
+}
+
+// contained returns the index range [lo, hi) in r.maps of the mappings the
+// range calls act on: from the first mapping at or above ptr up to, not
+// including, the first that ends beyond ptr+size.
+func (r *refReservation) contained(ptr DevicePtr, size int64) (lo, hi int) {
+	for lo < len(r.maps) && r.maps[lo].addr < ptr {
+		lo++
+	}
+	hi = lo
+	for hi < len(r.maps) && r.maps[hi].addr+DevicePtr(r.maps[hi].size) <= ptr+DevicePtr(size) {
+		hi++
+	}
+	return lo, hi
+}
+
+func (m *refDriver) setAccess(ptr DevicePtr, size int64) error {
+	r := m.find(ptr, size)
+	if r == nil {
+		return ErrRangeNotFound
+	}
+	lo, hi := r.contained(ptr, size)
+	covered := int64(0)
+	for _, o := range r.maps[lo:hi] {
+		covered += o.size
+	}
+	if covered != size {
+		return ErrNotMapped
+	}
+	for i := lo; i < hi; i++ {
+		if o := &r.maps[i]; !o.access {
+			m.now += m.cost.MemSetAccess(o.size)
+			m.c.MemSet++
+			o.access = true
+		}
+	}
+	return nil
+}
+
+func (m *refDriver) unmap(ptr DevicePtr, size int64) error {
+	r := m.find(ptr, size)
+	if r == nil {
+		return ErrRangeNotFound
+	}
+	lo, hi := r.contained(ptr, size)
+	if lo == hi {
+		return ErrNotMapped
+	}
+	for _, o := range r.maps[lo:hi] {
+		m.now += m.cost.MemUnmap(o.size)
+		m.c.MemUnmap++
+		o.h.mapCount--
+		m.reclaim(o.h)
+	}
+	r.maps = append(r.maps[:lo], r.maps[hi:]...)
+	return nil
+}
+
+func (m *refDriver) mappedBytes() int64 {
+	var total int64
+	for _, r := range m.res {
+		for _, o := range r.maps {
+			total += o.size
+		}
+	}
+	return total
+}
+
+// checkInvariants validates the page tables against the handles they
+// reference and the driver's reservation indexes.
+func (d *Driver) checkInvariants() error {
+	refs := make(map[*physical]int)
+	for base, r := range d.reservations {
+		if r.base != base || len(r.slots) != int(r.size/ChunkGranularity) {
+			return fmt.Errorf("reservation %#x: base %#x, %d slots for %d bytes", uint64(base), uint64(r.base), len(r.slots), r.size)
+		}
+		live := 0
+		for i := 0; i < len(r.slots); {
+			s := r.slots[i]
+			if s.span == 0 {
+				if s.p != nil || s.access {
+					return fmt.Errorf("reservation %#x: unmapped slot %d holds state", uint64(base), i)
+				}
+				i++
+				continue
+			}
+			k := int(s.span)
+			if k < 0 || i+k > len(r.slots) || s.p == nil || d.handles[s.p.id] != s.p || s.p.size != int64(k)*ChunkGranularity {
+				return fmt.Errorf("reservation %#x: slot %d does not start a %d-granule mapping of a live handle", uint64(base), i, k)
+			}
+			for j := 1; j < k; j++ {
+				if t := r.slots[i+j]; t.span != int32(-j) || t.p != nil || t.access {
+					return fmt.Errorf("reservation %#x: slot %d is not granule %d of the mapping at slot %d", uint64(base), i+j, j, i)
+				}
+			}
+			live++
+			refs[s.p]++
+			i += k
+		}
+		if live != r.live {
+			return fmt.Errorf("reservation %#x: live = %d, page table holds %d mappings", uint64(base), r.live, live)
+		}
+	}
+	for id, p := range d.handles {
+		if p.mapCount != refs[p] {
+			return fmt.Errorf("handle %d: mapCount = %d, %d slots reference it", id, p.mapCount, refs[p])
+		}
+		if p.released && p.mapCount == 0 {
+			return fmt.Errorf("handle %d: released and unmapped but not reclaimed", id)
+		}
+	}
+	if d.resByAddr.Len() != len(d.reservations) {
+		return fmt.Errorf("address index holds %d reservations, table %d", d.resByAddr.Len(), len(d.reservations))
+	}
+	if d.last != nil && d.reservations[d.last.base] != d.last {
+		return fmt.Errorf("last-reservation memo points at freed reservation %#x", uint64(d.last.base))
+	}
+	return nil
+}
+
+// TestDriverAgainstModel drives random VMM call sequences — valid ones and
+// every flavour of invalid one — through the driver and the naive model, and
+// compares everything a caller can observe after each call.
+func TestDriverAgainstModel(t *testing.T) {
+	const (
+		capacity = 96 * ChunkGranularity
+		half     = DevicePtr(ChunkGranularity / 2)
+	)
+	steps := 20000
+	if testing.Short() {
+		steps = 4000
+	}
+	for _, seed := range []uint64{1, 7, 42} {
+		rng := sim.NewRNG(seed)
+		d := newTestDriver(capacity)
+		m := &refDriver{cost: d.Cost(), free: capacity, handles: make(map[MemHandle]*refHandle)}
+
+		granules := func(max int) int64 { return int64(1+rng.Intn(max)) * ChunkGranularity }
+		oneIn := func(n int) bool { return rng.Intn(n) == 0 }
+		// anyHandle mostly names a handle that exists or existed.
+		anyHandle := func() MemHandle { return MemHandle(rng.Int63n(int64(m.next) + 2)) }
+		// pickRange returns an address and size inside (or, rarely, hanging
+		// off) a random reservation: granule-aligned by default, sometimes
+		// misaligned at either end, empty or negative.
+		pickRange := func() (DevicePtr, int64) {
+			if len(m.res) == 0 || oneIn(40) {
+				return DevicePtr(1 << 48), ChunkGranularity
+			}
+			r := m.res[rng.Intn(len(m.res))]
+			n := int(r.size / ChunkGranularity)
+			lo := rng.Intn(n + 1)
+			ptr := r.base + DevicePtr(int64(lo)*ChunkGranularity)
+			size := int64(rng.Intn(n-lo+1)) * ChunkGranularity
+			switch rng.Intn(12) {
+			case 0:
+				ptr += half
+			case 1:
+				size += int64(half)
+			case 2:
+				ptr, size = ptr+half, size-int64(half)
+			case 3:
+				size = -size
+			case 4:
+				size += ChunkGranularity
+			}
+			return ptr, size
+		}
+
+		for step := 0; step < steps; step++ {
+			var op string
+			var got, want error
+			switch k := rng.Intn(20); {
+			case k < 2:
+				size := granules(16)
+				if oneIn(10) {
+					size -= ChunkGranularity / 2
+				}
+				op = fmt.Sprintf("MemAddressReserve(%d)", size)
+				var va DevicePtr
+				va, got = d.MemAddressReserve(size)
+				want = m.reserve(size, va)
+			case k < 5:
+				size := granules(8)
+				if oneIn(10) {
+					size = ChunkGranularity / 2 * int64(rng.Intn(3))
+				}
+				op = fmt.Sprintf("MemCreate(%d)", size)
+				var h MemHandle
+				h, got = d.MemCreate(size)
+				want = m.create(size)
+				if got == nil && h != m.next {
+					t.Fatalf("seed %d step %d: %s = handle %d, model %d", seed, step, op, h, m.next)
+				}
+			case k < 11:
+				ptr, _ := pickRange()
+				h := anyHandle()
+				op = fmt.Sprintf("MemMap(%#x, %d)", uint64(ptr), h)
+				got, want = d.MemMap(ptr, h), m.mapAt(ptr, h)
+			case k < 14:
+				ptr, size := pickRange()
+				op = fmt.Sprintf("MemSetAccess(%#x, %d)", uint64(ptr), size)
+				got, want = d.MemSetAccess(ptr, size), m.setAccess(ptr, size)
+			case k < 17:
+				ptr, size := pickRange()
+				op = fmt.Sprintf("MemUnmap(%#x, %d)", uint64(ptr), size)
+				got, want = d.MemUnmap(ptr, size), m.unmap(ptr, size)
+			case k < 19:
+				h := anyHandle()
+				op = fmt.Sprintf("MemRelease(%d)", h)
+				got, want = d.MemRelease(h), m.release(h)
+			default:
+				ptr, size := pickRange()
+				if len(m.res) > 0 && !oneIn(4) {
+					r := m.res[rng.Intn(len(m.res))]
+					ptr, size = r.base, r.size
+				}
+				op = fmt.Sprintf("MemAddressFree(%#x, %d)", uint64(ptr), size)
+				got, want = d.MemAddressFree(ptr, size), m.addressFree(ptr, size)
+			}
+
+			if (got == nil) != (want == nil) || !errors.Is(got, want) {
+				t.Fatalf("seed %d step %d: %s = %v, model %v", seed, step, op, got, want)
+			}
+			if c := d.Counters(); c != m.c {
+				t.Fatalf("seed %d step %d: %s: Counters = %+v, model %+v", seed, step, op, c, m.c)
+			}
+			if now := d.Clock().Now(); now != m.now {
+				t.Fatalf("seed %d step %d: %s: clock = %v, model %v", seed, step, op, now, m.now)
+			}
+			if b := d.MappedBytes(); b != m.mappedBytes() {
+				t.Fatalf("seed %d step %d: %s: MappedBytes = %d, model %d", seed, step, op, b, m.mappedBytes())
+			}
+			if n := d.LiveHandles(); n != len(m.handles) {
+				t.Fatalf("seed %d step %d: %s: LiveHandles = %d, model %d", seed, step, op, n, len(m.handles))
+			}
+			if free, _ := d.MemGetInfo(); free != m.free {
+				t.Fatalf("seed %d step %d: %s: free = %d, model %d", seed, step, op, free, m.free)
+			}
+			if err := d.checkInvariants(); err != nil {
+				t.Fatalf("seed %d step %d: %s: %v", seed, step, op, err)
+			}
+		}
+		if m.c.MemMap == 0 || m.c.MemUnmap == 0 || m.c.MemSet == 0 || m.c.AddressFree == 0 || m.c.BytesReleased == 0 {
+			t.Fatalf("seed %d: workload never exercised a success path: %+v", seed, m.c)
+		}
+	}
+}
+
+// TestMemMapAllocationFree pins the host cost of the mapping hot path: on a
+// warm reservation MemMap, MemSetAccess and MemUnmap allocate nothing, both
+// when every call resolves the reservation the previous one did and when
+// every call has to search for it.
+func TestMemMapAllocationFree(t *testing.T) {
+	const n = 16
+	d := newTestDriver(sim.GiB)
+	var vas [2]DevicePtr
+	var handles [2][n]MemHandle
+	for i := range vas {
+		va, err := d.MemAddressReserve(n * ChunkGranularity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vas[i] = va
+		for j := range handles[i] {
+			if handles[i][j], err = d.MemCreate(ChunkGranularity); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle := func(res ...int) func() {
+		return func() {
+			for j := 0; j < n; j++ {
+				for _, i := range res {
+					if err := d.MemMap(vas[i]+DevicePtr(int64(j)*ChunkGranularity), handles[i][j]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, i := range res {
+				if err := d.MemSetAccess(vas[i], n*ChunkGranularity); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.MemUnmap(vas[i], n*ChunkGranularity); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(50, cycle(0)); got != 0 {
+		t.Errorf("consecutive chunks of one reservation: %.1f allocs per cycle, want 0", got)
+	}
+	if got := testing.AllocsPerRun(50, cycle(0, 1)); got != 0 {
+		t.Errorf("alternating reservations (memo miss on every call): %.1f allocs per cycle, want 0", got)
+	}
+	// Freeing the memoised reservation must leave lookups working and free.
+	if err := d.MemAddressFree(vas[1], n*ChunkGranularity); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(50, cycle(0)); got != 0 {
+		t.Errorf("after MemAddressFree of the memoised reservation: %.1f allocs per cycle, want 0", got)
+	}
+}

@@ -317,23 +317,20 @@ func (c *ChunkedKV) Append(h SeqHandle) error {
 	return nil
 }
 
-func (c *ChunkedKV) release(s *chunkSeq) {
-	for _, b := range s.bufs {
-		c.usedBytes -= b.BlockSize
-		c.alloc.Free(b)
-	}
-	s.bufs = nil
-}
-
-// Release implements CacheManager.
+// Release implements CacheManager. The vacated slot keeps the backing array
+// of bufs, so the next sequence admitted into it grows without reallocating.
 func (c *ChunkedKV) Release(h SeqHandle) {
 	s := c.seq(h)
 	if s == nil {
 		return
 	}
-	c.release(s)
+	for _, b := range s.bufs {
+		c.usedBytes -= b.BlockSize
+		c.alloc.Free(b)
+	}
 	c.logicalTok -= int64(s.tokens)
-	*s = chunkSeq{}
+	clear(s.bufs)
+	*s = chunkSeq{bufs: s.bufs[:0]}
 	c.free = append(c.free, h)
 }
 

@@ -240,6 +240,51 @@ func TestChunkedAdmitRollsBackOnOOM(t *testing.T) {
 	}
 }
 
+// recycleAlloc is a memalloc.Allocator stub that hands out recycled Buffers
+// and so allocates nothing once warm: what AllocsPerRun then counts is the
+// KV manager's own bookkeeping.
+type recycleAlloc struct{ spare []*memalloc.Buffer }
+
+func (a *recycleAlloc) Name() string { return "recycle" }
+func (a *recycleAlloc) Alloc(size int64) (*memalloc.Buffer, error) {
+	n := len(a.spare)
+	if n == 0 {
+		return &memalloc.Buffer{Requested: size, BlockSize: size}, nil
+	}
+	b := a.spare[n-1]
+	a.spare = a.spare[:n-1]
+	b.Requested, b.BlockSize = size, size
+	return b, nil
+}
+func (a *recycleAlloc) Free(b *memalloc.Buffer) { a.spare = append(a.spare, b) }
+func (a *recycleAlloc) Stats() memalloc.Stats   { return memalloc.Stats{} }
+func (a *recycleAlloc) EmptyCache()             {}
+
+func TestChunkedWarmCycleAllocationFree(t *testing.T) {
+	// A released slot keeps its bufs backing array: admitting into it and
+	// growing three decode chunks must not regrow the slice.
+	mgr := NewChunkedKV(&recycleAlloc{}, model.OPT1_3B, 4)
+	cycle := func() {
+		h, err := mgr.Admit(Request{PromptLen: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			if err := mgr.Append(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mgr.Release(h)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("warm admit/append/release cycle allocates %.1f times, want 0", n)
+	}
+	if mgr.UsedBytes() != 0 || mgr.LogicalBytes() != 0 {
+		t.Fatalf("cycle leaked: used %d logical %d", mgr.UsedBytes(), mgr.LogicalBytes())
+	}
+}
+
 func TestWasteOrderingAcrossPolicies(t *testing.T) {
 	// Same request on all three managers. Contiguous pads to max and
 	// wastes most. Paged wastes at most one partial block. Chunked's
