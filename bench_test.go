@@ -150,6 +150,17 @@ func newBenchDriver(capacity int64) *cuda.Driver {
 	return cuda.NewDriver(dev, sim.NewClock(), sim.DefaultCostModel())
 }
 
+// mustAlloc returns alloc.Alloc with a failure ending the benchmark.
+func mustAlloc(b *testing.B, alloc *core.Allocator) func(size int64) *memalloc.Buffer {
+	return func(size int64) *memalloc.Buffer {
+		buf, err := alloc.Alloc(size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return buf
+	}
+}
+
 // BenchmarkGMLakeExactMatch measures the steady-state S1 hot path: one
 // alloc+free pair served entirely from the cached pools.
 func BenchmarkGMLakeExactMatch(b *testing.B) {
@@ -168,24 +179,17 @@ func BenchmarkGMLakeExactMatch(b *testing.B) {
 }
 
 // BenchmarkGMLakeExactMatchOwners is the same S1 pair on a pBlock that 1 to
-// 256 cached stitched views share, as converged training leaves them (≈ 55
+// 256 cached stitched views share, as converged training leaves them (≈ 45
 // views per pBlock on train-lro). Each pair flips the pBlock's state twice
-// and each flip visits every view. The visit is one counter step on the view
-// — no map iteration, no rescan of the view's members, no index node — so
-// ns/op grows by about a nanosecond per view and allocs/op stays at the one
-// returned Buffer.
+// and a flip writes the pBlock alone — the views learn of it when they are
+// next looked up — so ns/op must read the same at every count and allocs/op
+// stays at the one returned Buffer.
 func BenchmarkGMLakeExactMatchOwners(b *testing.B) {
 	const shared = 600 * sim.MiB
 	for _, owners := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprint(owners), func(b *testing.B) {
 			alloc := core.NewDefault(newBenchDriver(8 * sim.GiB))
-			must := func(size int64) *memalloc.Buffer {
-				buf, err := alloc.Alloc(size)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return buf
-			}
+			must := mustAlloc(b, alloc)
 			// Stitch the shared pBlock with one partner pBlock per view.
 			// Only the two are free while a view is stitched, and the
 			// partner is taken back afterwards: each view stays cached over
@@ -212,6 +216,62 @@ func BenchmarkGMLakeExactMatchOwners(b *testing.B) {
 			b.StopTimer()
 			if s1, _, _, _ := alloc.StrategyCounts(); int(s1) < b.N {
 				b.Fatalf("%d exact matches in %d pairs", s1, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkGMLakeSharedFlip is the S1 pair on a stitched block: m member
+// pBlocks, each also under o other cached views (one per partner pBlock, the
+// partners held so those views stay unavailable). A pair flips m pBlocks
+// twice; ns/member must not depend on o.
+func BenchmarkGMLakeSharedFlip(b *testing.B) {
+	for _, shape := range []struct{ members, others int }{{8, 8}, {64, 64}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.members, shape.others), func(b *testing.B) {
+			alloc := core.NewDefault(newBenchDriver(16 * sim.GiB))
+			must := mustAlloc(b, alloc)
+			// Member sizes are two chunks apart, so no view over one member
+			// and a one-chunk partner has the size of another member.
+			var total int64
+			sizes := make([]int64, shape.members)
+			held := make([]*memalloc.Buffer, shape.members)
+			for i := range sizes {
+				sizes[i] = 16*sim.MiB + int64(i)*2*core.ChunkSize
+				held[i] = must(sizes[i])
+				total += sizes[i]
+			}
+			partners := make([]*memalloc.Buffer, shape.others)
+			for i := range partners {
+				partners[i] = must(core.ChunkSize)
+			}
+			// As in ExactMatchOwners: only one member and one partner are
+			// free while a view is stitched over the two.
+			for i, size := range sizes {
+				alloc.Free(held[i])
+				for j, partner := range partners {
+					alloc.Free(partner)
+					alloc.Free(must(size + core.ChunkSize))
+					partners[j] = must(core.ChunkSize)
+				}
+				held[i] = must(size)
+			}
+			for _, buf := range held {
+				alloc.Free(buf)
+			}
+			alloc.Free(must(total))
+			if want := shape.members*shape.others + 1; alloc.SBlockCount() != want {
+				b.Fatalf("set-up cached %d views, want %d", alloc.SBlockCount(), want)
+			}
+			s1Before, _, _, _ := alloc.StrategyCounts()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				alloc.Free(must(total))
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.members), "ns/member")
+			if s1, _, _, _ := alloc.StrategyCounts(); int(s1-s1Before) != b.N {
+				b.Fatalf("%d exact matches in %d pairs", s1-s1Before, b.N)
 			}
 		})
 	}

@@ -173,23 +173,27 @@ func (a *Allocator) assignPBlock(p *PBlock, requested int64) *memalloc.Buffer {
 		panic("core: assign of active pBlock")
 	}
 	p.assigned = true
-	a.activatePBlock(p)
+	p.activeRefs++
 	a.acct.OnAlloc(p.size)
 	buf := &memalloc.Buffer{Ptr: p.va, Requested: requested, BlockSize: p.size}
 	buf.SetImpl(p)
 	return buf
 }
 
-// assignSBlock hands s to a tensor, activating all member pBlocks.
+// assignSBlock hands s, which its heap holds because no member is active, to
+// a tensor, activating all member pBlocks.
 func (a *Allocator) assignSBlock(s *SBlock, requested int64) *memalloc.Buffer {
-	if s.assigned || s.Active() {
+	if s.assigned {
 		panic("core: assign of active sBlock")
 	}
 	s.assigned = true
-	a.sblocks.markUnavailable(s)
+	s.class.remove(s)
 	a.sblocks.touch(s)
 	for _, p := range s.members {
-		a.activatePBlock(p)
+		if p.Active() {
+			panic("core: assign of active sBlock")
+		}
+		p.activeRefs++
 	}
 	a.acct.OnAlloc(s.size)
 	buf := &memalloc.Buffer{Ptr: s.va, Requested: requested, BlockSize: s.size}
@@ -197,25 +201,8 @@ func (a *Allocator) assignSBlock(s *SBlock, requested int64) *memalloc.Buffer {
 	return buf
 }
 
-// activatePBlock increments p's active references. On the 0→1 edge p leaves
-// the inactive index and every sBlock stitched over it counts one more active
-// member, leaving the available index on its own 0→1 edge.
-func (a *Allocator) activatePBlock(p *PBlock) {
-	p.activeRefs++
-	if p.activeRefs == 1 {
-		a.pblocks.markActive(p)
-		for _, s := range p.owners {
-			s.activeMembers++
-			if s.activeMembers == 1 {
-				a.sblocks.markUnavailable(s)
-			}
-		}
-	}
-}
-
-// deactivatePBlock decrements p's active references; on the 1→0 edge p
-// re-enters the inactive index and any fully-inactive unassigned owner
-// sBlocks become available again.
+// deactivatePBlock decrements p's active references; on the 1→0 edge p is
+// visible in the inactive index again. Its watchers are the caller's to wake.
 func (a *Allocator) deactivatePBlock(p *PBlock) {
 	if p.activeRefs <= 0 {
 		panic("core: deactivate of inactive pBlock")
@@ -223,12 +210,6 @@ func (a *Allocator) deactivatePBlock(p *PBlock) {
 	p.activeRefs--
 	if p.activeRefs == 0 {
 		a.pblocks.markInactive(p)
-		for _, s := range p.owners {
-			s.activeMembers--
-			if s.activeMembers == 0 && !s.assigned {
-				a.sblocks.markAvailable(s)
-			}
-		}
 	}
 }
 
@@ -246,7 +227,7 @@ func (a *Allocator) allocSplit(cand *PBlock, rounded, requested int64) *memalloc
 		// Preserve the original size for future exact matches (Figure 9's
 		// S2 side effect); with rebinding, surviving owner sBlocks already
 		// do that.
-		a.addSBlock(stitchSBlock(a.driver, []*PBlock{front, back}))
+		a.sblocks.add(stitchSBlock(a.driver, []*PBlock{front, back}))
 	}
 	return a.assignPBlock(front, requested)
 }
@@ -290,7 +271,7 @@ func (a *Allocator) allocStitch(cands []*PBlock, rounded, requested int64) *mema
 		return a.assignPBlock(members[0], requested)
 	}
 	s := stitchSBlock(a.driver, members)
-	a.addSBlock(s)
+	a.sblocks.add(s)
 	return a.assignSBlock(s, requested)
 }
 
@@ -321,7 +302,7 @@ func (a *Allocator) trimCandidates(cands []*PBlock, rounded int64) ([]*PBlock, i
 	hadOwners := len(last.owners) > 0
 	front, back := a.split(last, need)
 	if !hadOwners && !a.cfg.RebindOnSplit {
-		a.addSBlock(stitchSBlock(a.driver, []*PBlock{front, back}))
+		a.sblocks.add(stitchSBlock(a.driver, []*PBlock{front, back}))
 	}
 	out := append(append([]*PBlock(nil), cands[:len(cands)-1]...), front)
 	return out, rounded
@@ -330,7 +311,7 @@ func (a *Allocator) trimCandidates(cands []*PBlock, rounded int64) ([]*PBlock, i
 // findExactCompletion returns an inactive pBlock of exactly need bytes that
 // is not already among cands, or nil.
 func (a *Allocator) findExactCompletion(cands []*PBlock, need int64) *PBlock {
-	for n := a.pblocks.ceil(need); n != nil; n = a.pblocks.inactive.Next(n) {
+	for n := a.pblocks.ceil(need); n != nil; n = a.pblocks.next(n) {
 		p := n.Value
 		if p.size != need {
 			return nil
@@ -364,7 +345,7 @@ func (a *Allocator) allocNew(cands []*PBlock, total, rounded, requested int64) (
 	}
 	members := append(append([]*PBlock(nil), cands...), fresh)
 	s := stitchSBlock(a.driver, members)
-	a.addSBlock(s)
+	a.sblocks.add(s)
 	return a.assignSBlock(s, requested), nil
 }
 
@@ -372,8 +353,8 @@ func (a *Allocator) allocNew(cands []*PBlock, total, rounded, requested int64) (
 // never releases physical memory — it only flips active state (Update), so a
 // future same-size allocation exact-matches instantly.
 func (a *Allocator) Free(buf *memalloc.Buffer) {
-	// The paper's Update function: restore inactive state on the freed block
-	// and, through its pBlocks' owners, on its neighbours in the pools.
+	// The paper's Update function: restore inactive state on the freed block;
+	// the sBlocks watching its pBlocks are the only neighbours to re-examine.
 	switch b := buf.Impl().(type) {
 	case nil:
 		panic("core: Free of unowned or already-freed buffer")
@@ -383,17 +364,23 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 		}
 		b.assigned = false
 		a.deactivatePBlock(b)
+		b.wake()
 	case *SBlock:
 		if !b.assigned {
 			panic("core: double Free of sBlock")
 		}
 		b.assigned = false
 		a.sblocks.touch(b)
-		// The last member's 1→0 edge re-indexes b itself: it is one of that
-		// member's owners.
+		// Every member goes inactive before any watcher looks: a view that
+		// shares several members with b then finds none of them active and
+		// is re-filed once, not once per shared member.
 		for _, p := range b.members {
 			a.deactivatePBlock(p)
 		}
+		for _, p := range b.members {
+			p.wake()
+		}
+		b.class.push(b)
 	default:
 		// Small-pool buffer: owned by the embedded caching allocator.
 		a.small.Free(buf)
@@ -402,16 +389,6 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 	a.driver.Clock().Advance(a.driver.Cost().HostOp())
 	a.acct.OnFree(buf.BlockSize)
 	buf.SetImpl(nil)
-}
-
-// addSBlock registers a freshly stitched sBlock. The caller runs
-// stitchFreeIfNeeded once the block is assigned, so a brand-new sBlock can
-// never be evicted before the tensor lands in it.
-func (a *Allocator) addSBlock(s *SBlock) {
-	a.sblocks.add(s)
-	if !s.assigned && !s.Active() {
-		a.sblocks.markAvailable(s)
-	}
 }
 
 // stitchFreeIfNeeded evicts least-recently-used unassigned sBlocks while the
@@ -517,10 +494,9 @@ func (a *Allocator) SBlockCount() int { return len(a.sblocks.all) }
 // "unusable" — exactly the paper's point.
 func (a *Allocator) FreeBlockSizes() []int64 {
 	out := make([]int64, 0, a.pblocks.inactive.Len())
-	a.pblocks.inactive.Ascend(func(n *pNode) bool {
+	for n := a.pblocks.ceil(0); n != nil; n = a.pblocks.next(n) {
 		out = append(out, n.Value.size)
-		return true
-	})
+	}
 	return out
 }
 
@@ -530,34 +506,35 @@ func (a *Allocator) StitchFreeCount() int64 { return a.stitchFrees }
 // GCRuns reports how many times the OOM fallback garbage collector ran.
 func (a *Allocator) GCRuns() int64 { return a.gcRuns }
 
-// CheckInvariants validates the §4.2.1 structural guarantees and the counted
-// state the indexes rest on; tests call it after (and during) workloads:
+// CheckInvariants validates the §4.2.1 structural guarantees and the lazy
+// state contract the indexes rest on; tests call it after (and during)
+// workloads:
 //
-//   - pPool bytes equal the allocator's reserved accounting.
-//   - every inactive pBlock is linked into the index by its own node, every
-//     active one is not;
-//   - an sBlock's activeMembers equals its members with activeRefs > 0;
-//   - an sBlock sits in its size class's heap, at its recorded position, iff
-//     unassigned with all members inactive; each heap is VA-ordered and each
-//     class counts its live sBlocks;
+//   - pPool bytes equal the allocator's reserved accounting;
+//   - every inactive pBlock is linked into the tree by its own node (an
+//     active one may be, until a reader meets it), and the tree holds nothing
+//     else;
+//   - an unassigned sBlock is in its size class's heap, at its recorded
+//     position, or on the watcher list of members[hint], which is active —
+//     never both, never neither; an assigned one is in neither, and so is on
+//     no list at all; an inactive pBlock has no watchers;
+//   - hence an unassigned sBlock with every member inactive is in its heap;
+//     each heap is VA-ordered and each class counts its live sBlocks;
 //   - sBlock membership and owner back-pointers agree both ways, without
 //     duplicates (the "sPool is a subset of pPool" soft-link rule).
 func (a *Allocator) CheckInvariants() error {
 	var bytes int64
-	inactive := 0
+	linked := 0
+	watching := make(map[*SBlock]*PBlock)
 	for p := range a.pblocks.all {
 		bytes += p.size
 		if p.node.Value != p {
 			return fmt.Errorf("core: pBlock node does not point back at it")
 		}
-		if p.Active() && p.node.Linked() {
-			return fmt.Errorf("core: active pBlock in inactive index")
-		}
-		if !p.Active() {
-			if !p.node.Linked() {
-				return fmt.Errorf("core: inactive pBlock missing from index")
-			}
-			inactive++
+		if p.node.Linked() {
+			linked++
+		} else if !p.Active() {
+			return fmt.Errorf("core: inactive pBlock missing from index")
 		}
 		for i, s := range p.owners {
 			if _, ok := a.sblocks.all[s]; !ok {
@@ -570,9 +547,18 @@ func (a *Allocator) CheckInvariants() error {
 				return fmt.Errorf("core: pBlock owner sBlock does not list it as member")
 			}
 		}
+		if p.watchers != nil && !p.Active() {
+			return fmt.Errorf("core: inactive pBlock still has watchers")
+		}
+		for s := p.watchers; s != nil; s = s.watchNext {
+			if _, dup := watching[s]; dup {
+				return fmt.Errorf("core: sBlock on two watcher lists, or twice on one")
+			}
+			watching[s] = p
+		}
 	}
-	if inactive != a.pblocks.inactive.Len() {
-		return fmt.Errorf("core: %d inactive pBlocks, index holds %d", inactive, a.pblocks.inactive.Len())
+	if linked != a.pblocks.inactive.Len() {
+		return fmt.Errorf("core: %d pBlocks linked, index holds %d", linked, a.pblocks.inactive.Len())
 	}
 	if bytes != a.pblocks.bytes {
 		return fmt.Errorf("core: pPool bytes %d != tracked %d", bytes, a.pblocks.bytes)
@@ -582,7 +568,6 @@ func (a *Allocator) CheckInvariants() error {
 	}
 	live := make(map[*sClass]int)
 	for s := range a.sblocks.all {
-		active := 0
 		for _, p := range s.members {
 			if _, ok := a.pblocks.all[p]; !ok {
 				return fmt.Errorf("core: sBlock member not in pPool")
@@ -590,34 +575,34 @@ func (a *Allocator) CheckInvariants() error {
 			if !slices.Contains(p.owners, s) {
 				return fmt.Errorf("core: sBlock missing from member's owners")
 			}
-			if p.Active() {
-				active++
-			}
-		}
-		if s.activeMembers != active {
-			return fmt.Errorf("core: sBlock counts %d active members, has %d", s.activeMembers, active)
 		}
 		if s.class == nil || s.class != a.sblocks.classes[s.size] {
 			return fmt.Errorf("core: sBlock not bound to its size class")
 		}
 		live[s.class]++
-		available := !s.assigned && !s.Active()
-		if available && s.heapPos < 0 {
-			return fmt.Errorf("core: available sBlock missing from index")
-		}
-		if !available && s.heapPos >= 0 {
-			return fmt.Errorf("core: unavailable sBlock present in index")
-		}
-		if available && (s.heapPos >= len(s.class.avail) || s.class.avail[s.heapPos] != s) {
+		watched, indexed := watching[s], s.heapPos >= 0
+		delete(watching, s)
+		switch {
+		case s.assigned && (indexed || watched != nil):
+			return fmt.Errorf("core: assigned sBlock in the heap or on a watcher list")
+		case s.assigned:
+		case indexed == (watched != nil):
+			return fmt.Errorf("core: unassigned sBlock indexed=%v watching=%v, want exactly one", indexed, watched != nil)
+		case indexed && (int(s.heapPos) >= len(s.class.avail) || s.class.avail[s.heapPos] != s):
 			return fmt.Errorf("core: sBlock heap position %d does not hold it", s.heapPos)
+		case !indexed && (s.members[s.hint] != watched || !watched.Active()):
+			return fmt.Errorf("core: sBlock's watch is not on the active member its hint names")
 		}
+	}
+	if len(watching) != 0 {
+		return fmt.Errorf("core: %d watchers not in the sPool", len(watching))
 	}
 	for size, c := range a.sblocks.classes {
 		if c.live == 0 || c.live != live[c] {
 			return fmt.Errorf("core: size class %d counts %d live sBlocks, has %d", size, c.live, live[c])
 		}
 		for i, s := range c.avail {
-			if _, ok := a.sblocks.all[s]; !ok || s.size != size || s.heapPos != i {
+			if _, ok := a.sblocks.all[s]; !ok || s.size != size || int(s.heapPos) != i {
 				return fmt.Errorf("core: size class %d slot %d holds a foreign or misplaced sBlock", size, i)
 			}
 			if i > 0 && c.avail[(i-1)/2].va > s.va {

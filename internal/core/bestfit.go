@@ -87,17 +87,14 @@ func (a *Allocator) bestFit(size int64) bestFitResult {
 func (a *Allocator) collectCandidates(size, minBlock int64) ([]*PBlock, int64) {
 	var cands []*PBlock
 	needed := size
-	a.pblocks.inactive.Descend(func(n *pNode) bool {
-		p := n.Value
-		if p.size < minBlock {
-			return false
-		}
-		if p.size <= needed {
+	for n := a.pblocks.max(); n != nil && n.Value.size >= minBlock; n = a.pblocks.prev(n) {
+		if p := n.Value; p.size <= needed {
 			cands = append(cands, p)
-			needed -= p.size
+			if needed -= p.size; needed == 0 {
+				break
+			}
 		}
-		return needed > 0
-	})
+	}
 	if needed == 0 {
 		return cands, size
 	}
@@ -106,7 +103,7 @@ func (a *Allocator) collectCandidates(size, minBlock int64) ([]*PBlock, int64) {
 	// damage.
 	var top *PBlock
 	scanned := 0
-	for n := a.pblocks.ceil(needed); n != nil && scanned < 8; n = a.pblocks.inactive.Next(n) {
+	for n := a.pblocks.ceil(needed); n != nil && scanned < 8; n = a.pblocks.next(n) {
 		p := n.Value
 		if slices.Contains(cands, p) {
 			continue

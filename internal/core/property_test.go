@@ -1,8 +1,12 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/cuda"
 	"repro/internal/gpu"
@@ -13,9 +17,11 @@ import (
 // runOpSeq drives a compact encoding of an alloc/free sequence: non-negative
 // values allocate (the value scales the size), negative values free a live
 // buffer picked by the value. CheckInvariants runs after every operation, so
-// a counter or index that drifts is caught at the operation that broke it,
-// not at the end of the run.
-func runOpSeq(t *testing.T, a *Allocator, ops []int16) (live []*memalloc.Buffer, ok bool) {
+// an index that drifts is caught at the operation that broke it, not at the
+// end of the run, and checkReaders after every oracleEvery-th: the readers
+// prune as they go, so 1 compares them at every state and a longer stride
+// lets stale entries pile up across operations before they are read.
+func runOpSeq(t *testing.T, a *Allocator, ops []int16, oracleEvery int) (live []*memalloc.Buffer, ok bool) {
 	for i, op := range ops {
 		if op >= 0 {
 			size := (int64(op)%1024 + 1) * sim.MiB
@@ -27,7 +33,11 @@ func runOpSeq(t *testing.T, a *Allocator, ops []int16) (live []*memalloc.Buffer,
 			a.Free(live[j])
 			live = append(live[:j], live[j+1:]...)
 		}
-		if err := a.CheckInvariants(); err != nil {
+		err := a.CheckInvariants()
+		if err == nil && i%oracleEvery == 0 {
+			err = checkReaders(a)
+		}
+		if err != nil {
 			t.Logf("after op %d (%d): %v", i, op, err)
 			return live, false
 		}
@@ -35,18 +45,77 @@ func runOpSeq(t *testing.T, a *Allocator, ops []int16) (live []*memalloc.Buffer,
 	return live, true
 }
 
+// checkReaders is the eager oracle for the lazy indexes: what the pools'
+// readers return must equal a from-scratch recomputation over every block.
+// For each live sBlock size, sPool.findExact must return the lowest-addressed
+// unassigned sBlock whose members are all inactive; pPool.ceil+next, and
+// max+prev backwards, must enumerate exactly the inactive pBlocks in
+// (size, VA) order.
+func checkReaders(a *Allocator) error {
+	want := make(map[int64]*SBlock)
+	for s := range a.sblocks.all {
+		if _, seen := want[s.size]; !seen {
+			want[s.size] = nil
+		}
+		active := slices.ContainsFunc(s.members, (*PBlock).Active)
+		if s.Active() != active {
+			return fmt.Errorf("sBlock.Active() = %v with active members = %v", s.Active(), active)
+		}
+		if s.assigned || active {
+			continue
+		}
+		if best := want[s.size]; best == nil || s.va < best.va {
+			want[s.size] = s
+		}
+	}
+	for size, s := range want {
+		if got := a.sblocks.findExact(size); got != s {
+			return fmt.Errorf("sPool.findExact(%d) = %v, brute force finds %v", size, got, s)
+		}
+	}
+
+	var inactive []*PBlock
+	for p := range a.pblocks.all {
+		if !p.Active() {
+			inactive = append(inactive, p)
+		}
+	}
+	slices.SortFunc(inactive, func(x, y *PBlock) int {
+		return cmp.Or(cmp.Compare(x.size, y.size), cmp.Compare(x.va, y.va))
+	})
+	var up, down []*PBlock
+	for n := a.pblocks.ceil(0); n != nil; n = a.pblocks.next(n) {
+		up = append(up, n.Value)
+	}
+	for n := a.pblocks.max(); n != nil; n = a.pblocks.prev(n) {
+		down = append(down, n.Value)
+	}
+	slices.Reverse(down)
+	if !slices.Equal(up, inactive) || !slices.Equal(down, inactive) {
+		return fmt.Errorf("pPool walks return %d ascending and %d descending, brute force finds %d inactive pBlocks (or in another order)",
+			len(up), len(down), len(inactive))
+	}
+	return nil
+}
+
 // quickInvariants drives arbitrary alloc/free sequences over a fresh
 // allocator each and checks the §4.2.1 structural invariants throughout,
 // device-accounting agreement, and a leak-free teardown. It returns the
 // allocators' summed GC runs and StitchFree evictions and the most stitched
 // views any pBlock carried, so callers can assert the sequences reached the
-// paths they are meant to cover.
+// paths they are meant to cover. Alternate sequences run the reader oracle
+// after every operation and after every fifth.
 func quickInvariants(t *testing.T, capacity int64, cfg Config, count int) (gcRuns, stitchFrees int64, maxOwners int) {
+	seqs := 0
 	f := func(ops []int16) bool {
 		dev := gpu.NewDevice("q", capacity)
 		drv := cuda.NewDriver(dev, sim.NewClock(), sim.DefaultCostModel())
 		a := New(drv, cfg)
-		live, ok := runOpSeq(t, a, ops)
+		oracleEvery := 1
+		if seqs++; seqs%2 == 0 {
+			oracleEvery = 5
+		}
+		live, ok := runOpSeq(t, a, ops, oracleEvery)
 		if !ok {
 			return false
 		}
@@ -60,6 +129,10 @@ func quickInvariants(t *testing.T, capacity int64, cfg Config, count int) (gcRun
 		}
 		for _, b := range live {
 			a.Free(b)
+		}
+		if err := checkReaders(a); err != nil {
+			t.Logf("with everything freed: %v", err)
+			return false
 		}
 		gcRuns += a.GCRuns()
 		stitchFrees += a.StitchFreeCount()
@@ -92,7 +165,7 @@ func TestQuickInvariantsDestroyOnSplit(t *testing.T) {
 
 // TestQuickInvariantsUnderEviction shrinks the device and the stitched pool
 // until the sequences run the GC fallback and StitchFree while sBlocks share
-// member pBlocks — the teardown paths that must keep activeMembers, owners
+// member pBlocks — the teardown paths that must keep owners, watcher lists
 // and the size-class heaps in step — under both split semantics.
 func TestQuickInvariantsUnderEviction(t *testing.T) {
 	for _, rebind := range []bool{true, false} {
@@ -259,12 +332,25 @@ func TestSizeClassHeapOrder(t *testing.T) {
 			t.Fatalf("op %d: heap holds %d, want %d", op, len(c.avail), len(in))
 		}
 		for i, s := range c.avail {
-			if s.heapPos != i {
+			if int(s.heapPos) != i {
 				t.Fatalf("op %d: slot %d holds an sBlock recording position %d", op, i, s.heapPos)
 			}
 			if i > 0 && c.avail[(i-1)/2].va > s.va {
 				t.Fatalf("op %d: slot %d (va %d) sits under a higher parent (va %d)", op, i, s.va, c.avail[(i-1)/2].va)
 			}
 		}
+	}
+}
+
+// TestBlockSizeClasses keeps the watcher links, heap position and scan hint
+// from pushing either block into a larger allocation size class than the one
+// it had with eager propagation (80 and 128 bytes): blocks are allocated on
+// every stitch and split.
+func TestBlockSizeClasses(t *testing.T) {
+	if got := unsafe.Sizeof(SBlock{}); got > 80 {
+		t.Errorf("SBlock is %d bytes, want <= 80", got)
+	}
+	if got := unsafe.Sizeof(PBlock{}); got > 128 {
+		t.Errorf("PBlock is %d bytes, want <= 128", got)
 	}
 }
