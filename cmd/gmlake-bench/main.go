@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
+	"slices"
 	"time"
 
 	"repro/cmd/internal/profile"
@@ -47,8 +47,27 @@ func main() {
 	flag.Parse()
 	cfg, err := keys.Parse("")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmlake-bench:", err)
-		os.Exit(2)
+		usage(err)
+	}
+	// A device of no bytes panics deep inside a cell, and a step budget of
+	// none renders empty sweeps: both are usage errors, caught before any
+	// output.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"capacity-gb", *capacity}, {"min-steps", int64(*minSteps)}, {"max-steps", int64(*maxSteps)}} {
+		if f.v < 1 {
+			usage(fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v))
+		}
+	}
+	// Ids match exactly, as RunExperiment matches them: an id that passes
+	// here must not render nothing there.
+	ids := harness.Experiments
+	if *exp != "all" {
+		if !slices.Contains(ids, *exp) {
+			usage(fmt.Errorf("unknown experiment %q (use -list)", *exp))
+		}
+		ids = []string{*exp}
 	}
 
 	if *list {
@@ -79,16 +98,6 @@ func main() {
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = harness.Experiments
-	}
-	for _, id := range ids {
-		if !known(id) {
-			fmt.Fprintf(os.Stderr, "gmlake-bench: unknown experiment %q (use -list)\n", id)
-			os.Exit(2)
-		}
-	}
 	stopProfile, err := prof.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gmlake-bench:", err)
@@ -115,11 +124,8 @@ func main() {
 	}
 }
 
-func known(id string) bool {
-	for _, k := range harness.Experiments {
-		if strings.EqualFold(k, id) {
-			return true
-		}
-	}
-	return false
+// usage reports a bad command line: one line on stderr, exit 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "gmlake-bench:", err)
+	os.Exit(2)
 }

@@ -421,9 +421,9 @@ func main() {
 
 	// Streaming percentiles: every latency table above was exact — each
 	// digest retains raw samples and applies the exact nearest-rank rule
-	// up to ServeConfig.ExactSamples values (default
-	// gmlake.DefaultServeExactSamples = 8192, so small runs like this one
-	// render byte-identically to the historical tables). One sample past
+	// up to ServeConfig.ExactSamples values (default 8192, so small runs
+	// like this one render byte-identically to the historical tables). One
+	// sample past
 	// the threshold the digest spills into a fixed-size deterministic
 	// quantile sketch, so a 10M-request run keeps a few thousand buckets
 	// instead of millions of samples, within a ~1% relative rank-error

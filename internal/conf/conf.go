@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/caching"
-	"repro/internal/compact"
 	"repro/internal/core"
 	"repro/internal/cuda"
 	"repro/internal/expandable"
@@ -278,7 +277,7 @@ var backends = []backend{
 		return core.New(driver, gc)
 	}},
 	{"expandable", true, func(_ Config, driver *cuda.Driver) memalloc.Allocator { return expandable.New(driver) }},
-	{"compact", true, func(_ Config, driver *cuda.Driver) memalloc.Allocator { return compact.New(driver) }},
+	{"compact", true, func(_ Config, driver *cuda.Driver) memalloc.Allocator { return expandable.NewCompact(driver) }},
 	{"native", false, func(_ Config, driver *cuda.Driver) memalloc.Allocator { return memalloc.NewNative(driver) }},
 }
 

@@ -2,64 +2,10 @@ package harness
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/runner"
 )
-
-// renderExperiments renders the given experiments at one parallelism
-// setting on a reduced step budget.
-func renderExperiments(t *testing.T, parallelism int, ids []string) string {
-	t.Helper()
-	e := NewEnv()
-	e.TotalSteps = 3
-	e.MaxSteps = 6
-	e.MeasureSteps = 2
-	e.Parallelism = parallelism
-	var sb strings.Builder
-	for _, id := range ids {
-		tables := e.RunExperiment(id)
-		if len(tables) == 0 {
-			t.Fatalf("experiment %q produced no tables", id)
-		}
-		for _, tbl := range tables {
-			tbl.Render(&sb)
-		}
-	}
-	return sb.String()
-}
-
-// TestParallelRenderingByteIdentical is the engine's acceptance criterion:
-// Parallelism=1 and Parallelism=8 must render byte-identical tables,
-// because cells share nothing and results join by index. Table1 covers the
-// rig-per-cell micro path, servemix the multi-row serving cells.
-func TestParallelRenderingByteIdentical(t *testing.T) {
-	ids := []string{"table1", "servemix"}
-	seq := renderExperiments(t, 1, ids)
-	par := renderExperiments(t, 8, ids)
-	if seq != par {
-		t.Fatalf("parallel run diverged from sequential:\n--- parallelism 1 ---\n%s\n--- parallelism 8 ---\n%s", seq, par)
-	}
-	if !testing.Short() {
-		// The full registry at a minimal step budget: every refactored
-		// runner's cells execute under a forced 8-worker pool (real
-		// goroutines whatever GOMAXPROCS is, so -race sees them) and must
-		// render exactly what the sequential pass rendered.
-		e := NewEnv()
-		e.TotalSteps, e.MaxSteps, e.MeasureSteps = 1, 2, 1
-		render := func(parallelism int) string {
-			e.Parallelism = parallelism
-			var sb strings.Builder
-			e.RunAll(&sb)
-			return sb.String()
-		}
-		seq, par := render(1), render(8)
-		if seq != par {
-			t.Fatal("parallel run diverged from sequential over the full experiment registry")
-		}
-	}
-}
 
 // TestPanickingCellSurfacesDeterministically: a cell that panics must not
 // wedge the worker pool — every other cell still runs — and the surfaced

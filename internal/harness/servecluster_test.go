@@ -44,32 +44,6 @@ func TestServeClusterSingleReplicaMatchesServemix(t *testing.T) {
 	}
 }
 
-// TestServeClusterExperimentDeterministic: the full servecluster experiment
-// (scaling grid + aging table) renders byte-identically across independent
-// runs and across engine parallelism — the cluster co-simulation is
-// event-ordered and every cell owns its replicas' rigs.
-func TestServeClusterExperimentDeterministic(t *testing.T) {
-	render := func(parallelism int) string {
-		e := NewEnv()
-		e.Parallelism = parallelism
-		var sb strings.Builder
-		for _, tbl := range e.ServeClusterExperiment() {
-			tbl.Render(&sb)
-		}
-		return sb.String()
-	}
-	seq := render(1)
-	if par := render(8); seq != par {
-		t.Fatalf("servecluster diverged across parallelism:\n--- P=1 ---\n%s\n--- P=8 ---\n%s", seq, par)
-	}
-	if again := render(8); seq != again {
-		t.Fatal("servecluster diverged across two identical runs")
-	}
-	if strings.Contains(seq, "OOM") {
-		t.Fatalf("servecluster hit OOM cells:\n%s", seq)
-	}
-}
-
 // TestServeClusterExperimentShape: the scaling grid covers every (mix,
 // replica count, dispatch) cell with the mix's full class roster plus an
 // ALL row whose assigned spread names every replica.

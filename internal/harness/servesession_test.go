@@ -2,29 +2,12 @@ package harness
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/serve"
 	"repro/internal/servegen"
 )
-
-// TestServeSessionDeterministicParallel: the session experiment's acceptance
-// criterion — multi-turn generation, prefix-reuse accounting and the sticky
-// dispatch probe must render byte-identical tables at Parallelism=1 and
-// Parallelism=8, because residency lives entirely on the virtual clock.
-func TestServeSessionDeterministicParallel(t *testing.T) {
-	ids := []string{"servesession"}
-	seq := renderExperiments(t, 1, ids)
-	par := renderExperiments(t, 8, ids)
-	if seq != par {
-		t.Fatalf("servesession diverged across parallelism:\n--- parallelism 1 ---\n%s\n--- parallelism 8 ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "chat-sessions") || !strings.Contains(seq, "session-affinity/jsq") {
-		t.Fatalf("servesession table missing its session cells:\n%s", seq)
-	}
-}
 
 // TestServeSessionAffinityWins pins the experiment's headline claim: on the
 // session mix, affinity dispatch must beat plain jsq on prefix hits and

@@ -23,18 +23,6 @@ func renderServeTrace(t *testing.T, e *Env) string {
 	return sb.String()
 }
 
-// TestServeTraceParallelIdentical pins the servetrace tables byte-identical
-// at P=1 and P=8 on the parallel experiment engine.
-func TestServeTraceParallelIdentical(t *testing.T) {
-	seq, par := NewEnv(), NewEnv()
-	seq.Parallelism = 1
-	par.Parallelism = 8
-	a, b := renderServeTrace(t, seq), renderServeTrace(t, par)
-	if a != b {
-		t.Fatalf("servetrace differs at P=1 vs P=8:\n%s\n---\n%s", a, b)
-	}
-}
-
 // TestServeTraceRoundTripRows is the harness-level round-trip acceptance:
 // for every mix, the replayed rows are byte-identical to the generated
 // ones, class for class.

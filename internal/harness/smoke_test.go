@@ -16,25 +16,17 @@ var heavyExperiments = map[string]bool{
 }
 
 // TestAllExperimentsSmoke runs every registered experiment with a tiny step
-// budget, exercising all runner code paths and validating table structure.
-// In -short mode the shapes scale down further and the heavyweight sweeps
-// are skipped; the full-budget numbers are what `gmlake-bench` prints.
+// budget — the one the goldens are recorded at — exercising all runner code
+// paths and validating table structure. -short skips the heavyweight
+// sweeps; the full-budget numbers are what `gmlake-bench` prints.
 func TestAllExperimentsSmoke(t *testing.T) {
-	e := NewEnv()
-	e.TotalSteps = 3
-	e.MaxSteps = 6
-	e.MeasureSteps = 2
-	if testing.Short() {
-		e.TotalSteps, e.MaxSteps, e.MeasureSteps = 1, 2, 1
-	}
-
-	for _, id := range Experiments {
-		id := id
+	for _, x := range experiments() {
+		id := x.id
 		t.Run(id, func(t *testing.T) {
 			if testing.Short() && heavyExperiments[id] {
 				t.Skip("heavyweight sweep; full run only")
 			}
-			tables := e.RunExperiment(id)
+			tables := goldenTables(x)
 			if len(tables) == 0 {
 				t.Fatalf("experiment %q produced no tables", id)
 			}
@@ -62,26 +54,5 @@ func TestAllExperimentsSmoke(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunAllWritesEverything checks the batch entry point used by
-// cmd/gmlake-bench. It duplicates TestAllExperimentsSmoke's execution cost
-// without a way to scale the heavy sweeps out, so -short skips it.
-func TestRunAllWritesEverything(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment, heavy sweeps included")
-	}
-	e := NewEnv()
-	e.TotalSteps = 2
-	e.MaxSteps = 3
-	e.MeasureSteps = 1
-	var sb strings.Builder
-	e.RunAll(&sb)
-	out := sb.String()
-	for _, id := range Experiments {
-		if !strings.Contains(out, "== "+id) && !strings.Contains(out, "== "+id[:len(id)-1]) {
-			t.Errorf("RunAll output missing experiment %q", id)
-		}
 	}
 }
