@@ -419,12 +419,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	failed := 0
 	for i, res := range results {
-		if res.err != nil {
+		switch {
+		case res.err == nil:
+			printReport(policies[i], res.rep, res.stats)
+		case errors.Is(res.err, cuda.ErrOutOfMemory):
+			// The device is too small for this policy: a result, not a failure.
 			fmt.Printf("== %s: OOM: %v\n\n", policies[i], res.err)
-			continue
+		default:
+			fmt.Printf("== %s: failed: %v\n\n", policies[i], res.err)
+			failed++
 		}
-		printReport(policies[i], res.rep, res.stats)
 	}
 	if cfg.TraceOut != "" {
 		for i, res := range results {
@@ -437,6 +443,9 @@ func main() {
 				break
 			}
 		}
+	}
+	if failed > 0 {
+		fatal(fmt.Errorf("%d policy run(s) failed for a reason other than memory", failed))
 	}
 }
 

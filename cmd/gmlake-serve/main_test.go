@@ -233,3 +233,28 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFailures: a policy run that ends in an error is labelled by its
+// cause. A device too small for the policy is a result — an "OOM:" row, exit
+// 0 — while anything else (here every replica crashing with no restart, so
+// the stream strands in the re-dispatch pool) is a "failed:" row, one
+// gmlake-serve: line on stderr and exit 1, so a script cannot mistake a
+// scheduling dead end for a memory finding.
+func TestRunFailures(t *testing.T) {
+	for _, tc := range []struct {
+		args, want, not string
+		exit            int
+	}{
+		{`-n 50 -policy chunked -replicas 2 -fault-plan crash@t=0s:r0/crash@t=0s:r1 -timeout 10s`,
+			"== chunked: failed: serve: 50 request(s) stranded in the re-dispatch pool", "OOM", 1},
+		{`-n 60 -policy all -capacity-gb 0.05`, "== paged: OOM: ", "failed", 0},
+	} {
+		stdout, stderr, exit := run(t, t.TempDir(), strings.Fields(tc.args)...)
+		if exit != tc.exit || !strings.Contains(stdout, tc.want) || strings.Contains(stdout, tc.not) {
+			t.Errorf("gmlake-serve %s: exit %d, want %d and a %q row without %q:\n%s", tc.args, exit, tc.exit, tc.want, tc.not, stdout)
+		}
+		if wantErr := tc.exit != 0; wantErr != strings.HasPrefix(stderr, "gmlake-serve: ") || strings.Count(stderr, "\n") > 1 {
+			t.Errorf("gmlake-serve %s: stderr %q", tc.args, stderr)
+		}
+	}
+}

@@ -36,7 +36,7 @@
 //	             fetched inside the loop) is order-independent and not
 //	             flagged.
 //	sealedreport reports and tables must be built from the sealed,
-//	             sorted summarize paths (serve's classRows/seal,
+//	             sorted summarize paths (serve's tally.seal,
 //	             harness.Table.Render) — passing a raw map to an
 //	             fmt print/format call is flagged.
 //

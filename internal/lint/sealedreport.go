@@ -11,7 +11,7 @@ var fmtFormatFuncs = map[string]int{
 
 // SealedReport flags passing a raw map to an fmt print/format call.
 // Reports and tables in this repo are rendered through sealed,
-// pre-sorted paths (serve's seal/classRows, harness.Table.Render,
+// pre-sorted paths (serve's tally.seal, harness.Table.Render,
 // reqtrace's summaries); an ad-hoc dump of map contents bypasses the
 // sort discipline those paths guarantee — and even where fmt sorts keys
 // itself, the formatting belongs in the sealed path, not scattered at

@@ -4,7 +4,7 @@ import "sort"
 
 // arrivalQueue indexes not-yet-arrived requests by (ArrivalAt, ticket). On
 // every live path arrivals are already pushed in that order — Serve
-// enqueues its input stream up front with ascending tickets and the cluster
+// pushes its input stream up front with ascending tickets and the cluster
 // dispatches each request at its arrival instant — so the queue is a flat
 // sorted cursor: push is an append, the minimum is a peek and promotion
 // advances the head, with none of the per-request node allocation and

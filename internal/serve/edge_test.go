@@ -67,10 +67,11 @@ func TestLatDigestEmptySummary(t *testing.T) {
 // zero row — no division by zero steps or token·steps, no NaN in the
 // occupancy columns.
 func TestClassRowsZeroCompletionClass(t *testing.T) {
-	classes := map[string]*classAgg{
-		"stranded": newClassAgg("interactive", DefaultExactSamples),
-	}
-	rows := classRows(classes, 0, nil, nil, 0)
+	tl := newTally(DefaultExactSamples)
+	tl.class("stranded", "interactive")
+	var rep Report
+	tl.seal(&rep)
+	rows := rep.Classes
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}

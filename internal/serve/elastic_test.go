@@ -152,7 +152,6 @@ func TestElasticConfigValidation(t *testing.T) {
 		{Replicas: 2, Overrides: make([]ReplicaOverride, 3), Server: ServerConfig{MaxBatch: 2}},
 		{Replicas: 1, Overrides: []ReplicaOverride{{Capacity: -1}}, Server: ServerConfig{MaxBatch: 2}},
 		{Replicas: 1, Overrides: []ReplicaOverride{{MaxBatch: -4}}, Server: ServerConfig{MaxBatch: 2}},
-		{Replicas: 1, Overrides: []ReplicaOverride{{Aging: -time.Second}}, Server: ServerConfig{MaxBatch: 2}},
 		{MinReplicas: -1, MaxReplicas: 2, Server: ServerConfig{MaxBatch: 2}},
 	}
 	for i, cfg := range bad {
@@ -301,21 +300,21 @@ func TestHeterogeneousCapacityDispatch(t *testing.T) {
 	}
 }
 
-// TestPerReplicaAgingOverride: an aging override applies to exactly one
-// replica of the fleet.
-func TestPerReplicaAgingOverride(t *testing.T) {
+// TestReplicaOverrideApplies: a batch override applies to exactly one
+// replica of the fleet, and an unset capacity weight means 1.
+func TestReplicaOverrideApplies(t *testing.T) {
 	c, err := newClusterSched(nil, chunkedFactory(sim.GiB), ClusterConfig{
 		Replicas: 2,
 		Server:   ServerConfig{MaxBatch: 2},
 		Overrides: []ReplicaOverride{
-			{Aging: time.Second},
+			{MaxBatch: 6},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.fleet[0].srv.aging != time.Second || c.fleet[1].srv.aging != 0 {
-		t.Fatalf("aging overrides misapplied: %v / %v", c.fleet[0].srv.aging, c.fleet[1].srv.aging)
+	if got0, got1 := c.fleet[0].srv.cfg.MaxBatch, c.fleet[1].srv.cfg.MaxBatch; got0 != 6 || got1 != 2 {
+		t.Fatalf("batch overrides misapplied: %v / %v", got0, got1)
 	}
 	if c.fleet[0].capacity != 1 || c.fleet[1].capacity != 1 {
 		t.Fatalf("zero capacity should default to 1: %v / %v", c.fleet[0].capacity, c.fleet[1].capacity)

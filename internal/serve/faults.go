@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/container"
 	"repro/internal/sim"
 )
 
@@ -195,12 +196,9 @@ type RecoveryConfig struct {
 	// 0 means no retry: work lost to a crash is abandoned (and counted in
 	// ClusterReport.Lost).
 	Retries int
-	// RetryDelay is the base backoff before a retry re-enters dispatch
-	// (0 = DefaultRetryDelay). Retry k of a request waits
-	// RetryDelay·Backoff^(k−1) after the crash.
-	RetryDelay time.Duration
 	// Backoff is the exponential backoff multiplier, >= 1
-	// (0 = DefaultBackoff).
+	// (0 = DefaultBackoff): retry k of a request re-enters dispatch
+	// DefaultRetryDelay·Backoff^(k−1) after the crash.
 	Backoff float64
 	// RetryBudget caps the total retries any one client class may consume
 	// across the run — a noisy class that keeps landing on crashing
@@ -211,9 +209,6 @@ type RecoveryConfig struct {
 func (rc RecoveryConfig) validate() error {
 	if rc.Retries < 0 {
 		return fmt.Errorf("serve: negative retries %d", rc.Retries)
-	}
-	if rc.RetryDelay < 0 {
-		return fmt.Errorf("serve: negative retry delay %v", rc.RetryDelay)
 	}
 	if rc.Backoff != 0 && (rc.Backoff < 1 || math.IsNaN(rc.Backoff) || math.IsInf(rc.Backoff, 0)) {
 		return fmt.Errorf("serve: backoff %v must be >= 1", rc.Backoff)
@@ -313,4 +308,181 @@ func expDur(rng *sim.RNG, mean time.Duration) time.Duration {
 		d = time.Nanosecond
 	}
 	return d
+}
+
+// redispatch is one request waiting in the re-dispatch pool. A request that
+// was merely queued — displaced by a crash, or an arrival parked while every
+// replica was down — keeps its FIFO ticket in w.seq and may re-enter
+// dispatch at once; an in-flight request granted a retry carries freshTicket
+// instead (it draws one at its destination, like a preemption requeue) and
+// waits out its backoff.
+type redispatch struct {
+	w     waiting
+	at    time.Duration // earliest cluster instant it may re-enter dispatch
+	order uint64        // pool FIFO order among equal instants
+}
+
+// freshTicket in a pooled request's ticket slot asks the destination for a
+// new one; real tickets are never negative.
+const freshTicket int64 = -1
+
+// recovery is the fault-injection and crash-recovery policy with the state
+// it alone mutates: the fault feed, the re-dispatch pool and the retry
+// accounting. A zero-fault run has none (the scheduler's pointer is nil),
+// which keeps every fault path unreachable and the schedule byte-identical
+// to a scheduler without them.
+type recovery struct {
+	faults *faultSource
+	// pool is ordered by (eligible instant, insertion order).
+	pool   *container.Heap[redispatch]
+	parked uint64
+	// attempts counts granted retries per lifetime record; classRetries
+	// charges them against the per-class retry budget.
+	attempts     map[*track]int
+	classRetries map[string]int
+	retries      int
+	lost         int
+}
+
+func newRecovery(fc FaultConfig, fleetMax int) *recovery {
+	return &recovery{
+		faults: newFaultSource(fc, fleetMax),
+		pool: container.NewHeap[redispatch](func(a, b redispatch) bool {
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			return a.order < b.order
+		}),
+		attempts:     map[*track]int{},
+		classRetries: map[string]int{},
+	}
+}
+
+// poolLen is the re-dispatch pool's size (0 on a zero-fault run).
+func (rc *recovery) poolLen() int {
+	if rc == nil {
+		return 0
+	}
+	return rc.pool.Len()
+}
+
+// park puts a request in the re-dispatch pool until cluster instant at.
+func (rc *recovery) park(w waiting, at time.Duration) {
+	rc.parked++
+	rc.pool.Push(redispatch{w: w, at: at, order: rc.parked})
+}
+
+// apply routes one fault event at the current cluster instant. Crashes only
+// touch replicas that are up (active or draining); restarts only touch
+// crashed ones; anything else — including events aimed at replicas the
+// autoscaler never spawned — is a no-op, so MTTF streams and scripted plans
+// stay valid whatever the fleet actually did.
+func (rc *recovery) apply(c *clusterSched, fe FaultEvent) {
+	if fe.Replica >= len(c.fleet) {
+		return
+	}
+	r := c.fleet[fe.Replica]
+	switch {
+	case fe.Kind == FaultCrash && (r.state == replicaActive || r.state == replicaDraining):
+		rc.crash(c, r)
+	case fe.Kind == FaultRestart && r.state == replicaDown:
+		// The replica rejoins dispatch empty, closing its outage span. One
+		// that crashed while draining rejoins as active — its backlog died
+		// with it — and the autoscaler is free to drain it again.
+		r.downTotal += c.now - r.downSince
+		r.state = replicaActive
+		r.srv.restart(c.now)
+	}
+}
+
+// crash kills replica r at the current cluster instant. The server tears
+// down its KV and batch (recompute semantics — see (*server).crash);
+// displaced queued requests re-enter dispatch through the pool immediately
+// and for free, while in-flight ones must win a retry grant — bounded per
+// request and per class — or be abandoned as lost. Either way the
+// replica's outstanding-KV gauge drains to zero, keeping load-aware
+// dispatch honest about the survivors.
+func (rc *recovery) crash(c *clusterSched, r *clusterReplica) {
+	inflight, queued := r.srv.crash(c.now)
+	r.state = replicaDown
+	r.downSince = c.now
+	r.eventSeq++ // its pending heap entry, if any, is now stale
+	for _, w := range queued {
+		r.dispatchedTokens -= int64(w.rec.req.TotalTokens())
+		rc.park(w, c.now)
+	}
+	for _, rec := range inflight {
+		r.dispatchedTokens -= int64(rec.req.TotalTokens())
+		if k, ok := rc.grant(c.cfg.Recovery, rec); ok {
+			delay := float64(DefaultRetryDelay) * math.Pow(c.cfg.Recovery.Backoff, float64(k-1))
+			rc.park(waiting{rec: rec, seq: freshTicket}, c.now+time.Duration(delay))
+		} else {
+			rc.lost++
+			// The request dies with the replica that was serving it: it
+			// joins that replica's roster (keeping its TTFT if it had
+			// already streamed), like any other unfinished request.
+			r.srv.recordUnfinished(rec)
+		}
+	}
+}
+
+// grant charges one retry for rec against the per-request cap and its
+// class's budget, returning the 1-based attempt number when granted.
+func (rc *recovery) grant(policy RecoveryConfig, rec *track) (int, bool) {
+	k := rc.attempts[rec]
+	if k >= policy.Retries {
+		return 0, false
+	}
+	if b := policy.RetryBudget; b > 0 && rc.classRetries[rec.class()] >= b {
+		return 0, false
+	}
+	rc.attempts[rec] = k + 1
+	rc.classRetries[rec.class()]++
+	rc.retries++
+	return k + 1, true
+}
+
+// crash models the replica's host dying at cluster instant at: every
+// decoding sequence and queued request leaves the server and the cache
+// manager releases all KV. The returned slices — inflight in batch order,
+// queued in (rank, then arrival) order — are the scheduler's to re-dispatch
+// or abandon; the server itself keeps its report, digests and clock, ready
+// to be restarted empty.
+func (s *server) crash(at time.Duration) (inflight []*track, queued []waiting) {
+	if at > s.now {
+		s.now = at
+	}
+	for _, a := range s.running {
+		s.victims.Delete(a.node)
+		a.node = nil
+		s.mgr.Release(a.handle)
+		inflight = append(inflight, a.rec)
+	}
+	s.running = s.running[:0]
+	for {
+		n := s.ready.Min()
+		if n == nil {
+			break
+		}
+		queued = append(queued, n.Value)
+		s.ready.Delete(n)
+	}
+	for s.future.len() > 0 {
+		queued = append(queued, s.future.popMin())
+	}
+	// The crash lost the whole KV cache, session prefixes included: every
+	// residency entry goes at once, so post-restart follow-up turns miss.
+	if s.cfg.PrefixReuse {
+		s.resident = map[string]int{}
+	}
+	s.rep.Crashes++
+	return inflight, queued
+}
+
+// restart reopens a crashed server, empty, at cluster instant at.
+func (s *server) restart(at time.Duration) {
+	if at > s.now {
+		s.now = at
+	}
+	s.rep.Restarts++
 }

@@ -10,8 +10,16 @@ import (
 	"repro/internal/sim"
 )
 
+// The rows of TestParseFaultPlan, shared with FuzzParseFaultPlan's seeds.
+const goodFaultPlan = "crash@t=12s:r1/restart@t=14s:r1/crash@t=2s:r0"
+
+var badFaultPlans = []string{
+	"", "///", "crash", "crash@12s:r1", "reboot@t=1s:r0", "crash@t=1s:x0",
+	"crash@t=-1s:r0", "crash@t=1s:r-1", "crash@t=1s:r0.5", "crash@t=zz:r0",
+}
+
 func TestParseFaultPlan(t *testing.T) {
-	plan, err := ParseFaultPlan("crash@t=12s:r1/restart@t=14s:r1/crash@t=2s:r0")
+	plan, err := ParseFaultPlan(goodFaultPlan)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -23,14 +31,47 @@ func TestParseFaultPlan(t *testing.T) {
 	if !reflect.DeepEqual(plan, want) {
 		t.Fatalf("plan %+v, want %+v", plan, want)
 	}
-	for _, bad := range []string{
-		"", "///", "crash", "crash@12s:r1", "reboot@t=1s:r0", "crash@t=1s:x0",
-		"crash@t=-1s:r0", "crash@t=1s:r-1", "crash@t=1s:r0.5", "crash@t=zz:r0",
-	} {
+	for _, bad := range badFaultPlans {
 		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Errorf("ParseFaultPlan(%q): expected error", bad)
 		}
 	}
+}
+
+// FuzzParseFaultPlan: no string panics the plan parser, a plan it accepts
+// holds only non-negative times and replica indexes, and no accepted plan
+// panics the validation against a fleet bound — which, when it passes too,
+// has kept every event inside the fleet.
+func FuzzParseFaultPlan(f *testing.F) {
+	f.Add(goodFaultPlan, 2)
+	f.Add(goodFaultPlan, 1)
+	f.Add("crash@t=0s:r0/crash@t=0s:r1", 2)
+	f.Add(" crash@t=1.5h:r3 // restart@t=1e3ms:r3 ", 4)
+	for _, bad := range badFaultPlans {
+		f.Add(bad, 2)
+	}
+	f.Fuzz(func(t *testing.T, s string, fleetMax int) {
+		plan, err := ParseFaultPlan(s)
+		if err != nil {
+			return
+		}
+		if len(plan) == 0 {
+			t.Fatalf("ParseFaultPlan(%q) accepted an empty plan", s)
+		}
+		for _, e := range plan {
+			if e.At < 0 || e.Replica < 0 || (e.Kind != FaultCrash && e.Kind != FaultRestart) {
+				t.Fatalf("ParseFaultPlan(%q) accepted %+v", s, e)
+			}
+		}
+		if (FaultConfig{Plan: plan}).validate(fleetMax) != nil {
+			return
+		}
+		for _, e := range plan {
+			if e.Replica >= fleetMax {
+				t.Fatalf("validate(%d) accepted %+v from %q", fleetMax, e, s)
+			}
+		}
+	})
 }
 
 func TestFaultConfigValidate(t *testing.T) {
@@ -78,9 +119,8 @@ func TestRecoveryConfigValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", RecoveryConfig{}, true},
-		{"full", RecoveryConfig{Retries: 3, RetryDelay: time.Millisecond, Backoff: 1.5, RetryBudget: 8}, true},
+		{"full", RecoveryConfig{Retries: 3, Backoff: 1.5, RetryBudget: 8}, true},
 		{"negative-retries", RecoveryConfig{Retries: -1}, false},
-		{"negative-delay", RecoveryConfig{RetryDelay: -time.Second}, false},
 		{"backoff-below-one", RecoveryConfig{Backoff: 0.5}, false},
 		{"negative-budget", RecoveryConfig{RetryBudget: -1}, false},
 	} {
@@ -444,7 +484,7 @@ func TestChaosDeterminism(t *testing.T) {
 		{MinReplicas: 1, MaxReplicas: 4, Steal: true, Dispatch: DispatchLeastKV,
 			Server:   ServerConfig{MaxBatch: 4, Timeout: 30 * time.Second, Shed: true},
 			Faults:   FaultConfig{MTTF: 1500 * time.Millisecond, MTTR: 200 * time.Millisecond, Seed: 3},
-			Recovery: RecoveryConfig{Retries: 3, RetryDelay: 20 * time.Millisecond, Backoff: 1.5, RetryBudget: 16}},
+			Recovery: RecoveryConfig{Retries: 3, Backoff: 1.5, RetryBudget: 16}},
 	} {
 		var mgrs []CacheManager
 		factory := func(i int) CacheManager {

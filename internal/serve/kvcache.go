@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 
+	"repro/internal/cuda"
 	"repro/internal/memalloc"
 	"repro/internal/model"
 )
@@ -162,7 +163,7 @@ func (p *PagedKV) Admit(r Request) (SeqHandle, error) {
 	need := (r.PromptLen + p.blockTokens - 1) / p.blockTokens
 	blocks, ok := p.takeBlocks(need)
 	if !ok {
-		return 0, fmt.Errorf("serve: %d free blocks, need %d", len(p.freeBlocks), need)
+		return 0, fmt.Errorf("serve: %d free blocks, need %d (%w)", len(p.freeBlocks), need, cuda.ErrOutOfMemory)
 	}
 	p.next++
 	p.sequences[p.next] = &pagedSeq{blocks: append([]int(nil), blocks...), tokens: r.PromptLen}
@@ -179,7 +180,7 @@ func (p *PagedKV) Append(h SeqHandle) error {
 	if s.tokens%p.blockTokens == 0 { // current block full (or none yet)
 		blocks, ok := p.takeBlocks(1)
 		if !ok {
-			return fmt.Errorf("serve: out of KV blocks")
+			return fmt.Errorf("serve: out of KV blocks (%w)", cuda.ErrOutOfMemory)
 		}
 		s.blocks = append(s.blocks, blocks[0])
 	}

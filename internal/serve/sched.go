@@ -1,0 +1,385 @@
+package serve
+
+import (
+	"fmt"
+	"sort"
+	"time"
+
+	"repro/internal/container"
+)
+
+// replicaState tracks one replica's place in the elastic fleet lifecycle.
+type replicaState int
+
+const (
+	replicaActive   replicaState = iota // receives dispatches
+	replicaDraining                     // serving out its backlog, no new work
+	replicaStopped                      // drained and out of the fleet
+	replicaDown                         // crashed: empty, out of dispatch, awaiting restart
+)
+
+// clusterReplica is one replica server plus the scheduler-side bookkeeping
+// the dispatch policies and the autoscaler read.
+type clusterReplica struct {
+	srv      *server
+	capacity float64
+	state    replicaState
+	// spawnAt opens the current busy span on the cluster clock; busy
+	// accumulates closed spans (a replica can stop and be re-activated).
+	spawnAt time.Duration
+	busy    time.Duration
+	// assigned counts arrival dispatches, stolen counts re-dispatches won,
+	// dispatchedTokens the outstanding-KV numerator for least-kv dispatch.
+	assigned         int
+	stolen           int
+	dispatchedTokens int64
+
+	// downSince opens the current outage on the cluster clock (valid while
+	// state == replicaDown); downTotal accumulates closed outages — the
+	// numerator of the availability metric.
+	downSince time.Duration
+	downTotal time.Duration
+
+	// eventSeq versions the replica's entry in the scheduler's event heap:
+	// every touch bumps it, so events pushed earlier become stale and are
+	// discarded on pop instead of being searched for and removed (lazy
+	// invalidation).
+	eventSeq uint64
+}
+
+// repEvent is one replica's pending next-event entry in the global heap.
+// The ordering (time, then replica index) makes the lowest-index replica run
+// first among simultaneous events.
+type repEvent struct {
+	at  time.Duration
+	ri  int
+	seq uint64
+}
+
+// evSource names where the scheduler's next event comes from. After evNone,
+// the declared order is the precedence among events due at the same instant.
+type evSource int
+
+const (
+	// evNone: nothing is actionable — the run is over, or stranded.
+	evNone evSource = iota
+	// evFault: a crash at t kills the replica before the arrival at t lands.
+	evFault
+	// evPool: displaced requests are older than anything arriving now.
+	evPool
+	// evArrival: due at or before the next replica step, so the policy sees
+	// every replica's state as of the arrival instant — exactly like
+	// admission sees arrivals that landed during the previous decode step.
+	evArrival
+	evStep
+)
+
+// clusterSched is the scheduler core: the cluster clock, the admission
+// queue, the fleet and its event heap, advanced one event at a time. What
+// to do at an event is the policies' business, each holding the state it
+// alone mutates; on a zero-fault configuration recovery is nil and the loop
+// is the fault-free scheduler, event for event.
+type clusterSched struct {
+	cfg    ClusterConfig // validated, defaults resolved
+	newMgr func(int) CacheManager
+	reqs   []Request
+	queue  []int // input indexes in arrival order
+	qi     int
+	now    time.Duration // monotonic cluster event clock
+	fleet  []*clusterReplica
+
+	// events is the single global event spine: one (next-event time,
+	// replica) entry per replica with work, min-ordered by (time, index), so
+	// advancing the co-simulation is an O(log fleet) pop rather than a scan
+	// of every replica's clock. Entries are invalidated lazily via eventSeq.
+	events *container.Heap[repEvent]
+
+	dispatch dispatcher
+	scaler   scaler
+	recovery *recovery
+}
+
+func newClusterSched(reqs []Request, newMgr func(int) CacheManager, cfg ClusterConfig) (*clusterSched, error) {
+	initial, fleetMax, err := cfg.validate()
+	if err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	c := &clusterSched{
+		cfg:      cfg,
+		newMgr:   newMgr,
+		reqs:     reqs,
+		dispatch: dispatcher{policy: cfg.Dispatch, base: cfg.AffinityBase},
+		scaler:   scaler{peakReplicas: initial},
+		events: container.NewHeap[repEvent](func(a, b repEvent) bool {
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			return a.ri < b.ri
+		}),
+	}
+	if cfg.Faults.Enabled() {
+		c.recovery = newRecovery(cfg.Faults, fleetMax)
+		if inner := cfg.Server.OnComplete; inner != nil {
+			// Exactly-once completion guarantee under faults: the capture
+			// hook fires on the final completion only, even if a request is
+			// ever retried or re-dispatched along the way, deduplicated by
+			// request ID. Zero-fault runs keep the caller's hook untouched.
+			fired := map[int]bool{}
+			c.cfg.Server.OnComplete = func(r Request) {
+				if !fired[r.ID] {
+					fired[r.ID] = true
+					inner(r)
+				}
+			}
+		}
+	}
+
+	// The cluster admission queue: input indexes in arrival-time order,
+	// input order preserved among ties. Dispatch releases requests in this
+	// order but tickets them by input index, matching Serve's numbering.
+	c.queue = make([]int, len(reqs))
+	for i := range c.queue {
+		c.queue[i] = i
+	}
+	sort.SliceStable(c.queue, func(i, j int) bool {
+		return reqs[c.queue[i]].ArrivalAt < reqs[c.queue[j]].ArrivalAt
+	})
+
+	for i := 0; i < initial; i++ {
+		if err := c.spawn(); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// spawn appends a fresh replica to the fleet with the cluster clock as its
+// busy-span start. Configurations were validated up front, so construction
+// cannot fail mid-run in practice.
+func (c *clusterSched) spawn() error {
+	i := len(c.fleet)
+	s, err := newEmptyServer(c.newMgr(i), c.cfg.serverConfig(i))
+	if err != nil {
+		return err
+	}
+	// Reserve the global ticket range [0, len(reqs)) for dispatched
+	// requests; requeued preemptions draw above it, exactly as Serve's
+	// up-front numbering would have placed them.
+	s.nextTkt = int64(len(c.reqs))
+	w := c.cfg.resolveOverride(i).Capacity
+	if w == 0 {
+		w = 1
+	}
+	c.fleet = append(c.fleet, &clusterReplica{srv: s, capacity: w, spawnAt: c.now})
+	return nil
+}
+
+// activeCount is the number of dispatchable replicas.
+func (c *clusterSched) activeCount() int {
+	n := 0
+	for _, r := range c.fleet {
+		if r.state == replicaActive {
+			n++
+		}
+	}
+	return n
+}
+
+// touch re-registers replica ri in the event heap after anything that can
+// change its next-event time (a dispatch, a step, a steal). The previous
+// entry — if any — becomes stale via the sequence bump; a fresh entry is
+// pushed only when the replica still has work. Every replica therefore has
+// at most one live entry, keyed by its current nextEventTime.
+func (c *clusterSched) touch(ri int) {
+	r := c.fleet[ri]
+	r.eventSeq++
+	if t, ok := r.srv.nextEventTime(); ok {
+		c.events.Push(repEvent{at: t, ri: ri, seq: r.eventSeq})
+	}
+}
+
+// place is the one way onto a replica: w joins replica ri's pending set —
+// at is the hand-over instant of a late dispatch, 0 at arrival time (see
+// (*server).push) — its tokens join the replica's outstanding-KV gauge, and
+// the replica's event is re-registered.
+func (c *clusterSched) place(ri int, w waiting, at time.Duration) {
+	r := c.fleet[ri]
+	r.srv.push(w, at)
+	r.dispatchedTokens += int64(w.rec.req.TotalTokens())
+	c.touch(ri)
+}
+
+// nextStep returns the earliest live replica event without consuming it,
+// discarding stale entries; ri == -1 means every replica is idle.
+func (c *clusterSched) nextStep() (at time.Duration, ri int) {
+	for c.events.Len() > 0 {
+		ev := c.events.Peek()
+		r := c.fleet[ev.ri]
+		if ev.seq != r.eventSeq || r.state == replicaStopped || r.state == replicaDown {
+			c.events.Pop() // stale: superseded, or the replica retired or crashed
+			continue
+		}
+		return ev.at, ev.ri
+	}
+	return 0, -1
+}
+
+// next decides what happens next — the only place event precedence is
+// spelled out: the earliest due source wins, and among sources due at the
+// same instant the one declared first in evSource (a later source takes
+// over only when strictly earlier). Fault events are injected at event
+// boundaries only — they never interrupt a decode step — so a faulty run is
+// exactly as deterministic as a fault-free one. The pool counts only while a
+// dispatch target exists; while every replica is down it waits for a
+// restart or a scale-up.
+func (c *clusterSched) next() (src evSource, at time.Duration, ri int) {
+	tStep, ri := c.nextStep()
+	if ri == -1 && c.qi == len(c.queue) && c.recovery.poolLen() == 0 {
+		return evNone, 0, -1 // drained; fault events past the last work are moot
+	}
+	if c.recovery != nil {
+		if fe, ok := c.recovery.faults.peek(); ok {
+			src, at = evFault, fe.At
+		}
+		if c.recovery.pool.Len() > 0 && c.activeCount() > 0 {
+			if t := c.recovery.pool.Peek().at; src == evNone || t < at {
+				src, at = evPool, t
+			}
+		}
+	}
+	if c.qi < len(c.queue) {
+		if t := c.reqs[c.queue[c.qi]].ArrivalAt; src == evNone || t < at {
+			src, at = evArrival, t
+		}
+	}
+	if ri != -1 && (src == evNone || tStep < at) {
+		src, at = evStep, tStep
+	}
+	return src, at, ri
+}
+
+// run drives the co-simulation to completion: take the next event, advance
+// the monotonic cluster clock to it, let the autoscaler look at the fleet,
+// and re-touch exactly the replicas the event mutated.
+func (c *clusterSched) run() (ClusterReport, error) {
+	for {
+		src, at, ri := c.next()
+		if at > c.now {
+			c.now = at
+		}
+		switch src {
+		case evNone:
+			if n := c.recovery.poolLen(); n > 0 {
+				// Work remains only in a blocked pool, and no fault event is
+				// pending to unblock it (a scripted plan ran dry).
+				return c.seal(fmt.Errorf("serve: %d request(s) stranded in the re-dispatch pool with no active replica and no pending restart", n))
+			}
+			return c.seal(nil)
+		case evFault:
+			c.recovery.apply(c, c.recovery.faults.pop())
+			c.scaler.evaluate(c)
+		case evPool:
+			// A late dispatch decision for displaced queued requests and
+			// parked arrivals, a recompute requeue for retried in-flight ones.
+			e := c.recovery.pool.Pop()
+			c.scaler.evaluate(c)
+			to := c.dispatch.pick(c.fleet, e.w.rec.req)
+			if e.w.seq == freshTicket {
+				e.w.seq = c.fleet[to].srv.ticket()
+			}
+			c.place(to, e.w, c.now)
+		case evArrival:
+			c.scaler.evaluate(c)
+			w := waiting{rec: &track{req: c.reqs[c.queue[c.qi]]}, seq: int64(c.queue[c.qi])}
+			c.qi++
+			if c.recovery != nil && c.activeCount() == 0 {
+				// Every replica is down (or draining): park the arrival in
+				// the pool — no retry consumed — until a restart or a
+				// scale-up restores a dispatch target.
+				c.recovery.park(w, w.rec.req.ArrivalAt)
+				continue
+			}
+			to := c.dispatch.pick(c.fleet, w.rec.req)
+			c.fleet[to].assigned++
+			c.place(to, w, 0)
+		case evStep:
+			c.scaler.evaluate(c)
+			if c.cfg.Steal && c.trySteal() {
+				continue // fleet state changed; the steal re-touched both sides
+			}
+			if _, err := c.fleet[ri].srv.runOnce(); err != nil {
+				return c.seal(fmt.Errorf("serve: replica %d: %w", ri, err))
+			}
+			c.touch(ri)
+		}
+	}
+}
+
+// seal finalizes every replica and assembles the cluster report. All slices
+// in the report are freshly allocated — never views of scheduler state — so
+// a caller mutating the report cannot corrupt anything read later.
+func (c *clusterSched) seal(err error) (ClusterReport, error) {
+	// A drain that completed on the run's very last event has not been
+	// through an autoscaler evaluation yet — retire it before counting.
+	c.scaler.retire(c.fleet)
+	rep := ClusterReport{
+		Replicas:       make([]Report, len(c.fleet)),
+		Assigned:       make([]int, len(c.fleet)),
+		Stolen:         make([]int, len(c.fleet)),
+		PeakReplicas:   c.scaler.peakReplicas,
+		Spawns:         c.scaler.spawns,
+		Drains:         c.scaler.drains,
+		AffinityRouted: c.dispatch.affinityRouted,
+		Availability:   1,
+	}
+	servers := make([]*server, len(c.fleet))
+	// A replica still in the fleet at the end of the run was provisioned
+	// until the cluster makespan, idle tail included — that is what makes
+	// ReplicaSeconds of a static N-replica fleet exactly N × makespan, the
+	// baseline elastic drains are measured against. Drained replicas
+	// closed their spans at their own drain instant.
+	var makespan time.Duration
+	for _, r := range c.fleet {
+		makespan = max(makespan, r.srv.now)
+	}
+	var weightedSpan, weightedDown float64
+	for i, r := range c.fleet {
+		r.srv.finish()
+		rep.Replicas[i] = r.srv.rep
+		rep.Assigned[i] = r.assigned
+		rep.Stolen[i] = r.stolen
+		servers[i] = r.srv
+		if r.state == replicaDown {
+			// The outage was still open at the end of the run: it spans to
+			// the cluster makespan, like the busy span closed below.
+			r.downTotal += max(makespan, r.downSince) - r.downSince
+		}
+		if r.state != replicaStopped {
+			r.busy += max(makespan, r.spawnAt) - r.spawnAt
+			r.state = replicaStopped
+		}
+		rep.ReplicaSeconds += r.busy
+		weightedSpan += r.capacity * float64(r.busy)
+		weightedDown += r.capacity * float64(r.downTotal)
+	}
+	if weightedSpan > 0 {
+		rep.Availability = 1 - weightedDown/weightedSpan
+	}
+	// Requests never released from the cluster queue (the run failed
+	// first) still belong in the merged roster, unserved — as do requests
+	// stranded in the re-dispatch pool (error paths only: a completed run
+	// drains it).
+	undispatched := make([]Request, 0, len(c.queue)-c.qi+c.recovery.poolLen())
+	for _, idx := range c.queue[c.qi:] {
+		undispatched = append(undispatched, c.reqs[idx])
+	}
+	for c.recovery.poolLen() > 0 {
+		undispatched = append(undispatched, c.recovery.pool.Pop().w.rec.req)
+	}
+	if c.recovery != nil {
+		rep.Retries, rep.Lost = c.recovery.retries, c.recovery.lost
+	}
+	rep.Report = mergeReports(servers, undispatched)
+	return rep, err
+}

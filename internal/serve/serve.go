@@ -179,6 +179,34 @@ func GenRequests(n int, cfg GenConfig, seed uint64) ([]Request, error) {
 	return out, nil
 }
 
+// Serve runs the requests to completion under continuous batching: admit
+// arrived requests while memory and the batch cap allow (highest priority
+// first), append one token per active sequence per step, release
+// completions, and — when a mid-decode Append hits the memory wall —
+// preempt the lowest-priority, most recently admitted other sequence and
+// requeue it in full (vLLM's recompute-preemption, made SLO-aware).
+// With ServerConfig.Aging set, "priority" throughout means the aged
+// effective priority — Priority + wait/Aging — so starved low-priority
+// requests eventually outrank fresh high-priority arrivals.
+//
+// The queues are indexed (see server): not-yet-arrived requests sit in a flat
+// arrival-ordered cursor, arrived ones in a priority-ordered tree and the
+// batch keeps a preemption-ordered tree, so admission, the idle-jump and
+// victim selection are O(log n) instead of the per-step linear rescans a
+// slice-based loop pays. On long backlogged streams the loop's bookkeeping
+// is O(total work · log n).
+//
+// Time is simulated on an internal virtual clock (see ServerConfig's step
+// costs); per-request arrival, first-token and completion times feed the
+// per-class TTFT/E2E percentiles in the report.
+func Serve(reqs []Request, mgr CacheManager, cfg ServerConfig) (Report, error) {
+	s, err := newServer(reqs, mgr, cfg)
+	if err != nil {
+		return Report{}, err
+	}
+	return s.run()
+}
+
 // SeqHandle identifies one admitted sequence inside a cache manager.
 type SeqHandle int
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/container"
@@ -92,130 +91,6 @@ type ServerConfig struct {
 	PrefixReuse bool
 }
 
-// LatencySummary holds nearest-rank percentiles of a latency sample.
-type LatencySummary struct {
-	P50, P95, P99 time.Duration
-}
-
-// summarize computes the nearest-rank percentiles of samples (sorted in
-// place). The nearest rank of the pct-th percentile over n samples is
-// ceil(n*pct/100), computed in exact integer arithmetic: products like
-// 0.95*n are not exactly representable in binary floating point, so the
-// former float formulation needed an epsilon that silently picks the wrong
-// rank once n grows past the epsilon's resolution. For n >= 1 and
-// 1 <= pct <= 100 the index is always in [0, n).
-func summarize(samples []time.Duration) LatencySummary {
-	if len(samples) == 0 {
-		return LatencySummary{}
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	at := func(pct int) time.Duration {
-		return samples[(len(samples)*pct+99)/100-1]
-	}
-	return LatencySummary{P50: at(50), P95: at(95), P99: at(99)}
-}
-
-// ClassReport is the per-client-class (per-SLO-class) slice of a serving
-// run: the latency distribution each tenant actually experienced, plus how
-// often it was evicted and how much KV cache it held.
-type ClassReport struct {
-	Class string // client class name ("default" when requests carry none)
-	SLO   string // SLO tag carried by the class's requests
-
-	Served      int   // requests completed
-	Preemptions int64 // evictions of this class's sequences
-
-	// TTFT is time from arrival to the end of the step that prefilled the
-	// request (its first output token); E2E is time from arrival to the
-	// last generated token.
-	TTFT, E2E LatencySummary
-
-	// MeanKVTokens is the class's mean resident KV tokens per decode step;
-	// KVShare is its fraction of the run's total token·steps — the
-	// KV-cache occupancy attributable to the tenant.
-	MeanKVTokens float64
-	KVShare      float64
-}
-
-// Report summarizes one serving run.
-type Report struct {
-	Served      int     // requests completed
-	Steps       int     // decode steps executed
-	PeakUsed    int64   // peak bytes taken by the cache manager
-	PeakLogical int64   // peak bytes of real KV data
-	MeanWaste   float64 // average per-step waste ratio
-	MeanBatch   float64 // average decoding batch size
-
-	// AdmitFailures counts distinct requests whose admission was deferred
-	// at least once for lack of memory; BlockedSteps counts head-of-line
-	// blocked admission attempts, one per step the blocked request kept
-	// waiting. (They used to be a single counter with BlockedSteps
-	// semantics under the AdmitFailures name, overcounting one long-blocked
-	// request once per step.)
-	AdmitFailures int64
-	BlockedSteps  int64
-
-	Preemptions int64 // sequences evicted mid-decode and requeued
-
-	// Failure and SLO accounting (PR 7). Crashes and Restarts count fault
-	// events applied to this server (always zero outside a faulty cluster
-	// run). DeadlineMisses counts requests that blew their Timeout —
-	// aborted while queued or decoding, or completed late. Shed counts
-	// requests rejected by deadline-aware admission shedding
-	// (ServerConfig.Shed). Goodput counts completions within their
-	// deadline — with Timeout unset it equals Served, and it never
-	// exceeds Served.
-	Crashes        int
-	Restarts       int
-	DeadlineMisses int64
-	Shed           int64
-	Goodput        int
-
-	// Session prefix-reuse accounting (PR 10); all zero unless
-	// ServerConfig.PrefixReuse is on and requests carry sessions.
-	// PrefixHits counts admissions that found their session's prefix
-	// resident, skipping ReusedTokens prompt tokens of prefill in total;
-	// PrefixMisses counts follow-up turns (Turn > 0) admitted with no
-	// resident prefix — invalidated by a fault or eviction, never
-	// established, or held by a different replica.
-	PrefixHits   int64
-	PrefixMisses int64
-	ReusedTokens int64
-
-	// Duration is the virtual makespan of the run.
-	Duration time.Duration
-	// TTFT and E2E aggregate latency over all classes.
-	TTFT, E2E LatencySummary
-	// Classes is the per-client-class breakdown, sorted by class name.
-	Classes []ClassReport
-
-	// RetainedSamples counts the raw latency samples the report's digests
-	// (aggregate and per-class) still hold exactly; SketchedSamples counts
-	// the samples absorbed into fixed-size quantile sketches instead. Their
-	// split is the run's metrics-memory story: retained samples cost O(1)
-	// memory each, sketched samples cost nothing beyond the sketch.
-	RetainedSamples int64
-	SketchedSamples int64
-}
-
-// Utilization returns peak logical / peak used.
-func (r Report) Utilization() float64 {
-	if r.PeakUsed == 0 {
-		return 1
-	}
-	return float64(r.PeakLogical) / float64(r.PeakUsed)
-}
-
-// Class returns the report of the named class, or nil.
-func (r Report) Class(name string) *ClassReport {
-	for i := range r.Classes {
-		if r.Classes[i].Class == name {
-			return &r.Classes[i]
-		}
-	}
-	return nil
-}
-
 // track is the lifetime record of one input request across preemptions.
 // done is the completion time on the virtual clock; it doubles as the
 // completion marker (zero = still unfinished) because completions are
@@ -273,29 +148,13 @@ type waiting struct {
 // admission candidate is its minimum. The running batch keeps a
 // slice for deterministic step order plus `victims`, a tree ordered by
 // (aged rank asc, admitOrder desc) whose minimum is the preemption victim.
-// All three replace the linear rescans of the slice-based loop; the
-// selection rules are unchanged, so reports are identical.
 type server struct {
-	mgr        CacheManager
-	maxBatch   int
-	stepTime   time.Duration
-	prefillTok time.Duration
-	aging      time.Duration
-	timeout    time.Duration
-	shed       bool
-	onComplete func(Request)
+	mgr CacheManager
+	cfg ServerConfig // step costs resolved to their defaults
 
 	now time.Duration
 	rep Report
-
-	// Latency aggregation is streaming: completions feed the per-class and
-	// aggregate digests the moment they happen, so no per-request record
-	// outlives its request and report memory is bounded by ExactSamples,
-	// not by the stream length.
-	exactSamples int
-	classes      map[string]*classAgg
-	allTTFT      *latDigest
-	allE2E       *latDigest
+	tally
 
 	future  arrivalQueue
 	ready   *container.Tree[waiting]
@@ -313,21 +172,11 @@ type server struct {
 	// KV demand (dispatched tokens − doneTokens).
 	doneTokens int64
 
-	// prefixReuse gates the session residency model; resident maps a
-	// SessionID to the context tokens (prompt+output) of its last
-	// completed turn, nil when reuse is off. Point lookups and deletes
-	// only — the map is never ranged, so it stays outside every
-	// report-ordering path.
-	prefixReuse bool
-	resident    map[string]int
-
-	batchSum, wasteSum float64
-	classPreempt       map[string]int64
-	// classTokenSteps accumulates per-class KV token-steps in boxed cells
-	// so the per-step hot loop adds through a pointer cached on the active
-	// sequence instead of hashing the class name every step.
-	classTokenSteps map[string]*float64
-	totalTokenSteps float64
+	// resident maps a SessionID to the context tokens (prompt+output) of
+	// its last completed turn; nil when cfg.PrefixReuse is off. Point
+	// lookups and deletes only — the map is never ranged, so it stays
+	// outside every report-ordering path.
+	resident map[string]int
 }
 
 // rank is a request's effective scheduling priority with aging applied,
@@ -348,10 +197,10 @@ type server struct {
 // A requeued (preempted) request keeps its original ArrivalAt, so its age
 // keeps counting from first arrival across preemptions.
 func (s *server) rank(rec *track) int64 {
-	if s.aging <= 0 {
+	if s.cfg.Aging <= 0 {
 		return int64(rec.req.Priority)
 	}
-	return int64(rec.req.Priority)*int64(s.aging) - int64(rec.req.ArrivalAt)
+	return int64(rec.req.Priority)*int64(s.cfg.Aging) - int64(rec.req.ArrivalAt)
 }
 
 // victimLess is the preemption order: lowest aged rank first, then most
@@ -372,36 +221,34 @@ func (s *server) victimLess(a, b *active) bool {
 	return a.admitOrder > b.admitOrder
 }
 
-// newEmptyServer builds the loop with no requests enqueued; Serve fills it
-// via enqueue, the cluster dispatcher feeds it addRequest by addRequest.
-func newEmptyServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
+// validate checks one server configuration. where names the replica in a
+// cluster's pre-flight ("replica 2 ") and is empty for a single server.
+func (cfg ServerConfig) validate(where string) error {
 	if cfg.MaxBatch <= 0 {
-		return nil, fmt.Errorf("serve: max batch %d", cfg.MaxBatch)
+		return fmt.Errorf("serve: %smax batch %d", where, cfg.MaxBatch)
 	}
 	if cfg.StepTime < 0 || cfg.PrefillTokenTime < 0 || cfg.Aging < 0 || cfg.Timeout < 0 {
-		return nil, fmt.Errorf("serve: negative durations in config %+v", cfg)
+		return fmt.Errorf("serve: %snegative durations in config %+v", where, cfg)
 	}
 	if cfg.Shed && cfg.Timeout == 0 {
-		return nil, fmt.Errorf("serve: shed needs a timeout to shed against")
+		return fmt.Errorf("serve: shed needs a timeout to shed against")
 	}
-	limit := resolveExactSamples(cfg.ExactSamples)
-	s := &server{
-		mgr:             mgr,
-		maxBatch:        cfg.MaxBatch,
-		stepTime:        cfg.StepTime,
-		prefillTok:      cfg.PrefillTokenTime,
-		aging:           cfg.Aging,
-		timeout:         cfg.Timeout,
-		shed:            cfg.Shed,
-		onComplete:      cfg.OnComplete,
-		prefixReuse:     cfg.PrefixReuse,
-		exactSamples:    limit,
-		classes:         map[string]*classAgg{},
-		allTTFT:         newLatDigest(limit),
-		allE2E:          newLatDigest(limit),
-		classPreempt:    map[string]int64{},
-		classTokenSteps: map[string]*float64{},
+	return nil
+}
+
+// newEmptyServer builds the loop with nothing pending; Serve pushes its whole
+// input up front, the cluster scheduler places requests one by one.
+func newEmptyServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
+	if err := cfg.validate(""); err != nil {
+		return nil, err
 	}
+	if cfg.StepTime == 0 {
+		cfg.StepTime = DefaultStepTime
+	}
+	if cfg.PrefillTokenTime == 0 {
+		cfg.PrefillTokenTime = DefaultPrefillTokenTime
+	}
+	s := &server{mgr: mgr, cfg: cfg, tally: newTally(resolveExactSamples(cfg.ExactSamples))}
 	s.ready = container.NewTree[waiting](func(a, b waiting) bool {
 		if ra, rb := s.rank(a.rec), s.rank(b.rec); ra != rb {
 			return ra > rb
@@ -412,12 +259,6 @@ func newEmptyServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
 	if cfg.PrefixReuse {
 		s.resident = map[string]int{}
 	}
-	if s.stepTime == 0 {
-		s.stepTime = DefaultStepTime
-	}
-	if s.prefillTok == 0 {
-		s.prefillTok = DefaultPrefillTokenTime
-	}
 	return s, nil
 }
 
@@ -427,138 +268,33 @@ func newServer(reqs []Request, mgr CacheManager, cfg ServerConfig) (*server, err
 		return nil, err
 	}
 	for _, r := range reqs {
-		s.enqueue(&track{req: r})
+		s.push(waiting{rec: &track{req: r}, seq: s.ticket()}, 0)
 	}
 	return s, nil
 }
 
-// addRequest hands the server one request mid-run under an externally
-// assigned FIFO ticket. The cluster dispatcher tickets every request by its
-// input position and reserves the range [0, n) before the run (see
-// ServeCluster), so a single-replica cluster replays the exact ticket order
-// Serve's up-front enqueue produces — whatever order the input arrived in —
-// while requeued preemptions still draw fresh tickets above every external
-// one.
-func (s *server) addRequest(req Request, ticket int64) {
-	rec := &track{req: req}
-	w := waiting{rec: rec, seq: ticket}
-	if req.ArrivalAt > s.now {
-		s.future.push(w)
-	} else {
-		s.ready.Insert(w)
-	}
+// ticket draws a fresh FIFO ticket: behind everything already waiting here.
+func (s *server) ticket() int64 {
+	s.nextTkt++
+	return s.nextTkt - 1
 }
 
-// stealableExcess is how many ready (arrived, unadmitted) requests the
-// server holds beyond the batch slots it could still fill — the queued
-// backlog a work-stealing scheduler may re-dispatch. Requests that would be
-// admitted at the server's next event are not counted: stealing them could
-// only delay them.
-func (s *server) stealableExcess() int {
-	free := s.maxBatch - len(s.running)
-	if free < 0 {
-		free = 0
-	}
-	if e := s.ready.Len() - free; e > 0 {
-		return e
-	}
-	return 0
-}
-
-// stealWorstReady removes and returns the ready request the server would
-// admit last (lowest aged rank, then highest ticket) — the tail end a
-// work-stealing peer takes. The request's lifetime record leaves this
-// server's roster: it will be reported by whoever finally serves it.
-// Running sequences are never stolen.
-func (s *server) stealWorstReady() (waiting, bool) {
-	n := s.ready.Max()
-	if n == nil {
-		return waiting{}, false
-	}
-	w := n.Value
-	s.ready.Delete(n)
-	return w, true
-}
-
-// acceptStolen hands the server a request stolen from a peer at cluster
-// time at. The request keeps its FIFO ticket — the move is a late dispatch
-// decision, not a requeue — and the idle server's clock advances to the
-// steal instant, since before it the request was queued elsewhere.
-func (s *server) acceptStolen(w waiting, at time.Duration) {
+// push is the only way into the pending set: w joins `future` or `ready` by
+// its arrival time, under the FIFO ticket it carries — a fresh one (ticket)
+// for Serve's up-front input and for requeued work, the input position for a
+// cluster dispatch (the scheduler reserves [0, n) before the run, so a
+// single-replica cluster replays Serve's ticket order whatever order the
+// input arrived in), the old one for a queued request that merely moved.
+// at is the cluster instant of a hand-over — a steal or a re-dispatch — and
+// the receiver's clock advances to it, since before it the request was
+// queued elsewhere. An arrival-time dispatch passes 0 and leaves the clock
+// alone: a request dispatched to an idle server ahead of that server's
+// clock waits in `future`, invisible to stealing until the server gets there.
+func (s *server) push(w waiting, at time.Duration) {
 	if at > s.now {
 		s.now = at
 	}
 	if w.rec.req.ArrivalAt > s.now {
-		s.future.push(w)
-	} else {
-		s.ready.Insert(w)
-	}
-}
-
-// acceptRedispatch hands the server a request re-dispatched after a replica
-// crash. Recompute-from-scratch semantics, mirroring evict's requeue: the
-// sequence draws a fresh FIFO ticket (putting it behind everything already
-// waiting here), its full decode will be regenerated, and the lifetime
-// record keeps its first-token time — TTFT is preserved exactly when the
-// request had already streamed before the crash.
-func (s *server) acceptRedispatch(rec *track, at time.Duration) {
-	if at > s.now {
-		s.now = at
-	}
-	s.enqueue(rec)
-}
-
-// crash models the replica's host dying at cluster instant at: every
-// decoding sequence and queued request leaves the server and the cache
-// manager releases all KV. The returned slices — inflight in batch order,
-// queued in (rank, then arrival) order — are the scheduler's to re-dispatch
-// or abandon; the server itself keeps its report, digests and clock, ready
-// to be restarted empty.
-func (s *server) crash(at time.Duration) (inflight []*track, queued []waiting) {
-	if at > s.now {
-		s.now = at
-	}
-	for _, a := range s.running {
-		s.victims.Delete(a.node)
-		a.node = nil
-		s.mgr.Release(a.handle)
-		inflight = append(inflight, a.rec)
-	}
-	s.running = s.running[:0]
-	for {
-		n := s.ready.Min()
-		if n == nil {
-			break
-		}
-		queued = append(queued, n.Value)
-		s.ready.Delete(n)
-	}
-	for s.future.len() > 0 {
-		queued = append(queued, s.future.popMin())
-	}
-	// The crash lost the whole KV cache, session prefixes included: every
-	// residency entry goes at once, so post-restart follow-up turns miss.
-	if s.prefixReuse {
-		s.resident = map[string]int{}
-	}
-	s.rep.Crashes++
-	return inflight, queued
-}
-
-// restart reopens a crashed server, empty, at cluster instant at.
-func (s *server) restart(at time.Duration) {
-	if at > s.now {
-		s.now = at
-	}
-	s.rep.Restarts++
-}
-
-// enqueue adds rec to the pending set with a fresh FIFO ticket, routing it
-// by arrival time.
-func (s *server) enqueue(rec *track) {
-	w := waiting{rec: rec, seq: s.nextTkt}
-	s.nextTkt++
-	if rec.req.ArrivalAt > s.now {
 		s.future.push(w)
 	} else {
 		s.ready.Insert(w)
@@ -583,14 +319,14 @@ func (s *server) pendingLen() int { return s.future.len() + s.ready.Len() }
 // deadline is rec's absolute completion deadline; meaningful only when a
 // timeout is configured.
 func (s *server) deadline(rec *track) time.Duration {
-	return rec.req.ArrivalAt + s.timeout
+	return rec.req.ArrivalAt + s.cfg.Timeout
 }
 
 // minServiceTime is the provable floor on rec's remaining service: the cost
 // of prefilling its prompt and decoding every output token alone on an idle
 // server. Queueing, batching and preemption only add to it.
 func (s *server) minServiceTime(rec *track) time.Duration {
-	return time.Duration(rec.req.PromptLen)*s.prefillTok + time.Duration(rec.req.OutputLen)*s.stepTime
+	return time.Duration(rec.req.PromptLen)*s.cfg.PrefillTokenTime + time.Duration(rec.req.OutputLen)*s.cfg.StepTime
 }
 
 // drop removes a request that will never be served (expired or shed) from
@@ -614,20 +350,20 @@ func (s *server) drop(rec *track) {
 // fit even on an idle server.
 func (s *server) admit() (prefillTokens int64, err error) {
 	s.promoteArrivals()
-	for len(s.running) < s.maxBatch {
+	for len(s.running) < s.cfg.MaxBatch {
 		n := s.ready.Min()
 		if n == nil {
 			break
 		}
 		rec := n.Value.rec
-		if s.timeout > 0 {
+		if s.cfg.Timeout > 0 {
 			if s.now > s.deadline(rec) {
 				s.ready.Delete(n)
 				s.rep.DeadlineMisses++
 				s.drop(rec)
 				continue
 			}
-			if s.shed && s.now+s.minServiceTime(rec) > s.deadline(rec) {
+			if s.cfg.Shed && s.now+s.minServiceTime(rec) > s.deadline(rec) {
 				s.ready.Delete(n)
 				s.rep.Shed++
 				s.drop(rec)
@@ -665,7 +401,7 @@ func (s *server) admit() (prefillTokens int64, err error) {
 // its session's entry along with the KV.
 func (s *server) prefillNeed(req Request) int64 {
 	need := int64(req.PromptLen)
-	if !s.prefixReuse || req.SessionID == "" {
+	if !s.cfg.PrefixReuse || req.SessionID == "" {
 		return need
 	}
 	if res := int64(s.resident[req.SessionID]); res > 0 {
@@ -687,7 +423,7 @@ func (s *server) prefillNeed(req Request) int64 {
 // deadline aborts and sheds throw the shared prefix away, so the session's
 // next turn prefills in full.
 func (s *server) invalidateResident(sid string) {
-	if s.prefixReuse && sid != "" {
+	if s.cfg.PrefixReuse && sid != "" {
 		delete(s.resident, sid)
 	}
 }
@@ -738,7 +474,7 @@ func (s *server) evict(a *active) {
 	s.removeFromBatch(a)
 	s.mgr.Release(a.handle)
 	s.invalidateResident(a.rec.req.SessionID)
-	s.enqueue(a.rec)
+	s.push(waiting{rec: a.rec, seq: s.ticket()}, 0)
 }
 
 // preemptFor evicts a victim so keep can grow, or reports that no eligible
@@ -798,7 +534,7 @@ func (s *server) step(prefillTokens int64) error {
 		}
 		a.remaining--
 	}
-	s.now += s.stepTime + time.Duration(prefillTokens)*s.prefillTok
+	s.now += s.cfg.StepTime + time.Duration(prefillTokens)*s.cfg.PrefillTokenTime
 
 	if u := s.mgr.UsedBytes(); u > s.rep.PeakUsed {
 		s.rep.PeakUsed = u
@@ -825,15 +561,15 @@ func (s *server) step(prefillTokens int64) error {
 			s.recordCompletion(a.rec)
 			s.removeFromBatch(a)
 			s.mgr.Release(a.handle)
-			if s.prefixReuse && a.rec.req.SessionID != "" {
+			if s.cfg.PrefixReuse && a.rec.req.SessionID != "" {
 				// The completed turn's full context becomes the session's
 				// resident prefix for the follow-up turn.
 				s.resident[a.rec.req.SessionID] = tokens
 			}
-			if s.onComplete != nil {
-				s.onComplete(a.rec.req)
+			if s.cfg.OnComplete != nil {
+				s.cfg.OnComplete(a.rec.req)
 			}
-		} else if s.timeout > 0 && s.now > s.deadline(a.rec) {
+		} else if s.cfg.Timeout > 0 && s.now > s.deadline(a.rec) {
 			// The step crossed the sequence's deadline mid-decode: abort it
 			// rather than keep generating tokens nobody will wait for. It
 			// streamed a first token (set just above), so its TTFT survives
@@ -845,30 +581,6 @@ func (s *server) step(prefillTokens int64) error {
 		}
 	}
 	return nil
-}
-
-// tokenCell returns the class's boxed token-steps accumulator, creating it
-// on first sight. The box, not the map slot, is what admitted sequences
-// cache: it never moves, so the cached pointer survives map growth.
-func (s *server) tokenCell(name string) *float64 {
-	b := s.classTokenSteps[name]
-	if b == nil {
-		b = new(float64)
-		s.classTokenSteps[name] = b
-	}
-	return b
-}
-
-// classFor returns the streaming aggregation of rec's class, creating the
-// roster entry on first sight.
-func (s *server) classFor(rec *track) *classAgg {
-	name := rec.class()
-	a := s.classes[name]
-	if a == nil {
-		a = newClassAgg(rec.req.SLO, s.exactSamples)
-		s.classes[name] = a
-	}
-	return a
 }
 
 // recordCompletion feeds one completed request into the per-class and
@@ -886,24 +598,10 @@ func (s *server) recordCompletion(rec *track) {
 	a.e2e.add(e2e)
 	s.allTTFT.add(ttft)
 	s.allE2E.add(e2e)
-	if s.timeout > 0 && rec.done > s.deadline(rec) {
+	if s.cfg.Timeout > 0 && rec.done > s.deadline(rec) {
 		s.rep.DeadlineMisses++ // served, but past its deadline: not goodput
 	} else {
 		s.rep.Goodput++
-	}
-}
-
-// recordUnfinished folds a request the run never completed into the roster:
-// the class row exists (served count and samples untouched), and a request
-// preempted after streaming its first token still contributes its TTFT —
-// exactly what the old scan over retained records reported after a failed
-// run.
-func (s *server) recordUnfinished(rec *track) {
-	s.classFor(rec)
-	if rec.hasFirst {
-		ttft := rec.firstToken - rec.req.ArrivalAt
-		s.classFor(rec).ttft.add(ttft)
-		s.allTTFT.add(ttft)
 	}
 }
 
@@ -916,37 +614,16 @@ func (s *server) recordUnfinished(rec *track) {
 // Duration, Classes or percentile fields for the work that did happen.
 // finish must be called at most once: sealing feeds the digests.
 func (s *server) finish() {
-	if s.rep.Steps > 0 {
-		s.rep.MeanWaste = s.wasteSum / float64(s.rep.Steps)
-		s.rep.MeanBatch = s.batchSum / float64(s.rep.Steps)
-	}
 	s.rep.Duration = s.now
-	walk := func(n *container.Node[waiting]) bool {
+	s.future.ascend(func(w waiting) { s.recordUnfinished(w.rec) })
+	s.ready.Ascend(func(n *container.Node[waiting]) bool {
 		s.recordUnfinished(n.Value.rec)
 		return true
-	}
-	s.future.ascend(func(w waiting) { s.recordUnfinished(w.rec) })
-	s.ready.Ascend(walk)
+	})
 	for _, a := range s.running {
 		s.recordUnfinished(a.rec)
 	}
-	s.rep.Classes = classRows(s.classes, s.rep.Steps, s.classPreempt, s.classTokenSteps, s.totalTokenSteps)
-	s.rep.TTFT = s.allTTFT.summary()
-	s.rep.E2E = s.allE2E.summary()
-	s.rep.RetainedSamples, s.rep.SketchedSamples = digestFootprint(s.classes, s.allTTFT, s.allE2E)
-}
-
-// digestFootprint sums the retained-versus-sketched sample split over a
-// report's digests (aggregate plus per-class) — the peak-RSS proxy the
-// scale benchmark records.
-func digestFootprint(classes map[string]*classAgg, allTTFT, allE2E *latDigest) (retained, sketched int64) {
-	retained = allTTFT.retained() + allE2E.retained()
-	sketched = allTTFT.sketched() + allE2E.sketched()
-	for _, a := range classes {
-		retained += a.ttft.retained() + a.e2e.retained()
-		sketched += a.ttft.sketched() + a.e2e.sketched()
-	}
-	return retained, sketched
+	s.seal(&s.rep)
 }
 
 // nextEventTime is when the server can next make progress: now when it has
@@ -1002,77 +679,9 @@ func (s *server) runOnce() (more bool, err error) {
 // of whatever work completed before the failure.
 func (s *server) run() (Report, error) {
 	for {
-		more, err := s.runOnce()
-		if err != nil {
+		if more, err := s.runOnce(); err != nil || !more {
 			s.finish()
 			return s.rep, err
 		}
-		if !more {
-			s.finish()
-			return s.rep, nil
-		}
 	}
-}
-
-// Serve runs the requests to completion under continuous batching: admit
-// arrived requests while memory and the batch cap allow (highest priority
-// first), append one token per active sequence per step, release
-// completions, and — when a mid-decode Append hits the memory wall —
-// preempt the lowest-priority, most recently admitted other sequence and
-// requeue it in full (vLLM's recompute-preemption, made SLO-aware).
-// With ServerConfig.Aging set, "priority" throughout means the aged
-// effective priority — Priority + wait/Aging — so starved low-priority
-// requests eventually outrank fresh high-priority arrivals.
-//
-// The queues are indexed: pending requests live in arrival- and priority-
-// ordered red-black trees and the batch keeps a preemption-ordered tree, so
-// admission, the idle-jump and victim selection are O(log n) instead of the
-// per-step linear rescans a slice-based loop pays. On long backlogged
-// streams the loop's bookkeeping is O(total work · log n).
-//
-// Time is simulated on an internal virtual clock (see ServerConfig's step
-// costs); per-request arrival, first-token and completion times feed the
-// per-class TTFT/E2E percentiles in the report.
-func Serve(reqs []Request, mgr CacheManager, cfg ServerConfig) (Report, error) {
-	s, err := newServer(reqs, mgr, cfg)
-	if err != nil {
-		return Report{}, err
-	}
-	return s.run()
-}
-
-// classRows renders the streaming per-class aggregations into sorted rows.
-// The roster is exactly the set of classes that fed a digest (completions
-// plus finish's walk over unfinished requests), so the rows stay truthful
-// when a run is sealed mid-failure.
-func classRows(classes map[string]*classAgg, steps int, preempt map[string]int64, tokenSteps map[string]*float64, totalTokenSteps float64) []ClassReport {
-	names := make([]string, 0, len(classes))
-	for name := range classes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]ClassReport, 0, len(names))
-	for _, name := range names {
-		a := classes[name]
-		cr := ClassReport{
-			Class:       name,
-			SLO:         a.slo,
-			Served:      a.served,
-			Preemptions: preempt[name],
-			TTFT:        a.ttft.summary(),
-			E2E:         a.e2e.summary(),
-		}
-		var ts float64
-		if b := tokenSteps[name]; b != nil {
-			ts = *b
-		}
-		if steps > 0 {
-			cr.MeanKVTokens = ts / float64(steps)
-		}
-		if totalTokenSteps > 0 {
-			cr.KVShare = ts / totalTokenSteps
-		}
-		out = append(out, cr)
-	}
-	return out
 }
