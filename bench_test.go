@@ -1,7 +1,8 @@
-// Allocator micro-benchmarks: the host cost of the hot paths under the
-// paper's allocator, the simulated driver's page table and the caching
-// baseline. CI runs the GMLake*, DriverMapUnmap and CachingBestFit ones on
-// every push to show allocs/op; `go run ./benchmark` is the benchmark that
+// Micro-benchmarks: the host cost of the hot paths under the paper's
+// allocator, the simulated driver's page table and the caching baseline,
+// and of request-stream generation. CI runs the GMLake*, DriverMapUnmap,
+// CachingBestFit and Generate ones on every push to show allocs/op and
+// ns/request; `go run ./benchmark` is the benchmark that
 // performance claims rest on, and the tables of the paper's evaluation are
 // pinned by internal/harness/testdata/golden.
 package gmlake
@@ -16,6 +17,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/memalloc"
 	"repro/internal/model"
+	"repro/internal/servegen"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -258,5 +260,24 @@ func BenchmarkTrainerStep(b *testing.B) {
 		if err := tr.Step(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGenerate measures stream generation, the layer `go run
+// ./benchmark` reports as setup_s: 100k requests of a one-shot mix and of
+// the session mix per iteration. ns/request is the figure to watch; B/op
+// over 100k is the bytes per request TestGenerateAllocationBudget caps.
+func BenchmarkGenerate(b *testing.B) {
+	const n = 100_000
+	for _, mix := range []servegen.Mix{servegen.MixedBursty(), servegen.ChatSessions()} {
+		b.Run(mix.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mix.Generate(n, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/request")
+		})
 	}
 }

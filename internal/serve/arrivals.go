@@ -1,60 +1,153 @@
 package serve
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"time"
+)
 
-// arrivalQueue indexes not-yet-arrived requests by (ArrivalAt, ticket). On
-// every live path arrivals are already pushed in that order — Serve
-// pushes its input stream up front with ascending tickets and the cluster
-// dispatches each request at its arrival instant — so the queue is a flat
-// sorted cursor: push is an append, the minimum is a peek and promotion
-// advances the head, with none of the per-request node allocation and
-// rebalancing a tree pays on the O(n) stream. Sorted input is not part of
-// the API contract, though: a push that lands out of order marks the queue
-// dirty and the next read re-sorts the remaining entries once.
+// arrivalOrder is the order an input stream is released in: arrival time,
+// input order preserved among ties — so a request's input index doubles as
+// its FIFO ticket, in Serve and in the cluster alike. It returns the stable
+// permutation of input indexes, or nil when reqs is already non-decreasing
+// in ArrivalAt (every generated stream is; one pass, no allocation).
+func arrivalOrder(reqs []Request) []int {
+	if slices.IsSortedFunc(reqs, func(a, b Request) int { return cmp.Compare(a.ArrivalAt, b.ArrivalAt) }) {
+		return nil
+	}
+	order := make([]int, len(reqs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(reqs[i].ArrivalAt, reqs[j].ArrivalAt) })
+	return order
+}
+
+// inputCursor walks the caller's request slice in arrivalOrder without
+// copying it: the requests before next have been released, the rest are
+// read in place when their turn comes.
+type inputCursor struct {
+	reqs  []Request
+	order []int // arrivalOrder(reqs)
+	next  int
+}
+
+func newInputCursor(reqs []Request) inputCursor {
+	return inputCursor{reqs: reqs, order: arrivalOrder(reqs)}
+}
+
+// left is the number of requests not yet released.
+func (c *inputCursor) left() int { return len(c.reqs) - c.next }
+
+// index is the input index of the k-th request in arrival order.
+func (c *inputCursor) index(k int) int {
+	if c.order == nil {
+		return k
+	}
+	return c.order[k]
+}
+
+// head is the next request to release, with its input index; valid while
+// left() > 0.
+func (c *inputCursor) head() (int, *Request) {
+	i := c.index(c.next)
+	return i, &c.reqs[i]
+}
+
+// pop releases the head: the request gets its track here, and its input
+// index is its FIFO ticket.
+func (c *inputCursor) pop() waiting {
+	i, r := c.head()
+	c.next++
+	return waiting{rec: &track{req: r}, seq: int64(i)}
+}
+
+// each visits the requests not yet released, in arrival order.
+func (c *inputCursor) each(f func(*Request)) {
+	for k := c.next; k < len(c.reqs); k++ {
+		f(&c.reqs[c.index(k)])
+	}
+}
+
+// arrivalQueue indexes a server's not-yet-arrived requests by (ArrivalAt,
+// ticket), from two sources. input is Serve's whole stream, read in place:
+// no queue entry and no track exists for a request until it is promoted,
+// so the run's live heap follows the work in flight, not the stream length.
+// items are requests pushed one at a time — a cluster dispatch that runs
+// ahead of its replica's clock. Those arrive in queue order on every live
+// path, so the queue is a flat sorted cursor too: push is an append and
+// promotion advances the head, with none of the per-request node
+// allocation and rebalancing a tree pays. Sorted pushes are not part of the
+// contract, though: one that lands out of order marks the queue dirty and
+// the next read re-sorts the remaining entries once.
 type arrivalQueue struct {
+	input inputCursor
+
 	items []waiting
 	head  int
 	dirty bool
 }
 
-// less is the queue order: arrival time, then FIFO ticket.
-func (q *arrivalQueue) less(a, b waiting) bool {
-	if at, bt := a.rec.req.ArrivalAt, b.rec.req.ArrivalAt; at != bt {
-		return at < bt
+// compareArrival is the queue order: arrival time, then FIFO ticket.
+func compareArrival(a, b waiting) int {
+	if c := cmp.Compare(a.rec.req.ArrivalAt, b.rec.req.ArrivalAt); c != 0 {
+		return c
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
 
 func (q *arrivalQueue) push(w waiting) {
-	if n := len(q.items); !q.dirty && n > q.head && q.less(w, q.items[n-1]) {
+	if n := len(q.items); !q.dirty && n > q.head && compareArrival(w, q.items[n-1]) < 0 {
 		q.dirty = true
 	}
 	q.items = append(q.items, w)
 }
 
 func (q *arrivalQueue) sort() {
-	if !q.dirty {
-		return
+	if q.dirty {
+		slices.SortFunc(q.items[q.head:], compareArrival)
+		q.dirty = false
 	}
-	rest := q.items[q.head:]
-	sort.Slice(rest, func(i, j int) bool { return q.less(rest[i], rest[j]) })
-	q.dirty = false
 }
 
-// min peeks the earliest pending arrival.
-func (q *arrivalQueue) min() (waiting, bool) {
+// fromInput reports whether the earliest pending arrival is the input
+// cursor's head rather than a pushed item; the queue must not be empty.
+func (q *arrivalQueue) fromInput() bool {
 	if q.head == len(q.items) {
-		return waiting{}, false
+		return true
 	}
 	q.sort()
-	return q.items[q.head], true
+	if q.input.left() == 0 {
+		return false
+	}
+	i, r := q.input.head()
+	w := q.items[q.head]
+	if at := w.rec.req.ArrivalAt; r.ArrivalAt != at {
+		return r.ArrivalAt < at
+	}
+	return int64(i) < w.seq
 }
 
-// popMin removes and returns the earliest pending arrival. The vacated slot
-// is zeroed so the popped request's record is not pinned by the backing
-// array, and a fully drained queue recycles it.
+// peek is the earliest pending arrival time. It allocates nothing: the
+// callers that only ask when never materialise a track.
+func (q *arrivalQueue) peek() (time.Duration, bool) {
+	if q.len() == 0 {
+		return 0, false
+	}
+	if q.fromInput() {
+		_, r := q.input.head()
+		return r.ArrivalAt, true
+	}
+	return q.items[q.head].rec.req.ArrivalAt, true
+}
+
+// popMin removes and returns the earliest pending arrival. A vacated item
+// slot is zeroed so the popped request's record is not pinned by the backing
+// array, and fully drained items recycle it.
 func (q *arrivalQueue) popMin() waiting {
-	q.sort()
+	if q.fromInput() {
+		return q.input.pop()
+	}
 	w := q.items[q.head]
 	q.items[q.head] = waiting{}
 	q.head++
@@ -64,12 +157,15 @@ func (q *arrivalQueue) popMin() waiting {
 	return w
 }
 
-func (q *arrivalQueue) len() int { return len(q.items) - q.head }
+func (q *arrivalQueue) len() int { return q.input.left() + len(q.items) - q.head }
 
-// ascend visits the pending arrivals in queue order.
-func (q *arrivalQueue) ascend(f func(waiting)) {
+// each visits the tracks of the pending arrivals, each source in queue order,
+// pushed items first. An input request that never arrived is visited under
+// a throwaway track.
+func (q *arrivalQueue) each(f func(*track)) {
 	q.sort()
 	for _, w := range q.items[q.head:] {
-		f(w)
+		f(w.rec)
 	}
+	q.input.each(func(r *Request) { f(&track{req: r}) })
 }

@@ -304,9 +304,9 @@ func (cfg ClusterConfig) withDefaults() ClusterConfig {
 // input produces a byte-identical ClusterReport on every run. With one
 // replica (static, stealing off — or MinReplicas == MaxReplicas == 1) the
 // scheduler degenerates to exactly Serve's loop — dispatched requests carry
-// their input position as the FIFO ticket, replaying Serve's up-front
-// numbering whatever order the input arrived in — and the output is
-// identical to Serve's report.
+// their input position as the FIFO ticket, Serve's numbering, whatever
+// order the input arrived in — and the output is identical to Serve's
+// report. Like Serve, the scheduler reads reqs in place and never writes it.
 //
 // On a replica error (a request that fits nowhere, a stuck decode) the
 // partial reports of every replica are sealed and returned with the error;

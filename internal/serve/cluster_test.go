@@ -2,6 +2,7 @@ package serve
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -286,7 +287,7 @@ func TestClusterMergePercentilesFromRawSamples(t *testing.T) {
 		}
 		for i, l := range latencies {
 			s.recordCompletion(&track{
-				req:        Request{ID: i, Class: "c"},
+				req:        &Request{ID: i, Class: "c"},
 				hasFirst:   true,
 				firstToken: l,
 				done:       l,
@@ -360,40 +361,73 @@ func TestClusterSealsReportOnReplicaError(t *testing.T) {
 }
 
 // TestClusterSingleReplicaMatchesServeUnsortedInput: the equivalence
-// contract holds for input that is NOT arrival-sorted. Dispatched requests
-// carry their input position as the FIFO ticket, so same-priority requests
-// that end up waiting together are admitted in Serve's order (input order),
-// not cluster-queue order — with requeued preemptions tie-breaking above
-// both, all on a pool tight enough that the order is observable.
+// contract holds for input that is NOT arrival-sorted, where both sides read
+// the stream through arrivalOrder's permutation. Dispatched requests carry
+// their input position as the FIFO ticket, so same-priority requests that
+// end up waiting together — equal-ArrivalAt ties included — are admitted in
+// Serve's order (input order), not cluster-queue order, with requeued
+// preemptions tie-breaking above both, all on a pool tight enough that the
+// order is observable.
 func TestClusterSingleReplicaMatchesServeUnsortedInput(t *testing.T) {
-	reqs := []Request{
+	plain := []Request{
 		{ID: 0, Class: "a", PromptLen: 48, OutputLen: 120, ArrivalAt: 5 * time.Second},
 		{ID: 1, Class: "b", PromptLen: 48, OutputLen: 120},
 		{ID: 2, Class: "c", PromptLen: 48, OutputLen: 120, ArrivalAt: time.Second},
 		{ID: 3, Class: "d", PromptLen: 48, OutputLen: 120},
 	}
-	mk := func() CacheManager {
-		mgr, err := NewPagedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 16, 20)
-		if err != nil {
-			t.Fatal(err)
+	// Three-way ties at 0 s, 1 s and 5 s, input order scrambled against
+	// arrival order, one session whose follow-up turns embed their prefix.
+	var tied []Request
+	for i, at := range []time.Duration{5, 0, 1, 0, 1, 5, 1, 0, 5} {
+		r := Request{ID: i, Class: string(rune('a' + i%3)), Priority: i % 2, PromptLen: 48, OutputLen: 90 + 10*(i%4), ArrivalAt: at * time.Second}
+		if i%3 == 0 {
+			r.SessionID, r.Turn = "s", (i/3+2)%3 // turns 0, 1, 2 arrive at 0 s, 1 s, 5 s
+			r.PromptLen = 40 + 60*r.Turn
 		}
-		return mgr
+		tied = append(tied, r)
 	}
-	cfg := ServerConfig{MaxBatch: 4}
-	want, err := Serve(reqs, mk(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	if arrivalOrder(plain) == nil || arrivalOrder(tied) == nil {
+		t.Fatal("inputs are arrival-ordered; the permutation path is not exercised")
 	}
-	if want.Preemptions == 0 || want.BlockedSteps == 0 {
-		t.Fatalf("testbed too roomy to observe queueing order: %+v", want)
-	}
-	got, err := ServeCluster(reqs, func(int) CacheManager { return mk() },
-		ClusterConfig{Replicas: 1, Server: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Report, want) {
-		t.Fatalf("unsorted input diverged:\ncluster %+v\nserve   %+v", got.Report, want)
+	for _, tc := range []struct {
+		name     string
+		reqs     []Request
+		cfg      ServerConfig
+		observed func(Report) bool
+	}{
+		{"plain", plain, ServerConfig{MaxBatch: 4},
+			func(r Report) bool { return r.Preemptions > 0 && r.BlockedSteps > 0 }},
+		{"ties", tied, ServerConfig{MaxBatch: 4},
+			func(r Report) bool { return r.Preemptions > 0 && r.BlockedSteps > 0 }},
+		{"ties-timeout-reuse", tied, ServerConfig{MaxBatch: 4, Timeout: 9 * time.Second, PrefixReuse: true},
+			func(r Report) bool {
+				return r.BlockedSteps > 0 && r.DeadlineMisses > 0 && r.PrefixHits > 0 && r.Goodput > 0
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() CacheManager {
+				mgr, err := NewPagedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 16, 20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return mgr
+			}
+			want, err := Serve(tc.reqs, mk(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.observed(want) {
+				t.Fatalf("testbed does not make the queueing order observable: %+v", want)
+			}
+			got, err := ServeCluster(tc.reqs, func(int) CacheManager { return mk() },
+				ClusterConfig{Replicas: 1, Server: tc.cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Report, want) {
+				t.Fatalf("unsorted input diverged:\ncluster %+v\nserve   %+v", got.Report, want)
+			}
+		})
 	}
 }
 
@@ -420,5 +454,62 @@ func TestClusterSealKeepsUndispatchedClasses(t *testing.T) {
 	if !reflect.DeepEqual(rep.Report, want) {
 		t.Fatalf("sealed cluster report diverged from sealed Serve report:\ncluster %+v\nserve   %+v",
 			rep.Report, want)
+	}
+}
+
+// TestServeSealKeepsUnarrivedClasses: when a request that fits nowhere ends
+// the run, the requests behind it were never promoted out of Serve's input
+// cursor — no track, no queue entry — and must still join the sealed roster,
+// on arrival-ordered input and through the permutation alike.
+func TestServeSealKeepsUnarrivedClasses(t *testing.T) {
+	sorted := []Request{
+		{ID: 0, Class: "ok", PromptLen: 16, OutputLen: 4},
+		{ID: 1, Class: "huge", PromptLen: 100000, OutputLen: 4, ArrivalAt: 5 * time.Second},
+		{ID: 2, Class: "late", SLO: "batch", PromptLen: 16, OutputLen: 4, ArrivalAt: 10 * time.Second},
+		{ID: 3, Class: "later", PromptLen: 16, OutputLen: 4, ArrivalAt: 20 * time.Second},
+	}
+	scrambled := []Request{sorted[3], sorted[1], sorted[0], sorted[2]}
+	for _, reqs := range [][]Request{sorted, scrambled} {
+		rep, err := Serve(reqs, NewChunkedKV(newServeAlloc(sim.GiB/4), model.OPT1_3B, 64), ServerConfig{MaxBatch: 2})
+		if err == nil || !strings.Contains(err.Error(), "request 1 does not fit even alone") {
+			t.Fatalf("err = %v, want request 1 not fitting", err)
+		}
+		if rep.Served != 1 || len(rep.Classes) != len(reqs) {
+			t.Fatalf("sealed roster lost input requests: served %d, classes %+v", rep.Served, rep.Classes)
+		}
+		for _, r := range reqs {
+			c := rep.Class(r.Class)
+			if c == nil || c.SLO != r.SLO || (c.Served != 0) != (r.Class == "ok") {
+				t.Fatalf("class %q in the sealed roster: %+v", r.Class, c)
+			}
+		}
+	}
+}
+
+// TestArrivalQueueMergesSources drives the queue with both sources live —
+// an input cursor and out-of-order pushes, which no Serve or cluster run
+// combines — against the (ArrivalAt, ticket) order it documents.
+func TestArrivalQueueMergesSources(t *testing.T) {
+	at := func(s int) time.Duration { return time.Duration(s) * time.Second }
+	input := []Request{{ArrivalAt: at(4)}, {ArrivalAt: at(1)}, {ArrivalAt: at(4)}, {ArrivalAt: at(9)}}
+	q := arrivalQueue{input: newInputCursor(input)}
+	for i, s := range []int{9, 4, 0, 6} {
+		q.push(waiting{rec: &track{req: &Request{ArrivalAt: at(s)}}, seq: int64(10 + i)})
+	}
+	var got [][2]int64
+	for q.len() > 0 {
+		peeked, ok := q.peek()
+		w := q.popMin()
+		if !ok || peeked != w.rec.req.ArrivalAt {
+			t.Fatalf("peek %v/%v before popping %+v", peeked, ok, w.rec.req)
+		}
+		got = append(got, [2]int64{int64(w.rec.req.ArrivalAt / time.Second), w.seq})
+	}
+	want := [][2]int64{{0, 12}, {1, 1}, {4, 0}, {4, 2}, {4, 11}, {6, 13}, {9, 3}, {9, 10}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pop order (seconds, ticket)\n got %v\nwant %v", got, want)
+	}
+	if _, ok := q.peek(); ok {
+		t.Fatal("peek on a drained queue")
 	}
 }

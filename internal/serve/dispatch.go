@@ -218,7 +218,7 @@ func (c *clusterSched) trySteal() bool {
 	// reservation is released immediately either way.
 	from, to := c.fleet[victim], c.fleet[thief]
 	cand := from.srv.ready.Max() // the victim's excess is ready work: never nil
-	h, err := to.srv.mgr.Admit(cand.Value.rec.req)
+	h, err := to.srv.mgr.Admit(*cand.Value.rec.req)
 	if err != nil {
 		return false
 	}

@@ -453,8 +453,7 @@ func (s *server) crash(at time.Duration) (inflight []*track, queued []waiting) {
 		s.now = at
 	}
 	for _, a := range s.running {
-		s.victims.Delete(a.node)
-		a.node = nil
+		s.victims.Delete(&a.node)
 		s.mgr.Release(a.handle)
 		inflight = append(inflight, a.rec)
 	}

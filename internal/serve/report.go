@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -21,7 +22,7 @@ func summarize(samples []time.Duration) LatencySummary {
 	if len(samples) == 0 {
 		return LatencySummary{}
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	slices.Sort(samples)
 	at := func(pct int) time.Duration {
 		return samples[(len(samples)*pct+99)/100-1]
 	}
@@ -286,7 +287,7 @@ func mergeReports(replicas []*server, undispatched []Request) Report {
 	// cover capacity and batch only), so replica 0's limit is the cluster's.
 	t := newTally(replicas[0].limit)
 	for i := range undispatched {
-		t.classFor(&track{req: undispatched[i]})
+		t.classFor(&track{req: &undispatched[i]})
 	}
 	for _, s := range replicas {
 		m.Served += s.rep.Served

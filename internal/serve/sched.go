@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/container"
@@ -82,11 +81,12 @@ const (
 type clusterSched struct {
 	cfg    ClusterConfig // validated, defaults resolved
 	newMgr func(int) CacheManager
-	reqs   []Request
-	queue  []int // input indexes in arrival order
-	qi     int
-	now    time.Duration // monotonic cluster event clock
-	fleet  []*clusterReplica
+	// queue is the cluster admission queue: the input stream in arrival
+	// order. Dispatch releases requests in this order but tickets them by
+	// input index, matching Serve's numbering.
+	queue inputCursor
+	now   time.Duration // monotonic cluster event clock
+	fleet []*clusterReplica
 
 	// events is the single global event spine: one (next-event time,
 	// replica) entry per replica with work, min-ordered by (time, index), so
@@ -108,7 +108,7 @@ func newClusterSched(reqs []Request, newMgr func(int) CacheManager, cfg ClusterC
 	c := &clusterSched{
 		cfg:      cfg,
 		newMgr:   newMgr,
-		reqs:     reqs,
+		queue:    newInputCursor(reqs),
 		dispatch: dispatcher{policy: cfg.Dispatch, base: cfg.AffinityBase},
 		scaler:   scaler{peakReplicas: initial},
 		events: container.NewHeap[repEvent](func(a, b repEvent) bool {
@@ -135,17 +135,6 @@ func newClusterSched(reqs []Request, newMgr func(int) CacheManager, cfg ClusterC
 		}
 	}
 
-	// The cluster admission queue: input indexes in arrival-time order,
-	// input order preserved among ties. Dispatch releases requests in this
-	// order but tickets them by input index, matching Serve's numbering.
-	c.queue = make([]int, len(reqs))
-	for i := range c.queue {
-		c.queue[i] = i
-	}
-	sort.SliceStable(c.queue, func(i, j int) bool {
-		return reqs[c.queue[i]].ArrivalAt < reqs[c.queue[j]].ArrivalAt
-	})
-
 	for i := 0; i < initial; i++ {
 		if err := c.spawn(); err != nil {
 			return nil, err
@@ -164,9 +153,9 @@ func (c *clusterSched) spawn() error {
 		return err
 	}
 	// Reserve the global ticket range [0, len(reqs)) for dispatched
-	// requests; requeued preemptions draw above it, exactly as Serve's
-	// up-front numbering would have placed them.
-	s.nextTkt = int64(len(c.reqs))
+	// requests; requeued preemptions draw above it, exactly where Serve's
+	// numbering (newServer) places them.
+	s.nextTkt = int64(len(c.queue.reqs))
 	w := c.cfg.resolveOverride(i).Capacity
 	if w == 0 {
 		w = 1
@@ -235,7 +224,7 @@ func (c *clusterSched) nextStep() (at time.Duration, ri int) {
 // restart or a scale-up.
 func (c *clusterSched) next() (src evSource, at time.Duration, ri int) {
 	tStep, ri := c.nextStep()
-	if ri == -1 && c.qi == len(c.queue) && c.recovery.poolLen() == 0 {
+	if ri == -1 && c.queue.left() == 0 && c.recovery.poolLen() == 0 {
 		return evNone, 0, -1 // drained; fault events past the last work are moot
 	}
 	if c.recovery != nil {
@@ -248,9 +237,9 @@ func (c *clusterSched) next() (src evSource, at time.Duration, ri int) {
 			}
 		}
 	}
-	if c.qi < len(c.queue) {
-		if t := c.reqs[c.queue[c.qi]].ArrivalAt; src == evNone || t < at {
-			src, at = evArrival, t
+	if c.queue.left() > 0 {
+		if _, r := c.queue.head(); src == evNone || r.ArrivalAt < at {
+			src, at = evArrival, r.ArrivalAt
 		}
 	}
 	if ri != -1 && (src == evNone || tStep < at) {
@@ -284,15 +273,14 @@ func (c *clusterSched) run() (ClusterReport, error) {
 			// parked arrivals, a recompute requeue for retried in-flight ones.
 			e := c.recovery.pool.Pop()
 			c.scaler.evaluate(c)
-			to := c.dispatch.pick(c.fleet, e.w.rec.req)
+			to := c.dispatch.pick(c.fleet, *e.w.rec.req)
 			if e.w.seq == freshTicket {
 				e.w.seq = c.fleet[to].srv.ticket()
 			}
 			c.place(to, e.w, c.now)
 		case evArrival:
 			c.scaler.evaluate(c)
-			w := waiting{rec: &track{req: c.reqs[c.queue[c.qi]]}, seq: int64(c.queue[c.qi])}
-			c.qi++
+			w := c.queue.pop()
 			if c.recovery != nil && c.activeCount() == 0 {
 				// Every replica is down (or draining): park the arrival in
 				// the pool — no retry consumed — until a restart or a
@@ -300,7 +288,7 @@ func (c *clusterSched) run() (ClusterReport, error) {
 				c.recovery.park(w, w.rec.req.ArrivalAt)
 				continue
 			}
-			to := c.dispatch.pick(c.fleet, w.rec.req)
+			to := c.dispatch.pick(c.fleet, *w.rec.req)
 			c.fleet[to].assigned++
 			c.place(to, w, 0)
 		case evStep:
@@ -370,12 +358,10 @@ func (c *clusterSched) seal(err error) (ClusterReport, error) {
 	// first) still belong in the merged roster, unserved — as do requests
 	// stranded in the re-dispatch pool (error paths only: a completed run
 	// drains it).
-	undispatched := make([]Request, 0, len(c.queue)-c.qi+c.recovery.poolLen())
-	for _, idx := range c.queue[c.qi:] {
-		undispatched = append(undispatched, c.reqs[idx])
-	}
+	undispatched := make([]Request, 0, c.queue.left()+c.recovery.poolLen())
+	c.queue.each(func(r *Request) { undispatched = append(undispatched, *r) })
 	for c.recovery.poolLen() > 0 {
-		undispatched = append(undispatched, c.recovery.pool.Pop().w.rec.req)
+		undispatched = append(undispatched, *c.recovery.pool.Pop().w.rec.req)
 	}
 	if c.recovery != nil {
 		rep.Retries, rep.Lost = c.recovery.retries, c.recovery.lost

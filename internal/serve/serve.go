@@ -189,12 +189,14 @@ func GenRequests(n int, cfg GenConfig, seed uint64) ([]Request, error) {
 // effective priority — Priority + wait/Aging — so starved low-priority
 // requests eventually outrank fresh high-priority arrivals.
 //
-// The queues are indexed (see server): not-yet-arrived requests sit in a flat
-// arrival-ordered cursor, arrived ones in a priority-ordered tree and the
-// batch keeps a preemption-ordered tree, so admission, the idle-jump and
-// victim selection are O(log n) instead of the per-step linear rescans a
-// slice-based loop pays. On long backlogged streams the loop's bookkeeping
-// is O(total work · log n).
+// The queues are indexed (see server): not-yet-arrived requests are read in
+// place from reqs through an arrival-ordered cursor (reqs need not be sorted,
+// is not written, and must not change during the call), arrived ones sit in
+// a priority-ordered tree and the batch keeps a preemption-ordered tree, so
+// admission, the idle-jump and victim selection are O(log n) instead of the
+// per-step linear rescans a slice-based loop pays, and host memory beyond
+// reqs itself follows the work in flight, not the stream length. On long
+// backlogged streams the loop's bookkeeping is O(total work · log n).
 //
 // Time is simulated on an internal virtual clock (see ServerConfig's step
 // costs); per-request arrival, first-token and completion times feed the

@@ -91,12 +91,20 @@ type ServerConfig struct {
 	PrefixReuse bool
 }
 
-// track is the lifetime record of one input request across preemptions.
+// track is the lifetime record of one input request across preemptions,
+// created when the request first arrives at a server: promoted out of
+// Serve's input cursor, or dispatched by the cluster scheduler.
 // done is the completion time on the virtual clock; it doubles as the
 // completion marker (zero = still unfinished) because completions are
 // recorded strictly after the clock advanced past the first step.
 type track struct {
-	req        Request
+	// req points into the run's input slice, which Serve and ServeCluster
+	// read in place and never write.
+	req *Request
+	// node links the request into a server's ready index under the ticket
+	// it waits with — embedded, so queueing allocates nothing however often
+	// the request is preempted, stolen or re-dispatched.
+	node       container.Node[waiting]
 	firstToken time.Duration
 	hasFirst   bool
 	done       time.Duration
@@ -118,9 +126,9 @@ type active struct {
 	handle     SeqHandle
 	remaining  int
 	admitOrder int64
-	// node is the sequence's handle in the victim-ordered running index;
-	// nil once the sequence has left the batch.
-	node *container.Node[*active]
+	// node links the sequence into the victim-ordered running index while
+	// it is in the batch.
+	node container.Node[*active]
 	// tokenBox is the server's boxed per-class token-steps accumulator,
 	// resolved once at admission so the per-step add skips the map.
 	tokenBox *float64
@@ -141,8 +149,9 @@ type waiting struct {
 
 // server is the continuous-batching loop with its indexed queues. The
 // pending set is split by arrival: `future` is a flat cursor over
-// not-yet-arrived requests in (ArrivalAt, ticket) order (see arrivalQueue)
-// so promotion and the idle-jump are O(1) peeks, and `ready` is a tree
+// not-yet-arrived requests in (ArrivalAt, ticket) order — for Serve, over
+// the caller's slice itself (see arrivalQueue) — so promotion and the
+// idle-jump are O(1) peeks, and `ready` is a tree
 // ordering arrived-unadmitted requests by (aged rank desc, ticket asc)
 // — the aged rank is the static priority when aging is off — so the
 // admission candidate is its minimum. The running batch keeps a
@@ -236,8 +245,8 @@ func (cfg ServerConfig) validate(where string) error {
 	return nil
 }
 
-// newEmptyServer builds the loop with nothing pending; Serve pushes its whole
-// input up front, the cluster scheduler places requests one by one.
+// newEmptyServer builds the loop with nothing pending; the cluster scheduler
+// places requests one by one.
 func newEmptyServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
 	if err := cfg.validate(""); err != nil {
 		return nil, err
@@ -262,14 +271,17 @@ func newEmptyServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
 	return s, nil
 }
 
+// newServer builds the loop over Serve's input, which it reads in place:
+// the whole stream is `future`, ticketed by input index, and nothing is
+// allocated per request until it arrives. Requeued preemptions draw their
+// tickets above the input's.
 func newServer(reqs []Request, mgr CacheManager, cfg ServerConfig) (*server, error) {
 	s, err := newEmptyServer(mgr, cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range reqs {
-		s.push(waiting{rec: &track{req: r}, seq: s.ticket()}, 0)
-	}
+	s.future.input = newInputCursor(reqs)
+	s.nextTkt = int64(len(reqs))
 	return s, nil
 }
 
@@ -279,10 +291,10 @@ func (s *server) ticket() int64 {
 	return s.nextTkt - 1
 }
 
-// push is the only way into the pending set: w joins `future` or `ready` by
-// its arrival time, under the FIFO ticket it carries — a fresh one (ticket)
-// for Serve's up-front input and for requeued work, the input position for a
-// cluster dispatch (the scheduler reserves [0, n) before the run, so a
+// push is the only way into the pending set for a request that has a track:
+// w joins `future` or `ready` by its arrival time, under the FIFO ticket it
+// carries — a fresh one (ticket) for requeued work, the input position for
+// a cluster dispatch (the scheduler reserves [0, n) before the run, so a
 // single-replica cluster replays Serve's ticket order whatever order the
 // input arrived in), the old one for a queued request that merely moved.
 // at is the cluster instant of a hand-over — a steal or a re-dispatch — and
@@ -297,19 +309,25 @@ func (s *server) push(w waiting, at time.Duration) {
 	if w.rec.req.ArrivalAt > s.now {
 		s.future.push(w)
 	} else {
-		s.ready.Insert(w)
+		s.enqueue(w)
 	}
+}
+
+// enqueue links an arrived request into the ready index through its own node.
+func (s *server) enqueue(w waiting) {
+	w.rec.node.Value = w
+	s.ready.InsertNode(&w.rec.node)
 }
 
 // promoteArrivals moves every request whose arrival time has passed from
 // the future queue into the ready index, keeping its ticket.
 func (s *server) promoteArrivals() {
 	for {
-		w, ok := s.future.min()
-		if !ok || w.rec.req.ArrivalAt > s.now {
+		at, ok := s.future.peek()
+		if !ok || at > s.now {
 			return
 		}
-		s.ready.Insert(s.future.popMin())
+		s.enqueue(s.future.popMin())
 	}
 }
 
@@ -370,7 +388,7 @@ func (s *server) admit() (prefillTokens int64, err error) {
 				continue
 			}
 		}
-		h, err := s.mgr.Admit(rec.req)
+		h, err := s.mgr.Admit(*rec.req)
 		if err != nil {
 			s.rep.BlockedSteps++
 			if !rec.deferred {
@@ -386,9 +404,10 @@ func (s *server) admit() (prefillTokens int64, err error) {
 		s.admitSeq++
 		a := &active{rec: rec, handle: h, remaining: rec.req.OutputLen, admitOrder: s.admitSeq}
 		a.tokenBox = s.tokenCell(rec.class())
-		a.node = s.victims.Insert(a)
+		a.node.Value = a
+		s.victims.InsertNode(&a.node)
 		s.running = append(s.running, a)
-		prefillTokens += s.prefillNeed(rec.req)
+		prefillTokens += s.prefillNeed(*rec.req)
 	}
 	return prefillTokens, nil
 }
@@ -439,13 +458,13 @@ func (s *server) hasResident(sid string) bool {
 // jumpToNextArrival advances the idle server's clock to the next pending
 // arrival.
 func (s *server) jumpToNextArrival() error {
-	w, ok := s.future.min()
+	at, ok := s.future.peek()
 	if !ok {
 		// Unreachable: an arrived request on an idle server is either
 		// admitted or fails hard in admit.
 		return fmt.Errorf("serve: idle with %d arrived requests unadmitted", s.ready.Len())
 	}
-	if at := w.rec.req.ArrivalAt; at > s.now {
+	if at > s.now {
 		s.now = at
 	}
 	return nil
@@ -453,8 +472,7 @@ func (s *server) jumpToNextArrival() error {
 
 // removeFromBatch takes a out of the running set (slice and victim index).
 func (s *server) removeFromBatch(a *active) {
-	s.victims.Delete(a.node)
-	a.node = nil
+	s.victims.Delete(&a.node)
 	for i, v := range s.running {
 		if v == a {
 			s.running = append(s.running[:i], s.running[i+1:]...)
@@ -567,7 +585,7 @@ func (s *server) step(prefillTokens int64) error {
 				s.resident[a.rec.req.SessionID] = tokens
 			}
 			if s.cfg.OnComplete != nil {
-				s.cfg.OnComplete(a.rec.req)
+				s.cfg.OnComplete(*a.rec.req)
 			}
 		} else if s.cfg.Timeout > 0 && s.now > s.deadline(a.rec) {
 			// The step crossed the sequence's deadline mid-decode: abort it
@@ -615,7 +633,7 @@ func (s *server) recordCompletion(rec *track) {
 // finish must be called at most once: sealing feeds the digests.
 func (s *server) finish() {
 	s.rep.Duration = s.now
-	s.future.ascend(func(w waiting) { s.recordUnfinished(w.rec) })
+	s.future.each(s.recordUnfinished)
 	s.ready.Ascend(func(n *container.Node[waiting]) bool {
 		s.recordUnfinished(n.Value.rec)
 		return true
@@ -634,12 +652,8 @@ func (s *server) nextEventTime() (at time.Duration, ok bool) {
 	if len(s.running) > 0 || s.ready.Len() > 0 {
 		return s.now, true
 	}
-	if w, ok := s.future.min(); ok {
-		at = w.rec.req.ArrivalAt
-		if at < s.now {
-			at = s.now
-		}
-		return at, true
+	if at, ok := s.future.peek(); ok {
+		return max(at, s.now), true
 	}
 	return 0, false
 }

@@ -346,7 +346,7 @@ func TestTTFTPreservedAcrossPreemption(t *testing.T) {
 			seeFirst(n.Value.rec)
 			return true
 		})
-		s.future.ascend(func(w waiting) { seeFirst(w.rec) })
+		s.future.each(seeFirst)
 		// A record with a first token sitting in the pending set again was
 		// preempted after it started streaming.
 		s.ready.Ascend(func(n *container.Node[waiting]) bool {

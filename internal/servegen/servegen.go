@@ -25,6 +25,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/container"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
@@ -518,14 +519,31 @@ func (m Mix) WithBurstCV(cv float64) Mix {
 // a byte-identical stream; the per-class sub-streams are seeded
 // independently, so adding a class does not perturb the others' draws.
 //
+// The stream is the k-way merge of the classes' sub-streams under the total
+// order (ArrivalAt, class index, session index, turn), cut at n. Only what
+// is served is sampled: a request's lengths are drawn when it becomes its
+// class's head, a session is expanded when the merge frontier reaches its
+// start. Arrival times are the exception — every class still draws all n
+// of them up front, because a class draws its lengths from the same RNG
+// *after* its n arrivals; skipping arrival draws would change every stream.
+// Generation therefore holds 8 B × n × classes of arrival times, not
+// O(clients). n arrivals per class always cover the merged first-n horizon:
+// a lower-rate class spreads its n draws over a longer span.
+//
 // A session class's arrival process produces session starts rather than
 // individual requests: each start expands into that session's turns (same
 // SessionID, consecutive Turn numbers, think-time gaps, growing prompt —
 // see SessionProfile), so the class contributes its sessions' turns to the
-// merge. Turn arrivals are strictly increasing within a session and the
-// merge sort is stable, so the first-n truncation always keeps a prefix of
-// each session's turns — a turn never appears without its predecessors.
-// A mix with no session classes draws exactly the sequence it always did.
+// merge. Turn arrivals are strictly increasing within a session, so the
+// first-n truncation always keeps a prefix of each session's turns — a turn
+// never appears without its predecessors. A mix with no session classes
+// draws exactly the sequence it always did.
+//
+// The merge needs each class's arrival times non-decreasing, which every
+// arrival process guarantees by construction up to float rounding (on-off
+// folds cumulative on-time with a floor and a mod that must agree at cycle
+// boundaries); a class that breaks it is an error, never a mis-ordered
+// stream.
 func (m Mix) Generate(n int, seed uint64) ([]serve.Request, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("servegen: %d requests", n)
@@ -539,35 +557,117 @@ func (m Mix) Generate(n int, seed uint64) ([]serve.Request, error) {
 	}
 
 	// Each class draws its sub-stream from its own splitmix-derived seed.
-	// n arrivals per class always cover the merged first-n horizon: a
-	// lower-rate class spreads its n draws over a longer span.
 	root := sim.NewRNG(seed)
-	var all []serve.Request
-	for _, c := range m.Classes {
+	streams := make([]classStream, len(m.Classes))
+	for k := range m.Classes {
+		c := &m.Classes[k]
 		rng := sim.NewRNG(root.Uint64())
-		rate := m.Rate * c.Share / totalShare
-		times := c.Arrival.arrivals(rng, rate, n)
+		times := c.Arrival.arrivals(rng, m.Rate*c.Share/totalShare, n)
+		if i := firstDisorder(times); i >= 0 {
+			return nil, fmt.Errorf("servegen: class %q arrival %d at %gs is out of order (after %gs)", c.Name, i, times[i], times[i-1])
+		}
+		streams[k] = classStream{class: c, rng: rng, times: times}
 		if c.Sessions != nil {
-			for si, at := range times {
-				all = append(all, c.Sessions.expand(rng, c, si, at)...)
+			streams[k].turns = container.NewHeap(turnLess)
+		}
+		streams[k].advance()
+	}
+
+	out := make([]serve.Request, n)
+	for i := range out {
+		// The strict comparison leaves ties to the lowest class index.
+		best := &streams[0]
+		for k := 1; k < len(streams); k++ {
+			if s := &streams[k]; !best.ok || (s.ok && s.head.ArrivalAt < best.head.ArrivalAt) {
+				best = s
 			}
-			continue
 		}
-		for _, at := range times {
-			all = append(all, serve.Request{
-				Class:     c.Name,
-				SLO:       c.SLO,
-				Priority:  SLOPriority(c.SLO),
-				ArrivalAt: time.Duration(at * float64(time.Second)),
-				PromptLen: c.Prompt.sample(rng),
-				OutputLen: c.Output.sample(rng),
-			})
+		out[i] = best.head
+		out[i].ID = i
+		best.advance()
+	}
+	return out, nil
+}
+
+// firstDisorder returns the first index whose arrival time is not at or
+// after its predecessor's (NaN included), or -1 when times is non-decreasing.
+func firstDisorder(times []float64) int {
+	for i := 1; i < len(times); i++ {
+		if !(times[i] >= times[i-1]) {
+			return i
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].ArrivalAt < all[j].ArrivalAt })
-	all = all[:n]
-	for i := range all {
-		all[i].ID = i
+	return -1
+}
+
+// classStream is one class's sub-stream, sampled lazily in the order the
+// eager generator drew it: arrival by arrival for a one-shot class, session
+// by session for a session class. head is the class's earliest request not
+// yet merged, valid while ok.
+type classStream struct {
+	class *ClientClass
+	rng   *sim.RNG
+	times []float64 // all n arrival draws, non-decreasing
+	next  int       // first arrival not yet sampled
+	head  serve.Request
+	ok    bool
+
+	// turns holds a session class's expanded, not yet merged turns, minimum
+	// under turnLess first (nil for a one-shot class). Sessions overlap, so a
+	// later session's turn 0 can precede an earlier session's turn 3.
+	turns *container.Heap[sessionTurn]
+}
+
+// sessionTurn is one pending turn with the session index that orders it
+// against a same-instant turn of another session.
+type sessionTurn struct {
+	req serve.Request
+	si  int
+}
+
+// turnLess is the order of a session class's buffer under a stable sort by
+// arrival: (ArrivalAt, session index, turn).
+func turnLess(a, b sessionTurn) bool {
+	if a.req.ArrivalAt != b.req.ArrivalAt {
+		return a.req.ArrivalAt < b.req.ArrivalAt
 	}
-	return all, nil
+	if a.si != b.si {
+		return a.si < b.si
+	}
+	return a.req.Turn < b.req.Turn
+}
+
+// arrivalAt converts an arrival draw to the virtual clock.
+func arrivalAt(sec float64) time.Duration { return time.Duration(sec * float64(time.Second)) }
+
+// advance samples the class's next head, or clears ok when its n arrivals
+// are used up.
+func (s *classStream) advance() {
+	c := s.class
+	if c.Sessions == nil {
+		if s.ok = s.next < len(s.times); !s.ok {
+			return
+		}
+		s.head = serve.Request{
+			Class:     c.Name,
+			SLO:       c.SLO,
+			Priority:  SLOPriority(c.SLO),
+			ArrivalAt: arrivalAt(s.times[s.next]),
+			PromptLen: c.Prompt.sample(s.rng),
+			OutputLen: c.Output.sample(s.rng),
+		}
+		s.next++
+		return
+	}
+	// Expand every session that starts before the earliest pending turn; one
+	// starting at the same instant has the higher session index and waits.
+	for s.next < len(s.times) && (s.turns.Len() == 0 || arrivalAt(s.times[s.next]) < s.turns.Peek().req.ArrivalAt) {
+		for _, r := range c.Sessions.expand(s.rng, *c, s.next, s.times[s.next]) {
+			s.turns.Push(sessionTurn{req: r, si: s.next})
+		}
+		s.next++
+	}
+	if s.ok = s.turns.Len() > 0; s.ok {
+		s.head = s.turns.Pop().req
+	}
 }

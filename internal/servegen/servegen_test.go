@@ -3,9 +3,13 @@ package servegen
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -404,5 +408,207 @@ func TestOnOffCycleBoundary(t *testing.T) {
 	}
 	if boundaries < 3 {
 		t.Fatalf("stream crossed only %d cycle boundaries; boundary seam untested", boundaries)
+	}
+}
+
+// referenceGenerate is the eager generator Generate replaced, kept as the
+// test-only specification of the stream: materialise every class's n
+// arrivals (a session class: all n sessions' turns) class-major in one
+// buffer, stable-sort it by arrival, keep the first n. The stable sort over
+// the class-major buffer is where the total order (ArrivalAt, class index,
+// session index, turn) comes from.
+func referenceGenerate(m Mix, n int, seed uint64) []serve.Request {
+	var totalShare float64
+	for _, c := range m.Classes {
+		totalShare += c.Share
+	}
+	root := sim.NewRNG(seed)
+	var all []serve.Request
+	for _, c := range m.Classes {
+		rng := sim.NewRNG(root.Uint64())
+		rate := m.Rate * c.Share / totalShare
+		times := c.Arrival.arrivals(rng, rate, n)
+		if c.Sessions != nil {
+			for si, at := range times {
+				all = append(all, c.Sessions.expand(rng, c, si, at)...)
+			}
+			continue
+		}
+		for _, at := range times {
+			all = append(all, serve.Request{
+				Class:     c.Name,
+				SLO:       c.SLO,
+				Priority:  SLOPriority(c.SLO),
+				ArrivalAt: time.Duration(at * float64(time.Second)),
+				PromptLen: c.Prompt.sample(rng),
+				OutputLen: c.Output.sample(rng),
+			})
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].ArrivalAt < all[j].ArrivalAt })
+	all = all[:n]
+	for i := range all {
+		all[i].ID = i
+	}
+	return all
+}
+
+// tieMixes are hand-built mixes that force the merge's tie-breaks: equal
+// arrival instants across classes, across sessions of one class and between
+// a session's follow-up turn and another class's arrival.
+func tieMixes() []Mix {
+	offsets := []float64{0, 1, 1, 2, 3, 3, 3, 5}
+	session := &SessionProfile{Turns: Uniform(1, 4), Think: Deterministic(1000), Delta: Uniform(1, 8)}
+	oneShot := func(name string, a ArrivalProcess) ClientClass {
+		return ClientClass{Name: name, SLO: SLOStandard, Share: 1, Arrival: a, Prompt: Uniform(1, 64), Output: Uniform(1, 64)}
+	}
+	chat := oneShot("chat", TraceArrivals(offsets))
+	chat.Sessions = session
+	return []Mix{
+		// Two trace classes with identical offsets: every instant is a tie
+		// between the classes, and the repeated offsets tie within each.
+		{Name: "twin-traces", Rate: 2, Classes: []ClientClass{
+			oneShot("a", TraceArrivals(offsets)), oneShot("b", TraceArrivals(offsets)),
+		}},
+		// A session class whose think time (1 s) equals the other class's
+		// arrival gap: follow-up turns tie with the other class's arrivals
+		// and with later sessions' starts.
+		{Name: "think-equals-gap", Rate: 2, Classes: []ClientClass{
+			chat, oneShot("ticker", TraceArrivals([]float64{0, 1, 2, 3, 4, 5, 6, 7})),
+		}},
+		// The session class second, so its ties lose to the one-shot class.
+		{Name: "sessions-last", Rate: 4, Classes: []ClientClass{
+			oneShot("ticker", TraceArrivals([]float64{0, 1, 2, 3})), chat,
+		}},
+		{Name: "one-class", Rate: 3, Classes: []ClientClass{oneShot("only", Bursty(4))}},
+		{Name: "one-session-class", Rate: 3, Classes: []ClientClass{chat}},
+		// A 1000:1 rate split: the heavy class alone contributes nearly all
+		// of the first n, the light one only a handful.
+		{Name: "lopsided", Rate: 50, Classes: []ClientClass{
+			{Name: "heavy", SLO: SLOBatch, Share: 1000, Arrival: OnOff(0.3, 2*time.Second), Prompt: Lognormal(64, 1, 1, 512), Output: Uniform(1, 8)},
+			{Name: "light", SLO: SLOInteractive, Share: 1, Arrival: Poisson(), Prompt: Deterministic(8), Output: Deterministic(8)},
+		}},
+	}
+}
+
+// TestGenerateMatchesReference is the acceptance test of the lazy merge:
+// Generate must be reflect.DeepEqual to the eager materialise-and-stable-sort
+// reference over every predefined mix, sizes from 1 past the point where one
+// class alone could fill the stream, several seeds and rates, and the
+// tie-forcing mixes.
+func TestGenerateMatchesReference(t *testing.T) {
+	sizes := []int{1, 2, 7, 100, 5000, 60000}
+	seeds := []uint64{0, 1, 7, 42, 1 << 40, math.MaxUint64}
+	if testing.Short() {
+		sizes, seeds = sizes[:5], seeds[:3]
+	}
+	predefined := append(Mixes(), ChatSessions())
+	for mi, base := range append(predefined, tieMixes()...) {
+		sizes := sizes
+		if mi >= len(predefined) {
+			sizes = sizes[:5] // the hand-built ties all fall in the first few requests
+		}
+		t.Run(base.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, rateScale := range []float64{1, 8, 128} {
+				mix := base.WithRate(base.Rate * rateScale)
+				for _, n := range sizes {
+					for _, seed := range seeds {
+						got, err := mix.Generate(n, seed)
+						if err != nil {
+							t.Fatalf("rate×%g n=%d seed=%d: %v", rateScale, n, seed, err)
+						}
+						want := referenceGenerate(mix, n, seed)
+						if reflect.DeepEqual(got, want) {
+							continue
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("rate×%g n=%d seed=%d: request %d\n got %+v\nwant %+v", rateScale, n, seed, i, got[i], want[i])
+							}
+						}
+						t.Fatalf("rate×%g n=%d seed=%d: lengths %d/%d", rateScale, n, seed, len(got), len(want))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestTieMixesTie keeps the tie-forcing mixes honest: each multi-class one
+// must actually produce equal arrival instants across classes.
+func TestTieMixesTie(t *testing.T) {
+	for _, mix := range tieMixes()[:3] {
+		reqs, err := mix.Generate(40, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ties := 0
+		for i := 1; i < len(reqs); i++ {
+			if reqs[i].ArrivalAt == reqs[i-1].ArrivalAt && reqs[i].Class != reqs[i-1].Class {
+				ties++
+			}
+		}
+		if ties == 0 {
+			t.Errorf("%s: no cross-class tie in %d requests", mix.Name, len(reqs))
+		}
+	}
+}
+
+// TestArrivalsNonDecreasing is the invariant the merge stands on, over all
+// four arrival kinds: a class's drawn arrival times never step backwards.
+func TestArrivalsNonDecreasing(t *testing.T) {
+	procs := []ArrivalProcess{
+		Poisson(), Bursty(0.3), Bursty(6),
+		OnOff(0.25, 20*time.Second), OnOff(0.01, 100*time.Millisecond), OnOff(1, time.Second), OnOff(1.0/3, 3*time.Second),
+		TraceArrivals([]float64{0, 0, 0.5, 0.5, 7}), TraceArrivals([]float64{3}), TraceArrivals([]float64{0, 0}),
+	}
+	n := 20000
+	if testing.Short() {
+		n = 2000
+	}
+	for _, p := range procs {
+		for _, rate := range []float64{0.01, 1, 37.5, 4096} {
+			for seed := uint64(0); seed < 8; seed++ {
+				times := p.arrivals(sim.NewRNG(seed), rate, n)
+				if i := firstDisorder(times); i >= 0 {
+					t.Fatalf("%s rate %g seed %d: arrival %d at %v after %v", p.Describe(), rate, seed, i, times[i], times[i-1])
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateRejectsDisorderedArrivals: arrival times the merge cannot
+// order are an error naming class and index, never a mis-ordered stream. A
+// non-finite recorded offset is the way in that Validate does not close.
+func TestGenerateRejectsDisorderedArrivals(t *testing.T) {
+	if i := firstDisorder([]float64{0, 1, 1, 0.5, 2}); i != 3 {
+		t.Fatalf("firstDisorder = %d, want 3", i)
+	}
+	mix := MixedBursty()
+	mix.Classes[1].Arrival = TraceArrivals([]float64{0, math.NaN(), 2})
+	_, err := mix.Generate(10, 1)
+	want := `servegen: class "agent" arrival 1 at NaNs is out of order`
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %v, want prefix %q", err, want)
+	}
+}
+
+// TestGenerateAllocationBudget: generation allocates the output, n arrival
+// times per class and little else — an O(classes × n) request buffer cannot
+// come back unnoticed (the eager generator read 1589 B/request here).
+func TestGenerateAllocationBudget(t *testing.T) {
+	const n = 100_000
+	mix := MixedBursty()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reqs, err := mix.Generate(n, 7)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(reqs) != n {
+		t.Fatal(len(reqs), err)
+	}
+	if perReq := float64(after.TotalAlloc-before.TotalAlloc) / n; perReq > 160 {
+		t.Fatalf("Generate allocated %.0f B/request, budget 160", perReq)
 	}
 }

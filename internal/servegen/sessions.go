@@ -79,7 +79,7 @@ func (p *SessionProfile) expand(rng *sim.RNG, c ClientClass, si int, startSec fl
 			Class:     c.Name,
 			SLO:       c.SLO,
 			Priority:  SLOPriority(c.SLO),
-			ArrivalAt: time.Duration(at * float64(time.Second)),
+			ArrivalAt: arrivalAt(at),
 			PromptLen: prompt,
 			OutputLen: output,
 			SessionID: sid,
