@@ -9,13 +9,13 @@
 //	gmlake-plan -model OPT-13B -capacity-gb 40 -micro 2 -max-world 64
 //
 // All numbers come from the same planners the library's experiments use;
-// nothing is trained.
+// nothing is trained. A bad flag value is one `gmlake-plan: …` line on
+// stderr and exit 2; a job no candidate topology fits exits 1.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"sort"
 	"time"
@@ -38,6 +38,20 @@ func main() {
 		listModel = flag.Bool("models", false, "list known models and exit")
 	)
 	flag.Parse()
+	// Usage errors are caught before any output: a micro-batch, world or
+	// device of nothing plans nothing, and a headroom outside [0, 1)
+	// reserves a negative or the whole device.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"capacity-gb", *capacity}, {"micro", int64(*micro)}, {"max-world", int64(*maxWorld)}} {
+		if f.v < 1 {
+			fail(2, fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v))
+		}
+	}
+	if !(*headroom >= 0 && *headroom < 1) {
+		fail(2, fmt.Errorf("-headroom must be in [0, 1), got %v", *headroom))
+	}
 
 	if *listModel {
 		for _, m := range model.All {
@@ -47,7 +61,7 @@ func main() {
 	}
 	cfg, err := model.ByName(*modelName)
 	if err != nil {
-		log.Fatal(err)
+		fail(2, err)
 	}
 	budget := *capacity * sim.GiB
 
@@ -56,7 +70,7 @@ func main() {
 
 	plans := searchTopologies(cfg, *micro, *maxWorld)
 	if len(plans) == 0 {
-		log.Fatal("no valid topology found")
+		fail(1, fmt.Errorf("no valid topology of %s up to %d GPUs", cfg.Name, *maxWorld))
 	}
 	fmt.Printf("%-18s %6s %8s %14s %6s\n", "topology", "world", "zero", "max rank", "fits")
 	var best *parallel.MemoryPlan
@@ -97,11 +111,11 @@ func main() {
 	engine := offload.NewEngine(offload.DefaultPCIe(), stream.NewScheduler(clock))
 	opt, err := offload.NewOptimizer(offload.OptimizerConfig{Pinned: true}, engine, nil, shard)
 	if err != nil {
-		log.Fatal(err)
+		fail(1, err)
 	}
 	step, err := opt.Step(shard)
 	if err != nil {
-		log.Fatal(err)
+		fail(1, err)
 	}
 	// Offloading removes the fp32 optimizer state (12 bytes/param of the
 	// rank's shard) from the GPU.
@@ -109,6 +123,13 @@ func main() {
 	fmt.Printf("offload: frees %.1f GB of GPU optimizer state per rank, needs %.1f GB host RAM,\n",
 		gbf(freed), gbf(opt.HostStateBytes()))
 	fmt.Printf("         adds ~%v per optimizer step over PCIe (pipelined)\n", step.Round(time.Millisecond))
+}
+
+// fail reports err as the command's one stderr line and exits with code:
+// 2 for a usage error, 1 when the plan itself fails.
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, "gmlake-plan:", err)
+	os.Exit(code)
 }
 
 // searchTopologies enumerates dp·tp·pp factorizations up to maxWorld and

@@ -244,7 +244,7 @@ func main() {
 			rep.E2E.P99.Round(time.Millisecond))
 	}
 	fmt.Println()
-	fmt.Println("a heterogeneous fleet adds per-replica overrides: ServeReplicaOverride{Capacity: 2,")
+	fmt.Println("a heterogeneous fleet sets ServeClusterConfig.Overrides: serve.ReplicaOverride{Capacity: 2,")
 	fmt.Println("MaxBatch: 8} makes replica 0 a double-size instance, and jsq/least-kv divide its")
 	fmt.Println("observed load by the weight so it legitimately absorbs twice the demand.")
 	fmt.Println()

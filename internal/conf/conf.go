@@ -253,9 +253,9 @@ type backend struct {
 // backends is the one table of allocators by name, in the row order of a
 // side-by-side comparison; the first is the default. The backend key
 // validates against it, Build constructs from it, and everything that
-// picks an allocator by name — the harness rigs, internal/cluster,
-// gmlake-replay, the differential tests, the examples — goes through
-// Backends/Pools and Build.
+// picks an allocator by name — the harness rigs, gmlake-replay, the
+// differential tests, the examples — goes through Backends/Pools and
+// Build.
 var backends = []backend{
 	{"caching", true, func(c Config, driver *cuda.Driver) memalloc.Allocator {
 		return caching.NewWithConfig(driver, caching.Config{

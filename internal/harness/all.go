@@ -1,15 +1,13 @@
 package harness
 
-import "io"
-
 // An experiment is one runnable id and its runner.
 type experiment struct {
 	id  string
 	run func(*Env) []*Table
 }
 
-// experiments returns the one ordered table of experiments; Experiments,
-// RunExperiment and RunAll derive from it. It is built in a function body
+// experiments returns the one ordered table of experiments; Experiments
+// and RunExperiment derive from it. It is built in a function body
 // rather than a package-level initializer so that the determinism linter's
 // call graph, which resolves function references only inside bodies, still
 // sees RunExperiment reach every runner.
@@ -59,8 +57,8 @@ func experiments() []experiment {
 	}
 }
 
-// Experiments names the experiments runnable via RunExperiment, in the
-// order RunAll runs them.
+// Experiments names the experiments runnable via RunExperiment, in
+// presentation order.
 var Experiments = func() (ids []string) {
 	for _, x := range experiments() {
 		ids = append(ids, x.id)
@@ -77,14 +75,4 @@ func (e *Env) RunExperiment(id string) []*Table {
 		}
 	}
 	return nil
-}
-
-// RunAll executes every experiment, rendering each table to w as it
-// completes.
-func (e *Env) RunAll(w io.Writer) {
-	for _, x := range experiments() {
-		for _, t := range x.run(e) {
-			t.Render(w)
-		}
-	}
 }

@@ -26,6 +26,35 @@ var figure10Models = []struct {
 // comparePair is one cell result: the same spec on both allocators.
 type comparePair struct{ base, gml RunResult }
 
+// memHeader names the columns memCols renders.
+var memHeader = []string{"RM w/o GML(GB)", "RM w/ GML(GB)", "UR w/o GML", "UR w/ GML"}
+
+// memCols renders the reserved-memory and utilization columns without and
+// with GMLake — the comparison Figures 10 to 13 all tabulate.
+func (p comparePair) memCols() []string {
+	return []string{gbOrOOM(p.base), gbOrOOM(p.gml), pctOrOOM(p.base), pctOrOOM(p.gml)}
+}
+
+// savedRow is a labelled memCols row plus the reserved memory GMLake saved
+// (Figures 10 and 12).
+func (p comparePair) savedRow(label string) []string {
+	return append(append([]string{label}, p.memCols()...), savedGB(p.base, p.gml))
+}
+
+// scalingPanels tabulates one model's sweep along axis (GPU count, batch
+// size) as the memory and throughput table pair of Figures 11 and 13, one
+// row per point; the caller titles them.
+func scalingPanels(axis string, points []int, pairs []comparePair) (mem, thr *Table) {
+	mem = &Table{Header: append([]string{axis}, memHeader...)}
+	thr = &Table{Header: []string{axis, "Thru w/o GML", "Thru w/ GML"}}
+	for i, p := range pairs {
+		point := fmt.Sprint(points[i])
+		mem.AddRow(append([]string{point}, p.memCols()...)...)
+		thr.AddRow(point, thrOrOOM(p.base), thrOrOOM(p.gml))
+	}
+	return mem, thr
+}
+
 // compareCells runs e.Compare over every spec as parallel cells, joined in
 // spec order.
 func (e *Env) compareCells(specs []workload.Spec) []comparePair {
@@ -53,16 +82,10 @@ func (e *Env) Figure10() []*Table {
 			ID: fmt.Sprintf("figure10%c", 'a'+i),
 			Title: fmt.Sprintf("Strategy scalability: %s, %d GPUs, batch %d",
 				mc.model.Name, mc.world, mc.batch),
-			Header: []string{"Strategy",
-				"RM w/o GML(GB)", "RM w/ GML(GB)",
-				"UR w/o GML", "UR w/ GML", "Saved(GB)"},
+			Header: append(append([]string{"Strategy"}, memHeader...), "Saved(GB)"),
 		}
 		for j, s := range figureStrategies {
-			p := pairs[i*len(figureStrategies)+j]
-			t.AddRow(s.label,
-				gbOrOOM(p.base), gbOrOOM(p.gml),
-				pctOrOOM(p.base), pctOrOOM(p.gml),
-				savedGB(p.base, p.gml))
+			t.AddRow(pairs[i*len(figureStrategies)+j].savedRow(s.label)...)
 		}
 		t.AddNote("paper: GMLake lifts utilization by ~5-24%% and cuts reserved memory by ~10GB (up to 17GB)")
 		tables = append(tables, t)
@@ -95,25 +118,11 @@ func (e *Env) Figure11() []*Table {
 
 	var tables []*Table
 	for i, mc := range figure11Models {
-		mem := &Table{
-			ID:    fmt.Sprintf("figure11%c", 'a'+i),
-			Title: fmt.Sprintf("Scale-out memory: %s, LR, batch %d/GPU", mc.model.Name, mc.batch),
-			Header: []string{"GPUs",
-				"RM w/o GML(GB)", "RM w/ GML(GB)",
-				"UR w/o GML", "UR w/ GML"},
-		}
-		thr := &Table{
-			ID:     fmt.Sprintf("figure11%c", 'd'+i),
-			Title:  fmt.Sprintf("Scale-out throughput: %s, LR (samples/s)", mc.model.Name),
-			Header: []string{"GPUs", "Thru w/o GML", "Thru w/ GML"},
-		}
-		for j, w := range worlds {
-			p := pairs[i*len(worlds)+j]
-			mem.AddRow(fmt.Sprintf("%d", w),
-				gbOrOOM(p.base), gbOrOOM(p.gml), pctOrOOM(p.base), pctOrOOM(p.gml))
-			thr.AddRow(fmt.Sprintf("%d", w),
-				thrOrOOM(p.base), thrOrOOM(p.gml))
-		}
+		mem, thr := scalingPanels("GPUs", worlds, pairs[i*len(worlds):(i+1)*len(worlds)])
+		mem.ID = fmt.Sprintf("figure11%c", 'a'+i)
+		mem.Title = fmt.Sprintf("Scale-out memory: %s, LR, batch %d/GPU", mc.model.Name, mc.batch)
+		thr.ID = fmt.Sprintf("figure11%c", 'd'+i)
+		thr.Title = fmt.Sprintf("Scale-out throughput: %s, LR (samples/s)", mc.model.Name)
 		mem.AddNote("paper: baseline utilization decays with scale-out; GMLake holds ~90%%+")
 		thr.AddNote("paper: GMLake sustains throughput comparable to the baseline at every scale")
 		tables = append(tables, mem, thr)
@@ -125,11 +134,9 @@ func (e *Env) Figure11() []*Table {
 // OPT-13B and Colossal-AI-GPT-2 under LR on 4 GPUs.
 func (e *Env) Figure12() *Table {
 	t := &Table{
-		ID:    "figure12",
-		Title: "Platform scalability (LR, 4 GPUs)",
-		Header: []string{"Platform/Model",
-			"RM w/o GML(GB)", "RM w/ GML(GB)",
-			"UR w/o GML", "UR w/ GML", "Saved(GB)"},
+		ID:     "figure12",
+		Title:  "Platform scalability (LR, 4 GPUs)",
+		Header: append(append([]string{"Platform/Model"}, memHeader...), "Saved(GB)"),
 	}
 	cases := []struct {
 		label    string
@@ -147,8 +154,7 @@ func (e *Env) Figure12() *Table {
 			Platform: c.platform, World: 4, Batch: c.batch})
 	}
 	for i, p := range e.compareCells(specs) {
-		t.AddRow(cases[i].label, gbOrOOM(p.base), gbOrOOM(p.gml),
-			pctOrOOM(p.base), pctOrOOM(p.gml), savedGB(p.base, p.gml))
+		t.AddRow(p.savedRow(cases[i].label)...)
 	}
 	t.AddNote("paper: reductions of ~9-33%% in fragmentation and 7-25GB reserved memory across platforms")
 	return t
@@ -179,27 +185,13 @@ func (e *Env) Figure13() []*Table {
 	pairs := e.compareCells(specs)
 
 	var tables []*Table
-	next := 0
 	for i, sw := range figure13Sweeps {
-		mem := &Table{
-			ID:    fmt.Sprintf("figure13%c", 'a'+i),
-			Title: fmt.Sprintf("Batch sweep memory: %s, LR, 4 GPUs", sw.model.Name),
-			Header: []string{"Batch",
-				"RM w/o GML(GB)", "RM w/ GML(GB)",
-				"UR w/o GML", "UR w/ GML"},
-		}
-		thr := &Table{
-			ID:     fmt.Sprintf("figure13%c", 'd'+i),
-			Title:  fmt.Sprintf("Batch sweep throughput: %s, LR, 4 GPUs (samples/s)", sw.model.Name),
-			Header: []string{"Batch", "Thru w/o GML", "Thru w/ GML"},
-		}
-		for _, b := range sw.batches {
-			p := pairs[next]
-			next++
-			mem.AddRow(fmt.Sprintf("%d", b),
-				gbOrOOM(p.base), gbOrOOM(p.gml), pctOrOOM(p.base), pctOrOOM(p.gml))
-			thr.AddRow(fmt.Sprintf("%d", b), thrOrOOM(p.base), thrOrOOM(p.gml))
-		}
+		mem, thr := scalingPanels("Batch", sw.batches, pairs[:len(sw.batches)])
+		pairs = pairs[len(sw.batches):]
+		mem.ID = fmt.Sprintf("figure13%c", 'a'+i)
+		mem.Title = fmt.Sprintf("Batch sweep memory: %s, LR, 4 GPUs", sw.model.Name)
+		thr.ID = fmt.Sprintf("figure13%c", 'd'+i)
+		thr.Title = fmt.Sprintf("Batch sweep throughput: %s, LR, 4 GPUs (samples/s)", sw.model.Name)
 		mem.AddNote("paper: baseline hits OOM at the largest batches while GMLake keeps running with >95%% utilization")
 		tables = append(tables, mem, thr)
 	}

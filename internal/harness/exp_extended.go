@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/cuda"
-	"repro/internal/gpu"
 	"repro/internal/model"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -33,11 +30,9 @@ func (e *Env) runGMLakeVariant(v coreConfigVariant) gmlakeRunResult {
 	if v.mutate != nil {
 		v.mutate(&cfg)
 	}
-	dev := gpu.NewDevice("sim-a100", e.Capacity)
-	clock := sim.NewClock()
-	driver := cuda.NewDriver(dev, clock, sim.DefaultCostModel())
-	alloc := core.New(driver, cfg)
-	r := rig{dev: dev, clock: clock, driver: driver, alloc: alloc}
+	r := newDriverRig(e.Capacity)
+	alloc := core.New(r.driver, cfg)
+	r.alloc = alloc
 	spec := workload.Spec{Model: model.OPT13B, Strategy: workload.StrategyLRO, World: 4, Batch: 24}
 	res := e.runOnRig(r, spec, AllocGMLake+"/"+v.name, RunOptions{})
 	_, s2, s3, _ := alloc.StrategyCounts()

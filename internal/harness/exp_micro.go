@@ -104,37 +104,35 @@ func (e *Env) Figure6() *Table {
 	}
 	blocks := []int64{512 * sim.MiB, 1 * sim.GiB, 2 * sim.GiB}
 
-	// Cells: the native row plus one row per chunk size; every row builds
-	// its rigs privately.
-	jobs := []func() []string{func() []string {
-		nat := make([]string, 0, len(blocks))
-		for _, blk := range blocks {
-			r := e.newRig(AllocNative)
-			sw := sim.StartStopwatch(r.clock)
-			ptr, err := r.driver.Malloc(blk)
-			if err != nil {
-				panic(err.Error())
-			}
-			nat = append(nat, fmt.Sprintf("%.2f", sw.Elapsed().Seconds()*1e3))
-			_ = r.driver.Free(ptr)
+	native := []string{"Native"}
+	for _, blk := range blocks {
+		r := e.newRig(AllocNative)
+		sw := sim.StartStopwatch(r.clock)
+		ptr, err := r.driver.Malloc(blk)
+		if err != nil {
+			panic(err.Error())
 		}
-		return append([]string{"Native"}, nat...)
-	}}
-	for chunk := 2 * sim.MiB; chunk <= sim.GiB; chunk *= 2 {
-		chunk := chunk
-		jobs = append(jobs, func() []string {
-			row := []string{sim.FormatBytes(chunk)}
-			for _, blk := range blocks {
-				if chunk > blk {
-					row = append(row, "-")
-					continue
-				}
-				row = append(row, fmt.Sprintf("%.2f", e.vmmAllocLatency(blk, chunk).Seconds()*1e3))
-			}
-			return row
-		})
+		native = append(native, fmt.Sprintf("%.2f", sw.Elapsed().Seconds()*1e3))
+		_ = r.driver.Free(ptr)
 	}
-	for _, row := range e.tableRows(jobs) {
+	t.AddRow(native...)
+
+	// Cells: one row per chunk size; every row builds its rigs privately.
+	var chunks []int64
+	for chunk := 2 * sim.MiB; chunk <= sim.GiB; chunk *= 2 {
+		chunks = append(chunks, chunk)
+	}
+	for _, row := range runCells(e, chunks, func(chunk int64) []string {
+		row := []string{sim.FormatBytes(chunk)}
+		for _, blk := range blocks {
+			if chunk > blk {
+				row = append(row, "-")
+				continue
+			}
+			row = append(row, fmt.Sprintf("%.2f", e.vmmAllocLatency(blk, chunk).Seconds()*1e3))
+		}
+		return row
+	}) {
 		t.AddRow(row...)
 	}
 	t.AddNote("paper: 2MB-chunked VMM is ~115x slower than native; latency falls monotonically with chunk size")

@@ -81,19 +81,18 @@ func (e *Env) Figure5() *Table {
 		Title:  "Request-stream statistics (GPT-NeoX-20B, caching allocator)",
 		Header: []string{"Config", "Allocs", "MeanSize(MB)", "Allocs/step", "Utilization"},
 	}
-	cfgs := []struct {
+	type config struct {
 		label    string
 		strategy workload.Strategy
 		batch    int
-	}{
+	}
+	cfgs := []config{
 		{"Original", workload.StrategyN, 4},
 		{"+LR", workload.StrategyLR, 4},
 	}
-	rows := e.tableRows([]func() []string{
-		func() []string { return e.figure5Row(cfgs[0].label, cfgs[0].strategy, cfgs[0].batch) },
-		func() []string { return e.figure5Row(cfgs[1].label, cfgs[1].strategy, cfgs[1].batch) },
-	})
-	for _, row := range rows {
+	for _, row := range runCells(e, cfgs, func(c config) []string {
+		return e.figure5Row(c.label, c.strategy, c.batch)
+	}) {
 		t.AddRow(row...)
 	}
 	t.AddNote("paper: plain run ~46k allocations averaging ~93MB; +LR run ~76k averaging ~85MB (more, smaller, more irregular)")

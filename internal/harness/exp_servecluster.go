@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/internal/servegen"
 )
@@ -29,22 +27,10 @@ const (
 	serveClusterAgingReqs    = 2 * serveMixRequests
 )
 
-// clusterMgrFactory builds per-replica chunked KV managers, each over its
-// own fresh serving rig — replicas share nothing, which is what makes the
-// cluster cells (and the replicas inside one cell) deterministic.
-func (e *Env) clusterMgrFactory() func(int) serve.CacheManager {
-	return func(int) serve.CacheManager {
-		r := e.newServeRig(AllocCaching)
-		return serve.NewChunkedKV(r.alloc, model.OPT1_3B, serveMixChunkTokens)
-	}
-}
-
 // ServeClusterExperiment shards the multi-tenant mixes over a multi-replica
 // serving cluster and reports the per-SLO-class view per (mix, replica
 // count, dispatch policy) cell, plus an aging table showing how priority
 // aging bounds batch-class starvation under sustained interactive overload.
-// Cells run on the parallel experiment engine; each owns its replicas' rigs,
-// so tables are byte-identical at any parallelism.
 func (e *Env) ServeClusterExperiment() []*Table {
 	return []*Table{e.serveClusterScaling(), e.serveClusterAging()}
 }
@@ -61,56 +47,25 @@ func (e *Env) serveClusterScaling() *Table {
 		Header: []string{"mix", "replicas", "dispatch", "class", "SLO", "served",
 			"TTFT p50", "TTFT p99", "e2e p50", "e2e p99", "preempt", "assigned"},
 	}
-	type cell struct {
-		mix      servegen.Mix
-		reqs     []serve.Request
-		replicas int
-		dispatch serve.DispatchPolicy
-	}
-	var cells []cell
-	for _, mix := range servegen.Mixes() {
-		reqs, err := mix.Generate(serveMixRequests, e.Seed)
-		if err != nil {
-			panic("harness: " + err.Error())
-		}
-		for _, n := range serveClusterReplicas {
-			for _, d := range serve.DispatchPolicies() {
-				cells = append(cells, cell{mix: mix, reqs: reqs, replicas: n, dispatch: d})
-			}
+	var variants []fleetVariant
+	for _, n := range serveClusterReplicas {
+		for _, d := range serve.DispatchPolicies() {
+			variants = append(variants, fleetVariant{
+				key: []string{fmt.Sprint(n), string(d)},
+				cfg: serve.ClusterConfig{Replicas: n, Dispatch: d, Server: serve.ServerConfig{MaxBatch: serveMixMaxBatch}},
+			})
 		}
 	}
-	reports := runCells(e, cells, func(c cell) [][]string {
-		rep, err := serve.ServeCluster(c.reqs, e.clusterMgrFactory(), serve.ClusterConfig{
-			Replicas: c.replicas,
-			Dispatch: c.dispatch,
-			Server:   serve.ServerConfig{MaxBatch: serveMixMaxBatch, ExactSamples: e.ExactSamples},
-		})
-		key := []string{c.mix.Name, fmt.Sprint(c.replicas), string(c.dispatch)}
-		if err != nil {
-			return [][]string{append(key, "ALL", "-", "OOM", "-", "-", "-", "-", "-", "-")}
+	cells := e.grid(servegen.Mixes(), 1, serveMixRequests, variants)
+	fail := []string{"ALL", "-", "OOM", "-", "-", "-", "-", "-", "-"}
+	e.sweepTable(t, cells, fail, func(_ int, rep serve.ClusterReport) [][]string {
+		rows := classRows(rep.Report)
+		for i := range rows {
+			rows[i] = append(rows[i], "-")
 		}
-		var rows [][]string
-		for _, cr := range rep.Classes {
-			rows = append(rows, append(append([]string{}, key...),
-				cr.Class, cr.SLO, fmt.Sprint(cr.Served),
-				ms(cr.TTFT.P50), ms(cr.TTFT.P99), ms(cr.E2E.P50), ms(cr.E2E.P99),
-				fmt.Sprint(cr.Preemptions), "-"))
-		}
-		spread := make([]string, len(rep.Assigned))
-		for i, n := range rep.Assigned {
-			spread[i] = fmt.Sprint(n)
-		}
-		rows = append(rows, append(append([]string{}, key...),
-			"ALL", "-", fmt.Sprint(rep.Served),
-			ms(rep.TTFT.P50), ms(rep.TTFT.P99), ms(rep.E2E.P50), ms(rep.E2E.P99),
-			fmt.Sprint(rep.Preemptions), strings.Join(spread, "/")))
-		return rows
+		all := append([]string{"ALL", "-", fmt.Sprint(rep.Served)}, latencyCols(rep.TTFT, rep.E2E)...)
+		return append(rows, append(all, fmt.Sprint(rep.Preemptions), spread(rep.Assigned)))
 	})
-	for _, rows := range reports {
-		for _, row := range rows {
-			t.AddRow(row...)
-		}
-	}
 	t.AddNote("one request stream per mix, sharded by the dispatch policy; cluster percentiles merge the")
 	t.AddNote("replicas' raw samples (never averaged percentiles). ALL/assigned shows the per-replica")
 	t.AddNote("request spread; jsq and least-kv adapt it to load where round-robin cannot.")
@@ -122,7 +77,6 @@ func (e *Env) serveClusterScaling() *Table {
 // the whole run, with aging its effective priority grows with queue wait
 // until it outranks fresh interactive arrivals.
 func (e *Env) serveClusterAging() *Table {
-	mix := servegen.MixedBursty()
 	t := &Table{
 		ID: "servecluster-aging",
 		Title: fmt.Sprintf("Priority aging under %dx interactive overload, mixed-bursty, 2 replicas, jsq",
@@ -130,36 +84,24 @@ func (e *Env) serveClusterAging() *Table {
 		Header: []string{"aging", "class", "SLO", "served",
 			"TTFT p50", "TTFT p99", "e2e p50", "e2e p99", "preempt"},
 	}
-	reqs, err := mix.WithRate(mix.Rate*serveClusterOverloadRate).Generate(serveClusterAgingReqs, e.Seed)
-	if err != nil {
-		panic("harness: " + err.Error())
-	}
-	reports := runCells(e, serveClusterAgings, func(aging time.Duration) [][]string {
-		rep, err := serve.ServeCluster(reqs, e.clusterMgrFactory(), serve.ClusterConfig{
-			Replicas: 2,
-			Dispatch: serve.DispatchJSQ,
-			Server:   serve.ServerConfig{MaxBatch: serveClusterAgingBatch, Aging: aging, ExactSamples: e.ExactSamples},
-		})
+	var variants []fleetVariant
+	for _, aging := range serveClusterAgings {
 		label := "off"
 		if aging > 0 {
 			label = aging.String()
 		}
-		if err != nil {
-			return [][]string{{label, "ALL", "-", "OOM", "-", "-", "-", "-", "-"}}
-		}
-		var rows [][]string
-		for _, cr := range rep.Classes {
-			rows = append(rows, []string{label, cr.Class, cr.SLO, fmt.Sprint(cr.Served),
-				ms(cr.TTFT.P50), ms(cr.TTFT.P99), ms(cr.E2E.P50), ms(cr.E2E.P99),
-				fmt.Sprint(cr.Preemptions)})
-		}
-		return rows
-	})
-	for _, rows := range reports {
-		for _, row := range rows {
-			t.AddRow(row...)
-		}
+		variants = append(variants, fleetVariant{key: []string{label}, cfg: serve.ClusterConfig{
+			Replicas: 2,
+			Dispatch: serve.DispatchJSQ,
+			Server:   serve.ServerConfig{MaxBatch: serveClusterAgingBatch, Aging: aging},
+		}})
 	}
+	mix := servegen.MixedBursty()
+	reqs := e.stream(mix.WithRate(mix.Rate*serveClusterOverloadRate), serveClusterAgingReqs)
+	fail := []string{"ALL", "-", "OOM", "-", "-", "-", "-", "-"}
+	e.sweepTable(t, fleetCells(nil, reqs, variants), fail, func(_ int, rep serve.ClusterReport) [][]string {
+		return classRows(rep.Report)
+	})
 	t.AddNote("aging is the per-priority-level wait: with it on, a starved batch request's effective")
 	t.AddNote("priority rises until fresh interactive arrivals no longer cut ahead, pulling the batch")
 	t.AddNote("queueing tail down at the interactive classes' expense — the fairness dial is the rate.")

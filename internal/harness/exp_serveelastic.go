@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"strings"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/serve"
@@ -19,23 +19,19 @@ const (
 	serveElasticBatch    = 6
 )
 
-// serveElasticFleets are the compared fleet configurations: the static
-// MaxReplicas fleet every elastic run is measured against, the autoscaled
-// fleet, and the autoscaled fleet with work-stealing re-dispatch.
-type serveElasticFleet struct {
-	name string
-	cfg  serve.ClusterConfig
-}
-
-func serveElasticFleets(exactSamples int) []serveElasticFleet {
-	server := serve.ServerConfig{MaxBatch: serveElasticBatch, ExactSamples: exactSamples}
-	return []serveElasticFleet{
-		{"static-4", serve.ClusterConfig{
+// serveElasticFleets are the compared fleet configurations, the static one
+// first: the static MaxReplicas fleet every elastic run is measured
+// against, the autoscaled fleet, and the autoscaled fleet with
+// work-stealing re-dispatch.
+func serveElasticFleets() []fleetVariant {
+	server := serve.ServerConfig{MaxBatch: serveElasticBatch}
+	return []fleetVariant{
+		{key: []string{"static-4"}, cfg: serve.ClusterConfig{
 			Replicas: serveElasticMaxFleet, Dispatch: serve.DispatchJSQ, Server: server}},
-		{"elastic 1..4", serve.ClusterConfig{
+		{key: []string{"elastic 1..4"}, cfg: serve.ClusterConfig{
 			MinReplicas: 1, MaxReplicas: serveElasticMaxFleet,
 			Dispatch: serve.DispatchJSQ, Server: server}},
-		{"elastic+steal", serve.ClusterConfig{
+		{key: []string{"elastic+steal"}, cfg: serve.ClusterConfig{
 			MinReplicas: 1, MaxReplicas: serveElasticMaxFleet, Steal: true,
 			Dispatch: serve.DispatchJSQ, Server: server}},
 	}
@@ -43,9 +39,7 @@ func serveElasticFleets(exactSamples int) []serveElasticFleet {
 
 // ServeElasticExperiment compares static, autoscaled and work-stealing
 // fleets on overloaded multi-tenant mixes, and shows capacity-aware
-// dispatch over a heterogeneous two-replica fleet. Cells run on the
-// parallel experiment engine; each cell owns its replicas' rigs, so the
-// tables are byte-identical at any parallelism.
+// dispatch over a heterogeneous two-replica fleet.
 func (e *Env) ServeElasticExperiment() []*Table {
 	return []*Table{e.serveElasticScaling(), e.serveElasticHetero()}
 }
@@ -62,49 +56,25 @@ func (e *Env) serveElasticScaling() *Table {
 		Header: []string{"mix", "fleet", "served", "e2e p50", "e2e p99",
 			"peak", "spawns", "drains", "replica-secs", "saved", "stolen"},
 	}
-	type cell struct {
-		mix   servegen.Mix
-		reqs  []serve.Request
-		fleet serveElasticFleet
-	}
-	var cells []cell
-	for _, mix := range servegen.Mixes() {
-		over := mix.WithRate(mix.Rate * serveElasticRate)
-		reqs, err := over.Generate(serveMixRequests, e.Seed)
-		if err != nil {
-			panic("harness: " + err.Error())
-		}
-		for _, f := range serveElasticFleets(e.ExactSamples) {
-			cells = append(cells, cell{mix: mix, reqs: reqs, fleet: f})
-		}
-	}
-	reports := runCells(e, cells, func(c cell) serve.ClusterReport {
-		rep, err := serve.ServeCluster(c.reqs, e.clusterMgrFactory(), c.fleet.cfg)
-		if err != nil {
-			panic("harness: serveelastic " + c.mix.Name + "/" + c.fleet.name + ": " + err.Error())
-		}
-		return rep
-	})
-	// Rows are assembled after the join so each elastic row can report its
-	// savings against the static fleet of the same mix — the first cell of
-	// each mix's block by construction.
-	fleets := serveElasticFleets(e.ExactSamples)
-	for i, rep := range reports {
-		c := cells[i]
-		static := reports[i-i%len(fleets)]
+	cells := e.grid(servegen.Mixes(), serveElasticRate, serveMixRequests, serveElasticFleets())
+	// Rows join in cell order and a mix's static fleet is its first cell, so
+	// each elastic row reads its savings off the static row before it.
+	var static time.Duration
+	e.sweepTable(t, cells, nil, func(i int, rep serve.ClusterReport) [][]string {
 		saved := "-"
-		if c.fleet.name != fleets[0].name && static.ReplicaSeconds > 0 {
-			saved = fmt.Sprintf("%.0f%%", 100*(1-float64(rep.ReplicaSeconds)/float64(static.ReplicaSeconds)))
+		if cells[i].cfg.MaxReplicas == 0 {
+			static = rep.ReplicaSeconds
+		} else if static > 0 {
+			saved = fmt.Sprintf("%.0f%%", 100*(1-float64(rep.ReplicaSeconds)/float64(static)))
 		}
 		stolen := 0
 		for _, n := range rep.Stolen {
 			stolen += n
 		}
-		t.AddRow(c.mix.Name, c.fleet.name, fmt.Sprint(rep.Served),
-			ms(rep.E2E.P50), ms(rep.E2E.P99),
+		return [][]string{{fmt.Sprint(rep.Served), ms(rep.E2E.P50), ms(rep.E2E.P99),
 			fmt.Sprint(rep.PeakReplicas), fmt.Sprint(rep.Spawns), fmt.Sprint(rep.Drains),
-			fmt.Sprintf("%.1f", rep.ReplicaSeconds.Seconds()), saved, fmt.Sprint(stolen))
-	}
+			fmt.Sprintf("%.1f", rep.ReplicaSeconds.Seconds()), saved, fmt.Sprint(stolen)}}
+	})
 	t.AddNote("replica-secs integrates provisioned replicas over virtual time (static fleet = 4 x makespan);")
 	t.AddNote("saved is relative to the static-4 fleet of the same mix. The autoscaler spawns on queued")
 	t.AddNote("backlog and drains a replica only once it has emptied, so runs stay deterministic.")
@@ -123,44 +93,32 @@ func (e *Env) serveElasticHetero() *Table {
 			serveElasticRate, serveMixRequests),
 		Header: []string{"dispatch", "served", "e2e p50", "e2e p99", "assigned", "big/small"},
 	}
-	mix := servegen.MixedBursty()
-	reqs, err := mix.WithRate(mix.Rate*serveElasticRate).Generate(serveMixRequests, e.Seed)
-	if err != nil {
-		panic("harness: " + err.Error())
-	}
 	weights := []int64{2, 1}
-	newMgr := func() func(int) serve.CacheManager {
-		return func(i int) serve.CacheManager {
-			r := e.newRigCap(AllocCaching, weights[i]*serveMixCapacity)
-			return serve.NewChunkedKV(r.alloc, model.OPT1_3B, serveMixChunkTokens)
-		}
-	}
-	reports := runCells(e, serve.DispatchPolicies(), func(d serve.DispatchPolicy) serve.ClusterReport {
-		rep, err := serve.ServeCluster(reqs, newMgr(), serve.ClusterConfig{
-			Replicas: 2,
-			Dispatch: d,
-			Server:   serve.ServerConfig{MaxBatch: serveElasticBatch, ExactSamples: e.ExactSamples},
-			Overrides: []serve.ReplicaOverride{
-				{Capacity: 2, MaxBatch: 2 * serveElasticBatch},
+	var variants []fleetVariant
+	for _, d := range serve.DispatchPolicies() {
+		variants = append(variants, fleetVariant{
+			key: []string{string(d)},
+			cfg: serve.ClusterConfig{
+				Replicas:  2,
+				Dispatch:  d,
+				Server:    serve.ServerConfig{MaxBatch: serveElasticBatch},
+				Overrides: []serve.ReplicaOverride{{Capacity: 2, MaxBatch: 2 * serveElasticBatch}},
+			},
+			newMgr: func(i int) serve.CacheManager {
+				r := e.newRigCap(AllocCaching, weights[i]*serveMixCapacity)
+				return serve.NewChunkedKV(r.alloc, model.OPT1_3B, serveMixChunkTokens)
 			},
 		})
-		if err != nil {
-			panic("harness: serveelastic-hetero " + string(d) + ": " + err.Error())
-		}
-		return rep
-	})
-	for i, rep := range reports {
-		spread := make([]string, len(rep.Assigned))
-		for j, n := range rep.Assigned {
-			spread[j] = fmt.Sprint(n)
-		}
+	}
+	mix := servegen.MixedBursty()
+	reqs := e.stream(mix.WithRate(mix.Rate*serveElasticRate), serveMixRequests)
+	e.sweepTable(t, fleetCells(nil, reqs, variants), nil, func(_ int, rep serve.ClusterReport) [][]string {
 		ratio := "-"
 		if rep.Assigned[1] > 0 {
 			ratio = fmt.Sprintf("%.1f", float64(rep.Assigned[0])/float64(rep.Assigned[1]))
 		}
-		t.AddRow(string(serve.DispatchPolicies()[i]), fmt.Sprint(rep.Served),
-			ms(rep.E2E.P50), ms(rep.E2E.P99), strings.Join(spread, "/"), ratio)
-	}
+		return [][]string{{fmt.Sprint(rep.Served), ms(rep.E2E.P50), ms(rep.E2E.P99), spread(rep.Assigned), ratio}}
+	})
 	t.AddNote("replica 0 has a 2x pool, a 2x batch limit and dispatch weight 2: jsq and least-kv divide")
 	t.AddNote("observed load by the weight, so the big replica absorbs ~2x the demand; round-robin is")
 	t.AddNote("capacity-blind and pays for it in the tail.")

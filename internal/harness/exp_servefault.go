@@ -21,31 +21,17 @@ const (
 	serveFaultMTTR     = 400 * time.Millisecond
 )
 
-// serveFaultIntensities are the compared fault levels: the fault-free
-// baseline every faulty run is measured against, plus two MTTF settings.
-type serveFaultIntensity struct {
-	name string
-	mttf time.Duration
-}
+// serveFaultRetry is the retry policy of every row that retries: three
+// attempts with exponential backoff.
+var serveFaultRetry = serve.RecoveryConfig{Retries: 3, Backoff: 2}
 
-func serveFaultIntensities() []serveFaultIntensity {
-	return []serveFaultIntensity{
-		{"none", 0},
-		{"low (mttf 8s)", 8 * time.Second},
-		{"high (mttf 2s)", 2 * time.Second},
-	}
-}
-
+// serveFaultConfig is the experiment's fleet at one fault level (mttf 0 =
+// fault-free) under one deadline and recovery policy.
 func (e *Env) serveFaultConfig(mttf, timeout time.Duration, rc serve.RecoveryConfig, shed bool) serve.ClusterConfig {
 	cfg := serve.ClusterConfig{
 		Replicas: serveFaultFleet,
 		Dispatch: serve.DispatchJSQ,
-		Server: serve.ServerConfig{
-			MaxBatch:     serveFaultBatch,
-			ExactSamples: e.ExactSamples,
-			Timeout:      timeout,
-			Shed:         shed,
-		},
+		Server:   serve.ServerConfig{MaxBatch: serveFaultBatch, Timeout: timeout, Shed: shed},
 		Recovery: rc,
 	}
 	if mttf > 0 {
@@ -73,35 +59,26 @@ func (e *Env) serveFaultIntensity() *Table {
 		Header: []string{"mix", "faults", "served", "goodput", "crashes", "restarts",
 			"retries", "lost", "misses", "avail"},
 	}
-	type cell struct {
-		mix       servegen.Mix
-		reqs      []serve.Request
-		intensity serveFaultIntensity
+	// The compared fault levels: the fault-free baseline every faulty run is
+	// measured against, plus two MTTF settings.
+	var variants []fleetVariant
+	for _, in := range []struct {
+		name string
+		mttf time.Duration
+	}{
+		{"none", 0},
+		{"low (mttf 8s)", 8 * time.Second},
+		{"high (mttf 2s)", 2 * time.Second},
+	} {
+		variants = append(variants, fleetVariant{key: []string{in.name},
+			cfg: e.serveFaultConfig(in.mttf, serveFaultTimeout, serveFaultRetry, false)})
 	}
-	var cells []cell
-	for _, mix := range servegen.Mixes() {
-		reqs, err := mix.Generate(serveMixRequests, e.Seed)
-		if err != nil {
-			panic("harness: " + err.Error())
-		}
-		for _, in := range serveFaultIntensities() {
-			cells = append(cells, cell{mix: mix, reqs: reqs, intensity: in})
-		}
-	}
-	rc := serve.RecoveryConfig{Retries: 3, Backoff: 2}
-	reports := runCells(e, cells, func(c cell) serve.ClusterReport {
-		rep, err := serve.ServeCluster(c.reqs, e.clusterMgrFactory(), e.serveFaultConfig(c.intensity.mttf, serveFaultTimeout, rc, false))
-		if err != nil {
-			panic("harness: servefault " + c.mix.Name + "/" + c.intensity.name + ": " + err.Error())
-		}
-		return rep
-	})
-	for i, rep := range reports {
-		c := cells[i]
-		t.AddRow(c.mix.Name, c.intensity.name, fmt.Sprint(rep.Served), fmt.Sprint(rep.Goodput),
+	cells := e.grid(servegen.Mixes(), 1, serveMixRequests, variants)
+	e.sweepTable(t, cells, nil, func(_ int, rep serve.ClusterReport) [][]string {
+		return [][]string{{fmt.Sprint(rep.Served), fmt.Sprint(rep.Goodput),
 			fmt.Sprint(rep.Crashes), fmt.Sprint(rep.Restarts), fmt.Sprint(rep.Retries),
-			fmt.Sprint(rep.Lost), fmt.Sprint(rep.DeadlineMisses), pct(rep.Availability))
-	}
+			fmt.Sprint(rep.Lost), fmt.Sprint(rep.DeadlineMisses), pct(rep.Availability)}}
+	})
 	t.AddNote("goodput counts completions inside the deadline; avail is capacity-weighted uptime. Crashed")
 	t.AddNote("in-flight requests recompute from scratch on a surviving replica (TTFT kept iff the first")
 	t.AddNote("token had streamed); queued requests are re-dispatched for free. Same seed, same table,")
@@ -119,32 +96,25 @@ func (e *Env) serveFaultPolicies() *Table {
 			serveFaultFleet, serveMixRequests, serveFaultTightSLO),
 		Header: []string{"policy", "served", "goodput", "retries", "lost", "shed", "misses", "e2e p99", "avail"},
 	}
-	reqs, err := servegen.MixedBursty().Generate(serveMixRequests, e.Seed)
-	if err != nil {
-		panic("harness: " + err.Error())
-	}
-	type policy struct {
+	var variants []fleetVariant
+	for _, p := range []struct {
 		name string
 		rc   serve.RecoveryConfig
 		shed bool
-	}
-	policies := []policy{
+	}{
 		{"no-retry", serve.RecoveryConfig{}, false},
-		{"retry:3", serve.RecoveryConfig{Retries: 3, Backoff: 2}, false},
-		{"retry:3+shed", serve.RecoveryConfig{Retries: 3, Backoff: 2}, true},
+		{"retry:3", serveFaultRetry, false},
+		{"retry:3+shed", serveFaultRetry, true},
+	} {
+		variants = append(variants, fleetVariant{key: []string{p.name},
+			cfg: e.serveFaultConfig(2*time.Second, serveFaultTightSLO, p.rc, p.shed)})
 	}
-	reports := runCells(e, policies, func(p policy) serve.ClusterReport {
-		rep, err := serve.ServeCluster(reqs, e.clusterMgrFactory(), e.serveFaultConfig(2*time.Second, serveFaultTightSLO, p.rc, p.shed))
-		if err != nil {
-			panic("harness: servefault-policy " + p.name + ": " + err.Error())
-		}
-		return rep
-	})
-	for i, rep := range reports {
-		t.AddRow(policies[i].name, fmt.Sprint(rep.Served), fmt.Sprint(rep.Goodput),
+	reqs := e.stream(servegen.MixedBursty(), serveMixRequests)
+	e.sweepTable(t, fleetCells(nil, reqs, variants), nil, func(_ int, rep serve.ClusterReport) [][]string {
+		return [][]string{{fmt.Sprint(rep.Served), fmt.Sprint(rep.Goodput),
 			fmt.Sprint(rep.Retries), fmt.Sprint(rep.Lost), fmt.Sprint(rep.Shed),
-			fmt.Sprint(rep.DeadlineMisses), ms(rep.E2E.P99), pct(rep.Availability))
-	}
+			fmt.Sprint(rep.DeadlineMisses), ms(rep.E2E.P99), pct(rep.Availability)}}
+	})
 	t.AddNote("no-retry abandons crashed in-flight requests (lost); retry recomputes them from scratch")
 	t.AddNote("with exponential backoff; shed additionally rejects requests at admission once their")
 	t.AddNote("queueing delay makes the deadline unreachable, freeing batch slots for requests that")

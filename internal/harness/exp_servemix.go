@@ -2,57 +2,38 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/internal/servegen"
-	"repro/internal/sim"
 )
 
-// Serving-mix testbed shape. The device is deliberately much smaller than
-// the training rigs: per-SLO-class latency only separates when the KV cache
-// is the bottleneck, so the pool is sized to a handful of concurrent
-// sequences and the paged slab to the same token budget.
-const (
-	serveMixCapacity    = int64(3) * sim.GiB / 2
-	serveMixRequests    = 120
-	serveMixMaxBatch    = 24
-	serveMixMaxTokens   = 1024 // contiguous pad-to-max budget
-	serveMixBlockTokens = 16
-	serveMixSlabBlocks  = 448 // 7168 tokens ≈ 1.3 GB of OPT-1.3B KV
-	serveMixChunkTokens = 64
-)
-
-// serveMixPolicy is one compared KV-cache policy: a manager constructor
-// over a fresh rig plus the pool allocator it runs on.
-type serveMixPolicy struct {
+// kvPolicy is one compared KV-cache policy: a manager constructor over a
+// fresh rig plus the pool allocator it runs on.
+type kvPolicy struct {
 	policy, pool string
 	make         func(r rig) serve.CacheManager
 }
 
-// serveMixPolicies builds the compared KV-cache managers over a fresh rig
-// each; the chunked policy runs once per pool allocator to expose the
-// pool-level fragmentation GMLake removes.
-func (e *Env) serveMixPolicies() []serveMixPolicy {
+// kvPolicies are the compared KV-cache managers for OPT-1.3B, paged over a
+// pre-reserved slab of slabBlocks blocks; the chunked policy runs once per
+// pool allocator to expose the pool-level fragmentation GMLake removes.
+func kvPolicies(slabBlocks int) []kvPolicy {
 	cfg := model.OPT1_3B
-	return []serveMixPolicy{
+	chunked := func(r rig) serve.CacheManager { return serve.NewChunkedKV(r.alloc, cfg, serveMixChunkTokens) }
+	return []kvPolicy{
 		{"contiguous", AllocCaching, func(r rig) serve.CacheManager {
 			return serve.NewContiguousKV(r.alloc, cfg, serveMixMaxTokens)
 		}},
 		{"paged (vLLM)", AllocCaching, func(r rig) serve.CacheManager {
-			mgr, err := serve.NewPagedKV(r.alloc, cfg, serveMixBlockTokens, serveMixSlabBlocks)
+			mgr, err := serve.NewPagedKV(r.alloc, cfg, serveMixBlockTokens, slabBlocks)
 			if err != nil {
 				panic("harness: " + err.Error())
 			}
 			return mgr
 		}},
-		{"chunked", AllocCaching, func(r rig) serve.CacheManager {
-			return serve.NewChunkedKV(r.alloc, cfg, serveMixChunkTokens)
-		}},
-		{"chunked", AllocGMLake, func(r rig) serve.CacheManager {
-			return serve.NewChunkedKV(r.alloc, cfg, serveMixChunkTokens)
-		}},
+		{"chunked", AllocCaching, chunked},
+		{"chunked", AllocGMLake, chunked},
 	}
 }
 
@@ -60,8 +41,8 @@ func (e *Env) serveMixPolicies() []serveMixPolicy {
 // (ServeGen-style client decomposition: chat-heavy, batch-heavy, mixed
 // bursty) on every KV-cache policy and reports the per-SLO-class view:
 // TTFT and end-to-end latency percentiles, preemptions and KV-cache
-// occupancy per client class. The same seed replays identical request
-// streams across policies and runs, so rows are directly comparable.
+// occupancy per client class. Each cell is a one-replica fleet — exactly
+// the single-server Serve loop — over the policy's own manager and pool.
 func (e *Env) ServeMixExperiment() *Table {
 	t := &Table{
 		ID: "servemix",
@@ -70,65 +51,26 @@ func (e *Env) ServeMixExperiment() *Table {
 		Header: []string{"mix", "policy", "pool", "class", "SLO",
 			"served", "TTFT p50", "TTFT p95", "TTFT p99", "e2e p50", "e2e p99", "preempt", "KV share"},
 	}
-	srvCfg := serve.ServerConfig{MaxBatch: serveMixMaxBatch, ExactSamples: e.ExactSamples}
-
-	// Cells: one continuous-batching run per mix × policy. The request
-	// streams are generated up front (once per mix, shared read-only) so
-	// every cell replays the identical stream; each cell builds its own
-	// rig and cache manager.
-	type cell struct {
-		mix    servegen.Mix
-		reqs   []serve.Request
-		policy serveMixPolicy
+	var variants []fleetVariant
+	for _, p := range kvPolicies(serveMixSlabBlocks) {
+		variants = append(variants, fleetVariant{
+			key:    []string{p.policy, p.pool},
+			cfg:    serve.ClusterConfig{Replicas: 1, Server: serve.ServerConfig{MaxBatch: serveMixMaxBatch}},
+			newMgr: func(int) serve.CacheManager { return p.make(e.newServeRig(p.pool)) },
+		})
 	}
-	var cells []cell
-	for _, mix := range servegen.Mixes() {
-		reqs, err := mix.Generate(serveMixRequests, e.Seed)
-		if err != nil {
-			panic("harness: " + err.Error())
-		}
-		for _, p := range e.serveMixPolicies() {
-			cells = append(cells, cell{mix: mix, reqs: reqs, policy: p})
-		}
-	}
-	reports := runCells(e, cells, func(c cell) [][]string {
-		r := e.newServeRig(c.policy.pool)
-		mgr := c.policy.make(r)
-		rep, err := serve.Serve(c.reqs, mgr, srvCfg)
-		if err != nil {
-			return [][]string{{c.mix.Name, c.policy.policy, c.policy.pool,
-				"ALL", "-", "OOM", "-", "-", "-", "-", "-", "-", "-"}}
-		}
-		var rows [][]string
+	cells := e.grid(servegen.Mixes(), 1, serveMixRequests, variants)
+	fail := []string{"ALL", "-", "OOM", "-", "-", "-", "-", "-", "-", "-"}
+	e.sweepTable(t, cells, fail, func(_ int, rep serve.ClusterReport) (rows [][]string) {
 		for _, cr := range rep.Classes {
-			rows = append(rows, []string{c.mix.Name, c.policy.policy, c.policy.pool,
-				cr.Class, cr.SLO, fmt.Sprint(cr.Served),
-				ms(cr.TTFT.P50), ms(cr.TTFT.P95), ms(cr.TTFT.P99),
-				ms(cr.E2E.P50), ms(cr.E2E.P99),
+			rows = append(rows, []string{cr.Class, cr.SLO, fmt.Sprint(cr.Served),
+				ms(cr.TTFT.P50), ms(cr.TTFT.P95), ms(cr.TTFT.P99), ms(cr.E2E.P50), ms(cr.E2E.P99),
 				fmt.Sprint(cr.Preemptions), pct(cr.KVShare)})
 		}
 		return rows
 	})
-	for _, rows := range reports {
-		for _, row := range rows {
-			t.AddRow(row...)
-		}
-	}
 	t.AddNote("same seed => identical request streams for every policy; TTFT/e2e are virtual-clock ms.")
 	t.AddNote("batch classes absorb the preemptions and the queueing tail; interactive classes keep")
 	t.AddNote("low TTFT because admission and eviction are SLO-priority-aware.")
 	return t
-}
-
-// newServeRig is newRig on the serving testbed's smaller device. It takes
-// the capacity as an argument rather than temporarily mutating e.Capacity:
-// rigs are built inside parallel experiment cells, so Env must stay
-// read-only while cells run.
-func (e *Env) newServeRig(name string) rig {
-	return e.newRigCap(name, serveMixCapacity)
-}
-
-// ms renders a duration as whole milliseconds.
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%d", d.Milliseconds())
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/serve"
 	"repro/internal/servegen"
@@ -38,51 +37,25 @@ func (e *Env) ServeSessionExperiment() *Table {
 		Header: []string{"mix", "dispatch", "served", "TTFT p50", "TTFT p99",
 			"e2e p99", "hits", "reused tok", "affinity", "assigned"},
 	}
-	type cell struct {
-		mix    string
-		reqs   []serve.Request
-		policy serve.ClusterConfig
+	var variants []fleetVariant
+	for _, cfg := range serveSessionPolicies {
+		label := string(cfg.Dispatch)
+		if cfg.AffinityBase != "" {
+			label += "/" + string(cfg.AffinityBase)
+		}
+		cfg.Replicas = serveSessionReplicas
+		cfg.Server = serve.ServerConfig{MaxBatch: serveMixMaxBatch, PrefixReuse: true}
+		variants = append(variants, fleetVariant{key: []string{label}, cfg: cfg})
 	}
-	var cells []cell
-	for _, mix := range []servegen.Mix{servegen.ChatSessions(), servegen.MixedBursty()} {
-		reqs, err := mix.Generate(serveMixRequests, e.Seed)
-		if err != nil {
-			panic("harness: " + err.Error())
-		}
-		for _, p := range serveSessionPolicies {
-			cells = append(cells, cell{mix: mix.Name, reqs: reqs, policy: p})
-		}
-	}
-	reports := runCells(e, cells, func(c cell) []string {
-		rep, err := serve.ServeCluster(c.reqs, e.clusterMgrFactory(), serve.ClusterConfig{
-			Replicas:     serveSessionReplicas,
-			Dispatch:     c.policy.Dispatch,
-			AffinityBase: c.policy.AffinityBase,
-			Server: serve.ServerConfig{
-				MaxBatch:     serveMixMaxBatch,
-				PrefixReuse:  true,
-				ExactSamples: e.ExactSamples,
-			},
-		})
-		label := string(c.policy.Dispatch)
-		if c.policy.AffinityBase != "" {
-			label += "/" + string(c.policy.AffinityBase)
-		}
-		if err != nil {
-			return []string{c.mix, label, "OOM", "-", "-", "-", "-", "-", "-", "-"}
-		}
-		spread := make([]string, len(rep.Assigned))
-		for i, n := range rep.Assigned {
-			spread[i] = fmt.Sprint(n)
-		}
-		return []string{c.mix, label, fmt.Sprint(rep.Served),
+	mixes := []servegen.Mix{servegen.ChatSessions(), servegen.MixedBursty()}
+	cells := e.grid(mixes, 1, serveMixRequests, variants)
+	fail := []string{"OOM", "-", "-", "-", "-", "-", "-", "-"}
+	e.sweepTable(t, cells, fail, func(_ int, rep serve.ClusterReport) [][]string {
+		return [][]string{{fmt.Sprint(rep.Served),
 			ms(rep.TTFT.P50), ms(rep.TTFT.P99), ms(rep.E2E.P99),
 			fmt.Sprint(rep.PrefixHits), fmt.Sprint(rep.ReusedTokens),
-			fmt.Sprint(rep.AffinityRouted), strings.Join(spread, "/")}
+			fmt.Sprint(rep.AffinityRouted), spread(rep.Assigned)}}
 	})
-	for _, row := range reports {
-		t.AddRow(row...)
-	}
 	t.AddNote("one request stream per mix, sharded by the dispatch policy; hits/reused tok count the")
 	t.AddNote("prefill skipped on a resident session prefix, affinity the requests the sticky probe")
 	t.AddNote("routed. chat-sessions: affinity turns misses into hits; mixed-bursty has no sessions,")

@@ -58,11 +58,7 @@ func (e *Env) ServeTraceExperiment() ([]*Table, error) {
 		cells = append(cells, cell{name: e.TraceIn, reqs: reqs})
 	} else {
 		for _, mix := range servegen.Mixes() {
-			reqs, err := mix.Generate(serveMixRequests, e.Seed)
-			if err != nil {
-				panic("harness: " + err.Error())
-			}
-			cells = append(cells, cell{name: mix.Name, reqs: reqs})
+			cells = append(cells, cell{name: mix.Name, reqs: e.stream(mix, serveMixRequests)})
 		}
 	}
 
@@ -117,11 +113,8 @@ func (e *Env) serveTraceCell(name string, reqs []serve.Request) serveTraceResult
 
 	var res serveTraceResult
 	addRows := func(source string, rep serve.Report) {
-		for _, cr := range rep.Classes {
-			res.rows = append(res.rows, []string{name, source,
-				cr.Class, cr.SLO, fmt.Sprint(cr.Served),
-				ms(cr.TTFT.P50), ms(cr.TTFT.P99),
-				ms(cr.E2E.P50), ms(cr.E2E.P99), fmt.Sprint(cr.Preemptions)})
+		for _, row := range classRows(rep) {
+			res.rows = append(res.rows, append([]string{name, source}, row...))
 		}
 	}
 
@@ -139,10 +132,7 @@ func (e *Env) serveTraceCell(name string, reqs []serve.Request) serveTraceResult
 	if err != nil {
 		panic("harness: servetrace " + name + ": " + err.Error())
 	}
-	synth, err := fitted.Generate(len(reqs), e.Seed)
-	if err != nil {
-		panic("harness: servetrace " + name + ": " + err.Error())
-	}
+	synth := e.stream(fitted, len(reqs))
 	addRows("fitted", serveOn(synth, nil))
 
 	// The fit-error report compares the exact stream the fitted rows

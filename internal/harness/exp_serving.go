@@ -25,45 +25,23 @@ func (e *Env) ServingExperiment() *Table {
 	if err != nil {
 		panic("harness: " + err.Error())
 	}
-	cfg := model.OPT1_3B
 	srvCfg := serve.ServerConfig{MaxBatch: 12, ExactSamples: e.ExactSamples}
 
-	// Cells: one serving run per policy × pool; each cell owns its rig and
+	// Cells: one serving run per policy × pool on the full-size training
+	// device (the paged slab sized to match); each cell owns its rig and
 	// manager and renders its row.
-	row := func(policy, pool string, mgr serve.CacheManager, r rig) []string {
-		rep, err := serve.Serve(reqs, mgr, srvCfg)
+	for _, row := range runCells(e, kvPolicies(4096), func(p kvPolicy) []string {
+		r := e.newRig(p.pool)
+		rep, err := serve.Serve(reqs, p.make(r), srvCfg)
 		if err != nil {
-			return []string{policy, pool, "OOM", "-", "-", "-", "-", "-"}
+			return []string{p.policy, p.pool, "OOM", "-", "-", "-", "-", "-"}
 		}
 		st := r.alloc.Stats()
-		return []string{policy, pool,
+		return []string{p.policy, p.pool,
 			fmt.Sprint(rep.Served), fmt.Sprintf("%.1f", rep.MeanBatch),
 			pct(rep.MeanWaste), gb(st.PeakReserved), pct(st.Utilization()), fmt.Sprint(rep.Preemptions)}
-	}
-	jobs := []func() []string{
-		func() []string {
-			r := e.newRig(AllocCaching)
-			return row("contiguous", AllocCaching, serve.NewContiguousKV(r.alloc, cfg, 1024), r)
-		},
-		func() []string {
-			r := e.newRig(AllocCaching)
-			mgr, err := serve.NewPagedKV(r.alloc, cfg, 16, 4096)
-			if err != nil {
-				panic("harness: " + err.Error())
-			}
-			defer mgr.Close()
-			return row("paged (vLLM)", AllocCaching, mgr, r)
-		},
-	}
-	for _, pool := range []string{AllocCaching, AllocGMLake} {
-		pool := pool
-		jobs = append(jobs, func() []string {
-			r := e.newRig(pool)
-			return row("chunked", pool, serve.NewChunkedKV(r.alloc, cfg, 64), r)
-		})
-	}
-	for _, cells := range e.tableRows(jobs) {
-		t.AddRow(cells...)
+	}) {
+		t.AddRow(row...)
 	}
 	t.AddNote("paged removes in-tensor padding waste but needed a pre-reserved slab; chunked pushes the")
 	t.AddNote("problem down to the pool, where variable prompt sizes fragment the caching allocator and")

@@ -109,35 +109,33 @@ func (e *Env) RecomputeExperiment() *Table {
 	m := recompute.ForModel(model.GPTNeoX20B, 16, 0, 0)
 	full := m.Evaluate(recompute.NoRecompute())
 
-	// Cells: one plan evaluation per row; m is shared read-only (value
-	// receiver, pure evaluation).
-	planRow := func(name string, p recompute.Plan) []string {
-		r := m.Evaluate(p)
-		return []string{name, fmt.Sprint(r.Segments), gb(r.PeakBytes), gb(r.StoredBytes),
-			r.ExtraTime.Round(time.Millisecond).String(),
-			pct(float64(r.PeakBytes) / float64(full.PeakBytes))}
+	// The plans are chosen up front; the cells evaluate them. m is shared
+	// read-only (value receiver, pure evaluation).
+	type planned struct {
+		name string
+		plan recompute.Plan
+		err  error
 	}
-	jobs := []func() []string{
-		func() []string { return planRow("store-all", recompute.NoRecompute()) },
-	}
+	plans := []planned{{name: "store-all", plan: recompute.NoRecompute()}}
 	if p, err := recompute.SqrtN(len(m.Layers)); err == nil {
-		jobs = append(jobs, func() []string { return planRow("sqrt(N)", p) })
+		plans = append(plans, planned{name: "sqrt(N)", plan: p})
 	}
 	if p, err := recompute.Uniform(len(m.Layers), 1); err == nil {
-		jobs = append(jobs, func() []string { return planRow("per-layer", p) })
+		plans = append(plans, planned{name: "per-layer", plan: p})
 	}
 	for _, frac := range []float64{0.5, 0.25, 0.1} {
-		frac := frac
-		jobs = append(jobs, func() []string {
-			budget := int64(float64(full.PeakBytes) * frac)
-			p, err := m.PlanForBudget(budget)
-			if err != nil {
-				return []string{fmt.Sprintf("budget %.0f%%", frac*100), "-", "infeasible", "-", "-", "-"}
-			}
-			return planRow(fmt.Sprintf("budget %.0f%%", frac*100), p)
-		})
+		p, err := m.PlanForBudget(int64(float64(full.PeakBytes) * frac))
+		plans = append(plans, planned{fmt.Sprintf("budget %.0f%%", frac*100), p, err})
 	}
-	for _, row := range e.tableRows(jobs) {
+	for _, row := range runCells(e, plans, func(c planned) []string {
+		if c.err != nil {
+			return []string{c.name, "-", "infeasible", "-", "-", "-"}
+		}
+		r := m.Evaluate(c.plan)
+		return []string{c.name, fmt.Sprint(r.Segments), gb(r.PeakBytes), gb(r.StoredBytes),
+			r.ExtraTime.Round(time.Millisecond).String(),
+			pct(float64(r.PeakBytes) / float64(full.PeakBytes))}
+	}) {
 		t.AddRow(row...)
 	}
 	t.AddNote("checkpointing converts a big resident activation set into per-segment recompute bursts of")

@@ -89,25 +89,4 @@ func TestExperimentGoldens(t *testing.T) {
 			}
 		})
 	}
-
-	// RunAll is the batch entry point behind `gmlake-bench -experiment all`:
-	// it must write exactly the goldens, in table order.
-	t.Run("RunAll", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("runs every experiment, heavy sweeps included")
-		}
-		var want strings.Builder
-		for _, id := range Experiments {
-			b, err := os.ReadFile(goldenPath(id))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.Write(b)
-		}
-		var got strings.Builder
-		goldenEnv(0).RunAll(&got)
-		if got.String() != want.String() {
-			t.Errorf("RunAll drifted from the concatenated goldens at %s", firstDiff(got.String(), want.String()))
-		}
-	})
 }

@@ -2,6 +2,32 @@
 // and figure, each returning a renderable text table with the same rows or
 // series the paper reports. The experiment table in all.go maps experiment
 // ids to these functions (`gmlake-bench -list` prints the ids).
+//
+// An experiment is data handed to one runner. It declares its cells —
+// independent executions that each build their own rig (device, virtual
+// clock, driver, allocator) — a header, and a function from one cell's
+// result to its rows; runCells (runner.go) executes the cells on a bounded
+// worker pool and joins the results in cell order, so a table is
+// byte-identical at any Env.Parallelism. The training experiments cross
+// models × strategies × allocators over RunWorkload (compareCells and the
+// shared memory/throughput panels in exp_eval.go); the serving experiments
+// cross mixes × fleet variants over ServeCluster through the one sweep in
+// exp_serve.go: e.grid builds the cells with one shared stream per mix,
+// e.sweepTable runs them and prefixes each row with its cell's key. What a
+// failed cell means is an argument of sweepTable, not a convention: a fail
+// row renders it (the tables whose tight pools may OOM), nil panics with
+// the table id and cell key (a fleet that must serve its stream).
+//
+// To add a serving experiment, write its []fleetVariant and row function,
+// call grid and sweepTable, and add its id to experiments() in all.go; then
+// record its golden with
+//
+//	go test ./internal/harness -run TestExperimentGoldens -update
+//
+// Every id is pinned byte-for-byte to testdata/golden/<id>.golden at
+// Parallelism 1 and 8. A refactor must leave those files alone; -update is
+// for a new experiment or an intended change to a simulated number, and
+// its diff is reviewed like code.
 package harness
 
 import (
@@ -102,22 +128,29 @@ type rig struct {
 
 func (e *Env) newRig(name string) rig { return e.newRigCap(name, e.Capacity) }
 
+// newDriverRig assembles the device, clock and driver of a rig of an
+// explicit capacity; the caller puts an allocator on it.
+func newDriverRig(capacity int64) rig {
+	dev := gpu.NewDevice("sim-a100", capacity)
+	clock := sim.NewClock()
+	return rig{dev: dev, clock: clock, driver: cuda.NewDriver(dev, clock, sim.DefaultCostModel())}
+}
+
 // newRigCap assembles a rig on a device of an explicit capacity. It must
 // not read mutable Env state beyond its arguments: rigs are built inside
 // parallel experiment cells.
 func (e *Env) newRigCap(name string, capacity int64) rig {
-	dev := gpu.NewDevice("sim-a100", capacity)
-	clock := sim.NewClock()
-	driver := cuda.NewDriver(dev, clock, sim.DefaultCostModel())
 	cfg := conf.Config{Backend: name}
 	if name == AllocCachingTuned {
 		cfg = conf.Config{Backend: AllocCaching, MaxSplitSizeMB: 128, GCThreshold: 0.8}
 	}
-	alloc, err := cfg.Build(driver)
+	r := newDriverRig(capacity)
+	alloc, err := cfg.Build(r.driver)
 	if err != nil {
 		panic("harness: " + err.Error())
 	}
-	return rig{dev: dev, clock: clock, driver: driver, alloc: alloc}
+	r.alloc = alloc
+	return r
 }
 
 // RunResult is one workload × allocator execution.

@@ -7,8 +7,8 @@ import "repro/internal/runner"
 // its own rig (device, virtual clock, driver, allocator) — and the engine
 // runs them on a bounded worker pool, joining results by cell index. Because
 // cells share nothing and the join order is fixed, the rendered tables are
-// byte-identical whatever Env.Parallelism is; the differential test in
-// parallel_test.go pins that property.
+// byte-identical whatever Env.Parallelism is; TestExperimentGoldens pins
+// that property at Parallelism 1 and 8.
 
 // workers resolves Env.Parallelism (0 = GOMAXPROCS) for the engine.
 func (e *Env) workers() int { return runner.Workers(e.Parallelism) }
@@ -25,10 +25,4 @@ func runCells[C, R any](e *Env, cells []C, run func(C) R) []R {
 		panic(err)
 	}
 	return out
-}
-
-// tableRows is runCells for the common case where each cell produces
-// exactly one table row.
-func (e *Env) tableRows(jobs []func() []string) [][]string {
-	return runCells(e, jobs, func(job func() []string) []string { return job() })
 }

@@ -23,7 +23,7 @@ func TestServeClusterSingleReplicaMatchesServemix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range e.serveMixPolicies() {
+		for _, p := range kvPolicies(serveMixSlabBlocks) {
 			want, err := serve.Serve(reqs, p.make(e.newServeRig(p.pool)), srvCfg)
 			if err != nil {
 				t.Fatalf("%s/%s/%s: Serve: %v", mix.Name, p.policy, p.pool, err)

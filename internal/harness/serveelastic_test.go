@@ -12,7 +12,7 @@ import (
 // fleet records steals.
 func TestServeElasticScalingBehaviour(t *testing.T) {
 	tbl := NewEnv().serveElasticScaling()
-	fleets := serveElasticFleets(0)
+	fleets := serveElasticFleets()
 	if len(tbl.Rows)%len(fleets) != 0 {
 		t.Fatalf("%d rows for %d fleets", len(tbl.Rows), len(fleets))
 	}

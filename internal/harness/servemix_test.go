@@ -26,7 +26,7 @@ func TestServeMixExperimentShape(t *testing.T) {
 	}
 
 	policies := []key{} // expected (policy, pool) combinations per mix
-	for _, p := range (&Env{}).serveMixPolicies() {
+	for _, p := range kvPolicies(serveMixSlabBlocks) {
 		policies = append(policies, key{policy: p.policy, pool: p.pool})
 	}
 	for _, mix := range servegen.Mixes() {

@@ -275,7 +275,10 @@ func (g *CallGraph) identRef(cur *Node, id *ast.Ident) {
 	if !ok {
 		return
 	}
-	if callee, ok := g.byObj[fn]; ok {
+	// A method of an instantiated generic type is a distinct object from
+	// the declared one; Origin maps it (and everything else) to the
+	// declaration the nodes are keyed by.
+	if callee, ok := g.byObj[fn.Origin()]; ok {
 		g.addEdge(cur, callee)
 		return
 	}

@@ -99,7 +99,10 @@
 //     function handed to a combinator still taints the passer.
 //   - Interface method calls create no edge (no class-hierarchy
 //     analysis); only methods invoked through concrete receivers are
-//     resolved.
+//     resolved. A method of an instantiated generic type and an
+//     instantiated generic function resolve to their origin declaration
+//     (container.Heap[T].Push for every T), so effects behind generic
+//     containers are seen.
 //   - Package-level variable initializer expressions run before main and
 //     are not part of any function body, so effects inside them are not
 //     seeded (they cannot vary between runs of a seeded binary).

@@ -114,6 +114,13 @@ func TestEffectsFlowGolden(t *testing.T) {
 }
 func TestParCaptureGolden(t *testing.T) { runGolden(t, "parcapture", []*Analyzer{ParCapture}) }
 
+// TestWallClockFlowGenerics: effects behind methods of instantiated generic
+// types and instantiated generic functions are seen (their uses resolve to
+// the origin declaration).
+func TestWallClockFlowGenerics(t *testing.T) {
+	runGolden(t, "wallclockflow", []*Analyzer{WallClockFlow})
+}
+
 // TestIgnoreDirectives pins the suppression engine's semantics on
 // testdata/src/ignore: two justified directives silence their findings,
 // while a stale, an unknown-analyzer and a reasonless directive are each

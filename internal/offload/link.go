@@ -1,15 +1,13 @@
 // Package offload simulates the host-device transfer path used by the
 // paper's "O" strategy (ZeRO-Offload, §2.3): a PCIe link cost model, an
-// asynchronous copy engine running on dedicated streams, a ZeRO-Offload
-// style CPU optimizer with a bucketed D2H → CPU-Adam → H2D pipeline, and an
-// activation swapper with prefetch.
+// asynchronous copy engine running on dedicated streams, and a ZeRO-Offload
+// style CPU optimizer with a bucketed D2H → CPU-Adam → H2D pipeline.
 //
 // Offloading trades GPU memory for transfer time, and — what matters to this
 // repository — replaces a few long-lived residents with a steady churn of
 // staging allocations and frees. That churn is one of the irregular request
 // streams that fragment the baseline caching allocator (Observation 1); the
-// swapper and optimizer here generate it mechanistically rather than
-// statistically.
+// optimizer here generates it mechanistically rather than statistically.
 package offload
 
 import (

@@ -10,7 +10,7 @@ import (
 )
 
 // StreamRecorder is implemented by stream-aware allocators
-// (stream.Allocator); the optimizer and swapper use it to free buffers that
+// (stream.Allocator); the optimizer uses it to free buffers that
 // asynchronous copies are still reading without blocking the host.
 type StreamRecorder interface {
 	RecordStream(b *memalloc.Buffer, id stream.ID)

@@ -1,9 +1,6 @@
 package parallel
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Schedule selects the pipeline-parallel execution order.
 type Schedule int
@@ -51,12 +48,6 @@ func (c PipelineConfig) Validate() error {
 	return nil
 }
 
-// BubbleFraction returns the idle fraction of the pipeline,
-// (S−1)/(M+S−1) for both schedules.
-func (c PipelineConfig) BubbleFraction() float64 {
-	return float64(c.Stages-1) / float64(c.MicroBatches+c.Stages-1)
-}
-
 // PeakMicrobatchesInFlight returns how many microbatches' activations stage
 // (0-based) holds at its worst moment.
 func (c PipelineConfig) PeakMicrobatchesInFlight(stage int) int {
@@ -80,15 +71,6 @@ func (c PipelineConfig) PeakMicrobatchesInFlight(stage int) int {
 // the per-microbatch activation footprint of that stage's layers.
 func (c PipelineConfig) StageActivationBytes(stage int, perMicrobatch int64) int64 {
 	return int64(c.PeakMicrobatchesInFlight(stage)) * perMicrobatch
-}
-
-// StepTime returns one training step's duration given per-microbatch
-// forward and backward times of one stage (assumed balanced). Both
-// schedules complete in (M + S − 1) slots of (fwd+bwd); 1F1B's benefit is
-// memory, not time.
-func (c PipelineConfig) StepTime(fwd, bwd time.Duration) time.Duration {
-	slots := time.Duration(c.MicroBatches + c.Stages - 1)
-	return slots * (fwd + bwd)
 }
 
 // PartitionLayers splits n layers into the pipeline's stages as evenly as

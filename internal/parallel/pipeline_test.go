@@ -3,7 +3,6 @@ package parallel
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestPipelineValidate(t *testing.T) {
@@ -28,17 +27,6 @@ func TestScheduleStrings(t *testing.T) {
 	}
 	if Schedule(5).String() != "Schedule(5)" {
 		t.Fatalf("%v", Schedule(5))
-	}
-}
-
-func TestBubbleFraction(t *testing.T) {
-	c := PipelineConfig{Stages: 4, MicroBatches: 12}
-	if got, want := c.BubbleFraction(), 3.0/15.0; got != want {
-		t.Fatalf("bubble = %v, want %v", got, want)
-	}
-	single := PipelineConfig{Stages: 1, MicroBatches: 8}
-	if single.BubbleFraction() != 0 {
-		t.Fatal("single stage has no bubble")
 	}
 }
 
@@ -81,14 +69,6 @@ func TestStageActivationBytes(t *testing.T) {
 	c := PipelineConfig{Stages: 2, MicroBatches: 8, Schedule: GPipe}
 	if got := c.StageActivationBytes(0, 100); got != 800 {
 		t.Fatalf("got %d, want 800", got)
-	}
-}
-
-func TestStepTime(t *testing.T) {
-	c := PipelineConfig{Stages: 4, MicroBatches: 12, Schedule: OneFOneB}
-	got := c.StepTime(time.Millisecond, 2*time.Millisecond)
-	if want := 15 * 3 * time.Millisecond; got != want {
-		t.Fatalf("step = %v, want %v", got, want)
 	}
 }
 

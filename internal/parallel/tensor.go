@@ -71,17 +71,3 @@ func (c TPConfig) ActivationBytes(cfg model.Config, batch, seq int) int64 {
 	}
 	return 2*boundary + interior/int64(c.Degree)
 }
-
-// AllReduceBytesPerLayer returns the activation traffic tensor parallelism
-// adds: two all-reduces of the boundary activation per layer per forward
-// pass (one after attention, one after the MLP), each moving
-// 2·(d-1)/d of the tensor on a ring.
-func (c TPConfig) AllReduceBytesPerLayer(cfg model.Config, batch, seq int) int64 {
-	if c.Degree <= 1 {
-		return 0
-	}
-	boundary := int64(batch) * int64(seq) * int64(cfg.Hidden) * model.DTypeBytes
-	d := int64(c.Degree)
-	perAllReduce := 2 * boundary * (d - 1) / d
-	return 2 * perAllReduce
-}

@@ -66,19 +66,3 @@ func TestActivationBytesShrinkInteriorOnly(t *testing.T) {
 		t.Fatal("boundary activations must stay replicated")
 	}
 }
-
-func TestAllReduceBytes(t *testing.T) {
-	cfg, batch, seq := model.OPT13B, 8, 512
-	if got := (TPConfig{Degree: 1}).AllReduceBytesPerLayer(cfg, batch, seq); got != 0 {
-		t.Fatalf("degree 1 communicates %d", got)
-	}
-	b2 := TPConfig{Degree: 2}.AllReduceBytesPerLayer(cfg, batch, seq)
-	b8 := TPConfig{Degree: 8}.AllReduceBytesPerLayer(cfg, batch, seq)
-	if b2 <= 0 || b8 <= b2 {
-		t.Fatalf("ring volume should grow with degree: d2=%d d8=%d", b2, b8)
-	}
-	boundary := int64(batch) * int64(seq) * int64(cfg.Hidden) * model.DTypeBytes
-	if b8 >= 4*boundary {
-		t.Fatalf("per-layer traffic %d above the 4×boundary asymptote %d", b8, 4*boundary)
-	}
-}

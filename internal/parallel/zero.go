@@ -97,14 +97,3 @@ func ZeROStepCommBytes(params int64, world int, stage ZeROStage) int64 {
 		return grad + 2*p // reduce-scatter grads + two parameter gathers
 	}
 }
-
-// GatherGranularity returns the byte size of the parameter material one
-// ZeRO-3 gather materializes on every rank: the full (unsharded) layer.
-// These transient full-layer tensors, allocated and freed once per layer per
-// pass, are the ZeRO-3 churn the paper's Figure 4 measures.
-func GatherGranularity(cfg model.Config, layersPerGather int) int64 {
-	if layersPerGather <= 0 {
-		layersPerGather = 1
-	}
-	return cfg.LayerParamBytes() * int64(layersPerGather)
-}

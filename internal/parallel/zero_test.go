@@ -3,8 +3,6 @@ package parallel
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/model"
 )
 
 func TestZeROStage0Replicates(t *testing.T) {
@@ -87,20 +85,6 @@ func TestZeROStepCommBytes(t *testing.T) {
 	}
 	if s3 <= s0 {
 		t.Fatal("stage3 must pay extra parameter gathers")
-	}
-}
-
-func TestGatherGranularity(t *testing.T) {
-	g1 := GatherGranularity(model.OPT13B, 1)
-	g2 := GatherGranularity(model.OPT13B, 2)
-	if g1 != model.OPT13B.LayerParamBytes() {
-		t.Fatalf("granularity = %d", g1)
-	}
-	if g2 != 2*g1 {
-		t.Fatalf("FSDP-style 2-layer gather = %d, want %d", g2, 2*g1)
-	}
-	if GatherGranularity(model.OPT13B, 0) != g1 {
-		t.Fatal("zero layersPerGather should default to 1")
 	}
 }
 

@@ -63,14 +63,6 @@ func (d *latDigest) add(v time.Duration) {
 	d.sk.Add(int64(v))
 }
 
-// count returns the total samples recorded.
-func (d *latDigest) count() int64 {
-	if d.sk != nil {
-		return d.sk.Count()
-	}
-	return int64(len(d.exact))
-}
-
 // retained and sketched split count by storage: raw samples held exactly
 // versus samples absorbed into the fixed-size sketch — the report's
 // memory-footprint proxy.

@@ -1,7 +1,7 @@
 // Package trace records and replays allocation request streams. A Recorder
 // wraps any memalloc.Allocator and logs every Alloc/Free with its virtual
 // timestamp; the log supports the paper's Figure 5 stream statistics
-// (allocation count and mean size), CSV export, and deterministic replay
+// (allocation count and mean size), JSON export, and deterministic replay
 // against a different allocator for differential testing.
 //
 // Naming note: this package records *allocator events* — the memory-level
@@ -13,7 +13,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/memalloc"
@@ -67,23 +66,6 @@ func (t *Trace) Stats() Stats {
 		s.MeanBytes = s.Bytes / s.Allocs
 	}
 	return s
-}
-
-// WriteCSV emits "op,id,size,seconds" rows.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "op,id,size,seconds"); err != nil {
-		return err
-	}
-	for _, e := range t.Events {
-		op := "alloc"
-		if e.Op == OpFree {
-			op = "free"
-		}
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%.6f\n", op, e.ID, e.Size, e.T.Seconds()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Recorder wraps an allocator and records its request stream.

@@ -132,21 +132,6 @@ func TestReplayUnknownFree(t *testing.T) {
 	}
 }
 
-func TestTraceCSV(t *testing.T) {
-	tr := &Trace{Events: []Event{
-		{Op: OpAlloc, ID: 1, Size: 1024, T: 0},
-		{Op: OpFree, ID: 1, T: 2e9},
-	}}
-	var sb strings.Builder
-	if err := tr.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "op,id,size,seconds\nalloc,1,1024,0.000000\nfree,1,0,2.000000\n"
-	if sb.String() != want {
-		t.Fatalf("CSV = %q", sb.String())
-	}
-}
-
 func TestRecorderDelegates(t *testing.T) {
 	rec, _ := newRecorded(sim.GiB)
 	if rec.Name() != "caching+trace" {

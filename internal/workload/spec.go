@@ -52,26 +52,6 @@ func (s Strategy) Label() string {
 	return out
 }
 
-// Irregularity scores how much allocation dynamism this strategy
-// combination induces (paper Observation 1): 0 for plain training, which
-// replays identical shapes every iteration, rising with each optimization.
-// The trainer derives its shape-bucket count and asynchronous-release
-// windows from the individual flags; this scalar is the ordering tests and
-// reports use.
-func (s Strategy) Irregularity() float64 {
-	spread := 0.0
-	if s.Recompute {
-		spread += 0.10
-	}
-	if s.LoRA {
-		spread += 0.05
-	}
-	if s.Offload {
-		spread += 0.12
-	}
-	return spread
-}
-
 // Platform is the distributed-training framework profile (paper Table 2).
 // Frameworks differ, for the allocator's purposes, in how much parameter
 // material one gather step materializes.

@@ -34,18 +34,6 @@ func TestStrategyLabels(t *testing.T) {
 	}
 }
 
-func TestStrategyIrregularityMonotone(t *testing.T) {
-	if StrategyN.Irregularity() != 0 {
-		t.Fatal("plain training must be regular")
-	}
-	if !(StrategyLRO.Irregularity() > StrategyLR.Irregularity()) {
-		t.Fatal("LRO must be more irregular than LR")
-	}
-	if !(StrategyLR.Irregularity() > StrategyR.Irregularity()) {
-		t.Fatal("LR must be more irregular than R")
-	}
-}
-
 func TestPlatformString(t *testing.T) {
 	if DeepSpeed.String() != "DeepSpeed" || FSDP.String() != "FSDP" || ColossalAI.String() != "Colossal-AI" {
 		t.Fatal("platform names wrong")
