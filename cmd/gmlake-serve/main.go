@@ -347,8 +347,12 @@ func main() {
 		case "paged":
 			// Size the slab to ~85% of the device so the block pool, not
 			// the pool allocator, is the binding constraint.
-			perToken := serve.KVBytesPerToken(modelCfg)
-			blocks := int(capacityOf(replica) * 85 / 100 / (16 * perToken))
+			blockBytes := 16 * serve.KVBytesPerToken(modelCfg)
+			blocks := int(capacityOf(replica) * 85 / 100 / blockBytes)
+			if blocks < 1 {
+				return nil, nil, fmt.Errorf("paged slab on a %d-byte device holds no %d-byte block: %w",
+					capacityOf(replica), blockBytes, cuda.ErrOutOfMemory)
+			}
 			m, err := serve.NewPagedKV(alloc, modelCfg, 16, blocks)
 			if err != nil {
 				return nil, nil, err

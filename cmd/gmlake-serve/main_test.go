@@ -248,6 +248,7 @@ func TestRunFailures(t *testing.T) {
 		{`-n 50 -policy chunked -replicas 2 -fault-plan crash@t=0s:r0/crash@t=0s:r1 -timeout 10s`,
 			"== chunked: failed: serve: 50 request(s) stranded in the re-dispatch pool", "OOM", 1},
 		{`-n 60 -policy all -capacity-gb 0.05`, "== paged: OOM: ", "failed", 0},
+		{`-n 20 -policy paged -capacity-gb 1e-9`, "== paged: OOM: replica 0: paged slab on a 1-byte device", "failed", 0},
 	} {
 		stdout, stderr, exit := run(t, t.TempDir(), strings.Fields(tc.args)...)
 		if exit != tc.exit || !strings.Contains(stdout, tc.want) || strings.Contains(stdout, tc.not) {

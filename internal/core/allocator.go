@@ -95,15 +95,7 @@ func (a *Allocator) Name() string { return "gmlake" }
 // Stats implements memalloc.Allocator, combining the VMM pools with the
 // embedded small-request allocator.
 func (a *Allocator) Stats() memalloc.Stats {
-	st := a.acct.Stats()
-	ss := a.small.Stats()
-	st.Active += ss.Active
-	st.Reserved += ss.Reserved
-	st.PeakActive += ss.PeakActive
-	st.PeakReserved += ss.PeakReserved
-	st.AllocCount += ss.AllocCount
-	st.FreeCount += ss.FreeCount
-	return st
+	return a.acct.Stats().Add(a.small.Stats())
 }
 
 // ResetPeaks restarts peak tracking from current levels.

@@ -130,15 +130,7 @@ func (a *Allocator) errorf(format string, args ...any) error {
 
 // Stats implements memalloc.Allocator.
 func (a *Allocator) Stats() memalloc.Stats {
-	st := a.acct.Stats()
-	ss := a.small.Stats()
-	st.Active += ss.Active
-	st.Reserved += ss.Reserved
-	st.PeakActive += ss.PeakActive
-	st.PeakReserved += ss.PeakReserved
-	st.AllocCount += ss.AllocCount
-	st.FreeCount += ss.FreeCount
-	return st
+	return a.acct.Stats().Add(a.small.Stats())
 }
 
 // ResetPeaks restarts peak tracking.

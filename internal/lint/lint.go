@@ -91,16 +91,6 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName returns the analyzer with the given name from All, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // Run executes the analyzers over the packages, applies //lint:ignore
 // suppression directives (reporting malformed and unused ones under the
 // ignorecheck pseudo-analyzer), and returns the surviving diagnostics

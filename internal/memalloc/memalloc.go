@@ -63,6 +63,19 @@ type Stats struct {
 	FreeCount  int64 // tensor frees served
 }
 
+// Add returns the field-wise sum of s and other: the statistics of an
+// allocator made of two pools that take disjoint requests. The peaks add
+// too — an upper bound, exact when both pools peak together.
+func (s Stats) Add(other Stats) Stats {
+	s.Active += other.Active
+	s.Reserved += other.Reserved
+	s.PeakActive += other.PeakActive
+	s.PeakReserved += other.PeakReserved
+	s.AllocCount += other.AllocCount
+	s.FreeCount += other.FreeCount
+	return s
+}
+
 // Utilization returns peak active / peak reserved, the paper's utilization
 // ratio. A fresh allocator with no traffic reports 1 (no waste).
 func (s Stats) Utilization() float64 {

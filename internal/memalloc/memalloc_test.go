@@ -69,6 +69,7 @@ func TestStatsUtilization(t *testing.T) {
 		{Stats{}, 1},
 		{Stats{PeakActive: 50, PeakReserved: 100}, 0.5},
 		{Stats{PeakActive: 100, PeakReserved: 100}, 1},
+		{Stats{PeakActive: 20, PeakReserved: 60}.Add(Stats{PeakActive: 30, PeakReserved: 40}), 0.5},
 	}
 	for _, tt := range tests {
 		if got := tt.s.Utilization(); got != tt.util {
@@ -77,6 +78,10 @@ func TestStatsUtilization(t *testing.T) {
 		if got := tt.s.Fragmentation(); got != 1-tt.util {
 			t.Errorf("Fragmentation(%+v) = %v", tt.s, got)
 		}
+	}
+	sum := Stats{1, 2, 3, 4, 5, 6}.Add(Stats{10, 20, 30, 40, 50, 60})
+	if want := (Stats{11, 22, 33, 44, 55, 66}); sum != want {
+		t.Errorf("Add = %+v, want %+v", sum, want)
 	}
 }
 

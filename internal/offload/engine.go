@@ -36,11 +36,8 @@ func (e *Engine) Link() *Link { return e.link }
 // Scheduler returns the stream scheduler the engine enqueues on.
 func (e *Engine) Scheduler() *stream.Scheduler { return e.sched }
 
-// H2DStream and D2HStream expose the copy streams so callers can order
-// compute against transfers with events.
-func (e *Engine) H2DStream() stream.ID { return e.h2d }
-
-// D2HStream returns the device-to-host copy stream.
+// D2HStream exposes the device-to-host copy stream so callers can order
+// work against those transfers with events.
 func (e *Engine) D2HStream() stream.ID { return e.d2h }
 
 // CopyH2D enqueues an asynchronous host-to-device copy and returns the event

@@ -131,9 +131,6 @@ func NewAlpha(alpha float64) (*Sketch, error) {
 	}, nil
 }
 
-// Alpha returns the sketch's relative-accuracy target.
-func (s *Sketch) Alpha() float64 { return s.geo.alpha }
-
 // Count returns the number of values added.
 func (s *Sketch) Count() int64 { return s.n }
 

@@ -56,10 +56,10 @@ func (c *inputCursor) head() (int, *Request) {
 
 // pop releases the head: the request gets its track here, and its input
 // index is its FIFO ticket.
-func (c *inputCursor) pop() waiting {
+func (c *inputCursor) pop() *track {
 	i, r := c.head()
 	c.next++
-	return waiting{rec: &track{req: r}, seq: int64(i)}
+	return newTrack(r, int64(i))
 }
 
 // each visits the requests not yet released, in arrival order.
@@ -83,20 +83,20 @@ func (c *inputCursor) each(f func(*Request)) {
 type arrivalQueue struct {
 	input inputCursor
 
-	items []waiting
+	items []*track
 	head  int
 	dirty bool
 }
 
 // compareArrival is the queue order: arrival time, then FIFO ticket.
-func compareArrival(a, b waiting) int {
-	if c := cmp.Compare(a.rec.req.ArrivalAt, b.rec.req.ArrivalAt); c != 0 {
+func compareArrival(a, b *track) int {
+	if c := cmp.Compare(a.req.ArrivalAt, b.req.ArrivalAt); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.seq, b.seq)
 }
 
-func (q *arrivalQueue) push(w waiting) {
+func (q *arrivalQueue) push(w *track) {
 	if n := len(q.items); !q.dirty && n > q.head && compareArrival(w, q.items[n-1]) < 0 {
 		q.dirty = true
 	}
@@ -122,7 +122,7 @@ func (q *arrivalQueue) fromInput() bool {
 	}
 	i, r := q.input.head()
 	w := q.items[q.head]
-	if at := w.rec.req.ArrivalAt; r.ArrivalAt != at {
+	if at := w.req.ArrivalAt; r.ArrivalAt != at {
 		return r.ArrivalAt < at
 	}
 	return int64(i) < w.seq
@@ -138,18 +138,18 @@ func (q *arrivalQueue) peek() (time.Duration, bool) {
 		_, r := q.input.head()
 		return r.ArrivalAt, true
 	}
-	return q.items[q.head].rec.req.ArrivalAt, true
+	return q.items[q.head].req.ArrivalAt, true
 }
 
 // popMin removes and returns the earliest pending arrival. A vacated item
 // slot is zeroed so the popped request's record is not pinned by the backing
 // array, and fully drained items recycle it.
-func (q *arrivalQueue) popMin() waiting {
+func (q *arrivalQueue) popMin() *track {
 	if q.fromInput() {
 		return q.input.pop()
 	}
 	w := q.items[q.head]
-	q.items[q.head] = waiting{}
+	q.items[q.head] = nil
 	q.head++
 	if q.head == len(q.items) {
 		q.items, q.head = q.items[:0], 0
@@ -165,7 +165,7 @@ func (q *arrivalQueue) len() int { return q.input.left() + len(q.items) - q.head
 func (q *arrivalQueue) each(f func(*track)) {
 	q.sort()
 	for _, w := range q.items[q.head:] {
-		f(w.rec)
+		f(w)
 	}
 	q.input.each(func(r *Request) { f(&track{req: r}) })
 }

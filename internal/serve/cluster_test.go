@@ -494,16 +494,16 @@ func TestArrivalQueueMergesSources(t *testing.T) {
 	input := []Request{{ArrivalAt: at(4)}, {ArrivalAt: at(1)}, {ArrivalAt: at(4)}, {ArrivalAt: at(9)}}
 	q := arrivalQueue{input: newInputCursor(input)}
 	for i, s := range []int{9, 4, 0, 6} {
-		q.push(waiting{rec: &track{req: &Request{ArrivalAt: at(s)}}, seq: int64(10 + i)})
+		q.push(newTrack(&Request{ArrivalAt: at(s)}, int64(10+i)))
 	}
 	var got [][2]int64
 	for q.len() > 0 {
 		peeked, ok := q.peek()
 		w := q.popMin()
-		if !ok || peeked != w.rec.req.ArrivalAt {
-			t.Fatalf("peek %v/%v before popping %+v", peeked, ok, w.rec.req)
+		if !ok || peeked != w.req.ArrivalAt {
+			t.Fatalf("peek %v/%v before popping %+v", peeked, ok, w.req)
 		}
-		got = append(got, [2]int64{int64(w.rec.req.ArrivalAt / time.Second), w.seq})
+		got = append(got, [2]int64{int64(w.req.ArrivalAt / time.Second), w.seq})
 	}
 	want := [][2]int64{{0, 12}, {1, 1}, {4, 0}, {4, 2}, {4, 11}, {6, 13}, {9, 3}, {9, 10}}
 	if !reflect.DeepEqual(got, want) {

@@ -113,16 +113,28 @@ func (d *latDigest) summary() LatencySummary {
 	return LatencySummary{P50: at(50), P95: at(95), P99: at(99)}
 }
 
-// classAgg is one client class's streaming aggregation: the roster entry,
-// served count and latency digests that replace the old retained-forever
-// per-request record slice.
+// classAgg is the one record of a client class on a tally: served count,
+// latency digests, evictions and KV token-steps. An admission creates it (a
+// track caches the pointer, so the per-step accounting skips the map), which
+// can be before the class has anything to report — or on a replica where it
+// never will: a request admitted on a replica that crashes and completed on
+// another belongs in the finishing replica's rows only. rostered is what
+// lists the class in its tally's report; completions, unfinished requests
+// and a failed run's undispatched requests set it.
 type classAgg struct {
-	slo    string
-	served int
-	ttft   *latDigest
-	e2e    *latDigest
+	rostered bool
+	slo      string
+	served   int
+	ttft     *latDigest
+	e2e      *latDigest
+
+	preempt    int64
+	tokenSteps float64
 }
 
-func newClassAgg(slo string, limit int) *classAgg {
-	return &classAgg{slo: slo, ttft: newLatDigest(limit), e2e: newLatDigest(limit)}
+// list puts the class on the roster, under slo if it is the first to.
+func (a *classAgg) list(slo string) {
+	if !a.rostered {
+		a.rostered, a.slo = true, slo
+	}
 }

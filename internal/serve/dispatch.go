@@ -218,14 +218,14 @@ func (c *clusterSched) trySteal() bool {
 	// reservation is released immediately either way.
 	from, to := c.fleet[victim], c.fleet[thief]
 	cand := from.srv.ready.Max() // the victim's excess is ready work: never nil
-	h, err := to.srv.mgr.Admit(*cand.Value.rec.req)
+	h, err := to.srv.mgr.Admit(*cand.Value.req)
 	if err != nil {
 		return false
 	}
 	to.srv.mgr.Release(h)
 	w := cand.Value
 	from.srv.ready.Delete(cand)
-	from.dispatchedTokens -= int64(w.rec.req.TotalTokens())
+	from.dispatchedTokens -= int64(w.req.TotalTokens())
 	c.touch(victim)
 	c.place(thief, w, c.now)
 	to.stolen++

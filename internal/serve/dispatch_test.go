@@ -44,6 +44,44 @@ func TestPickAllocatesNothing(t *testing.T) {
 	}
 }
 
+// stubKV is a CacheManager with endless room and no books, so what
+// AllocsPerRun counts around it is the server's own bookkeeping.
+type stubKV struct{}
+
+func (stubKV) Name() string                     { return "stub" }
+func (stubKV) Admit(Request) (SeqHandle, error) { return 1, nil }
+func (stubKV) Append(SeqHandle) error           { return nil }
+func (stubKV) Release(SeqHandle)                {}
+func (stubKV) UsedBytes() int64                 { return 0 }
+func (stubKV) LogicalBytes() int64              { return 0 }
+
+// TestReadmissionAllocatesNothing: a request's one record carries it through
+// every admission — re-admitting a preempted request, stepping it and
+// evicting it again costs no heap allocation (each admission used to
+// allocate the sequence's batch entry).
+func TestReadmissionAllocatesNothing(t *testing.T) {
+	s, err := newServer([]Request{{ID: 1, Class: "chat", PromptLen: 32, OutputLen: 1 << 20}}, stubKV{}, ServerConfig{MaxBatch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		if _, err := s.admit(); err != nil || len(s.running) != 1 {
+			t.Fatalf("admit: %v, batch of %d", err, len(s.running))
+		}
+		if err := s.step(0); err != nil {
+			t.Fatal(err)
+		}
+		s.evict(s.running[0])
+	}
+	cycle() // the first admission promotes the request out of the input: its record is made here
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("%v allocations per re-admission, step and eviction", n)
+	}
+	if s.rep.Preemptions != 102 || s.ready.Len() != 1 {
+		t.Errorf("%d preemptions, %d waiting; want 102 and 1", s.rep.Preemptions, s.ready.Len())
+	}
+}
+
 // TestRoundRobinCursorMatchesActiveList: the allocation-free cursor visits
 // exactly the replicas the old form did — decision k goes to act[k%len(act)]
 // over the active replicas in index order — while replicas leave and rejoin
@@ -81,4 +119,33 @@ func TestRoundRobinCursorMatchesActiveList(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSecondCompletionPanics: OnComplete fires once per request because a
+// request has one record and done marks it; a scheduler bug that ran a
+// finished record again is reported at the completion, in one line.
+func TestSecondCompletionPanics(t *testing.T) {
+	completions := 0
+	s, err := newServer([]Request{{ID: 7, PromptLen: 8, OutputLen: 1}}, stubKV{},
+		ServerConfig{MaxBatch: 1, OnComplete: func(Request) { completions++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.admit(); err != nil {
+		t.Fatal(err)
+	}
+	rec := s.running[0]
+	if err := s.step(0); err != nil || rec.done == 0 {
+		t.Fatalf("step: %v, done at %v", err, rec.done)
+	}
+	s.push(rec, 0)
+	if _, err := s.admit(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if got := recover(); got != "serve: request 7 completed twice" || completions != 1 {
+			t.Errorf("second completion: panic %v after %d OnComplete calls", got, completions)
+		}
+	}()
+	_ = s.step(0)
 }

@@ -68,7 +68,7 @@ func TestLatDigestEmptySummary(t *testing.T) {
 // occupancy columns.
 func TestClassRowsZeroCompletionClass(t *testing.T) {
 	tl := newTally(DefaultExactSamples)
-	tl.class("stranded", "interactive")
+	tl.recordUnfinished(&track{req: &Request{Class: "stranded", SLO: "interactive"}})
 	var rep Report
 	tl.seal(&rep)
 	rows := rep.Classes

@@ -317,7 +317,7 @@ func expDur(rng *sim.RNG, mean time.Duration) time.Duration {
 // instead (it draws one at its destination, like a preemption requeue) and
 // waits out its backoff.
 type redispatch struct {
-	w     waiting
+	w     *track
 	at    time.Duration // earliest cluster instant it may re-enter dispatch
 	order uint64        // pool FIFO order among equal instants
 }
@@ -336,9 +336,8 @@ type recovery struct {
 	// pool is ordered by (eligible instant, insertion order).
 	pool   *container.Heap[redispatch]
 	parked uint64
-	// attempts counts granted retries per lifetime record; classRetries
-	// charges them against the per-class retry budget.
-	attempts     map[*track]int
+	// classRetries charges granted retries against the per-class retry
+	// budget; the per-request count is track.retries.
 	classRetries map[string]int
 	retries      int
 	lost         int
@@ -353,7 +352,6 @@ func newRecovery(fc FaultConfig, fleetMax int) *recovery {
 			}
 			return a.order < b.order
 		}),
-		attempts:     map[*track]int{},
 		classRetries: map[string]int{},
 	}
 }
@@ -367,7 +365,7 @@ func (rc *recovery) poolLen() int {
 }
 
 // park puts a request in the re-dispatch pool until cluster instant at.
-func (rc *recovery) park(w waiting, at time.Duration) {
+func (rc *recovery) park(w *track, at time.Duration) {
 	rc.parked++
 	rc.pool.Push(redispatch{w: w, at: at, order: rc.parked})
 }
@@ -408,14 +406,15 @@ func (rc *recovery) crash(c *clusterSched, r *clusterReplica) {
 	r.downSince = c.now
 	r.eventSeq++ // its pending heap entry, if any, is now stale
 	for _, w := range queued {
-		r.dispatchedTokens -= int64(w.rec.req.TotalTokens())
+		r.dispatchedTokens -= int64(w.req.TotalTokens())
 		rc.park(w, c.now)
 	}
 	for _, rec := range inflight {
 		r.dispatchedTokens -= int64(rec.req.TotalTokens())
 		if k, ok := rc.grant(c.cfg.Recovery, rec); ok {
 			delay := float64(DefaultRetryDelay) * math.Pow(c.cfg.Recovery.Backoff, float64(k-1))
-			rc.park(waiting{rec: rec, seq: freshTicket}, c.now+time.Duration(delay))
+			rec.seq = freshTicket
+			rc.park(rec, c.now+time.Duration(delay))
 		} else {
 			rc.lost++
 			// The request dies with the replica that was serving it: it
@@ -429,17 +428,16 @@ func (rc *recovery) crash(c *clusterSched, r *clusterReplica) {
 // grant charges one retry for rec against the per-request cap and its
 // class's budget, returning the 1-based attempt number when granted.
 func (rc *recovery) grant(policy RecoveryConfig, rec *track) (int, bool) {
-	k := rc.attempts[rec]
-	if k >= policy.Retries {
+	if rec.retries >= policy.Retries {
 		return 0, false
 	}
 	if b := policy.RetryBudget; b > 0 && rc.classRetries[rec.class()] >= b {
 		return 0, false
 	}
-	rc.attempts[rec] = k + 1
+	rec.retries++
 	rc.classRetries[rec.class()]++
 	rc.retries++
-	return k + 1, true
+	return rec.retries, true
 }
 
 // crash models the replica's host dying at cluster instant at: every
@@ -448,15 +446,15 @@ func (rc *recovery) grant(policy RecoveryConfig, rec *track) (int, bool) {
 // queued in (rank, then arrival) order — are the scheduler's to re-dispatch
 // or abandon; the server itself keeps its report, digests and clock, ready
 // to be restarted empty.
-func (s *server) crash(at time.Duration) (inflight []*track, queued []waiting) {
+func (s *server) crash(at time.Duration) (inflight, queued []*track) {
 	if at > s.now {
 		s.now = at
 	}
 	for _, a := range s.running {
 		s.victims.Delete(&a.node)
 		s.mgr.Release(a.handle)
-		inflight = append(inflight, a.rec)
 	}
+	inflight = append(inflight, s.running...)
 	s.running = s.running[:0]
 	for {
 		n := s.ready.Min()

@@ -292,6 +292,42 @@ func TestCrashWithoutRetryLosesInflight(t *testing.T) {
 	}
 }
 
+// TestCrashedReplicaKeepsClassOffItsRoster: a class whose only request was
+// admitted on a replica that crashed and completed, retried, on another is a
+// row of the merged report and of the finishing replica's — not of the
+// crashed replica's, which has nothing to say about it.
+func TestCrashedReplicaKeepsClassOffItsRoster(t *testing.T) {
+	reqs := []Request{
+		{ID: 0, Class: "moved", SLO: "interactive", PromptLen: 32, OutputLen: 100},
+		{ID: 1, Class: "stayed", PromptLen: 32, OutputLen: 100},
+	}
+	rep, err := ServeCluster(reqs, chunkedFactory(8*sim.GiB), ClusterConfig{
+		Replicas: 2,
+		Server:   ServerConfig{MaxBatch: 2},
+		Dispatch: DispatchRoundRobin,
+		Faults:   FaultConfig{Plan: []FaultEvent{{At: time.Second, Kind: FaultCrash, Replica: 0}}},
+		Recovery: RecoveryConfig{Retries: 1},
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if rep.Retries != 1 || rep.Served != 2 {
+		t.Fatalf("retries=%d served=%d, want the crashed request retried and both served", rep.Retries, rep.Served)
+	}
+	if c := rep.Class("moved"); c == nil || c.Served != 1 || c.SLO != "interactive" || c.MeanKVTokens <= 0 {
+		t.Errorf("merged row of the moved class: %+v", c)
+	}
+	if c := rep.Replicas[1].Class("moved"); c == nil || c.Served != 1 {
+		t.Errorf("finishing replica's row of the moved class: %+v", c)
+	}
+	if c := rep.Replicas[0].Class("moved"); c != nil {
+		t.Errorf("crashed replica lists the class it never finished: %+v", c)
+	}
+	if len(rep.Replicas[0].Classes) != 0 || len(rep.Replicas[1].Classes) != 2 {
+		t.Errorf("rosters: crashed replica %+v, survivor %+v", rep.Replicas[0].Classes, rep.Replicas[1].Classes)
+	}
+}
+
 // TestRetryBudgetCapsClass: a per-class budget of 1 grants the first
 // crashed in-flight request of the class its retry and abandons the rest.
 func TestRetryBudgetCapsClass(t *testing.T) {

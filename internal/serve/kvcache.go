@@ -8,32 +8,122 @@ import (
 	"repro/internal/model"
 )
 
-// ContiguousKV is the pad-to-maximum baseline vLLM replaced: every admitted
-// request gets one contiguous buffer sized for the model's maximum sequence
-// length, whatever it ends up generating. Internal waste is the unused tail.
-type ContiguousKV struct {
+// seqTable is the one record of live KV sequences, shared by the three
+// policies: a slot table — handle = slot index + 1 — with a LIFO of
+// released slots. Reusing slots keeps the table at the live-sequence
+// high-water mark (not the stream length) and makes the per-token Append's
+// handle resolution an index, the hottest lookup of a long serving run. A
+// policy embeds the table and adds only how storage is reserved and grown
+// — and, for blocks of the paged slab, returned.
+type seqTable struct {
 	alloc      memalloc.Allocator
 	perToken   int64
-	maxTokens  int
-	next       SeqHandle
-	sequences  map[SeqHandle]*contigSeq
+	seqs       []kvSeq
+	free       []SeqHandle
 	usedBytes  int64
 	logicalTok int64
 }
 
-type contigSeq struct {
-	buf    *memalloc.Buffer
-	tokens int
+// kvSeq is one slot: the sequence's storage — allocator buffers under the
+// contiguous and chunked policies, slab blocks under the paged one — and
+// its fill. A released slot keeps the backing arrays of bufs and blocks, so
+// the next sequence admitted into it grows without reallocating.
+type kvSeq struct {
+	bufs      []*memalloc.Buffer
+	blocks    []int
+	tokens    int // 0 marks a vacant slot: live sequences hold ≥ 1 prompt token
+	capTokens int // tokens the reserved storage can hold
+}
+
+// checkPrompt rejects a request with no prompt, which would open a slot
+// that looks vacant.
+func checkPrompt(r Request) error {
+	if r.PromptLen <= 0 {
+		return fmt.Errorf("serve: request %d has %d prompt tokens", r.ID, r.PromptLen)
+	}
+	return nil
+}
+
+// open issues a slot — a released one first — for a sequence of tokens
+// prompt tokens. The caller has reserved the storage already, so a failed
+// admission never holds a slot, and records it in the slot next.
+func (t *seqTable) open(tokens int) (SeqHandle, *kvSeq) {
+	var h SeqHandle
+	if n := len(t.free); n > 0 {
+		h = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		t.seqs = append(t.seqs, kvSeq{})
+		h = SeqHandle(len(t.seqs))
+	}
+	s := &t.seqs[h-1]
+	s.tokens = tokens
+	t.logicalTok += int64(tokens)
+	return h, s
+}
+
+// hold records buf, room for tokens more tokens, as part of s's storage.
+func (t *seqTable) hold(s *kvSeq, buf *memalloc.Buffer, tokens int) {
+	s.bufs = append(s.bufs, buf)
+	s.capTokens += tokens
+	t.usedBytes += buf.BlockSize
+}
+
+// seq resolves a handle to its live slot, nil for unknown or released
+// handles.
+func (t *seqTable) seq(h SeqHandle) *kvSeq {
+	if h <= 0 || int(h) > len(t.seqs) {
+		return nil
+	}
+	s := &t.seqs[h-1]
+	if s.tokens == 0 {
+		return nil
+	}
+	return s
+}
+
+// extend stores one more token in s, which must have room.
+func (t *seqTable) extend(s *kvSeq) {
+	s.tokens++
+	t.logicalTok++
+}
+
+// Release implements CacheManager: the sequence's buffers go back to the
+// allocator and its slot is vacated, so the handle is dead until the slot
+// is issued again.
+func (t *seqTable) Release(h SeqHandle) {
+	s := t.seq(h)
+	if s == nil {
+		return
+	}
+	for _, b := range s.bufs {
+		t.usedBytes -= b.BlockSize
+		t.alloc.Free(b)
+	}
+	t.logicalTok -= int64(s.tokens)
+	clear(s.bufs)
+	*s = kvSeq{bufs: s.bufs[:0], blocks: s.blocks[:0]}
+	t.free = append(t.free, h)
+}
+
+// UsedBytes and LogicalBytes implement CacheManager for every policy.
+func (t *seqTable) UsedBytes() int64    { return t.usedBytes }
+func (t *seqTable) LogicalBytes() int64 { return t.logicalTok * t.perToken }
+
+// ContiguousKV is the pad-to-maximum baseline vLLM replaced: every admitted
+// request gets one contiguous buffer sized for the model's maximum sequence
+// length, whatever it ends up generating. Internal waste is the unused tail.
+type ContiguousKV struct {
+	seqTable
+	maxTokens int
 }
 
 // NewContiguousKV builds the pad-to-max manager for cfg, growing sequences
 // up to maxTokens.
 func NewContiguousKV(alloc memalloc.Allocator, cfg model.Config, maxTokens int) *ContiguousKV {
 	return &ContiguousKV{
-		alloc:     alloc,
-		perToken:  KVBytesPerToken(cfg),
+		seqTable:  seqTable{alloc: alloc, perToken: KVBytesPerToken(cfg)},
 		maxTokens: maxTokens,
-		sequences: make(map[SeqHandle]*contigSeq),
 	}
 }
 
@@ -42,8 +132,8 @@ func (c *ContiguousKV) Name() string { return "contiguous" }
 
 // Admit implements CacheManager.
 func (c *ContiguousKV) Admit(r Request) (SeqHandle, error) {
-	if r.PromptLen <= 0 {
-		return 0, fmt.Errorf("serve: request %d has %d prompt tokens", r.ID, r.PromptLen)
+	if err := checkPrompt(r); err != nil {
+		return 0, err
 	}
 	if r.TotalTokens() > c.maxTokens {
 		return 0, fmt.Errorf("serve: request %d needs %d tokens, max %d", r.ID, r.TotalTokens(), c.maxTokens)
@@ -52,44 +142,23 @@ func (c *ContiguousKV) Admit(r Request) (SeqHandle, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.next++
-	c.sequences[c.next] = &contigSeq{buf: buf, tokens: r.PromptLen}
-	c.usedBytes += buf.BlockSize
-	c.logicalTok += int64(r.PromptLen)
-	return c.next, nil
+	h, s := c.open(r.PromptLen)
+	c.hold(s, buf, c.maxTokens)
+	return h, nil
 }
 
 // Append implements CacheManager.
 func (c *ContiguousKV) Append(h SeqHandle) error {
-	s, ok := c.sequences[h]
-	if !ok {
+	s := c.seq(h)
+	if s == nil {
 		return fmt.Errorf("serve: unknown sequence %d", h)
 	}
-	if s.tokens >= c.maxTokens {
+	if s.tokens == s.capTokens {
 		return fmt.Errorf("serve: sequence %d exceeded max tokens", h)
 	}
-	s.tokens++
-	c.logicalTok++
+	c.extend(s)
 	return nil
 }
-
-// Release implements CacheManager.
-func (c *ContiguousKV) Release(h SeqHandle) {
-	s, ok := c.sequences[h]
-	if !ok {
-		return
-	}
-	c.usedBytes -= s.buf.BlockSize
-	c.logicalTok -= int64(s.tokens)
-	c.alloc.Free(s.buf)
-	delete(c.sequences, h)
-}
-
-// UsedBytes implements CacheManager.
-func (c *ContiguousKV) UsedBytes() int64 { return c.usedBytes }
-
-// LogicalBytes implements CacheManager.
-func (c *ContiguousKV) LogicalBytes() int64 { return c.logicalTok * c.perToken }
 
 // PagedKV is the vLLM policy: the KV region is pre-allocated once and carved
 // into fixed blocks of BlockTokens tokens; sequences hold block lists and
@@ -98,20 +167,10 @@ func (c *ContiguousKV) LogicalBytes() int64 { return c.logicalTok * c.perToken }
 // scope) but the slab itself is one giant reservation the pool-level
 // allocator must satisfy up front.
 type PagedKV struct {
-	alloc       memalloc.Allocator
-	perToken    int64
+	seqTable
 	blockTokens int
 	slab        *memalloc.Buffer
 	freeBlocks  []int
-	next        SeqHandle
-	sequences   map[SeqHandle]*pagedSeq
-	logicalTok  int64
-	usedBlocks  int
-}
-
-type pagedSeq struct {
-	blocks []int
-	tokens int
 }
 
 // NewPagedKV reserves a slab of totalBlocks blocks of blockTokens tokens
@@ -130,12 +189,10 @@ func NewPagedKV(alloc memalloc.Allocator, cfg model.Config, blockTokens, totalBl
 		free[i] = i
 	}
 	return &PagedKV{
-		alloc:       alloc,
-		perToken:    perToken,
+		seqTable:    seqTable{alloc: alloc, perToken: perToken},
 		blockTokens: blockTokens,
 		slab:        slab,
 		freeBlocks:  free,
-		sequences:   make(map[SeqHandle]*pagedSeq),
 	}, nil
 }
 
@@ -145,72 +202,57 @@ func (p *PagedKV) Name() string { return "paged" }
 // Close releases the slab.
 func (p *PagedKV) Close() { p.alloc.Free(p.slab) }
 
-func (p *PagedKV) takeBlocks(n int) ([]int, bool) {
-	if n > len(p.freeBlocks) {
-		return nil, false
-	}
-	taken := p.freeBlocks[len(p.freeBlocks)-n:]
-	p.freeBlocks = p.freeBlocks[:len(p.freeBlocks)-n]
-	p.usedBlocks += n
-	return taken, true
+// blockBytes is the size of one block.
+func (p *PagedKV) blockBytes() int64 { return int64(p.blockTokens) * p.perToken }
+
+// take moves n free blocks, which the caller has checked exist, to s.
+func (p *PagedKV) take(s *kvSeq, n int) {
+	at := len(p.freeBlocks) - n
+	s.blocks = append(s.blocks, p.freeBlocks[at:]...)
+	p.freeBlocks = p.freeBlocks[:at]
+	s.capTokens += n * p.blockTokens
+	p.usedBytes += int64(n) * p.blockBytes()
 }
 
 // Admit implements CacheManager.
 func (p *PagedKV) Admit(r Request) (SeqHandle, error) {
-	if r.PromptLen <= 0 {
-		return 0, fmt.Errorf("serve: request %d has %d prompt tokens", r.ID, r.PromptLen)
+	if err := checkPrompt(r); err != nil {
+		return 0, err
 	}
 	need := (r.PromptLen + p.blockTokens - 1) / p.blockTokens
-	blocks, ok := p.takeBlocks(need)
-	if !ok {
+	if need > len(p.freeBlocks) {
 		return 0, fmt.Errorf("serve: %d free blocks, need %d (%w)", len(p.freeBlocks), need, cuda.ErrOutOfMemory)
 	}
-	p.next++
-	p.sequences[p.next] = &pagedSeq{blocks: append([]int(nil), blocks...), tokens: r.PromptLen}
-	p.logicalTok += int64(r.PromptLen)
-	return p.next, nil
+	h, s := p.open(r.PromptLen)
+	p.take(s, need)
+	return h, nil
 }
 
 // Append implements CacheManager.
 func (p *PagedKV) Append(h SeqHandle) error {
-	s, ok := p.sequences[h]
-	if !ok {
+	s := p.seq(h)
+	if s == nil {
 		return fmt.Errorf("serve: unknown sequence %d", h)
 	}
-	if s.tokens%p.blockTokens == 0 { // current block full (or none yet)
-		blocks, ok := p.takeBlocks(1)
-		if !ok {
+	if s.tokens == s.capTokens { // last block full
+		if len(p.freeBlocks) == 0 {
 			return fmt.Errorf("serve: out of KV blocks (%w)", cuda.ErrOutOfMemory)
 		}
-		s.blocks = append(s.blocks, blocks[0])
+		p.take(s, 1)
 	}
-	s.tokens++
-	p.logicalTok++
+	p.extend(s)
 	return nil
 }
 
-// Release implements CacheManager.
+// Release implements CacheManager: the sequence's blocks rejoin the free
+// list before the table vacates its slot.
 func (p *PagedKV) Release(h SeqHandle) {
-	s, ok := p.sequences[h]
-	if !ok {
-		return
+	if s := p.seq(h); s != nil {
+		p.freeBlocks = append(p.freeBlocks, s.blocks...)
+		p.usedBytes -= int64(len(s.blocks)) * p.blockBytes()
+		p.seqTable.Release(h)
 	}
-	p.freeBlocks = append(p.freeBlocks, s.blocks...)
-	p.usedBlocks -= len(s.blocks)
-	p.logicalTok -= int64(s.tokens)
-	delete(p.sequences, h)
 }
-
-// UsedBytes implements CacheManager: blocks held by live sequences.
-func (p *PagedKV) UsedBytes() int64 {
-	return int64(p.usedBlocks) * int64(p.blockTokens) * p.perToken
-}
-
-// LogicalBytes implements CacheManager.
-func (p *PagedKV) LogicalBytes() int64 { return p.logicalTok * p.perToken }
-
-// SlabBytes returns the up-front reservation the policy made.
-func (p *PagedKV) SlabBytes() int64 { return p.slab.BlockSize }
 
 // ChunkedKV grows each sequence in fixed chunks allocated from an ordinary
 // tensor allocator — no custom paging, no pre-reserved slab. The chunks of
@@ -220,24 +262,8 @@ func (p *PagedKV) SlabBytes() int64 { return p.slab.BlockSize }
 // allocator versus GMLake contrasts pool-level fragmentation on the same
 // request stream (the paper's Table 3 scope argument, made executable).
 type ChunkedKV struct {
-	alloc       memalloc.Allocator
-	perToken    int64
+	seqTable
 	chunkTokens int
-	// sequences is a slot table — handle = slot index + 1 — and free is
-	// the LIFO of released slots. Reusing slots keeps the table at the
-	// live-sequence count (not the stream length) and turns the per-token
-	// Append's handle resolution from a map probe into an index, the
-	// hottest lookup of a long serving run.
-	sequences  []chunkSeq
-	free       []SeqHandle
-	usedBytes  int64
-	logicalTok int64
-}
-
-type chunkSeq struct {
-	bufs      []*memalloc.Buffer
-	tokens    int // 0 marks a vacant slot: live sequences hold ≥ 1 prompt token
-	capTokens int // token capacity across all chunks
 }
 
 // NewChunkedKV builds the chunk-growing manager with decode chunks of
@@ -246,59 +272,25 @@ type chunkSeq struct {
 // the pool allocator directly — the irregular sizing that fragments it.
 func NewChunkedKV(alloc memalloc.Allocator, cfg model.Config, chunkTokens int) *ChunkedKV {
 	return &ChunkedKV{
-		alloc:       alloc,
-		perToken:    KVBytesPerToken(cfg),
+		seqTable:    seqTable{alloc: alloc, perToken: KVBytesPerToken(cfg)},
 		chunkTokens: chunkTokens,
 	}
-}
-
-// seq resolves a handle to its live slot, nil for unknown or released
-// handles.
-func (c *ChunkedKV) seq(h SeqHandle) *chunkSeq {
-	if h <= 0 || int(h) > len(c.sequences) {
-		return nil
-	}
-	s := &c.sequences[h-1]
-	if s.tokens == 0 {
-		return nil
-	}
-	return s
 }
 
 // Name implements CacheManager.
 func (c *ChunkedKV) Name() string { return "chunked" }
 
-func (c *ChunkedKV) grow(s *chunkSeq, tokens int) error {
-	buf, err := c.alloc.Alloc(int64(tokens) * c.perToken)
-	if err != nil {
-		return err
-	}
-	s.bufs = append(s.bufs, buf)
-	s.capTokens += tokens
-	c.usedBytes += buf.BlockSize
-	return nil
-}
-
 // Admit implements CacheManager.
 func (c *ChunkedKV) Admit(r Request) (SeqHandle, error) {
-	if r.PromptLen <= 0 {
-		return 0, fmt.Errorf("serve: request %d has %d prompt tokens", r.ID, r.PromptLen)
-	}
-	var h SeqHandle
-	if n := len(c.free); n > 0 {
-		h = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		c.sequences = append(c.sequences, chunkSeq{})
-		h = SeqHandle(len(c.sequences))
-	}
-	s := &c.sequences[h-1]
-	if err := c.grow(s, r.PromptLen); err != nil {
-		c.free = append(c.free, h)
+	if err := checkPrompt(r); err != nil {
 		return 0, err
 	}
-	s.tokens = r.PromptLen
-	c.logicalTok += int64(r.PromptLen)
+	buf, err := c.alloc.Alloc(int64(r.PromptLen) * c.perToken)
+	if err != nil {
+		return 0, err
+	}
+	h, s := c.open(r.PromptLen)
+	c.hold(s, buf, r.PromptLen)
 	return h, nil
 }
 
@@ -309,34 +301,12 @@ func (c *ChunkedKV) Append(h SeqHandle) error {
 		return fmt.Errorf("serve: unknown sequence %d", h)
 	}
 	if s.tokens == s.capTokens {
-		if err := c.grow(s, c.chunkTokens); err != nil {
+		buf, err := c.alloc.Alloc(int64(c.chunkTokens) * c.perToken)
+		if err != nil {
 			return err
 		}
+		c.hold(s, buf, c.chunkTokens)
 	}
-	s.tokens++
-	c.logicalTok++
+	c.extend(s)
 	return nil
 }
-
-// Release implements CacheManager. The vacated slot keeps the backing array
-// of bufs, so the next sequence admitted into it grows without reallocating.
-func (c *ChunkedKV) Release(h SeqHandle) {
-	s := c.seq(h)
-	if s == nil {
-		return
-	}
-	for _, b := range s.bufs {
-		c.usedBytes -= b.BlockSize
-		c.alloc.Free(b)
-	}
-	c.logicalTok -= int64(s.tokens)
-	clear(s.bufs)
-	*s = chunkSeq{bufs: s.bufs[:0]}
-	c.free = append(c.free, h)
-}
-
-// UsedBytes implements CacheManager.
-func (c *ChunkedKV) UsedBytes() int64 { return c.usedBytes }
-
-// LogicalBytes implements CacheManager.
-func (c *ChunkedKV) LogicalBytes() int64 { return c.logicalTok * c.perToken }

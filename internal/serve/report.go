@@ -130,63 +130,43 @@ func (r Report) Class(name string) *ClassReport {
 	return nil
 }
 
-// tally is the streaming aggregation behind a Report's derived fields — the
-// per-class roster and latency digests, the aggregate digests, per-class
-// preemption and KV token-step counts and the per-step batch and waste sums.
-// A server feeds one as its run proceeds (completions reach the digests the
-// moment they happen, so no per-request record outlives its request and
-// report memory is bounded by ExactSamples, not by the stream length); a
-// cluster merges its replicas' tallies into a fresh one. seal renders either
-// the same way.
+// tally is the streaming aggregation behind a Report's derived fields: one
+// record per client class (see classAgg) plus the per-step batch and waste
+// sums. A server feeds one as its run proceeds (completions reach the
+// digests the moment they happen, so no per-request record outlives its
+// request and report memory is bounded by ExactSamples, not by the stream
+// length); a cluster merges its replicas' tallies into a fresh one. seal
+// renders either the same way, deriving the aggregate percentiles from the
+// class digests.
 type tally struct {
 	limit   int // exact-retention threshold of every digest
 	classes map[string]*classAgg
-	allTTFT *latDigest
-	allE2E  *latDigest
 
 	batchSum, wasteSum float64
-	classPreempt       map[string]int64
-	// classTokenSteps accumulates per-class KV token-steps in boxed cells
-	// so the per-step hot loop adds through a pointer cached on the active
-	// sequence instead of hashing the class name every step.
-	classTokenSteps map[string]*float64
-	totalTokenSteps float64
+	totalTokenSteps    float64
 }
 
 func newTally(limit int) tally {
-	return tally{
-		limit:           limit,
-		classes:         map[string]*classAgg{},
-		allTTFT:         newLatDigest(limit),
-		allE2E:          newLatDigest(limit),
-		classPreempt:    map[string]int64{},
-		classTokenSteps: map[string]*float64{},
-	}
+	return tally{limit: limit, classes: map[string]*classAgg{}}
 }
 
-// class returns the named class's aggregation, creating the roster entry —
-// under the SLO tag of whoever asks first — on first sight.
-func (t *tally) class(name, slo string) *classAgg {
+// class returns the named class's record, created on first sight — by the
+// first admission, or by roster when the class reaches a report without one.
+func (t *tally) class(name string) *classAgg {
 	a := t.classes[name]
 	if a == nil {
-		a = newClassAgg(slo, t.limit)
+		a = &classAgg{ttft: newLatDigest(t.limit), e2e: newLatDigest(t.limit)}
 		t.classes[name] = a
 	}
 	return a
 }
 
-func (t *tally) classFor(rec *track) *classAgg { return t.class(rec.class(), rec.req.SLO) }
-
-// tokenCell returns the class's boxed token-steps accumulator, creating it
-// on first sight. The box, not the map slot, is what admitted sequences
-// cache: it never moves, so the cached pointer survives map growth.
-func (t *tally) tokenCell(name string) *float64 {
-	b := t.classTokenSteps[name]
-	if b == nil {
-		b = new(float64)
-		t.classTokenSteps[name] = b
-	}
-	return b
+// roster returns rec's class record, listed in the report — under the SLO
+// tag of whoever lists it first — from now on.
+func (t *tally) roster(rec *track) *classAgg {
+	a := t.class(rec.class())
+	a.list(rec.req.SLO)
+	return a
 }
 
 // recordUnfinished folds a request the run never completed into the roster:
@@ -195,11 +175,9 @@ func (t *tally) tokenCell(name string) *float64 {
 // exactly what the old scan over retained records reported after a failed
 // run.
 func (t *tally) recordUnfinished(rec *track) {
-	a := t.classFor(rec)
+	a := t.roster(rec)
 	if rec.hasFirst {
-		ttft := rec.firstToken - rec.req.ArrivalAt
-		a.ttft.add(ttft)
-		t.allTTFT.add(ttft)
+		a.ttft.add(rec.firstToken - rec.req.ArrivalAt)
 	}
 }
 
@@ -212,69 +190,68 @@ func (t *tally) recordUnfinished(rec *track) {
 func (t *tally) merge(src *tally) {
 	t.batchSum += src.batchSum
 	t.wasteSum += src.wasteSum
+	t.totalTokenSteps += src.totalTokenSteps
 	for name, a := range src.classes {
-		dst := t.class(name, a.slo)
+		dst := t.class(name)
+		if a.rostered {
+			dst.list(a.slo)
+		}
 		dst.served += a.served
+		dst.preempt += a.preempt
+		dst.tokenSteps += a.tokenSteps
 		dst.ttft.merge(a.ttft)
 		dst.e2e.merge(a.e2e)
 	}
-	t.allTTFT.merge(src.allTTFT)
-	t.allE2E.merge(src.allE2E)
-	for c, n := range src.classPreempt {
-		t.classPreempt[c] += n
-	}
-	for c, ts := range src.classTokenSteps {
-		*t.tokenCell(c) += *ts
-	}
-	t.totalTokenSteps += src.totalTokenSteps
 }
 
 // seal renders the tally into rep, whose Steps must already be final: step
 // means, per-class rows sorted by name, aggregate percentiles and the
 // retained-versus-sketched sample split over every digest (the peak-RSS
 // proxy the scale benchmark records). The roster is exactly the set of
-// classes that fed a digest — completions plus unfinished requests — so the
-// rows stay truthful when a run is sealed mid-failure.
+// rostered classes — completions plus unfinished requests — so the rows
+// stay truthful when a run is sealed mid-failure. The aggregate digests are
+// the class digests merged in name order: the union of their samples, and
+// exact or sketched by the same count rule a digest fed every sample
+// directly would have applied.
 func (t *tally) seal(rep *Report) {
 	if rep.Steps > 0 {
 		rep.MeanWaste = t.wasteSum / float64(rep.Steps)
 		rep.MeanBatch = t.batchSum / float64(rep.Steps)
 	}
-	rep.TTFT = t.allTTFT.summary()
-	rep.E2E = t.allE2E.summary()
-	rep.RetainedSamples = t.allTTFT.retained() + t.allE2E.retained()
-	rep.SketchedSamples = t.allTTFT.sketched() + t.allE2E.sketched()
-
 	names := make([]string, 0, len(t.classes))
 	for name, a := range t.classes {
-		names = append(names, name)
-		rep.RetainedSamples += a.ttft.retained() + a.e2e.retained()
-		rep.SketchedSamples += a.ttft.sketched() + a.e2e.sketched()
+		if a.rostered {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
+	allTTFT, allE2E := newLatDigest(t.limit), newLatDigest(t.limit)
 	rep.Classes = make([]ClassReport, 0, len(names))
 	for _, name := range names {
 		a := t.classes[name]
+		allTTFT.merge(a.ttft)
+		allE2E.merge(a.e2e)
+		rep.RetainedSamples += a.ttft.retained() + a.e2e.retained()
+		rep.SketchedSamples += a.ttft.sketched() + a.e2e.sketched()
 		cr := ClassReport{
 			Class:       name,
 			SLO:         a.slo,
 			Served:      a.served,
-			Preemptions: t.classPreempt[name],
+			Preemptions: a.preempt,
 			TTFT:        a.ttft.summary(),
 			E2E:         a.e2e.summary(),
 		}
-		var ts float64
-		if b := t.classTokenSteps[name]; b != nil {
-			ts = *b
-		}
 		if rep.Steps > 0 {
-			cr.MeanKVTokens = ts / float64(rep.Steps)
+			cr.MeanKVTokens = a.tokenSteps / float64(rep.Steps)
 		}
 		if t.totalTokenSteps > 0 {
-			cr.KVShare = ts / t.totalTokenSteps
+			cr.KVShare = a.tokenSteps / t.totalTokenSteps
 		}
 		rep.Classes = append(rep.Classes, cr)
 	}
+	rep.TTFT, rep.E2E = allTTFT.summary(), allE2E.summary()
+	rep.RetainedSamples += allTTFT.retained() + allE2E.retained()
+	rep.SketchedSamples += allTTFT.sketched() + allE2E.sketched()
 }
 
 // mergeReports builds the cluster-level Report from finished replicas:
@@ -287,7 +264,7 @@ func mergeReports(replicas []*server, undispatched []Request) Report {
 	// cover capacity and batch only), so replica 0's limit is the cluster's.
 	t := newTally(replicas[0].limit)
 	for i := range undispatched {
-		t.classFor(&track{req: &undispatched[i]})
+		t.roster(&track{req: &undispatched[i]})
 	}
 	for _, s := range replicas {
 		m.Served += s.rep.Served

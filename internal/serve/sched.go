@@ -120,19 +120,6 @@ func newClusterSched(reqs []Request, newMgr func(int) CacheManager, cfg ClusterC
 	}
 	if cfg.Faults.Enabled() {
 		c.recovery = newRecovery(cfg.Faults, fleetMax)
-		if inner := cfg.Server.OnComplete; inner != nil {
-			// Exactly-once completion guarantee under faults: the capture
-			// hook fires on the final completion only, even if a request is
-			// ever retried or re-dispatched along the way, deduplicated by
-			// request ID. Zero-fault runs keep the caller's hook untouched.
-			fired := map[int]bool{}
-			c.cfg.Server.OnComplete = func(r Request) {
-				if !fired[r.ID] {
-					fired[r.ID] = true
-					inner(r)
-				}
-			}
-		}
 	}
 
 	for i := 0; i < initial; i++ {
@@ -192,10 +179,10 @@ func (c *clusterSched) touch(ri int) {
 // at is the hand-over instant of a late dispatch, 0 at arrival time (see
 // (*server).push) — its tokens join the replica's outstanding-KV gauge, and
 // the replica's event is re-registered.
-func (c *clusterSched) place(ri int, w waiting, at time.Duration) {
+func (c *clusterSched) place(ri int, w *track, at time.Duration) {
 	r := c.fleet[ri]
 	r.srv.push(w, at)
-	r.dispatchedTokens += int64(w.rec.req.TotalTokens())
+	r.dispatchedTokens += int64(w.req.TotalTokens())
 	c.touch(ri)
 }
 
@@ -273,7 +260,7 @@ func (c *clusterSched) run() (ClusterReport, error) {
 			// parked arrivals, a recompute requeue for retried in-flight ones.
 			e := c.recovery.pool.Pop()
 			c.scaler.evaluate(c)
-			to := c.dispatch.pick(c.fleet, *e.w.rec.req)
+			to := c.dispatch.pick(c.fleet, *e.w.req)
 			if e.w.seq == freshTicket {
 				e.w.seq = c.fleet[to].srv.ticket()
 			}
@@ -285,10 +272,10 @@ func (c *clusterSched) run() (ClusterReport, error) {
 				// Every replica is down (or draining): park the arrival in
 				// the pool — no retry consumed — until a restart or a
 				// scale-up restores a dispatch target.
-				c.recovery.park(w, w.rec.req.ArrivalAt)
+				c.recovery.park(w, w.req.ArrivalAt)
 				continue
 			}
-			to := c.dispatch.pick(c.fleet, *w.rec.req)
+			to := c.dispatch.pick(c.fleet, *w.req)
 			c.fleet[to].assigned++
 			c.place(to, w, 0)
 		case evStep:
@@ -361,7 +348,7 @@ func (c *clusterSched) seal(err error) (ClusterReport, error) {
 	undispatched := make([]Request, 0, c.queue.left()+c.recovery.poolLen())
 	c.queue.each(func(r *Request) { undispatched = append(undispatched, *r) })
 	for c.recovery.poolLen() > 0 {
-		undispatched = append(undispatched, *c.recovery.pool.Pop().w.rec.req)
+		undispatched = append(undispatched, *c.recovery.pool.Pop().w.req)
 	}
 	if c.recovery != nil {
 		rep.Retries, rep.Lost = c.recovery.retries, c.recovery.lost

@@ -12,6 +12,38 @@
 // allocator versus GMLake shows the pool-level fragmentation GMLake removes
 // on a workload vLLM's technique does not touch.
 //
+// # Records
+//
+// Every entity of a run has exactly one record, owned by one place:
+//
+//   - A request is a track. The input cursor creates it when the request is
+//     released — promoted by Serve, dispatched by ServeCluster — and from
+//     then on whoever holds the request holds the track: a server's future
+//     queue, its ready tree or its batch (the two trees share the track's
+//     one embedded node, since a request waits or decodes, never both), or
+//     the cluster's re-dispatch pool. FIFO ticket, first-token time, granted
+//     retries and the state of the current admission (KV handle, tokens to
+//     go, class record) all live on it; no map is keyed by a request. It
+//     dies with the last reference at completion, drop or loss: its samples
+//     have reached the class digests by then. Completion marks it done, and
+//     completing a done track panics — which is why OnComplete fires once
+//     per request under any amount of retrying.
+//   - A client class is a classAgg on a server's tally: served count, TTFT
+//     and E2E digests, evictions and KV token-steps. The first admission of
+//     the class creates it, which can be on a replica that crashes before
+//     the class has anything to report there; so a class appears in a report
+//     only once it is rostered — by a completion, an unfinished request at
+//     seal, or a failed run's undispatched requests. A cluster report merges
+//     the replicas' records class by class. There is no aggregate record:
+//     the aggregate percentiles are computed at seal from the union of the
+//     class digests.
+//   - A KV sequence is a slot of its manager's seqTable, the one table under
+//     the three policies: Admit issues the slot (released slots first, so the
+//     table stays at the live-sequence high-water mark), Append resolves the
+//     handle by index, Release vacates it and the handle is dead until the
+//     slot is issued again. A policy adds only how storage is reserved and
+//     grown (and, for blocks of the paged slab, returned).
+//
 // # Latency reporting: exact, then sketched
 //
 // Every latency distribution a report renders (TTFT and E2E, aggregate and

@@ -349,3 +349,83 @@ func TestAdmitRejectsEmptyPrompt(t *testing.T) {
 		t.Fatal("chunked admitted empty prompt")
 	}
 }
+
+// TestKVConformance runs one script over the three policies — everything
+// the shared slot table promises whatever the storage behind it: a failed
+// Admit holds no slot, a released handle is dead (Append errors, Release is
+// a no-op) until its slot is issued again, handles recycle so the table
+// stays at the live-sequence high-water mark, and releasing everything
+// returns both byte gauges to zero.
+func TestKVConformance(t *testing.T) {
+	contig := NewContiguousKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 64)
+	paged, err := NewPagedKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 16, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paged.Close()
+	chunked := NewChunkedKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 16)
+	for _, tc := range []struct {
+		mgr   CacheManager
+		table *seqTable
+	}{{contig, &contig.seqTable}, {paged, &paged.seqTable}, {chunked, &chunked.seqTable}} {
+		mgr, table := tc.mgr, tc.table
+		t.Run(mgr.Name(), func(t *testing.T) {
+			req := Request{PromptLen: 16, OutputLen: 8}
+			fill := func() (live []SeqHandle) {
+				for len(live) < 1000 {
+					h, err := mgr.Admit(req)
+					if err != nil {
+						return live
+					}
+					live = append(live, h)
+				}
+				t.Fatal("a 64 MiB device never filled")
+				return nil
+			}
+			live := fill()
+			peak := len(live)
+			if peak < 3 {
+				t.Fatalf("only %d sequences fit; the script needs 3", peak)
+			}
+			if len(table.seqs) != peak || len(table.free) != 0 {
+				t.Fatalf("after the failed Admit: %d slots, %d free, want %d and 0", len(table.seqs), len(table.free), peak)
+			}
+
+			mgr.Release(live[0])
+			mgr.Release(live[1])
+			used, logical := mgr.UsedBytes(), mgr.LogicalBytes()
+			if err := mgr.Append(live[0]); err == nil {
+				t.Error("Append on a released handle succeeded")
+			}
+			mgr.Release(live[0])
+			if mgr.UsedBytes() != used || mgr.LogicalBytes() != logical || len(table.free) != 2 {
+				t.Errorf("second Release of one handle changed the books: used %d→%d, logical %d→%d, %d free",
+					used, mgr.UsedBytes(), logical, mgr.LogicalBytes(), len(table.free))
+			}
+			if err := mgr.Append(live[2]); err != nil {
+				t.Errorf("Append with room returned: %v", err)
+			}
+			if got := mgr.LogicalBytes() - logical; got != KVBytesPerToken(model.OPT1_3B) {
+				t.Errorf("one Append stored %d bytes", got)
+			}
+			h, err := mgr.Admit(req)
+			if err != nil {
+				t.Fatalf("Admit into returned storage: %v", err)
+			}
+			if h != live[0] && h != live[1] || len(table.seqs) != peak {
+				t.Errorf("Admit issued handle %d in a table of %d; want a recycled one of %v and %d slots", h, len(table.seqs), live[:2], peak)
+			}
+
+			for _, h := range live { // live[0] or live[1] is dead: a no-op
+				mgr.Release(h)
+			}
+			if mgr.UsedBytes() != 0 || mgr.LogicalBytes() != 0 || len(table.free) != peak {
+				t.Fatalf("after releasing everything: used %d, logical %d, %d of %d slots free",
+					mgr.UsedBytes(), mgr.LogicalBytes(), len(table.free), peak)
+			}
+			if again := len(fill()); again != peak || len(table.seqs) != peak {
+				t.Errorf("second fill admitted %d into %d slots, want %d and %d", again, len(table.seqs), peak, peak)
+			}
+		})
+	}
+}

@@ -91,26 +91,56 @@ type ServerConfig struct {
 	PrefixReuse bool
 }
 
-// track is the lifetime record of one input request across preemptions,
-// created when the request first arrives at a server: promoted out of
-// Serve's input cursor, or dispatched by the cluster scheduler.
-// done is the completion time on the virtual clock; it doubles as the
-// completion marker (zero = still unfinished) because completions are
-// recorded strictly after the clock advanced past the first step.
+// track is the one record of an input request, from the moment it first
+// arrives at a server — promoted out of Serve's input cursor, or dispatched
+// by the cluster scheduler — to its completion, across every preemption,
+// steal and crash re-dispatch in between. Whoever holds the request holds
+// this record: a server's future queue, ready index or batch, or the
+// cluster's re-dispatch pool; nothing else keeps per-request state.
 type track struct {
 	// req points into the run's input slice, which Serve and ServeCluster
 	// read in place and never write.
 	req *Request
-	// node links the request into a server's ready index under the ticket
-	// it waits with — embedded, so queueing allocates nothing however often
-	// the request is preempted, stolen or re-dispatched.
-	node       container.Node[waiting]
+	// seq is the FIFO ticket that orders the request against same-rank peers
+	// while it waits. A requeued (preempted) request draws a fresh one,
+	// putting it behind everything already waiting — exactly the position an
+	// append to a pending slice would give it.
+	seq int64
+	// node links the request into the index of the state it is in — a
+	// server's ready tree while it waits, its victim tree while it decodes,
+	// never both — embedded, so neither queueing nor admission allocates
+	// however often the request is preempted, stolen or re-dispatched.
+	node       container.Node[*track]
 	firstToken time.Duration
 	hasFirst   bool
-	done       time.Duration
+	// done is the completion time on the virtual clock; it doubles as the
+	// completion marker (zero = still unfinished) because completions are
+	// recorded strictly after the clock advanced past the first step.
+	done time.Duration
 	// deferred marks that the request's admission was blocked at least
 	// once, so AdmitFailures counts distinct requests, not blocked steps.
 	deferred bool
+	// retries counts the crash retries granted to the request.
+	retries int
+
+	// The state of the current admission, reset by admit: the sequence's KV
+	// handle, its output tokens still to decode, its place in the admission
+	// order and its class record, cached so the per-step token accounting
+	// skips the map.
+	handle     SeqHandle
+	remaining  int
+	admitOrder int64
+	cls        *classAgg
+	// evicted marks a sequence preempted during the current decode step so
+	// the step loop never touches it again.
+	evicted bool
+}
+
+// newTrack opens the record of req, waiting under ticket seq.
+func newTrack(req *Request, seq int64) *track {
+	t := &track{req: req, seq: seq}
+	t.node.Value = t
+	return t
 }
 
 func (t *track) class() string {
@@ -118,33 +148,6 @@ func (t *track) class() string {
 		return "default"
 	}
 	return t.req.Class
-}
-
-// active is one sequence currently in the decoding batch.
-type active struct {
-	rec        *track
-	handle     SeqHandle
-	remaining  int
-	admitOrder int64
-	// node links the sequence into the victim-ordered running index while
-	// it is in the batch.
-	node container.Node[*active]
-	// tokenBox is the server's boxed per-class token-steps accumulator,
-	// resolved once at admission so the per-step add skips the map.
-	tokenBox *float64
-	// evicted marks a sequence preempted during the current decode step so
-	// the step loop never touches it again.
-	evicted bool
-}
-
-// waiting is one request in the pending set: a track plus the FIFO ticket
-// that orders it against same-priority peers. Requeued (preempted)
-// sequences draw a fresh ticket, putting them behind everything already
-// waiting — exactly the position an append to a pending slice would give
-// them.
-type waiting struct {
-	rec *track
-	seq int64
 }
 
 // server is the continuous-batching loop with its indexed queues. The
@@ -157,6 +160,7 @@ type waiting struct {
 // admission candidate is its minimum. The running batch keeps a
 // slice for deterministic step order plus `victims`, a tree ordered by
 // (aged rank asc, admitOrder desc) whose minimum is the preemption victim.
+// Queues, trees and batch all hold the requests' tracks themselves.
 type server struct {
 	mgr CacheManager
 	cfg ServerConfig // step costs resolved to their defaults
@@ -166,15 +170,15 @@ type server struct {
 	tally
 
 	future  arrivalQueue
-	ready   *container.Tree[waiting]
+	ready   *container.Tree[*track]
 	nextTkt int64
 
-	running  []*active
-	victims  *container.Tree[*active]
+	running  []*track
+	victims  *container.Tree[*track]
 	admitSeq int64
 	// batchScratch is step's reusable snapshot buffer of the running
 	// batch — one live allocation instead of one per decode step.
-	batchScratch []*active
+	batchScratch []*track
 
 	// doneTokens is the total tokens (prompt+output) of completed
 	// requests — the cluster dispatcher's O(1) source for outstanding
@@ -223,8 +227,8 @@ func (s *server) rank(rec *track) int64 {
 // in memory preempt each other forever, each eviction resetting the other's
 // decode. Ranks are static (see rank), so the unevictable maximum is fixed
 // and the argument survives aging unchanged.
-func (s *server) victimLess(a, b *active) bool {
-	if ra, rb := s.rank(a.rec), s.rank(b.rec); ra != rb {
+func (s *server) victimLess(a, b *track) bool {
+	if ra, rb := s.rank(a), s.rank(b); ra != rb {
 		return ra < rb
 	}
 	return a.admitOrder > b.admitOrder
@@ -258,13 +262,13 @@ func newEmptyServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
 		cfg.PrefillTokenTime = DefaultPrefillTokenTime
 	}
 	s := &server{mgr: mgr, cfg: cfg, tally: newTally(resolveExactSamples(cfg.ExactSamples))}
-	s.ready = container.NewTree[waiting](func(a, b waiting) bool {
-		if ra, rb := s.rank(a.rec), s.rank(b.rec); ra != rb {
+	s.ready = container.NewTree[*track](func(a, b *track) bool {
+		if ra, rb := s.rank(a), s.rank(b); ra != rb {
 			return ra > rb
 		}
 		return a.seq < b.seq
 	})
-	s.victims = container.NewTree[*active](s.victimLess)
+	s.victims = container.NewTree[*track](s.victimLess)
 	if cfg.PrefixReuse {
 		s.resident = map[string]int{}
 	}
@@ -292,8 +296,8 @@ func (s *server) ticket() int64 {
 }
 
 // push is the only way into the pending set for a request that has a track:
-// w joins `future` or `ready` by its arrival time, under the FIFO ticket it
-// carries — a fresh one (ticket) for requeued work, the input position for
+// rec joins `future` or `ready` by its arrival time, under the FIFO ticket
+// it carries — a fresh one (ticket) for requeued work, the input position for
 // a cluster dispatch (the scheduler reserves [0, n) before the run, so a
 // single-replica cluster replays Serve's ticket order whatever order the
 // input arrived in), the old one for a queued request that merely moved.
@@ -302,21 +306,15 @@ func (s *server) ticket() int64 {
 // queued elsewhere. An arrival-time dispatch passes 0 and leaves the clock
 // alone: a request dispatched to an idle server ahead of that server's
 // clock waits in `future`, invisible to stealing until the server gets there.
-func (s *server) push(w waiting, at time.Duration) {
+func (s *server) push(rec *track, at time.Duration) {
 	if at > s.now {
 		s.now = at
 	}
-	if w.rec.req.ArrivalAt > s.now {
-		s.future.push(w)
+	if rec.req.ArrivalAt > s.now {
+		s.future.push(rec)
 	} else {
-		s.enqueue(w)
+		s.ready.InsertNode(&rec.node)
 	}
-}
-
-// enqueue links an arrived request into the ready index through its own node.
-func (s *server) enqueue(w waiting) {
-	w.rec.node.Value = w
-	s.ready.InsertNode(&w.rec.node)
 }
 
 // promoteArrivals moves every request whose arrival time has passed from
@@ -327,7 +325,7 @@ func (s *server) promoteArrivals() {
 		if !ok || at > s.now {
 			return
 		}
-		s.enqueue(s.future.popMin())
+		s.ready.InsertNode(&s.future.popMin().node)
 	}
 }
 
@@ -373,7 +371,7 @@ func (s *server) admit() (prefillTokens int64, err error) {
 		if n == nil {
 			break
 		}
-		rec := n.Value.rec
+		rec := n.Value
 		if s.cfg.Timeout > 0 {
 			if s.now > s.deadline(rec) {
 				s.ready.Delete(n)
@@ -402,11 +400,10 @@ func (s *server) admit() (prefillTokens int64, err error) {
 		}
 		s.ready.Delete(n)
 		s.admitSeq++
-		a := &active{rec: rec, handle: h, remaining: rec.req.OutputLen, admitOrder: s.admitSeq}
-		a.tokenBox = s.tokenCell(rec.class())
-		a.node.Value = a
-		s.victims.InsertNode(&a.node)
-		s.running = append(s.running, a)
+		rec.handle, rec.remaining, rec.admitOrder, rec.evicted = h, rec.req.OutputLen, s.admitSeq, false
+		rec.cls = s.class(rec.class())
+		s.victims.InsertNode(&rec.node)
+		s.running = append(s.running, rec)
 		prefillTokens += s.prefillNeed(*rec.req)
 	}
 	return prefillTokens, nil
@@ -471,7 +468,7 @@ func (s *server) jumpToNextArrival() error {
 }
 
 // removeFromBatch takes a out of the running set (slice and victim index).
-func (s *server) removeFromBatch(a *active) {
+func (s *server) removeFromBatch(a *track) {
 	s.victims.Delete(&a.node)
 	for i, v := range s.running {
 		if v == a {
@@ -485,20 +482,21 @@ func (s *server) removeFromBatch(a *active) {
 // evict requeues the sequence in full (vLLM's recompute-preemption),
 // releases its KV storage, and marks it so the in-flight decode step skips
 // it.
-func (s *server) evict(a *active) {
+func (s *server) evict(a *track) {
 	s.rep.Preemptions++
-	s.classPreempt[a.rec.class()]++
+	a.cls.preempt++
 	a.evicted = true
 	s.removeFromBatch(a)
 	s.mgr.Release(a.handle)
-	s.invalidateResident(a.rec.req.SessionID)
-	s.push(waiting{rec: a.rec, seq: s.ticket()}, 0)
+	s.invalidateResident(a.req.SessionID)
+	a.seq = s.ticket()
+	s.push(a, 0)
 }
 
 // preemptFor evicts a victim so keep can grow, or reports that no eligible
 // victim exists. The victim tree's minimum is the most evictable sequence;
 // it is eligible exactly when it orders below keep (see victimLess).
-func (s *server) preemptFor(keep *active) bool {
+func (s *server) preemptFor(keep *track) bool {
 	n := s.victims.Min()
 	if n == nil {
 		return false
@@ -538,7 +536,7 @@ func (s *server) step(prefillTokens int64) error {
 		for err != nil {
 			if !s.preemptFor(a) {
 				if len(s.running) == 1 {
-					return fmt.Errorf("serve: request %d stuck mid-decode: %w", a.rec.req.ID, err)
+					return fmt.Errorf("serve: request %d stuck mid-decode: %w", a.req.ID, err)
 				}
 				// No eligible victim (everything else is older or higher
 				// priority): yield this slot and wait for capacity.
@@ -565,29 +563,34 @@ func (s *server) step(prefillTokens int64) error {
 	// End-of-step bookkeeping: first tokens, occupancy, completions.
 	for i := len(s.running) - 1; i >= 0; i-- {
 		a := s.running[i]
-		if !a.rec.hasFirst {
-			a.rec.hasFirst = true
-			a.rec.firstToken = s.now
+		if !a.hasFirst {
+			a.hasFirst = true
+			a.firstToken = s.now
 		}
-		tokens := a.rec.req.PromptLen + (a.rec.req.OutputLen - a.remaining)
-		*a.tokenBox += float64(tokens)
+		tokens := a.req.PromptLen + (a.req.OutputLen - a.remaining)
+		a.cls.tokenSteps += float64(tokens)
 		s.totalTokenSteps += float64(tokens)
 		if a.remaining == 0 {
+			if a.done != 0 {
+				// One record per request is what makes OnComplete fire once
+				// however often a request is retried or re-dispatched.
+				panic(fmt.Sprintf("serve: request %d completed twice", a.req.ID))
+			}
 			s.rep.Served++
 			s.doneTokens += int64(tokens)
-			a.rec.done = s.now
-			s.recordCompletion(a.rec)
+			a.done = s.now
+			s.recordCompletion(a)
 			s.removeFromBatch(a)
 			s.mgr.Release(a.handle)
-			if s.cfg.PrefixReuse && a.rec.req.SessionID != "" {
+			if s.cfg.PrefixReuse && a.req.SessionID != "" {
 				// The completed turn's full context becomes the session's
 				// resident prefix for the follow-up turn.
-				s.resident[a.rec.req.SessionID] = tokens
+				s.resident[a.req.SessionID] = tokens
 			}
 			if s.cfg.OnComplete != nil {
-				s.cfg.OnComplete(*a.rec.req)
+				s.cfg.OnComplete(*a.req)
 			}
-		} else if s.cfg.Timeout > 0 && s.now > s.deadline(a.rec) {
+		} else if s.cfg.Timeout > 0 && s.now > s.deadline(a) {
 			// The step crossed the sequence's deadline mid-decode: abort it
 			// rather than keep generating tokens nobody will wait for. It
 			// streamed a first token (set just above), so its TTFT survives
@@ -595,27 +598,22 @@ func (s *server) step(prefillTokens int64) error {
 			s.rep.DeadlineMisses++
 			s.removeFromBatch(a)
 			s.mgr.Release(a.handle)
-			s.drop(a.rec)
+			s.drop(a)
 		}
 	}
 	return nil
 }
 
-// recordCompletion feeds one completed request into the per-class and
-// aggregate latency digests — the streaming replacement for retaining the
-// request's record until the end of the run. Completion implies a first
-// token (step sets it before checking remaining), so the request contributes
-// one TTFT and one E2E sample, under the same eligibility rule the old
-// record scan applied.
+// recordCompletion feeds one completed request into its class's latency
+// digests — the streaming replacement for retaining the request's record
+// until the end of the run. Completion implies a first token (step sets it
+// before checking remaining), so the request contributes one TTFT and one
+// E2E sample.
 func (s *server) recordCompletion(rec *track) {
-	a := s.classFor(rec)
+	a := s.roster(rec)
 	a.served++
-	ttft := rec.firstToken - rec.req.ArrivalAt
-	e2e := rec.done - rec.req.ArrivalAt
-	a.ttft.add(ttft)
-	a.e2e.add(e2e)
-	s.allTTFT.add(ttft)
-	s.allE2E.add(e2e)
+	a.ttft.add(rec.firstToken - rec.req.ArrivalAt)
+	a.e2e.add(rec.done - rec.req.ArrivalAt)
 	if s.cfg.Timeout > 0 && rec.done > s.deadline(rec) {
 		s.rep.DeadlineMisses++ // served, but past its deadline: not goodput
 	} else {
@@ -634,12 +632,12 @@ func (s *server) recordCompletion(rec *track) {
 func (s *server) finish() {
 	s.rep.Duration = s.now
 	s.future.each(s.recordUnfinished)
-	s.ready.Ascend(func(n *container.Node[waiting]) bool {
-		s.recordUnfinished(n.Value.rec)
+	s.ready.Ascend(func(n *container.Node[*track]) bool {
+		s.recordUnfinished(n.Value)
 		return true
 	})
 	for _, a := range s.running {
-		s.recordUnfinished(a.rec)
+		s.recordUnfinished(a)
 	}
 	s.seal(&s.rep)
 }

@@ -340,18 +340,18 @@ func TestTTFTPreservedAcrossPreemption(t *testing.T) {
 			}
 		}
 		for _, a := range s.running {
-			seeFirst(a.rec)
+			seeFirst(a)
 		}
-		s.ready.Ascend(func(n *container.Node[waiting]) bool {
-			seeFirst(n.Value.rec)
+		s.ready.Ascend(func(n *container.Node[*track]) bool {
+			seeFirst(n.Value)
 			return true
 		})
 		s.future.each(seeFirst)
 		// A record with a first token sitting in the pending set again was
 		// preempted after it started streaming.
-		s.ready.Ascend(func(n *container.Node[waiting]) bool {
-			if n.Value.rec.hasFirst {
-				requeuedAfterFirst[n.Value.rec] = true
+		s.ready.Ascend(func(n *container.Node[*track]) bool {
+			if n.Value.hasFirst {
+				requeuedAfterFirst[n.Value] = true
 			}
 			return true
 		})

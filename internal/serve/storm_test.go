@@ -53,7 +53,7 @@ func TestPreemptionStormStepsEachSequenceExactlyOnce(t *testing.T) {
 	}
 
 	type snap struct {
-		a      *active
+		a      *track
 		handle SeqHandle
 	}
 	steps := 0
@@ -85,9 +85,9 @@ func TestPreemptionStormStepsEachSequenceExactlyOnce(t *testing.T) {
 			total += got
 			switch {
 			case sn.a.evicted && got > 1:
-				t.Fatalf("step %d: evicted request %d decoded %d times", steps, sn.a.rec.req.ID, got)
+				t.Fatalf("step %d: evicted request %d decoded %d times", steps, sn.a.req.ID, got)
 			case !sn.a.evicted && got != 1:
-				t.Fatalf("step %d: request %d decoded %d times, want exactly 1", steps, sn.a.rec.req.ID, got)
+				t.Fatalf("step %d: request %d decoded %d times, want exactly 1", steps, sn.a.req.ID, got)
 			}
 		}
 		// No decode outside the step's batch: admissions only happen

@@ -55,9 +55,6 @@ func (s *Scheduler) NewStream() ID {
 	return ID(len(s.frontiers) - 1)
 }
 
-// Streams returns how many streams exist, including the default stream.
-func (s *Scheduler) Streams() int { return len(s.frontiers) }
-
 // EventsRecorded returns how many events were ever recorded.
 func (s *Scheduler) EventsRecorded() int64 { return s.events }
 

@@ -79,9 +79,6 @@ func NewTrainer(spec Spec, alloc memalloc.Allocator, clock *sim.Clock) (*Trainer
 	}, nil
 }
 
-// Spec returns the trainer's normalized spec.
-func (t *Trainer) Spec() Spec { return t.spec }
-
 // Steps returns the number of completed steps.
 func (t *Trainer) Steps() int { return t.steps }
 
