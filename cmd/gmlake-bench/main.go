@@ -85,7 +85,7 @@ func main() {
 	env.Parallelism = cfg.Parallelism
 	env.TraceIn = cfg.TraceIn
 	env.TraceScale = cfg.TraceScale
-	env.ExactSamples = cfg.ExactSamples
+	env.ExactSamples = cfg.Cluster.Server.ExactSamples
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

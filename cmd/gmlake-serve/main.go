@@ -147,6 +147,12 @@ func main() {
 	if !(*capacity > 0) || math.IsInf(*capacity, 0) {
 		fatal(fmt.Errorf("-capacity-gb must be a positive finite number, got %v", *capacity))
 	}
+	if *n < 1 {
+		fatal(fmt.Errorf("-n must be a positive integer, got %d", *n))
+	}
+	if *batch < 1 {
+		fatal(fmt.Errorf("-batch must be a positive integer, got %d", *batch))
+	}
 	policies := []string{"contiguous", "paged", "chunked"}
 	if *policy != "all" {
 		if !slices.Contains(policies, *policy) {
@@ -232,35 +238,36 @@ func main() {
 	modelCfg := model.OPT1_3B
 	capBytes := int64(*capacity * float64(sim.GiB))
 
-	// The cluster configuration: replica i's capacity weight scales its
-	// dispatch share, its batch limit and its device memory together.
-	clusterCfg := cfg.Cluster(serve.ServerConfig{MaxBatch: *batch, Aging: cfg.Aging, ExactSamples: cfg.ExactSamples})
-	// One seed pins the workload and the fault process together.
-	clusterCfg.Faults.Seed = *seed
-	for i := range clusterCfg.Overrides {
-		w := clusterCfg.Overrides[i].Capacity
+	// The cluster configuration is the one the keys wrote, completed with
+	// what no key names: the batch limit and the fault seed — one seed pins
+	// the workload and the fault process together. Replica i's capacity
+	// weight scales its dispatch share, its batch limit and its device
+	// memory together.
+	cc := cfg.Cluster
+	cc.Server.MaxBatch = *batch
+	cc.Faults.Seed = *seed
+	var caps []float64
+	for i := range cc.Overrides {
+		w := cc.Overrides[i].Capacity
+		caps = append(caps, w)
 		if w > 0 && w != 1 {
 			b := int(w*float64(*batch) + 0.5)
 			if b < 1 {
 				b = 1 // a 0 override would mean "inherit the full batch"
 			}
-			clusterCfg.Overrides[i].MaxBatch = b
+			cc.Overrides[i].MaxBatch = b
 		}
 	}
 	capacityOf := func(i int) int64 {
-		if i < len(clusterCfg.Overrides) && clusterCfg.Overrides[i].Capacity > 0 {
-			return int64(clusterCfg.Overrides[i].Capacity * float64(capBytes))
+		if i < len(cc.Overrides) && cc.Overrides[i].Capacity > 0 {
+			return int64(cc.Overrides[i].Capacity * float64(capBytes))
 		}
 		return capBytes
-	}
-	fleetMax := clusterCfg.Replicas
-	if clusterCfg.MaxReplicas > 0 {
-		fleetMax = clusterCfg.MaxReplicas
 	}
 	// Reject configuration mistakes (a fault plan targeting a replica the
 	// fleet can never have, bad recovery knobs, ...) before any policy runs,
 	// so they read as config errors rather than per-policy serving failures.
-	if err := clusterCfg.Validate(); err != nil {
+	if err := cc.Validate(); err != nil {
 		fatal(err)
 	}
 
@@ -277,61 +284,61 @@ func main() {
 		mix.Name, source, len(reqs), len(mix.Classes), mix.Rate, *seed)
 	fmt.Printf("pool %s, %.1f GiB device, max batch %d\n", cfg.Backend, *capacity, *batch)
 	agingStr := "off"
-	if cfg.Aging > 0 {
-		agingStr = cfg.Aging.String()
+	if cc.Server.Aging > 0 {
+		agingStr = cc.Server.Aging.String()
 	}
-	dispatchPolicy, err := serve.ParseDispatch(string(cfg.Dispatch))
+	dispatchPolicy, err := serve.ParseDispatch(string(cc.Dispatch))
 	if err != nil {
 		fatal(err)
 	}
-	fleetStr := fmt.Sprintf("%d replica(s)", clusterCfg.Replicas)
-	if clusterCfg.MaxReplicas > 0 {
-		min := clusterCfg.MinReplicas
+	fleetStr := fmt.Sprintf("%d replica(s)", cc.Replicas)
+	if cc.MaxReplicas > 0 {
+		min := cc.MinReplicas
 		if min == 0 {
 			min = 1
 		}
-		fleetStr = fmt.Sprintf("elastic %d..%d replicas", min, clusterCfg.MaxReplicas)
+		fleetStr = fmt.Sprintf("elastic %d..%d replicas", min, cc.MaxReplicas)
 	}
 	stealStr := ""
-	if clusterCfg.Steal {
+	if cc.Steal {
 		stealStr = ", work-stealing"
 	}
 	capsStr := ""
-	if len(cfg.ReplicaCaps) > 0 {
-		capsStr = fmt.Sprintf(", caps %v", cfg.ReplicaCaps)
+	if len(caps) > 0 {
+		capsStr = fmt.Sprintf(", caps %v", caps)
 	}
 	dispatchStr := string(dispatchPolicy)
 	if dispatchPolicy == serve.DispatchSessionAffinity {
-		base := clusterCfg.AffinityBase
+		base := cc.AffinityBase
 		if base == "" {
 			base = serve.DispatchJSQ
 		}
 		dispatchStr += fmt.Sprintf(" (base %s)", base)
 	}
 	reuseStr := ""
-	if cfg.PrefixReuse {
+	if cc.Server.PrefixReuse {
 		reuseStr = ", prefix reuse"
 	}
 	fmt.Printf("cluster: %s, dispatch %s, aging %s%s%s%s\n", fleetStr, dispatchStr, agingStr, stealStr, capsStr, reuseStr)
-	if clusterCfg.Faults.Enabled() || cfg.Timeout > 0 {
+	if cc.Faults.Enabled() || cc.Server.Timeout > 0 {
 		faultStr := "none"
-		if cfg.MTTF > 0 {
-			faultStr = fmt.Sprintf("mttf %v, mttr %v", cfg.MTTF, cfg.MTTR)
-		} else if len(cfg.FaultPlan) > 0 {
-			faultStr = fmt.Sprintf("scripted plan, %d events", len(cfg.FaultPlan))
+		if cc.Faults.MTTF > 0 {
+			faultStr = fmt.Sprintf("mttf %v, mttr %v", cc.Faults.MTTF, cc.Faults.MTTR)
+		} else if len(cc.Faults.Plan) > 0 {
+			faultStr = fmt.Sprintf("scripted plan, %d events", len(cc.Faults.Plan))
 		}
 		deadlineStr := "none"
-		if cfg.Timeout > 0 {
-			deadlineStr = cfg.Timeout.String()
-			if cfg.Shed {
+		if cc.Server.Timeout > 0 {
+			deadlineStr = cc.Server.Timeout.String()
+			if cc.Server.Shed {
 				deadlineStr += " with shedding"
 			}
 		}
 		retryStr := "none"
-		if cfg.Retries > 0 {
-			retryStr = fmt.Sprintf("%d with backoff", cfg.Retries)
-			if cfg.RetryBudget > 0 {
-				retryStr += fmt.Sprintf(", budget %d/class", cfg.RetryBudget)
+		if cc.Recovery.Retries > 0 {
+			retryStr = fmt.Sprintf("%d with backoff", cc.Recovery.Retries)
+			if cc.Recovery.RetryBudget > 0 {
+				retryStr += fmt.Sprintf(", budget %d/class", cc.Recovery.RetryBudget)
 			}
 		}
 		fmt.Printf("faults: %s; deadline %s; retries %s\n", faultStr, deadlineStr, retryStr)
@@ -378,8 +385,8 @@ func main() {
 		err   error
 	}
 	results, err := runner.Collect(cfg.Parallelism, len(policies), func(i int) (out outcome) {
-		allocs := make([]memalloc.Allocator, 0, fleetMax)
-		closers := make([]func(), 0, fleetMax)
+		var allocs []memalloc.Allocator
+		var closers []func()
 		defer func() {
 			for _, c := range closers {
 				c()
@@ -398,7 +405,7 @@ func main() {
 		// Each policy run gets its own capture (policies sweep in
 		// parallel); the trace is written once from the first successful
 		// run — the streams are identical, so the captures are too.
-		runCfg := clusterCfg
+		runCfg := cc
 		var capRec *reqtrace.Capture
 		if cfg.TraceOut != "" {
 			capRec = reqtrace.NewCapture()

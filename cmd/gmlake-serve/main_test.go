@@ -220,6 +220,10 @@ func TestUsageErrors(t *testing.T) {
 		{`-capacity-gb -1.5`, `-capacity-gb must be a positive finite number, got -1.5`},
 		{`-capacity-gb NaN`, `-capacity-gb must be a positive finite number, got NaN`},
 		{`-capacity-gb +Inf`, `-capacity-gb must be a positive finite number, got +Inf`},
+		{`-n 0`, `-n must be a positive integer, got 0`},
+		{`-n -3`, `-n must be a positive integer, got -3`},
+		{`-batch 0`, `-batch must be a positive integer, got 0`},
+		{`-trace-in t.jsonl -n 0`, `-n must be a positive integer, got 0`},
 		{`-policy bogus`, `unknown policy "bogus" (contiguous, paged, chunked, all)`},
 		{`-replicas 2 -fault-plan crash@t=1s:r7`, `fault`},
 	} {

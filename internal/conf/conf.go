@@ -19,16 +19,19 @@
 // it takes — is one entry of the fields table in fields.go, and Validate
 // holds the rules that span keys; nothing else lists them. `gmlake-serve
 // -h` is the table rendered. Build consumes the six allocator keys;
-// cmd/gmlake-serve consumes the serving keys through Flags.Parse,
-// ServeWorkload and Cluster, and cmd/gmlake-bench takes four of their
-// flags. (internal/harness is configured through its own Env fields and
-// uses this package only to build its rigs' allocators by name.)
+// ServeWorkload the mix keys. The cluster, session, elastic, fault and
+// recovery keys write their leaves of Config.Cluster, a serve.ClusterConfig
+// (one replica unless replicas or max_replicas says otherwise) that
+// cmd/gmlake-serve completes with the batch limit and the fault seed — the
+// two things no key names — and serves as it is; cmd/gmlake-bench takes
+// four of the keys' flags. (internal/harness is configured through its own
+// Env fields and uses this package only to build its rigs' allocators by
+// name.)
 package conf
 
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/caching"
 	"repro/internal/core"
@@ -68,50 +71,19 @@ type Config struct {
 	TraceScale float64 // replay rate multiplier (0 = recorded rate)
 	Fit        bool    // serve the mix fitted to TraceIn, with a fit report
 
-	// Serving-cluster knobs (consumed by the cluster runners, ignored by
-	// Build). Replicas 0 means unconfigured (callers treat it as 1);
-	// Dispatch "" means round-robin; Aging 0 disables priority aging.
-	Replicas int
-	Dispatch serve.DispatchPolicy
-	Aging    time.Duration
-	// PrefixReuse enables session KV prefix reuse on every replica
-	// (serve.ServerConfig.PrefixReuse); AffinityBase is session-affinity
-	// dispatch's fallback policy ("" = jsq), only accepted alongside
-	// dispatch:session-affinity.
-	PrefixReuse  bool
-	AffinityBase serve.DispatchPolicy
-	// ExactSamples is the latency digests' exact-retention threshold
-	// (serve.ServerConfig.ExactSamples): 0 means the serve default,
-	// negative sketches from the first sample.
-	ExactSamples int
-
-	// Elastic-fleet knobs. MaxReplicas > 0 enables queue-depth
-	// autoscaling; Steal enables work-stealing re-dispatch; ReplicaCaps are
-	// per-replica capacity weights for capacity-aware dispatch over a
-	// heterogeneous fleet.
-	MinReplicas    int
-	MaxReplicas    int
-	ScaleUpDepth   int
-	ScaleDownDepth int
-	ScaleCooldown  time.Duration
-	Steal          bool
-	ReplicaCaps    []float64
-
-	// Fault-injection and recovery knobs (consumed by the cluster
-	// runners, ignored by Build). MTTF/MTTR arm the seeded per-replica
-	// crash/restart process (both or neither); FaultPlan is the scripted
-	// alternative. Timeout is the per-request deadline; Retries, Backoff
-	// and RetryBudget shape crash recovery (all require Timeout — Validate
-	// rejects retry knobs with no deadline bounding them); Shed rejects
-	// provably-late requests at admission (requires Timeout).
-	MTTF        time.Duration
-	MTTR        time.Duration
-	FaultPlan   []serve.FaultEvent
-	Timeout     time.Duration
-	Retries     int
-	Backoff     float64
-	RetryBudget int
-	Shed        bool
+	// Cluster is the serving-cluster configuration the serving runners
+	// hand to serve.ServeCluster, and the only copy of its knobs: every
+	// cluster, session, elastic, fault and recovery key writes its leaf
+	// directly. replicas, dispatch, affinity_base, min_replicas,
+	// max_replicas, scale_up, scale_down, scale_cooldown and steal land on
+	// the ClusterConfig itself, replica_caps as Overrides[i].Capacity;
+	// aging, exact_samples, prefix_reuse, timeout and shed on Server;
+	// mttf, mttr and fault_plan on Faults; retries, backoff and
+	// retry_budget on Recovery. Parse sets Replicas to 1 when neither
+	// replicas nor max_replicas is given. No key names Server.MaxBatch,
+	// Faults.Seed or a replica's MaxBatch override: the caller fills them.
+	// Build ignores Cluster.
+	Cluster serve.ClusterConfig
 
 	// Parallelism bounds the worker pool of consumers that sweep
 	// independent cells (the experiment engine, policy comparisons).
@@ -119,9 +91,6 @@ type Config struct {
 	// at parse time.
 	Parallelism int
 }
-
-// HasServeMix reports whether the string configured a serving workload.
-func (c Config) HasServeMix() bool { return c.ServeMix != "" }
 
 // ServeWorkload resolves the configured client mix with the rate and
 // burstiness overrides applied. When no serve_mix key was given, name
@@ -170,6 +139,9 @@ func parse(s string, flags []assignment) (Config, error) {
 			return cfg, err
 		}
 	}
+	if cfg.Cluster.Replicas == 0 && cfg.Cluster.MaxReplicas == 0 {
+		cfg.Cluster.Replicas = 1 // an unconfigured static fleet is one server
+	}
 	return cfg, cfg.Validate()
 }
 
@@ -177,70 +149,28 @@ func parse(s string, flags []assignment) (Config, error) {
 // missing would silently do nothing, which hides a typo'd or forgotten
 // key. Parse and Flags.Parse call it on the merged configuration.
 func (c Config) Validate() error {
+	cc := c.Cluster
 	switch {
 	case c.Fit && c.TraceIn == "":
 		return fmt.Errorf("conf: fit requires trace_in")
 	case c.TraceScale > 0 && c.TraceIn == "":
 		return fmt.Errorf("conf: trace_scale requires trace_in")
-	case (c.MTTF > 0) != (c.MTTR > 0):
+	case (cc.Faults.MTTF > 0) != (cc.Faults.MTTR > 0):
 		return fmt.Errorf("conf: mttf and mttr must be set together")
-	case len(c.FaultPlan) > 0 && c.MTTF > 0:
+	case len(cc.Faults.Plan) > 0 && cc.Faults.MTTF > 0:
 		return fmt.Errorf("conf: fault_plan and mttf/mttr are mutually exclusive")
-	case c.Retries > 0 && c.Timeout == 0:
+	case cc.Recovery.Retries > 0 && cc.Server.Timeout == 0:
 		return fmt.Errorf("conf: retries requires timeout (unbounded retries need a deadline)")
-	case c.Backoff > 0 && c.Retries == 0:
+	case cc.Recovery.Backoff > 0 && cc.Recovery.Retries == 0:
 		return fmt.Errorf("conf: backoff requires retries")
-	case c.RetryBudget > 0 && c.Retries == 0:
+	case cc.Recovery.RetryBudget > 0 && cc.Recovery.Retries == 0:
 		return fmt.Errorf("conf: retry_budget requires retries")
-	case c.Shed && c.Timeout == 0:
+	case cc.Server.Shed && cc.Server.Timeout == 0:
 		return fmt.Errorf("conf: shed requires timeout")
-	case c.AffinityBase != "" && c.Dispatch != serve.DispatchSessionAffinity:
+	case cc.AffinityBase != "" && cc.Dispatch != serve.DispatchSessionAffinity:
 		return fmt.Errorf("conf: affinity_base requires dispatch:session-affinity")
 	}
 	return nil
-}
-
-// Cluster assembles the serving-cluster configuration the string describes
-// around the given per-replica server config (which carries MaxBatch and,
-// typically, c.Aging). Replica capacity weights become per-replica
-// overrides; an unconfigured static fleet defaults to one replica.
-func (c Config) Cluster(server serve.ServerConfig) serve.ClusterConfig {
-	cc := serve.ClusterConfig{
-		Replicas:       c.Replicas,
-		Dispatch:       c.Dispatch,
-		AffinityBase:   c.AffinityBase,
-		Server:         server,
-		MinReplicas:    c.MinReplicas,
-		MaxReplicas:    c.MaxReplicas,
-		ScaleUpDepth:   c.ScaleUpDepth,
-		ScaleDownDepth: c.ScaleDownDepth,
-		ScaleCooldown:  c.ScaleCooldown,
-		Steal:          c.Steal,
-	}
-	if cc.Replicas == 0 && cc.MaxReplicas == 0 {
-		cc.Replicas = 1
-	}
-	for _, w := range c.ReplicaCaps {
-		cc.Overrides = append(cc.Overrides, serve.ReplicaOverride{Capacity: w})
-	}
-	cc.Faults = serve.FaultConfig{MTTF: c.MTTF, MTTR: c.MTTR, Plan: c.FaultPlan}
-	cc.Recovery = serve.RecoveryConfig{
-		Retries:     c.Retries,
-		Backoff:     c.Backoff,
-		RetryBudget: c.RetryBudget,
-	}
-	// The deadline knobs ride on the per-replica server config; an explicit
-	// value already set by the caller wins over the conf string.
-	if cc.Server.Timeout == 0 {
-		cc.Server.Timeout = c.Timeout
-	}
-	if !cc.Server.Shed {
-		cc.Server.Shed = c.Shed
-	}
-	if !cc.Server.PrefixReuse {
-		cc.Server.PrefixReuse = c.PrefixReuse
-	}
-	return cc
 }
 
 // A backend is one allocator the backend key selects.

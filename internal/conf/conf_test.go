@@ -156,9 +156,6 @@ func TestParseServeKeys(t *testing.T) {
 	if cfg.ServeMix != "chat+batch" || cfg.ServeRate != 6.5 || cfg.BurstCV != 4 {
 		t.Fatalf("%+v", cfg)
 	}
-	if !cfg.HasServeMix() {
-		t.Fatal("HasServeMix false after serve_mix key")
-	}
 	mix, err := cfg.ServeWorkload()
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +182,8 @@ func TestServeWorkloadDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.HasServeMix() {
-		t.Fatal("HasServeMix true without serve_mix key")
+	if cfg.ServeMix != "" {
+		t.Fatalf("serve_mix %q without the key", cfg.ServeMix)
 	}
 	mix, err := cfg.ServeWorkload()
 	if err != nil {
@@ -259,24 +256,25 @@ func TestParseClusterKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Replicas != 4 {
-		t.Fatalf("replicas = %d", cfg.Replicas)
+	cc := cfg.Cluster
+	if cc.Replicas != 4 {
+		t.Fatalf("replicas = %d", cc.Replicas)
 	}
-	if cfg.Dispatch != serve.DispatchJSQ {
-		t.Fatalf("dispatch = %q", cfg.Dispatch)
+	if cc.Dispatch != serve.DispatchJSQ {
+		t.Fatalf("dispatch = %q", cc.Dispatch)
 	}
-	if cfg.Aging != 2*time.Second {
-		t.Fatalf("aging = %v", cfg.Aging)
+	if cc.Server.Aging != 2*time.Second {
+		t.Fatalf("aging = %v", cc.Server.Aging)
 	}
 	// Unconfigured defaults: single server, round-robin, no aging.
 	cfg, err = Parse("backend:caching")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Replicas != 0 || cfg.Dispatch != "" || cfg.Aging != 0 {
-		t.Fatalf("cluster defaults polluted: %+v", cfg)
+	if cc = cfg.Cluster; cc.Replicas != 1 || cc.Dispatch != "" || cc.Server.Aging != 0 {
+		t.Fatalf("cluster defaults polluted: %+v", cc)
 	}
-	if _, err := serve.ParseDispatch(string(cfg.Dispatch)); err != nil {
+	if _, err := serve.ParseDispatch(string(cc.Dispatch)); err != nil {
 		t.Fatal("empty dispatch must resolve to the default policy")
 	}
 }
@@ -286,19 +284,19 @@ func TestParseExactSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ExactSamples != 500 {
-		t.Fatalf("exact_samples = %d", cfg.ExactSamples)
+	if cfg.Cluster.Server.ExactSamples != 500 {
+		t.Fatalf("exact_samples = %d", cfg.Cluster.Server.ExactSamples)
 	}
 	// Negative means sketch-only, zero means the serve default: both valid.
 	cfg, err = Parse("backend:caching,exact_samples:-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ExactSamples != -1 {
-		t.Fatalf("exact_samples = %d", cfg.ExactSamples)
+	if cfg.Cluster.Server.ExactSamples != -1 {
+		t.Fatalf("exact_samples = %d", cfg.Cluster.Server.ExactSamples)
 	}
-	if cfg, err = Parse("backend:caching"); err != nil || cfg.ExactSamples != 0 {
-		t.Fatalf("exact_samples default: %d, %v", cfg.ExactSamples, err)
+	if cfg, err = Parse("backend:caching"); err != nil || cfg.Cluster.Server.ExactSamples != 0 {
+		t.Fatalf("exact_samples default: %d, %v", cfg.Cluster.Server.ExactSamples, err)
 	}
 	if _, err := Parse("exact_samples:lots"); err == nil {
 		t.Fatal("accepted non-integer exact_samples")
@@ -329,25 +327,26 @@ func TestParseElasticKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.MinReplicas != 1 || cfg.MaxReplicas != 6 {
-		t.Fatalf("bounds = [%d, %d]", cfg.MinReplicas, cfg.MaxReplicas)
+	cc := cfg.Cluster
+	if cc.MinReplicas != 1 || cc.MaxReplicas != 6 {
+		t.Fatalf("bounds = [%d, %d]", cc.MinReplicas, cc.MaxReplicas)
 	}
-	if cfg.ScaleUpDepth != 8 || cfg.ScaleDownDepth != 2 || cfg.ScaleCooldown != 500*time.Millisecond {
-		t.Fatalf("scaler knobs: %+v", cfg)
+	if cc.ScaleUpDepth != 8 || cc.ScaleDownDepth != 2 || cc.ScaleCooldown != 500*time.Millisecond {
+		t.Fatalf("scaler knobs: %+v", cc)
 	}
-	if !cfg.Steal {
+	if !cc.Steal {
 		t.Fatal("steal:true not captured")
 	}
-	if len(cfg.ReplicaCaps) != 3 || cfg.ReplicaCaps[0] != 2 || cfg.ReplicaCaps[1] != 1 || cfg.ReplicaCaps[2] != 1.5 {
-		t.Fatalf("replica_caps = %v", cfg.ReplicaCaps)
+	if want := []serve.ReplicaOverride{{Capacity: 2}, {Capacity: 1}, {Capacity: 1.5}}; !slices.Equal(cc.Overrides, want) {
+		t.Fatalf("replica_caps = %+v", cc.Overrides)
 	}
 	// Dispatch names from conf strings may carry case and whitespace.
 	cfg, err = Parse("dispatch: JSQ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Dispatch != serve.DispatchJSQ {
-		t.Fatalf("dispatch = %q", cfg.Dispatch)
+	if cfg.Cluster.Dispatch != serve.DispatchJSQ {
+		t.Fatalf("dispatch = %q", cfg.Cluster.Dispatch)
 	}
 }
 
@@ -378,11 +377,11 @@ func TestClusterAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := cfg.Cluster(serve.ServerConfig{MaxBatch: 8, Aging: cfg.Aging})
+	cc := cfg.Cluster
 	if cc.Replicas != 2 || cc.MinReplicas != 2 || cc.MaxReplicas != 4 || !cc.Steal {
 		t.Fatalf("%+v", cc)
 	}
-	if cc.Dispatch != serve.DispatchLeastKV || cc.Server.MaxBatch != 8 {
+	if cc.Dispatch != serve.DispatchLeastKV {
 		t.Fatalf("%+v", cc)
 	}
 	if len(cc.Overrides) != 2 || cc.Overrides[0].Capacity != 2 || cc.Overrides[1].Capacity != 1 {
@@ -393,7 +392,7 @@ func TestClusterAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cc := plain.Cluster(serve.ServerConfig{MaxBatch: 8}); cc.Replicas != 1 || cc.MaxReplicas != 0 {
+	if cc := plain.Cluster; cc.Replicas != 1 || cc.MaxReplicas != 0 {
 		t.Fatalf("%+v", cc)
 	}
 	// With autoscaling on and no replicas key, the initial size is the
@@ -402,7 +401,7 @@ func TestClusterAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cc := auto.Cluster(serve.ServerConfig{MaxBatch: 8}); cc.Replicas != 0 || cc.MaxReplicas != 4 {
+	if cc := auto.Cluster; cc.Replicas != 0 || cc.MaxReplicas != 4 {
 		t.Fatalf("%+v", cc)
 	}
 }
@@ -422,13 +421,14 @@ func TestParseSessionKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Dispatch != serve.DispatchSessionAffinity {
-		t.Fatalf("dispatch = %q", cfg.Dispatch)
+	cc := cfg.Cluster
+	if cc.Dispatch != serve.DispatchSessionAffinity {
+		t.Fatalf("dispatch = %q", cc.Dispatch)
 	}
-	if cfg.AffinityBase != serve.DispatchLeastKV {
-		t.Fatalf("affinity_base = %q", cfg.AffinityBase)
+	if cc.AffinityBase != serve.DispatchLeastKV {
+		t.Fatalf("affinity_base = %q", cc.AffinityBase)
 	}
-	if !cfg.PrefixReuse {
+	if !cc.Server.PrefixReuse {
 		t.Fatal("prefix_reuse:true not captured")
 	}
 	// Both default off: a sessionless conf string assembles the pre-session
@@ -437,8 +437,8 @@ func TestParseSessionKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.PrefixReuse || cfg.AffinityBase != "" {
-		t.Fatalf("session defaults polluted: %+v", cfg)
+	if cc = cfg.Cluster; cc.Server.PrefixReuse || cc.AffinityBase != "" {
+		t.Fatalf("session defaults polluted: %+v", cc)
 	}
 	// Affinity with no explicit base: serve defaults the base to jsq.
 	if _, err := Parse("dispatch:session-affinity,prefix_reuse:true"); err != nil {
@@ -456,20 +456,11 @@ func TestClusterAssemblySessionKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := cfg.Cluster(serve.ServerConfig{MaxBatch: 8})
+	cc := cfg.Cluster
 	if cc.Dispatch != serve.DispatchSessionAffinity || cc.AffinityBase != serve.DispatchLeastKV {
 		t.Fatalf("%+v", cc)
 	}
 	if !cc.Server.PrefixReuse {
 		t.Fatal("prefix_reuse did not reach the server config")
-	}
-	// A caller that already enabled reuse on the server config keeps it
-	// regardless of the conf string (the caller-wins merge rule).
-	plain, err := Parse("replicas:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc := plain.Cluster(serve.ServerConfig{MaxBatch: 8, PrefixReuse: true}); !cc.Server.PrefixReuse {
-		t.Fatal("caller's PrefixReuse lost in assembly")
 	}
 }

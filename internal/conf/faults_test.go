@@ -13,12 +13,13 @@ func TestParseFaultKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.MTTF != 2*time.Minute || cfg.MTTR != 15*time.Second {
-		t.Fatalf("mttf/mttr %v/%v", cfg.MTTF, cfg.MTTR)
+	cc := cfg.Cluster
+	if cc.Faults.MTTF != 2*time.Minute || cc.Faults.MTTR != 15*time.Second {
+		t.Fatalf("mttf/mttr %v/%v", cc.Faults.MTTF, cc.Faults.MTTR)
 	}
-	if cfg.Timeout != 30*time.Second || cfg.Retries != 3 || cfg.Backoff != 1.5 ||
-		cfg.RetryBudget != 8 || !cfg.Shed {
-		t.Fatalf("recovery knobs: %+v", cfg)
+	if cc.Server.Timeout != 30*time.Second || cc.Recovery.Retries != 3 || cc.Recovery.Backoff != 1.5 ||
+		cc.Recovery.RetryBudget != 8 || !cc.Server.Shed {
+		t.Fatalf("recovery knobs: %+v", cc)
 	}
 
 	cfg, err = Parse("fault_plan:crash@t=12s:r1/restart@t=14s:r1")
@@ -29,8 +30,8 @@ func TestParseFaultKeys(t *testing.T) {
 		{At: 12 * time.Second, Kind: serve.FaultCrash, Replica: 1},
 		{At: 14 * time.Second, Kind: serve.FaultRestart, Replica: 1},
 	}
-	if len(cfg.FaultPlan) != 2 || cfg.FaultPlan[0] != want[0] || cfg.FaultPlan[1] != want[1] {
-		t.Fatalf("fault plan %+v, want %+v", cfg.FaultPlan, want)
+	if plan := cfg.Cluster.Faults.Plan; len(plan) != 2 || plan[0] != want[0] || plan[1] != want[1] {
+		t.Fatalf("fault plan %+v, want %+v", plan, want)
 	}
 }
 
@@ -72,15 +73,14 @@ func TestParseFaultKeyErrors(t *testing.T) {
 	}
 }
 
-// TestClusterCarriesFaultConfig: the assembled ClusterConfig carries the
-// fault and recovery knobs, and conf-level deadlines yield to ones the
-// caller already fixed on the server config.
+// TestClusterCarriesFaultConfig: the fault and recovery keys land in the
+// ClusterConfig's Faults, Recovery and Server, where serve reads them.
 func TestClusterCarriesFaultConfig(t *testing.T) {
 	cfg, err := Parse("replicas:2,mttf:2m,mttr:15s,timeout:30s,retries:3,backoff:1.5,retry_budget:8,shed:true")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := cfg.Cluster(serve.ServerConfig{MaxBatch: 4})
+	cc := cfg.Cluster
 	if cc.Faults.MTTF != 2*time.Minute || cc.Faults.MTTR != 15*time.Second {
 		t.Fatalf("faults not wired: %+v", cc.Faults)
 	}
@@ -88,11 +88,6 @@ func TestClusterCarriesFaultConfig(t *testing.T) {
 		t.Fatalf("recovery not wired: %+v", cc.Recovery)
 	}
 	if cc.Server.Timeout != 30*time.Second || !cc.Server.Shed {
-		t.Fatalf("deadline knobs not defaulted onto the server: %+v", cc.Server)
-	}
-
-	pinned := cfg.Cluster(serve.ServerConfig{MaxBatch: 4, Timeout: time.Minute})
-	if pinned.Server.Timeout != time.Minute {
-		t.Fatalf("caller timeout overridden: %v", pinned.Server.Timeout)
+		t.Fatalf("deadline knobs not on the server: %+v", cc.Server)
 	}
 }

@@ -68,49 +68,49 @@ var fields = []field{
 		parsed(parseParallel, func(c *Config) *int { return &c.Parallelism })},
 
 	{"replicas", "replicas", "`n` replica servers behind the cluster admission queue (default 1); with autoscaling, the initial fleet",
-		parsed(parsePositive[int], func(c *Config) *int { return &c.Replicas })},
+		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.Replicas })},
 	{"dispatch", "dispatch", "cluster dispatch `policy`: round-robin (default), jsq, least-kv or session-affinity",
-		parsed(parseDispatch, func(c *Config) *serve.DispatchPolicy { return &c.Dispatch })},
+		parsed(parseDispatch, func(c *Config) *serve.DispatchPolicy { return &c.Cluster.Dispatch })},
 	{"aging", "aging", "priority aging: a waiting request gains one priority level per `duration` of queue wait (0 = off)",
-		parsed(parseNonNegDuration, func(c *Config) *time.Duration { return &c.Aging })},
+		parsed(parseNonNegDuration, func(c *Config) *time.Duration { return &c.Cluster.Server.Aging })},
 	{"exact_samples", "exact-samples", "latency digests keep `n` raw samples for exact percentiles before sketching (0 = 8192, negative = sketch at once)",
-		parsed(parseExactSamples, func(c *Config) *int { return &c.ExactSamples })},
+		parsed(parseExactSamples, func(c *Config) *int { return &c.Cluster.Server.ExactSamples })},
 	{"prefix_reuse", "prefix-reuse", "session KV prefix reuse: a follow-up turn skips the prefill still resident on its replica",
-		parsed(parseBool, func(c *Config) *bool { return &c.PrefixReuse })},
+		parsed(parseBool, func(c *Config) *bool { return &c.Cluster.Server.PrefixReuse })},
 	{"affinity_base", "affinity-base", "fallback `policy` of session-affinity for requests with no resident prefix (default jsq; needs dispatch session-affinity)",
-		parsed(parseAffinityBase, func(c *Config) *serve.DispatchPolicy { return &c.AffinityBase })},
+		parsed(parseAffinityBase, func(c *Config) *serve.DispatchPolicy { return &c.Cluster.AffinityBase })},
 
 	{"min_replicas", "min-replicas", "autoscaler floor `n` (default 1)",
-		parsed(parsePositive[int], func(c *Config) *int { return &c.MinReplicas })},
+		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.MinReplicas })},
 	{"max_replicas", "max-replicas", "autoscaler ceiling `n`; setting it turns queue-depth autoscaling on",
-		parsed(parsePositive[int], func(c *Config) *int { return &c.MaxReplicas })},
+		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.MaxReplicas })},
 	{"scale_up", "scale-up", "queued backlog `n` per active replica that spawns one more (default 4)",
-		parsed(parsePositive[int], func(c *Config) *int { return &c.ScaleUpDepth })},
+		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.ScaleUpDepth })},
 	{"scale_down", "scale-down", "backlog `n` per remaining replica at which one drains, leaving once empty (default 1)",
-		parsed(parsePositive[int], func(c *Config) *int { return &c.ScaleDownDepth })},
+		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.ScaleDownDepth })},
 	{"scale_cooldown", "scale-cooldown", "minimum virtual `duration` between scale decisions (default 250ms)",
-		parsed(parseNonNegDuration, func(c *Config) *time.Duration { return &c.ScaleCooldown })},
+		parsed(parseNonNegDuration, func(c *Config) *time.Duration { return &c.Cluster.ScaleCooldown })},
 	{"steal", "steal", "work stealing: an idle replica takes queued (never running) requests from a backlogged peer",
-		parsed(parseBool, func(c *Config) *bool { return &c.Steal })},
+		parsed(parseBool, func(c *Config) *bool { return &c.Cluster.Steal })},
 	{"replica_caps", "replica-caps", "per-replica capacity `weights` such as 2/1/1 (flags also take 2,1,1): memory, batch limit and dispatch share scale with them",
-		parsed(parseReplicaCaps, func(c *Config) *[]float64 { return &c.ReplicaCaps })},
+		parsed(parseReplicaCaps, func(c *Config) *[]serve.ReplicaOverride { return &c.Cluster.Overrides })},
 
 	{"mttf", "mttf", "mean `duration` to failure per replica, exponential and seeded (needs mttr)",
-		parsed(parsePositiveDuration, func(c *Config) *time.Duration { return &c.MTTF })},
+		parsed(parsePositiveDuration, func(c *Config) *time.Duration { return &c.Cluster.Faults.MTTF })},
 	{"mttr", "mttr", "mean `duration` to restart after a crash (needs mttf)",
-		parsed(parsePositiveDuration, func(c *Config) *time.Duration { return &c.MTTR })},
+		parsed(parsePositiveDuration, func(c *Config) *time.Duration { return &c.Cluster.Faults.MTTR })},
 	{"fault_plan", "fault-plan", "scripted crash/restart `plan` such as crash@t=12s:r1/restart@t=14s:r1 (excludes mttf/mttr)",
-		parsed(parseFaultPlan, func(c *Config) *[]serve.FaultEvent { return &c.FaultPlan })},
+		parsed(parseFaultPlan, func(c *Config) *[]serve.FaultEvent { return &c.Cluster.Faults.Plan })},
 	{"timeout", "timeout", "per-request deadline `duration` from arrival; later completions are deadline misses, not goodput",
-		parsed(parsePositiveDuration, func(c *Config) *time.Duration { return &c.Timeout })},
+		parsed(parsePositiveDuration, func(c *Config) *time.Duration { return &c.Cluster.Server.Timeout })},
 	{"retries", "retries", "re-dispatch attempts `n` per crashed in-flight request (needs timeout)",
-		parsed(parsePositive[int], func(c *Config) *int { return &c.Retries })},
+		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.Recovery.Retries })},
 	{"backoff", "backoff", "exponential retry-backoff `multiplier` >= 1 (default 2; needs retries)",
-		parsed(parseBackoff, func(c *Config) *float64 { return &c.Backoff })},
+		parsed(parseBackoff, func(c *Config) *float64 { return &c.Cluster.Recovery.Backoff })},
 	{"retry_budget", "retry-budget", "total retries `n` one client class may consume (default unlimited; needs retries)",
-		parsed(parsePositive[int], func(c *Config) *int { return &c.RetryBudget })},
+		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.Recovery.RetryBudget })},
 	{"shed", "shed", "reject at admission the requests that provably cannot meet the deadline (needs timeout)",
-		parsed(parseBool, func(c *Config) *bool { return &c.Shed })},
+		parsed(parseBool, func(c *Config) *bool { return &c.Cluster.Server.Shed })},
 
 	{"trace_in", "trace-in", "replay the request trace at `path` (JSONL or CSV) instead of generating a mix",
 		parsed(parsePath, func(c *Config) *string { return &c.TraceIn })},
@@ -301,16 +301,16 @@ func parseAffinityBase(key, val string) (serve.DispatchPolicy, error) {
 
 // parseReplicaCaps parses positive capacity weights separated by '/' —
 // or by ',', which only a flag can carry: in a conf string commas separate
-// keys.
-func parseReplicaCaps(key, val string) ([]float64, error) {
+// keys. Weight i becomes replica i's Capacity override.
+func parseReplicaCaps(key, val string) ([]serve.ReplicaOverride, error) {
 	parts := strings.Split(strings.ReplaceAll(val, ",", "/"), "/")
-	caps := make([]float64, len(parts))
+	caps := make([]serve.ReplicaOverride, len(parts))
 	for i, p := range parts {
 		f, err := parsePositiveFloat(key, strings.TrimSpace(p))
 		if err != nil {
 			return nil, err
 		}
-		caps[i] = f
+		caps[i].Capacity = f
 	}
 	return caps, nil
 }

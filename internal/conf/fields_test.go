@@ -67,7 +67,8 @@ func flagParse(t *testing.T, s string, args ...string) (Config, error) {
 
 // TestFieldTable checks the table against itself and against both of its
 // surfaces: every key has a sample that parses and lands in a Config field,
-// keys and flags are unique, exactly the six allocator keys have no flag,
+// no two keys land in the same leaf (Cluster's included), keys and flags
+// are unique, exactly the six allocator keys have no flag,
 // every flag is its key under the naming rule, and -flag v builds the same
 // Config as key:v.
 func TestFieldTable(t *testing.T) {
@@ -75,6 +76,7 @@ func TestFieldTable(t *testing.T) {
 		t.Errorf("table has %d keys, keySamples %d", len(fields), len(keySamples))
 	}
 	seen := map[string]bool{}
+	owner := map[string]string{} // leaf path → the key that sets it
 	flagless := 0
 	for _, f := range fields {
 		for _, name := range []string{f.key, "-" + f.flag} {
@@ -94,6 +96,12 @@ func TestFieldTable(t *testing.T) {
 		var set Config
 		if err := f.set(&set, f.key, sample.val); err != nil || reflect.DeepEqual(set, Config{}) {
 			t.Errorf("%s:%s sets no Config field (%v)", f.key, sample.val, err)
+		}
+		for _, leaf := range setLeaves(reflect.ValueOf(set), "Config") {
+			if k, ok := owner[leaf]; ok {
+				t.Errorf("%s and %s both set %s", k, f.key, leaf)
+			}
+			owner[leaf] = f.key
 		}
 		byKey, err := Parse(sample.with + "," + f.key + ":" + sample.val)
 		if err != nil {
@@ -118,23 +126,39 @@ func TestFieldTable(t *testing.T) {
 	}
 }
 
+// setLeaves returns the paths of v's non-zero leaf fields, walking into
+// nested structs such as Config.Cluster and its Server, Faults and Recovery.
+func setLeaves(v reflect.Value, path string) []string {
+	if v.Kind() != reflect.Struct {
+		if v.IsZero() {
+			return nil
+		}
+		return []string{path}
+	}
+	var leaves []string
+	for i := 0; i < v.NumField(); i++ {
+		leaves = append(leaves, setLeaves(v.Field(i), path+"."+v.Type().Field(i).Name)...)
+	}
+	return leaves
+}
+
 // TestFlagsOverrideConf pins the merge: a flag wins over its key in the
 // conf string, the rules see the merged result — so a flag may supply what
 // a key needs, or break what the string alone satisfied — a bare bool flag
 // means true, and -replica-caps takes commas where the key cannot.
 func TestFlagsOverrideConf(t *testing.T) {
 	cfg, err := flagParse(t, "replicas:2,dispatch:jsq,steal:true", "-replicas", "4", "-steal=false")
-	if err != nil || cfg.Replicas != 4 || cfg.Dispatch != serve.DispatchJSQ || cfg.Steal {
+	if cc := cfg.Cluster; err != nil || cc.Replicas != 4 || cc.Dispatch != serve.DispatchJSQ || cc.Steal {
 		t.Errorf("override: %+v, %v", cfg, err)
 	}
-	if cfg, err = flagParse(t, "retries:3", "-timeout", "30s", "-shed"); err != nil || cfg.Retries != 3 || !cfg.Shed {
+	if cfg, err = flagParse(t, "retries:3", "-timeout", "30s", "-shed"); err != nil || cfg.Cluster.Recovery.Retries != 3 || !cfg.Cluster.Server.Shed {
 		t.Errorf("a flag supplying the key a rule needs: %+v, %v", cfg, err)
 	}
 	if _, err = flagParse(t, "mttf:8s,mttr:1s", "-fault-plan", "crash@t=1s:r0"); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("a flag breaking a rule: %v", err)
 	}
-	if cfg, err = flagParse(t, "", "-replica-caps", "2,1"); err != nil || !reflect.DeepEqual(cfg.ReplicaCaps, []float64{2, 1}) {
-		t.Errorf("-replica-caps 2,1: %+v, %v", cfg.ReplicaCaps, err)
+	if cfg, err = flagParse(t, "", "-replica-caps", "2,1"); err != nil || !reflect.DeepEqual(cfg.Cluster.Overrides, []serve.ReplicaOverride{{Capacity: 2}, {Capacity: 1}}) {
+		t.Errorf("-replica-caps 2,1: %+v, %v", cfg.Cluster.Overrides, err)
 	}
 	if _, err = flagParse(t, "", "-rate", "-5"); err == nil || err.Error() != `conf: serve_rate must be a positive finite number, got "-5"` {
 		t.Errorf("-rate -5: %v", err)
@@ -172,6 +196,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(cfg, again) {
 			t.Fatalf("Parse(%q) is not repeatable: %+v then %+v, %v", s, cfg, again, err)
 		}
-		_ = cfg.Cluster(serve.ServerConfig{MaxBatch: 1}).Validate() // any verdict, no panic
+		cc := cfg.Cluster
+		cc.Server.MaxBatch = 1
+		_ = cc.Validate() // any verdict, no panic
 	})
 }
