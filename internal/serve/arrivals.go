@@ -2,25 +2,36 @@ package serve
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"time"
 )
 
-// arrivalOrder is the order an input stream is released in: arrival time,
-// input order preserved among ties — so a request's input index doubles as
-// its FIFO ticket, in Serve and in the cluster alike. It returns the stable
-// permutation of input indexes, or nil when reqs is already non-decreasing
-// in ArrivalAt (every generated stream is; one pass, no allocation).
-func arrivalOrder(reqs []Request) []int {
+// arrivalOrder is the one pass over an input stream before it is served: it
+// rejects a request with nothing to prefill or nothing to decode, and returns
+// the order the stream is released in — arrival time, input order preserved
+// among ties, so a request's input index doubles as its FIFO ticket, in Serve
+// and in the cluster alike. The order is the stable permutation of input
+// indexes, or nil when reqs is already non-decreasing in ArrivalAt (every
+// generated stream is; no allocation).
+func arrivalOrder(reqs []Request) ([]int, error) {
+	for i := range reqs {
+		if err := checkPrompt(&reqs[i]); err != nil {
+			return nil, err
+		}
+		if r := &reqs[i]; r.OutputLen <= 0 {
+			return nil, fmt.Errorf("serve: request %d has %d output tokens", r.ID, r.OutputLen)
+		}
+	}
 	if slices.IsSortedFunc(reqs, func(a, b Request) int { return cmp.Compare(a.ArrivalAt, b.ArrivalAt) }) {
-		return nil
+		return nil, nil
 	}
 	order := make([]int, len(reqs))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(reqs[i].ArrivalAt, reqs[j].ArrivalAt) })
-	return order
+	return order, nil
 }
 
 // inputCursor walks the caller's request slice in arrivalOrder without
@@ -32,8 +43,9 @@ type inputCursor struct {
 	next  int
 }
 
-func newInputCursor(reqs []Request) inputCursor {
-	return inputCursor{reqs: reqs, order: arrivalOrder(reqs)}
+func newInputCursor(reqs []Request) (inputCursor, error) {
+	order, err := arrivalOrder(reqs)
+	return inputCursor{reqs: reqs, order: order}, err
 }
 
 // left is the number of requests not yet released.

@@ -386,7 +386,10 @@ func TestClusterSingleReplicaMatchesServeUnsortedInput(t *testing.T) {
 		}
 		tied = append(tied, r)
 	}
-	if arrivalOrder(plain) == nil || arrivalOrder(tied) == nil {
+	if po, _ := arrivalOrder(plain); po == nil {
+		t.Fatal("plain input is arrival-ordered; the permutation path is not exercised")
+	}
+	if to, _ := arrivalOrder(tied); to == nil {
 		t.Fatal("inputs are arrival-ordered; the permutation path is not exercised")
 	}
 	for _, tc := range []struct {
@@ -492,7 +495,14 @@ func TestServeSealKeepsUnarrivedClasses(t *testing.T) {
 func TestArrivalQueueMergesSources(t *testing.T) {
 	at := func(s int) time.Duration { return time.Duration(s) * time.Second }
 	input := []Request{{ArrivalAt: at(4)}, {ArrivalAt: at(1)}, {ArrivalAt: at(4)}, {ArrivalAt: at(9)}}
-	q := arrivalQueue{input: newInputCursor(input)}
+	for i := range input {
+		input[i].PromptLen, input[i].OutputLen = 1, 1
+	}
+	cur, err := newInputCursor(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := arrivalQueue{input: cur}
 	for i, s := range []int{9, 4, 0, 6} {
 		q.push(newTrack(&Request{ArrivalAt: at(s)}, int64(10+i)))
 	}

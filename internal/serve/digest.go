@@ -115,7 +115,7 @@ func (d *latDigest) summary() LatencySummary {
 
 // classAgg is the one record of a client class on a tally: served count,
 // latency digests, evictions and KV token-steps. An admission creates it (a
-// track caches the pointer, so the per-step accounting skips the map), which
+// track caches the pointer, so settling its token-steps skips the map), which
 // can be before the class has anything to report — or on a replica where it
 // never will: a request admitted on a replica that crashes and completed on
 // another belongs in the finishing replica's rows only. rostered is what
@@ -129,7 +129,7 @@ type classAgg struct {
 	e2e      *latDigest
 
 	preempt    int64
-	tokenSteps float64
+	tokenSteps int64
 }
 
 // list puts the class on the roster, under slo if it is the first to.

@@ -51,6 +51,8 @@ type stubKV struct{}
 func (stubKV) Name() string                     { return "stub" }
 func (stubKV) Admit(Request) (SeqHandle, error) { return 1, nil }
 func (stubKV) Append(SeqHandle) error           { return nil }
+func (stubKV) Reserve(SeqHandle) (int, error)   { return 1 << 30, nil }
+func (stubKV) Decode()                          {}
 func (stubKV) Release(SeqHandle)                {}
 func (stubKV) UsedBytes() int64                 { return 0 }
 func (stubKV) LogicalBytes() int64              { return 0 }

@@ -451,8 +451,7 @@ func (s *server) crash(at time.Duration) (inflight, queued []*track) {
 		s.now = at
 	}
 	for _, a := range s.running {
-		s.victims.Delete(&a.node)
-		s.mgr.Release(a.handle)
+		s.release(a)
 	}
 	inflight = append(inflight, s.running...)
 	s.running = s.running[:0]

@@ -11,17 +11,23 @@ import (
 // seqTable is the one record of live KV sequences, shared by the three
 // policies: a slot table — handle = slot index + 1 — with a LIFO of
 // released slots. Reusing slots keeps the table at the live-sequence
-// high-water mark (not the stream length) and makes the per-token Append's
-// handle resolution an index, the hottest lookup of a long serving run. A
-// policy embeds the table and adds only how storage is reserved and grown
-// — and, for blocks of the paged slab, returned.
+// high-water mark (not the stream length) and makes handle resolution an
+// index. A policy embeds the table and adds only its growth body, grow —
+// how storage is reserved past the current capacity — and, for blocks of
+// the paged slab, how it is returned.
+//
+// Decode credits every live sequence one token in O(1): it counts a tick,
+// and a slot catches up on the ticks since it was last touched whenever seq
+// resolves it. logicalTok stays exact at every tick.
 type seqTable struct {
 	alloc      memalloc.Allocator
 	perToken   int64
+	grow       func(s *kvSeq) error
 	seqs       []kvSeq
 	free       []SeqHandle
 	usedBytes  int64
 	logicalTok int64
+	ticks      int64
 }
 
 // kvSeq is one slot: the sequence's storage — allocator buffers under the
@@ -31,13 +37,14 @@ type seqTable struct {
 type kvSeq struct {
 	bufs      []*memalloc.Buffer
 	blocks    []int
-	tokens    int // 0 marks a vacant slot: live sequences hold ≥ 1 prompt token
-	capTokens int // tokens the reserved storage can hold
+	tokens    int   // as of tick; 0 marks a vacant slot: live sequences hold ≥ 1 prompt token
+	capTokens int   // tokens the reserved storage can hold
+	tick      int64 // the table's ticks when tokens was last brought up to date
 }
 
 // checkPrompt rejects a request with no prompt, which would open a slot
 // that looks vacant.
-func checkPrompt(r Request) error {
+func checkPrompt(r *Request) error {
 	if r.PromptLen <= 0 {
 		return fmt.Errorf("serve: request %d has %d prompt tokens", r.ID, r.PromptLen)
 	}
@@ -57,7 +64,7 @@ func (t *seqTable) open(tokens int) (SeqHandle, *kvSeq) {
 		h = SeqHandle(len(t.seqs))
 	}
 	s := &t.seqs[h-1]
-	s.tokens = tokens
+	s.tokens, s.tick = tokens, t.ticks
 	t.logicalTok += int64(tokens)
 	return h, s
 }
@@ -69,8 +76,8 @@ func (t *seqTable) hold(s *kvSeq, buf *memalloc.Buffer, tokens int) {
 	t.usedBytes += buf.BlockSize
 }
 
-// seq resolves a handle to its live slot, nil for unknown or released
-// handles.
+// seq resolves a handle to its live slot, brought up to date with the ticks
+// since it was last read; nil for unknown or released handles.
 func (t *seqTable) seq(h SeqHandle) *kvSeq {
 	if h <= 0 || int(h) > len(t.seqs) {
 		return nil
@@ -79,13 +86,40 @@ func (t *seqTable) seq(h SeqHandle) *kvSeq {
 	if s.tokens == 0 {
 		return nil
 	}
+	s.tokens += int(t.ticks - s.tick)
+	s.tick = t.ticks
 	return s
 }
 
-// extend stores one more token in s, which must have room.
-func (t *seqTable) extend(s *kvSeq) {
-	s.tokens++
+// Reserve implements CacheManager: a full sequence grows by the policy's
+// growth body, exactly as the Append of its next token would.
+func (t *seqTable) Reserve(h SeqHandle) (room int, err error) {
+	s := t.seq(h)
+	if s == nil {
+		return 0, fmt.Errorf("serve: unknown sequence %d", h)
+	}
+	if s.tokens == s.capTokens {
+		if err := t.grow(s); err != nil {
+			return 0, err
+		}
+	}
+	return s.capTokens - s.tokens, nil
+}
+
+// Append implements CacheManager: reserve if full, then one token.
+func (t *seqTable) Append(h SeqHandle) error {
+	if _, err := t.Reserve(h); err != nil {
+		return err
+	}
+	t.seqs[h-1].tokens++
 	t.logicalTok++
+	return nil
+}
+
+// Decode implements CacheManager: one token for every live sequence.
+func (t *seqTable) Decode() {
+	t.ticks++
+	t.logicalTok += int64(len(t.seqs) - len(t.free))
 }
 
 // Release implements CacheManager: the sequence's buffers go back to the
@@ -121,10 +155,13 @@ type ContiguousKV struct {
 // NewContiguousKV builds the pad-to-max manager for cfg, growing sequences
 // up to maxTokens.
 func NewContiguousKV(alloc memalloc.Allocator, cfg model.Config, maxTokens int) *ContiguousKV {
-	return &ContiguousKV{
+	c := &ContiguousKV{
 		seqTable:  seqTable{alloc: alloc, perToken: KVBytesPerToken(cfg)},
 		maxTokens: maxTokens,
 	}
+	// The contiguous growth body: the padded buffer never grows.
+	c.grow = func(*kvSeq) error { return fmt.Errorf("serve: sequence exceeded %d max tokens", maxTokens) }
+	return c
 }
 
 // Name implements CacheManager.
@@ -132,7 +169,7 @@ func (c *ContiguousKV) Name() string { return "contiguous" }
 
 // Admit implements CacheManager.
 func (c *ContiguousKV) Admit(r Request) (SeqHandle, error) {
-	if err := checkPrompt(r); err != nil {
+	if err := checkPrompt(&r); err != nil {
 		return 0, err
 	}
 	if r.TotalTokens() > c.maxTokens {
@@ -145,19 +182,6 @@ func (c *ContiguousKV) Admit(r Request) (SeqHandle, error) {
 	h, s := c.open(r.PromptLen)
 	c.hold(s, buf, c.maxTokens)
 	return h, nil
-}
-
-// Append implements CacheManager.
-func (c *ContiguousKV) Append(h SeqHandle) error {
-	s := c.seq(h)
-	if s == nil {
-		return fmt.Errorf("serve: unknown sequence %d", h)
-	}
-	if s.tokens == s.capTokens {
-		return fmt.Errorf("serve: sequence %d exceeded max tokens", h)
-	}
-	c.extend(s)
-	return nil
 }
 
 // PagedKV is the vLLM policy: the KV region is pre-allocated once and carved
@@ -188,12 +212,14 @@ func NewPagedKV(alloc memalloc.Allocator, cfg model.Config, blockTokens, totalBl
 	for i := range free {
 		free[i] = i
 	}
-	return &PagedKV{
+	p := &PagedKV{
 		seqTable:    seqTable{alloc: alloc, perToken: perToken},
 		blockTokens: blockTokens,
 		slab:        slab,
 		freeBlocks:  free,
-	}, nil
+	}
+	p.grow = p.addBlock
+	return p, nil
 }
 
 // Name implements CacheManager.
@@ -216,7 +242,7 @@ func (p *PagedKV) take(s *kvSeq, n int) {
 
 // Admit implements CacheManager.
 func (p *PagedKV) Admit(r Request) (SeqHandle, error) {
-	if err := checkPrompt(r); err != nil {
+	if err := checkPrompt(&r); err != nil {
 		return 0, err
 	}
 	need := (r.PromptLen + p.blockTokens - 1) / p.blockTokens
@@ -228,19 +254,12 @@ func (p *PagedKV) Admit(r Request) (SeqHandle, error) {
 	return h, nil
 }
 
-// Append implements CacheManager.
-func (p *PagedKV) Append(h SeqHandle) error {
-	s := p.seq(h)
-	if s == nil {
-		return fmt.Errorf("serve: unknown sequence %d", h)
+// addBlock is the paged growth body: one more block from the slab.
+func (p *PagedKV) addBlock(s *kvSeq) error {
+	if len(p.freeBlocks) == 0 {
+		return fmt.Errorf("serve: out of KV blocks (%w)", cuda.ErrOutOfMemory)
 	}
-	if s.tokens == s.capTokens { // last block full
-		if len(p.freeBlocks) == 0 {
-			return fmt.Errorf("serve: out of KV blocks (%w)", cuda.ErrOutOfMemory)
-		}
-		p.take(s, 1)
-	}
-	p.extend(s)
+	p.take(s, 1)
 	return nil
 }
 
@@ -271,10 +290,12 @@ type ChunkedKV struct {
 // (prefill writes it in one kernel), so prompt-length variability reaches
 // the pool allocator directly — the irregular sizing that fragments it.
 func NewChunkedKV(alloc memalloc.Allocator, cfg model.Config, chunkTokens int) *ChunkedKV {
-	return &ChunkedKV{
+	c := &ChunkedKV{
 		seqTable:    seqTable{alloc: alloc, perToken: KVBytesPerToken(cfg)},
 		chunkTokens: chunkTokens,
 	}
+	c.grow = c.addChunk
+	return c
 }
 
 // Name implements CacheManager.
@@ -282,7 +303,7 @@ func (c *ChunkedKV) Name() string { return "chunked" }
 
 // Admit implements CacheManager.
 func (c *ChunkedKV) Admit(r Request) (SeqHandle, error) {
-	if err := checkPrompt(r); err != nil {
+	if err := checkPrompt(&r); err != nil {
 		return 0, err
 	}
 	buf, err := c.alloc.Alloc(int64(r.PromptLen) * c.perToken)
@@ -294,19 +315,13 @@ func (c *ChunkedKV) Admit(r Request) (SeqHandle, error) {
 	return h, nil
 }
 
-// Append implements CacheManager.
-func (c *ChunkedKV) Append(h SeqHandle) error {
-	s := c.seq(h)
-	if s == nil {
-		return fmt.Errorf("serve: unknown sequence %d", h)
+// addChunk is the chunked growth body: one more decode chunk from the
+// allocator.
+func (c *ChunkedKV) addChunk(s *kvSeq) error {
+	buf, err := c.alloc.Alloc(int64(c.chunkTokens) * c.perToken)
+	if err != nil {
+		return err
 	}
-	if s.tokens == s.capTokens {
-		buf, err := c.alloc.Alloc(int64(c.chunkTokens) * c.perToken)
-		if err != nil {
-			return err
-		}
-		c.hold(s, buf, c.chunkTokens)
-	}
-	c.extend(s)
+	c.hold(s, buf, c.chunkTokens)
 	return nil
 }

@@ -92,7 +92,7 @@ func TestPriorityAdmissionOrdersTTFT(t *testing.T) {
 	}
 }
 
-// TestPreemptionPrefersLowPriority: when a mid-decode Append hits the
+// TestPreemptionPrefersLowPriority: when a mid-decode reservation hits the
 // memory wall, the batch class must be evicted, never the interactive one.
 func TestPreemptionPrefersLowPriority(t *testing.T) {
 	reqs := []Request{

@@ -142,8 +142,11 @@ type tally struct {
 	limit   int // exact-retention threshold of every digest
 	classes map[string]*classAgg
 
-	batchSum, wasteSum float64
-	totalTokenSteps    float64
+	// batchSum and the token-step sums are integers, summed exactly and
+	// converted once at seal (they stay far below 2^53, where a float sum
+	// of the same integers would be exact too).
+	wasteSum                  float64
+	batchSum, totalTokenSteps int64
 }
 
 func newTally(limit int) tally {
@@ -216,7 +219,7 @@ func (t *tally) merge(src *tally) {
 func (t *tally) seal(rep *Report) {
 	if rep.Steps > 0 {
 		rep.MeanWaste = t.wasteSum / float64(rep.Steps)
-		rep.MeanBatch = t.batchSum / float64(rep.Steps)
+		rep.MeanBatch = float64(t.batchSum) / float64(rep.Steps)
 	}
 	names := make([]string, 0, len(t.classes))
 	for name, a := range t.classes {
@@ -242,10 +245,10 @@ func (t *tally) seal(rep *Report) {
 			E2E:         a.e2e.summary(),
 		}
 		if rep.Steps > 0 {
-			cr.MeanKVTokens = a.tokenSteps / float64(rep.Steps)
+			cr.MeanKVTokens = float64(a.tokenSteps) / float64(rep.Steps)
 		}
 		if t.totalTokenSteps > 0 {
-			cr.KVShare = a.tokenSteps / t.totalTokenSteps
+			cr.KVShare = float64(a.tokenSteps) / float64(t.totalTokenSteps)
 		}
 		rep.Classes = append(rep.Classes, cr)
 	}

@@ -104,11 +104,15 @@ func newClusterSched(reqs []Request, newMgr func(int) CacheManager, cfg ClusterC
 	if err != nil {
 		return nil, err
 	}
+	queue, err := newInputCursor(reqs)
+	if err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	c := &clusterSched{
 		cfg:      cfg,
 		newMgr:   newMgr,
-		queue:    newInputCursor(reqs),
+		queue:    queue,
 		dispatch: dispatcher{policy: cfg.Dispatch, base: cfg.AffinityBase},
 		scaler:   scaler{peakReplicas: initial},
 		events: container.NewHeap[repEvent](func(a, b repEvent) bool {

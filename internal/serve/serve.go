@@ -19,15 +19,15 @@
 //   - A request is a track. The input cursor creates it when the request is
 //     released — promoted by Serve, dispatched by ServeCluster — and from
 //     then on whoever holds the request holds the track: a server's future
-//     queue, its ready tree or its batch (the two trees share the track's
-//     one embedded node, since a request waits or decodes, never both), or
-//     the cluster's re-dispatch pool. FIFO ticket, first-token time, granted
-//     retries and the state of the current admission (KV handle, tokens to
-//     go, class record) all live on it; no map is keyed by a request. It
-//     dies with the last reference at completion, drop or loss: its samples
-//     have reached the class digests by then. Completion marks it done, and
-//     completing a done track panics — which is why OnComplete fires once
-//     per request under any amount of retrying.
+//     queue, its ready tree (through the track's one embedded node) or its
+//     batch, or the cluster's re-dispatch pool. FIFO ticket, first-token
+//     time, granted retries and the state of the current admission (KV
+//     handle, the decode tick it was admitted at, class record) all live on
+//     it; no map is keyed by a request. It dies with the last reference at
+//     completion, drop or loss: its samples have reached the class digests
+//     by then. Completion marks it done, and completing a done track panics
+//     — which is why OnComplete fires once per request under any amount of
+//     retrying.
 //   - A client class is a classAgg on a server's tally: served count, TTFT
 //     and E2E digests, evictions and KV token-steps. The first admission of
 //     the class creates it, which can be on a replica that crashes before
@@ -39,10 +39,20 @@
 //     class digests.
 //   - A KV sequence is a slot of its manager's seqTable, the one table under
 //     the three policies: Admit issues the slot (released slots first, so the
-//     table stays at the live-sequence high-water mark), Append resolves the
-//     handle by index, Release vacates it and the handle is dead until the
-//     slot is issued again. A policy adds only how storage is reserved and
-//     grown (and, for blocks of the paged slab, returned).
+//     table stays at the live-sequence high-water mark), Release vacates it
+//     and the handle is dead until the slot is issued again. A policy adds
+//     only its growth body (and, for blocks of the paged slab, how they are
+//     returned).
+//   - Decode progress is the server's, not the manager's. A running track
+//     has generated one token per decode tick since its admission, so its
+//     completion tick follows from its output length, and its next chunk
+//     boundary from the room its manager last reported. The server keeps
+//     each sequence's next event in a min-index and tells the manager only
+//     at the events — Reserve at a boundary, in admission order — plus one
+//     O(1) Decode per step that credits every live sequence a token. A step
+//     therefore costs O(1) plus O(sequences with an event): a boundary, a
+//     completion or a deadline. A track's KV token-steps are settled in
+//     closed form when it leaves the batch.
 //
 // # Latency reporting: exact, then sketched
 //
@@ -213,8 +223,8 @@ func GenRequests(n int, cfg GenConfig, seed uint64) ([]Request, error) {
 
 // Serve runs the requests to completion under continuous batching: admit
 // arrived requests while memory and the batch cap allow (highest priority
-// first), append one token per active sequence per step, release
-// completions, and — when a mid-decode Append hits the memory wall —
+// first), decode one token per active sequence per step, release
+// completions, and — when a sequence's next chunk hits the memory wall —
 // preempt the lowest-priority, most recently admitted other sequence and
 // requeue it in full (vLLM's recompute-preemption, made SLO-aware).
 // With ServerConfig.Aging set, "priority" throughout means the aged
@@ -232,7 +242,9 @@ func GenRequests(n int, cfg GenConfig, seed uint64) ([]Request, error) {
 //
 // Time is simulated on an internal virtual clock (see ServerConfig's step
 // costs); per-request arrival, first-token and completion times feed the
-// per-class TTFT/E2E percentiles in the report.
+// per-class TTFT/E2E percentiles in the report. A request with no prompt or
+// no output tokens is an error before anything is served, in Serve and
+// ServeCluster alike.
 func Serve(reqs []Request, mgr CacheManager, cfg ServerConfig) (Report, error) {
 	s, err := newServer(reqs, mgr, cfg)
 	if err != nil {
@@ -244,7 +256,10 @@ func Serve(reqs []Request, mgr CacheManager, cfg ServerConfig) (Report, error) {
 // SeqHandle identifies one admitted sequence inside a cache manager.
 type SeqHandle int
 
-// CacheManager is one KV-cache management policy.
+// CacheManager is one KV-cache management policy. The server owns decode
+// progress: it knows when each sequence next fills its storage, and tells
+// the manager only at those boundaries (Reserve) and once per decode step
+// (Decode), never once per token per sequence.
 type CacheManager interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -254,8 +269,18 @@ type CacheManager interface {
 	// after other sequences complete.
 	Admit(r Request) (SeqHandle, error)
 
-	// Append extends the sequence by one generated token.
+	// Append extends the sequence by one generated token: Reserve, then
+	// store the token.
 	Append(h SeqHandle) error
+
+	// Reserve makes room for the sequence's next token — growing its
+	// storage exactly as Append would when it is full — and returns how
+	// many tokens fit before it must grow again (≥ 1).
+	Reserve(h SeqHandle) (room int, err error)
+
+	// Decode stores one token in every live sequence, each of which must
+	// have room for it. It is O(1).
+	Decode()
 
 	// Release frees the sequence's storage.
 	Release(h SeqHandle)

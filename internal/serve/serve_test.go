@@ -355,7 +355,8 @@ func TestAdmitRejectsEmptyPrompt(t *testing.T) {
 // Admit holds no slot, a released handle is dead (Append errors, Release is
 // a no-op) until its slot is issued again, handles recycle so the table
 // stays at the live-sequence high-water mark, and releasing everything
-// returns both byte gauges to zero.
+// returns both byte gauges to zero. Then Reserve and Decode are held against
+// single Appends on twin managers (see checkReserveDecode).
 func TestKVConformance(t *testing.T) {
 	contig := NewContiguousKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 64)
 	paged, err := NewPagedKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 16, 8)
@@ -427,5 +428,93 @@ func TestKVConformance(t *testing.T) {
 				t.Errorf("second fill admitted %d into %d slots, want %d and %d", again, len(table.seqs), peak, peak)
 			}
 		})
+	}
+	for _, mk := range []func() CacheManager{
+		func() CacheManager { return NewContiguousKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 64) },
+		func() CacheManager {
+			p, err := NewPagedKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 16, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+		func() CacheManager { return NewChunkedKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 16) },
+	} {
+		a := mk()
+		t.Run(a.Name()+"/reserve-decode", func(t *testing.T) { checkReserveDecode(t, a, mk()) })
+	}
+}
+
+// checkReserveDecode decodes three sequences on two fresh managers of one
+// policy until the storage runs out: a appends every token of every sequence
+// one by one, b reserves a sequence only when its reported room is used up
+// and then decodes all of them in one call. Tick by tick, b must have grown
+// exactly what a grew and store exactly what a stored; the tick that runs
+// out must fail b's Reserve on the sequence whose Append failed on a, and
+// change nothing in b; and releasing everything must empty both.
+func checkReserveDecode(t *testing.T, a, b CacheManager) {
+	perToken := KVBytesPerToken(model.OPT1_3B)
+	var live []SeqHandle
+	for i := 0; i < 3; i++ {
+		r := Request{ID: i, PromptLen: 16 + 5*i, OutputLen: 1}
+		ha, errA := a.Admit(r)
+		hb, errB := b.Admit(r)
+		if errA != nil || errB != nil || ha != hb {
+			t.Fatalf("admission %d: %d/%v vs %d/%v", i, ha, errA, hb, errB)
+		}
+		live = append(live, ha)
+	}
+	room := map[SeqHandle]int{}
+	for tick := 0; ; tick++ {
+		if tick > 1000 {
+			t.Fatal("the pool never ran out")
+		}
+		failA, failB := -1, -1
+		for i, h := range live {
+			if err := a.Append(h); err != nil {
+				failA = i
+				break
+			}
+		}
+		usedB, logicalB := b.UsedBytes(), b.LogicalBytes()
+		for i, h := range live {
+			if room[h] > 0 {
+				continue
+			}
+			r, err := b.Reserve(h)
+			if err != nil {
+				failB = i
+				break
+			}
+			if r < 1 {
+				t.Fatalf("tick %d: Reserve reported room %d", tick, r)
+			}
+			room[h] = r
+		}
+		if failA != failB {
+			t.Fatalf("tick %d: Append failed on sequence %d, Reserve on %d", tick, failA, failB)
+		}
+		if failA >= 0 {
+			if b.LogicalBytes() != logicalB || a.UsedBytes() != b.UsedBytes() ||
+				a.LogicalBytes() != b.LogicalBytes()+int64(failA)*perToken {
+				t.Errorf("after the failed reserve: used %d vs %d, logical %d vs %d (was %d, used %d)",
+					a.UsedBytes(), b.UsedBytes(), a.LogicalBytes(), b.LogicalBytes(), logicalB, usedB)
+			}
+			break
+		}
+		b.Decode()
+		for _, h := range live {
+			room[h]--
+		}
+		if a.UsedBytes() != b.UsedBytes() || a.LogicalBytes() != b.LogicalBytes() {
+			t.Fatalf("tick %d: used %d vs %d, logical %d vs %d", tick, a.UsedBytes(), b.UsedBytes(), a.LogicalBytes(), b.LogicalBytes())
+		}
+	}
+	for _, h := range live {
+		a.Release(h)
+		b.Release(h)
+	}
+	if a.UsedBytes()|a.LogicalBytes()|b.UsedBytes()|b.LogicalBytes() != 0 {
+		t.Fatalf("after releasing everything: used %d/%d, logical %d/%d", a.UsedBytes(), b.UsedBytes(), a.LogicalBytes(), b.LogicalBytes())
 	}
 }

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/container"
@@ -106,34 +108,35 @@ type track struct {
 	// putting it behind everything already waiting — exactly the position an
 	// append to a pending slice would give it.
 	seq int64
-	// node links the request into the index of the state it is in — a
-	// server's ready tree while it waits, its victim tree while it decodes,
-	// never both — embedded, so neither queueing nor admission allocates
-	// however often the request is preempted, stolen or re-dispatched.
+	// node links the request into a server's ready tree while it waits —
+	// embedded, so queueing never allocates however often the request is
+	// preempted, stolen or re-dispatched.
 	node       container.Node[*track]
 	firstToken time.Duration
-	hasFirst   bool
 	// done is the completion time on the virtual clock; it doubles as the
 	// completion marker (zero = still unfinished) because completions are
 	// recorded strictly after the clock advanced past the first step.
 	done time.Duration
-	// deferred marks that the request's admission was blocked at least
-	// once, so AdmitFailures counts distinct requests, not blocked steps.
-	deferred bool
 	// retries counts the crash retries granted to the request.
 	retries int
 
-	// The state of the current admission, reset by admit: the sequence's KV
-	// handle, its output tokens still to decode, its place in the admission
-	// order and its class record, cached so the per-step token accounting
-	// skips the map.
+	// The state of the current admission, set by admit: the sequence's KV
+	// handle (0 while the request is not in a batch), its place in the
+	// admission order, the server's decode tick at admission — it has
+	// generated tick − base tokens since — and its class record, cached so
+	// settling its token-steps skips the map.
 	handle     SeqHandle
-	remaining  int
 	admitOrder int64
+	base       int64
 	cls        *classAgg
-	// evicted marks a sequence preempted during the current decode step so
-	// the step loop never touches it again.
-	evicted bool
+	// reserve marks that its next event is a chunk boundary rather than its
+	// last token.
+	reserve bool
+
+	hasFirst bool
+	// deferred marks that the request's admission was blocked at least
+	// once, so AdmitFailures counts distinct requests, not blocked steps.
+	deferred bool
 }
 
 // newTrack opens the record of req, waiting under ticket seq.
@@ -150,6 +153,33 @@ func (t *track) class() string {
 	return t.req.Class
 }
 
+// last is the decode tick of the step that generates t's last token.
+func (t *track) last() int64 { return t.base + int64(t.req.OutputLen) - 1 }
+
+// batchEvent is one entry of a server's batch indexes: the sequence
+// admitted as order has its next event at decode tick key (see
+// track.reserve) or, in the deadline index, its deadline at key. Entries are
+// dropped lazily: one whose sequence has left the batch is discarded when
+// popped (see server.lookup).
+type batchEvent struct{ key, order int64 }
+
+// laterEvent orders an index latest first, by (key, order): its next event
+// is its last entry, so popping is O(1), and filing one is a binary search
+// and a copy of the at most two entries per batch slot before it.
+func laterEvent(a, b batchEvent) int {
+	if c := cmp.Compare(b.key, a.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.order, a.order)
+}
+
+// popEvent removes and returns the next event of the index q.
+func popEvent(q *[]batchEvent) batchEvent {
+	e := (*q)[len(*q)-1]
+	*q = (*q)[:len(*q)-1]
+	return e
+}
+
 // server is the continuous-batching loop with its indexed queues. The
 // pending set is split by arrival: `future` is a flat cursor over
 // not-yet-arrived requests in (ArrivalAt, ticket) order — for Serve, over
@@ -157,10 +187,17 @@ func (t *track) class() string {
 // idle-jump are O(1) peeks, and `ready` is a tree
 // ordering arrived-unadmitted requests by (aged rank desc, ticket asc)
 // — the aged rank is the static priority when aging is off — so the
-// admission candidate is its minimum. The running batch keeps a
-// slice for deterministic step order plus `victims`, a tree ordered by
-// (aged rank asc, admitOrder desc) whose minimum is the preemption victim.
-// Queues, trees and batch all hold the requests' tracks themselves.
+// admission candidate is its minimum. The running batch is a slice in
+// admission order; the preemption victim, its minimum by victimLess, is
+// found by a scan when a reservation hits the memory wall — an event —
+// rather than kept in an index every admission pays for. Queues, tree and
+// batch all hold the requests' tracks themselves.
+//
+// Decode is event-driven: the server, not the cache manager, tracks decode
+// progress. A running sequence has generated tick − base tokens, and
+// `events` holds its next event — the tick it fills its storage (as last
+// reported by Reserve) or decodes its last token — so a step touches only
+// the sequences with an event, plus O(1) for everyone else.
 type server struct {
 	mgr CacheManager
 	cfg ServerConfig // step costs resolved to their defaults
@@ -174,11 +211,19 @@ type server struct {
 	nextTkt int64
 
 	running  []*track
-	victims  *container.Tree[*track]
 	admitSeq int64
-	// batchScratch is step's reusable snapshot buffer of the running
-	// batch — one live allocation instead of one per decode step.
-	batchScratch []*track
+	// tick counts the decode steps that got as far as generating their
+	// tokens: Steps, less a step that failed mid-way.
+	tick int64
+	// events indexes the batch by next event and, with a timeout,
+	// deadlines by deadline; due and ending are step's reusable lists of the
+	// sequences with an event and of those that leave at its end. freshFrom
+	// is admitSeq as of the last step: the admissions after it are the
+	// coming step's own — the batch's suffix, due to reserve and to stream
+	// a first token.
+	events, deadlines []batchEvent
+	due, ending       []*track
+	freshFrom         int64
 
 	// doneTokens is the total tokens (prompt+output) of completed
 	// requests — the cluster dispatcher's O(1) source for outstanding
@@ -218,7 +263,7 @@ func (s *server) rank(rec *track) int64 {
 
 // victimLess is the preemption order: lowest aged rank first, then most
 // recently admitted. It doubles as the eligibility rule — v may be evicted
-// in favour of keep iff victimLess(v, keep) — so the tree minimum is both
+// in favour of keep iff victimLess(v, keep) — so the batch minimum is both
 // the candidate and the proof: if even the minimum is not below keep,
 // nothing in the batch is evictable for it. Higher-ranked sequences are
 // never evicted (the SLO guarantee, aging included), and same-rank older
@@ -240,11 +285,14 @@ func (cfg ServerConfig) validate(where string) error {
 	if cfg.MaxBatch <= 0 {
 		return fmt.Errorf("serve: %smax batch %d", where, cfg.MaxBatch)
 	}
-	if cfg.StepTime < 0 || cfg.PrefillTokenTime < 0 || cfg.Aging < 0 || cfg.Timeout < 0 {
-		return fmt.Errorf("serve: %snegative durations in config %+v", where, cfg)
+	names := [...]string{"step time", "prefill token time", "aging", "timeout"}
+	for i, d := range [...]time.Duration{cfg.StepTime, cfg.PrefillTokenTime, cfg.Aging, cfg.Timeout} {
+		if d < 0 {
+			return fmt.Errorf("serve: %snegative %s %v", where, names[i], d)
+		}
 	}
 	if cfg.Shed && cfg.Timeout == 0 {
-		return fmt.Errorf("serve: shed needs a timeout to shed against")
+		return fmt.Errorf("serve: %sshed needs a timeout to shed against", where)
 	}
 	return nil
 }
@@ -261,14 +309,19 @@ func newEmptyServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
 	if cfg.PrefillTokenTime == 0 {
 		cfg.PrefillTokenTime = DefaultPrefillTokenTime
 	}
-	s := &server{mgr: mgr, cfg: cfg, tally: newTally(resolveExactSamples(cfg.ExactSamples))}
+	s := &server{mgr: mgr, cfg: cfg, tally: newTally(resolveExactSamples(cfg.ExactSamples)),
+		events: make([]batchEvent, 0, 2*cfg.MaxBatch)}
+	lists := make([]*track, 2*cfg.MaxBatch) // each holds at most the batch
+	s.due, s.ending = lists[:0:cfg.MaxBatch], lists[cfg.MaxBatch:cfg.MaxBatch]
+	if cfg.Timeout > 0 {
+		s.deadlines = make([]batchEvent, 0, 2*cfg.MaxBatch)
+	}
 	s.ready = container.NewTree[*track](func(a, b *track) bool {
 		if ra, rb := s.rank(a), s.rank(b); ra != rb {
 			return ra > rb
 		}
 		return a.seq < b.seq
 	})
-	s.victims = container.NewTree[*track](s.victimLess)
 	if cfg.PrefixReuse {
 		s.resident = map[string]int{}
 	}
@@ -284,7 +337,9 @@ func newServer(reqs []Request, mgr CacheManager, cfg ServerConfig) (*server, err
 	if err != nil {
 		return nil, err
 	}
-	s.future.input = newInputCursor(reqs)
+	if s.future.input, err = newInputCursor(reqs); err != nil {
+		return nil, err
+	}
 	s.nextTkt = int64(len(reqs))
 	return s, nil
 }
@@ -400,10 +455,13 @@ func (s *server) admit() (prefillTokens int64, err error) {
 		}
 		s.ready.Delete(n)
 		s.admitSeq++
-		rec.handle, rec.remaining, rec.admitOrder, rec.evicted = h, rec.req.OutputLen, s.admitSeq, false
+		rec.handle, rec.admitOrder, rec.base = h, s.admitSeq, s.tick
 		rec.cls = s.class(rec.class())
-		s.victims.InsertNode(&rec.node)
 		s.running = append(s.running, rec)
+		rec.reserve = true // the manager reports its room at its first token
+		if s.cfg.Timeout > 0 {
+			s.file(&s.deadlines, batchEvent{int64(s.deadline(rec)), rec.admitOrder})
+		}
 		prefillTokens += s.prefillNeed(*rec.req)
 	}
 	return prefillTokens, nil
@@ -467,73 +525,126 @@ func (s *server) jumpToNextArrival() error {
 	return nil
 }
 
-// removeFromBatch takes a out of the running set (slice and victim index).
-func (s *server) removeFromBatch(a *track) {
-	s.victims.Delete(&a.node)
-	for i, v := range s.running {
-		if v == a {
-			s.running = append(s.running[:i], s.running[i+1:]...)
-			return
-		}
-	}
-	panic("serve: active sequence missing from batch")
+// schedule files a's next event: the reservation at decode tick boundary,
+// or its last token if that comes first.
+func (s *server) schedule(a *track, boundary int64) {
+	last := a.last()
+	a.reserve = boundary <= last
+	s.file(&s.events, batchEvent{min(boundary, last), a.admitOrder})
 }
 
-// evict requeues the sequence in full (vLLM's recompute-preemption),
-// releases its KV storage, and marks it so the in-flight decode step skips
-// it.
+// file adds e to the index q. At twice the batch size q first drops its
+// dead entries — at least half, since a running sequence has at most one
+// live entry — so it never outgrows the room newEmptyServer made for it.
+func (s *server) file(q *[]batchEvent, e batchEvent) {
+	if len(*q) == 2*s.cfg.MaxBatch {
+		*q = slices.DeleteFunc(*q, func(e batchEvent) bool { return s.lookup(e.order) == nil })
+	}
+	i, _ := slices.BinarySearchFunc(*q, e, laterEvent)
+	*q = slices.Insert(*q, i, e)
+}
+
+// lookup returns the running sequence admitted as order, nil once it has
+// left the batch: the batch is in admission order, and an admission order is
+// never reused.
+func (s *server) lookup(order int64) *track {
+	lo, hi := 0, len(s.running)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s.running[m].admitOrder < order {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(s.running) || s.running[lo].admitOrder != order {
+		return nil
+	}
+	return s.running[lo]
+}
+
+// settle adds a's token-steps since admission to its class and the run: the
+// KV tokens it held at the end of each of the m steps it decoded,
+// Σ_{j=1..m} (PromptLen + j), in closed form.
+func (s *server) settle(a *track) {
+	m := s.tick - a.base
+	ts := m*int64(a.req.PromptLen) + m*(m+1)/2
+	a.cls.tokenSteps += ts
+	s.totalTokenSteps += ts
+}
+
+// release ends a's admission: its token-steps are settled and its KV storage
+// goes back to the manager.
+func (s *server) release(a *track) {
+	s.settle(a)
+	s.mgr.Release(a.handle)
+	a.handle = 0
+}
+
+// leave takes a out of the batch: the running slice, then release.
+func (s *server) leave(a *track) {
+	i := slices.Index(s.running, a)
+	if i < 0 {
+		panic("serve: active sequence missing from batch")
+	}
+	s.running = slices.Delete(s.running, i, i+1)
+	s.release(a)
+}
+
+// evict requeues the sequence in full (vLLM's recompute-preemption) and
+// releases its KV storage.
 func (s *server) evict(a *track) {
 	s.rep.Preemptions++
 	a.cls.preempt++
-	a.evicted = true
-	s.removeFromBatch(a)
-	s.mgr.Release(a.handle)
+	s.leave(a)
 	s.invalidateResident(a.req.SessionID)
 	a.seq = s.ticket()
 	s.push(a, 0)
 }
 
 // preemptFor evicts a victim so keep can grow, or reports that no eligible
-// victim exists. The victim tree's minimum is the most evictable sequence;
-// it is eligible exactly when it orders below keep (see victimLess).
+// victim exists. The batch's minimum by victimLess, keep aside, is the most
+// evictable sequence; it is eligible exactly when it orders below keep.
 func (s *server) preemptFor(keep *track) bool {
-	n := s.victims.Min()
-	if n == nil {
-		return false
-	}
-	if n.Value == keep {
-		n = s.victims.Next(n)
-		if n == nil {
-			return false
+	var v *track
+	for _, a := range s.running {
+		if a != keep && (v == nil || s.victimLess(a, v)) {
+			v = a
 		}
 	}
-	if !s.victimLess(n.Value, keep) {
+	if v == nil || !s.victimLess(v, keep) {
 		return false
 	}
-	s.evict(n.Value)
+	s.evict(v)
 	return true
 }
 
-// step runs one decode step across the batch: append one token per active
-// sequence in admission order, preempting when a mid-decode Append hits the
-// memory wall, then advance the clock and do end-of-step bookkeeping
-// (first tokens, occupancy, completions).
+// step runs one decode step across the batch, doing work only for the
+// sequences with an event: chunk boundaries reserve storage in admission
+// order (preempting when that hits the memory wall), one O(1) manager call
+// decodes a token for every sequence, the clock advances, the step's
+// admissions stream their first token, and completions and deadline aborts
+// leave the batch in reverse admission order.
 func (s *server) step(prefillTokens int64) error {
 	s.rep.Steps++
-	s.batchSum += float64(len(s.running))
+	s.batchSum += int64(len(s.running))
 
-	// The step decodes the sequences that were in the batch when it
-	// started, in batch order; preemptions during the step mark their
-	// victims evicted rather than re-indexing a live slice, so every
-	// survivor is appended exactly once and no slot is stepped twice.
-	batch := append(s.batchScratch[:0], s.running...)
-	s.batchScratch = batch
-	for _, a := range batch {
-		if a.evicted || a.remaining == 0 {
-			continue
+	// The due events in admission order: the indexed ones, then the step's
+	// own admissions, the batch's suffix.
+	s.due, s.ending = s.due[:0], s.ending[:0]
+	for len(s.events) > 0 && s.events[len(s.events)-1].key == s.tick {
+		if a := s.lookup(popEvent(&s.events).order); a != nil {
+			s.due = append(s.due, a)
 		}
-		err := s.mgr.Append(a.handle)
-		for err != nil {
+	}
+	nFresh := int(s.admitSeq - s.freshFrom)
+	s.due = append(s.due, s.running[len(s.running)-nFresh:]...)
+	for _, a := range s.due {
+		room := 0
+		for a.reserve && a.handle != 0 {
+			var err error
+			if room, err = s.mgr.Reserve(a.handle); err == nil {
+				break
+			}
 			if !s.preemptFor(a) {
 				if len(s.running) == 1 {
 					return fmt.Errorf("serve: request %d stuck mid-decode: %w", a.req.ID, err)
@@ -541,73 +652,82 @@ func (s *server) step(prefillTokens int64) error {
 				// No eligible victim (everything else is older or higher
 				// priority): yield this slot and wait for capacity.
 				s.evict(a)
-				break
 			}
-			err = s.mgr.Append(a.handle)
 		}
-		if a.evicted {
-			continue
+		switch {
+		case a.handle == 0: // evicted, earlier in the step or just now
+		case s.tick < a.last():
+			s.schedule(a, s.tick+int64(room))
+		default:
+			s.ending = append(s.ending, a)
 		}
-		a.remaining--
 	}
+	s.mgr.Decode()
+	s.tick++
 	s.now += s.cfg.StepTime + time.Duration(prefillTokens)*s.cfg.PrefillTokenTime
 
-	if u := s.mgr.UsedBytes(); u > s.rep.PeakUsed {
-		s.rep.PeakUsed = u
-	}
-	if l := s.mgr.LogicalBytes(); l > s.rep.PeakLogical {
-		s.rep.PeakLogical = l
-	}
+	s.rep.PeakUsed = max(s.rep.PeakUsed, s.mgr.UsedBytes())
+	s.rep.PeakLogical = max(s.rep.PeakLogical, s.mgr.LogicalBytes())
 	s.wasteSum += WasteRatio(s.mgr)
 
-	// End-of-step bookkeeping: first tokens, occupancy, completions.
-	for i := len(s.running) - 1; i >= 0; i-- {
-		a := s.running[i]
-		if !a.hasFirst {
-			a.hasFirst = true
-			a.firstToken = s.now
+	for _, a := range s.due[len(s.due)-nFresh:] {
+		if a.handle != 0 && !a.hasFirst {
+			a.hasFirst, a.firstToken = true, s.now
 		}
-		tokens := a.req.PromptLen + (a.req.OutputLen - a.remaining)
-		a.cls.tokenSteps += float64(tokens)
-		s.totalTokenSteps += float64(tokens)
-		if a.remaining == 0 {
-			if a.done != 0 {
-				// One record per request is what makes OnComplete fire once
-				// however often a request is retried or re-dispatched.
-				panic(fmt.Sprintf("serve: request %d completed twice", a.req.ID))
-			}
-			s.rep.Served++
-			s.doneTokens += int64(tokens)
-			a.done = s.now
-			s.recordCompletion(a)
-			s.removeFromBatch(a)
-			s.mgr.Release(a.handle)
-			if s.cfg.PrefixReuse && a.req.SessionID != "" {
-				// The completed turn's full context becomes the session's
-				// resident prefix for the follow-up turn.
-				s.resident[a.req.SessionID] = tokens
-			}
-			if s.cfg.OnComplete != nil {
-				s.cfg.OnComplete(*a.req)
-			}
-		} else if s.cfg.Timeout > 0 && s.now > s.deadline(a) {
-			// The step crossed the sequence's deadline mid-decode: abort it
-			// rather than keep generating tokens nobody will wait for. It
-			// streamed a first token (set just above), so its TTFT survives
+	}
+	s.freshFrom = s.admitSeq
+	// The step crossed these sequences' deadlines mid-decode: abort them
+	// rather than keep generating tokens nobody will wait for — unless the
+	// step generated their last token.
+	for len(s.deadlines) > 0 && time.Duration(s.deadlines[len(s.deadlines)-1].key) < s.now {
+		if a := s.lookup(popEvent(&s.deadlines).order); a != nil && s.tick <= a.last() {
+			s.ending = append(s.ending, a)
+		}
+	}
+	slices.SortFunc(s.ending, func(a, b *track) int { return cmp.Compare(b.admitOrder, a.admitOrder) })
+	for _, a := range s.ending {
+		switch {
+		case a.handle == 0: // evicted after its last token was due
+		case s.tick > a.last():
+			s.complete(a)
+		default:
+			// It streamed a first token (set above), so its TTFT survives
 			// into the roster via drop.
 			s.rep.DeadlineMisses++
-			s.removeFromBatch(a)
-			s.mgr.Release(a.handle)
+			s.leave(a)
 			s.drop(a)
 		}
 	}
 	return nil
 }
 
+// complete records a's last token at the end of the current step.
+func (s *server) complete(a *track) {
+	if a.done != 0 {
+		// One record per request is what makes OnComplete fire once
+		// however often a request is retried or re-dispatched.
+		panic(fmt.Sprintf("serve: request %d completed twice", a.req.ID))
+	}
+	tokens := a.req.TotalTokens()
+	s.rep.Served++
+	s.doneTokens += int64(tokens)
+	a.done = s.now
+	s.recordCompletion(a)
+	s.leave(a)
+	if s.cfg.PrefixReuse && a.req.SessionID != "" {
+		// The completed turn's full context becomes the session's
+		// resident prefix for the follow-up turn.
+		s.resident[a.req.SessionID] = tokens
+	}
+	if s.cfg.OnComplete != nil {
+		s.cfg.OnComplete(*a.req)
+	}
+}
+
 // recordCompletion feeds one completed request into its class's latency
 // digests — the streaming replacement for retaining the request's record
 // until the end of the run. Completion implies a first token (step sets it
-// before checking remaining), so the request contributes one TTFT and one
+// before completing anything), so the request contributes one TTFT and one
 // E2E sample.
 func (s *server) recordCompletion(rec *track) {
 	a := s.roster(rec)
@@ -637,6 +757,7 @@ func (s *server) finish() {
 		return true
 	})
 	for _, a := range s.running {
+		s.settle(a)
 		s.recordUnfinished(a)
 	}
 	s.seal(&s.rep)
@@ -680,11 +801,15 @@ func (s *server) runOnce() (more bool, err error) {
 		}
 		return true, nil
 	}
-	if err := s.step(prefillTokens); err != nil {
+	if err := decode(s, prefillTokens); err != nil {
 		return false, err
 	}
 	return true, nil
 }
+
+// decode is the step runOnce takes: a variable only so that the package
+// tests can put the single-step reference loop in its place.
+var decode = (*server).step
 
 // run drives the loop to completion. The report is sealed on the error
 // paths too, so callers always see the duration, class rows and percentiles

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -33,10 +34,31 @@ func TestServeCompletesAllRequests(t *testing.T) {
 	}
 }
 
+// TestServeValidatesConfig: each invalid server setting is reported by name
+// and value, behind the replica it belongs to in a cluster (whose first two
+// replicas override the batch size).
 func TestServeValidatesConfig(t *testing.T) {
-	mgr := NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64)
-	if _, err := Serve(nil, mgr, ServerConfig{}); err == nil {
-		t.Fatal("accepted zero max batch")
+	for _, tc := range []struct {
+		cfg     ServerConfig
+		replica int
+		want    string
+	}{
+		{ServerConfig{}, 2, "max batch 0"},
+		{ServerConfig{MaxBatch: 2, StepTime: -time.Millisecond}, 0, "negative step time -1ms"},
+		{ServerConfig{MaxBatch: 2, PrefillTokenTime: -time.Microsecond}, 0, "negative prefill token time -1µs"},
+		{ServerConfig{MaxBatch: 2, Aging: -time.Second}, 0, "negative aging -1s"},
+		{ServerConfig{MaxBatch: 2, Timeout: -time.Second}, 0, "negative timeout -1s"},
+		{ServerConfig{MaxBatch: 2, Shed: true}, 0, "shed needs a timeout to shed against"},
+	} {
+		_, err := Serve(nil, NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64), tc.cfg)
+		if want := "serve: " + tc.want; fmt.Sprint(err) != want {
+			t.Errorf("Serve: %v, want %s", err, want)
+		}
+		cfg := ClusterConfig{Replicas: 3, Server: tc.cfg, Overrides: []ReplicaOverride{{MaxBatch: 2}, {MaxBatch: 2}}}
+		_, err = ServeCluster(nil, chunkedFactory(sim.GiB), cfg)
+		if want := fmt.Sprintf("serve: replica %d %s", tc.replica, tc.want); fmt.Sprint(err) != want {
+			t.Errorf("ServeCluster: %v, want %s", err, want)
+		}
 	}
 }
 

@@ -7,29 +7,13 @@ import (
 	"repro/internal/sim"
 )
 
-// countingKV wraps a CacheManager and counts successful Appends per handle,
-// reset externally at step boundaries.
-type countingKV struct {
-	CacheManager
-	appends map[SeqHandle]int
-}
-
-func (c *countingKV) Append(h SeqHandle) error {
-	err := c.CacheManager.Append(h)
-	if err == nil {
-		c.appends[h]++
-	}
-	return err
-}
-
-// TestPreemptionStormStepsEachSequenceExactlyOnce is the regression test
-// for the old slice re-indexing (`i = indexOf(running, a)` / `i--`) in the
-// decode loop: under a forced preemption storm, every sequence that is in
-// the batch when a step starts must be decoded exactly once by that step —
-// unless the step itself evicts it, in which case it must not be decoded
-// again after eviction. The test drives the server's own admit/step methods
-// (the same ones Serve's run loop uses) so it can observe step boundaries,
-// with a counting manager recording per-handle Appends.
+// TestPreemptionStormStepsEachSequenceExactlyOnce: under a forced preemption
+// storm, every sequence that is in the batch when a step starts generates
+// exactly one token in that step — unless the step evicts it, in which case
+// its storage is gone — and the manager's logical total is the sum of the
+// live sequences' fills after every step. The test drives the server's own
+// admit/step methods (the same ones Serve's run loop uses) so it can observe
+// step boundaries, reading each sequence's fill from the slot table.
 func TestPreemptionStormStepsEachSequenceExactlyOnce(t *testing.T) {
 	// Three priority tiers colliding in a pool that holds only a fraction
 	// of the working set: evictions happen mid-step, repeatedly.
@@ -45,9 +29,8 @@ func TestPreemptionStormStepsEachSequenceExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inner.Close()
-	mgr := &countingKV{CacheManager: inner, appends: map[SeqHandle]int{}}
 
-	s, err := newServer(reqs, mgr, ServerConfig{MaxBatch: 8})
+	s, err := newServer(reqs, inner, ServerConfig{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +38,7 @@ func TestPreemptionStormStepsEachSequenceExactlyOnce(t *testing.T) {
 	type snap struct {
 		a      *track
 		handle SeqHandle
+		tokens int
 	}
 	steps := 0
 	for s.pendingLen() > 0 || len(s.running) > 0 {
@@ -71,33 +55,37 @@ func TestPreemptionStormStepsEachSequenceExactlyOnce(t *testing.T) {
 
 		batch := make([]snap, 0, len(s.running))
 		for _, a := range s.running {
-			batch = append(batch, snap{a: a, handle: a.handle})
+			batch = append(batch, snap{a: a, handle: a.handle, tokens: inner.seq(a.handle).tokens})
 		}
-		mgr.appends = map[SeqHandle]int{}
 		if err := s.step(prefill); err != nil {
 			t.Fatal(err)
 		}
 		steps++
 
-		total := 0
 		for _, sn := range batch {
-			got := mgr.appends[sn.handle]
-			total += got
-			switch {
-			case sn.a.evicted && got > 1:
-				t.Fatalf("step %d: evicted request %d decoded %d times", steps, sn.a.req.ID, got)
-			case !sn.a.evicted && got != 1:
-				t.Fatalf("step %d: request %d decoded %d times, want exactly 1", steps, sn.a.req.ID, got)
+			switch a := sn.a; {
+			case a.done == s.now:
+				if sn.tokens != a.req.TotalTokens()-1 {
+					t.Fatalf("step %d: request %d completed with %d of %d tokens stored", steps, a.req.ID, sn.tokens+1, a.req.TotalTokens())
+				}
+			case a.handle == 0:
+				if inner.seq(sn.handle) != nil {
+					t.Fatalf("step %d: evicted request %d still holds its slot", steps, a.req.ID)
+				}
+			default:
+				if got := inner.seq(a.handle).tokens - sn.tokens; got != 1 {
+					t.Fatalf("step %d: request %d decoded %d tokens, want exactly 1", steps, a.req.ID, got)
+				}
 			}
 		}
 		// No decode outside the step's batch: admissions only happen
 		// between steps.
-		all := 0
-		for _, n := range mgr.appends {
-			all += n
+		live := 0
+		for _, a := range s.running {
+			live += inner.seq(a.handle).tokens
 		}
-		if all != total {
-			t.Fatalf("step %d: %d appends outside the step's batch", steps, all-total)
+		if want := int64(live) * inner.perToken; inner.LogicalBytes() != want {
+			t.Fatalf("step %d: %d logical bytes, the live sequences hold %d", steps, inner.LogicalBytes(), want)
 		}
 		if steps > 100000 {
 			t.Fatal("storm run does not terminate")
@@ -135,8 +123,7 @@ func TestPreemptionStormStepsEachSequenceExactlyOnce(t *testing.T) {
 
 // TestStormVictimOrderInvariant: across an entire storm, no eviction may
 // ever claim a victim that outranks the sequence it was evicted for — the
-// tree-backed victim selection must enforce the same SLO guarantee the
-// linear scan did. The gold class (highest priority, admitted under
+// SLO guarantee preemptFor's victim choice enforces. The gold class (highest priority, admitted under
 // pressure) must finish with zero preemptions while the storm rages below
 // it.
 func TestStormVictimOrderInvariant(t *testing.T) {
