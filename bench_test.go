@@ -1,8 +1,8 @@
 // Micro-benchmarks: the host cost of the hot paths under the paper's
 // allocator, the simulated driver's page table and the caching baseline,
 // and of request-stream generation. CI runs the GMLake*, DriverMapUnmap,
-// CachingBestFit and Generate ones on every push to show allocs/op and
-// ns/request; `go run ./benchmark` is the benchmark that
+// CachingBestFit, CachingRefusal and Generate ones on every push to show
+// allocs/op and ns/request; `go run ./benchmark` is the benchmark that
 // performance claims rest on, and the tables of the paper's evaluation are
 // pinned by internal/harness/testdata/golden.
 package gmlake
@@ -233,6 +233,23 @@ func BenchmarkCachingBestFit(b *testing.B) {
 			b.Fatal(err)
 		}
 		alloc.Free(buf)
+	}
+}
+
+// BenchmarkCachingRefusal measures the baseline's refusal path: a miss on
+// a full device with nothing cached to flush, so cudaMalloc fails once and
+// the error goes back up — the common case under a tight serving pool.
+func BenchmarkCachingRefusal(b *testing.B) {
+	alloc := caching.New(newBenchDriver(100 * sim.MiB))
+	if _, err := alloc.Alloc(80 * sim.MiB); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := alloc.Alloc(80 * sim.MiB); err == nil {
+			b.Fatal("Alloc on a full device succeeded")
+		}
 	}
 }
 

@@ -14,7 +14,10 @@
 //
 // When no cached block fits, a new segment is requested with cudaMalloc;
 // on device OOM all completely-free cached segments are released and the
-// allocation retried, as PyTorch does.
+// allocation retried, as PyTorch does. Under a tight pool that refusal is
+// the common case, so it is cheap on the host: each pool counts its wholly
+// free segments, the flush returns at once when there are none, and the
+// error is formatted only when read.
 //
 // Splitting is exactly the mechanism the paper blames for fragmentation:
 // split remainders scattered across segments cannot serve later large
@@ -85,6 +88,9 @@ type Allocator struct {
 type pool struct {
 	isSmall bool
 	free    *container.Tree[*block]
+	// whole counts the blocks in free that span their segment alone: the
+	// segments a flush would release.
+	whole int
 }
 
 type segment struct {
@@ -135,7 +141,21 @@ func newPool(isSmall bool) *pool {
 func (p *pool) insertFree(blk *block) {
 	blk.node.Value = blk
 	p.free.InsertNode(&blk.node)
+	if blk.whole() {
+		p.whole++
+	}
 }
+
+// removeFree takes blk out of the free tree; the caller relinks it after.
+func (p *pool) removeFree(blk *block) {
+	p.free.Delete(&blk.node)
+	if blk.whole() {
+		p.whole--
+	}
+}
+
+// whole reports whether blk is the only block of its segment.
+func (b *block) whole() bool { return b.prev == nil && b.next == nil }
 
 // Name implements memalloc.Allocator.
 func (a *Allocator) Name() string { return "caching" }
@@ -218,7 +238,7 @@ func (a *Allocator) findBestFit(p *pool, size int64) *block {
 		blk.size > a.cfg.MaxSplitSize && blk.size-size > OversizeSlack {
 		return nil
 	}
-	p.free.Delete(n)
+	p.removeFree(blk)
 	return blk
 }
 
@@ -235,14 +255,14 @@ func (a *Allocator) allocSegment(p *pool, size int64) (*block, error) {
 		}
 	}
 	ptr, err := a.driver.Malloc(segSize)
-	if err != nil {
-		if a.releaseCachedSegments() == 0 {
-			return nil, fmt.Errorf("caching: %w", err)
-		}
+	if err != nil && a.releaseCachedSegments() > 0 {
 		ptr, err = a.driver.Malloc(segSize)
-		if err != nil {
-			return nil, fmt.Errorf("caching: %w", err)
-		}
+	}
+	if oom, ok := err.(*cuda.OutOfMemoryError); ok {
+		return nil, mallocError{oom}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("caching: %w", err)
 	}
 	seg := &segment{ptr: ptr, size: segSize, pool: p}
 	blk := &block{seg: seg, ptr: ptr, size: segSize}
@@ -251,6 +271,16 @@ func (a *Allocator) allocSegment(p *pool, size int64) (*block, error) {
 	a.acct.OnReserve(segSize)
 	return blk, nil
 }
+
+// mallocError is allocSegment's refusal: the driver's, under the
+// allocator's name. It holds one pointer, so returning it as an error
+// allocates nothing, and it is formatted only when read.
+type mallocError struct{ err *cuda.OutOfMemoryError }
+
+func (e mallocError) Error() string { return "caching: " + e.err.Error() }
+
+// Unwrap exposes the driver's refusal, so errors.Is finds ErrOutOfMemory.
+func (e mallocError) Unwrap() error { return e.err }
 
 // splitRemainder is the smallest usable split remainder per pool: 512 B for
 // the small pool, 1 MiB for the large pool (PyTorch's should_split rule).
@@ -306,7 +336,7 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 	p := blk.seg.pool
 	// Merge right then left; the merged block keeps the leftmost identity.
 	if nb := blk.next; nb != nil && !nb.allocated {
-		p.free.Delete(&nb.node)
+		p.removeFree(nb)
 		blk.size += nb.size
 		blk.next = nb.next
 		if nb.next != nil {
@@ -314,7 +344,7 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 		}
 	}
 	if pb := blk.prev; pb != nil && !pb.allocated {
-		p.free.Delete(&pb.node)
+		p.removeFree(pb)
 		pb.size += blk.size
 		pb.next = blk.next
 		if blk.next != nil {
@@ -329,24 +359,35 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 func (a *Allocator) EmptyCache() { a.releaseCachedSegments() }
 
 // releaseCachedSegments cudaFrees every segment whose whole span is a single
-// inactive block, returning the number of segments released.
+// inactive block, returning the number of segments released. The pools'
+// whole counts make it O(1) when there is nothing to release, and stop the
+// scan at the last one when there is.
 func (a *Allocator) releaseCachedSegments() int {
+	if a.flushable() == 0 {
+		return 0
+	}
 	released := 0
 	for ptr, seg := range a.segments {
 		blk := seg.first
 		if blk.allocated || blk.next != nil {
 			continue
 		}
-		seg.pool.free.Delete(&blk.node)
+		seg.pool.removeFree(blk)
 		if err := a.driver.Free(seg.ptr); err != nil {
 			panic("caching: releasing cached segment: " + err.Error())
 		}
 		a.acct.OnRelease(seg.size)
 		delete(a.segments, ptr)
 		released++
+		if a.flushable() == 0 {
+			break
+		}
 	}
 	return released
 }
+
+// flushable returns the number of segments a flush would release.
+func (a *Allocator) flushable() int { return a.small.whole + a.large.whole }
 
 // SegmentCount reports live segments (diagnostics).
 func (a *Allocator) SegmentCount() int { return len(a.segments) }
@@ -373,10 +414,15 @@ func (a *Allocator) FreeBlockSizes() []int64 {
 
 // CheckInvariants validates internal consistency; tests call it after
 // workloads. It verifies that every segment's block chain tiles the segment
-// exactly, that inactive blocks are indexed in their pool's free tree, and
-// that no two inactive neighbours remain unmerged.
+// exactly, that inactive blocks are indexed in their pool's free tree, that
+// no two inactive neighbours remain unmerged, and that each pool's count of
+// wholly free segments is right.
 func (a *Allocator) CheckInvariants() error {
+	whole := map[*pool]int{}
 	for _, seg := range a.segments {
+		if blk := seg.first; !blk.allocated && blk.whole() {
+			whole[seg.pool]++
+		}
 		var total int64
 		prevInactive := false
 		for blk := seg.first; blk != nil; blk = blk.next {
@@ -404,6 +450,11 @@ func (a *Allocator) CheckInvariants() error {
 		}
 		if total != seg.size {
 			return fmt.Errorf("caching: segment tiles %d of %d bytes", total, seg.size)
+		}
+	}
+	for _, p := range []*pool{a.small, a.large} {
+		if p.whole != whole[p] {
+			return fmt.Errorf("caching: pool counts %d wholly free segments, has %d", p.whole, whole[p])
 		}
 	}
 	return nil

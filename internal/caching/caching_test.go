@@ -301,52 +301,106 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestRandomWorkloadInvariants drives a random alloc/free mix and validates
-// structural invariants plus leak-freedom at the end.
+// TestRandomWorkloadInvariants churns random requests and checks the
+// invariants — the wholly-free segment counts among them — after every
+// operation, on an ample device and on a tight one where a miss's
+// cudaMalloc fails often. It fails unless every flush path was taken: a
+// refusal with nothing to flush, a flush that let the retry succeed, one
+// after which it failed anyway, and a GCThreshold flush before the
+// cudaMalloc.
 func TestRandomWorkloadInvariants(t *testing.T) {
-	a, drv := newTestAllocator(4 * sim.GiB)
-	rng := sim.NewRNG(2024)
-	var live []*memalloc.Buffer
-	for step := 0; step < 4000; step++ {
-		if rng.Float64() < 0.55 {
-			// Mix small and large requests across three magnitudes.
-			var size int64
-			switch rng.Intn(3) {
-			case 0:
-				size = int64(rng.Intn(1024) + 1)
-			case 1:
-				size = int64(rng.Intn(int(4*sim.MiB)) + 1)
-			default:
-				size = int64(rng.Intn(int(64*sim.MiB)) + 1)
+	var refused, flushOK, flushFail, gcFlush int
+	for _, tc := range []struct {
+		capacity int64
+		cfg      Config
+	}{
+		{4 * sim.GiB, Config{}},
+		{192 * sim.MiB, Config{}},
+		{192 * sim.MiB, Config{GCThreshold: 0.7}},
+	} {
+		a, drv := newTunedAllocator(tc.capacity, tc.cfg)
+		rng := sim.NewRNG(2024)
+		var live []*memalloc.Buffer
+		for step := 0; step < 4000; step++ {
+			switch r := rng.Float64(); {
+			case r < 0.01:
+				a.EmptyCache()
+			case r < 0.56:
+				// Mix small and large requests across three magnitudes.
+				var size int64
+				switch rng.Intn(3) {
+				case 0:
+					size = int64(rng.Intn(1024) + 1)
+				case 1:
+					size = int64(rng.Intn(int(4*sim.MiB)) + 1)
+				default:
+					size = int64(rng.Intn(int(64*sim.MiB)) + 1)
+				}
+				before := drv.Counters()
+				b, err := a.Alloc(size)
+				after := drv.Counters()
+				mallocs, frees := after.Malloc-before.Malloc, after.Free-before.Free
+				switch {
+				case err != nil && !errors.Is(err, cuda.ErrOutOfMemory):
+					t.Fatalf("step %d: %v", step, err)
+				case err != nil && mallocs == 1:
+					refused++
+				case err != nil:
+					flushFail++
+				case mallocs == 2:
+					flushOK++
+				case mallocs == 1 && frees > 0:
+					gcFlush++
+				}
+				if err == nil {
+					live = append(live, b)
+				}
+			case len(live) > 0:
+				i := rng.Intn(len(live))
+				a.Free(live[i])
+				live = append(live[:i], live[i+1:]...)
 			}
-			b, err := a.Alloc(size)
-			if err != nil {
-				continue
-			}
-			live = append(live, b)
-		} else if len(live) > 0 {
-			i := rng.Intn(len(live))
-			a.Free(live[i])
-			live = append(live[:i], live[i+1:]...)
-		}
-		if step%500 == 0 {
 			if err := a.CheckInvariants(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
+				t.Fatalf("%d MiB, GCThreshold %v, step %d: %v", tc.capacity/sim.MiB, tc.cfg.GCThreshold, step, err)
 			}
 		}
+		for _, b := range live {
+			a.Free(b)
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if st := a.Stats(); st.Active != 0 {
+			t.Fatalf("leaked %d active bytes", st.Active)
+		}
+		a.EmptyCache()
+		if free, total := drv.MemGetInfo(); free != total {
+			t.Fatalf("device leak: %d of %d free", free, total)
+		}
 	}
-	for _, b := range live {
-		a.Free(b)
+	t.Logf("refused %d, flush then success %d, flush then refusal %d, GC flushes %d",
+		refused, flushOK, flushFail, gcFlush)
+	if refused == 0 || flushOK == 0 || flushFail == 0 || gcFlush == 0 {
+		t.Fatalf("a flush path was never taken: refused %d, flush then success %d, flush then refusal %d, GC flushes %d",
+			refused, flushOK, flushFail, gcFlush)
 	}
-	if err := a.CheckInvariants(); err != nil {
+}
+
+// TestRefusalAllocationBudget holds a refusal on a full device with nothing
+// to flush to one heap allocation: the device's error, which the caching
+// allocator wraps without allocating. Nothing is formatted until read.
+func TestRefusalAllocationBudget(t *testing.T) {
+	a, _ := newTestAllocator(100 * sim.MiB)
+	if _, err := a.Alloc(80 * sim.MiB); err != nil {
 		t.Fatal(err)
 	}
-	if st := a.Stats(); st.Active != 0 {
-		t.Fatalf("leaked %d active bytes", st.Active)
-	}
-	a.EmptyCache()
-	if free, total := drv.MemGetInfo(); free != total {
-		t.Fatalf("device leak: %d of %d free", free, total)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := a.Alloc(80 * sim.MiB); err == nil {
+			t.Fatal("Alloc on a full device succeeded")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("a refused Alloc allocates %v times, budget 1", allocs)
 	}
 }
 

@@ -326,8 +326,7 @@ func (a *Allocator) allocNew(cands []*PBlock, total, rounded, requested int64) (
 		a.gcInactive(cands)
 		fresh, err = newPBlock(a.driver, deficit)
 		if err != nil {
-			return nil, fmt.Errorf("core: S5 out of memory allocating %s (deficit %s): %w",
-				sim.FormatBytes(rounded), sim.FormatBytes(deficit), err)
+			return nil, &s5Error{rounded: rounded, deficit: deficit, err: err}
 		}
 	}
 	a.pblocks.add(fresh)
@@ -340,6 +339,21 @@ func (a *Allocator) allocNew(cands []*PBlock, total, rounded, requested int64) (
 	a.sblocks.add(s)
 	return a.assignSBlock(s, requested), nil
 }
+
+// s5Error is S5's out-of-memory report. It is formatted only when read: a
+// serving loop retries a refused admission every step and never prints it.
+type s5Error struct {
+	rounded, deficit int64
+	err              error
+}
+
+func (e *s5Error) Error() string {
+	return fmt.Sprintf("core: S5 out of memory allocating %s (deficit %s): %v",
+		sim.FormatBytes(e.rounded), sim.FormatBytes(e.deficit), e.err)
+}
+
+// Unwrap exposes the driver's refusal, so errors.Is finds ErrOutOfMemory.
+func (e *s5Error) Unwrap() error { return e.err }
 
 // Free implements memalloc.Allocator. Per the paper's deallocation module it
 // never releases physical memory — it only flips active state (Update), so a

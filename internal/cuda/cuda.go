@@ -67,6 +67,10 @@ var (
 	ErrRangeStillUsed = errors.New("cuda: reservation still has mappings")
 )
 
+// OutOfMemoryError is the refusal Malloc and MemCreate return when the
+// device cannot hold the allocation; it wraps ErrOutOfMemory.
+type OutOfMemoryError = gpu.OutOfMemoryError
+
 // Counters aggregates driver-call statistics; the harness reports them and
 // the paper's "caching allocator is ~10x faster than native" observation is
 // visible directly in the call counts.

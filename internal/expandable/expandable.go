@@ -254,6 +254,20 @@ func (a *Allocator) link(prev, next *block) {
 	}
 }
 
+// frontierError is extend's refusal when the arena's reservation has no
+// room left to map, formatted only when read.
+type frontierError struct {
+	name             string
+	frontier, vaSize int64
+}
+
+func (e *frontierError) Error() string {
+	return fmt.Sprintf("%s: %v: segment frontier at %d of %d", e.name, cuda.ErrOutOfMemory, e.frontier, e.vaSize)
+}
+
+// Unwrap makes errors.Is(err, cuda.ErrOutOfMemory) hold.
+func (e *frontierError) Unwrap() error { return cuda.ErrOutOfMemory }
+
 // extend grows the mapped frontier so a block of size bytes fits at the
 // tail, merging with a trailing free block if one exists. Returns the
 // ready-to-split free block covering the request.
@@ -265,7 +279,7 @@ func (a *Allocator) extend(size int64) (*block, error) {
 	}
 	need := sim.RoundUp(size-tailFree, ChunkSize)
 	if a.frontier+need > a.vaSize {
-		return nil, a.errorf("%w: segment frontier at %d of %d", cuda.ErrOutOfMemory, a.frontier, a.vaSize)
+		return nil, &frontierError{name: a.Name(), frontier: a.frontier, vaSize: a.vaSize}
 	}
 	// Commit physical chunks; roll back on device OOM.
 	var created []cuda.MemHandle

@@ -10,6 +10,20 @@ import (
 // CUDA_ERROR_OUT_OF_MEMORY.
 var ErrOutOfMemory = errors.New("gpu: out of device memory")
 
+// OutOfMemoryError is AllocPhysical's refusal: the request and the free
+// capacity it did not fit in. It wraps ErrOutOfMemory and formats only when
+// read, so a refusal nobody prints costs one small allocation.
+type OutOfMemoryError struct {
+	Want, Free int64
+}
+
+func (e *OutOfMemoryError) Error() string {
+	return fmt.Sprintf("%v: want %d, free %d", ErrOutOfMemory, e.Want, e.Free)
+}
+
+// Unwrap makes errors.Is(err, ErrOutOfMemory) hold.
+func (e *OutOfMemoryError) Unwrap() error { return ErrOutOfMemory }
+
 // SegmentID identifies one live physical allocation on a Device.
 type SegmentID int64
 
@@ -72,13 +86,14 @@ func (d *Device) FreeBytes() int64 { return d.capacity - d.used }
 func (d *Device) LiveSegments() int { return len(d.segments) }
 
 // AllocPhysical reserves size physical bytes and returns a segment handle.
-// It fails with ErrOutOfMemory if the device cannot hold the allocation.
+// It fails with an *OutOfMemoryError if the device cannot hold the
+// allocation.
 func (d *Device) AllocPhysical(size int64) (SegmentID, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("gpu: AllocPhysical size %d", size)
 	}
 	if d.used+size > d.capacity {
-		return 0, fmt.Errorf("%w: want %d, free %d", ErrOutOfMemory, size, d.FreeBytes())
+		return 0, &OutOfMemoryError{Want: size, Free: d.FreeBytes()}
 	}
 	d.nextSeg++
 	id := d.nextSeg

@@ -36,6 +36,14 @@ type Allocator interface {
 
 	// Alloc returns a buffer of at least size bytes, or an out-of-memory
 	// error once every fallback (cache flush, defragmentation) failed.
+	//
+	// A refusal's error wraps cuda.ErrOutOfMemory (errors.Is finds it).
+	// The allocator's state changes only by what a fallback flushed from
+	// its cache back to the device; the driver calls the attempt made are
+	// counted and their simulated time charged as on success. The error is
+	// formatted only when read: a serving loop retries a blocked admission
+	// every step and drops the error, so a refusal keeps its numbers in a
+	// typed error and formats them in Error().
 	Alloc(size int64) (*Buffer, error)
 
 	// Free returns a buffer. Buffers must be freed exactly once.

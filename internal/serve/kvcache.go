@@ -247,17 +247,32 @@ func (p *PagedKV) Admit(r Request) (SeqHandle, error) {
 	}
 	need := (r.PromptLen + p.blockTokens - 1) / p.blockTokens
 	if need > len(p.freeBlocks) {
-		return 0, fmt.Errorf("serve: %d free blocks, need %d (%w)", len(p.freeBlocks), need, cuda.ErrOutOfMemory)
+		return 0, &blocksError{free: len(p.freeBlocks), need: need}
 	}
 	h, s := p.open(r.PromptLen)
 	p.take(s, need)
 	return h, nil
 }
 
+// blocksError is Admit's refusal when the slab is short of blocks,
+// formatted only when read: a blocked admission is retried every step.
+type blocksError struct{ free, need int }
+
+func (e *blocksError) Error() string {
+	return fmt.Sprintf("serve: %d free blocks, need %d (%v)", e.free, e.need, cuda.ErrOutOfMemory)
+}
+
+// Unwrap makes errors.Is(err, cuda.ErrOutOfMemory) hold.
+func (e *blocksError) Unwrap() error { return cuda.ErrOutOfMemory }
+
+// errNoBlock is addBlock's refusal; it carries no numbers, so one value
+// serves them all.
+var errNoBlock = fmt.Errorf("serve: out of KV blocks (%w)", cuda.ErrOutOfMemory)
+
 // addBlock is the paged growth body: one more block from the slab.
 func (p *PagedKV) addBlock(s *kvSeq) error {
 	if len(p.freeBlocks) == 0 {
-		return fmt.Errorf("serve: out of KV blocks (%w)", cuda.ErrOutOfMemory)
+		return errNoBlock
 	}
 	p.take(s, 1)
 	return nil
