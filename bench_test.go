@@ -8,7 +8,9 @@
 package gmlake
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/caching"
@@ -93,6 +95,43 @@ func BenchmarkGMLakeExactMatchOwners(b *testing.B) {
 			b.StopTimer()
 			if s1, _, _, _ := alloc.StrategyCounts(); int(s1) < b.N {
 				b.Fatalf("%d exact matches in %d pairs", s1, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkGMLakeSizeClass is the S1 pair on a pBlock among k of its size,
+// every other one by VA held active, the lowest-addressed among them. The
+// lookup reads the first set bit of the size's class past one clear bit, and
+// a state flip writes one bit, so ns/op must read about the same at every k
+// (within 1.5× from 64 to 8192) and allocs/op stays at the returned Buffer.
+func BenchmarkGMLakeSizeClass(b *testing.B) {
+	const size = 4 * sim.MiB
+	for _, k := range []int{64, 1024, 8192} {
+		b.Run(fmt.Sprint(k), func(b *testing.B) {
+			alloc := core.NewDefault(newBenchDriver(int64(k) * size))
+			must := mustAlloc(b, alloc)
+			bufs := make([]*memalloc.Buffer, k)
+			for i := range bufs {
+				bufs[i] = must(size)
+			}
+			slices.SortFunc(bufs, func(x, y *memalloc.Buffer) int { return cmp.Compare(x.Ptr, y.Ptr) })
+			for i := 1; i < k; i += 2 {
+				alloc.Free(bufs[i])
+			}
+			if alloc.PBlockCount() != k {
+				b.Fatalf("set-up made %d pBlocks, want %d", alloc.PBlockCount(), k)
+			}
+			alloc.Free(must(size)) // warm: the first pair pays the cold misses
+			s1Before, _, _, _ := alloc.StrategyCounts()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				alloc.Free(must(size))
+			}
+			b.StopTimer()
+			if s1, _, _, _ := alloc.StrategyCounts(); s1-s1Before != int64(b.N) || alloc.PBlockCount() != k {
+				b.Fatalf("%d exact matches in %d pairs, %d pBlocks", s1-s1Before, b.N, alloc.PBlockCount())
 			}
 		})
 	}

@@ -130,24 +130,6 @@ func TestTreeCeilFloor(t *testing.T) {
 	}
 }
 
-func TestTreeDescend(t *testing.T) {
-	tr := intTree()
-	for _, v := range []int{3, 1, 2} {
-		tr.Insert(v)
-	}
-	var out []int
-	tr.Descend(func(n *Node[int]) bool {
-		out = append(out, n.Value)
-		return true
-	})
-	want := []int{3, 2, 1}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("Descend order %v, want %v", out, want)
-		}
-	}
-}
-
 func TestTreeMinMaxEmpty(t *testing.T) {
 	tr := intTree()
 	if tr.Min() != nil || tr.Max() != nil {

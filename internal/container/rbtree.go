@@ -1,7 +1,8 @@
 // Package container provides the ordered data structures shared by the
-// allocators: a generic red-black tree ordered multiset (the paper's sorted
-// sets backing pPool, sPool and the caching allocator's free lists) and a
-// small FIFO/LRU queue.
+// simulator: a generic red-black tree ordered multiset (the caching and
+// expandable allocators' free lists, the driver's and device's address
+// maps, a server's ready queue), a binary min-heap (the cluster and session event
+// spines) and a small FIFO/LRU queue (GMLake's StitchFree order).
 package container
 
 // Tree is an ordered multiset implemented as a red-black tree. Elements are
@@ -110,9 +111,6 @@ func (t *Tree[T]) Max() *Node[T] {
 // Next returns the in-order successor of n, or nil.
 func (t *Tree[T]) Next(n *Node[T]) *Node[T] { return n.next() }
 
-// Prev returns the in-order predecessor of n, or nil.
-func (t *Tree[T]) Prev(n *Node[T]) *Node[T] { return n.prev() }
-
 // Ceil returns the first node whose value is >= v (i.e. not less than v),
 // or nil if all elements are smaller.
 func (t *Tree[T]) Ceil(v T) *Node[T] {
@@ -154,16 +152,6 @@ func (t *Tree[T]) Ascend(fn func(n *Node[T]) bool) {
 	}
 }
 
-// Descend calls fn for each element in descending order until fn returns
-// false.
-func (t *Tree[T]) Descend(fn func(n *Node[T]) bool) {
-	for n := t.Max(); n != nil; n = n.prev() {
-		if !fn(n) {
-			return
-		}
-	}
-}
-
 // Clear removes all elements.
 func (t *Tree[T]) Clear() {
 	t.root = nil
@@ -190,17 +178,6 @@ func (n *Node[T]) next() *Node[T] {
 	}
 	p := n.parent
 	for p != nil && n == p.right {
-		n, p = p, p.parent
-	}
-	return p
-}
-
-func (n *Node[T]) prev() *Node[T] {
-	if n.left != nil {
-		return n.left.max()
-	}
-	p := n.parent
-	for p != nil && n == p.left {
 		n, p = p, p.parent
 	}
 	return p

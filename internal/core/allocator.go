@@ -166,26 +166,28 @@ func (a *Allocator) assignPBlock(p *PBlock, requested int64) *memalloc.Buffer {
 	}
 	p.assigned = true
 	p.activeRefs++
+	p.class.clear(p.slot)
 	a.acct.OnAlloc(p.size)
 	buf := &memalloc.Buffer{Ptr: p.va, Requested: requested, BlockSize: p.size}
 	buf.SetImpl(p)
 	return buf
 }
 
-// assignSBlock hands s, which its heap holds because no member is active, to
-// a tensor, activating all member pBlocks.
+// assignSBlock hands s, whose bit is set because no member is active, to a
+// tensor, activating all member pBlocks.
 func (a *Allocator) assignSBlock(s *SBlock, requested int64) *memalloc.Buffer {
 	if s.assigned {
 		panic("core: assign of active sBlock")
 	}
 	s.assigned = true
-	s.class.remove(s)
+	s.class.clear(s.slot)
 	a.sblocks.touch(s)
 	for _, p := range s.members {
 		if p.Active() {
 			panic("core: assign of active sBlock")
 		}
 		p.activeRefs++
+		p.class.clear(p.slot)
 	}
 	a.acct.OnAlloc(s.size)
 	buf := &memalloc.Buffer{Ptr: s.va, Requested: requested, BlockSize: s.size}
@@ -193,15 +195,15 @@ func (a *Allocator) assignSBlock(s *SBlock, requested int64) *memalloc.Buffer {
 	return buf
 }
 
-// deactivatePBlock decrements p's active references; on the 1→0 edge p is
-// visible in the inactive index again. Its watchers are the caller's to wake.
+// deactivatePBlock decrements p's active references; on the 1→0 edge p's
+// bit marks it inactive again. Its watchers are the caller's to wake.
 func (a *Allocator) deactivatePBlock(p *PBlock) {
 	if p.activeRefs <= 0 {
 		panic("core: deactivate of inactive pBlock")
 	}
 	p.activeRefs--
 	if p.activeRefs == 0 {
-		a.pblocks.markInactive(p)
+		p.class.set(p.slot)
 	}
 }
 
@@ -303,8 +305,7 @@ func (a *Allocator) trimCandidates(cands []*PBlock, rounded int64) ([]*PBlock, i
 // findExactCompletion returns an inactive pBlock of exactly need bytes that
 // is not already among cands, or nil.
 func (a *Allocator) findExactCompletion(cands []*PBlock, need int64) *PBlock {
-	for n := a.pblocks.ceil(need); n != nil; n = a.pblocks.next(n) {
-		p := n.Value
+	for p := a.pblocks.ceil(need); p != nil; p = a.pblocks.next(p) {
 		if p.size != need {
 			return nil
 		}
@@ -386,7 +387,7 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 		for _, p := range b.members {
 			p.wake()
 		}
-		b.class.push(b)
+		b.class.set(b.slot)
 	default:
 		// Small-pool buffer: owned by the embedded caching allocator.
 		a.small.Free(buf)
@@ -499,9 +500,9 @@ func (a *Allocator) SBlockCount() int { return len(a.sblocks.all) }
 // into arbitrarily larger virtual blocks, so "free but small" does not mean
 // "unusable" — exactly the paper's point.
 func (a *Allocator) FreeBlockSizes() []int64 {
-	out := make([]int64, 0, a.pblocks.inactive.Len())
-	for n := a.pblocks.ceil(0); n != nil; n = a.pblocks.next(n) {
-		out = append(out, n.Value.size)
+	var out []int64
+	for p := a.pblocks.ceil(0); p != nil; p = a.pblocks.next(p) {
+		out = append(out, p.size)
 	}
 	return out
 }
@@ -512,35 +513,48 @@ func (a *Allocator) StitchFreeCount() int64 { return a.stitchFrees }
 // GCRuns reports how many times the OOM fallback garbage collector ran.
 func (a *Allocator) GCRuns() int64 { return a.gcRuns }
 
-// CheckInvariants validates the §4.2.1 structural guarantees and the lazy
-// state contract the indexes rest on; tests call it after (and during)
-// workloads:
+// CheckInvariants validates the §4.2.1 structural guarantees and the state
+// contract the indexes rest on; tests call it after (and during) workloads:
 //
 //   - pPool bytes equal the allocator's reserved accounting;
-//   - every inactive pBlock is linked into the tree by its own node (an
-//     active one may be, until a reader meets it), and the tree holds nothing
-//     else;
-//   - an unassigned sBlock is in its size class's heap, at its recorded
-//     position, or on the watcher list of members[hint], which is active —
-//     never both, never neither; an assigned one is in neither, and so is on
-//     no list at all; an inactive pBlock has no watchers;
-//   - hence an unassigned sBlock with every member inactive is in its heap;
-//     each heap is VA-ordered and each class counts its live sBlocks;
+//   - each pool's size classes hold exactly its live blocks, each in the
+//     class of its size, in strictly ascending VA order at the slot it
+//     records, with no bit set past the last slot; the pPool's classes are
+//     non-empty and in strictly ascending size order, the sPool's non-empty
+//     and keyed by their size;
+//   - a pBlock's bit is set exactly while it is inactive;
+//   - an unassigned sBlock has its bit set or is on the watcher list of
+//     members[hint], which is active — never both, never neither; an
+//     assigned one has neither, and so is on no list at all; an inactive
+//     pBlock has no watchers;
+//   - hence an unassigned sBlock with every member inactive has its bit set;
 //   - sBlock membership and owner back-pointers agree both ways, without
 //     duplicates (the "sPool is a subset of pPool" soft-link rule).
 func (a *Allocator) CheckInvariants() error {
+	filed := 0
+	for i, c := range a.pblocks.classes {
+		if i > 0 && a.pblocks.classes[i-1].size >= c.size || len(c.slots) == 0 {
+			return fmt.Errorf("core: pPool size class %d empty or out of order", c.size)
+		}
+		if err := c.check(); err != nil {
+			return err
+		}
+		for _, p := range c.slots {
+			if _, ok := a.pblocks.all[p]; !ok || p.size != c.size || p.class != c {
+				return fmt.Errorf("core: pPool size class %d holds a foreign pBlock", c.size)
+			}
+		}
+		filed += len(c.slots)
+	}
+	if filed != len(a.pblocks.all) {
+		return fmt.Errorf("core: pPool size classes hold %d pBlocks, pool has %d", filed, len(a.pblocks.all))
+	}
 	var bytes int64
-	linked := 0
 	watching := make(map[*SBlock]*PBlock)
 	for p := range a.pblocks.all {
 		bytes += p.size
-		if p.node.Value != p {
-			return fmt.Errorf("core: pBlock node does not point back at it")
-		}
-		if p.node.Linked() {
-			linked++
-		} else if !p.Active() {
-			return fmt.Errorf("core: inactive pBlock missing from index")
+		if p.class.has(p.slot) == p.Active() {
+			return fmt.Errorf("core: pBlock's inactive bit is %v while active is %v", p.class.has(p.slot), p.Active())
 		}
 		for i, s := range p.owners {
 			if _, ok := a.sblocks.all[s]; !ok {
@@ -563,16 +577,30 @@ func (a *Allocator) CheckInvariants() error {
 			watching[s] = p
 		}
 	}
-	if linked != a.pblocks.inactive.Len() {
-		return fmt.Errorf("core: %d pBlocks linked, index holds %d", linked, a.pblocks.inactive.Len())
-	}
 	if bytes != a.pblocks.bytes {
 		return fmt.Errorf("core: pPool bytes %d != tracked %d", bytes, a.pblocks.bytes)
 	}
 	if got := a.acct.Stats().Reserved; got != bytes {
 		return fmt.Errorf("core: reserved accounting %d != pPool bytes %d", got, bytes)
 	}
-	live := make(map[*sClass]int)
+	filed = 0
+	for size, c := range a.sblocks.classes {
+		if c.size != size || len(c.slots) == 0 {
+			return fmt.Errorf("core: sPool size class %d empty or filed under %d", c.size, size)
+		}
+		if err := c.check(); err != nil {
+			return err
+		}
+		for _, s := range c.slots {
+			if _, ok := a.sblocks.all[s]; !ok || s.size != size || s.class != c {
+				return fmt.Errorf("core: sPool size class %d holds a foreign sBlock", size)
+			}
+		}
+		filed += len(c.slots)
+	}
+	if filed != len(a.sblocks.all) {
+		return fmt.Errorf("core: sPool size classes hold %d sBlocks, pool has %d", filed, len(a.sblocks.all))
+	}
 	for s := range a.sblocks.all {
 		for _, p := range s.members {
 			if _, ok := a.pblocks.all[p]; !ok {
@@ -582,39 +610,20 @@ func (a *Allocator) CheckInvariants() error {
 				return fmt.Errorf("core: sBlock missing from member's owners")
 			}
 		}
-		if s.class == nil || s.class != a.sblocks.classes[s.size] {
-			return fmt.Errorf("core: sBlock not bound to its size class")
-		}
-		live[s.class]++
-		watched, indexed := watching[s], s.heapPos >= 0
+		watched, indexed := watching[s], s.class.has(s.slot)
 		delete(watching, s)
 		switch {
 		case s.assigned && (indexed || watched != nil):
-			return fmt.Errorf("core: assigned sBlock in the heap or on a watcher list")
+			return fmt.Errorf("core: assigned sBlock has its bit set or is on a watcher list")
 		case s.assigned:
 		case indexed == (watched != nil):
-			return fmt.Errorf("core: unassigned sBlock indexed=%v watching=%v, want exactly one", indexed, watched != nil)
-		case indexed && (int(s.heapPos) >= len(s.class.avail) || s.class.avail[s.heapPos] != s):
-			return fmt.Errorf("core: sBlock heap position %d does not hold it", s.heapPos)
+			return fmt.Errorf("core: unassigned sBlock bit=%v watching=%v, want exactly one", indexed, watched != nil)
 		case !indexed && (s.members[s.hint] != watched || !watched.Active()):
 			return fmt.Errorf("core: sBlock's watch is not on the active member its hint names")
 		}
 	}
 	if len(watching) != 0 {
 		return fmt.Errorf("core: %d watchers not in the sPool", len(watching))
-	}
-	for size, c := range a.sblocks.classes {
-		if c.live == 0 || c.live != live[c] {
-			return fmt.Errorf("core: size class %d counts %d live sBlocks, has %d", size, c.live, live[c])
-		}
-		for i, s := range c.avail {
-			if _, ok := a.sblocks.all[s]; !ok || s.size != size || int(s.heapPos) != i {
-				return fmt.Errorf("core: size class %d slot %d holds a foreign or misplaced sBlock", size, i)
-			}
-			if i > 0 && c.avail[(i-1)/2].va > s.va {
-				return fmt.Errorf("core: size class %d heap order violated at slot %d", size, i)
-			}
-		}
 	}
 	return nil
 }

@@ -31,8 +31,8 @@ type bestFitResult struct {
 
 // bestFit implements paper Algorithm 1 over the inactive pools.
 //
-// Exact matches are looked up directly in both ordered trees (line 2-4's
-// scan, done in O(log n)). Otherwise the inactive pBlocks are walked in
+// Exact matches are looked up directly in both pools' size classes (line
+// 2-4's scan, done by reading set bits). Otherwise the inactive pBlocks are walked in
 // descending size order: while blocks still cover the request the current
 // best (smallest sufficient) single block is retained; once blocks become
 // smaller than the request they are accumulated greedily until the running
@@ -55,8 +55,8 @@ func (a *Allocator) bestFit(size int64) bestFitResult {
 	// Single-block regime: the smallest inactive pBlock covering the whole
 	// request (best fit). Exact sizes were handled above, so this is a
 	// strictly larger block headed for a split.
-	if n := a.pblocks.ceil(size); n != nil {
-		return bestFitResult{state: fitSingle, cands: []*PBlock{n.Value}, total: n.Value.size}
+	if p := a.pblocks.ceil(size); p != nil {
+		return bestFitResult{state: fitSingle, cands: []*PBlock{p}, total: p.size}
 	}
 
 	// Multi-block regime. The first pass honours the fragmentation limit;
@@ -87,8 +87,8 @@ func (a *Allocator) bestFit(size int64) bestFitResult {
 func (a *Allocator) collectCandidates(size, minBlock int64) ([]*PBlock, int64) {
 	var cands []*PBlock
 	needed := size
-	for n := a.pblocks.max(); n != nil && n.Value.size >= minBlock; n = a.pblocks.prev(n) {
-		if p := n.Value; p.size <= needed {
+	for p := a.pblocks.max(); p != nil && p.size >= minBlock; p = a.pblocks.prev(p) {
+		if p.size <= needed {
 			cands = append(cands, p)
 			if needed -= p.size; needed == 0 {
 				break
@@ -103,8 +103,7 @@ func (a *Allocator) collectCandidates(size, minBlock int64) ([]*PBlock, int64) {
 	// damage.
 	var top *PBlock
 	scanned := 0
-	for n := a.pblocks.ceil(needed); n != nil && scanned < 8; n = a.pblocks.next(n) {
-		p := n.Value
+	for p := a.pblocks.ceil(needed); p != nil && scanned < 8; p = a.pblocks.next(p) {
 		if slices.Contains(cands, p) {
 			continue
 		}

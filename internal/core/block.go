@@ -11,10 +11,12 @@
 //   - SBlock ("stitched block"): a second VA reservation mapped onto the
 //     chunks of one or more pBlocks. sBlocks never own physical memory; they
 //     give tensors one contiguous view over scattered pBlocks.
-//   - pPool / sPool: pools of the inactive blocks, searched by the BestFit
-//     algorithm (paper Algorithm 1). The pPool is ordered by (size, VA); the
-//     sPool, only ever asked for an exact size, keeps a VA-ordered heap per
-//     size.
+//   - pPool / sPool: pools of the blocks, searched for inactive ones by the
+//     BestFit algorithm (paper Algorithm 1). Both index their blocks by size
+//     class: per size, every live block in ascending VA order, each
+//     recording its slot, with a bitmap beside the slots (index.go). The
+//     pPool reads its classes in ascending size, so it answers in (size, VA)
+//     order; the sPool is only ever asked for an exact size.
 //
 // The allocator (see allocator.go) wires these into the multi-state
 // allocation strategy of paper Figure 9.
@@ -29,23 +31,21 @@
 //   - PBlock.activeRefs counts the tensors using the pBlock (directly, or
 //     through an assigned sBlock). Alloc raises it, Free lowers it; an sBlock
 //     is active when a member is, computed from the members when asked.
-//   - The pPool tree may keep an active pBlock linked. Every reader walks it
-//     through ceil, next, prev and max, which unlink the active nodes they
-//     meet, and a 1→0 edge re-links the pBlock's own node only if a reader
-//     unlinked it. So every inactive pBlock is linked and readers see exactly
-//     the inactive set in (size, VA) order; the members of an sBlock that is
-//     reused before any search crosses them never touch the tree.
-//   - An unassigned sBlock is in exactly one of two places: its size class's
-//     heap, or the intrusive watcher list of one active member, members[hint]
-//     (the two-watched-literals idea: one active member proves it
-//     unavailable, so one is all it follows). A heap may hold sBlocks with an
-//     active member. findExact looks at the lowest-addressed entry, scans its
-//     members from the hint, and either returns it or moves it to the watcher
-//     list of the active member found and looks again. A pBlock's 1→0 edge
-//     wakes only its watchers: each scans on from its hint and watches its
-//     next active member or, having none, enters the heap. So an sBlock whose
-//     members are all inactive is always in its heap. An assigned sBlock is
-//     in neither place.
+//   - A pBlock's bit means "inactive" and is kept eagerly: its 0→1 edge
+//     clears the bit and its 1→0 edge sets it, one word written either way.
+//     ceil, next, prev and max walk classes and set bits, so they see
+//     exactly the inactive set in (size, VA) order and prune nothing.
+//   - An sBlock's bit means "may be available". An unassigned sBlock has its
+//     bit set or sits on the intrusive watcher list of one active member,
+//     members[hint] (the two-watched-literals idea: one active member proves
+//     it unavailable, so one is all it follows). A set bit may mark an
+//     sBlock with an active member. findExact takes the lowest set bit,
+//     scans that sBlock's members from the hint, and either returns it or
+//     clears the bit, moves it to the watcher list of the active member
+//     found and looks on from the next slot. A pBlock's 1→0 edge wakes only
+//     its watchers: each scans on from its hint and watches its next active
+//     member or, having none, sets its bit. So an sBlock whose members are
+//     all inactive always has its bit set. An assigned sBlock has neither.
 //   - Freeing an sBlock lowers every member first and wakes their watchers
 //     second, so a view sharing several members with it is re-examined once.
 //   - PBlock.owners lists the sBlocks stitched over the pBlock, once each, in
@@ -57,24 +57,28 @@
 // property tests compare every reader against a brute-force scan after each
 // operation.
 //
-// Host cost per Figure 9 state, with P pBlocks, m the members of the sBlock
-// handed out or freed (1 for a pBlock), "stale" the heap entries S1 discards
-// before its answer, and "watchers" the sBlocks waiting on the m pBlocks:
+// Host cost per Figure 9 state, with P pBlocks, C pBlock sizes, k the blocks
+// of one size, m the members of the sBlock handed out or freed (1 for a
+// pBlock), "stale" the set sBlock bits S1 clears before its answer,
+// "words" the bitmap words it scans, and "watchers" the sBlocks waiting on
+// the m pBlocks:
 //
-//	S1 exact match   O(stale·m + m), one allocation (the Buffer); a pBlock
-//	                 match adds O(log P) per active node its walk unlinks
-//	S2 split         S1 + O(owners) rebinding + the driver's remap
-//	S3 stitch        O(P) candidate walk + S1 + the driver's maps
+//	S1 exact match   O(stale·m + m + words), one allocation (the Buffer); a
+//	                 pBlock match adds O(log C) to find its class
+//	S2 split         S1 + O(owners) rebinding + O(k) slot shifts for the
+//	                 split block and its halves + the driver's remap
+//	S3 stitch        O(P) candidate walk + S1 + O(k) to file the new sBlock
+//	                 + the driver's maps
 //	S4 new memory    S3 + chunk creation; on OOM a GC pass over every pBlock
 //	Free             O(m + watchers·m'), m' the members a watcher scans to
-//	                 its next active one; O(log P) per member a reader had
-//	                 unlinked; no allocation
+//	                 its next active one; no allocation
 //
 // Neither S1 nor Free depends on how many views are stitched over the
-// pBlocks that flip. A discarded heap entry is paid for once: it re-enters
-// the heap only through a later 1→0 edge of the member it watches. The
-// driver's maps, remaps and unmaps are O(1) per chunk and allocate nothing
-// (package cuda's page table), so they add no term of their own to S2–S4.
+// pBlocks that flip, and a flip costs O(1) whatever the pool holds. A
+// cleared stale bit is paid for once: it is set again only through a later
+// 1→0 edge of the member its sBlock watches. The driver's maps, remaps and
+// unmaps are O(1) per chunk and allocate nothing (package cuda's page
+// table), so they add no term of their own to S2–S4.
 //
 // # Convergence
 //
@@ -124,10 +128,10 @@ type PBlock struct {
 	// unavailable. It is empty while the pBlock is inactive.
 	watchers *SBlock
 
-	// node is the pBlock's own node for the pPool inactive tree: always
-	// linked while the pBlock is inactive, unlinked by the first reader that
-	// meets it active, never reallocated.
-	node container.Node[*PBlock]
+	// class is the pPool size class holding the pBlock and slot its place
+	// there; the class's bit at slot is set exactly while it is inactive.
+	class *pClass
+	slot  int32
 }
 
 // VA returns the block's base virtual address.
@@ -139,6 +143,8 @@ func (p *PBlock) Size() int64 { return p.size }
 // Active reports whether the block backs any live tensor.
 func (p *PBlock) Active() bool { return p.activeRefs > 0 }
 
+func (p *PBlock) slotRef() *int32 { return &p.slot }
+
 // SBlock is a stitched block: a contiguous VA view over several pBlocks'
 // physical chunks.
 type SBlock struct {
@@ -146,13 +152,13 @@ type SBlock struct {
 	size    int64
 	members []*PBlock
 
-	// class is the sPool index of this sBlock's size and heapPos its
-	// position in class.avail, -1 while assigned or watching.
-	class   *sClass
-	heapPos int32
+	// class is the sPool size class holding the sBlock and slot its place
+	// there. The bit at slot is clear while it is assigned or watching.
+	class *sClass
+	slot  int32
 
 	// hint is where the next scan for an active member starts. While the
-	// sBlock is unassigned and out of the heap, members[hint] is the active
+	// sBlock is unassigned with its bit clear, members[hint] is the active
 	// member it watches and watchNext its link in that member's watchers.
 	hint      int32
 	watchNext *SBlock
@@ -177,6 +183,8 @@ func (s *SBlock) Members() []*PBlock { return s.members }
 // Active reports whether any member pBlock is active (paper §3.2: "if even
 // one pBlock is active, all corresponding sBlocks are labeled as active").
 func (s *SBlock) Active() bool { return s.activeMember() >= 0 }
+
+func (s *SBlock) slotRef() *int32 { return &s.slot }
 
 // newPBlock allocates a fresh pBlock of size bytes (a multiple of ChunkSize):
 // one AddrReserve, then Create+Map per 2 MiB chunk, then SetAccess — the
@@ -305,7 +313,7 @@ func stitchSBlock(drv *cuda.Driver, members []*PBlock) *SBlock {
 		mapChunksAt(drv, va+off, p.chunks)
 		off += cuda.DevicePtr(p.size)
 	}
-	s := &SBlock{va: va, size: total, members: members, heapPos: -1}
+	s := &SBlock{va: va, size: total, members: members}
 	for _, p := range members {
 		p.owners = append(p.owners, s)
 	}

@@ -1,47 +1,51 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/container"
 )
 
-// pNode abbreviates the tree node type in iteration callbacks.
-type pNode = container.Node[*PBlock]
+// pClass is one size of the pPool index. Its bit means "inactive" and is
+// kept eagerly: set while the pBlock is inactive, clear while it is active.
+type pClass = sizeClass[*PBlock]
 
-// pPool holds every pBlock and an ordered tree over the inactive ones, so
-// BestFit can scan them by size (the paper keeps the pool "sorted by block
-// size in descending order"; we store ascending and walk backwards, which is
-// equivalent). The tree is pruned by its readers: activating a pBlock leaves
-// its node linked, and ceil, next, prev and max — the only ways to read the
-// tree — unlink the active nodes they meet, so what they return is exactly
-// the inactive set in (size, VA) order.
+// pPool holds every pBlock, indexed by size class so BestFit can scan the
+// inactive ones by size (the paper keeps the pool "sorted by block size in
+// descending order"; we store ascending and walk backwards, which is
+// equivalent). The classes sit in ascending size order and their slots in
+// ascending VA order, so ceil, next, prev and max — the only ways to read
+// the pool — return exactly the inactive set in (size, VA) order by walking
+// classes and set bits. A state flip sets or clears one bit.
 type pPool struct {
-	all      map[*PBlock]struct{}
-	inactive *container.Tree[*PBlock]
-	bytes    int64 // Σ sizes of all pBlocks == GMLake's reserved memory
-
-	// probe is the search key ceil reuses: the tree compares through a
-	// func value, so a key built per lookup would escape to the heap.
-	probe PBlock
+	all     map[*PBlock]struct{}
+	classes []*pClass // ascending size, none empty
+	bytes   int64     // Σ sizes of all pBlocks == GMLake's reserved memory
 }
 
 func newPPool() *pPool {
-	return &pPool{
-		all: make(map[*PBlock]struct{}),
-		inactive: container.NewTree[*PBlock](func(a, b *PBlock) bool {
-			if a.size != b.size {
-				return a.size < b.size
-			}
-			return a.va < b.va
-		}),
-	}
+	return &pPool{all: make(map[*PBlock]struct{})}
+}
+
+// search returns the index of the first class of at least size bytes, and
+// whether that class is exactly size.
+func (pp *pPool) search(size int64) (int, bool) {
+	return slices.BinarySearchFunc(pp.classes, size, func(c *pClass, size int64) int {
+		return cmp.Compare(c.size, size)
+	})
 }
 
 // add registers a new (inactive) pBlock.
 func (pp *pPool) add(p *PBlock) {
 	pp.all[p] = struct{}{}
 	pp.bytes += p.size
-	p.node.Value = p
-	pp.inactive.InsertNode(&p.node)
+	i, found := pp.search(p.size)
+	if !found {
+		pp.classes = slices.Insert(pp.classes, i, &pClass{size: p.size})
+	}
+	p.class = pp.classes[i]
+	p.class.insert(p)
 }
 
 // remove unregisters an inactive pBlock entirely (it is being split or
@@ -49,53 +53,66 @@ func (pp *pPool) add(p *PBlock) {
 func (pp *pPool) remove(p *PBlock) {
 	delete(pp.all, p)
 	pp.bytes -= p.size
-	pp.inactive.Delete(&p.node)
-}
-
-// markInactive makes p, on its 1→0 edge, visible to readers again: a no-op
-// unless one of them unlinked it while it was active.
-func (pp *pPool) markInactive(p *PBlock) {
-	if !p.node.Linked() {
-		pp.inactive.InsertNode(&p.node)
+	c := p.class
+	c.remove(p.slot)
+	p.class = nil
+	if len(c.slots) == 0 {
+		i, _ := pp.search(c.size)
+		pp.classes = slices.Delete(pp.classes, i, i+1)
 	}
 }
 
-// skipActive returns the first inactive node at n or beyond it, ascending or
-// descending, unlinking every active node on the way.
-func (pp *pPool) skipActive(n *pNode, ascending bool) *pNode {
-	for n != nil && n.Value.Active() {
-		stale := n
-		if ascending {
-			n = pp.inactive.Next(n)
-		} else {
-			n = pp.inactive.Prev(n)
+// first returns the lowest-addressed inactive pBlock of the smallest size
+// with one, from class i up, or nil.
+func (pp *pPool) first(i int) *PBlock {
+	for ; i < len(pp.classes); i++ {
+		c := pp.classes[i]
+		if j := c.next(0); j >= 0 {
+			return c.slots[j]
 		}
-		pp.inactive.Delete(stale)
 	}
-	return n
+	return nil
 }
 
-// ceil returns the node of the smallest inactive pBlock of at least size
-// bytes — the lowest-addressed one among equals — or nil.
-func (pp *pPool) ceil(size int64) *pNode {
-	pp.probe.size = size
-	return pp.skipActive(pp.inactive.Ceil(&pp.probe), true)
+// last returns the highest-addressed inactive pBlock of the largest size
+// with one, below class i, or nil.
+func (pp *pPool) last(i int) *PBlock {
+	for i--; i >= 0; i-- {
+		c := pp.classes[i]
+		if j := c.prev(int32(len(c.slots) - 1)); j >= 0 {
+			return c.slots[j]
+		}
+	}
+	return nil
 }
 
-// next returns the inactive node after n in (size, VA) order, or nil.
-func (pp *pPool) next(n *pNode) *pNode {
-	return pp.skipActive(pp.inactive.Next(n), true)
+// ceil returns the smallest inactive pBlock of at least size bytes — the
+// lowest-addressed one among equals — or nil.
+func (pp *pPool) ceil(size int64) *PBlock {
+	i, _ := pp.search(size)
+	return pp.first(i)
 }
 
-// prev returns the inactive node before n in (size, VA) order, or nil.
-func (pp *pPool) prev(n *pNode) *pNode {
-	return pp.skipActive(pp.inactive.Prev(n), false)
+// next returns the inactive pBlock after p in (size, VA) order, or nil.
+func (pp *pPool) next(p *PBlock) *PBlock {
+	if j := p.class.next(p.slot + 1); j >= 0 {
+		return p.class.slots[j]
+	}
+	i, _ := pp.search(p.size)
+	return pp.first(i + 1)
 }
 
-// max returns the node of the largest inactive pBlock, or nil.
-func (pp *pPool) max() *pNode {
-	return pp.skipActive(pp.inactive.Max(), false)
+// prev returns the inactive pBlock before p in (size, VA) order, or nil.
+func (pp *pPool) prev(p *PBlock) *PBlock {
+	if j := p.class.prev(p.slot - 1); j >= 0 {
+		return p.class.slots[j]
+	}
+	i, _ := pp.search(p.size)
+	return pp.last(i)
 }
+
+// max returns the largest inactive pBlock, or nil.
+func (pp *pPool) max() *PBlock { return pp.last(len(pp.classes)) }
 
 // findExact returns an inactive pBlock of exactly size bytes, or nil.
 // Among equal-sized blocks it prefers one with the fewest sBlocks stitched
@@ -103,95 +120,36 @@ func (pp *pPool) max() *pNode {
 // free, so the cached stitched views over them stay available for exact
 // matches (the convergence mechanism of §5.4).
 func (pp *pPool) findExact(size int64) *PBlock {
-	n := pp.ceil(size)
-	if n == nil || n.Value.size != size {
+	i, found := pp.search(size)
+	if !found {
 		return nil
 	}
-	best := n.Value
+	c := pp.classes[i]
+	j := c.next(0)
+	if j < 0 {
+		return nil
+	}
+	best := c.slots[j]
 	for scanned := 0; scanned < 8 && len(best.owners) > 0; scanned++ {
-		n = pp.next(n)
-		if n == nil || n.Value.size != size {
+		if j = c.next(j + 1); j < 0 {
 			break
 		}
-		if len(n.Value.owners) < len(best.owners) {
-			best = n.Value
+		if p := c.slots[j]; len(p.owners) < len(best.owners) {
+			best = p
 		}
 	}
 	return best
 }
 
-// sClass indexes the sBlocks of one size that may be available as a min-heap
-// on VA: the only query the allocator makes is "lowest-addressed available
-// sBlock of exactly this size". An entry can have an active member; the heap
-// holds every sBlock that has none. Each sBlock stores its heap position, so
-// entering or leaving costs O(log k) over the k entries of its own size,
-// compares addresses directly and allocates nothing.
-type sClass struct {
-	avail []*SBlock
-	live  int // sBlocks of this size in the pool, available or not
-}
+// sClass is one size of the sPool index, the only query the allocator makes
+// of it being "lowest-addressed available sBlock of exactly this size". Its
+// bit means "may be available": it is set on every unassigned sBlock with no
+// active member, and an sBlock with an active member may keep it until a
+// lookup meets it.
+type sClass = sizeClass[*SBlock]
 
-func (c *sClass) place(i int, s *SBlock) {
-	c.avail[i] = s
-	s.heapPos = int32(i)
-}
-
-// up settles s into the hole at i, moving the hole towards the root while
-// its parent has a higher VA.
-func (c *sClass) up(i int, s *SBlock) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if c.avail[parent].va < s.va {
-			break
-		}
-		c.place(i, c.avail[parent])
-		i = parent
-	}
-	c.place(i, s)
-}
-
-// down settles s into the hole at i, moving the hole towards the leaves
-// while a child has a lower VA.
-func (c *sClass) down(i int, s *SBlock) {
-	for {
-		child := 2*i + 1
-		if child >= len(c.avail) {
-			break
-		}
-		if r := child + 1; r < len(c.avail) && c.avail[r].va < c.avail[child].va {
-			child = r
-		}
-		if s.va < c.avail[child].va {
-			break
-		}
-		c.place(i, c.avail[child])
-		i = child
-	}
-	c.place(i, s)
-}
-
-func (c *sClass) push(s *SBlock) {
-	c.avail = append(c.avail, nil)
-	c.up(len(c.avail)-1, s)
-}
-
-func (c *sClass) remove(s *SBlock) {
-	i, last := int(s.heapPos), len(c.avail)-1
-	moved := c.avail[last]
-	c.avail[last] = nil
-	c.avail = c.avail[:last]
-	s.heapPos = -1
-	switch {
-	case i == last:
-	case i > 0 && moved.va < c.avail[(i-1)/2].va:
-		c.up(i, moved)
-	default:
-		c.down(i, moved)
-	}
-}
-
-// sPool holds every sBlock, the per-size heaps, and the LRU queue StitchFree
-// evicts from.
+// sPool holds every sBlock, indexed by size class, and the LRU queue
+// StitchFree evicts from.
 type sPool struct {
 	all     map[*SBlock]struct{}
 	classes map[int64]*sClass
@@ -205,7 +163,7 @@ func newSPool() *sPool {
 	}
 }
 
-// add registers a freshly stitched, unassigned sBlock, in its heap: it is
+// add registers a freshly stitched, unassigned sBlock, its bit set: it is
 // handed out at once or, should a member be active, discarded by the first
 // lookup that meets it. The allocator runs stitchFreeIfNeeded only once the
 // request is served, so a brand-new sBlock can never be evicted before the
@@ -214,24 +172,21 @@ func (sp *sPool) add(s *SBlock) {
 	sp.all[s] = struct{}{}
 	c := sp.classes[s.size]
 	if c == nil {
-		c = &sClass{}
+		c = &sClass{size: s.size}
 		sp.classes[s.size] = c
 	}
-	c.live++
 	s.class = c
 	s.lru = sp.lru.PushBack(s)
-	c.push(s)
+	c.insert(s)
 }
 
 func (sp *sPool) remove(s *SBlock) {
 	delete(sp.all, s)
-	switch {
-	case s.heapPos >= 0:
-		s.class.remove(s)
-	case !s.assigned:
+	c := s.class
+	if !s.assigned && !c.has(s.slot) {
 		s.unwatch()
 	}
-	if s.class.live--; s.class.live == 0 {
+	if c.remove(s.slot); len(c.slots) == 0 {
 		delete(sp.classes, s.size)
 	}
 	s.class = nil
@@ -256,7 +211,7 @@ func (s *SBlock) activeMember() int {
 	return -1
 }
 
-// watch parks s, which is in no index, on the watcher list of its active
+// watch parks s, whose bit is clear, on the watcher list of its active
 // member i.
 func (s *SBlock) watch(i int) {
 	p := s.members[i]
@@ -278,7 +233,7 @@ func (s *SBlock) unwatch() {
 }
 
 // wake re-files the watchers of p, which has just become inactive: each on
-// the list of its next active member or, having none, in its heap.
+// the list of its next active member or, having none, back under its bit.
 func (p *PBlock) wake() {
 	s := p.watchers
 	p.watchers = nil
@@ -288,7 +243,7 @@ func (p *PBlock) wake() {
 		if i := s.activeMember(); i >= 0 {
 			s.watch(i)
 		} else {
-			s.class.push(s)
+			s.class.set(s.slot)
 		}
 		s = next
 	}
@@ -301,17 +256,21 @@ func (sp *sPool) touch(s *SBlock) {
 }
 
 // findExact returns the lowest-addressed available sBlock of exactly size
-// bytes, or nil. Heap entries that turn out to have an active member leave
-// the heap for that member's watcher list on the way.
+// bytes, or nil. Set bits that turn out to mark an sBlock with an active
+// member are cleared on the way, the sBlock going to that member's watcher
+// list.
 func (sp *sPool) findExact(size int64) *SBlock {
 	c := sp.classes[size]
-	for c != nil && len(c.avail) > 0 {
-		s := c.avail[0]
+	if c == nil {
+		return nil
+	}
+	for j := c.next(0); j >= 0; j = c.next(j + 1) {
+		s := c.slots[j]
 		i := s.activeMember()
 		if i < 0 {
 			return s
 		}
-		c.remove(s)
+		c.clear(j)
 		s.watch(i)
 	}
 	return nil

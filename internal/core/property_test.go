@@ -18,9 +18,10 @@ import (
 // values allocate (the value scales the size), negative values free a live
 // buffer picked by the value. CheckInvariants runs after every operation, so
 // an index that drifts is caught at the operation that broke it, not at the
-// end of the run, and checkReaders after every oracleEvery-th: the readers
-// prune as they go, so 1 compares them at every state and a longer stride
-// lets stale entries pile up across operations before they are read.
+// end of the run, and checkReaders after every oracleEvery-th: the sPool's
+// lookup clears stale bits as it goes, so 1 compares the readers at every
+// state and a longer stride lets stale bits pile up across operations
+// before they are read.
 func runOpSeq(t *testing.T, a *Allocator, ops []int16, oracleEvery int) (live []*memalloc.Buffer, ok bool) {
 	for i, op := range ops {
 		if op >= 0 {
@@ -45,12 +46,17 @@ func runOpSeq(t *testing.T, a *Allocator, ops []int16, oracleEvery int) (live []
 	return live, true
 }
 
-// checkReaders is the eager oracle for the lazy indexes: what the pools'
-// readers return must equal a from-scratch recomputation over every block.
+// checkReaders is the brute-force oracle for the pools' readers: what they
+// return must equal a from-scratch recomputation over every block.
 // For each live sBlock size, sPool.findExact must return the lowest-addressed
 // unassigned sBlock whose members are all inactive; pPool.ceil+next, and
 // max+prev backwards, must enumerate exactly the inactive pBlocks in
-// (size, VA) order.
+// (size, VA) order. The choices BestFit makes from them are named too: for
+// each live pBlock size s, pPool.ceil(s) and ceil(s+ChunkSize) must return
+// the first inactive pBlock at or above the argument in that order, and
+// pPool.findExact(s) the first among the lowest-addressed nine inactive
+// pBlocks of size s with strictly the fewest owners, looking no further once
+// one has none.
 func checkReaders(a *Allocator) error {
 	want := make(map[int64]*SBlock)
 	for s := range a.sblocks.all {
@@ -84,18 +90,98 @@ func checkReaders(a *Allocator) error {
 		return cmp.Or(cmp.Compare(x.size, y.size), cmp.Compare(x.va, y.va))
 	})
 	var up, down []*PBlock
-	for n := a.pblocks.ceil(0); n != nil; n = a.pblocks.next(n) {
-		up = append(up, n.Value)
+	for p := a.pblocks.ceil(0); p != nil; p = a.pblocks.next(p) {
+		up = append(up, p)
 	}
-	for n := a.pblocks.max(); n != nil; n = a.pblocks.prev(n) {
-		down = append(down, n.Value)
+	for p := a.pblocks.max(); p != nil; p = a.pblocks.prev(p) {
+		down = append(down, p)
 	}
 	slices.Reverse(down)
 	if !slices.Equal(up, inactive) || !slices.Equal(down, inactive) {
 		return fmt.Errorf("pPool walks return %d ascending and %d descending, brute force finds %d inactive pBlocks (or in another order)",
 			len(up), len(down), len(inactive))
 	}
+	for p := range a.pblocks.all {
+		s := p.size
+		for _, at := range []int64{s, s + ChunkSize} {
+			var want *PBlock
+			if i := slices.IndexFunc(inactive, func(q *PBlock) bool { return q.size >= at }); i >= 0 {
+				want = inactive[i]
+			}
+			if got := a.pblocks.ceil(at); got != want {
+				return fmt.Errorf("pPool.ceil(%d) = %v, brute force finds %v", at, got, want)
+			}
+		}
+		var want *PBlock
+		scanned := 0
+		for _, q := range inactive {
+			if q.size != s || scanned == 9 || (want != nil && len(want.owners) == 0) {
+				continue
+			}
+			scanned++
+			if want == nil || len(q.owners) < len(want.owners) {
+				want = q
+			}
+		}
+		if got := a.pblocks.findExact(s); got != want {
+			return fmt.Errorf("pPool.findExact(%d) = %v, brute force finds %v", s, got, want)
+		}
+	}
 	return nil
+}
+
+// TestFindExactTieBreak builds ten inactive pBlocks of one size with chosen
+// owner counts, in VA order, and checks the block an exact-size request gets
+// and the reader oracle's verdict: the first with strictly the fewest owners
+// among the lowest-addressed nine, looking no further once one has none.
+func TestFindExactTieBreak(t *testing.T) {
+	const size = 64 * sim.MiB
+	for _, tc := range []struct {
+		owners []int
+		want   int
+	}{
+		{[]int{1, 1, 1, 1, 1, 1, 1, 1, 0, 0}, 8}, // the ninth is the last looked at
+		{[]int{1, 1, 1, 1, 1, 1, 1, 1, 1, 0}, 0}, // ties keep the lowest address
+		{[]int{2, 1, 0, 1, 0, 0, 0, 0, 0, 0}, 2}, // none ends the scan
+	} {
+		a, _ := newTestAllocator(4 * sim.GiB)
+		blocks := make([]*memalloc.Buffer, len(tc.owners))
+		for i := range blocks {
+			blocks[i] = mustAlloc(t, a, size)
+		}
+		slices.SortFunc(blocks, func(x, y *memalloc.Buffer) int { return cmp.Compare(x.Ptr, y.Ptr) })
+		var partners []*memalloc.Buffer
+		for _, n := range tc.owners {
+			for range n {
+				partners = append(partners, mustAlloc(t, a, ChunkSize))
+			}
+		}
+		// Only blocks[i] and one partner are free while a view is stitched
+		// over the two; taking the partner back leaves the view cached.
+		for i, n := range tc.owners {
+			a.Free(blocks[i])
+			for range n {
+				a.Free(partners[0])
+				a.Free(mustAlloc(t, a, size+ChunkSize))
+				mustAlloc(t, a, ChunkSize)
+				partners = partners[1:]
+			}
+			blocks[i] = mustAlloc(t, a, size)
+		}
+		for i, b := range blocks {
+			if got := len(b.Impl().(*PBlock).owners); got != tc.owners[i] {
+				t.Fatalf("owners %v: block %d carries %d views", tc.owners, i, got)
+			}
+			a.Free(b)
+		}
+		if err := checkReaders(a); err != nil {
+			t.Fatalf("owners %v: %v", tc.owners, err)
+		}
+		if got := mustAlloc(t, a, size); got.Ptr != blocks[tc.want].Ptr {
+			t.Errorf("owners %v: got the block at %#x, want block %d at %#x", tc.owners, got.Ptr, tc.want, blocks[tc.want].Ptr)
+		}
+		checkInv(t, a)
+	}
 }
 
 // quickInvariants drives arbitrary alloc/free sequences over a fresh
@@ -166,7 +252,7 @@ func TestQuickInvariantsDestroyOnSplit(t *testing.T) {
 // TestQuickInvariantsUnderEviction shrinks the device and the stitched pool
 // until the sequences run the GC fallback and StitchFree while sBlocks share
 // member pBlocks — the teardown paths that must keep owners, watcher lists
-// and the size-class heaps in step — under both split semantics.
+// and the size-class bitmaps in step — under both split semantics.
 func TestQuickInvariantsUnderEviction(t *testing.T) {
 	for _, rebind := range []bool{true, false} {
 		cfg := DefaultConfig()
@@ -307,50 +393,100 @@ func TestVASpaceReleasedOnEmptyCache(t *testing.T) {
 	}
 }
 
-// TestSizeClassHeapOrder drives one size class's heap with random
-// pushes and removals from the middle and checks, after each, the heap order
-// (so the top is the minimum) and every recorded position against the slot
-// holding it.
-func TestSizeClassHeapOrder(t *testing.T) {
+// TestSizeClassIndex drives one size class against a brute-force model, a
+// VA-sorted list of (block, bit) pairs: inserts at arbitrary addresses,
+// removals from anywhere, and bit flips, growing the class past three
+// bitmap words and shrinking it again. After each operation the slots must
+// be the model's blocks in its order, each recording its slot, every bit
+// must match, and next and prev from every slot must name the model's
+// nearest set slot.
+func TestSizeClassIndex(t *testing.T) {
+	type entry struct {
+		s   *SBlock
+		bit bool
+	}
 	rng := sim.NewRNG(3)
 	var c sClass
-	var in []*SBlock
-	for op := 0; op < 5000; op++ {
-		if len(in) == 0 || rng.Float64() < 0.55 {
-			s := &SBlock{va: cuda.DevicePtr(rng.Int63n(1 << 40)), heapPos: -1}
-			c.push(s)
-			in = append(in, s)
-		} else {
-			j := rng.Intn(len(in))
-			c.remove(in[j])
-			if in[j].heapPos != -1 {
-				t.Fatalf("op %d: removed sBlock keeps position %d", op, in[j].heapPos)
-			}
-			in = append(in[:j], in[j+1:]...)
+	var model []entry
+	grow, peaks := true, 0
+	for op := 0; op < 6000; op++ {
+		switch n := len(model); {
+		case n >= 200 && grow:
+			grow = false
+			peaks++
+		case n <= 20:
+			grow = true
 		}
-		if len(c.avail) != len(in) {
-			t.Fatalf("op %d: heap holds %d, want %d", op, len(c.avail), len(in))
-		}
-		for i, s := range c.avail {
-			if int(s.heapPos) != i {
-				t.Fatalf("op %d: slot %d holds an sBlock recording position %d", op, i, s.heapPos)
+		switch r := rng.Float64(); {
+		case len(model) == 0 || r < 0.3 && grow || r < 0.15:
+			s := &SBlock{va: cuda.DevicePtr(rng.Int63n(1 << 40))}
+			c.insert(s)
+			i, _ := slices.BinarySearchFunc(model, s.va, func(e entry, va cuda.DevicePtr) int { return cmp.Compare(e.s.va, va) })
+			model = slices.Insert(model, i, entry{s, true})
+		case r < 0.45:
+			i := rng.Intn(len(model))
+			c.remove(model[i].s.slot)
+			model = slices.Delete(model, i, i+1)
+		default:
+			i := rng.Intn(len(model))
+			if model[i].bit = !model[i].bit; model[i].bit {
+				c.set(model[i].s.slot)
+			} else {
+				c.clear(model[i].s.slot)
 			}
-			if i > 0 && c.avail[(i-1)/2].va > s.va {
-				t.Fatalf("op %d: slot %d (va %d) sits under a higher parent (va %d)", op, i, s.va, c.avail[(i-1)/2].va)
+		}
+		if err := c.check(); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		if len(c.slots) != len(model) {
+			t.Fatalf("op %d: class holds %d blocks, model %d", op, len(c.slots), len(model))
+		}
+		// nextSet[i] and prevSet[i] are the model's nearest set slots at
+		// or after, and at or before, slot i.
+		n := len(model)
+		nextSet, prevSet := make([]int32, n+1), make([]int32, n)
+		nextSet[n] = -1
+		for i := n - 1; i >= 0; i-- {
+			if nextSet[i] = nextSet[i+1]; model[i].bit {
+				nextSet[i] = int32(i)
 			}
 		}
+		for i := range model {
+			if prevSet[i] = -1; i > 0 {
+				prevSet[i] = prevSet[i-1]
+			}
+			if model[i].bit {
+				prevSet[i] = int32(i)
+			}
+		}
+		for i, e := range model {
+			switch {
+			case c.slots[i] != e.s || e.s.slot != int32(i):
+				t.Fatalf("op %d: slot %d holds the wrong block or it records another slot", op, i)
+			case c.has(int32(i)) != e.bit:
+				t.Fatalf("op %d: bit %d is %v, model %v", op, i, c.has(int32(i)), e.bit)
+			case c.next(int32(i)) != nextSet[i] || c.prev(int32(i)) != prevSet[i]:
+				t.Fatalf("op %d: from slot %d next/prev = %d/%d, model %d/%d",
+					op, i, c.next(int32(i)), c.prev(int32(i)), nextSet[i], prevSet[i])
+			}
+		}
+		if got := c.next(int32(n)); got != -1 || c.next(0) != nextSet[0] || c.prev(-1) != -1 {
+			t.Fatalf("op %d: next past the end = %d, first = %d (model %d)", op, got, c.next(0), nextSet[0])
+		}
+	}
+	if peaks < 2 {
+		t.Fatalf("the class grew to 200 blocks %d times, want at least 2", peaks)
 	}
 }
 
-// TestBlockSizeClasses keeps the watcher links, heap position and scan hint
-// from pushing either block into a larger allocation size class than the one
-// it had with eager propagation (80 and 128 bytes): blocks are allocated on
-// every stitch and split.
+// TestBlockSizeClasses keeps the watcher links, size-class slots and scan
+// hint from pushing either block into a larger allocation size class (80
+// and 96 bytes): blocks are allocated on every stitch and split.
 func TestBlockSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(SBlock{}); got > 80 {
 		t.Errorf("SBlock is %d bytes, want <= 80", got)
 	}
-	if got := unsafe.Sizeof(PBlock{}); got > 128 {
-		t.Errorf("PBlock is %d bytes, want <= 128", got)
+	if got := unsafe.Sizeof(PBlock{}); got > 96 {
+		t.Errorf("PBlock is %d bytes, want <= 96", got)
 	}
 }
