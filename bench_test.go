@@ -1,8 +1,8 @@
 // Micro-benchmarks: the host cost of the hot paths under the paper's
 // allocator, the simulated driver's page table and the caching baseline,
 // and of request-stream generation. CI runs the GMLake*, DriverMapUnmap,
-// CachingBestFit, CachingRefusal and Generate ones on every push to show
-// allocs/op and ns/request; `go run ./benchmark` is the benchmark that
+// CachingBestFit, CachingRefusal, TrainerStep and Generate ones on every
+// push to show allocs/op and ns/request; `go run ./benchmark` is the benchmark that
 // performance claims rest on, and the tables of the paper's evaluation are
 // pinned by internal/harness/testdata/golden.
 package gmlake
@@ -188,6 +188,57 @@ func BenchmarkGMLakeSharedFlip(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.members), "ns/member")
 			if s1, _, _, _ := alloc.StrategyCounts(); int(s1-s1Before) != b.N {
 				b.Fatalf("%d exact matches in %d pairs", s1-s1Before, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkGMLakeAlternatingMembers caches k views over {A, B, Cⱼ}, every
+// Cⱼ free, and makes A and B take turns being the one held: an op takes the
+// free one and frees the held one. No view is ever available and none is
+// looked up, so a 1→0 edge only has to put the freed pBlock's watchers back
+// under their bits — once, after which no view watches anything — and ns/op
+// must read the same at k = 16 and 256. Re-filing every view on the other
+// member at each edge would make it O(k).
+func BenchmarkGMLakeAlternatingMembers(b *testing.B) {
+	const sizeA, sizeB, sizeC = 64 * sim.MiB, 32 * sim.MiB, core.ChunkSize
+	for _, k := range []int{16, 256} {
+		b.Run(fmt.Sprint(k), func(b *testing.B) {
+			alloc := core.NewDefault(newBenchDriver(2 * sim.GiB))
+			must := mustAlloc(b, alloc)
+			held, other := must(sizeA), must(sizeB)
+			cs := make([]*memalloc.Buffer, k)
+			for j := range cs {
+				cs[j] = must(sizeC)
+			}
+			// Only A, B and Cⱼ are free while view j is stitched over them;
+			// the earlier views stay unavailable through their held Cᵢ.
+			for j, c := range cs {
+				alloc.Free(held)
+				alloc.Free(other)
+				alloc.Free(c)
+				alloc.Free(must(sizeA + sizeB + sizeC))
+				cs[j], held, other = must(sizeC), must(sizeA), must(sizeB)
+			}
+			alloc.Free(other)
+			for _, c := range cs {
+				alloc.Free(c)
+			}
+			if _, _, s3, _ := alloc.StrategyCounts(); int(s3) != k || alloc.SBlockCount() != k {
+				b.Fatalf("set-up stitched %d views (%d cached), want %d", s3, alloc.SBlockCount(), k)
+			}
+			s1Before, _, _, _ := alloc.StrategyCounts()
+			sizeHeld, sizeOther := sizeA, sizeB
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next := must(sizeOther)
+				alloc.Free(held)
+				held, sizeHeld, sizeOther = next, sizeOther, sizeHeld
+			}
+			b.StopTimer()
+			if s1, _, _, _ := alloc.StrategyCounts(); int(s1-s1Before) != b.N || alloc.SBlockCount() != k {
+				b.Fatalf("%d exact matches in %d ops, %d views cached", s1-s1Before, b.N, alloc.SBlockCount())
 			}
 		})
 	}

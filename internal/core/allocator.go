@@ -195,16 +195,26 @@ func (a *Allocator) assignSBlock(s *SBlock, requested int64) *memalloc.Buffer {
 	return buf
 }
 
-// deactivatePBlock decrements p's active references; on the 1→0 edge p's
-// bit marks it inactive again. Its watchers are the caller's to wake.
+// deactivatePBlock decrements p's active references. On the 1→0 edge p's
+// bit marks it inactive again and its watchers, which followed p as their
+// proof of being unavailable, go back under their bits without a look at
+// their other members: the next lookup to meet one checks it.
 func (a *Allocator) deactivatePBlock(p *PBlock) {
 	if p.activeRefs <= 0 {
 		panic("core: deactivate of inactive pBlock")
 	}
 	p.activeRefs--
-	if p.activeRefs == 0 {
-		p.class.set(p.slot)
+	if p.activeRefs > 0 {
+		return
 	}
+	p.class.set(p.slot)
+	for s := p.watchers; s != nil; {
+		next := s.watchNext
+		s.watchNext = nil
+		s.class.set(s.slot)
+		s = next
+	}
+	p.watchers = nil
 }
 
 // allocSplit implements S2: split the best-fit pBlock to the exact size, hand
@@ -361,7 +371,7 @@ func (e *s5Error) Unwrap() error { return e.err }
 // future same-size allocation exact-matches instantly.
 func (a *Allocator) Free(buf *memalloc.Buffer) {
 	// The paper's Update function: restore inactive state on the freed block;
-	// the sBlocks watching its pBlocks are the only neighbours to re-examine.
+	// the sBlocks watching its pBlocks are the only neighbours it touches.
 	switch b := buf.Impl().(type) {
 	case nil:
 		panic("core: Free of unowned or already-freed buffer")
@@ -371,21 +381,14 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 		}
 		b.assigned = false
 		a.deactivatePBlock(b)
-		b.wake()
 	case *SBlock:
 		if !b.assigned {
 			panic("core: double Free of sBlock")
 		}
 		b.assigned = false
 		a.sblocks.touch(b)
-		// Every member goes inactive before any watcher looks: a view that
-		// shares several members with b then finds none of them active and
-		// is re-filed once, not once per shared member.
 		for _, p := range b.members {
 			a.deactivatePBlock(p)
-		}
-		for _, p := range b.members {
-			p.wake()
 		}
 		b.class.set(b.slot)
 	default:

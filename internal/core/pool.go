@@ -232,23 +232,6 @@ func (s *SBlock) unwatch() {
 	*link, s.watchNext = s.watchNext, nil
 }
 
-// wake re-files the watchers of p, which has just become inactive: each on
-// the list of its next active member or, having none, back under its bit.
-func (p *PBlock) wake() {
-	s := p.watchers
-	p.watchers = nil
-	for s != nil {
-		next := s.watchNext
-		s.watchNext = nil
-		if i := s.activeMember(); i >= 0 {
-			s.watch(i)
-		} else {
-			s.class.set(s.slot)
-		}
-		s = next
-	}
-}
-
 func (sp *sPool) touch(s *SBlock) {
 	if s.lru != nil {
 		sp.lru.MoveToBack(s.lru)

@@ -184,6 +184,79 @@ func TestFindExactTieBreak(t *testing.T) {
 	}
 }
 
+// TestLazyWake pins what a pBlock's 1→0 edge does to the views watching it:
+// it sets their bits and looks at no other member. View V over {A, B} watches
+// B while A is held too, and view W over {C, D} of the same size is available
+// at a higher address. Freeing B leaves V's bit set although A is active;
+// the exact-size lookup then meets V first, parks it on A and returns W.
+func TestLazyWake(t *testing.T) {
+	const sa, sb, sc, sd = 200 * sim.MiB, 300 * sim.MiB, 150 * sim.MiB, 350 * sim.MiB
+	a, _ := newTestAllocator(2 * sim.GiB)
+	step := func(what string) {
+		t.Helper()
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+		if err := checkReaders(a); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+	}
+	bufA, bufB, bufC, bufD := mustAlloc(t, a, sa), mustAlloc(t, a, sb), mustAlloc(t, a, sc), mustAlloc(t, a, sd)
+	pa, pb := bufA.Impl().(*PBlock), bufB.Impl().(*PBlock)
+	// stitch frees x and y, stitches a view over the two, caches it and
+	// takes x and y back, so the view has both members active.
+	stitch := func(x, y **memalloc.Buffer) *SBlock {
+		sx, sy := (*x).BlockSize, (*y).BlockSize
+		a.Free(*x)
+		a.Free(*y)
+		view := mustAlloc(t, a, sx+sy)
+		v, ok := view.Impl().(*SBlock)
+		if !ok {
+			t.Fatalf("Alloc(%d) over two free pBlocks returned a pBlock", sx+sy)
+		}
+		a.Free(view)
+		*x, *y = mustAlloc(t, a, sx), mustAlloc(t, a, sy)
+		step("stitching a view")
+		return v
+	}
+	v := stitch(&bufA, &bufB)
+	w := stitch(&bufC, &bufD)
+	if v.va >= w.va || v.members[v.hint] != pb || pb.watchers != v || v.class.has(v.slot) {
+		t.Fatalf("set-up: want V below W and watching B with its bit clear")
+	}
+	a.Free(bufC)
+	a.Free(bufD)
+	step("freeing C and D")
+
+	a.Free(bufB)
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !v.class.has(v.slot) || pb.watchers != nil || v.watchNext != nil || pa.watchers != nil {
+		t.Fatalf("freeing B: V's bit is %v, B watched %v, A watched %v; want V under its bit and on no list",
+			v.class.has(v.slot), pb.watchers != nil, pa.watchers != nil)
+	}
+	if got := a.sblocks.findExact(sa + sb); got != w {
+		t.Fatalf("findExact(%d) = %v, want W %v", sa+sb, got, w)
+	}
+	if v.class.has(v.slot) || v.members[v.hint] != pa || pa.watchers != v {
+		t.Fatalf("findExact left V's bit %v, watching A %v; want it parked on A", v.class.has(v.slot), v.members[v.hint] == pa)
+	}
+	step("freeing B")
+
+	got := mustAlloc(t, a, sa+sb)
+	if got.Ptr != w.va {
+		t.Fatalf("Alloc(%d) at %#x, want W at %#x", sa+sb, got.Ptr, w.va)
+	}
+	step("allocating W")
+	a.Free(got)
+	a.Free(bufA)
+	step("freeing W and A")
+	if !v.class.has(v.slot) || pa.watchers != nil {
+		t.Fatal("freeing A left V off its bit")
+	}
+}
+
 // quickInvariants drives arbitrary alloc/free sequences over a fresh
 // allocator each and checks the §4.2.1 structural invariants throughout,
 // device-accounting agreement, and a leak-free teardown. It returns the
