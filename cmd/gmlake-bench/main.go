@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"time"
@@ -49,9 +50,10 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	// A device of no bytes panics deep inside a cell, and a step budget of
-	// none renders empty sweeps: both are usage errors, caught before any
-	// output.
+	// A device of no bytes, or of more bytes than an int64 holds, panics
+	// deep inside a cell; a step budget of none renders empty sweeps, and a
+	// maximum below the minimum silently lowers the minimum. All are usage
+	// errors, caught before any output.
 	for _, f := range []struct {
 		name string
 		v    int64
@@ -59,6 +61,12 @@ func main() {
 		if f.v < 1 {
 			usage(fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v))
 		}
+	}
+	if *capacity > math.MaxInt64/sim.GiB {
+		usage(fmt.Errorf("-capacity-gb %d does not fit in bytes", *capacity))
+	}
+	if *maxSteps < *minSteps {
+		usage(fmt.Errorf("-max-steps %d is below -min-steps %d", *maxSteps, *minSteps))
 	}
 	// Ids match exactly, as RunExperiment matches them: an id that passes
 	// here must not render nothing there.

@@ -62,6 +62,8 @@ func TestUsageErrors(t *testing.T) {
 		{`-capacity-gb -4 -experiment table1`, `gmlake-bench: -capacity-gb must be at least 1, got -4`},
 		{`-min-steps -3`, `gmlake-bench: -min-steps must be at least 1, got -3`},
 		{`-max-steps 0 -list`, `gmlake-bench: -max-steps must be at least 1, got 0`},
+		{`-capacity-gb 8589934592`, `gmlake-bench: -capacity-gb 8589934592 does not fit in bytes`},
+		{`-experiment figure3 -min-steps 50 -max-steps 3`, `gmlake-bench: -max-steps 3 is below -min-steps 50`},
 		{`-parallel -1`, `gmlake-bench: conf: parallel must be a non-negative integer, got "-1"`},
 		{`-bogus`, `flag provided but not defined: -bogus`},
 	} {

@@ -164,6 +164,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Replica i's device is its capacity weight times -capacity-gb, in whole
+	// bytes. One that truncates to none or does not fit an int64 (which
+	// holds less than 2^63) is a usage error here, not a panic in the device
+	// constructor mid-run.
+	deviceFits := func(what string, bytes float64) {
+		if !(bytes >= 1 && bytes < 1<<63) {
+			fatal(fmt.Errorf("%s gives a device of %.4g bytes, want 1 to %d", what, bytes, int64(math.MaxInt64)))
+		}
+	}
+	deviceFits(fmt.Sprintf("-capacity-gb %v", *capacity), *capacity*float64(sim.GiB))
+	capBytes := int64(*capacity * float64(sim.GiB))
+	for i, o := range cfg.Cluster.Overrides {
+		deviceFits(fmt.Sprintf("replica %d's capacity weight %v", i, o.Capacity), o.Capacity*float64(capBytes))
+	}
 
 	stopProfile, err := prof.Start()
 	if err != nil {
@@ -236,7 +250,6 @@ func main() {
 	}
 
 	modelCfg := model.OPT1_3B
-	capBytes := int64(*capacity * float64(sim.GiB))
 
 	// The cluster configuration is the one the keys wrote, completed with
 	// what no key names: the batch limit and the fault seed — one seed pins

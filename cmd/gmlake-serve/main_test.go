@@ -220,6 +220,10 @@ func TestUsageErrors(t *testing.T) {
 		{`-capacity-gb -1.5`, `-capacity-gb must be a positive finite number, got -1.5`},
 		{`-capacity-gb NaN`, `-capacity-gb must be a positive finite number, got NaN`},
 		{`-capacity-gb +Inf`, `-capacity-gb must be a positive finite number, got +Inf`},
+		{`-capacity-gb 1e10`, `-capacity-gb 1e+10 gives a device of 1.074e+19 bytes, want 1 to 9223372036854775807`},
+		{`-capacity-gb 1e-12`, `-capacity-gb 1e-12 gives a device of 0.001074 bytes, want 1 to 9223372036854775807`},
+		{`-replicas 2 -replica-caps 1e-12,1`, `replica 0's capacity weight 1e-12 gives a device of 0.001611 bytes`},
+		{`-replicas 2 -replica-caps 1e12,1`, `replica 0's capacity weight 1e+12 gives a device of 1.611e+21 bytes`},
 		{`-n 0`, `-n must be a positive integer, got 0`},
 		{`-n -3`, `-n must be a positive integer, got -3`},
 		{`-batch 0`, `-batch must be a positive integer, got 0`},

@@ -20,11 +20,6 @@ type Config struct {
 	// reusable through exact matches.
 	FragLimit int64
 
-	// SmallThreshold routes requests below it to an embedded caching
-	// allocator (paper §3.1: "for memory allocation less than 2 MB, we use
-	// the original PyTorch splitting method").
-	SmallThreshold int64
-
 	// MaxSBlocks caps the stitched pool. When exceeded, StitchFree evicts
 	// least-recently-used unassigned sBlocks (paper §4.2.3's fallback).
 	MaxSBlocks int
@@ -40,13 +35,17 @@ type Config struct {
 	RebindOnSplit bool
 }
 
+// SmallThreshold is one chunk: requests below it go to an embedded caching
+// allocator (paper §3.1: "for memory allocation less than 2 MB, we use the
+// original PyTorch splitting method").
+const SmallThreshold = ChunkSize
+
 // DefaultConfig returns the paper's recommended configuration.
 func DefaultConfig() Config {
 	return Config{
-		FragLimit:      128 * sim.MiB,
-		SmallThreshold: 2 * sim.MiB,
-		MaxSBlocks:     32768,
-		RebindOnSplit:  true,
+		FragLimit:     128 * sim.MiB,
+		MaxSBlocks:    32768,
+		RebindOnSplit: true,
 	}
 }
 
@@ -74,9 +73,6 @@ type Allocator struct {
 
 // New returns a GMLake allocator over driver with cfg.
 func New(driver *cuda.Driver, cfg Config) *Allocator {
-	if cfg.SmallThreshold < ChunkSize {
-		cfg.SmallThreshold = ChunkSize
-	}
 	return &Allocator{
 		driver:  driver,
 		cfg:     cfg,
@@ -115,7 +111,7 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: Alloc(%d)", size)
 	}
-	if size < a.cfg.SmallThreshold {
+	if size < SmallThreshold {
 		buf, err := a.small.Alloc(size)
 		if err != nil {
 			// The stitched pool may be caching the whole device: release

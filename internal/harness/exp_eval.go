@@ -71,7 +71,7 @@ func (e *Env) Figure10() []*Table {
 	var specs []workload.Spec
 	for _, mc := range figure10Models {
 		for _, s := range figureStrategies {
-			specs = append(specs, workload.Spec{Model: mc.model, Strategy: s.strategy, World: mc.world, Batch: mc.batch})
+			specs = append(specs, workload.Spec{Model: mc.model, Strategy: s, World: mc.world, Batch: mc.batch})
 		}
 	}
 	pairs := e.compareCells(specs)
@@ -85,7 +85,7 @@ func (e *Env) Figure10() []*Table {
 			Header: append(append([]string{"Strategy"}, memHeader...), "Saved(GB)"),
 		}
 		for j, s := range figureStrategies {
-			t.AddRow(pairs[i*len(figureStrategies)+j].savedRow(s.label)...)
+			t.AddRow(pairs[i*len(figureStrategies)+j].savedRow(s.Label())...)
 		}
 		t.AddNote("paper: GMLake lifts utilization by ~5-24%% and cuts reserved memory by ~10GB (up to 17GB)")
 		tables = append(tables, t)

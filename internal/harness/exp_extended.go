@@ -8,13 +8,10 @@ import (
 	"repro/internal/workload"
 )
 
-// coreConfig aliases the GMLake configuration for the ablation table.
-type coreConfig = core.Config
-
 // coreConfigVariant is one ablation point: a name plus a config mutation.
 type coreConfigVariant struct {
 	name   string
-	mutate func(*coreConfig)
+	mutate func(*core.Config)
 }
 
 // gmlakeRunResult extends RunResult with GMLake-internal counters.
@@ -96,10 +93,10 @@ func (e *Env) Ablations() *Table {
 	base := coreConfigVariant{name: "default"}
 	variants := []coreConfigVariant{
 		base,
-		{name: "destroy-on-split", mutate: func(c *coreConfig) { c.RebindOnSplit = false }},
-		{name: "frag-limit-2MB", mutate: func(c *coreConfig) { c.FragLimit = 2 << 20 }},
-		{name: "frag-limit-512MB", mutate: func(c *coreConfig) { c.FragLimit = 512 << 20 }},
-		{name: "spool-cap-64", mutate: func(c *coreConfig) { c.MaxSBlocks = 64 }},
+		{name: "destroy-on-split", mutate: func(c *core.Config) { c.RebindOnSplit = false }},
+		{name: "frag-limit-2MB", mutate: func(c *core.Config) { c.FragLimit = 2 << 20 }},
+		{name: "frag-limit-512MB", mutate: func(c *core.Config) { c.FragLimit = 512 << 20 }},
+		{name: "spool-cap-64", mutate: func(c *core.Config) { c.MaxSBlocks = 64 }},
 	}
 	for i, res := range runCells(e, variants, e.runGMLakeVariant) {
 		t.AddRow(variants[i].name, gbOrOOM(res.RunResult), pctOrOOM(res.RunResult),

@@ -21,76 +21,69 @@ func (e *Env) Table1() *Table {
 	}
 	const block = 2 * sim.GiB
 	chunks := []int64{2 * sim.MiB, 128 * sim.MiB, 1024 * sim.MiB}
-	breakdowns := runCells(e, chunks, func(chunk int64) vmmBreakdown {
-		return e.vmmBreakdown(block, chunk)
-	})
-	for i, b := range breakdowns {
+	for i, v := range runCells(e, chunks, func(chunk int64) vmmTimes {
+		return e.timeVMM(block, chunk)
+	}) {
+		norm := func(d time.Duration) float64 { return float64(d) / float64(v.malloc) }
+		reserve, create, mapped, access := norm(v.reserve), norm(v.create), norm(v.mapped), norm(v.access)
 		t.AddRow(sim.FormatBytes(chunks[i]),
-			fmt.Sprintf("%.3f", b.reserve), fmt.Sprintf("%.2f", b.create),
-			fmt.Sprintf("%.2f", b.mapped), fmt.Sprintf("%.2f", b.access),
-			fmt.Sprintf("%.1f", b.total()))
+			fmt.Sprintf("%.3f", reserve), fmt.Sprintf("%.2f", create),
+			fmt.Sprintf("%.2f", mapped), fmt.Sprintf("%.2f", access),
+			fmt.Sprintf("%.1f", reserve+create+mapped+access))
 	}
 	t.AddNote("paper totals: 115.4 (2MB), 9.1 (128MB), 1.5 (1024MB)")
 	return t
 }
 
-type vmmBreakdown struct{ reserve, create, mapped, access float64 }
+// vmmTimes is the virtual time of allocating one block on a fresh native
+// rig: through one cudaMalloc, and through each VMM phase in chunk-sized
+// pieces.
+type vmmTimes struct{ malloc, reserve, create, mapped, access time.Duration }
 
-func (b vmmBreakdown) total() float64 { return b.reserve + b.create + b.mapped + b.access }
+// vmm is the whole VMM allocation. The driver charges every call on its
+// own, whatever came before, so the phases add up to the time of the
+// interleaved create → map sequence an allocator issues.
+func (v vmmTimes) vmm() time.Duration { return v.reserve + v.create + v.mapped + v.access }
 
-// vmmBreakdown measures each VMM phase for allocating block bytes in chunks,
-// normalized to cudaMalloc(block).
-func (e *Env) vmmBreakdown(block, chunk int64) vmmBreakdown {
+// timeVMM allocates block bytes through cudaMalloc, frees them, then
+// allocates them again through the VMM API in chunk-sized pieces, timing
+// each phase.
+func (e *Env) timeVMM(block, chunk int64) vmmTimes {
 	r := e.newRig(AllocNative)
 	d := r.driver
-
-	sw := sim.StartStopwatch(r.clock)
-	ptr, err := d.Malloc(block)
-	if err != nil {
-		panic("harness: table1 malloc: " + err.Error())
+	var v vmmTimes
+	timed := func(into *time.Duration, f func() error) {
+		sw := sim.StartStopwatch(r.clock)
+		if err := f(); err != nil {
+			panic("harness: vmm timing: " + err.Error())
+		}
+		*into = sw.Elapsed()
 	}
-	base := float64(sw.Elapsed())
+	var ptr, va cuda.DevicePtr
+	timed(&v.malloc, func() (err error) { ptr, err = d.Malloc(block); return err })
 	if err := d.Free(ptr); err != nil {
 		panic(err.Error())
 	}
-
-	phase := func(f func()) float64 {
-		sw := sim.StartStopwatch(r.clock)
-		f()
-		return float64(sw.Elapsed()) / base
-	}
-
-	var va cuda.DevicePtr
-	reserve := phase(func() {
-		va, err = d.MemAddressReserve(block)
-		if err != nil {
-			panic(err.Error())
-		}
-	})
-	n := block / chunk
-	handles := make([]cuda.MemHandle, n)
-	create := phase(func() {
+	timed(&v.reserve, func() (err error) { va, err = d.MemAddressReserve(block); return err })
+	handles := make([]cuda.MemHandle, block/chunk)
+	timed(&v.create, func() (err error) {
 		for i := range handles {
-			h, err := d.MemCreate(chunk)
-			if err != nil {
-				panic(err.Error())
+			if handles[i], err = d.MemCreate(chunk); err != nil {
+				return err
 			}
-			handles[i] = h
 		}
+		return nil
 	})
-	mapped := phase(func() {
+	timed(&v.mapped, func() error {
 		for i, h := range handles {
 			if err := d.MemMap(va+cuda.DevicePtr(int64(i)*chunk), h); err != nil {
-				panic(err.Error())
+				return err
 			}
 		}
+		return nil
 	})
-	access := phase(func() {
-		if err := d.MemSetAccess(va, block); err != nil {
-			panic(err.Error())
-		}
-	})
-	return vmmBreakdown{reserve: reserve, create: create, mapped: mapped, access: access}
+	timed(&v.access, func() error { return d.MemSetAccess(va, block) })
+	return v
 }
 
 // Figure6 reproduces the allocation-latency sweep: native allocator vs the
@@ -103,17 +96,12 @@ func (e *Env) Figure6() *Table {
 		Header: []string{"ChunkSize", "512MB block", "1GB block", "2GB block"},
 	}
 	blocks := []int64{512 * sim.MiB, 1 * sim.GiB, 2 * sim.GiB}
+	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()*1e3) }
 
+	// The cudaMalloc time does not depend on the chunk size.
 	native := []string{"Native"}
 	for _, blk := range blocks {
-		r := e.newRig(AllocNative)
-		sw := sim.StartStopwatch(r.clock)
-		ptr, err := r.driver.Malloc(blk)
-		if err != nil {
-			panic(err.Error())
-		}
-		native = append(native, fmt.Sprintf("%.2f", sw.Elapsed().Seconds()*1e3))
-		_ = r.driver.Free(ptr)
+		native = append(native, ms(e.timeVMM(blk, blk).malloc))
 	}
 	t.AddRow(native...)
 
@@ -129,7 +117,7 @@ func (e *Env) Figure6() *Table {
 				row = append(row, "-")
 				continue
 			}
-			row = append(row, fmt.Sprintf("%.2f", e.vmmAllocLatency(blk, chunk).Seconds()*1e3))
+			row = append(row, ms(e.timeVMM(blk, chunk).vmm()))
 		}
 		return row
 	}) {
@@ -137,29 +125,6 @@ func (e *Env) Figure6() *Table {
 	}
 	t.AddNote("paper: 2MB-chunked VMM is ~115x slower than native; latency falls monotonically with chunk size")
 	return t
-}
-
-func (e *Env) vmmAllocLatency(block, chunk int64) time.Duration {
-	r := e.newRig(AllocNative)
-	d := r.driver
-	sw := sim.StartStopwatch(r.clock)
-	va, err := d.MemAddressReserve(block)
-	if err != nil {
-		panic(err.Error())
-	}
-	for off := int64(0); off < block; off += chunk {
-		h, err := d.MemCreate(chunk)
-		if err != nil {
-			panic(err.Error())
-		}
-		if err := d.MemMap(va+cuda.DevicePtr(off), h); err != nil {
-			panic(err.Error())
-		}
-	}
-	if err := d.MemSetAccess(va, block); err != nil {
-		panic(err.Error())
-	}
-	return sw.Elapsed()
 }
 
 // NativeSlowdownEndToEnd reproduces §2.2's experiment: train OPT-1.3B with

@@ -13,61 +13,52 @@ import (
 // allocator when fine-tuning OPT-1.3B on 4 GPUs under five strategy
 // combinations (P, PR, PLR, PRO, PLRO).
 func (e *Env) Figure3() *Table {
-	t := &Table{
-		ID:     "figure3",
-		Title:  "Memory utilization by strategy combination (OPT-1.3B, 4 GPUs, caching allocator)",
-		Header: []string{"Strategy", "Utilization", "PeakActive(GB)", "PeakReserved(GB)"},
+	var labels []string
+	var specs []workload.Spec
+	for _, s := range figureStrategies {
+		label := "P"
+		if s != workload.StrategyN {
+			label += s.Label()
+		}
+		labels = append(labels, label)
+		specs = append(specs, workload.Spec{Model: model.OPT1_3B, Strategy: s, World: 4, Batch: 48})
 	}
-	results := runCells(e, figureStrategies, func(s figureStrategy) RunResult {
-		spec := workload.Spec{Model: model.OPT1_3B, Strategy: s.strategy, World: 4, Batch: 48}
-		return e.RunWorkload(spec, AllocCaching, RunOptions{})
-	})
-	for i, res := range results {
-		s := figureStrategies[i]
-		t.AddRow("P"+sIf(s.label != "N", s.label, ""), pct(res.Utilization()), gb(res.PeakActive), gb(res.PeakReserved))
-	}
+	t := e.utilizationTable("figure3", "Memory utilization by strategy combination (OPT-1.3B, 4 GPUs, caching allocator)",
+		"Strategy", labels, specs)
 	t.AddNote("paper: P 97%%, PR 80%%, PLR 76%%, PRO 70%%, PLRO 73%% — utilization falls as strategies compound")
 	return t
 }
 
-// figureStrategy labels one strategy combination of Figures 3 and 10.
-type figureStrategy struct {
-	label    string
-	strategy workload.Strategy
-}
-
-var figureStrategies = []figureStrategy{
-	{"N", workload.StrategyN},
-	{"R", workload.StrategyR},
-	{"LR", workload.StrategyLR},
-	{"RO", workload.StrategyRO},
-	{"LRO", workload.StrategyLRO},
-}
-
-func sIf(cond bool, a, b string) string {
-	if cond {
-		return a
-	}
-	return b
+// figureStrategies are the strategy combinations of Figures 3 and 10.
+var figureStrategies = []workload.Strategy{
+	workload.StrategyN, workload.StrategyR, workload.StrategyLR, workload.StrategyRO, workload.StrategyLRO,
 }
 
 // Figure4 reproduces the GPU scale-out motivation: caching-allocator
 // utilization for OPT-13B as the world grows 1 → 16.
 func (e *Env) Figure4() *Table {
-	t := &Table{
-		ID:     "figure4",
-		Title:  "Memory utilization vs GPU count (OPT-13B, LR, caching allocator)",
-		Header: []string{"GPUs", "Utilization", "PeakActive(GB)", "PeakReserved(GB)"},
+	var labels []string
+	var specs []workload.Spec
+	for _, w := range []int{1, 2, 4, 8, 16} {
+		labels = append(labels, fmt.Sprint(w))
+		specs = append(specs, workload.Spec{Model: model.OPT13B, Strategy: workload.StrategyLR, World: w, Batch: 24})
 	}
-	worlds := []int{1, 2, 4, 8, 16}
-	results := runCells(e, worlds, func(w int) RunResult {
-		spec := workload.Spec{Model: model.OPT13B, Strategy: workload.StrategyLR, World: w, Batch: 24}
-		return e.RunWorkload(spec, AllocCaching, RunOptions{})
-	})
-	for i, res := range results {
-		t.AddRow(fmt.Sprintf("%d", worlds[i]), pct(res.Utilization()), gb(res.PeakActive), gb(res.PeakReserved))
-	}
+	t := e.utilizationTable("figure4", "Memory utilization vs GPU count (OPT-13B, LR, caching allocator)",
+		"GPUs", labels, specs)
 	t.AddNote("paper: utilization declines from ~91%% at 1 GPU to ~76%% at 16 GPUs")
+	return t
+}
+
+// utilizationTable runs every spec on the caching allocator as parallel
+// cells and renders the table of Figures 3 and 4: one row per spec, its
+// label, utilization, peak active and peak reserved memory.
+func (e *Env) utilizationTable(id, title, axis string, labels []string, specs []workload.Spec) *Table {
+	t := &Table{ID: id, Title: title, Header: []string{axis, "Utilization", "PeakActive(GB)", "PeakReserved(GB)"}}
+	for i, res := range runCells(e, specs, func(spec workload.Spec) RunResult {
+		return e.RunWorkload(spec, AllocCaching, RunOptions{})
+	}) {
+		t.AddRow(labels[i], pct(res.Utilization()), gb(res.PeakActive), gb(res.PeakReserved))
+	}
 	return t
 }
 
@@ -84,46 +75,24 @@ func (e *Env) Figure5() *Table {
 	type config struct {
 		label    string
 		strategy workload.Strategy
-		batch    int
 	}
-	cfgs := []config{
-		{"Original", workload.StrategyN, 4},
-		{"+LR", workload.StrategyLR, 4},
-	}
+	cfgs := []config{{"Original", workload.StrategyN}, {"+LR", workload.StrategyLR}}
+	// Each cell is a run plus a short traced re-run for the mean request
+	// size.
 	for _, row := range runCells(e, cfgs, func(c config) []string {
-		return e.figure5Row(c.label, c.strategy, c.batch)
+		spec := workload.Spec{Model: model.GPTNeoX20B, Strategy: c.strategy, World: 8, Batch: 4}
+		res := e.RunWorkload(spec, AllocCaching, RunOptions{})
+		mean := e.TraceRun(spec, 8).Stats().MeanBytes
+		return []string{c.label,
+			fmt.Sprintf("%d", res.AllocCount),
+			fmt.Sprintf("%.0f", float64(mean)/float64(sim.MiB)),
+			fmt.Sprintf("%d", res.AllocCount/int64(max(res.Steps, 1))),
+			pct(res.Utilization())}
 	}) {
 		t.AddRow(row...)
 	}
 	t.AddNote("paper: plain run ~46k allocations averaging ~93MB; +LR run ~76k averaging ~85MB (more, smaller, more irregular)")
 	return t
-}
-
-// figure5Row measures one Figure 5 configuration (a run plus a traced
-// re-run for the mean request size) and renders its row.
-func (e *Env) figure5Row(label string, strategy workload.Strategy, batch int) []string {
-	spec := workload.Spec{Model: model.GPTNeoX20B, Strategy: strategy, World: 8, Batch: batch}
-	res := e.RunWorkload(spec, AllocCaching, RunOptions{})
-	steps := res.Steps
-	if steps == 0 {
-		steps = 1
-	}
-	return []string{label,
-		fmt.Sprintf("%d", res.AllocCount),
-		fmt.Sprintf("%.0f", e.meanAllocMB(spec)),
-		fmt.Sprintf("%d", res.AllocCount/int64(steps)),
-		pct(res.Utilization())}
-}
-
-// meanAllocMB computes the mean requested allocation size over a short
-// traced run of spec.
-func (e *Env) meanAllocMB(spec workload.Spec) float64 {
-	tr := e.TraceRun(spec, 8)
-	st := tr.Stats()
-	if st.Allocs == 0 {
-		return 0
-	}
-	return float64(st.MeanBytes) / float64(sim.MiB)
 }
 
 // Figure5Timelines returns the memory-footprint timelines behind Figure 5's

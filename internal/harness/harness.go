@@ -9,8 +9,13 @@
 // result to its rows; runCells (runner.go) executes the cells on a bounded
 // worker pool and joins the results in cell order, so a table is
 // byte-identical at any Env.Parallelism. The training experiments cross
-// models × strategies × allocators over RunWorkload (compareCells and the
-// shared memory/throughput panels in exp_eval.go); the serving experiments
+// models × strategies × allocators over RunWorkload, and figures that
+// measure the same thing share the code that measures it: timeVMM times
+// both Table 1's phases and Figure 6's latencies (exp_micro.go),
+// utilizationTable renders Figures 3 and 4 (exp_motivation.go),
+// compareCells pairs the caching baseline with GMLake for Figures 10–13
+// and the headline, and scalingPanels renders the memory/throughput panel
+// pairs of Figures 11 and 13 (exp_eval.go). The serving experiments
 // cross mixes × fleet variants over ServeCluster through the one sweep in
 // exp_serve.go: e.grid builds the cells with one shared stream per mix,
 // e.sweepTable runs them and prefixes each row with its cell's key. What a
@@ -207,7 +212,7 @@ func (e *Env) runOnRig(r rig, spec workload.Spec, allocName string, opts RunOpti
 
 	// Warm up adaptively: run at least minSteps, then continue until the
 	// allocator converges or maxSteps.
-	conv := newConvergenceProbe(r.alloc)
+	conv := convergenceProbe{alloc: r.alloc}
 	if !oom {
 		for i := 0; i < maxSteps; i++ {
 			if err := tr.Step(); err != nil {
@@ -279,48 +284,31 @@ func (e *Env) TraceRun(spec workload.Spec, steps int) *trace.Trace {
 
 // convergenceProbe detects allocator steady state between training steps.
 type convergenceProbe struct {
-	gml *core.Allocator
-	// lastNonExact is the S2+S3+S4 total at the previous check (GMLake);
-	// lastReserved the reserved bytes (caching/native).
-	lastNonExact int64
-	alloc        memalloc.Allocator
-	lastReserved int64
-	stable       int
-}
-
-func newConvergenceProbe(alloc memalloc.Allocator) *convergenceProbe {
-	p := &convergenceProbe{alloc: alloc}
-	if g, ok := alloc.(*core.Allocator); ok {
-		p.gml = g
-	}
-	return p
+	alloc  memalloc.Allocator
+	last   int64 // the signal at the previous check
+	stable int
 }
 
 // converged reports steady state once the probe's signal has been stable for
 // six consecutive steps: for GMLake no allocation left the S1 exact-match
-// path (the paper's §5.4 convergence), for the baseline no reserved-memory
-// growth. Six steps cover every recurring shape bucket a few times, so a
-// lucky streak of repeated buckets cannot fake convergence.
+// path (the paper's §5.4 convergence: the S2+S3+S4 total), for the
+// baseline no reserved-memory growth. Six steps cover every recurring shape
+// bucket a few times, so a lucky streak of repeated buckets cannot fake
+// convergence.
 func (p *convergenceProbe) converged() bool {
 	var signal int64
-	if p.gml != nil {
-		_, s2, s3, s4 := p.gml.StrategyCounts()
+	if g, ok := p.alloc.(*core.Allocator); ok {
+		_, s2, s3, s4 := g.StrategyCounts()
 		signal = s2 + s3 + s4
-		if signal == p.lastNonExact {
-			p.stable++
-		} else {
-			p.stable = 0
-		}
-		p.lastNonExact = signal
 	} else {
 		signal = p.alloc.Stats().PeakReserved
-		if signal == p.lastReserved {
-			p.stable++
-		} else {
-			p.stable = 0
-		}
-		p.lastReserved = signal
 	}
+	if signal == p.last {
+		p.stable++
+	} else {
+		p.stable = 0
+	}
+	p.last = signal
 	return p.stable >= 6
 }
 

@@ -60,9 +60,9 @@ const (
 	DistDeterministic DistKind = "deterministic"
 	DistUniform       DistKind = "uniform"
 	DistLognormal     DistKind = "lognormal"
-	// DistEmpirical draws from the CDF of observed token lengths — the
-	// extension point internal/reqtrace uses to replay a captured trace's
-	// length distribution without assuming a parametric family.
+	// DistEmpirical draws from the CDF of observed token lengths, without
+	// assuming a parametric family. Nothing outside tests builds one:
+	// reqtrace.Fit emits only the parametric families.
 	DistEmpirical DistKind = "empirical"
 )
 
@@ -270,9 +270,9 @@ const (
 	// the batch-job pattern of periodic submission waves.
 	ArrivalOnOff ArrivalKind = "onoff"
 	// ArrivalTrace replays a recorded arrival-offset sequence, rescaled to
-	// the class's target rate and looped past its end — the extension point
-	// internal/reqtrace uses to drive a mix with captured traffic instead
-	// of a stochastic model. No randomness is consumed.
+	// the class's target rate and looped past its end. No randomness is
+	// consumed. reqtrace.Fit never emits it; TraceArrivals builds the
+	// tie-forcing mixes of TestGenerateMatchesReference.
 	ArrivalTrace ArrivalKind = "trace"
 )
 
