@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -48,6 +49,9 @@ func main() {
 		if f.v < 1 {
 			fail(2, fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v))
 		}
+	}
+	if *capacity > math.MaxInt64/sim.GiB {
+		fail(2, fmt.Errorf("-capacity-gb %d does not fit in bytes", *capacity))
 	}
 	if !(*headroom >= 0 && *headroom < 1) {
 		fail(2, fmt.Errorf("-headroom must be in [0, 1), got %v", *headroom))

@@ -61,6 +61,7 @@ func TestUsageErrors(t *testing.T) {
 		{`-max-world 0`, `gmlake-plan: -max-world must be at least 1, got 0`},
 		{`-capacity-gb -5`, `gmlake-plan: -capacity-gb must be at least 1, got -5`},
 		{`-capacity-gb 0 -models`, `gmlake-plan: -capacity-gb must be at least 1, got 0`},
+		{`-capacity-gb 9000000000`, `gmlake-plan: -capacity-gb 9000000000 does not fit in bytes`},
 		{`-headroom 2`, `gmlake-plan: -headroom must be in [0, 1), got 2`},
 		{`-headroom 1`, `gmlake-plan: -headroom must be in [0, 1), got 1`},
 		{`-headroom -1`, `gmlake-plan: -headroom must be in [0, 1), got -1`},

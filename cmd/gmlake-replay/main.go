@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -25,8 +26,8 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/model"
+	"repro/internal/optrace"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -51,6 +52,9 @@ func main() {
 	log.SetPrefix("gmlake-replay: ")
 	if *capacity <= 0 {
 		log.Fatalf("-capacity-gb must be positive, got %d", *capacity)
+	}
+	if *capacity > math.MaxInt64/sim.GiB {
+		log.Fatalf("-capacity-gb %d does not fit in bytes", *capacity)
 	}
 	names := []string{*alloc}
 	if *alloc == "all" {
@@ -84,7 +88,7 @@ func doRecord(modelStr, strategy string, world, batch, steps int, capacityGB int
 	}
 	clock := sim.NewClock()
 	dev := gpu.NewDevice("rec", capacityGB*sim.GiB)
-	rec := trace.NewRecorder(caching.New(cuda.NewDriver(dev, clock, sim.DefaultCostModel())), clock)
+	rec := optrace.NewRecorder(caching.New(cuda.NewDriver(dev, clock, sim.DefaultCostModel())), clock)
 	tr, err := workload.NewTrainer(workload.Spec{
 		Model: m, Strategy: strat, World: world, Batch: batch, Seed: seed,
 	}, rec, clock)
@@ -121,7 +125,7 @@ func doReplay(inPath string, names []string, capacityGB int64) error {
 		return err
 	}
 	defer f.Close()
-	tr, err := trace.ReadJSON(f)
+	tr, err := optrace.ReadJSON(f)
 	if err != nil {
 		return err
 	}
@@ -135,7 +139,7 @@ func doReplay(inPath string, names []string, capacityGB int64) error {
 		if err != nil {
 			return err
 		}
-		if err := trace.Replay(tr, a); err != nil {
+		if err := optrace.Replay(tr, a); err != nil {
 			fmt.Printf("%-12s OOM: %v\n", name, err)
 			continue
 		}

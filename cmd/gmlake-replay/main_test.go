@@ -106,6 +106,7 @@ func TestUsageErrors(t *testing.T) {
 		{`-in t.json -capacity-gb 0`, `-capacity-gb must be positive, got 0`},
 		{`-in t.json -capacity-gb -4`, `-capacity-gb must be positive, got -4`},
 		{`-record -capacity-gb 0`, `-capacity-gb must be positive, got 0`},
+		{`-record -out x.json -capacity-gb 9000000000 -steps 0`, `-capacity-gb 9000000000 does not fit in bytes`},
 		{`-in t.json -alloc bogus`, `unknown allocator "bogus" (caching, gmlake, expandable, compact, native or all)`},
 		{`-in t.json -alloc caching-tuned`, `unknown allocator "caching-tuned"`},
 		{`-in missing.json`, `open missing.json`},

@@ -415,8 +415,6 @@ func main() {
 	fmt.Println("  trace_in:prod.jsonl             replay it            (-trace-in)")
 	fmt.Println("  trace_in:prod.jsonl,trace_scale:2   replay at 2x rate (-trace-scale)")
 	fmt.Println("  trace_in:prod.jsonl,fit:true    serve the fitted mix (-fit)")
-	fmt.Println("and internal/servegen's Empirical and TraceArrivals feed captured samples straight")
-	fmt.Println("into a Mix when no parametric family fits.")
 	fmt.Println()
 
 	// Streaming percentiles: every latency table above was exact — each

@@ -76,8 +76,8 @@ func New(driver *cuda.Driver, cfg Config) *Allocator {
 	return &Allocator{
 		driver:  driver,
 		cfg:     cfg,
-		pblocks: newPPool(),
-		sblocks: newSPool(),
+		pblocks: &pPool{},
+		sblocks: &sPool{classes: make(map[int64]*sClass)},
 		small:   caching.New(driver),
 	}
 }
@@ -403,7 +403,7 @@ func (a *Allocator) stitchFreeIfNeeded() {
 	if a.cfg.MaxSBlocks <= 0 {
 		return
 	}
-	for len(a.sblocks.all) > a.cfg.MaxSBlocks {
+	for a.sblocks.count > a.cfg.MaxSBlocks {
 		victim := a.oldestUnassigned()
 		if victim == nil {
 			return // everything is assigned; nothing to evict
@@ -457,22 +457,17 @@ func (a *Allocator) dropOwners(p *PBlock) {
 // to the caching allocator's cache flush.
 func (a *Allocator) gcInactive(keep []*PBlock) {
 	a.gcRuns++
-	keepSet := make(map[*PBlock]struct{}, len(keep))
-	for _, p := range keep {
-		keepSet[p] = struct{}{}
-	}
 	var victims []*PBlock
-	for p := range a.pblocks.all {
-		if _, kept := keepSet[p]; kept {
-			continue
-		}
-		if !p.Active() {
-			victims = append(victims, p)
+	for _, c := range a.pblocks.classes {
+		for _, p := range c.slots {
+			if !p.Active() && !slices.Contains(keep, p) {
+				victims = append(victims, p)
+			}
 		}
 	}
-	// a.pblocks.all is a map: destroy in VA order so the driver sees the
-	// same release sequence (clock charges, VA free-range coalescing)
-	// every run, not one chosen by map iteration.
+	// Destroy in VA order, not the classes' (size, VA) order: the driver's
+	// clock charges and VA free-range coalescing follow the release
+	// sequence, and the goldens and digests pin this one.
 	slices.SortFunc(victims, func(x, y *PBlock) int { return cmp.Compare(x.va, y.va) })
 	for _, p := range victims {
 		a.dropOwners(p)
@@ -488,10 +483,10 @@ func (a *Allocator) gcInactive(keep []*PBlock) {
 func (a *Allocator) EmptyCache() { a.gcInactive(nil) }
 
 // PBlockCount reports live pBlocks (diagnostics).
-func (a *Allocator) PBlockCount() int { return len(a.pblocks.all) }
+func (a *Allocator) PBlockCount() int { return a.pblocks.count }
 
 // SBlockCount reports live sBlocks (diagnostics).
-func (a *Allocator) SBlockCount() int { return len(a.sblocks.all) }
+func (a *Allocator) SBlockCount() int { return a.sblocks.count }
 
 // FreeBlockSizes returns the size of every inactive pBlock, ascending;
 // fragstat consumes it for fragmentation indices. The notion is softer for
@@ -516,7 +511,7 @@ func (a *Allocator) GCRuns() int64 { return a.gcRuns }
 // contract the indexes rest on; tests call it after (and during) workloads:
 //
 //   - pPool bytes equal the allocator's reserved accounting;
-//   - each pool's size classes hold exactly its live blocks, each in the
+//   - each pool's size classes hold as many blocks as its count, each in the
 //     class of its size, in strictly ascending VA order at the slot it
 //     records, with no bit set past the last slot; the pPool's classes are
 //     non-empty and in strictly ascending size order, the sPool's non-empty
@@ -528,9 +523,22 @@ func (a *Allocator) GCRuns() int64 { return a.gcRuns }
 //     pBlock has no watchers;
 //   - hence an unassigned sBlock with every member inactive has its bit set;
 //   - sBlock membership and owner back-pointers agree both ways, without
-//     duplicates (the "sPool is a subset of pPool" soft-link rule).
+//     duplicates, and name only blocks filed in their pools (the "sPool is
+//     a subset of pPool" soft-link rule). A block is filed when the pool's
+//     class for its size is its class and that class's slot it records
+//     holds it.
 func (a *Allocator) CheckInvariants() error {
+	inPPool := func(p *PBlock) bool {
+		i, found := a.pblocks.search(p.size)
+		return found && a.pblocks.classes[i] == p.class && p.slot >= 0 && int(p.slot) < len(p.class.slots) && p.class.slots[p.slot] == p
+	}
+	inSPool := func(s *SBlock) bool {
+		c := a.sblocks.classes[s.size]
+		return c != nil && c == s.class && s.slot >= 0 && int(s.slot) < len(c.slots) && c.slots[s.slot] == s
+	}
 	filed := 0
+	var bytes int64
+	watching := make(map[*SBlock]*PBlock)
 	for i, c := range a.pblocks.classes {
 		if i > 0 && a.pblocks.classes[i-1].size >= c.size || len(c.slots) == 0 {
 			return fmt.Errorf("core: pPool size class %d empty or out of order", c.size)
@@ -539,42 +547,38 @@ func (a *Allocator) CheckInvariants() error {
 			return err
 		}
 		for _, p := range c.slots {
-			if _, ok := a.pblocks.all[p]; !ok || p.size != c.size || p.class != c {
+			if p.size != c.size || p.class != c {
 				return fmt.Errorf("core: pPool size class %d holds a foreign pBlock", c.size)
 			}
+			filed++
+			bytes += p.size
+			if c.has(p.slot) == p.Active() {
+				return fmt.Errorf("core: pBlock's inactive bit is %v while active is %v", c.has(p.slot), p.Active())
+			}
+			for j, s := range p.owners {
+				if !inSPool(s) {
+					return fmt.Errorf("core: pBlock owner sBlock not in sPool")
+				}
+				if slices.Contains(p.owners[:j], s) {
+					return fmt.Errorf("core: sBlock twice among a pBlock's owners")
+				}
+				if !slices.Contains(s.members, p) {
+					return fmt.Errorf("core: pBlock owner sBlock does not list it as member")
+				}
+			}
+			if p.watchers != nil && !p.Active() {
+				return fmt.Errorf("core: inactive pBlock still has watchers")
+			}
+			for s := p.watchers; s != nil; s = s.watchNext {
+				if _, dup := watching[s]; dup {
+					return fmt.Errorf("core: sBlock on two watcher lists, or twice on one")
+				}
+				watching[s] = p
+			}
 		}
-		filed += len(c.slots)
 	}
-	if filed != len(a.pblocks.all) {
-		return fmt.Errorf("core: pPool size classes hold %d pBlocks, pool has %d", filed, len(a.pblocks.all))
-	}
-	var bytes int64
-	watching := make(map[*SBlock]*PBlock)
-	for p := range a.pblocks.all {
-		bytes += p.size
-		if p.class.has(p.slot) == p.Active() {
-			return fmt.Errorf("core: pBlock's inactive bit is %v while active is %v", p.class.has(p.slot), p.Active())
-		}
-		for i, s := range p.owners {
-			if _, ok := a.sblocks.all[s]; !ok {
-				return fmt.Errorf("core: pBlock owner sBlock not in sPool")
-			}
-			if slices.Contains(p.owners[:i], s) {
-				return fmt.Errorf("core: sBlock twice among a pBlock's owners")
-			}
-			if !slices.Contains(s.members, p) {
-				return fmt.Errorf("core: pBlock owner sBlock does not list it as member")
-			}
-		}
-		if p.watchers != nil && !p.Active() {
-			return fmt.Errorf("core: inactive pBlock still has watchers")
-		}
-		for s := p.watchers; s != nil; s = s.watchNext {
-			if _, dup := watching[s]; dup {
-				return fmt.Errorf("core: sBlock on two watcher lists, or twice on one")
-			}
-			watching[s] = p
-		}
+	if filed != a.pblocks.count {
+		return fmt.Errorf("core: pPool size classes hold %d pBlocks, count is %d", filed, a.pblocks.count)
 	}
 	if bytes != a.pblocks.bytes {
 		return fmt.Errorf("core: pPool bytes %d != tracked %d", bytes, a.pblocks.bytes)
@@ -591,35 +595,33 @@ func (a *Allocator) CheckInvariants() error {
 			return err
 		}
 		for _, s := range c.slots {
-			if _, ok := a.sblocks.all[s]; !ok || s.size != size || s.class != c {
+			if s.size != size || s.class != c {
 				return fmt.Errorf("core: sPool size class %d holds a foreign sBlock", size)
 			}
-		}
-		filed += len(c.slots)
-	}
-	if filed != len(a.sblocks.all) {
-		return fmt.Errorf("core: sPool size classes hold %d sBlocks, pool has %d", filed, len(a.sblocks.all))
-	}
-	for s := range a.sblocks.all {
-		for _, p := range s.members {
-			if _, ok := a.pblocks.all[p]; !ok {
-				return fmt.Errorf("core: sBlock member not in pPool")
+			filed++
+			for _, p := range s.members {
+				if !inPPool(p) {
+					return fmt.Errorf("core: sBlock member not in pPool")
+				}
+				if !slices.Contains(p.owners, s) {
+					return fmt.Errorf("core: sBlock missing from member's owners")
+				}
 			}
-			if !slices.Contains(p.owners, s) {
-				return fmt.Errorf("core: sBlock missing from member's owners")
+			watched, indexed := watching[s], c.has(s.slot)
+			delete(watching, s)
+			switch {
+			case s.assigned && (indexed || watched != nil):
+				return fmt.Errorf("core: assigned sBlock has its bit set or is on a watcher list")
+			case s.assigned:
+			case indexed == (watched != nil):
+				return fmt.Errorf("core: unassigned sBlock bit=%v watching=%v, want exactly one", indexed, watched != nil)
+			case !indexed && (s.members[s.hint] != watched || !watched.Active()):
+				return fmt.Errorf("core: sBlock's watch is not on the active member its hint names")
 			}
 		}
-		watched, indexed := watching[s], s.class.has(s.slot)
-		delete(watching, s)
-		switch {
-		case s.assigned && (indexed || watched != nil):
-			return fmt.Errorf("core: assigned sBlock has its bit set or is on a watcher list")
-		case s.assigned:
-		case indexed == (watched != nil):
-			return fmt.Errorf("core: unassigned sBlock bit=%v watching=%v, want exactly one", indexed, watched != nil)
-		case !indexed && (s.members[s.hint] != watched || !watched.Active()):
-			return fmt.Errorf("core: sBlock's watch is not on the active member its hint names")
-		}
+	}
+	if filed != a.sblocks.count {
+		return fmt.Errorf("core: sPool size classes hold %d sBlocks, count is %d", filed, a.sblocks.count)
 	}
 	if len(watching) != 0 {
 		return fmt.Errorf("core: %d watchers not in the sPool", len(watching))

@@ -136,7 +136,9 @@ type PBlock struct {
 
 	// class is the pPool size class holding the pBlock and slot its place
 	// there; the class's bit at slot is set exactly while it is inactive.
-	class *pClass
+	// It names sizeClass[*PBlock], not the pClass alias, which crashes the
+	// go 1.24 compiler here (internal compiler error: types2.Invalid).
+	class *sizeClass[*PBlock]
 	slot  int32
 }
 
@@ -160,7 +162,7 @@ type SBlock struct {
 
 	// class is the sPool size class holding the sBlock and slot its place
 	// there. The bit at slot is clear while it is assigned or watching.
-	class *sClass
+	class *sizeClass[*SBlock]
 	slot  int32
 
 	// hint is where the next scan for an active member starts. While the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/cuda"
@@ -503,6 +504,56 @@ func TestAccessorsAndFreeBlockSizes(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsCatchesCorruption gives the checker teeth: each
+// corruption of a small stitched allocator — two 256 MiB pBlocks and one
+// 512 MiB sBlock over them, all free — must fail CheckInvariants with the
+// message of the rule it breaks.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(a *Allocator, p *PBlock)
+		want    string
+	}{
+		{"pBlock removed from its class", func(a *Allocator, p *PBlock) {
+			p.class.remove(p.slot)
+		}, "pPool size classes hold 1 pBlocks, count is 2"},
+		{"sBlock member not in the pPool", func(a *Allocator, p *PBlock) {
+			// Unregistered with the books balanced, but still recording its
+			// old class and slot: only the slot identity check can tell.
+			class, slot := p.class, p.slot
+			a.pblocks.remove(p)
+			a.acct.OnRelease(p.size)
+			p.class, p.slot = class, slot
+		}, "sBlock member not in pPool"},
+		{"stale slot", func(a *Allocator, p *PBlock) {
+			p.slot = 1 - p.slot
+		}, "misplaced"},
+		{"flipped inactive bit", func(a *Allocator, p *PBlock) {
+			p.class.clear(p.slot)
+		}, "inactive bit is false while active is false"},
+		{"live count off by one", func(a *Allocator, p *PBlock) {
+			a.sblocks.count++
+		}, "sPool size classes hold 1 sBlocks, count is 2"},
+	}
+	for _, tc := range cases {
+		a, _ := newTestAllocator(4 * sim.GiB)
+		b1 := mustAlloc(t, a, 256*sim.MiB)
+		b2 := mustAlloc(t, a, 256*sim.MiB)
+		a.Free(b1)
+		a.Free(b2)
+		a.Free(mustAlloc(t, a, 512*sim.MiB))
+		checkInv(t, a)
+		ss := sBlocks(a)
+		if len(ss) != 1 || len(ss[0].members) != 2 || a.PBlockCount() != 2 {
+			t.Fatalf("set-up: %d sBlocks over %d pBlocks, want one over two", len(ss), a.PBlockCount())
+		}
+		tc.corrupt(a, ss[0].members[0])
+		if err := a.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestBlockAccessors(t *testing.T) {
 	a, _ := newTestAllocator(4 * sim.GiB)
 	// Force a stitch: two free pBlocks, then a request spanning both.
@@ -520,7 +571,7 @@ func TestBlockAccessors(t *testing.T) {
 	}
 	// Walk the structures through the exported accessors.
 	found := false
-	for p := range a.pblocks.all {
+	for _, p := range pBlocks(a) {
 		if p.Size() <= 0 {
 			t.Fatalf("degenerate pBlock %d@%d", p.Size(), p.VA())
 		}
@@ -531,7 +582,7 @@ func TestBlockAccessors(t *testing.T) {
 	if !found {
 		t.Fatal("no pBlock has a stitched owner")
 	}
-	for s := range a.sblocks.all {
+	for _, s := range sBlocks(a) {
 		if s.Size() != 512*sim.MiB {
 			t.Fatalf("sBlock %d@%d", s.Size(), s.VA())
 		}

@@ -11,21 +11,18 @@ import (
 // kept eagerly: set while the pBlock is inactive, clear while it is active.
 type pClass = sizeClass[*PBlock]
 
-// pPool holds every pBlock, indexed by size class so BestFit can scan the
-// inactive ones by size (the paper keeps the pool "sorted by block size in
-// descending order"; we store ascending and walk backwards, which is
-// equivalent). The classes sit in ascending size order and their slots in
-// ascending VA order, so ceil, next, prev and max — the only ways to read
-// the pool — return exactly the inactive set in (size, VA) order by walking
-// classes and set bits. A state flip sets or clears one bit.
+// pPool is its size classes: every live pBlock sits in the class of its
+// size, and nowhere else, so BestFit can scan the inactive ones by size (the
+// paper keeps the pool "sorted by block size in descending order"; we store
+// ascending and walk backwards, which is equivalent). The classes sit in
+// ascending size order and their slots in ascending VA order, so ceil, next,
+// prev and max — the only ways to read the pool — return exactly the
+// inactive set in (size, VA) order by walking classes and set bits. A state
+// flip sets or clears one bit.
 type pPool struct {
-	all     map[*PBlock]struct{}
 	classes []*pClass // ascending size, none empty
+	count   int       // pBlocks in the classes
 	bytes   int64     // Σ sizes of all pBlocks == GMLake's reserved memory
-}
-
-func newPPool() *pPool {
-	return &pPool{all: make(map[*PBlock]struct{})}
 }
 
 // search returns the index of the first class of at least size bytes, and
@@ -38,7 +35,7 @@ func (pp *pPool) search(size int64) (int, bool) {
 
 // add registers a new (inactive) pBlock.
 func (pp *pPool) add(p *PBlock) {
-	pp.all[p] = struct{}{}
+	pp.count++
 	pp.bytes += p.size
 	i, found := pp.search(p.size)
 	if !found {
@@ -51,7 +48,7 @@ func (pp *pPool) add(p *PBlock) {
 // remove unregisters an inactive pBlock entirely (it is being split or
 // destroyed).
 func (pp *pPool) remove(p *PBlock) {
-	delete(pp.all, p)
+	pp.count--
 	pp.bytes -= p.size
 	c := p.class
 	c.remove(p.slot)
@@ -148,19 +145,13 @@ func (pp *pPool) findExact(size int64) *PBlock {
 // lookup meets it.
 type sClass = sizeClass[*SBlock]
 
-// sPool holds every sBlock, indexed by size class, and the LRU queue
-// StitchFree evicts from.
+// sPool is its size classes, keyed by size, each live sBlock in the class
+// of its size and nowhere else; beside them runs the LRU queue StitchFree
+// evicts from.
 type sPool struct {
-	all     map[*SBlock]struct{}
-	classes map[int64]*sClass
+	classes map[int64]*sClass // none empty
+	count   int               // sBlocks in the classes
 	lru     container.Queue[*SBlock]
-}
-
-func newSPool() *sPool {
-	return &sPool{
-		all:     make(map[*SBlock]struct{}),
-		classes: make(map[int64]*sClass),
-	}
 }
 
 // add registers a freshly stitched, unassigned sBlock, its bit set: it is
@@ -169,7 +160,7 @@ func newSPool() *sPool {
 // request is served, so a brand-new sBlock can never be evicted before the
 // tensor lands in it.
 func (sp *sPool) add(s *SBlock) {
-	sp.all[s] = struct{}{}
+	sp.count++
 	c := sp.classes[s.size]
 	if c == nil {
 		c = &sClass{size: s.size}
@@ -181,7 +172,7 @@ func (sp *sPool) add(s *SBlock) {
 }
 
 func (sp *sPool) remove(s *SBlock) {
-	delete(sp.all, s)
+	sp.count--
 	c := s.class
 	if !s.assigned && !c.has(s.slot) {
 		s.unwatch()

@@ -46,6 +46,24 @@ func runOpSeq(t *testing.T, a *Allocator, ops []int16, oracleEvery int) (live []
 	return live, true
 }
 
+// pBlocks returns every pBlock the pPool's classes hold.
+func pBlocks(a *Allocator) []*PBlock {
+	var out []*PBlock
+	for _, c := range a.pblocks.classes {
+		out = append(out, c.slots...)
+	}
+	return out
+}
+
+// sBlocks returns every sBlock the sPool's classes hold.
+func sBlocks(a *Allocator) []*SBlock {
+	var out []*SBlock
+	for _, c := range a.sblocks.classes {
+		out = append(out, c.slots...)
+	}
+	return out
+}
+
 // checkReaders is the brute-force oracle for the pools' readers: what they
 // return must equal a from-scratch recomputation over every block.
 // For each live sBlock size, sPool.findExact must return the lowest-addressed
@@ -59,7 +77,7 @@ func runOpSeq(t *testing.T, a *Allocator, ops []int16, oracleEvery int) (live []
 // one has none.
 func checkReaders(a *Allocator) error {
 	want := make(map[int64]*SBlock)
-	for s := range a.sblocks.all {
+	for _, s := range sBlocks(a) {
 		if _, seen := want[s.size]; !seen {
 			want[s.size] = nil
 		}
@@ -81,7 +99,7 @@ func checkReaders(a *Allocator) error {
 	}
 
 	var inactive []*PBlock
-	for p := range a.pblocks.all {
+	for _, p := range pBlocks(a) {
 		if !p.Active() {
 			inactive = append(inactive, p)
 		}
@@ -101,7 +119,7 @@ func checkReaders(a *Allocator) error {
 		return fmt.Errorf("pPool walks return %d ascending and %d descending, brute force finds %d inactive pBlocks (or in another order)",
 			len(up), len(down), len(inactive))
 	}
-	for p := range a.pblocks.all {
+	for _, p := range pBlocks(a) {
 		s := p.size
 		for _, at := range []int64{s, s + ChunkSize} {
 			var want *PBlock
@@ -278,7 +296,7 @@ func quickInvariants(t *testing.T, capacity int64, cfg Config, count int) (gcRun
 		if !ok {
 			return false
 		}
-		for p := range a.pblocks.all {
+		for _, p := range pBlocks(a) {
 			maxOwners = max(maxOwners, len(p.owners))
 		}
 		// Reserved must equal what the device has handed out.

@@ -15,8 +15,8 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/memalloc"
+	"repro/internal/optrace"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // allAllocators builds one fresh instance of every pooling allocator in
@@ -37,9 +37,9 @@ func allAllocators(capacity int64) map[string]memalloc.Allocator {
 // genStream builds a random but well-formed alloc/free stream with the
 // irregular sizing that provokes fragmentation: sizes are drawn from
 // several scales, lifetimes interleave, and everything is freed by the end.
-func genStream(seed uint64, ops int, maxLive int64) *trace.Trace {
+func genStream(seed uint64, ops int, maxLive int64) *optrace.Trace {
 	rng := sim.NewRNG(seed)
-	t := &trace.Trace{}
+	t := &optrace.Trace{}
 	type liveAlloc struct {
 		id   int64
 		size int64
@@ -69,18 +69,18 @@ func genStream(seed uint64, ops int, maxLive int64) *trace.Trace {
 				size = 1
 			}
 			nextID++
-			t.Events = append(t.Events, trace.Event{Op: trace.OpAlloc, ID: nextID, Size: size})
+			t.Events = append(t.Events, optrace.Event{Op: optrace.OpAlloc, ID: nextID, Size: size})
 			live = append(live, liveAlloc{id: nextID, size: size})
 			liveBytes += size
 		} else {
 			k := rng.Intn(len(live))
-			t.Events = append(t.Events, trace.Event{Op: trace.OpFree, ID: live[k].id})
+			t.Events = append(t.Events, optrace.Event{Op: optrace.OpFree, ID: live[k].id})
 			liveBytes -= live[k].size
 			live = append(live[:k], live[k+1:]...)
 		}
 	}
 	for _, l := range live {
-		t.Events = append(t.Events, trace.Event{Op: trace.OpFree, ID: l.id})
+		t.Events = append(t.Events, optrace.Event{Op: optrace.OpFree, ID: l.id})
 	}
 	return t
 }
@@ -98,7 +98,7 @@ func TestDifferentialRandomStreams(t *testing.T) {
 
 			results := map[string]memalloc.Stats{}
 			for name, alloc := range allAllocators(capacity) {
-				if err := trace.Replay(stream, alloc); err != nil {
+				if err := optrace.Replay(stream, alloc); err != nil {
 					t.Fatalf("%s: replay failed on an amply sized device: %v", name, err)
 				}
 				st := alloc.Stats()
@@ -139,7 +139,7 @@ func TestDifferentialRandomStreams(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s does not expose CheckInvariants", name)
 				}
-				if err := trace.Replay(stream, alloc); err != nil {
+				if err := optrace.Replay(stream, alloc); err != nil {
 					t.Fatalf("%s: replay for invariant check: %v", name, err)
 				}
 				if err := chk.CheckInvariants(); err != nil {
@@ -157,7 +157,7 @@ func TestDifferentialTightDevice(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		stream := genStream(seed, 400, 6*sim.GiB)
 		for name, alloc := range allAllocators(4 * sim.GiB) {
-			err := trace.Replay(stream, alloc)
+			err := optrace.Replay(stream, alloc)
 			st := alloc.Stats()
 			if err != nil {
 				// OOM is fine; corruption is not.

@@ -45,8 +45,8 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/memalloc"
 	"repro/internal/metrics"
+	"repro/internal/optrace"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -262,10 +262,10 @@ func (e *Env) Compare(spec workload.Spec, opts RunOptions) (base, gml RunResult)
 // TraceRun records the allocation request stream of steps training steps of
 // spec on the caching allocator (stream statistics are
 // allocator-independent: the trainer emits the same requests either way).
-func (e *Env) TraceRun(spec workload.Spec, steps int) *trace.Trace {
+func (e *Env) TraceRun(spec workload.Spec, steps int) *optrace.Trace {
 	r := e.newRig(AllocCaching)
 	spec.Seed = e.Seed
-	rec := trace.NewRecorder(r.alloc, r.clock)
+	rec := optrace.NewRecorder(r.alloc, r.clock)
 	tr, err := workload.NewTrainer(spec, rec, r.clock)
 	if err != nil {
 		panic("harness: bad spec: " + err.Error())

@@ -1,4 +1,4 @@
-package trace
+package optrace
 
 import (
 	"encoding/json"
@@ -31,13 +31,13 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	var jt jsonTrace
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&jt); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
+		return nil, fmt.Errorf("optrace: decode: %w", err)
 	}
 	if jt.Format != jsonFormat {
-		return nil, fmt.Errorf("trace: not a %s file (format %q)", jsonFormat, jt.Format)
+		return nil, fmt.Errorf("optrace: not a %s file (format %q)", jsonFormat, jt.Format)
 	}
 	if jt.Version != jsonVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", jt.Version)
+		return nil, fmt.Errorf("optrace: unsupported version %d", jt.Version)
 	}
 	t := &Trace{Events: jt.Events}
 	if err := t.Validate(); err != nil {
@@ -54,19 +54,19 @@ func (t *Trace) Validate() error {
 		switch e.Op {
 		case OpAlloc:
 			if e.Size <= 0 {
-				return fmt.Errorf("trace: event %d: alloc of %d bytes", i, e.Size)
+				return fmt.Errorf("optrace: event %d: alloc of %d bytes", i, e.Size)
 			}
 			if live[e.ID] {
-				return fmt.Errorf("trace: event %d: duplicate alloc id %d", i, e.ID)
+				return fmt.Errorf("optrace: event %d: duplicate alloc id %d", i, e.ID)
 			}
 			live[e.ID] = true
 		case OpFree:
 			if !live[e.ID] {
-				return fmt.Errorf("trace: event %d: free of unknown or freed id %d", i, e.ID)
+				return fmt.Errorf("optrace: event %d: free of unknown or freed id %d", i, e.ID)
 			}
 			delete(live, e.ID)
 		default:
-			return fmt.Errorf("trace: event %d: unknown op %d", i, e.Op)
+			return fmt.Errorf("optrace: event %d: unknown op %d", i, e.Op)
 		}
 	}
 	return nil

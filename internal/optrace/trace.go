@@ -1,15 +1,13 @@
-// Package trace records and replays allocation request streams. A Recorder
-// wraps any memalloc.Allocator and logs every Alloc/Free with its virtual
-// timestamp; the log supports the paper's Figure 5 stream statistics
+// Package optrace records and replays allocator operation streams. A
+// Recorder wraps any memalloc.Allocator and logs every Alloc/Free with its
+// virtual timestamp; the log supports the paper's Figure 5 stream statistics
 // (allocation count and mean size), JSON export, and deterministic replay
 // against a different allocator for differential testing.
 //
-// Naming note: this package records *allocator events* — the memory-level
-// view underneath a workload. The similarly named internal/reqtrace package
-// records *serving requests* (arrival, class, SLO, token counts) at the
-// inference-serving layer; the two trace layers observe different systems
-// and share nothing but the word.
-package trace
+// Its sibling internal/reqtrace records *serving requests* (arrival, class,
+// SLO, token counts) at the inference-serving layer instead; the two observe
+// different systems.
+package optrace
 
 import (
 	"fmt"
@@ -101,7 +99,7 @@ func (r *Recorder) Alloc(size int64) (*memalloc.Buffer, error) {
 func (r *Recorder) Free(b *memalloc.Buffer) {
 	id, ok := r.ids[b]
 	if !ok {
-		panic("trace: Free of unrecorded buffer")
+		panic("optrace: Free of unrecorded buffer")
 	}
 	delete(r.ids, b)
 	r.trace.Events = append(r.trace.Events, Event{Op: OpFree, ID: id, T: r.clock.Now()})
@@ -133,13 +131,13 @@ func Replay(t *Trace, alloc memalloc.Allocator) error {
 		case OpAlloc:
 			b, err := alloc.Alloc(e.Size)
 			if err != nil {
-				return fail(fmt.Errorf("trace: replay alloc %d (%d bytes): %w", e.ID, e.Size, err))
+				return fail(fmt.Errorf("optrace: replay alloc %d (%d bytes): %w", e.ID, e.Size, err))
 			}
 			live[e.ID] = b
 		case OpFree:
 			b, ok := live[e.ID]
 			if !ok {
-				return fail(fmt.Errorf("trace: replay free of unknown id %d", e.ID))
+				return fail(fmt.Errorf("optrace: replay free of unknown id %d", e.ID))
 			}
 			delete(live, e.ID)
 			alloc.Free(b)

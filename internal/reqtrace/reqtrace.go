@@ -14,11 +14,9 @@
 // exactly, so capture→write→read→replay reproduces a serving report byte
 // for byte.
 //
-// Naming note: this package records *serving requests*. The similarly named
-// internal/trace package records *allocator events* (every Alloc/Free a
-// workload issues against a memory allocator, the paper's Figure 5
-// streams); the two layers observe different systems and share nothing but
-// the word.
+// This package records *serving requests*; its sibling internal/optrace
+// records *allocator operations* (every Alloc/Free a workload issues against
+// a memory allocator, the paper's Figure 5 streams).
 package reqtrace
 
 import (

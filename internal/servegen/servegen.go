@@ -22,7 +22,6 @@ package servegen
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/container"
@@ -60,10 +59,6 @@ const (
 	DistDeterministic DistKind = "deterministic"
 	DistUniform       DistKind = "uniform"
 	DistLognormal     DistKind = "lognormal"
-	// DistEmpirical draws from the CDF of observed token lengths, without
-	// assuming a parametric family. Nothing outside tests builds one:
-	// reqtrace.Fit emits only the parametric families.
-	DistEmpirical DistKind = "empirical"
 )
 
 // LengthDist is a prompt or output token-length distribution.
@@ -73,9 +68,7 @@ type LengthDist struct {
 	// Value is the fixed length of a deterministic distribution.
 	Value int
 
-	// Min and Max bound uniform draws and clamp lognormal ones. For the
-	// empirical family a nonzero Min (Max) clamps draws from below (above);
-	// zero leaves that side unclamped.
+	// Min and Max bound uniform draws and clamp lognormal ones.
 	Min, Max int
 
 	// Mean and CV parameterize the lognormal family: Mean is the
@@ -83,11 +76,6 @@ type LengthDist struct {
 	// long right tail (CV near or above 1) is what production length
 	// traces show and uniform mixes miss.
 	Mean, CV float64
-
-	// Samples are the observed token lengths an empirical distribution
-	// draws from (its CDF's support). Empirical keeps them sorted, so draws
-	// depend only on the multiset of samples, never their input order.
-	Samples []int
 }
 
 // Deterministic returns the fixed-length distribution.
@@ -104,17 +92,6 @@ func Uniform(min, max int) LengthDist {
 // coefficient of variation, clamped to [min, max].
 func Lognormal(mean, cv float64, min, max int) LengthDist {
 	return LengthDist{Kind: DistLognormal, Mean: mean, CV: cv, Min: min, Max: max}
-}
-
-// Empirical returns the distribution that draws uniformly from the CDF of
-// the observed samples (nearest-rank inverse CDF). min and max clamp draws
-// when nonzero. The samples are copied and sorted, so two Empirical
-// distributions over the same multiset behave identically under the same
-// seed whatever order the samples arrived in.
-func Empirical(samples []int, min, max int) LengthDist {
-	s := append([]int(nil), samples...)
-	sort.Ints(s)
-	return LengthDist{Kind: DistEmpirical, Samples: s, Min: min, Max: max}
 }
 
 func (d LengthDist) validate(what string) error {
@@ -134,18 +111,6 @@ func (d LengthDist) validate(what string) error {
 		if d.Min <= 0 || d.Max < d.Min {
 			return fmt.Errorf("servegen: %s lognormal clamp [%d,%d]", what, d.Min, d.Max)
 		}
-	case DistEmpirical:
-		if len(d.Samples) == 0 {
-			return fmt.Errorf("servegen: %s empirical with no samples", what)
-		}
-		for _, v := range d.Samples {
-			if v <= 0 {
-				return fmt.Errorf("servegen: %s empirical sample %d", what, v)
-			}
-		}
-		if d.Min < 0 || (d.Max > 0 && d.Max < d.Min) {
-			return fmt.Errorf("servegen: %s empirical clamp [%d,%d]", what, d.Min, d.Max)
-		}
 	default:
 		return fmt.Errorf("servegen: %s has unknown distribution %q", what, d.Kind)
 	}
@@ -161,8 +126,6 @@ func (d LengthDist) Describe() string {
 		return fmt.Sprintf("U[%d,%d]", d.Min, d.Max)
 	case DistLognormal:
 		return fmt.Sprintf("logn(%.0f,cv %.1f)", d.Mean, d.CV)
-	case DistEmpirical:
-		return fmt.Sprintf("empirical(%d)", len(d.Samples))
 	default:
 		return string(d.Kind)
 	}
@@ -176,15 +139,6 @@ func (d LengthDist) MeanTokens() float64 {
 		return float64(d.Value)
 	case DistUniform:
 		return float64(d.Min+d.Max) / 2
-	case DistEmpirical:
-		if len(d.Samples) == 0 {
-			return 0
-		}
-		var sum float64
-		for _, v := range d.Samples {
-			sum += float64(v)
-		}
-		return sum / float64(len(d.Samples))
 	default:
 		return d.Mean
 	}
@@ -196,19 +150,6 @@ func (d LengthDist) sample(rng *sim.RNG) int {
 		return d.Value
 	case DistUniform:
 		return d.Min + rng.Intn(d.Max-d.Min+1)
-	case DistEmpirical:
-		// Nearest-rank inverse CDF: u in [0,1) indexes the sorted samples,
-		// so a value's draw probability is exactly its sample frequency.
-		// Samples are kept sorted (see Empirical), which makes ties and
-		// duplicates deterministic under a fixed seed.
-		v := d.Samples[int(rng.Float64()*float64(len(d.Samples)))]
-		if d.Min > 0 && v < d.Min {
-			v = d.Min
-		}
-		if d.Max > 0 && v > d.Max {
-			v = d.Max
-		}
-		return v
 	default: // lognormal, discretized by rounding
 		sigma2 := math.Log(1 + d.CV*d.CV)
 		mu := math.Log(d.Mean) - sigma2/2
@@ -269,11 +210,6 @@ const (
 	// ArrivalOnOff confines arrivals to the on-window of a fixed cycle —
 	// the batch-job pattern of periodic submission waves.
 	ArrivalOnOff ArrivalKind = "onoff"
-	// ArrivalTrace replays a recorded arrival-offset sequence, rescaled to
-	// the class's target rate and looped past its end. No randomness is
-	// consumed. reqtrace.Fit never emits it; TraceArrivals builds the
-	// tie-forcing mixes of TestGenerateMatchesReference.
-	ArrivalTrace ArrivalKind = "trace"
 )
 
 // ArrivalProcess describes when one client class submits requests.
@@ -287,10 +223,6 @@ type ArrivalProcess struct {
 	OnFraction float64
 	// Cycle is the on-off cycle length.
 	Cycle time.Duration
-
-	// Times are the recorded arrival offsets in seconds a trace process
-	// replays, sorted non-decreasing.
-	Times []float64
 }
 
 // Poisson returns the memoryless arrival process.
@@ -307,14 +239,6 @@ func OnOff(onFraction float64, cycle time.Duration) ArrivalProcess {
 	return ArrivalProcess{Kind: ArrivalOnOff, OnFraction: onFraction, Cycle: cycle}
 }
 
-// TraceArrivals returns the process that replays the recorded arrival
-// offsets (seconds from trace start, non-decreasing), rescaled so the
-// replayed stream hits the class's target rate and looped with a constant
-// period when more arrivals are needed than were recorded.
-func TraceArrivals(times []float64) ArrivalProcess {
-	return ArrivalProcess{Kind: ArrivalTrace, Times: append([]float64(nil), times...)}
-}
-
 // Describe renders the arrival process compactly for reports and CLIs.
 func (a ArrivalProcess) Describe() string {
 	switch a.Kind {
@@ -322,8 +246,6 @@ func (a ArrivalProcess) Describe() string {
 		return fmt.Sprintf("gamma cv=%.1f", a.CV)
 	case ArrivalOnOff:
 		return fmt.Sprintf("on-off %.0f%%/%s", 100*a.OnFraction, a.Cycle.Round(100*time.Millisecond))
-	case ArrivalTrace:
-		return fmt.Sprintf("trace(%d)", len(a.Times))
 	default:
 		return string(a.Kind)
 	}
@@ -342,15 +264,6 @@ func (a ArrivalProcess) validate(what string) error {
 		}
 		if a.Cycle <= 0 {
 			return fmt.Errorf("servegen: %s cycle %v", what, a.Cycle)
-		}
-	case ArrivalTrace:
-		if len(a.Times) == 0 {
-			return fmt.Errorf("servegen: %s trace arrivals with no times", what)
-		}
-		for i, t := range a.Times {
-			if t < 0 || (i > 0 && t < a.Times[i-1]) {
-				return fmt.Errorf("servegen: %s trace arrival %d at %gs out of order", what, i, t)
-			}
 		}
 	default:
 		return fmt.Errorf("servegen: %s has unknown arrival process %q", what, a.Kind)
@@ -382,31 +295,6 @@ func (a ArrivalProcess) arrivals(rng *sim.RNG, ratePerSec float64, n int) []floa
 		for i := range out {
 			tau += expDraw(rng, onRate)
 			out[i] = math.Floor(tau/onLen)*cycle + math.Mod(tau, onLen)
-		}
-	case ArrivalTrace:
-		// Replay the recorded offsets, rescaled so the replayed stream's
-		// long-run rate is ratePerSec. Past the recorded end the sequence
-		// loops shifted by a constant period — the recorded span plus one
-		// mean interarrival gap, so the wrap does not glue the last and
-		// first arrivals together. The rescale normalizes by that loop
-		// period (n0 arrivals per period), not the recorded span: span
-		// normalization would under-deliver by a factor (n0−1)/n0 whenever
-		// the trace loops, down to half the target rate for a one-point
-		// recording. A degenerate recording (every offset zero) falls back
-		// to evenly spaced arrivals at the target rate.
-		n0 := len(a.Times)
-		span := a.Times[n0-1]
-		if span <= 0 {
-			for i := range out {
-				out[i] = float64(i+1) / ratePerSec
-			}
-			break
-		}
-		gap := span / math.Max(1, float64(n0-1))
-		period := span + gap
-		scale := float64(n0) / period / ratePerSec
-		for i := range out {
-			out[i] = (a.Times[i%n0] + float64(i/n0)*period) * scale
 		}
 	default: // Poisson
 		t := 0.0
@@ -543,7 +431,7 @@ func (m Mix) WithBurstCV(cv float64) Mix {
 // arrival process guarantees by construction up to float rounding (on-off
 // folds cumulative on-time with a floor and a mod that must agree at cycle
 // boundaries); a class that breaks it is an error, never a mis-ordered
-// stream.
+// stream (see merge).
 func (m Mix) Generate(n int, seed uint64) ([]serve.Request, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("servegen: %d requests", n)
@@ -562,17 +450,26 @@ func (m Mix) Generate(n int, seed uint64) ([]serve.Request, error) {
 	for k := range m.Classes {
 		c := &m.Classes[k]
 		rng := sim.NewRNG(root.Uint64())
-		times := c.Arrival.arrivals(rng, m.Rate*c.Share/totalShare, n)
-		if i := firstDisorder(times); i >= 0 {
-			return nil, fmt.Errorf("servegen: class %q arrival %d at %gs is out of order (after %gs)", c.Name, i, times[i], times[i-1])
-		}
-		streams[k] = classStream{class: c, rng: rng, times: times}
-		if c.Sessions != nil {
-			streams[k].turns = container.NewHeap(turnLess)
-		}
-		streams[k].advance()
+		streams[k] = classStream{class: c, rng: rng, times: c.Arrival.arrivals(rng, m.Rate*c.Share/totalShare, n)}
 	}
+	return merge(streams, n)
+}
 
+// merge returns the first n requests of the k-way merge of the class
+// streams, which hold their arrival draws and at least n requests between
+// them, identified 0..n-1. A stream whose arrival times step backwards (NaN
+// included) is an error.
+func merge(streams []classStream, n int) ([]serve.Request, error) {
+	for k := range streams {
+		s := &streams[k]
+		if i := firstDisorder(s.times); i >= 0 {
+			return nil, fmt.Errorf("servegen: class %q arrival %d at %gs is out of order (after %gs)", s.class.Name, i, s.times[i], s.times[i-1])
+		}
+		if s.class.Sessions != nil {
+			s.turns = container.NewHeap(turnLess)
+		}
+		s.advance()
+	}
 	out := make([]serve.Request, n)
 	for i := range out {
 		// The strict comparison leaves ties to the lowest class index.

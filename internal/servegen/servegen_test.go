@@ -1,6 +1,7 @@
 package servegen
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -411,30 +412,48 @@ func TestOnOffCycleBoundary(t *testing.T) {
 	}
 }
 
+// classRNGs derives k class RNGs from seed the way Generate does.
+func classRNGs(seed uint64, k int) []*sim.RNG {
+	root := sim.NewRNG(seed)
+	rngs := make([]*sim.RNG, k)
+	for i := range rngs {
+		rngs[i] = sim.NewRNG(root.Uint64())
+	}
+	return rngs
+}
+
 // referenceGenerate is the eager generator Generate replaced, kept as the
-// test-only specification of the stream: materialise every class's n
-// arrivals (a session class: all n sessions' turns) class-major in one
-// buffer, stable-sort it by arrival, keep the first n. The stable sort over
-// the class-major buffer is where the total order (ArrivalAt, class index,
-// session index, turn) comes from.
+// test-only specification of the stream: every class draws its n arrivals,
+// then referenceMerge materialises them.
 func referenceGenerate(m Mix, n int, seed uint64) []serve.Request {
 	var totalShare float64
 	for _, c := range m.Classes {
 		totalShare += c.Share
 	}
-	root := sim.NewRNG(seed)
+	rngs := classRNGs(seed, len(m.Classes))
+	times := make([][]float64, len(m.Classes))
+	for k, c := range m.Classes {
+		times[k] = c.Arrival.arrivals(rngs[k], m.Rate*c.Share/totalShare, n)
+	}
+	return referenceMerge(m.Classes, rngs, times, n)
+}
+
+// referenceMerge is merge's specification: materialise every class's
+// requests (a session class: all its sessions' turns) class-major in one
+// buffer, stable-sort it by arrival, keep the first n. The stable sort over
+// the class-major buffer is where the total order (ArrivalAt, class index,
+// session index, turn) comes from.
+func referenceMerge(classes []ClientClass, rngs []*sim.RNG, times [][]float64, n int) []serve.Request {
 	var all []serve.Request
-	for _, c := range m.Classes {
-		rng := sim.NewRNG(root.Uint64())
-		rate := m.Rate * c.Share / totalShare
-		times := c.Arrival.arrivals(rng, rate, n)
+	for k, c := range classes {
+		rng := rngs[k]
 		if c.Sessions != nil {
-			for si, at := range times {
+			for si, at := range times[k] {
 				all = append(all, c.Sessions.expand(rng, c, si, at)...)
 			}
 			continue
 		}
-		for _, at := range times {
+		for _, at := range times[k] {
 			all = append(all, serve.Request{
 				Class:     c.Name,
 				SLO:       c.SLO,
@@ -453,61 +472,97 @@ func referenceGenerate(m Mix, n int, seed uint64) []serve.Request {
 	return all
 }
 
-// tieMixes are hand-built mixes that force the merge's tie-breaks: equal
-// arrival instants across classes, across sessions of one class and between
-// a session's follow-up turn and another class's arrival.
-func tieMixes() []Mix {
-	offsets := []float64{0, 1, 1, 2, 3, 3, 3, 5}
-	session := &SessionProfile{Turns: Uniform(1, 4), Think: Deterministic(1000), Delta: Uniform(1, 8)}
-	oneShot := func(name string, a ArrivalProcess) ClientClass {
-		return ClientClass{Name: name, SLO: SLOStandard, Share: 1, Arrival: a, Prompt: Uniform(1, 64), Output: Uniform(1, 64)}
+// tieMix is a hand-built merge input that forces the merge's tie-breaks:
+// classes with hand-set arrival offsets in seconds, one list per class.
+type tieMix struct {
+	name    string
+	classes []ClientClass
+	offsets [][]float64
+}
+
+// streams returns the mix's class streams, their RNGs derived from seed.
+func (tm tieMix) streams(seed uint64) []classStream {
+	rngs := classRNGs(seed, len(tm.classes))
+	out := make([]classStream, len(tm.classes))
+	for k := range tm.classes {
+		out[k] = classStream{class: &tm.classes[k], rng: rngs[k], times: tm.offsets[k]}
 	}
-	chat := oneShot("chat", TraceArrivals(offsets))
+	return out
+}
+
+// size is how many requests the mix holds at least: one per offset, a
+// session having at least one turn.
+func (tm tieMix) size() int {
+	n := 0
+	for _, o := range tm.offsets {
+		n += len(o)
+	}
+	return n
+}
+
+// tieMixes force equal arrival instants across classes, across sessions of
+// one class and between a session's follow-up turn and another class's
+// arrival.
+func tieMixes() []tieMix {
+	offsets := []float64{0, 1, 1, 2, 3, 3, 3, 5}
+	ticker := []float64{0, 1, 2, 3, 4, 5, 6, 7}
+	session := &SessionProfile{Turns: Uniform(1, 4), Think: Deterministic(1000), Delta: Uniform(1, 8)}
+	oneShot := func(name string) ClientClass {
+		return ClientClass{Name: name, SLO: SLOStandard, Share: 1, Arrival: Poisson(), Prompt: Uniform(1, 64), Output: Uniform(1, 64)}
+	}
+	chat := oneShot("chat")
 	chat.Sessions = session
-	return []Mix{
-		// Two trace classes with identical offsets: every instant is a tie
-		// between the classes, and the repeated offsets tie within each.
-		{Name: "twin-traces", Rate: 2, Classes: []ClientClass{
-			oneShot("a", TraceArrivals(offsets)), oneShot("b", TraceArrivals(offsets)),
-		}},
+	return []tieMix{
+		// Two classes with identical offsets: every instant is a tie between
+		// the classes, and the repeated offsets tie within each.
+		{"twin-traces", []ClientClass{oneShot("a"), oneShot("b")}, [][]float64{offsets, offsets}},
 		// A session class whose think time (1 s) equals the other class's
 		// arrival gap: follow-up turns tie with the other class's arrivals
 		// and with later sessions' starts.
-		{Name: "think-equals-gap", Rate: 2, Classes: []ClientClass{
-			chat, oneShot("ticker", TraceArrivals([]float64{0, 1, 2, 3, 4, 5, 6, 7})),
-		}},
+		{"think-equals-gap", []ClientClass{chat, oneShot("ticker")}, [][]float64{offsets, ticker}},
 		// The session class second, so its ties lose to the one-shot class.
-		{Name: "sessions-last", Rate: 4, Classes: []ClientClass{
-			oneShot("ticker", TraceArrivals([]float64{0, 1, 2, 3})), chat,
-		}},
-		{Name: "one-class", Rate: 3, Classes: []ClientClass{oneShot("only", Bursty(4))}},
-		{Name: "one-session-class", Rate: 3, Classes: []ClientClass{chat}},
-		// A 1000:1 rate split: the heavy class alone contributes nearly all
-		// of the first n, the light one only a handful.
-		{Name: "lopsided", Rate: 50, Classes: []ClientClass{
-			{Name: "heavy", SLO: SLOBatch, Share: 1000, Arrival: OnOff(0.3, 2*time.Second), Prompt: Lognormal(64, 1, 1, 512), Output: Uniform(1, 8)},
-			{Name: "light", SLO: SLOInteractive, Share: 1, Arrival: Poisson(), Prompt: Deterministic(8), Output: Deterministic(8)},
-		}},
+		{"sessions-last", []ClientClass{oneShot("ticker"), chat}, [][]float64{ticker[:4], offsets}},
+		{"one-session-class", []ClientClass{chat}, [][]float64{offsets}},
 	}
+}
+
+// requireEqual fails t with the first request where got and want differ.
+func requireEqual(t *testing.T, got, want []serve.Request, what string) {
+	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	for i := range want {
+		if i < len(got) && got[i] != want[i] {
+			t.Fatalf("%s: request %d\n got %+v\nwant %+v", what, i, got[i], want[i])
+		}
+	}
+	t.Fatalf("%s: lengths %d/%d", what, len(got), len(want))
 }
 
 // TestGenerateMatchesReference is the acceptance test of the lazy merge:
 // Generate must be reflect.DeepEqual to the eager materialise-and-stable-sort
-// reference over every predefined mix, sizes from 1 past the point where one
-// class alone could fill the stream, several seeds and rates, and the
-// tie-forcing mixes.
+// reference over every predefined mix and two hand-built ones, sizes from 1
+// past the point where one class alone could fill the stream, several seeds
+// and rates; merge must equal it on the tie-forcing mixes at every size.
 func TestGenerateMatchesReference(t *testing.T) {
 	sizes := []int{1, 2, 7, 100, 5000, 60000}
 	seeds := []uint64{0, 1, 7, 42, 1 << 40, math.MaxUint64}
 	if testing.Short() {
 		sizes, seeds = sizes[:5], seeds[:3]
 	}
-	predefined := append(Mixes(), ChatSessions())
-	for mi, base := range append(predefined, tieMixes()...) {
-		sizes := sizes
-		if mi >= len(predefined) {
-			sizes = sizes[:5] // the hand-built ties all fall in the first few requests
-		}
+	mixes := append(Mixes(), ChatSessions(),
+		Mix{Name: "one-class", Rate: 3, Classes: []ClientClass{
+			{Name: "only", SLO: SLOStandard, Share: 1, Arrival: Bursty(4), Prompt: Uniform(1, 64), Output: Uniform(1, 64)},
+		}},
+		// A 1000:1 rate split: the heavy class alone contributes nearly all
+		// of the first n, the light one only a handful.
+		Mix{Name: "lopsided", Rate: 50, Classes: []ClientClass{
+			{Name: "heavy", SLO: SLOBatch, Share: 1000, Arrival: OnOff(0.3, 2*time.Second), Prompt: Lognormal(64, 1, 1, 512), Output: Uniform(1, 8)},
+			{Name: "light", SLO: SLOInteractive, Share: 1, Arrival: Poisson(), Prompt: Deterministic(8), Output: Deterministic(8)},
+		}},
+	)
+	for _, base := range mixes {
 		t.Run(base.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, rateScale := range []float64{1, 8, 128} {
@@ -518,17 +573,21 @@ func TestGenerateMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatalf("rate×%g n=%d seed=%d: %v", rateScale, n, seed, err)
 						}
-						want := referenceGenerate(mix, n, seed)
-						if reflect.DeepEqual(got, want) {
-							continue
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("rate×%g n=%d seed=%d: request %d\n got %+v\nwant %+v", rateScale, n, seed, i, got[i], want[i])
-							}
-						}
-						t.Fatalf("rate×%g n=%d seed=%d: lengths %d/%d", rateScale, n, seed, len(got), len(want))
+						requireEqual(t, got, referenceGenerate(mix, n, seed), fmt.Sprintf("rate×%g n=%d seed=%d", rateScale, n, seed))
 					}
+				}
+			}
+		})
+	}
+	for _, tm := range tieMixes() {
+		t.Run(tm.name, func(t *testing.T) {
+			for n := 1; n <= tm.size(); n++ {
+				for _, seed := range seeds {
+					got, err := merge(tm.streams(seed), n)
+					if err != nil {
+						t.Fatalf("n=%d seed=%d: %v", n, seed, err)
+					}
+					requireEqual(t, got, referenceMerge(tm.classes, classRNGs(seed, len(tm.classes)), tm.offsets, n), fmt.Sprintf("n=%d seed=%d", n, seed))
 				}
 			}
 		})
@@ -538,8 +597,11 @@ func TestGenerateMatchesReference(t *testing.T) {
 // TestTieMixesTie keeps the tie-forcing mixes honest: each multi-class one
 // must actually produce equal arrival instants across classes.
 func TestTieMixesTie(t *testing.T) {
-	for _, mix := range tieMixes()[:3] {
-		reqs, err := mix.Generate(40, 1)
+	for _, tm := range tieMixes() {
+		if len(tm.classes) < 2 {
+			continue
+		}
+		reqs, err := merge(tm.streams(1), tm.size())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -550,18 +612,17 @@ func TestTieMixesTie(t *testing.T) {
 			}
 		}
 		if ties == 0 {
-			t.Errorf("%s: no cross-class tie in %d requests", mix.Name, len(reqs))
+			t.Errorf("%s: no cross-class tie in %d requests", tm.name, len(reqs))
 		}
 	}
 }
 
 // TestArrivalsNonDecreasing is the invariant the merge stands on, over all
-// four arrival kinds: a class's drawn arrival times never step backwards.
+// three arrival kinds: a class's drawn arrival times never step backwards.
 func TestArrivalsNonDecreasing(t *testing.T) {
 	procs := []ArrivalProcess{
 		Poisson(), Bursty(0.3), Bursty(6),
 		OnOff(0.25, 20*time.Second), OnOff(0.01, 100*time.Millisecond), OnOff(1, time.Second), OnOff(1.0/3, 3*time.Second),
-		TraceArrivals([]float64{0, 0, 0.5, 0.5, 7}), TraceArrivals([]float64{3}), TraceArrivals([]float64{0, 0}),
 	}
 	n := 20000
 	if testing.Short() {
@@ -580,15 +641,15 @@ func TestArrivalsNonDecreasing(t *testing.T) {
 }
 
 // TestGenerateRejectsDisorderedArrivals: arrival times the merge cannot
-// order are an error naming class and index, never a mis-ordered stream. A
-// non-finite recorded offset is the way in that Validate does not close.
+// order are an error naming class and index, never a mis-ordered stream.
+// No arrival process draws them, so the test feeds them to merge directly.
 func TestGenerateRejectsDisorderedArrivals(t *testing.T) {
 	if i := firstDisorder([]float64{0, 1, 1, 0.5, 2}); i != 3 {
 		t.Fatalf("firstDisorder = %d, want 3", i)
 	}
 	mix := MixedBursty()
-	mix.Classes[1].Arrival = TraceArrivals([]float64{0, math.NaN(), 2})
-	_, err := mix.Generate(10, 1)
+	tm := tieMix{classes: mix.Classes[:2], offsets: [][]float64{{0, 1, 2}, {0, math.NaN(), 2}}}
+	_, err := merge(tm.streams(1), 6)
 	want := `servegen: class "agent" arrival 1 at NaNs is out of order`
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("err = %v, want prefix %q", err, want)

@@ -10,8 +10,8 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/memalloc"
 	"repro/internal/model"
+	"repro/internal/optrace"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestStrategyLabels(t *testing.T) {
@@ -180,12 +180,12 @@ func TestSetupOOM(t *testing.T) {
 }
 
 // recordStream records the allocation stream of n steps of spec.
-func recordStream(t *testing.T, spec Spec, capacity int64, n int) *trace.Trace {
+func recordStream(t *testing.T, spec Spec, capacity int64, n int) *optrace.Trace {
 	t.Helper()
 	dev := gpu.NewDevice("test", capacity)
 	clock := sim.NewClock()
 	drv := cuda.NewDriver(dev, clock, sim.DefaultCostModel())
-	rec := trace.NewRecorder(caching.New(drv), clock)
+	rec := optrace.NewRecorder(caching.New(drv), clock)
 	tr, err := NewTrainer(spec, rec, clock)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestStreamIndependentOfAllocator(t *testing.T) {
 	dev := gpu.NewDevice("test", 80*sim.GiB)
 	clock := sim.NewClock()
 	drv := cuda.NewDriver(dev, clock, sim.DefaultCostModel())
-	rec := trace.NewRecorder(core.NewDefault(drv), clock)
+	rec := optrace.NewRecorder(core.NewDefault(drv), clock)
 	tr, err := NewTrainer(spec, rec, clock)
 	if err != nil {
 		t.Fatal(err)
@@ -269,10 +269,10 @@ func TestPlainTrainingIsRegular(t *testing.T) {
 	}
 }
 
-func countAllocs(tr *trace.Trace) int64 {
+func countAllocs(tr *optrace.Trace) int64 {
 	var n int64
 	for _, ev := range tr.Events {
-		if ev.Op == trace.OpAlloc {
+		if ev.Op == optrace.OpAlloc {
 			n++
 		}
 	}
