@@ -1,8 +1,8 @@
 // Micro-benchmarks: the host cost of the hot paths under the paper's
 // allocator, the simulated driver's page table and the caching baseline,
 // and of request-stream generation. CI runs the GMLake*, DriverMapUnmap,
-// CachingBestFit, CachingRefusal, TrainerStep and Generate ones on every
-// push to show allocs/op and ns/request; `go run ./benchmark` is the benchmark that
+// CachingBestFit, CachingSplitFree, CachingRefusal, TrainerStep and
+// Generate ones on every push to show allocs/op and ns/request; `go run ./benchmark` is the benchmark that
 // performance claims rest on, and the tables of the paper's evaluation are
 // pinned by internal/harness/testdata/golden.
 package gmlake
@@ -326,9 +326,28 @@ func BenchmarkCachingBestFit(b *testing.B) {
 	}
 }
 
+// BenchmarkCachingSplitFree measures the baseline's split path: each Alloc
+// carves a block out of a cached segment and each Free merges it back, the
+// remainder's record recycled, so the buffer is the one allocation per op.
+func BenchmarkCachingSplitFree(b *testing.B) {
+	alloc := caching.New(newBenchDriver(8 * sim.GiB))
+	warm, _ := alloc.Alloc(4 * sim.MiB)
+	alloc.Free(warm)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, err := alloc.Alloc(4 * sim.MiB)
+		if err != nil {
+			b.Fatal(err)
+		}
+		alloc.Free(buf)
+	}
+}
+
 // BenchmarkCachingRefusal measures the baseline's refusal path: a miss on
 // a full device with nothing cached to flush, so cudaMalloc fails once and
-// the error goes back up — the common case under a tight serving pool.
+// the error goes back up — the common case under a tight serving pool. A
+// repeated refusal reuses the device's error, so it allocates nothing.
 func BenchmarkCachingRefusal(b *testing.B) {
 	alloc := caching.New(newBenchDriver(100 * sim.MiB))
 	if _, err := alloc.Alloc(80 * sim.MiB); err != nil {

@@ -80,6 +80,9 @@ type Allocator struct {
 	small, large *pool
 	segments     map[cuda.DevicePtr]*segment
 
+	// spare holds block records merged away or released with their
+	// segment; a split remainder or a new segment's block comes from it.
+	spare container.Spares[block]
 	// probe is the search key findBestFit reuses: the tree compares through
 	// a func value, so a key built per lookup would escape to the heap.
 	probe block
@@ -265,7 +268,8 @@ func (a *Allocator) allocSegment(p *pool, size int64) (*block, error) {
 		return nil, fmt.Errorf("caching: %w", err)
 	}
 	seg := &segment{ptr: ptr, size: segSize, pool: p}
-	blk := &block{seg: seg, ptr: ptr, size: segSize}
+	blk := a.spare.Get()
+	*blk = block{seg: seg, ptr: ptr, size: segSize}
 	seg.first = blk
 	a.segments[ptr] = seg
 	a.acct.OnReserve(segSize)
@@ -302,7 +306,8 @@ func (a *Allocator) maybeSplit(p *pool, blk *block, size int64) *block {
 	if a.cfg.MaxSplitSize > 0 && !p.isSmall && blk.size > a.cfg.MaxSplitSize {
 		return blk
 	}
-	rest := &block{
+	rest := a.spare.Get()
+	*rest = block{
 		seg:  blk.seg,
 		ptr:  blk.ptr + cuda.DevicePtr(size),
 		size: remaining,
@@ -320,9 +325,16 @@ func (a *Allocator) maybeSplit(p *pool, blk *block, size int64) *block {
 
 // Free implements memalloc.Allocator: mark inactive and merge with inactive
 // neighbours (paper Figure 2b steps 3 and 4). The driver is never called.
+// A block merged away goes to the spare list; the freed buffer forgets its
+// block first, so a stale handle cannot reach the recycled record.
 func (a *Allocator) Free(buf *memalloc.Buffer) {
-	blk, ok := buf.Impl().(*block)
-	if !ok || blk == nil {
+	var blk *block
+	switch b := buf.Impl().(type) {
+	case nil:
+		panic("caching: double Free")
+	case *block:
+		blk = b
+	default:
 		panic("caching: Free of buffer not owned by this allocator")
 	}
 	if !blk.allocated {
@@ -342,6 +354,7 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 		if nb.next != nil {
 			nb.next.prev = blk
 		}
+		a.spare.Put(nb)
 	}
 	if pb := blk.prev; pb != nil && !pb.allocated {
 		p.removeFree(pb)
@@ -350,6 +363,7 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 		if blk.next != nil {
 			blk.next.prev = pb
 		}
+		a.spare.Put(blk)
 		blk = pb
 	}
 	p.insertFree(blk)
@@ -378,6 +392,7 @@ func (a *Allocator) releaseCachedSegments() int {
 		}
 		a.acct.OnRelease(seg.size)
 		delete(a.segments, ptr)
+		a.spare.Put(blk)
 		released++
 		if a.flushable() == 0 {
 			break

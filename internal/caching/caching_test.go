@@ -261,16 +261,76 @@ func TestFragmentationScenario(t *testing.T) {
 	}
 }
 
+// panicValue runs fn and returns what it panicked with, or nil.
+func panicValue(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
 func TestDoubleFreePanics(t *testing.T) {
 	a, _ := newTestAllocator(sim.GiB)
 	b, _ := a.Alloc(sim.MiB)
 	a.Free(b)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Free did not panic")
+	if got := panicValue(func() { a.Free(b) }); got != "caching: double Free" {
+		t.Fatalf("second Free panicked with %v", got)
+	}
+	foreign := &memalloc.Buffer{}
+	foreign.SetImpl(42)
+	if got := panicValue(func() { a.Free(foreign) }); got != "caching: Free of buffer not owned by this allocator" {
+		t.Fatalf("Free of a foreign buffer panicked with %v", got)
+	}
+}
+
+// TestStaleHandleAfterReuse frees a split block, hands its recycled record
+// to a new buffer, and frees the first buffer again: the stale handle must
+// panic without touching the new owner.
+func TestStaleHandleAfterReuse(t *testing.T) {
+	a, _ := newTestAllocator(sim.GiB)
+	bufA, err := a.Alloc(4 * sim.MiB) // splits a 20 MiB segment
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := bufA.Impl()
+	a.Free(bufA)
+	bufB, err := a.Alloc(4 * sim.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bufB.Impl() != rec {
+		t.Fatal("the second Alloc did not reuse the first one's block record")
+	}
+	if got := panicValue(func() { a.Free(bufA) }); got != "caching: double Free" {
+		t.Fatalf("Free of the stale handle panicked with %v", got)
+	}
+	if bufB.Impl() != rec || a.Stats().Active != bufB.BlockSize {
+		t.Fatal("the stale Free changed the live buffer's state")
+	}
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	a.Free(bufB)
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSplitFreeAllocationBudget holds a warm split+free cycle to the one
+// allocation a handed-out buffer costs: the split remainder is a record the
+// previous Free merged away.
+func TestSplitFreeAllocationBudget(t *testing.T) {
+	a, _ := newTestAllocator(sim.GiB)
+	cycle := func() {
+		buf, err := a.Alloc(4 * sim.MiB)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	a.Free(b)
+		a.Free(buf)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 1 {
+		t.Fatalf("a warm split+free cycle allocates %v times, want 1 (the buffer)", n)
+	}
 }
 
 func TestStatsAccounting(t *testing.T) {
@@ -386,9 +446,10 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 	}
 }
 
-// TestRefusalAllocationBudget holds a refusal on a full device with nothing
-// to flush to one heap allocation: the device's error, which the caching
-// allocator wraps without allocating. Nothing is formatted until read.
+// TestRefusalAllocationBudget holds a repeated refusal on a full device with
+// nothing to flush to no heap allocation: the device hands back the error
+// it made for the first, identical refusal, and the caching allocator wraps
+// it without allocating. Nothing is formatted until read.
 func TestRefusalAllocationBudget(t *testing.T) {
 	a, _ := newTestAllocator(100 * sim.MiB)
 	if _, err := a.Alloc(80 * sim.MiB); err != nil {
@@ -399,8 +460,8 @@ func TestRefusalAllocationBudget(t *testing.T) {
 			t.Fatal("Alloc on a full device succeeded")
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("a refused Alloc allocates %v times, budget 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("a repeated refused Alloc allocates %v times, want 0", allocs)
 	}
 }
 

@@ -12,6 +12,13 @@ func intTree() *Tree[int] {
 	return NewTree[int](func(a, b int) bool { return a < b })
 }
 
+// insert links a fresh node holding v into t and returns it.
+func insert[T any](t *Tree[T], v T) *Node[T] {
+	n := &Node[T]{Value: v}
+	t.InsertNode(n)
+	return n
+}
+
 func treeContents(t *Tree[int]) []int {
 	var out []int
 	t.Ascend(func(n *Node[int]) bool {
@@ -25,7 +32,7 @@ func TestTreeInsertAscend(t *testing.T) {
 	tr := intTree()
 	in := []int{5, 3, 8, 1, 9, 7, 2, 6, 4, 0}
 	for _, v := range in {
-		tr.Insert(v)
+		insert(tr, v)
 	}
 	got := treeContents(tr)
 	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
@@ -45,10 +52,10 @@ func TestTreeInsertAscend(t *testing.T) {
 func TestTreeDuplicates(t *testing.T) {
 	tr := intTree()
 	for i := 0; i < 5; i++ {
-		tr.Insert(7)
+		insert(tr, 7)
 	}
-	tr.Insert(3)
-	tr.Insert(9)
+	insert(tr, 3)
+	insert(tr, 9)
 	if tr.Len() != 7 {
 		t.Fatalf("Len = %d, want 7", tr.Len())
 	}
@@ -65,7 +72,7 @@ func TestTreeDeleteByHandle(t *testing.T) {
 	tr := intTree()
 	nodes := make([]*Node[int], 0, 100)
 	for i := 0; i < 100; i++ {
-		nodes = append(nodes, tr.Insert(i%10))
+		nodes = append(nodes, insert(tr, i%10))
 	}
 	// Delete every third node; handles must remain valid for the others.
 	for i := 0; i < 100; i += 3 {
@@ -89,7 +96,7 @@ func TestTreeDeleteByHandle(t *testing.T) {
 
 func TestTreeDeleteStaleHandlePanics(t *testing.T) {
 	tr := intTree()
-	n := tr.Insert(1)
+	n := insert(tr, 1)
 	tr.Delete(n)
 	defer func() {
 		if recover() == nil {
@@ -102,7 +109,7 @@ func TestTreeDeleteStaleHandlePanics(t *testing.T) {
 func TestTreeCeilFloor(t *testing.T) {
 	tr := intTree()
 	for _, v := range []int{10, 20, 30, 40} {
-		tr.Insert(v)
+		insert(tr, v)
 	}
 	tests := []struct {
 		v           int
@@ -135,7 +142,7 @@ func TestTreeMinMaxEmpty(t *testing.T) {
 	if tr.Min() != nil || tr.Max() != nil {
 		t.Fatal("Min/Max of empty tree should be nil")
 	}
-	tr.Insert(1)
+	insert(tr, 1)
 	tr.Clear()
 	if tr.Len() != 0 || tr.Min() != nil {
 		t.Fatal("Clear did not empty the tree")
@@ -153,7 +160,7 @@ func TestTreeRandomOps(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		if rng.Float64() < 0.6 || len(ref) == 0 {
 			v := rng.Intn(200)
-			handles[v] = append(handles[v], tr.Insert(v))
+			handles[v] = append(handles[v], insert(tr, v))
 			ref = append(ref, v)
 		} else {
 			v := ref[rng.Intn(len(ref))]
@@ -250,7 +257,7 @@ func TestTreeQuickSorted(t *testing.T) {
 	f := func(vals []int16) bool {
 		tr := intTree()
 		for _, v := range vals {
-			tr.Insert(int(v))
+			insert(tr, int(v))
 		}
 		if err := tr.checkInvariants(); err != nil {
 			return false
@@ -342,5 +349,27 @@ func TestQueueLRUPattern(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("LRU order %v, want %v", order, want)
 		}
+	}
+}
+
+// TestSparesReuse pins the free list's contract: Get hands back the most
+// recently kept record as it was, and asks the heap only when none is kept.
+func TestSparesReuse(t *testing.T) {
+	var s Spares[[2]int]
+	a, b := s.Get(), s.Get()
+	if a == b {
+		t.Fatal("two Gets from an empty list returned the same record")
+	}
+	a[0], b[0] = 1, 2
+	s.Put(a)
+	s.Put(b)
+	if got := s.Get(); got != b || got[0] != 2 {
+		t.Fatalf("Get = %v, want the last record kept, unchanged", got)
+	}
+	if got := s.Get(); got != a {
+		t.Fatal("Get did not return the earlier record")
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Put(s.Get()) }); n != 0 {
+		t.Fatalf("a warm Get/Put pair allocates %v times, want 0", n)
 	}
 }

@@ -1,8 +1,11 @@
 // Package container provides the ordered data structures shared by the
 // simulator: a generic red-black tree ordered multiset (the caching and
 // expandable allocators' free lists, the driver's and device's address
-// maps, a server's ready queue), a binary min-heap (the cluster and session event
-// spines) and a small FIFO/LRU queue (GMLake's StitchFree order).
+// maps, a server's ready queue), a binary min-heap (the cluster and session
+// event spines) and a small FIFO/LRU queue (GMLake's StitchFree order).
+//
+// Every tree element embeds its own Node, so the tree never allocates: an
+// owner that recycles a dead record reuses the record's node with it.
 package container
 
 // Tree is an ordered multiset implemented as a red-black tree. Elements are
@@ -10,9 +13,9 @@ package container
 // neither less nor greater than each other) are allowed and kept in insertion
 // order on the right spine.
 //
-// Insert returns a *Node handle which the caller may retain for O(log n)
-// deletion, the pattern both allocators use to remove a specific block from
-// a pool; InsertNode links a node the caller owns instead of allocating one.
+// Every element embeds its own Node, links it with InsertNode and keeps it
+// as the handle for O(log n) deletion: that is how the allocators remove a
+// specific block or range from an index.
 type Tree[T any] struct {
 	root *Node[T]
 	size int
@@ -34,13 +37,6 @@ func NewTree[T any](less func(a, b T) bool) *Tree[T] {
 
 // Len reports the number of elements in the tree.
 func (t *Tree[T]) Len() int { return t.size }
-
-// Insert adds v to the tree and returns its node handle.
-func (t *Tree[T]) Insert(v T) *Node[T] {
-	n := &Node[T]{Value: v}
-	t.InsertNode(n)
-	return n
-}
 
 // Linked reports whether n is currently in a tree.
 func (n *Node[T]) Linked() bool { return n.tree != nil }

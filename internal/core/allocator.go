@@ -69,6 +69,10 @@ type Allocator struct {
 	}
 	stitchFrees int64
 	gcRuns      int64
+
+	// cands is the scratch slice bestFit returns its candidates in; an
+	// sBlock stitched from them stores its own copy.
+	cands []*PBlock
 }
 
 // New returns a GMLake allocator over driver with cfg.
@@ -270,7 +274,7 @@ func (a *Allocator) allocStitch(cands []*PBlock, rounded, requested int64) *mema
 		// Trimming collapsed the request onto a single exact block.
 		return a.assignPBlock(members[0], requested)
 	}
-	s := stitchSBlock(a.driver, members)
+	s := stitchSBlock(a.driver, append(make([]*PBlock, 0, len(members)), members...))
 	a.sblocks.add(s)
 	return a.assignSBlock(s, requested)
 }
@@ -281,7 +285,8 @@ func (a *Allocator) allocStitch(cands []*PBlock, rounded, requested int64) *mema
 // cached sBlock stitched over the split block (erasing the §5.4 "tape"), so
 // an exact completion is strictly better. Only when no exact completion
 // exists is the last candidate split (the paper's S3 "the final pBlock can
-// be subdivided").
+// be subdivided"). It may return cands itself, with its last element
+// replaced.
 func (a *Allocator) trimCandidates(cands []*PBlock, rounded int64) ([]*PBlock, int64) {
 	var total int64
 	for _, p := range cands {
@@ -296,16 +301,16 @@ func (a *Allocator) trimCandidates(cands []*PBlock, rounded int64) ([]*PBlock, i
 		panic(fmt.Sprintf("core: trim needs %d from block of %d", need, last.size))
 	}
 	if exact := a.findExactCompletion(cands, need); exact != nil {
-		out := append(append([]*PBlock(nil), cands[:len(cands)-1]...), exact)
-		return out, rounded
+		cands[len(cands)-1] = exact
+		return cands, rounded
 	}
 	hadOwners := len(last.owners) > 0
 	front, back := a.split(last, need)
 	if !hadOwners && !a.cfg.RebindOnSplit {
 		a.sblocks.add(stitchSBlock(a.driver, []*PBlock{front, back}))
 	}
-	out := append(append([]*PBlock(nil), cands[:len(cands)-1]...), front)
-	return out, rounded
+	cands[len(cands)-1] = front
+	return cands, rounded
 }
 
 // findExactCompletion returns an inactive pBlock of exactly need bytes that
@@ -341,7 +346,7 @@ func (a *Allocator) allocNew(cands []*PBlock, total, rounded, requested int64) (
 	if len(cands) == 0 {
 		return a.assignPBlock(fresh, requested), nil
 	}
-	members := append(append([]*PBlock(nil), cands...), fresh)
+	members := append(append(make([]*PBlock, 0, len(cands)+1), cands...), fresh)
 	s := stitchSBlock(a.driver, members)
 	a.sblocks.add(s)
 	return a.assignSBlock(s, requested), nil

@@ -56,7 +56,8 @@ func (a *Allocator) bestFit(size int64) bestFitResult {
 	// request (best fit). Exact sizes were handled above, so this is a
 	// strictly larger block headed for a split.
 	if p := a.pblocks.ceil(size); p != nil {
-		return bestFitResult{state: fitSingle, cands: []*PBlock{p}, total: p.size}
+		a.cands = append(a.cands[:0], p)
+		return bestFitResult{state: fitSingle, cands: a.cands, total: p.size}
 	}
 
 	// Multi-block regime. The first pass honours the fragmentation limit;
@@ -84,8 +85,11 @@ func (a *Allocator) bestFit(size int64) bestFitResult {
 // When the exact walk leaves a remainder, the smallest block covering the
 // remainder is appended for the caller to split — preferring, among
 // same-sized choices, a block with the fewest stitched views over it.
+//
+// The candidates are appended to the allocator's scratch slice, which the
+// next search overwrites.
 func (a *Allocator) collectCandidates(size, minBlock int64) ([]*PBlock, int64) {
-	var cands []*PBlock
+	cands := a.cands[:0]
 	needed := size
 	for p := a.pblocks.max(); p != nil && p.size >= minBlock; p = a.pblocks.prev(p) {
 		if p.size <= needed {
@@ -95,28 +99,30 @@ func (a *Allocator) collectCandidates(size, minBlock int64) ([]*PBlock, int64) {
 			}
 		}
 	}
-	if needed == 0 {
-		return cands, size
-	}
-	// Top up with a block to split. Everything accumulated so far is
-	// excluded; ties on size prefer fewer owner sBlocks to limit tape
-	// damage.
-	var top *PBlock
-	scanned := 0
-	for p := a.pblocks.ceil(needed); p != nil && scanned < 8; p = a.pblocks.next(p) {
-		if slices.Contains(cands, p) {
-			continue
+	total := size - needed
+	if needed > 0 {
+		// Top up with a block to split. Everything accumulated so far is
+		// excluded; ties on size prefer fewer owner sBlocks to limit tape
+		// damage.
+		var top *PBlock
+		scanned := 0
+		for p := a.pblocks.ceil(needed); p != nil && scanned < 8; p = a.pblocks.next(p) {
+			if slices.Contains(cands, p) {
+				continue
+			}
+			scanned++
+			if top == nil || len(p.owners) < len(top.owners) {
+				top = p
+			}
+			if len(top.owners) == 0 {
+				break
+			}
 		}
-		scanned++
-		if top == nil || len(p.owners) < len(top.owners) {
-			top = p
-		}
-		if len(top.owners) == 0 {
-			break
+		if top != nil {
+			cands = append(cands, top)
+			total += top.size
 		}
 	}
-	if top == nil {
-		return cands, size - needed
-	}
-	return append(cands, top), size - needed + top.size
+	a.cands = cands
+	return cands, total
 }

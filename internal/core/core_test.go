@@ -375,8 +375,8 @@ func TestDoubleFreePanics(t *testing.T) {
 	b := mustAlloc(t, a, 10*sim.MiB)
 	a.Free(b)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("double Free did not panic")
+		if got := recover(); got != "core: Free of unowned or already-freed buffer" {
+			t.Fatalf("second Free panicked with %v", got)
 		}
 	}()
 	a.Free(b)

@@ -33,6 +33,19 @@
 // hits the reservation the previous call resolved (allocators map a block's
 // chunks one after another) and O(log reservations) otherwise.
 //
+// # Handle table
+//
+// Physical handles index a table of records rather than a map. A handle is
+// gen<<32 | slot+1: the table slot holding its record, and how many handles
+// that slot issued before it. When a handle's memory is reclaimed, its
+// record stays in the slot with the next generation's handle, and the slot
+// goes on a free list for the next MemCreate. So a released handle stays
+// ErrInvalidHandle after its slot is reissued, and a warm
+// MemCreate/MemRelease cycle allocates nothing. The page table points at
+// the records, which do not move when the table grows. Freed reservations
+// are recycled too, with their page table when it is long enough for the
+// next one.
+//
 // Host cost is not simulated cost: what a call charges to the sim.Clock comes
 // from the cost model alone and does not depend on any of the above.
 package cuda
@@ -93,8 +106,9 @@ type Driver struct {
 	mallocs      map[DevicePtr]mallocAlloc
 	reservations map[DevicePtr]*reservation
 	resByAddr    *container.Tree[*reservation] // ordered by base for range lookup
-	handles      map[MemHandle]*physical
-	nextHandle   MemHandle
+	spareRes     container.Spares[reservation]
+	handles      []*physical // the handle table (see the package comment)
+	freeSlots    []int       // slots of handles whose memory was reclaimed
 
 	// findReservation state: the reservation it resolved last, and the key
 	// its tree search reuses — the tree compares through a func value, so a
@@ -113,7 +127,7 @@ type reservation struct {
 	size  int64
 	slots []slot // page table, one entry per ChunkGranularity
 	live  int    // mappings in slots
-	node  *container.Node[*reservation]
+	node  container.Node[*reservation]
 }
 
 // slot is one granule of a reservation's page table (see the package
@@ -126,7 +140,7 @@ type slot struct {
 }
 
 type physical struct {
-	id       MemHandle
+	id       MemHandle // the handle naming the record; once reclaimed, the next one
 	size     int64
 	seg      gpu.SegmentID
 	mapCount int
@@ -144,7 +158,6 @@ func NewDriver(dev *gpu.Device, clock *sim.Clock, model *sim.CostModel) *Driver 
 		resByAddr: container.NewTree[*reservation](func(a, b *reservation) bool {
 			return a.base < b.base
 		}),
-		handles: make(map[MemHandle]*physical),
 	}
 }
 
@@ -217,12 +230,18 @@ func (d *Driver) MemAddressReserve(size int64) (DevicePtr, error) {
 		return 0, err
 	}
 	ptr := DevicePtr(va)
-	r := &reservation{
-		base:  ptr,
-		size:  size,
-		slots: make([]slot, size/ChunkGranularity),
+	// A freed reservation had no mappings, so its page table is all
+	// unmapped slots and serves again wherever it is long enough.
+	r := d.spareRes.Get()
+	slots := r.slots
+	if n := int(size / ChunkGranularity); cap(slots) >= n {
+		slots = slots[:n]
+	} else {
+		slots = make([]slot, n)
 	}
-	r.node = d.resByAddr.Insert(r)
+	*r = reservation{base: ptr, size: size, slots: slots}
+	r.node.Value = r
+	d.resByAddr.InsertNode(&r.node)
 	d.reservations[ptr] = r
 	return ptr, nil
 }
@@ -242,11 +261,12 @@ func (d *Driver) MemAddressFree(ptr DevicePtr, size int64) error {
 	d.clock.Advance(d.cost.MemAddressFree(size))
 	d.counters.AddressFree++
 	d.dev.ReleaseVA(uint64(ptr), size)
-	d.resByAddr.Delete(r.node)
+	d.resByAddr.Delete(&r.node)
 	delete(d.reservations, ptr)
 	if d.last == r {
 		d.last = nil
 	}
+	d.spareRes.Put(r)
 	return nil
 }
 
@@ -263,18 +283,38 @@ func (d *Driver) MemCreate(size int64) (MemHandle, error) {
 	if err != nil {
 		return 0, err
 	}
-	d.nextHandle++
-	h := d.nextHandle
-	d.handles[h] = &physical{id: h, size: size, seg: seg}
+	var p *physical
+	if n := len(d.freeSlots); n > 0 {
+		p = d.handles[d.freeSlots[n-1]]
+		d.freeSlots = d.freeSlots[:n-1]
+	} else {
+		p = &physical{id: MemHandle(len(d.handles) + 1)}
+		d.handles = append(d.handles, p)
+	}
+	*p = physical{id: p.id, size: size, seg: seg}
 	d.counters.BytesAllocated += size
-	return h, nil
+	return p.id, nil
+}
+
+// handle returns the record h names while h is live and not yet released,
+// or nil: h was never issued, was released, or names an earlier
+// generation of a reissued slot.
+func (d *Driver) handle(h MemHandle) *physical {
+	i := int(uint32(h)) - 1
+	if i < 0 || i >= len(d.handles) {
+		return nil
+	}
+	if p := d.handles[i]; p.id == h && !p.released {
+		return p
+	}
+	return nil
 }
 
 // MemRelease drops the caller's reference to a physical handle. The memory is
 // returned to the device once no mapping references it, per driver semantics.
 func (d *Driver) MemRelease(h MemHandle) error {
-	p, ok := d.handles[h]
-	if !ok || p.released {
+	p := d.handle(h)
+	if p == nil {
 		return fmt.Errorf("%w: MemRelease(%d)", ErrInvalidHandle, h)
 	}
 	d.clock.Advance(d.cost.MemRelease(p.size))
@@ -288,8 +328,8 @@ func (d *Driver) MemRelease(h MemHandle) error {
 // a granule boundary inside a reservation with enough room and no
 // overlapping mapping.
 func (d *Driver) MemMap(ptr DevicePtr, h MemHandle) error {
-	p, ok := d.handles[h]
-	if !ok || p.released {
+	p := d.handle(h)
+	if p == nil {
 		return fmt.Errorf("%w: MemMap handle %d", ErrInvalidHandle, h)
 	}
 	r := d.findReservation(ptr, p.size)
@@ -372,13 +412,16 @@ func (d *Driver) MappedBytes() int64 {
 }
 
 // LiveHandles reports physical handles whose memory is still held.
-func (d *Driver) LiveHandles() int { return len(d.handles) }
+func (d *Driver) LiveHandles() int { return len(d.handles) - len(d.freeSlots) }
 
+// maybeReclaim returns p's memory to the device once it is released and
+// unmapped, and frees its slot with the handle a generation on.
 func (d *Driver) maybeReclaim(p *physical) {
 	if p.released && p.mapCount == 0 {
 		d.dev.FreePhysical(p.seg)
 		d.counters.BytesReleased += p.size
-		delete(d.handles, p.id)
+		d.freeSlots = append(d.freeSlots, int(uint32(p.id))-1)
+		p.id += 1 << 32
 	}
 }
 

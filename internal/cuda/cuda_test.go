@@ -285,3 +285,105 @@ func TestCounters(t *testing.T) {
 		t.Fatalf("Counters = %+v, want %+v", c, want)
 	}
 }
+
+// TestStaleHandleAfterReuse releases a handle, lets MemCreate reissue its
+// slot, and uses the old handle: it must stay invalid while the new one
+// works.
+func TestStaleHandleAfterReuse(t *testing.T) {
+	d := newTestDriver(sim.GiB)
+	va, err := d.MemAddressReserve(ChunkGranularity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, err := d.MemCreate(ChunkGranularity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.MemRelease(h1); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := d.MemCreate(ChunkGranularity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2 == h1 || uint32(h2) != uint32(h1) {
+		t.Fatalf("handles %#x then %#x: want the same slot, a new handle", h1, h2)
+	}
+	if err := d.MemMap(va, h1); !errors.Is(err, ErrInvalidHandle) {
+		t.Fatalf("MemMap of the stale handle = %v, want ErrInvalidHandle", err)
+	}
+	if err := d.MemRelease(h1); !errors.Is(err, ErrInvalidHandle) {
+		t.Fatalf("MemRelease of the stale handle = %v, want ErrInvalidHandle", err)
+	}
+	if d.LiveHandles() != 1 {
+		t.Fatalf("LiveHandles = %d, want 1", d.LiveHandles())
+	}
+	if err := d.MemMap(va, h2); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.MemUnmap(va, ChunkGranularity); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.MemRelease(h2); err != nil {
+		t.Fatal(err)
+	}
+	if d.LiveHandles() != 0 {
+		t.Fatalf("LiveHandles = %d, want 0", d.LiveHandles())
+	}
+}
+
+// TestVMMCycleAllocationFree pins the recycling of driver records: once
+// warm, a chunk's whole life (create, map, set access, unmap, release) and
+// a reservation's (reserve, free) allocate nothing.
+func TestVMMCycleAllocationFree(t *testing.T) {
+	const n = 4
+	d := newTestDriver(sim.GiB)
+	va, err := d.MemAddressReserve(n * ChunkGranularity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := func() {
+		var hs [n]MemHandle
+		for i := range hs {
+			h, err := d.MemCreate(ChunkGranularity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.MemMap(va+DevicePtr(int64(i)*ChunkGranularity), h); err != nil {
+				t.Fatal(err)
+			}
+			hs[i] = h
+		}
+		if err := d.MemSetAccess(va, n*ChunkGranularity); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hs {
+			if err := d.MemRelease(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.MemUnmap(va, n*ChunkGranularity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, chunk); got != 0 {
+		t.Errorf("MemCreate/MemMap/MemUnmap/MemRelease: %.1f allocs per cycle, want 0", got)
+	}
+	reservation := func() {
+		for _, size := range []int64{8 * ChunkGranularity, ChunkGranularity} {
+			r, err := d.MemAddressReserve(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.MemAddressFree(r, size); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(100, reservation); got != 0 {
+		t.Errorf("MemAddressReserve/MemAddressFree: %.1f allocs per cycle, want 0", got)
+	}
+	if d.LiveHandles() != 0 || d.MappedBytes() != 0 {
+		t.Fatalf("%d handles, %d bytes mapped after the cycles", d.LiveHandles(), d.MappedBytes())
+	}
+}

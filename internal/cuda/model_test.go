@@ -19,8 +19,7 @@ type refDriver struct {
 	c       Counters
 	free    int64 // device bytes not held by a handle
 	res     []*refReservation
-	handles map[MemHandle]*refHandle
-	next    MemHandle
+	handles map[MemHandle]*refHandle // live handles, keyed as the driver issued them
 }
 
 type refReservation struct {
@@ -75,7 +74,8 @@ func (m *refDriver) addressFree(ptr DevicePtr, size int64) error {
 	return ErrRangeNotFound
 }
 
-func (m *refDriver) create(size int64) error {
+// create models MemCreate; h is the handle the real driver issued.
+func (m *refDriver) create(size int64, h MemHandle) error {
 	m.now += m.cost.MemCreate(size)
 	m.c.MemCreate++
 	if badSize(size) {
@@ -84,8 +84,7 @@ func (m *refDriver) create(size int64) error {
 	if size > m.free {
 		return ErrOutOfMemory
 	}
-	m.next++
-	m.handles[m.next] = &refHandle{id: m.next, size: size}
+	m.handles[h] = &refHandle{id: h, size: size}
 	m.free -= size
 	m.c.BytesAllocated += size
 	return nil
@@ -218,8 +217,21 @@ func (m *refDriver) mappedBytes() int64 {
 }
 
 // checkInvariants validates the page tables against the handles they
-// reference and the driver's reservation indexes.
+// reference, the handle table against its free list, and the driver's
+// reservation indexes.
 func (d *Driver) checkInvariants() error {
+	spare := make(map[int]bool)
+	for _, i := range d.freeSlots {
+		if i < 0 || i >= len(d.handles) || spare[i] {
+			return fmt.Errorf("free list holds slot %d twice or out of a %d-slot table", i, len(d.handles))
+		}
+		spare[i] = true
+	}
+	// held reports whether p is the record of a live slot.
+	held := func(p *physical) bool {
+		i := int(uint32(p.id)) - 1
+		return i >= 0 && i < len(d.handles) && d.handles[i] == p && !spare[i]
+	}
 	refs := make(map[*physical]int)
 	for base, r := range d.reservations {
 		if r.base != base || len(r.slots) != int(r.size/ChunkGranularity) {
@@ -236,7 +248,7 @@ func (d *Driver) checkInvariants() error {
 				continue
 			}
 			k := int(s.span)
-			if k < 0 || i+k > len(r.slots) || s.p == nil || d.handles[s.p.id] != s.p || s.p.size != int64(k)*ChunkGranularity {
+			if k < 0 || i+k > len(r.slots) || s.p == nil || !held(s.p) || s.p.size != int64(k)*ChunkGranularity {
 				return fmt.Errorf("reservation %#x: slot %d does not start a %d-granule mapping of a live handle", uint64(base), i, k)
 			}
 			for j := 1; j < k; j++ {
@@ -252,7 +264,17 @@ func (d *Driver) checkInvariants() error {
 			return fmt.Errorf("reservation %#x: live = %d, page table holds %d mappings", uint64(base), r.live, live)
 		}
 	}
-	for id, p := range d.handles {
+	for i, p := range d.handles {
+		id := p.id
+		if spare[i] {
+			if !p.released || p.mapCount != 0 {
+				return fmt.Errorf("slot %d is free but handle %d is held", i, id)
+			}
+			continue
+		}
+		if int(uint32(id))-1 != i {
+			return fmt.Errorf("slot %d holds handle %d", i, id)
+		}
 		if p.mapCount != refs[p] {
 			return fmt.Errorf("handle %d: mapCount = %d, %d slots reference it", id, p.mapCount, refs[p])
 		}
@@ -288,8 +310,22 @@ func TestDriverAgainstModel(t *testing.T) {
 
 		granules := func(max int) int64 { return int64(1+rng.Intn(max)) * ChunkGranularity }
 		oneIn := func(n int) bool { return rng.Intn(n) == 0 }
-		// anyHandle mostly names a handle that exists or existed.
-		anyHandle := func() MemHandle { return MemHandle(rng.Int63n(int64(m.next) + 2)) }
+		// issued is every handle the driver ever returned, live or not;
+		// anyHandle names one of them, or 0, or a handle never issued (its
+		// slot exists, its generation does not).
+		var issued []MemHandle
+		seen := make(map[MemHandle]bool)
+		const never = MemHandle(1<<52 | 1)
+		anyHandle := func() MemHandle {
+			switch k := rng.Intn(len(issued) + 2); k {
+			case len(issued):
+				return 0
+			case len(issued) + 1:
+				return never
+			default:
+				return issued[k]
+			}
+		}
 		// pickRange returns an address and size inside (or, rarely, hanging
 		// off) a random reservation: granule-aligned by default, sometimes
 		// misaligned at either end, empty or negative.
@@ -338,9 +374,13 @@ func TestDriverAgainstModel(t *testing.T) {
 				op = fmt.Sprintf("MemCreate(%d)", size)
 				var h MemHandle
 				h, got = d.MemCreate(size)
-				want = m.create(size)
-				if got == nil && h != m.next {
-					t.Fatalf("seed %d step %d: %s = handle %d, model %d", seed, step, op, h, m.next)
+				want = m.create(size, h)
+				if got == nil {
+					if seen[h] || h == never {
+						t.Fatalf("seed %d step %d: %s = handle %d, issued before or never to be issued", seed, step, op, h)
+					}
+					seen[h] = true
+					issued = append(issued, h)
 				}
 			case k < 11:
 				ptr, _ := pickRange()

@@ -78,6 +78,8 @@ type Allocator struct {
 
 	blocks *block // address-ordered chain over [0, frontier)
 	free   *container.Tree[*block]
+	spare  container.Spares[block] // records merged, compacted or trimmed away
+	probe  block                   // findBestFit's search key, reused
 
 	small *caching.Allocator
 
@@ -91,7 +93,7 @@ type block struct {
 	buf  *memalloc.Buffer // the live buffer, whose Ptr compaction rewrites; nil = free
 	prev *block
 	next *block
-	node *container.Node[*block]
+	node container.Node[*block] // linked into free while the block is free
 }
 
 // New returns an expandable-segments allocator over driver.
@@ -200,14 +202,28 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 }
 
 func (a *Allocator) findBestFit(size int64) *block {
-	n := a.free.Ceil(&block{size: size})
+	a.probe.size = size
+	n := a.free.Ceil(&a.probe)
 	if n == nil {
 		return nil
 	}
 	blk := n.Value
 	a.free.Delete(n)
-	blk.node = nil
 	return blk
+}
+
+// newBlock returns a free block over [off, off+size), unlinked, in a spare
+// record when there is one.
+func (a *Allocator) newBlock(off, size int64) *block {
+	blk := a.spare.Get()
+	*blk = block{off: off, size: size}
+	return blk
+}
+
+// insertFree indexes the free block blk through its own tree node.
+func (a *Allocator) insertFree(blk *block) {
+	blk.node.Value = blk
+	a.free.InsertNode(&blk.node)
 }
 
 // compact slides every allocated block downward so all free space becomes
@@ -218,9 +234,11 @@ func (a *Allocator) compact() {
 
 	var moved, off int64
 	var last *block
-	for blk := a.blocks; blk != nil; blk = blk.next {
+	for blk, next := a.blocks, (*block)(nil); blk != nil; blk = next {
+		next = blk.next
 		if blk.buf == nil {
-			a.free.Delete(blk.node)
+			a.free.Delete(&blk.node)
+			a.spare.Put(blk)
 			continue
 		}
 		if blk.off != off {
@@ -234,8 +252,8 @@ func (a *Allocator) compact() {
 	}
 	var tail *block
 	if off < a.frontier {
-		tail = &block{off: off, size: a.frontier - off}
-		tail.node = a.free.Insert(tail)
+		tail = a.newBlock(off, a.frontier-off)
+		a.insertFree(tail)
 	}
 	a.link(last, tail)
 	a.movedBytes += moved
@@ -311,12 +329,11 @@ func (a *Allocator) extend(size int64) (*block, error) {
 	a.frontier += need
 	if tail != nil && tail.buf == nil {
 		// Merge into the free tail block.
-		a.free.Delete(tail.node)
-		tail.node = nil
+		a.free.Delete(&tail.node)
 		tail.size += need
 		return tail, nil
 	}
-	grown := &block{off: a.frontier - need, size: need}
+	grown := a.newBlock(a.frontier-need, need)
 	a.link(tail, grown)
 	return grown, nil
 }
@@ -337,24 +354,31 @@ func (a *Allocator) maybeSplit(blk *block, size int64) *block {
 	if remaining < caching.MinBlockSize {
 		return blk
 	}
-	rest := &block{off: blk.off + size, size: remaining}
+	rest := a.newBlock(blk.off+size, remaining)
 	a.link(rest, blk.next)
 	a.link(blk, rest)
 	blk.size = size
-	rest.node = a.free.Insert(rest)
+	a.insertFree(rest)
 	return blk
 }
 
-// Free implements memalloc.Allocator: coalescing free, no driver calls.
+// Free implements memalloc.Allocator: coalescing free, no driver calls. A
+// block merged away goes to the spare list; the freed buffer forgets its
+// block first, so a stale handle cannot reach the recycled record.
 func (a *Allocator) Free(buf *memalloc.Buffer) {
-	blk, ok := buf.Impl().(*block)
-	if !ok || blk == nil {
+	var blk *block
+	switch b := buf.Impl().(type) {
+	case nil:
+		panic(a.Name() + ": double Free")
+	case *block:
+		blk = b
+	default:
 		// Small-pool buffer.
 		a.small.Free(buf)
 		return
 	}
 	if blk.buf != buf {
-		panic("expandable: double Free")
+		panic(a.Name() + ": double Free")
 	}
 	a.driver.Clock().Advance(a.driver.Cost().HostOp())
 	a.acct.OnFree(blk.size)
@@ -362,17 +386,19 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 	buf.SetImpl(nil)
 
 	if nb := blk.next; nb != nil && nb.buf == nil {
-		a.free.Delete(nb.node)
+		a.free.Delete(&nb.node)
 		blk.size += nb.size
 		a.link(blk, nb.next)
+		a.spare.Put(nb)
 	}
 	if pb := blk.prev; pb != nil && pb.buf == nil {
-		a.free.Delete(pb.node)
+		a.free.Delete(&pb.node)
 		pb.size += blk.size
 		a.link(pb, blk.next)
+		a.spare.Put(blk)
 		blk = pb
 	}
-	blk.node = a.free.Insert(blk)
+	a.insertFree(blk)
 }
 
 // EmptyCache implements memalloc.Allocator: unmap the free tail of the
@@ -404,14 +430,14 @@ func (a *Allocator) EmptyCache() {
 	a.frontier = releaseFrom
 
 	// Shrink or drop the tail block.
-	a.free.Delete(tail.node)
-	tail.node = nil
+	a.free.Delete(&tail.node)
 	if tail.off == releaseFrom {
 		a.link(tail.prev, nil)
+		a.spare.Put(tail)
 		return
 	}
 	tail.size = releaseFrom - tail.off
-	tail.node = a.free.Insert(tail)
+	a.insertFree(tail)
 }
 
 // Frontier reports the mapped prefix length (diagnostics).
@@ -434,7 +460,7 @@ func (a *Allocator) CheckInvariants() error {
 			if prevFree {
 				return a.errorf("adjacent free blocks not merged")
 			}
-			if blk.node == nil {
+			if !blk.node.Linked() {
 				return a.errorf("free block missing from index")
 			}
 		} else if blk.buf.Ptr != a.va+cuda.DevicePtr(off) {

@@ -163,16 +163,47 @@ func TestOOM(t *testing.T) {
 	checkInv(t, a)
 }
 
+// panicValue runs fn and returns what it panicked with, or nil.
+func panicValue(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
+// TestDoubleFreePanics frees an arena buffer and a small-pool buffer twice:
+// both panics name the arena, not the small pool it embeds.
 func TestDoubleFreePanics(t *testing.T) {
-	a, _ := newTestAllocator(sim.GiB)
-	b := mustAlloc(t, a, 10*sim.MiB)
-	a.Free(b)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Free did not panic")
+	for _, size := range []int64{10 * sim.MiB, sim.MiB} {
+		a, _ := newTestAllocator(sim.GiB)
+		b := mustAlloc(t, a, size)
+		a.Free(b)
+		if got := panicValue(func() { a.Free(b) }); got != "expandable: double Free" {
+			t.Fatalf("second Free of a %d-byte buffer panicked with %v", size, got)
 		}
-	}()
-	a.Free(b)
+	}
+}
+
+// TestStaleHandleAfterReuse frees a split block, hands its recycled record
+// to a new buffer, and frees the first buffer again: the stale handle must
+// panic without touching the new owner.
+func TestStaleHandleAfterReuse(t *testing.T) {
+	a, _ := newTestAllocator(sim.GiB)
+	bufA := mustAlloc(t, a, 9*sim.MiB) // maps 10 MiB and splits off 1 MiB
+	rec := bufA.Impl()
+	a.Free(bufA)
+	bufB := mustAlloc(t, a, 9*sim.MiB)
+	if bufB.Impl() != rec {
+		t.Fatal("the second Alloc did not reuse the first one's block record")
+	}
+	if got := panicValue(func() { a.Free(bufA) }); got != "expandable: double Free" {
+		t.Fatalf("Free of the stale handle panicked with %v", got)
+	}
+	if bufB.Impl() != rec || a.Stats().Active != bufB.BlockSize {
+		t.Fatal("the stale Free changed the live buffer's state")
+	}
+	checkInv(t, a)
+	a.Free(bufB)
+	checkInv(t, a)
 }
 
 // TestRandomWorkloadInvariants drives the arena in each mode with a random

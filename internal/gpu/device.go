@@ -12,7 +12,9 @@ var ErrOutOfMemory = errors.New("gpu: out of device memory")
 
 // OutOfMemoryError is AllocPhysical's refusal: the request and the free
 // capacity it did not fit in. It wraps ErrOutOfMemory and formats only when
-// read, so a refusal nobody prints costs one small allocation.
+// read. A device hands the same record out again for a refusal equal to its
+// previous one, so a caller retrying against an unchanged device allocates
+// nothing: the record is read-only once returned.
 type OutOfMemoryError struct {
 	Want, Free int64
 }
@@ -43,6 +45,7 @@ type Device struct {
 	segments map[SegmentID]int64
 	nextSeg  SegmentID
 	va       *RangeAllocator
+	refusal  *OutOfMemoryError // the last one returned, reissued while equal
 }
 
 // VASpan is the size of the simulated device virtual address space. 1 PiB
@@ -87,13 +90,17 @@ func (d *Device) LiveSegments() int { return len(d.segments) }
 
 // AllocPhysical reserves size physical bytes and returns a segment handle.
 // It fails with an *OutOfMemoryError if the device cannot hold the
-// allocation.
+// allocation; the error is shared with equal refusals and must not be
+// modified.
 func (d *Device) AllocPhysical(size int64) (SegmentID, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("gpu: AllocPhysical size %d", size)
 	}
 	if d.used+size > d.capacity {
-		return 0, &OutOfMemoryError{Want: size, Free: d.FreeBytes()}
+		if r := d.refusal; r == nil || r.Want != size || r.Free != d.FreeBytes() {
+			d.refusal = &OutOfMemoryError{Want: size, Free: d.FreeBytes()}
+		}
+		return 0, d.refusal
 	}
 	d.nextSeg++
 	id := d.nextSeg

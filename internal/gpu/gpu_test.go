@@ -241,3 +241,63 @@ func TestDeviceAccessors(t *testing.T) {
 		t.Fatalf("Span = %d", ra.Span())
 	}
 }
+
+// TestRangeAllocatorAllocationFree pins the recycling of free-range records:
+// once warm, an Alloc that splits a range and the FreeRange that merges it
+// back allocate nothing, with and without a live neighbour on either side.
+func TestRangeAllocatorAllocationFree(t *testing.T) {
+	a := NewRangeAllocator(1<<20, 64)
+	left, _ := a.Alloc(256)
+	hole, _ := a.Alloc(512)
+	right, _ := a.Alloc(256)
+	a.FreeRange(hole, 512)
+	cycle := func() {
+		for _, size := range []int64{512, 128, 4096} {
+			off, err := a.Alloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.FreeRange(off, size)
+		}
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a warm Alloc/FreeRange cycle allocates %v times, want 0", n)
+	}
+	a.FreeRange(left, 256)
+	a.FreeRange(right, 256)
+	if a.FragmentCount() != 1 || a.Free() != 1<<20 {
+		t.Fatalf("%d fragments, %d free after releasing everything", a.FragmentCount(), a.Free())
+	}
+}
+
+// TestRefusalShared pins the shared refusal: an AllocPhysical refused
+// exactly as the previous one returns the same error without allocating,
+// and any other refusal gets its own.
+func TestRefusalShared(t *testing.T) {
+	d := NewDevice("x", 8*sim.MiB)
+	if _, err := d.AllocPhysical(6 * sim.MiB); err != nil {
+		t.Fatal(err)
+	}
+	_, first := d.AllocPhysical(4 * sim.MiB)
+	var again error
+	if n := testing.AllocsPerRun(100, func() { _, again = d.AllocPhysical(4 * sim.MiB) }); n != 0 {
+		t.Fatalf("a repeated refusal allocates %v times, want 0", n)
+	}
+	if again != first || !errors.Is(again, ErrOutOfMemory) {
+		t.Fatalf("repeated refusal = %v (%p), first %v (%p)", again, again, first, first)
+	}
+	_, other := d.AllocPhysical(3 * sim.MiB)
+	if other == first || other.Error() != "gpu: out of device memory: want 3145728, free 2097152" {
+		t.Fatalf("a different refusal = %v, shared with %v", other, first)
+	}
+	if _, err := d.AllocPhysical(sim.MiB); err != nil {
+		t.Fatal(err)
+	}
+	_, smaller := d.AllocPhysical(4 * sim.MiB)
+	if smaller == first || smaller.Error() != "gpu: out of device memory: want 4194304, free 1048576" {
+		t.Fatalf("the same request on less free memory = %v, shared with %v", smaller, first)
+	}
+	if first.Error() != "gpu: out of device memory: want 4194304, free 2097152" {
+		t.Fatalf("the first refusal changed to %v", first)
+	}
+}

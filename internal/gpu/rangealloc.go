@@ -3,6 +3,10 @@
 // never a client-visible constraint — exactly as on real CUDA devices) and a
 // process-wide virtual address space from which cudaMalloc results and
 // cuMemAddressReserve reservations are carved.
+//
+// A refusal is cheap to repeat: the device returns the same read-only
+// *OutOfMemoryError for a request that fails exactly as the previous one
+// did, and the address space recycles its free-range records.
 package gpu
 
 import (
@@ -22,18 +26,25 @@ var ErrSpaceExhausted = errors.New("gpu: address space exhausted")
 //
 // Two ordered indexes are kept over the free ranges: one by offset (for
 // neighbour coalescing on free) and one by size (for best-fit allocation).
+// A free range is one record linked into both through the nodes it embeds;
+// a record merged away or consumed goes to a spare list the next split or
+// free takes it from, so a warm Alloc/FreeRange cycle allocates nothing.
 type RangeAllocator struct {
 	span    int64
 	free    int64
 	byAddr  *container.Tree[*freeRange]
 	bySize  *container.Tree[*freeRange]
 	granule int64
+
+	spare container.Spares[freeRange]
+	// probe is the search key Alloc and FreeRange reuse: the trees compare
+	// through a func value, so a key built per lookup would escape.
+	probe freeRange
 }
 
 type freeRange struct {
-	offset, size int64
-	addrNode     *container.Node[*freeRange]
-	sizeNode     *container.Node[*freeRange]
+	offset, size       int64
+	addrNode, sizeNode container.Node[*freeRange]
 }
 
 // NewRangeAllocator creates an allocator over [0, span) handing out ranges
@@ -56,7 +67,7 @@ func NewRangeAllocator(span, granule int64) *RangeAllocator {
 			return x.offset < y.offset
 		}),
 	}
-	a.insertFree(&freeRange{offset: 0, size: span})
+	a.insertFree(0, span)
 	return a
 }
 
@@ -74,16 +85,16 @@ func (a *RangeAllocator) Alloc(size int64) (int64, error) {
 		return 0, fmt.Errorf("gpu: Alloc size %d", size)
 	}
 	size = roundUp(size, a.granule)
-	probe := &freeRange{size: size, offset: -1}
-	n := a.bySize.Ceil(probe)
+	a.probe.offset, a.probe.size = -1, size
+	n := a.bySize.Ceil(&a.probe)
 	if n == nil {
 		return 0, ErrSpaceExhausted
 	}
 	fr := n.Value
+	offset, rest := fr.offset, fr.size-size
 	a.removeFree(fr)
-	offset := fr.offset
-	if fr.size > size {
-		a.insertFree(&freeRange{offset: fr.offset + size, size: fr.size - size})
+	if rest > 0 {
+		a.insertFree(offset+size, rest)
 	}
 	a.free -= size
 	return offset, nil
@@ -98,12 +109,12 @@ func (a *RangeAllocator) FreeRange(offset, size int64) {
 		panic(fmt.Sprintf("gpu: FreeRange(%d, %d) out of span %d", offset, size, a.span))
 	}
 	size = roundUp(size, a.granule)
-	nr := &freeRange{offset: offset, size: size}
 
 	// Find potential neighbours: greatest free range starting at or before
 	// offset, and the successor after it.
 	var prev, next *freeRange
-	if fn := a.byAddr.Floor(&freeRange{offset: offset}); fn != nil {
+	a.probe.offset = offset
+	if fn := a.byAddr.Floor(&a.probe); fn != nil {
 		prev = fn.Value
 		if nn := a.byAddr.Next(fn); nn != nil {
 			next = nn.Value
@@ -117,16 +128,16 @@ func (a *RangeAllocator) FreeRange(offset, size int64) {
 	if next != nil && offset+size > next.offset {
 		panic(fmt.Sprintf("gpu: double free / overlap at [%d,%d)", offset, offset+size))
 	}
-	if prev != nil && prev.offset+prev.size == offset {
+	lo, hi := offset, offset+size
+	if prev != nil && prev.offset+prev.size == lo {
 		a.removeFree(prev)
-		nr.offset = prev.offset
-		nr.size += prev.size
+		lo = prev.offset
 	}
-	if next != nil && nr.offset+nr.size == next.offset {
+	if next != nil && hi == next.offset {
 		a.removeFree(next)
-		nr.size += next.size
+		hi += next.size
 	}
-	a.insertFree(nr)
+	a.insertFree(lo, hi-lo)
 	a.free += size
 }
 
@@ -143,15 +154,21 @@ func (a *RangeAllocator) LargestFree() int64 {
 	return n.Value.size
 }
 
-func (a *RangeAllocator) insertFree(fr *freeRange) {
-	fr.addrNode = a.byAddr.Insert(fr)
-	fr.sizeNode = a.bySize.Insert(fr)
+// insertFree indexes [offset, offset+size) as free in a spare record.
+func (a *RangeAllocator) insertFree(offset, size int64) {
+	fr := a.spare.Get()
+	*fr = freeRange{offset: offset, size: size}
+	fr.addrNode.Value, fr.sizeNode.Value = fr, fr
+	a.byAddr.InsertNode(&fr.addrNode)
+	a.bySize.InsertNode(&fr.sizeNode)
 }
 
+// removeFree unindexes fr and keeps its record for the next insertFree,
+// which overwrites it: the caller reads fr's fields before that.
 func (a *RangeAllocator) removeFree(fr *freeRange) {
-	a.byAddr.Delete(fr.addrNode)
-	a.bySize.Delete(fr.sizeNode)
-	fr.addrNode, fr.sizeNode = nil, nil
+	a.byAddr.Delete(&fr.addrNode)
+	a.bySize.Delete(&fr.sizeNode)
+	a.spare.Put(fr)
 }
 
 func roundUp(n, g int64) int64 {
