@@ -274,7 +274,7 @@ func (a *Allocator) allocStitch(cands []*PBlock, rounded, requested int64) *mema
 		// Trimming collapsed the request onto a single exact block.
 		return a.assignPBlock(members[0], requested)
 	}
-	s := stitchSBlock(a.driver, append(make([]*PBlock, 0, len(members)), members...))
+	s := stitchSBlock(a.driver, members)
 	a.sblocks.add(s)
 	return a.assignSBlock(s, requested)
 }
@@ -346,8 +346,7 @@ func (a *Allocator) allocNew(cands []*PBlock, total, rounded, requested int64) (
 	if len(cands) == 0 {
 		return a.assignPBlock(fresh, requested), nil
 	}
-	members := append(append(make([]*PBlock, 0, len(cands)+1), cands...), fresh)
-	s := stitchSBlock(a.driver, members)
+	s := stitchSBlock(a.driver, append(cands, fresh))
 	a.sblocks.add(s)
 	return a.assignSBlock(s, requested), nil
 }

@@ -303,7 +303,8 @@ func remapAsPBlock(drv *cuda.Driver, size int64, chunks []cuda.MemHandle) *PBloc
 // stitchSBlock builds an sBlock over members: one VA reservation of the
 // combined size with every member's chunks mapped consecutively (paper's
 // Stitch). sBlocks never create physical chunks — the same physical memory
-// is now reachable through both the pBlock VAs and the stitched VA.
+// is now reachable through both the pBlock VAs and the stitched VA. The
+// sBlock keeps its own copy of members, so callers may pass scratch.
 func stitchSBlock(drv *cuda.Driver, members []*PBlock) *SBlock {
 	if len(members) == 0 {
 		panic("core: stitchSBlock with no members")
@@ -321,7 +322,7 @@ func stitchSBlock(drv *cuda.Driver, members []*PBlock) *SBlock {
 		mapChunksAt(drv, va+off, p.chunks)
 		off += cuda.DevicePtr(p.size)
 	}
-	s := &SBlock{va: va, size: total, members: members}
+	s := &SBlock{va: va, size: total, members: slices.Clone(members)}
 	for _, p := range members {
 		p.owners = append(p.owners, s)
 	}

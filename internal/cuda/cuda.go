@@ -42,9 +42,7 @@
 // goes on a free list for the next MemCreate. So a released handle stays
 // ErrInvalidHandle after its slot is reissued, and a warm
 // MemCreate/MemRelease cycle allocates nothing. The page table points at
-// the records, which do not move when the table grows. Freed reservations
-// are recycled too, with their page table when it is long enough for the
-// next one.
+// the records, which do not move when the table grows.
 //
 // Host cost is not simulated cost: what a call charges to the sim.Clock comes
 // from the cost model alone and does not depend on any of the above.
@@ -106,9 +104,8 @@ type Driver struct {
 	mallocs      map[DevicePtr]mallocAlloc
 	reservations map[DevicePtr]*reservation
 	resByAddr    *container.Tree[*reservation] // ordered by base for range lookup
-	spareRes     container.Spares[reservation]
-	handles      []*physical // the handle table (see the package comment)
-	freeSlots    []int       // slots of handles whose memory was reclaimed
+	handles      []*physical                   // the handle table (see the package comment)
+	freeSlots    []int                         // slots of handles whose memory was reclaimed
 
 	// findReservation state: the reservation it resolved last, and the key
 	// its tree search reuses — the tree compares through a func value, so a
@@ -230,16 +227,11 @@ func (d *Driver) MemAddressReserve(size int64) (DevicePtr, error) {
 		return 0, err
 	}
 	ptr := DevicePtr(va)
-	// A freed reservation had no mappings, so its page table is all
-	// unmapped slots and serves again wherever it is long enough.
-	r := d.spareRes.Get()
-	slots := r.slots
-	if n := int(size / ChunkGranularity); cap(slots) >= n {
-		slots = slots[:n]
-	} else {
-		slots = make([]slot, n)
+	r := &reservation{
+		base:  ptr,
+		size:  size,
+		slots: make([]slot, size/ChunkGranularity),
 	}
-	*r = reservation{base: ptr, size: size, slots: slots}
 	r.node.Value = r
 	d.resByAddr.InsertNode(&r.node)
 	d.reservations[ptr] = r
@@ -266,7 +258,6 @@ func (d *Driver) MemAddressFree(ptr DevicePtr, size int64) error {
 	if d.last == r {
 		d.last = nil
 	}
-	d.spareRes.Put(r)
 	return nil
 }
 

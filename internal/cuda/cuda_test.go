@@ -332,9 +332,9 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 	}
 }
 
-// TestVMMCycleAllocationFree pins the recycling of driver records: once
-// warm, a chunk's whole life (create, map, set access, unmap, release) and
-// a reservation's (reserve, free) allocate nothing.
+// TestVMMCycleAllocationFree pins the recycling of handle records: once
+// warm, a chunk's whole life (create, map, set access, unmap, release)
+// allocates nothing.
 func TestVMMCycleAllocationFree(t *testing.T) {
 	const n = 4
 	d := newTestDriver(sim.GiB)
@@ -369,21 +369,7 @@ func TestVMMCycleAllocationFree(t *testing.T) {
 	if got := testing.AllocsPerRun(100, chunk); got != 0 {
 		t.Errorf("MemCreate/MemMap/MemUnmap/MemRelease: %.1f allocs per cycle, want 0", got)
 	}
-	reservation := func() {
-		for _, size := range []int64{8 * ChunkGranularity, ChunkGranularity} {
-			r, err := d.MemAddressReserve(size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.MemAddressFree(r, size); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if got := testing.AllocsPerRun(100, reservation); got != 0 {
-		t.Errorf("MemAddressReserve/MemAddressFree: %.1f allocs per cycle, want 0", got)
-	}
 	if d.LiveHandles() != 0 || d.MappedBytes() != 0 {
-		t.Fatalf("%d handles, %d bytes mapped after the cycles", d.LiveHandles(), d.MappedBytes())
+		t.Fatalf("%d handles, %d bytes mapped after the cycle", d.LiveHandles(), d.MappedBytes())
 	}
 }

@@ -78,8 +78,6 @@ type Allocator struct {
 
 	blocks *block // address-ordered chain over [0, frontier)
 	free   *container.Tree[*block]
-	spare  container.Spares[block] // records merged, compacted or trimmed away
-	probe  block                   // findBestFit's search key, reused
 
 	small *caching.Allocator
 
@@ -202,21 +200,12 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 }
 
 func (a *Allocator) findBestFit(size int64) *block {
-	a.probe.size = size
-	n := a.free.Ceil(&a.probe)
+	n := a.free.Ceil(&block{size: size})
 	if n == nil {
 		return nil
 	}
 	blk := n.Value
 	a.free.Delete(n)
-	return blk
-}
-
-// newBlock returns a free block over [off, off+size), unlinked, in a spare
-// record when there is one.
-func (a *Allocator) newBlock(off, size int64) *block {
-	blk := a.spare.Get()
-	*blk = block{off: off, size: size}
 	return blk
 }
 
@@ -234,11 +223,9 @@ func (a *Allocator) compact() {
 
 	var moved, off int64
 	var last *block
-	for blk, next := a.blocks, (*block)(nil); blk != nil; blk = next {
-		next = blk.next
+	for blk := a.blocks; blk != nil; blk = blk.next {
 		if blk.buf == nil {
 			a.free.Delete(&blk.node)
-			a.spare.Put(blk)
 			continue
 		}
 		if blk.off != off {
@@ -252,7 +239,7 @@ func (a *Allocator) compact() {
 	}
 	var tail *block
 	if off < a.frontier {
-		tail = a.newBlock(off, a.frontier-off)
+		tail = &block{off: off, size: a.frontier - off}
 		a.insertFree(tail)
 	}
 	a.link(last, tail)
@@ -333,7 +320,7 @@ func (a *Allocator) extend(size int64) (*block, error) {
 		tail.size += need
 		return tail, nil
 	}
-	grown := a.newBlock(a.frontier-need, need)
+	grown := &block{off: a.frontier - need, size: need}
 	a.link(tail, grown)
 	return grown, nil
 }
@@ -354,7 +341,7 @@ func (a *Allocator) maybeSplit(blk *block, size int64) *block {
 	if remaining < caching.MinBlockSize {
 		return blk
 	}
-	rest := a.newBlock(blk.off+size, remaining)
+	rest := &block{off: blk.off + size, size: remaining}
 	a.link(rest, blk.next)
 	a.link(blk, rest)
 	blk.size = size
@@ -362,9 +349,7 @@ func (a *Allocator) maybeSplit(blk *block, size int64) *block {
 	return blk
 }
 
-// Free implements memalloc.Allocator: coalescing free, no driver calls. A
-// block merged away goes to the spare list; the freed buffer forgets its
-// block first, so a stale handle cannot reach the recycled record.
+// Free implements memalloc.Allocator: coalescing free, no driver calls.
 func (a *Allocator) Free(buf *memalloc.Buffer) {
 	var blk *block
 	switch b := buf.Impl().(type) {
@@ -389,13 +374,11 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 		a.free.Delete(&nb.node)
 		blk.size += nb.size
 		a.link(blk, nb.next)
-		a.spare.Put(nb)
 	}
 	if pb := blk.prev; pb != nil && pb.buf == nil {
 		a.free.Delete(&pb.node)
 		pb.size += blk.size
 		a.link(pb, blk.next)
-		a.spare.Put(blk)
 		blk = pb
 	}
 	a.insertFree(blk)
@@ -433,7 +416,6 @@ func (a *Allocator) EmptyCache() {
 	a.free.Delete(&tail.node)
 	if tail.off == releaseFrom {
 		a.link(tail.prev, nil)
-		a.spare.Put(tail)
 		return
 	}
 	tail.size = releaseFrom - tail.off

@@ -183,9 +183,9 @@ func TestDoubleFreePanics(t *testing.T) {
 	}
 }
 
-// TestStaleHandleAfterReuse frees a split block, hands its recycled record
-// to a new buffer, and frees the first buffer again: the stale handle must
-// panic without touching the new owner.
+// TestStaleHandleAfterReuse frees a split block, whose record absorbs the
+// remainder and serves the next Alloc, and frees the first buffer again:
+// the stale handle must panic without touching the new owner.
 func TestStaleHandleAfterReuse(t *testing.T) {
 	a, _ := newTestAllocator(sim.GiB)
 	bufA := mustAlloc(t, a, 9*sim.MiB) // maps 10 MiB and splits off 1 MiB
