@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"time"
+
+	"repro/internal/container"
 )
 
 // arrivalOrder is the one pass over an input stream before it is served: it
@@ -36,11 +38,15 @@ func arrivalOrder(reqs []Request) ([]int, error) {
 
 // inputCursor walks the caller's request slice in arrivalOrder without
 // copying it: the requests before next have been released, the rest are
-// read in place when their turn comes.
+// read in place when their turn comes. The cursor over a run's stream —
+// Serve's server's, or ServeCluster's queue — owns the run's free list of
+// tracks: every replica returns the record of a request that left the run
+// to spare, and pop reissues it.
 type inputCursor struct {
 	reqs  []Request
 	order []int // arrivalOrder(reqs)
 	next  int
+	spare container.Spares[track]
 }
 
 func newInputCursor(reqs []Request) (inputCursor, error) {
@@ -66,12 +72,13 @@ func (c *inputCursor) head() (int, *Request) {
 	return i, &c.reqs[i]
 }
 
-// pop releases the head: the request gets its track here, and its input
-// index is its FIFO ticket.
+// pop releases the head: the request gets its track here — a record a
+// departed request returned, or a new one — and its input index is its FIFO
+// ticket.
 func (c *inputCursor) pop() *track {
 	i, r := c.head()
 	c.next++
-	return newTrack(r, int64(i))
+	return newTrack(&c.spare, r, int64(i))
 }
 
 // each visits the requests not yet released, in arrival order.
@@ -84,7 +91,8 @@ func (c *inputCursor) each(f func(*Request)) {
 // arrivalQueue indexes a server's not-yet-arrived requests by (ArrivalAt,
 // ticket), from two sources. input is Serve's whole stream, read in place:
 // no queue entry and no track exists for a request until it is promoted,
-// so the run's live heap follows the work in flight, not the stream length.
+// and its track is recycled when it leaves the run, so the run's live heap
+// follows the work in flight, not the stream length.
 // items are requests pushed one at a time — a cluster dispatch that runs
 // ahead of its replica's clock. Those arrive in queue order on every live
 // path, so the queue is a flat sorted cursor too: push is an append and

@@ -504,7 +504,7 @@ func TestArrivalQueueMergesSources(t *testing.T) {
 	}
 	q := arrivalQueue{input: cur}
 	for i, s := range []int{9, 4, 0, 6} {
-		q.push(newTrack(&Request{ArrivalAt: at(s)}, int64(10+i)))
+		q.push(newTrack(&q.input.spare, &Request{ArrivalAt: at(s)}, int64(10+i)))
 	}
 	var got [][2]int64
 	for q.len() > 0 {

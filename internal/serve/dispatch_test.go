@@ -2,6 +2,7 @@ package serve
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -84,6 +85,150 @@ func TestReadmissionAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestServedRequestAllocatesNothing: a warm server takes a fresh arrival,
+// admits it and steps it to completion without a heap allocation — the
+// arrival's record is the one the previous request returned when it
+// completed.
+func TestServedRequestAllocatesNothing(t *testing.T) {
+	reqs := make([]Request, 110)
+	for i := range reqs {
+		// One arrival per step: each step promotes exactly the next request.
+		reqs[i] = Request{ID: i, Class: "chat", PromptLen: 32, OutputLen: 1, ArrivalAt: time.Duration(i) * DefaultStepTime}
+	}
+	s, err := newServer(reqs, stubKV{}, ServerConfig{MaxBatch: 2, ExactSamples: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveOne := func() {
+		if _, err := s.admit(); err != nil || len(s.running) != 1 {
+			t.Fatalf("admit: %v, batch of %d", err, len(s.running))
+		}
+		if err := s.step(0); err != nil || len(s.running) != 0 {
+			t.Fatalf("step: %v, batch of %d", err, len(s.running))
+		}
+	}
+	serveOne() // the run's one record is made here
+	if n := testing.AllocsPerRun(100, serveOne); n != 0 {
+		t.Errorf("%v allocations per arrival, admission and completion", n)
+	}
+	if s.rep.Served != 102 {
+		t.Errorf("%d served, want 102", s.rep.Served)
+	}
+}
+
+// TestRecycledRecordStartsClean: every way a request leaves the run returns
+// its record, the next request released takes it, and nothing of the
+// departed request carries over. The free list may hand back any departed
+// record, so every per-request field is dirtied before the reissue.
+func TestRecycledRecordStartsClean(t *testing.T) {
+	// An exit serves reqs[0] out of the run. It returns that request's
+	// record and the release of reqs[1], which arrives an hour later.
+	type exit func(t *testing.T, reqs []Request) (gone *track, next func() *track)
+	// onServer runs steps decode steps (admission only, for 0) on a server
+	// and checks that the request left the way left says.
+	onServer := func(cfg ServerConfig, now time.Duration, steps int, left func(Report) bool) exit {
+		return func(t *testing.T, reqs []Request) (*track, func() *track) {
+			s, err := newServer(reqs, stubKV{}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.promoteArrivals()
+			gone := s.ready.Min().Value
+			s.now = now
+			if _, err := s.admit(); err != nil {
+				t.Fatal(err)
+			}
+			for range steps {
+				if err := s.step(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.pendingLen() != 1 || len(s.running) != 0 || !left(s.rep) {
+				t.Fatalf("%d pending, %d running, report %+v", s.pendingLen(), len(s.running), s.rep)
+			}
+			return gone, s.future.popMin
+		}
+	}
+	crashLoss := func(t *testing.T, reqs []Request) (*track, func() *track) {
+		c, err := newClusterSched(reqs, func(int) CacheManager { return stubKV{} }, ClusterConfig{
+			Replicas: 1, Server: ServerConfig{MaxBatch: 1},
+			Faults: FaultConfig{Plan: []FaultEvent{{At: time.Second, Kind: FaultCrash}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gone := c.queue.pop()
+		c.place(0, gone, 0)
+		if _, err := c.fleet[0].srv.runOnce(); err != nil || gone.handle == 0 {
+			t.Fatalf("runOnce: %v, handle %d", err, gone.handle)
+		}
+		c.recovery.crash(c, c.fleet[0])
+		if c.recovery.lost != 1 {
+			t.Fatalf("%d lost, want 1", c.recovery.lost)
+		}
+		return gone, c.queue.pop
+	}
+	cases := []struct {
+		name string
+		out  int // OutputLen of the departing request
+		exit exit
+	}{
+		{"completion", 1, onServer(ServerConfig{MaxBatch: 1}, 0, 1,
+			func(r Report) bool { return r.Served == 1 })},
+		{"deadline abort", 5, onServer(ServerConfig{MaxBatch: 1, Timeout: 45 * time.Millisecond}, 0, 2,
+			func(r Report) bool { return r.DeadlineMisses == 1 && r.Served == 0 })},
+		{"expiry", 5, onServer(ServerConfig{MaxBatch: 1, Timeout: time.Millisecond}, time.Second, 0,
+			func(r Report) bool { return r.DeadlineMisses == 1 })},
+		{"shed", 100, onServer(ServerConfig{MaxBatch: 1, Timeout: time.Second, Shed: true}, 0, 0,
+			func(r Report) bool { return r.Shed == 1 })},
+		{"crash loss", 100, crashLoss},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reqs := []Request{
+				{ID: 1, Class: "a", PromptLen: 8, OutputLen: tc.out},
+				{ID: 2, Class: "b", PromptLen: 8, OutputLen: 1, ArrivalAt: time.Hour},
+			}
+			gone, next := tc.exit(t, reqs)
+			gone.done, gone.firstToken, gone.retries, gone.seq = 1, 1, 1, 99
+			gone.deferred, gone.hasFirst, gone.reserve = true, true, true
+			gone.cls = &classAgg{}
+			got := next()
+			if got != gone {
+				t.Fatal("the next request did not take the returned record")
+			}
+			want := track{req: &reqs[1], seq: 1}
+			want.node.Value = got
+			if *got != want {
+				t.Errorf("reissued record\n got %+v\nwant %+v", *got, want)
+			}
+		})
+	}
+}
+
+// TestRecycleRefusesLiveRecord: a record some tree or KV sequence can still
+// reach does not go back to the free list — returning one panics, since a
+// later arrival would reissue a record the run still uses.
+func TestRecycleRefusesLiveRecord(t *testing.T) {
+	s, err := newServer([]Request{{ID: 1, PromptLen: 8, OutputLen: 4}, {ID: 2, PromptLen: 8, OutputLen: 4}}, stubKV{},
+		ServerConfig{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.admit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*track{s.running[0], s.ready.Min().Value} { // holding KV, queued
+		func() {
+			defer func() {
+				if got := recover(); got != "serve: recycled record still queued or holding KV" {
+					t.Errorf("recycling request %d: panic %v", rec.req.ID, got)
+				}
+			}()
+			s.recycle(rec)
+		}()
+	}
+}
+
 // TestRoundRobinCursorMatchesActiveList: the allocation-free cursor visits
 // exactly the replicas the old form did — decision k goes to act[k%len(act)]
 // over the active replicas in index order — while replicas leave and rejoin
@@ -124,8 +269,9 @@ func TestRoundRobinCursorMatchesActiveList(t *testing.T) {
 }
 
 // TestSecondCompletionPanics: OnComplete fires once per request because a
-// request has one record and done marks it; a scheduler bug that ran a
-// finished record again is reported at the completion, in one line.
+// request has one record while it is in the run and done marks it; a
+// scheduler bug that ran a finished record again is reported at the
+// completion, in one line.
 func TestSecondCompletionPanics(t *testing.T) {
 	completions := 0
 	s, err := newServer([]Request{{ID: 7, PromptLen: 8, OutputLen: 1}}, stubKV{},

@@ -421,6 +421,7 @@ func (rc *recovery) crash(c *clusterSched, r *clusterReplica) {
 			// joins that replica's roster (keeping its TTFT if it had
 			// already streamed), like any other unfinished request.
 			r.srv.recordUnfinished(rec)
+			r.srv.recycle(rec)
 		}
 	}
 }

@@ -147,6 +147,7 @@ func (c *clusterSched) spawn() error {
 	// requests; requeued preemptions draw above it, exactly where Serve's
 	// numbering (newServer) places them.
 	s.nextTkt = int64(len(c.queue.reqs))
+	s.spare = &c.queue.spare
 	w := c.cfg.resolveOverride(i).Capacity
 	if w == 0 {
 		w = 1

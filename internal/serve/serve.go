@@ -16,18 +16,21 @@
 //
 // Every entity of a run has exactly one record, owned by one place:
 //
-//   - A request is a track. The input cursor creates it when the request is
-//     released — promoted by Serve, dispatched by ServeCluster — and from
-//     then on whoever holds the request holds the track: a server's future
-//     queue, its ready tree (through the track's one embedded node) or its
-//     batch, or the cluster's re-dispatch pool. FIFO ticket, first-token
+//   - A request in the run is a track. The input cursor issues it when the
+//     request is released — promoted by Serve, dispatched by ServeCluster —
+//     and from then on whoever holds the request holds the track: a server's
+//     future queue, its ready tree (through the track's one embedded node) or
+//     its batch, or the cluster's re-dispatch pool. FIFO ticket, first-token
 //     time, granted retries and the state of the current admission (KV
 //     handle, the decode tick it was admitted at, class record) all live on
-//     it; no map is keyed by a request. It dies with the last reference at
-//     completion, drop or loss: its samples have reached the class digests
-//     by then. Completion marks it done, and completing a done track panics
-//     — which is why OnComplete fires once per request under any amount of
-//     retrying.
+//     it; no map is keyed by a request. When the request leaves the run —
+//     completion, deadline abort, expiry, shed or crash loss — its samples
+//     have reached the class digests, and the step, admission or crash that
+//     ended it returns the track to the run's free list, the cursor's, which
+//     reissues it to a later arrival with every field overwritten; so a run
+//     holds no more tracks than its peak of requests in flight. Completion
+//     marks a track done, and completing a done track panics — which is why
+//     OnComplete fires once per request under any amount of retrying.
 //   - A client class is a classAgg on a server's tally: served count, TTFT
 //     and E2E digests, evictions and KV token-steps. The first admission of
 //     the class creates it, which can be on a replica that crashes before

@@ -93,12 +93,15 @@ type ServerConfig struct {
 	PrefixReuse bool
 }
 
-// track is the one record of an input request, from the moment it first
-// arrives at a server — promoted out of Serve's input cursor, or dispatched
-// by the cluster scheduler — to its completion, across every preemption,
-// steal and crash re-dispatch in between. Whoever holds the request holds
-// this record: a server's future queue, ready index or batch, or the
-// cluster's re-dispatch pool; nothing else keeps per-request state.
+// track is the one record of an input request while the request is in the
+// run: from the moment it first arrives at a server — promoted out of
+// Serve's input cursor, or dispatched by the cluster scheduler — until it
+// leaves — completed, aborted, shed or lost — across every preemption, steal
+// and crash re-dispatch in between. Whoever holds the request holds this
+// record: a server's future queue, ready index or batch, or the cluster's
+// re-dispatch pool; nothing else keeps per-request state. When the request
+// leaves, the record goes back to the run's free list (server.recycle) and
+// a later arrival's pop reissues it.
 type track struct {
 	// req points into the run's input slice, which Serve and ServeCluster
 	// read in place and never write.
@@ -139,9 +142,12 @@ type track struct {
 	deferred bool
 }
 
-// newTrack opens the record of req, waiting under ticket seq.
-func newTrack(req *Request, seq int64) *track {
-	t := &track{req: req, seq: seq}
+// newTrack opens the record of req, waiting under ticket seq, on a record
+// from spare: every field is overwritten, so nothing of a departed request
+// carries over.
+func newTrack(spare *container.Spares[track], req *Request, seq int64) *track {
+	t := spare.Get()
+	*t = track{req: req, seq: seq}
 	t.node.Value = t
 	return t
 }
@@ -209,6 +215,10 @@ type server struct {
 	future  arrivalQueue
 	ready   *container.Tree[*track]
 	nextTkt int64
+	// spare is the run's free list of tracks, owned by its input cursor:
+	// future.input's for Serve, the scheduler's queue's in a cluster, whose
+	// replicas all share it.
+	spare *container.Spares[track]
 
 	running  []*track
 	admitSeq int64
@@ -340,6 +350,7 @@ func newServer(reqs []Request, mgr CacheManager, cfg ServerConfig) (*server, err
 	if s.future.input, err = newInputCursor(reqs); err != nil {
 		return nil, err
 	}
+	s.spare = &s.future.input.spare
 	s.nextTkt = int64(len(reqs))
 	return s, nil
 }
@@ -404,11 +415,24 @@ func (s *server) minServiceTime(rec *track) time.Duration {
 // the run's outstanding work: its tokens count as done so a cluster
 // dispatcher's outstanding-KV gauge (dispatched − done) drains to zero, and
 // it joins the class roster — with its TTFT, if it ever streamed a first
-// token — exactly like any other unfinished request.
+// token — exactly like any other unfinished request. Its record is recycled.
 func (s *server) drop(rec *track) {
 	s.doneTokens += int64(rec.req.TotalTokens())
 	s.invalidateResident(rec.req.SessionID)
 	s.recordUnfinished(rec)
+	s.recycle(rec)
+}
+
+// recycle returns the record of a request that has left the run to the
+// run's free list — from drop, complete or a crash loss, the three ways out.
+// Nothing may still reach it: no tree holds its node, no KV sequence its
+// handle, and its caller reads it no more; a step or admission loop reads
+// no list entry twice.
+func (s *server) recycle(rec *track) {
+	if rec.node.Linked() || rec.handle != 0 {
+		panic("serve: recycled record still queued or holding KV")
+	}
+	s.spare.Put(rec)
 }
 
 // admit fills the batch with arrived requests while memory lasts: highest
@@ -701,11 +725,12 @@ func (s *server) step(prefillTokens int64) error {
 	return nil
 }
 
-// complete records a's last token at the end of the current step.
+// complete records a's last token at the end of the current step; a leaves
+// the run and its record is recycled.
 func (s *server) complete(a *track) {
 	if a.done != 0 {
-		// One record per request is what makes OnComplete fire once
-		// however often a request is retried or re-dispatched.
+		// One record per request in the run is what makes OnComplete fire
+		// once however often a request is retried or re-dispatched.
 		panic(fmt.Sprintf("serve: request %d completed twice", a.req.ID))
 	}
 	tokens := a.req.TotalTokens()
@@ -722,6 +747,7 @@ func (s *server) complete(a *track) {
 	if s.cfg.OnComplete != nil {
 		s.cfg.OnComplete(*a.req)
 	}
+	s.recycle(a)
 }
 
 // recordCompletion feeds one completed request into its class's latency
