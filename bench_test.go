@@ -1,8 +1,8 @@
 // Micro-benchmarks: the host cost of the hot paths under the paper's
 // allocator, the simulated driver's page table and the caching baseline,
 // and of request-stream generation. CI runs the GMLake*, DriverMapUnmap,
-// CachingBestFit, CachingSplitFree, CachingRefusal, TrainerStep, Generate
-// and Serve ones on every push to show allocs/op, ns/request and
+// CachingBestFit, CachingSplitFree, CachingRefusal, TrainerStep,
+// TrainerConverge, Generate and Serve ones on every push to show allocs/op, ns/request and
 // allocs/request; `go run ./benchmark` is the benchmark that
 // performance claims rest on, and the tables of the paper's evaluation are
 // pinned by internal/harness/testdata/golden.
@@ -389,6 +389,32 @@ func BenchmarkTrainerStep(b *testing.B) {
 		if err := tr.Step(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTrainerConverge measures GMLake's warm-up in the shape of the
+// benchmark's train-lro workload: a fresh 80 GiB device, trainer set-up and
+// the 60 steps that converge the stitched-block cache, per op. Most of the
+// stitches, and so most of the simulated driver's page-table work, happen
+// here rather than in a converged step.
+func BenchmarkTrainerConverge(b *testing.B) {
+	spec := workload.Spec{Model: model.OPT13B, Strategy: workload.StrategyLRO, World: 4, Batch: 24, Seed: 7}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		drv := newBenchDriver(80 * sim.GiB)
+		tr, err := workload.NewTrainer(spec, core.NewDefault(drv), drv.Clock())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.Setup(); err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < 60; j++ {
+			if err := tr.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		tr.Teardown()
 	}
 }
 

@@ -22,27 +22,32 @@
 // # Page table
 //
 // A reservation is a dense, granule-aligned range, so its mappings live in a
-// page table with one slot per 2 MiB granule rather than in an ordered set.
-// The first granule of a mapping holds its physical handle and span = the
-// number of granules it covers; each later granule holds span = minus the
-// distance back to the first; an unmapped granule holds span 0. On the host
-// MemMap costs O(granules of the handle) — index, check the slots are empty,
-// fill them — and MemSetAccess, MemUnmap and MappedBytes cost O(granules of
-// the range) through one iterator over the mappings a range contains; none
-// of them allocates. Resolving an address to its reservation is O(1) when it
-// hits the reservation the previous call resolved (allocators map a block's
+// page table with one 8-byte slot per 2 MiB granule rather than in an
+// ordered set. The first granule of a mapping holds ref = its handle-table
+// slot + 1, with the access flag in the top bit, and span = the number of
+// granules it covers; each later granule holds ref 0 and span = minus the
+// distance back to the first; an unmapped granule is all zero. A slot holds
+// no pointer, so a page table is one allocation the garbage collector never
+// scans. On the host MemMap costs O(granules of the handle) — index, check
+// the slots are empty, fill them — and MemSetAccess and MemUnmap cost
+// O(granules of the range) through one walk over the mappings a range
+// contains (reservation.next); none of them allocates or calls through a
+// func value. Resolving an address to its reservation is O(1) when it hits
+// the reservation the previous call resolved (allocators map a block's
 // chunks one after another) and O(log reservations) otherwise.
 //
 // # Handle table
 //
-// Physical handles index a table of records rather than a map. A handle is
-// gen<<32 | slot+1: the table slot holding its record, and how many handles
-// that slot issued before it. When a handle's memory is reclaimed, its
-// record stays in the slot with the next generation's handle, and the slot
-// goes on a free list for the next MemCreate. So a released handle stays
-// ErrInvalidHandle after its slot is reissued, and a warm
-// MemCreate/MemRelease cycle allocates nothing. The page table points at
-// the records, which do not move when the table grows.
+// Physical handles index a table of records, held by value, rather than a
+// map. A handle is gen<<32 | slot+1: the table slot holding its record, and
+// how many handles that slot issued before it. When a handle's memory is
+// reclaimed, its record stays in the slot with the next generation's
+// handle, and the slot goes on a free list for the next MemCreate. So a
+// released handle stays ErrInvalidHandle after its slot is reissued, a warm
+// MemCreate/MemRelease cycle allocates nothing, and a cold one allocates
+// only when the table grows. The page table names records by slot, never by
+// address: growing the table moves them, so no *physical is held across a
+// MemCreate.
 //
 // Host cost is not simulated cost: what a call charges to the sim.Clock comes
 // from the cost model alone and does not depend on any of the above.
@@ -104,7 +109,7 @@ type Driver struct {
 	mallocs      map[DevicePtr]mallocAlloc
 	reservations map[DevicePtr]*reservation
 	resByAddr    *container.Tree[*reservation] // ordered by base for range lookup
-	handles      []*physical                   // the handle table (see the package comment)
+	handles      []physical                    // the handle table (see the package comment)
 	freeSlots    []int                         // slots of handles whose memory was reclaimed
 
 	// findReservation state: the reservation it resolved last, and the key
@@ -128,13 +133,18 @@ type reservation struct {
 }
 
 // slot is one granule of a reservation's page table (see the package
-// comment for the span encoding). p and access are meaningful on a
-// mapping's first granule only.
+// comment for the encoding). ref is nonzero on a mapping's first granule
+// only.
 type slot struct {
-	p      *physical
-	span   int32
-	access bool
+	ref  uint32 // handle-table slot + 1, | accessBit once access is set
+	span int32
 }
+
+// accessBit lies above every slot + 1: reaching it takes 2^31 records.
+const accessBit = 1 << 31
+
+// record returns the handle record a mapping's first granule names.
+func (d *Driver) record(s slot) *physical { return &d.handles[s.ref&^accessBit-1] }
 
 type physical struct {
 	id       MemHandle // the handle naming the record; once reclaimed, the next one
@@ -276,11 +286,11 @@ func (d *Driver) MemCreate(size int64) (MemHandle, error) {
 	}
 	var p *physical
 	if n := len(d.freeSlots); n > 0 {
-		p = d.handles[d.freeSlots[n-1]]
+		p = &d.handles[d.freeSlots[n-1]]
 		d.freeSlots = d.freeSlots[:n-1]
 	} else {
-		p = &physical{id: MemHandle(len(d.handles) + 1)}
-		d.handles = append(d.handles, p)
+		d.handles = append(d.handles, physical{id: MemHandle(len(d.handles) + 1)})
+		p = &d.handles[len(d.handles)-1]
 	}
 	*p = physical{id: p.id, size: size, seg: seg}
 	d.counters.BytesAllocated += size
@@ -295,7 +305,7 @@ func (d *Driver) handle(h MemHandle) *physical {
 	if i < 0 || i >= len(d.handles) {
 		return nil
 	}
-	if p := d.handles[i]; p.id == h && !p.released {
+	if p := &d.handles[i]; p.id == h && !p.released {
 		return p
 	}
 	return nil
@@ -339,7 +349,7 @@ func (d *Driver) MemMap(ptr DevicePtr, h MemHandle) error {
 	}
 	d.clock.Advance(d.cost.MemMap(p.size))
 	d.counters.MemMap++
-	r.slots[lo] = slot{p: p, span: int32(k)}
+	r.slots[lo] = slot{ref: uint32(h), span: int32(k)}
 	for i := 1; i < k; i++ {
 		r.slots[lo+i].span = int32(-i)
 	}
@@ -355,18 +365,24 @@ func (d *Driver) MemSetAccess(ptr DevicePtr, size int64) error {
 	if r == nil {
 		return fmt.Errorf("%w: MemSetAccess(%#x)", ErrRangeNotFound, uint64(ptr))
 	}
-	covered := int64(0)
-	r.contained(ptr, size, func(_ int, s *slot) { covered += s.p.size })
-	if covered != size {
-		return fmt.Errorf("%w: MemSetAccess covers %d of %d bytes", ErrNotMapped, covered, size)
+	lo, hi := r.granules(ptr, size)
+	covered := 0
+	for i := r.next(lo, hi); i < hi; i = r.next(i, hi) {
+		covered += int(r.slots[i].span)
+		i += int(r.slots[i].span)
 	}
-	r.contained(ptr, size, func(_ int, s *slot) {
-		if !s.access {
-			d.clock.Advance(d.cost.MemSetAccess(s.p.size))
+	if int64(covered)*ChunkGranularity != size {
+		return fmt.Errorf("%w: MemSetAccess covers %d of %d bytes", ErrNotMapped, int64(covered)*ChunkGranularity, size)
+	}
+	for i := r.next(lo, hi); i < hi; i = r.next(i, hi) {
+		s := &r.slots[i]
+		if s.ref&accessBit == 0 {
+			d.clock.Advance(d.cost.MemSetAccess(int64(s.span) * ChunkGranularity))
 			d.counters.MemSet++
-			s.access = true
+			s.ref |= accessBit
 		}
-	})
+		i += int(s.span)
+	}
 	return nil
 }
 
@@ -377,15 +393,17 @@ func (d *Driver) MemUnmap(ptr DevicePtr, size int64) error {
 		return fmt.Errorf("%w: MemUnmap(%#x)", ErrRangeNotFound, uint64(ptr))
 	}
 	live := r.live
-	r.contained(ptr, size, func(i int, s *slot) {
-		p := s.p
+	lo, hi := r.granules(ptr, size)
+	for i := r.next(lo, hi); i < hi; i = r.next(i, hi) {
+		p, k := d.record(r.slots[i]), int(r.slots[i].span)
 		d.clock.Advance(d.cost.MemUnmap(p.size))
 		d.counters.MemUnmap++
-		clear(r.slots[i : i+int(s.span)])
+		clear(r.slots[i : i+k])
 		r.live--
 		p.mapCount--
 		d.maybeReclaim(p)
-	})
+		i += k
+	}
 	if r.live == live {
 		return fmt.Errorf("%w: MemUnmap(%#x, %d)", ErrNotMapped, uint64(ptr), size)
 	}
@@ -395,11 +413,13 @@ func (d *Driver) MemUnmap(ptr DevicePtr, size int64) error {
 // MappedBytes reports the total bytes currently mapped across reservations
 // (each mapping counted once; shared physical chunks counted per mapping).
 func (d *Driver) MappedBytes() int64 {
-	var total int64
+	var granules int64
 	for _, r := range d.reservations {
-		r.contained(r.base, r.size, func(_ int, s *slot) { total += s.p.size })
+		for _, s := range r.slots {
+			granules += int64(max(s.span, 0))
+		}
 	}
-	return total
+	return granules * ChunkGranularity
 }
 
 // LiveHandles reports physical handles whose memory is still held.
@@ -416,30 +436,35 @@ func (d *Driver) maybeReclaim(p *physical) {
 	}
 }
 
-// contained calls fn with the first slot (and its index) of every mapping
-// that lies wholly inside [ptr, ptr+size), in address order; the range must
-// lie inside r. fn may unmap the mapping it is handed.
-func (r *reservation) contained(ptr DevicePtr, size int64, fn func(i int, s *slot)) {
+// granules returns the page-table bounds [lo, hi) of the mappings that can
+// lie wholly inside [ptr, ptr+size), which must lie inside r; walk them with
+// next.
+func (r *reservation) granules(ptr DevicePtr, size int64) (lo, hi int) {
 	off := int64(ptr - r.base)
-	i := int((off + ChunkGranularity - 1) / ChunkGranularity)
-	hi := int((off + size) / ChunkGranularity)
-	if i < hi && r.slots[i].span < 0 {
+	lo = int((off + ChunkGranularity - 1) / ChunkGranularity)
+	hi = int((off + size) / ChunkGranularity)
+	if lo < hi && r.slots[lo].span < 0 {
 		// The range begins inside a mapping, which it therefore does not
 		// contain: step back to the mapping's first granule, then past it.
-		i += int(r.slots[i].span)
-		i += int(r.slots[i].span)
+		lo += int(r.slots[lo].span)
+		lo += int(r.slots[lo].span)
 	}
-	for i < hi {
-		switch k := int(r.slots[i].span); {
-		case k == 0:
-			i++
-		case i+k > hi:
-			return
-		default:
-			fn(i, &r.slots[i])
-			i += k
+	return lo, hi
+}
+
+// next returns the first granule of the first mapping at or after granule i
+// (a mapping's first granule or an unmapped one) that ends by hi, or hi when
+// there is none.
+func (r *reservation) next(i, hi int) int {
+	for ; i < hi; i++ {
+		if k := int(r.slots[i].span); k != 0 {
+			if i+k > hi {
+				return hi
+			}
+			return i
 		}
 	}
+	return hi
 }
 
 func (r *reservation) holds(ptr DevicePtr, size int64) bool {

@@ -2,7 +2,9 @@ package cuda
 
 import (
 	"errors"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/gpu"
 	"repro/internal/sim"
@@ -372,4 +374,71 @@ func TestVMMCycleAllocationFree(t *testing.T) {
 	if d.LiveHandles() != 0 || d.MappedBytes() != 0 {
 		t.Fatalf("%d handles, %d bytes mapped after the cycle", d.LiveHandles(), d.MappedBytes())
 	}
+}
+
+// TestColdMemCreateAllocations pins that a cold MemCreate allocates no
+// record: 4096 of them on a fresh driver allocate only as the handle table
+// grows. The devices have held 4096 segments before, so their segment maps
+// are already grown and the count is the driver's alone.
+func TestColdMemCreateAllocations(t *testing.T) {
+	const n = 4096
+	// AllocsPerRun calls the function once to warm up, then once measured.
+	var drivers []*Driver
+	for range 2 {
+		d := newTestDriver(n * ChunkGranularity)
+		var segs [n]gpu.SegmentID
+		for i := range segs {
+			segs[i], _ = d.Device().AllocPhysical(ChunkGranularity)
+		}
+		for _, seg := range segs {
+			d.Device().FreePhysical(seg)
+		}
+		drivers = append(drivers, d)
+	}
+	create := func() {
+		d := drivers[0]
+		drivers = drivers[1:]
+		for range n {
+			if _, err := d.MemCreate(ChunkGranularity); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(1, create); got > 20 {
+		t.Errorf("%d cold MemCreates: %.0f allocations, want at most 20", n, got)
+	}
+}
+
+// TestPageTableSlotLayout pins the page table's slot at 8 bytes, and the
+// slot and the handle record free of pointers, so neither a page table nor
+// the handle table is scanned by the garbage collector.
+func TestPageTableSlotLayout(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 8 {
+		t.Errorf("a page-table slot is %d bytes, want 8", n)
+	}
+	for _, v := range []any{slot{}, physical{}} {
+		if typ := reflect.TypeOf(v); !pointerFree(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
+	}
+}
+
+// pointerFree reports whether a value of type t holds no pointer.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }

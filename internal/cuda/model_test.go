@@ -227,12 +227,12 @@ func (d *Driver) checkInvariants() error {
 		}
 		spare[i] = true
 	}
-	// held reports whether p is the record of a live slot.
-	held := func(p *physical) bool {
-		i := int(uint32(p.id)) - 1
-		return i >= 0 && i < len(d.handles) && d.handles[i] == p && !spare[i]
+	// held reports whether ref names a live slot's record.
+	held := func(ref uint32) bool {
+		i := int(ref&^accessBit) - 1
+		return i >= 0 && i < len(d.handles) && !spare[i]
 	}
-	refs := make(map[*physical]int)
+	refs := make(map[int]int) // first granules naming each slot
 	for base, r := range d.reservations {
 		if r.base != base || len(r.slots) != int(r.size/ChunkGranularity) {
 			return fmt.Errorf("reservation %#x: base %#x, %d slots for %d bytes", uint64(base), uint64(r.base), len(r.slots), r.size)
@@ -241,23 +241,23 @@ func (d *Driver) checkInvariants() error {
 		for i := 0; i < len(r.slots); {
 			s := r.slots[i]
 			if s.span == 0 {
-				if s.p != nil || s.access {
+				if s != (slot{}) {
 					return fmt.Errorf("reservation %#x: unmapped slot %d holds state", uint64(base), i)
 				}
 				i++
 				continue
 			}
 			k := int(s.span)
-			if k < 0 || i+k > len(r.slots) || s.p == nil || !held(s.p) || s.p.size != int64(k)*ChunkGranularity {
+			if k < 0 || i+k > len(r.slots) || !held(s.ref) || d.record(s).size != int64(k)*ChunkGranularity {
 				return fmt.Errorf("reservation %#x: slot %d does not start a %d-granule mapping of a live handle", uint64(base), i, k)
 			}
 			for j := 1; j < k; j++ {
-				if t := r.slots[i+j]; t.span != int32(-j) || t.p != nil || t.access {
+				if t := r.slots[i+j]; t != (slot{span: int32(-j)}) {
 					return fmt.Errorf("reservation %#x: slot %d is not granule %d of the mapping at slot %d", uint64(base), i+j, j, i)
 				}
 			}
 			live++
-			refs[s.p]++
+			refs[int(s.ref&^accessBit)-1]++
 			i += k
 		}
 		if live != r.live {
@@ -275,8 +275,8 @@ func (d *Driver) checkInvariants() error {
 		if int(uint32(id))-1 != i {
 			return fmt.Errorf("slot %d holds handle %d", i, id)
 		}
-		if p.mapCount != refs[p] {
-			return fmt.Errorf("handle %d: mapCount = %d, %d slots reference it", id, p.mapCount, refs[p])
+		if p.mapCount != refs[i] {
+			return fmt.Errorf("handle %d: mapCount = %d, %d slots reference it", id, p.mapCount, refs[i])
 		}
 		if p.released && p.mapCount == 0 {
 			return fmt.Errorf("handle %d: released and unmapped but not reclaimed", id)

@@ -54,11 +54,19 @@ type CostModel struct {
 }
 
 type costAnchor struct {
-	log2MiB   float64 // log2 of chunk size in MiB: 1, 7, 10
-	create    float64 // ms per chunk
-	mapCost   float64 // ms per chunk
-	setAccess float64 // ms per chunk
+	size    int64      // chunk size in bytes: 2 MiB, 128 MiB, 1 GiB
+	log2MiB float64    // log2 of size in MiB: 1, 7, 10
+	ms      [3]float64 // ms per chunk, indexed by chunkOp
 }
+
+// chunkOp selects the per-chunk cost an anchor holds.
+type chunkOp int
+
+const (
+	opCreate chunkOp = iota
+	opMap
+	opSetAccess
+)
 
 // DefaultCostModel returns the model calibrated to the paper (see type docs).
 func DefaultCostModel() *CostModel {
@@ -74,9 +82,10 @@ func DefaultCostModel() *CostModel {
 		Reserve:      3 * time.Microsecond,
 		Host:         time.Microsecond,
 		anchors: []costAnchor{
-			{log2MiB: 1, create: 18.1 / 1024, mapCost: 0.70 / 1024, setAccess: 96.8 / 1024},
-			{log2MiB: 7, create: 0.89 / 16, mapCost: 0.01 / 16, setAccess: 8.2 / 16},
-			{log2MiB: 10, create: 0.79 / 2, mapCost: 0.002 / 2, setAccess: 0.7 / 2},
+			// ms: create, map, setAccess.
+			{size: 2 * MiB, log2MiB: 1, ms: [3]float64{18.1 / 1024, 0.70 / 1024, 96.8 / 1024}},
+			{size: 128 * MiB, log2MiB: 7, ms: [3]float64{0.89 / 16, 0.01 / 16, 8.2 / 16}},
+			{size: GiB, log2MiB: 10, ms: [3]float64{0.79 / 2, 0.002 / 2, 0.7 / 2}},
 		},
 	}
 }
@@ -102,18 +111,18 @@ func (m *CostModel) MemAddressFree(size int64) time.Duration { return m.Reserve 
 // MemCreate returns the cost of one cuMemCreate of one physical chunk of
 // chunkSize bytes.
 func (m *CostModel) MemCreate(chunkSize int64) time.Duration {
-	return m.perChunk(chunkSize, func(a costAnchor) float64 { return a.create })
+	return m.perChunk(chunkSize, opCreate)
 }
 
 // MemMap returns the cost of one cuMemMap of one chunk of chunkSize bytes.
 func (m *CostModel) MemMap(chunkSize int64) time.Duration {
-	return m.perChunk(chunkSize, func(a costAnchor) float64 { return a.mapCost })
+	return m.perChunk(chunkSize, opMap)
 }
 
 // MemSetAccess returns the cost of one cuMemSetAccess covering one chunk of
 // chunkSize bytes.
 func (m *CostModel) MemSetAccess(chunkSize int64) time.Duration {
-	return m.perChunk(chunkSize, func(a costAnchor) float64 { return a.setAccess })
+	return m.perChunk(chunkSize, opSetAccess)
 }
 
 // MemUnmap returns the cost of one cuMemUnmap of one chunk. Unmapping prices
@@ -132,29 +141,31 @@ func (m *CostModel) MemRelease(chunkSize int64) time.Duration {
 func (m *CostModel) HostOp() time.Duration { return m.Host }
 
 // perChunk interpolates a per-chunk cost (in calibrated milliseconds) across
-// the anchor table, log-log in chunk size, and converts to a duration.
-func (m *CostModel) perChunk(chunkSize int64, field func(costAnchor) float64) time.Duration {
+// the anchor table, log-log in chunk size, and converts to a duration. A
+// size at or outside the outer anchors takes that anchor's cost without a
+// logarithm: GMLake maps 2 MiB chunks, so that is the hot case.
+func (m *CostModel) perChunk(chunkSize int64, op chunkOp) time.Duration {
 	if chunkSize <= 0 {
 		return 0
 	}
-	x := math.Log2(float64(chunkSize) / float64(MiB))
 	a := m.anchors
 	var ms float64
-	switch {
-	case x <= a[0].log2MiB:
-		ms = field(a[0])
-	case x >= a[len(a)-1].log2MiB:
-		ms = field(a[len(a)-1])
+	switch first, last := &a[0], &a[len(a)-1]; {
+	case chunkSize <= first.size:
+		ms = first.ms[op]
+	case chunkSize >= last.size:
+		ms = last.ms[op]
 	default:
+		x := math.Log2(float64(chunkSize) / float64(MiB))
 		for i := 0; i+1 < len(a); i++ {
-			lo, hi := a[i], a[i+1]
+			lo, hi := &a[i], &a[i+1]
 			if x > hi.log2MiB {
 				continue
 			}
 			t := (x - lo.log2MiB) / (hi.log2MiB - lo.log2MiB)
 			// Interpolate in log(cost) so the Figure 6 curve is smooth
 			// on its log axis.
-			ms = math.Exp(math.Log(field(lo))*(1-t) + math.Log(field(hi))*t)
+			ms = math.Exp(math.Log(lo.ms[op])*(1-t) + math.Log(hi.ms[op])*t)
 			break
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -211,6 +212,70 @@ func TestCostModelInterpolationBounded(t *testing.T) {
 	}
 	if m.MemCreate(4096*MiB) != m.MemCreate(1024*MiB) {
 		t.Error("per-chunk cost above last anchor should clamp")
+	}
+}
+
+// refPerChunk is perChunk as it was before its integer fast path: every size
+// goes through math.Log2 and the anchors' log2MiB. It is the oracle
+// TestCostModelMatchesLog2Reference holds the cost model to.
+func refPerChunk(m *CostModel, chunkSize int64, op chunkOp) time.Duration {
+	if chunkSize <= 0 {
+		return 0
+	}
+	x := math.Log2(float64(chunkSize) / float64(MiB))
+	a := m.anchors
+	var ms float64
+	switch {
+	case x <= a[0].log2MiB:
+		ms = a[0].ms[op]
+	case x >= a[len(a)-1].log2MiB:
+		ms = a[len(a)-1].ms[op]
+	default:
+		for i := 0; i+1 < len(a); i++ {
+			lo, hi := a[i], a[i+1]
+			if x > hi.log2MiB {
+				continue
+			}
+			t := (x - lo.log2MiB) / (hi.log2MiB - lo.log2MiB)
+			ms = math.Exp(math.Log(lo.ms[op])*(1-t) + math.Log(hi.ms[op])*t)
+			break
+		}
+	}
+	return time.Duration(ms * float64(time.Millisecond))
+}
+
+// TestCostModelMatchesLog2Reference requires every per-chunk price to equal
+// the Log2 interpolation to the nanosecond, at every 2 MiB multiple up to
+// 2 GiB and a granule either side of each anchor: the fast path may not move
+// a simulated number.
+func TestCostModelMatchesLog2Reference(t *testing.T) {
+	m := DefaultCostModel()
+	var sizes []int64
+	for s := 2 * MiB; s <= 2*GiB; s += 2 * MiB {
+		sizes = append(sizes, s)
+	}
+	for _, a := range m.anchors {
+		if a.size != int64(1)<<int(a.log2MiB)*MiB {
+			t.Fatalf("anchor of %d bytes has log2MiB %v", a.size, a.log2MiB)
+		}
+		sizes = append(sizes, a.size-2*MiB, a.size, a.size+2*MiB)
+	}
+	for _, s := range sizes {
+		create, mapc := refPerChunk(m, s, opCreate), refPerChunk(m, s, opMap)
+		for _, c := range []struct {
+			name      string
+			got, want time.Duration
+		}{
+			{"MemCreate", m.MemCreate(s), create},
+			{"MemMap", m.MemMap(s), mapc},
+			{"MemSetAccess", m.MemSetAccess(s), refPerChunk(m, s, opSetAccess)},
+			{"MemUnmap", m.MemUnmap(s), mapc},
+			{"MemRelease", m.MemRelease(s), create / 5},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s(%d) = %d ns, Log2 reference %d ns", c.name, s, c.got, c.want)
+			}
+		}
 	}
 }
 
