@@ -366,13 +366,14 @@ func (d *Driver) MemSetAccess(ptr DevicePtr, size int64) error {
 		return fmt.Errorf("%w: MemSetAccess(%#x)", ErrRangeNotFound, uint64(ptr))
 	}
 	lo, hi := r.granules(ptr, size)
-	covered := 0
+	covered := int64(0)
 	for i := r.next(lo, hi); i < hi; i = r.next(i, hi) {
-		covered += int(r.slots[i].span)
-		i += int(r.slots[i].span)
+		k := int(r.slots[i].span)
+		covered += int64(k) * ChunkGranularity
+		i += k
 	}
-	if int64(covered)*ChunkGranularity != size {
-		return fmt.Errorf("%w: MemSetAccess covers %d of %d bytes", ErrNotMapped, int64(covered)*ChunkGranularity, size)
+	if covered != size {
+		return fmt.Errorf("%w: MemSetAccess covers %d of %d bytes", ErrNotMapped, covered, size)
 	}
 	for i := r.next(lo, hi); i < hi; i = r.next(i, hi) {
 		s := &r.slots[i]
