@@ -141,15 +141,10 @@ func fail(code int, err error) {
 func searchTopologies(cfg model.Config, micro, maxWorld int) []parallel.MemoryPlan {
 	bestByWorld := map[int]parallel.MemoryPlan{}
 	for world := 1; world <= maxWorld; world *= 2 {
-		for tp := 1; tp <= world; tp++ {
-			if world%tp != 0 {
-				continue
-			}
+		// world is a power of two, so its divisors are the powers of two.
+		for tp := 1; tp <= world; tp *= 2 {
 			rest := world / tp
-			for pp := 1; pp <= rest; pp++ {
-				if rest%pp != 0 {
-					continue
-				}
+			for pp := 1; pp <= rest; pp *= 2 {
 				topo := parallel.Topology{DP: rest / pp, TP: tp, PP: pp}
 				if topo.Validate(cfg) != nil {
 					continue

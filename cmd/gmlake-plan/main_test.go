@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 )
@@ -81,6 +83,22 @@ func TestNothingFits(t *testing.T) {
 	stdout, stderr, exit := run(t, "-capacity-gb", "1", "-max-world", "1")
 	if exit != 1 || stderr != "" || !strings.Contains(stdout, "no candidate fits") {
 		t.Errorf("exit %d, stderr %q, stdout\n%s", exit, stderr, stdout)
+	}
+}
+
+// TestHugeWorldFinishes: the search visits only the power-of-two
+// factorizations of each power-of-two world, so a ceiling of two billion
+// ranks is about thirty worlds of a few hundred candidates each. Trying every
+// integer up to the world as a degree, the search did not finish at all.
+func TestHugeWorldFinishes(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	var e bytes.Buffer
+	cmd := exec.CommandContext(ctx, bin, "-max-world", "2000000000")
+	cmd.Stderr = &e
+	out, err := cmd.Output()
+	if err != nil || e.Len() != 0 || !strings.Contains(string(out), "1073741824") {
+		t.Errorf("-max-world 2000000000: %v, stderr %q, stdout\n%s", err, e.String(), out)
 	}
 }
 

@@ -187,6 +187,7 @@ func FuzzParse(f *testing.F) {
 	for _, c := range traceKeyCases {
 		f.Add(c.in)
 	}
+	f.Add("max_replicas:2000000000") // validation must not walk the fleet ceiling
 	f.Fuzz(func(t *testing.T, s string) {
 		cfg, err := Parse(s)
 		if err != nil {

@@ -12,10 +12,10 @@ import (
 // arrivalOrder is the one pass over an input stream before it is served: it
 // rejects a request with nothing to prefill or nothing to decode, and returns
 // the order the stream is released in — arrival time, input order preserved
-// among ties, so a request's input index doubles as its FIFO ticket, in Serve
-// and in the cluster alike. The order is the stable permutation of input
-// indexes, or nil when reqs is already non-decreasing in ArrivalAt (every
-// generated stream is; no allocation).
+// among ties, so a request's input index doubles as its FIFO ticket. The
+// order is the stable permutation of input indexes, or nil when reqs is
+// already non-decreasing in ArrivalAt (every generated stream is; no
+// allocation).
 func arrivalOrder(reqs []Request) ([]int, error) {
 	for i := range reqs {
 		if err := checkPrompt(&reqs[i]); err != nil {
@@ -38,9 +38,9 @@ func arrivalOrder(reqs []Request) ([]int, error) {
 
 // inputCursor walks the caller's request slice in arrivalOrder without
 // copying it: the requests before next have been released, the rest are
-// read in place when their turn comes. The cursor over a run's stream —
-// Serve's server's, or ServeCluster's queue — owns the run's free list of
-// tracks: every replica returns the record of a request that left the run
+// read in place when their turn comes. The cursor is the cluster scheduler's
+// queue — Serve's too, a one-replica cluster — and owns the run's free list
+// of tracks: every replica returns the record of a request that left the run
 // to spare, and pop reissues it.
 type inputCursor struct {
 	reqs  []Request
@@ -89,20 +89,14 @@ func (c *inputCursor) each(f func(*Request)) {
 }
 
 // arrivalQueue indexes a server's not-yet-arrived requests by (ArrivalAt,
-// ticket), from two sources. input is Serve's whole stream, read in place:
-// no queue entry and no track exists for a request until it is promoted,
-// and its track is recycled when it leaves the run, so the run's live heap
-// follows the work in flight, not the stream length.
-// items are requests pushed one at a time — a cluster dispatch that runs
-// ahead of its replica's clock. Those arrive in queue order on every live
-// path, so the queue is a flat sorted cursor too: push is an append and
-// promotion advances the head, with none of the per-request node
-// allocation and rebalancing a tree pays. Sorted pushes are not part of the
-// contract, though: one that lands out of order marks the queue dirty and
-// the next read re-sorts the remaining entries once.
+// ticket): the tracks the scheduler pushed — a dispatch that runs ahead of
+// its replica's clock. Those arrive in queue order on every live path, so the
+// queue is a flat sorted cursor: push is an append and promotion advances the
+// head, with none of the per-request node allocation and rebalancing a tree
+// pays. Sorted pushes are not part of the contract, though: one that lands
+// out of order marks the queue dirty and the next read re-sorts the remaining
+// entries once.
 type arrivalQueue struct {
-	input inputCursor
-
 	items []*track
 	head  int
 	dirty bool
@@ -130,44 +124,20 @@ func (q *arrivalQueue) sort() {
 	}
 }
 
-// fromInput reports whether the earliest pending arrival is the input
-// cursor's head rather than a pushed item; the queue must not be empty.
-func (q *arrivalQueue) fromInput() bool {
-	if q.head == len(q.items) {
-		return true
-	}
-	q.sort()
-	if q.input.left() == 0 {
-		return false
-	}
-	i, r := q.input.head()
-	w := q.items[q.head]
-	if at := w.req.ArrivalAt; r.ArrivalAt != at {
-		return r.ArrivalAt < at
-	}
-	return int64(i) < w.seq
-}
-
-// peek is the earliest pending arrival time. It allocates nothing: the
-// callers that only ask when never materialise a track.
+// peek is the earliest pending arrival time.
 func (q *arrivalQueue) peek() (time.Duration, bool) {
 	if q.len() == 0 {
 		return 0, false
 	}
-	if q.fromInput() {
-		_, r := q.input.head()
-		return r.ArrivalAt, true
-	}
+	q.sort()
 	return q.items[q.head].req.ArrivalAt, true
 }
 
-// popMin removes and returns the earliest pending arrival. A vacated item
-// slot is zeroed so the popped request's record is not pinned by the backing
-// array, and fully drained items recycle it.
+// popMin removes and returns the earliest pending arrival; the queue must not
+// be empty. A vacated item slot is zeroed so the popped request's record is
+// not pinned by the backing array, and fully drained items recycle it.
 func (q *arrivalQueue) popMin() *track {
-	if q.fromInput() {
-		return q.input.pop()
-	}
+	q.sort()
 	w := q.items[q.head]
 	q.items[q.head] = nil
 	q.head++
@@ -177,15 +147,12 @@ func (q *arrivalQueue) popMin() *track {
 	return w
 }
 
-func (q *arrivalQueue) len() int { return q.input.left() + len(q.items) - q.head }
+func (q *arrivalQueue) len() int { return len(q.items) - q.head }
 
-// each visits the tracks of the pending arrivals, each source in queue order,
-// pushed items first. An input request that never arrived is visited under
-// a throwaway track.
+// each visits the tracks of the pending arrivals in queue order.
 func (q *arrivalQueue) each(f func(*track)) {
 	q.sort()
 	for _, w := range q.items[q.head:] {
 		f(w)
 	}
-	q.input.each(func(r *Request) { f(&track{req: r}) })
 }

@@ -178,7 +178,9 @@ func (cfg ClusterConfig) Validate() error {
 
 // validate checks the whole configuration up front — including every
 // replica configuration the run could ever instantiate — so mid-run spawns
-// cannot fail.
+// cannot fail. Every replica past Overrides has the same configuration, so
+// the replicas checked are the overridden ones and the first one after them:
+// the cost does not grow with the fleet ceiling.
 func (cfg ClusterConfig) validate() (initial, fleetMax int, err error) {
 	if cfg.MinReplicas < 0 || cfg.MaxReplicas < 0 {
 		return 0, 0, fmt.Errorf("serve: negative replica bounds [%d, %d]", cfg.MinReplicas, cfg.MaxReplicas)
@@ -221,7 +223,7 @@ func (cfg ClusterConfig) validate() (initial, fleetMax int, err error) {
 	if err := cfg.Recovery.validate(); err != nil {
 		return 0, 0, err
 	}
-	for i := 0; i < fleetMax; i++ {
+	for i := range min(fleetMax, len(cfg.Overrides)+1) {
 		o := cfg.resolveOverride(i)
 		if o.Capacity < 0 || math.IsNaN(o.Capacity) || math.IsInf(o.Capacity, 0) {
 			return 0, 0, fmt.Errorf("serve: replica %d capacity %v", i, o.Capacity)
@@ -284,11 +286,11 @@ func (cfg ClusterConfig) withDefaults() ClusterConfig {
 // ServeCluster runs the requests on a multi-replica serving cluster: a
 // cluster-level admission queue releases each request at its arrival time to
 // one replica, chosen by the dispatch policy from the replicas' states at
-// that instant, and every replica runs the same SLO-aware continuous-
-// batching loop as Serve on its own cache manager and virtual clock. newMgr
-// builds replica i's cache manager — each replica must get its own manager
-// (and, for pool-backed managers, its own allocator and device) — and is
-// also invoked mid-run when the autoscaler grows the fleet.
+// that instant, and every replica runs Serve's SLO-aware continuous-batching
+// loop on its own cache manager and virtual clock. newMgr builds replica i's
+// cache manager — each replica must get its own manager (and, for
+// pool-backed managers, its own allocator and device) — and is also invoked
+// mid-run when the autoscaler grows the fleet.
 //
 // The fleet can be heterogeneous (ClusterConfig.Overrides: per-replica
 // capacity weight and batch limit), elastic (MinReplicas/MaxReplicas
@@ -301,18 +303,17 @@ func (cfg ClusterConfig) withDefaults() ClusterConfig {
 // arrival, or the replica with the smallest next-event time, ties in that
 // order and then to the lowest replica index), and scaling
 // and stealing decisions happen only at those event boundaries, so the same
-// input produces a byte-identical ClusterReport on every run. With one
-// replica (static, stealing off — or MinReplicas == MaxReplicas == 1) the
-// scheduler degenerates to exactly Serve's loop — dispatched requests carry
-// their input position as the FIFO ticket, Serve's numbering, whatever
-// order the input arrived in — and the output is identical to Serve's
-// report. Like Serve, the scheduler reads reqs in place and never writes it.
+// input produces a byte-identical ClusterReport on every run. Dispatched
+// requests carry their input position as the FIFO ticket, whatever order the
+// input arrived in. Serve is this scheduler over one static replica, so with
+// one replica (stealing off — or MinReplicas == MaxReplicas == 1) the
+// cluster report is Serve's. The scheduler reads reqs in place and never
+// writes it.
 //
 // On a replica error (a request that fits nowhere, a stuck decode) the
-// partial reports of every replica are sealed and returned with the error;
-// requests still waiting in the cluster queue appear in the merged class
-// roster with nothing served, exactly as Serve reports requests it never
-// started.
+// partial reports of every replica are sealed and returned with the error,
+// which names the replica; requests still waiting in the cluster queue
+// appear in the merged class roster with nothing served.
 func ServeCluster(reqs []Request, newMgr func(replica int) CacheManager, cfg ClusterConfig) (ClusterReport, error) {
 	if newMgr == nil {
 		return ClusterReport{}, fmt.Errorf("serve: cluster needs a cache-manager factory")
@@ -321,5 +322,9 @@ func ServeCluster(reqs []Request, newMgr func(replica int) CacheManager, cfg Clu
 	if err != nil {
 		return ClusterReport{}, err
 	}
-	return c.run()
+	rep, failed, err := c.run()
+	if failed >= 0 {
+		err = fmt.Errorf("serve: replica %d: %w", failed, err)
+	}
+	return rep, err
 }

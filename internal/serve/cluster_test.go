@@ -281,7 +281,7 @@ func TestServeAgingSingleServer(t *testing.T) {
 // samples, not an average of per-replica percentiles.
 func TestClusterMergePercentilesFromRawSamples(t *testing.T) {
 	mk := func(latencies ...time.Duration) *server {
-		s, err := newEmptyServer(NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64), ServerConfig{MaxBatch: 1})
+		s, err := newServer(NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64), ServerConfig{MaxBatch: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,33 +489,31 @@ func TestServeSealKeepsUnarrivedClasses(t *testing.T) {
 	}
 }
 
-// TestArrivalQueueMergesSources drives the queue with both sources live —
-// an input cursor and out-of-order pushes, which no Serve or cluster run
-// combines — against the (ArrivalAt, ticket) order it documents.
-func TestArrivalQueueMergesSources(t *testing.T) {
+// TestArrivalQueueSortsLatePushes: the queue does not assume sorted pushes.
+// One that lands out of (ArrivalAt, ticket) order, before or after pops,
+// still peeks and pops in that order.
+func TestArrivalQueueSortsLatePushes(t *testing.T) {
 	at := func(s int) time.Duration { return time.Duration(s) * time.Second }
-	input := []Request{{ArrivalAt: at(4)}, {ArrivalAt: at(1)}, {ArrivalAt: at(4)}, {ArrivalAt: at(9)}}
-	for i := range input {
-		input[i].PromptLen, input[i].OutputLen = 1, 1
-	}
-	cur, err := newInputCursor(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := arrivalQueue{input: cur}
-	for i, s := range []int{9, 4, 0, 6} {
-		q.push(newTrack(&q.input.spare, &Request{ArrivalAt: at(s)}, int64(10+i)))
-	}
+	var q arrivalQueue
+	push := func(s int, seq int64) { q.push(&track{req: &Request{ArrivalAt: at(s)}, seq: seq}) }
 	var got [][2]int64
-	for q.len() > 0 {
-		peeked, ok := q.peek()
-		w := q.popMin()
-		if !ok || peeked != w.req.ArrivalAt {
-			t.Fatalf("peek %v/%v before popping %+v", peeked, ok, w.req)
+	pop := func(n int) {
+		for range n {
+			peeked, ok := q.peek()
+			w := q.popMin()
+			if !ok || peeked != w.req.ArrivalAt {
+				t.Fatalf("peek %v/%v before popping %+v", peeked, ok, w.req)
+			}
+			got = append(got, [2]int64{int64(w.req.ArrivalAt / time.Second), w.seq})
 		}
-		got = append(got, [2]int64{int64(w.req.ArrivalAt / time.Second), w.seq})
 	}
-	want := [][2]int64{{0, 12}, {1, 1}, {4, 0}, {4, 2}, {4, 11}, {6, 13}, {9, 3}, {9, 10}}
+	for i, s := range []int{9, 4, 0, 6, 4} {
+		push(s, int64(10-i))
+	}
+	pop(2)
+	push(5, 1)
+	pop(q.len())
+	want := [][2]int64{{0, 8}, {4, 6}, {4, 9}, {5, 1}, {6, 7}, {9, 10}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("pop order (seconds, ticket)\n got %v\nwant %v", got, want)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,11 +18,12 @@ import (
 )
 
 // The reference loop's observations: the token-steps it summed step by step,
-// how often a sequence yielded its own slot, and each admission's tokens
-// still to decode, counted down one Append at a time.
+// how often a sequence yielded its own slot, each admission's tokens still to
+// decode, counted down one Append at a time, and the servers it stepped.
 var (
 	refTokenSteps, refYields int64
 	refRemaining             map[*track]refAdmission
+	refServers               []*server
 )
 
 // refAdmission tells one admission of a track from another by the server
@@ -39,6 +41,9 @@ type refAdmission struct {
 // tokens, completions and deadline misses. It shares admission, eviction and
 // completion with the server; it owns nothing of the event index.
 func (s *server) refStep(prefillTokens int64) error {
+	if !slices.Contains(refServers, s) {
+		refServers = append(refServers, s)
+	}
 	s.rep.Steps++
 	s.batchSum += int64(len(s.running))
 
@@ -102,8 +107,17 @@ func (s *server) refStep(prefillTokens int64) error {
 func withReference(f func()) {
 	decode = (*server).refStep
 	defer func() { decode = (*server).step }()
-	refTokenSteps, refYields, refRemaining = 0, 0, map[*track]refAdmission{}
+	refTokenSteps, refYields, refRemaining, refServers = 0, 0, map[*track]refAdmission{}, nil
 	f()
+}
+
+// refSettled is the token-steps the servers the reference loop stepped
+// settled in closed form; a server that never stepped settled none.
+func refSettled() (n int64) {
+	for _, s := range refServers {
+		n += s.totalTokenSteps
+	}
+	return n
 }
 
 // callLog folds every allocator call of a run, with its size, and every
@@ -215,7 +229,7 @@ func TestEventDecodeMatchesReference(t *testing.T) {
 		cfg.OnComplete = func(r Request) { log.add('c', int64(r.ID)) }
 		return cfg
 	}
-	check := func(cell string, got, want any, gotErr, wantErr error, settled int64) {
+	check := func(cell string, got, want any, gotErr, wantErr error) {
 		t.Helper()
 		if gotLog != wantLog {
 			t.Errorf("%s: allocator calls or completions differ from the reference's", cell)
@@ -226,7 +240,7 @@ func TestEventDecodeMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: report differs from the reference\n got %+v\nwant %+v", cell, got, want)
 		}
-		if settled != refTokenSteps {
+		if settled := refSettled(); settled != refTokenSteps {
 			t.Errorf("%s: %d token-steps settled, the reference summed %d", cell, settled, refTokenSteps)
 		}
 		seen.yield = seen.yield || refYields > 0
@@ -241,16 +255,10 @@ func TestEventDecodeMatchesReference(t *testing.T) {
 					got, gotErr := Serve(st.reqs, rig.mk(pool, &gotLog), logged(cfg, &gotLog))
 					var want Report
 					var wantErr error
-					var settled int64
 					withReference(func() {
-						s, err := newServer(st.reqs, rig.mk(pool, &wantLog), logged(cfg, &wantLog))
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, wantErr = s.run()
-						settled = s.totalTokenSteps
+						want, wantErr = Serve(st.reqs, rig.mk(pool, &wantLog), logged(cfg, &wantLog))
 					})
-					check(cell, got, want, gotErr, wantErr, settled)
+					check(cell, got, want, gotErr, wantErr)
 					note(got, gotErr)
 				}
 				for _, c := range clusterGoldenConfigs() {
@@ -264,18 +272,10 @@ func TestEventDecodeMatchesReference(t *testing.T) {
 					got, gotErr := ServeCluster(st.reqs, func(int) CacheManager { return rig.mk(pool, &gotLog) }, run(&gotLog))
 					var want ClusterReport
 					var wantErr error
-					var settled int64
 					withReference(func() {
-						cs, err := newClusterSched(st.reqs, func(int) CacheManager { return rig.mk(pool, &wantLog) }, run(&wantLog))
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, wantErr = cs.run()
-						for _, r := range cs.fleet {
-							settled += r.srv.totalTokenSteps
-						}
+						want, wantErr = ServeCluster(st.reqs, func(int) CacheManager { return rig.mk(pool, &wantLog) }, run(&wantLog))
 					})
-					check(cell, got, want, gotErr, wantErr, settled)
+					check(cell, got, want, gotErr, wantErr)
 					note(got.Report, gotErr)
 					for _, n := range got.Stolen {
 						seen.steal = seen.steal || n > 0
@@ -372,10 +372,7 @@ func TestStepWithoutEventsIsConstant(t *testing.T) {
 			reqs[i] = Request{ID: i, PromptLen: 16 + i, OutputLen: 400}
 		}
 		kv := &countingKV{CacheManager: NewChunkedKV(newServeAlloc(8*sim.GiB), model.OPT1_3B, 512)}
-		s, err := newServer(reqs, kv, ServerConfig{MaxBatch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := replicaWith(t, reqs, kv, ServerConfig{MaxBatch: batch})
 		for step := 0; step < 300; step++ {
 			before, stores := kv.calls, kv.stores
 			prefill, err := s.admit()

@@ -63,10 +63,7 @@ func (stubKV) LogicalBytes() int64              { return 0 }
 // evicting it again costs no heap allocation (each admission used to
 // allocate the sequence's batch entry).
 func TestReadmissionAllocatesNothing(t *testing.T) {
-	s, err := newServer([]Request{{ID: 1, Class: "chat", PromptLen: 32, OutputLen: 1 << 20}}, stubKV{}, ServerConfig{MaxBatch: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := replicaWith(t, []Request{{ID: 1, Class: "chat", PromptLen: 32, OutputLen: 1 << 20}}, stubKV{}, ServerConfig{MaxBatch: 2})
 	cycle := func() {
 		if _, err := s.admit(); err != nil || len(s.running) != 1 {
 			t.Fatalf("admit: %v, batch of %d", err, len(s.running))
@@ -76,7 +73,7 @@ func TestReadmissionAllocatesNothing(t *testing.T) {
 		}
 		s.evict(s.running[0])
 	}
-	cycle() // the first admission promotes the request out of the input: its record is made here
+	cycle() // a first cycle, so that only warm ones are counted
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Errorf("%v allocations per re-admission, step and eviction", n)
 	}
@@ -87,19 +84,17 @@ func TestReadmissionAllocatesNothing(t *testing.T) {
 
 // TestServedRequestAllocatesNothing: a warm server takes a fresh arrival,
 // admits it and steps it to completion without a heap allocation — the
-// arrival's record is the one the previous request returned when it
-// completed.
+// arrival's record, issued by the scheduler's queue, is the one the previous
+// request returned when it completed.
 func TestServedRequestAllocatesNothing(t *testing.T) {
 	reqs := make([]Request, 110)
 	for i := range reqs {
-		// One arrival per step: each step promotes exactly the next request.
+		// One arrival per step: each step is due exactly the next request.
 		reqs[i] = Request{ID: i, Class: "chat", PromptLen: 32, OutputLen: 1, ArrivalAt: time.Duration(i) * DefaultStepTime}
 	}
-	s, err := newServer(reqs, stubKV{}, ServerConfig{MaxBatch: 2, ExactSamples: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, arrive := replicaOf(t, reqs, stubKV{}, ServerConfig{MaxBatch: 2, ExactSamples: -1})
 	serveOne := func() {
+		arrive()
 		if _, err := s.admit(); err != nil || len(s.running) != 1 {
 			t.Fatalf("admit: %v, batch of %d", err, len(s.running))
 		}
@@ -128,12 +123,8 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 	// and checks that the request left the way left says.
 	onServer := func(cfg ServerConfig, now time.Duration, steps int, left func(Report) bool) exit {
 		return func(t *testing.T, reqs []Request) (*track, func() *track) {
-			s, err := newServer(reqs, stubKV{}, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.promoteArrivals()
-			gone := s.ready.Min().Value
+			s, arrive := replicaOf(t, reqs, stubKV{}, cfg)
+			gone := arrive()
 			s.now = now
 			if _, err := s.admit(); err != nil {
 				t.Fatal(err)
@@ -143,10 +134,10 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if s.pendingLen() != 1 || len(s.running) != 0 || !left(s.rep) {
+			if s.pendingLen() != 0 || len(s.running) != 0 || !left(s.rep) {
 				t.Fatalf("%d pending, %d running, report %+v", s.pendingLen(), len(s.running), s.rep)
 			}
-			return gone, s.future.popMin
+			return gone, arrive
 		}
 	}
 	crashLoss := func(t *testing.T, reqs []Request) (*track, func() *track) {
@@ -158,7 +149,7 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 		}
 		gone := c.queue.pop()
 		c.place(0, gone, 0)
-		if _, err := c.fleet[0].srv.runOnce(); err != nil || gone.handle == 0 {
+		if err := c.fleet[0].srv.runOnce(); err != nil || gone.handle == 0 {
 			t.Fatalf("runOnce: %v, handle %d", err, gone.handle)
 		}
 		c.recovery.crash(c, c.fleet[0])
@@ -209,11 +200,8 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 // reach does not go back to the free list — returning one panics, since a
 // later arrival would reissue a record the run still uses.
 func TestRecycleRefusesLiveRecord(t *testing.T) {
-	s, err := newServer([]Request{{ID: 1, PromptLen: 8, OutputLen: 4}, {ID: 2, PromptLen: 8, OutputLen: 4}}, stubKV{},
+	s := replicaWith(t, []Request{{ID: 1, PromptLen: 8, OutputLen: 4}, {ID: 2, PromptLen: 8, OutputLen: 4}}, stubKV{},
 		ServerConfig{MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.admit(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +262,8 @@ func TestRoundRobinCursorMatchesActiveList(t *testing.T) {
 // completion, in one line.
 func TestSecondCompletionPanics(t *testing.T) {
 	completions := 0
-	s, err := newServer([]Request{{ID: 7, PromptLen: 8, OutputLen: 1}}, stubKV{},
+	s := replicaWith(t, []Request{{ID: 7, PromptLen: 8, OutputLen: 1}}, stubKV{},
 		ServerConfig{MaxBatch: 1, OnComplete: func(Request) { completions++ }})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.admit(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -170,6 +171,27 @@ func TestElasticConfigValidation(t *testing.T) {
 	}
 }
 
+// TestValidateCostIgnoresFleetCeiling: every replica past Overrides has the
+// same configuration, so validating a fleet whose ceiling is 2^20 replicas
+// costs what validating a small one does (it used to check, and name in a
+// formatted string, every potential replica: over 2^20 allocations), and the
+// first replica past the overrides is still the one a bad default names.
+func TestValidateCostIgnoresFleetCeiling(t *testing.T) {
+	cfg := ClusterConfig{MaxReplicas: 1 << 20, Overrides: []ReplicaOverride{{Capacity: 2, MaxBatch: 3}},
+		Server: ServerConfig{MaxBatch: 2}}
+	if n := testing.AllocsPerRun(3, func() {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("%v allocations per Validate of a 2^20-replica ceiling", n)
+	}
+	cfg.Server.MaxBatch = 0
+	if err := cfg.Validate(); fmt.Sprint(err) != "serve: replica 1 max batch 0" {
+		t.Errorf("bad default batch: %v", err)
+	}
+}
+
 // stealStream alternates a long-output request (round-robin sends it to
 // replica 0) with a short one (replica 1): replica 0 piles up queued
 // backlog while replica 1 drains fast and starves — the exact imbalance
@@ -330,7 +352,7 @@ func TestClusterReportSlicesAreCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.run()
+	rep, _, err := c.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +399,7 @@ func TestLeastKVLoadDrainsToZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := c.run()
+		rep, _, err := c.run()
 		if err != nil {
 			t.Fatalf("steal=%v: %v", steal, err)
 		}

@@ -532,7 +532,7 @@ func TestChaosDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sched: %v", err)
 		}
-		rep, err := c.run()
+		rep, _, err := c.run()
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}

@@ -83,7 +83,8 @@ type clusterSched struct {
 	newMgr func(int) CacheManager
 	// queue is the cluster admission queue: the input stream in arrival
 	// order. Dispatch releases requests in this order but tickets them by
-	// input index, matching Serve's numbering.
+	// input index. It is the one owner of the run's input and of its free
+	// list of tracks.
 	queue inputCursor
 	now   time.Duration // monotonic cluster event clock
 	fleet []*clusterReplica
@@ -139,13 +140,12 @@ func newClusterSched(reqs []Request, newMgr func(int) CacheManager, cfg ClusterC
 // cannot fail mid-run in practice.
 func (c *clusterSched) spawn() error {
 	i := len(c.fleet)
-	s, err := newEmptyServer(c.newMgr(i), c.cfg.serverConfig(i))
+	s, err := newServer(c.newMgr(i), c.cfg.serverConfig(i))
 	if err != nil {
 		return err
 	}
 	// Reserve the global ticket range [0, len(reqs)) for dispatched
-	// requests; requeued preemptions draw above it, exactly where Serve's
-	// numbering (newServer) places them.
+	// requests; requeued preemptions draw above it.
 	s.nextTkt = int64(len(c.queue.reqs))
 	s.spare = &c.queue.spare
 	w := c.cfg.resolveOverride(i).Capacity
@@ -242,8 +242,10 @@ func (c *clusterSched) next() (src evSource, at time.Duration, ri int) {
 
 // run drives the co-simulation to completion: take the next event, advance
 // the monotonic cluster clock to it, let the autoscaler look at the fleet,
-// and re-touch exactly the replicas the event mutated.
-func (c *clusterSched) run() (ClusterReport, error) {
+// and re-touch exactly the replicas the event mutated. The report is sealed
+// on the error paths too; failed is the index of the replica whose step
+// failed, -1 when the run completed or the failure is the cluster's own.
+func (c *clusterSched) run() (rep ClusterReport, failed int, err error) {
 	for {
 		src, at, ri := c.next()
 		if at > c.now {
@@ -254,9 +256,9 @@ func (c *clusterSched) run() (ClusterReport, error) {
 			if n := c.recovery.poolLen(); n > 0 {
 				// Work remains only in a blocked pool, and no fault event is
 				// pending to unblock it (a scripted plan ran dry).
-				return c.seal(fmt.Errorf("serve: %d request(s) stranded in the re-dispatch pool with no active replica and no pending restart", n))
+				return c.seal(), -1, fmt.Errorf("serve: %d request(s) stranded in the re-dispatch pool with no active replica and no pending restart", n)
 			}
-			return c.seal(nil)
+			return c.seal(), -1, nil
 		case evFault:
 			c.recovery.apply(c, c.recovery.faults.pop())
 			c.scaler.evaluate(c)
@@ -288,8 +290,8 @@ func (c *clusterSched) run() (ClusterReport, error) {
 			if c.cfg.Steal && c.trySteal() {
 				continue // fleet state changed; the steal re-touched both sides
 			}
-			if _, err := c.fleet[ri].srv.runOnce(); err != nil {
-				return c.seal(fmt.Errorf("serve: replica %d: %w", ri, err))
+			if err := c.fleet[ri].srv.runOnce(); err != nil {
+				return c.seal(), ri, err
 			}
 			c.touch(ri)
 		}
@@ -299,7 +301,7 @@ func (c *clusterSched) run() (ClusterReport, error) {
 // seal finalizes every replica and assembles the cluster report. All slices
 // in the report are freshly allocated — never views of scheduler state — so
 // a caller mutating the report cannot corrupt anything read later.
-func (c *clusterSched) seal(err error) (ClusterReport, error) {
+func (c *clusterSched) seal() ClusterReport {
 	// A drain that completed on the run's very last event has not been
 	// through an autoscaler evaluation yet — retire it before counting.
 	c.scaler.retire(c.fleet)
@@ -359,5 +361,5 @@ func (c *clusterSched) seal(err error) (ClusterReport, error) {
 		rep.Retries, rep.Lost = c.recovery.retries, c.recovery.lost
 	}
 	rep.Report = mergeReports(servers, undispatched)
-	return rep, err
+	return rep
 }

@@ -16,21 +16,23 @@
 //
 // Every entity of a run has exactly one record, owned by one place:
 //
-//   - A request in the run is a track. The input cursor issues it when the
-//     request is released — promoted by Serve, dispatched by ServeCluster —
-//     and from then on whoever holds the request holds the track: a server's
-//     future queue, its ready tree (through the track's one embedded node) or
-//     its batch, or the cluster's re-dispatch pool. FIFO ticket, first-token
-//     time, granted retries and the state of the current admission (KV
-//     handle, the decode tick it was admitted at, class record) all live on
-//     it; no map is keyed by a request. When the request leaves the run —
-//     completion, deadline abort, expiry, shed or crash loss — its samples
-//     have reached the class digests, and the step, admission or crash that
-//     ended it returns the track to the run's free list, the cursor's, which
-//     reissues it to a later arrival with every field overwritten; so a run
-//     holds no more tracks than its peak of requests in flight. Completion
-//     marks a track done, and completing a done track panics — which is why
-//     OnComplete fires once per request under any amount of retrying.
+//   - A request in the run is a track. The cluster scheduler's queue — an
+//     input cursor over the caller's slice, and the run's only reader of it,
+//     Serve being a one-replica cluster — issues the track when it
+//     dispatches the request, and from then on whoever holds the request
+//     holds it: a server's future queue, its ready tree (through the track's
+//     one embedded node) or its batch, or the cluster's re-dispatch pool.
+//     FIFO ticket, first-token time, granted retries and the state of the
+//     current admission (KV handle, the decode tick it was admitted at,
+//     class record) all live on it; no map is keyed by a request. When the
+//     request leaves the run — completion, deadline abort, expiry, shed or
+//     crash loss — its samples have reached the class digests, and the step,
+//     admission or crash that ended it returns the track to the run's free
+//     list, the queue's, which reissues it to a later arrival with every
+//     field overwritten; so a run holds no more tracks than its peak of
+//     requests in flight. Completion marks a track done, and completing a
+//     done track panics — which is why OnComplete fires once per request
+//     under any amount of retrying.
 //   - A client class is a classAgg on a server's tally: served count, TTFT
 //     and E2E digests, evictions and KV token-steps. The first admission of
 //     the class creates it, which can be on a replica that crashes before
@@ -234,26 +236,35 @@ func GenRequests(n int, cfg GenConfig, seed uint64) ([]Request, error) {
 // effective priority — Priority + wait/Aging — so starved low-priority
 // requests eventually outrank fresh high-priority arrivals.
 //
-// The queues are indexed (see server): not-yet-arrived requests are read in
-// place from reqs through an arrival-ordered cursor (reqs need not be sorted,
-// is not written, and must not change during the call), arrived ones sit in
-// a priority-ordered tree and the batch keeps a preemption-ordered tree, so
-// admission, the idle-jump and victim selection are O(log n) instead of the
-// per-step linear rescans a slice-based loop pays, and host memory beyond
-// reqs itself follows the work in flight, not the stream length. On long
-// backlogged streams the loop's bookkeeping is O(total work · log n).
+// Serve is ServeCluster over one static replica with mgr as its cache
+// manager, and returns the cluster report's merged view — one scheduler, so
+// one way into a server. The scheduler reads reqs in place through an
+// arrival-ordered cursor (reqs need not be sorted, is not written, and must
+// not change during the call) and dispatches each request at its arrival
+// instant. On the server, arrived requests sit in a priority-ordered tree
+// and the batch is a slice in admission order, so admission and the
+// idle-jump are O(log n), victim selection is a scan at the memory wall
+// only, and host memory beyond reqs itself follows the work in flight, not
+// the stream length. On long backlogged streams the loop's bookkeeping is
+// O(total work · log n).
 //
 // Time is simulated on an internal virtual clock (see ServerConfig's step
 // costs); per-request arrival, first-token and completion times feed the
 // per-class TTFT/E2E percentiles in the report. A request with no prompt or
-// no output tokens is an error before anything is served, in Serve and
-// ServeCluster alike.
+// no output tokens is an error before anything is served. The report is
+// sealed on the error paths too, so callers always see the duration, class
+// rows and percentiles of whatever work completed before the failure.
 func Serve(reqs []Request, mgr CacheManager, cfg ServerConfig) (Report, error) {
-	s, err := newServer(reqs, mgr, cfg)
+	// The server's own check first: its errors name no replica.
+	if err := cfg.validate(""); err != nil {
+		return Report{}, err
+	}
+	c, err := newClusterSched(reqs, func(int) CacheManager { return mgr }, ClusterConfig{Replicas: 1, Server: cfg})
 	if err != nil {
 		return Report{}, err
 	}
-	return s.run()
+	rep, _, err := c.run()
+	return rep.Report, err
 }
 
 // SeqHandle identifies one admitted sequence inside a cache manager.

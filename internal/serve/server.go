@@ -94,8 +94,7 @@ type ServerConfig struct {
 }
 
 // track is the one record of an input request while the request is in the
-// run: from the moment it first arrives at a server — promoted out of
-// Serve's input cursor, or dispatched by the cluster scheduler — until it
+// run: from the moment the cluster scheduler's queue releases it until it
 // leaves — completed, aborted, shed or lost — across every preemption, steal
 // and crash re-dispatch in between. Whoever holds the request holds this
 // record: a server's future queue, ready index or batch, or the cluster's
@@ -186,18 +185,18 @@ func popEvent(q *[]batchEvent) batchEvent {
 	return e
 }
 
-// server is the continuous-batching loop with its indexed queues. The
-// pending set is split by arrival: `future` is a flat cursor over
-// not-yet-arrived requests in (ArrivalAt, ticket) order — for Serve, over
-// the caller's slice itself (see arrivalQueue) — so promotion and the
-// idle-jump are O(1) peeks, and `ready` is a tree
-// ordering arrived-unadmitted requests by (aged rank desc, ticket asc)
-// — the aged rank is the static priority when aging is off — so the
-// admission candidate is its minimum. The running batch is a slice in
-// admission order; the preemption victim, its minimum by victimLess, is
-// found by a scan when a reservation hits the memory wall — an event —
-// rather than kept in an index every admission pays for. Queues, tree and
-// batch all hold the requests' tracks themselves.
+// server is the continuous-batching loop of one replica, with its indexed
+// queues; the cluster scheduler dispatches every request onto it (push), in
+// Serve as in ServeCluster. The pending set is split by arrival: `future` is
+// a flat cursor over dispatched, not-yet-arrived requests in (ArrivalAt,
+// ticket) order (see arrivalQueue), so promotion and the idle-jump are O(1)
+// peeks, and `ready` is a tree ordering arrived-unadmitted requests by (aged
+// rank desc, ticket asc) — the aged rank is the static priority when aging
+// is off — so the admission candidate is its minimum. The running batch is a
+// slice in admission order; the preemption victim, its minimum by
+// victimLess, is found by a scan when a reservation hits the memory wall —
+// an event — rather than kept in an index every admission pays for. Queues,
+// tree and batch all hold the requests' tracks themselves.
 //
 // Decode is event-driven: the server, not the cache manager, tracks decode
 // progress. A running sequence has generated tick − base tokens, and
@@ -215,9 +214,8 @@ type server struct {
 	future  arrivalQueue
 	ready   *container.Tree[*track]
 	nextTkt int64
-	// spare is the run's free list of tracks, owned by its input cursor:
-	// future.input's for Serve, the scheduler's queue's in a cluster, whose
-	// replicas all share it.
+	// spare is the run's free list of tracks, owned by the scheduler's
+	// queue; every replica of the run shares it.
 	spare *container.Spares[track]
 
 	running  []*track
@@ -307,9 +305,9 @@ func (cfg ServerConfig) validate(where string) error {
 	return nil
 }
 
-// newEmptyServer builds the loop with nothing pending; the cluster scheduler
+// newServer builds the loop with nothing pending; the cluster scheduler
 // places requests one by one.
-func newEmptyServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
+func newServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
 	if err := cfg.validate(""); err != nil {
 		return nil, err
 	}
@@ -338,23 +336,6 @@ func newEmptyServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
 	return s, nil
 }
 
-// newServer builds the loop over Serve's input, which it reads in place:
-// the whole stream is `future`, ticketed by input index, and nothing is
-// allocated per request until it arrives. Requeued preemptions draw their
-// tickets above the input's.
-func newServer(reqs []Request, mgr CacheManager, cfg ServerConfig) (*server, error) {
-	s, err := newEmptyServer(mgr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if s.future.input, err = newInputCursor(reqs); err != nil {
-		return nil, err
-	}
-	s.spare = &s.future.input.spare
-	s.nextTkt = int64(len(reqs))
-	return s, nil
-}
-
 // ticket draws a fresh FIFO ticket: behind everything already waiting here.
 func (s *server) ticket() int64 {
 	s.nextTkt++
@@ -364,9 +345,9 @@ func (s *server) ticket() int64 {
 // push is the only way into the pending set for a request that has a track:
 // rec joins `future` or `ready` by its arrival time, under the FIFO ticket
 // it carries — a fresh one (ticket) for requeued work, the input position for
-// a cluster dispatch (the scheduler reserves [0, n) before the run, so a
-// single-replica cluster replays Serve's ticket order whatever order the
-// input arrived in), the old one for a queued request that merely moved.
+// a dispatch (the scheduler reserves [0, n) before the run, so the FIFO order
+// is the input's whatever order the input arrived in), the old one for a
+// queued request that merely moved.
 // at is the cluster instant of a hand-over — a steal or a re-dispatch — and
 // the receiver's clock advances to it, since before it the request was
 // queued elsewhere. An arrival-time dispatch passes 0 and leaves the clock
@@ -559,7 +540,7 @@ func (s *server) schedule(a *track, boundary int64) {
 
 // file adds e to the index q. At twice the batch size q first drops its
 // dead entries — at least half, since a running sequence has at most one
-// live entry — so it never outgrows the room newEmptyServer made for it.
+// live entry — so it never outgrows the room newServer made for it.
 func (s *server) file(q *[]batchEvent, e batchEvent) {
 	if len(*q) == 2*s.cfg.MaxBatch {
 		*q = slices.DeleteFunc(*q, func(e batchEvent) bool { return s.lookup(e.order) == nil })
@@ -804,47 +785,24 @@ func (s *server) nextEventTime() (at time.Duration, ok bool) {
 }
 
 // runOnce executes one iteration of the serving loop — admit, then either
-// one decode step or an idle jump to the next arrival — and reports whether
-// the server still has work. Serve's run loop and the cluster scheduler
-// drive the identical method, so a single-replica cluster reproduces Serve
-// step for step.
-func (s *server) runOnce() (more bool, err error) {
-	if s.pendingLen() == 0 && len(s.running) == 0 {
-		return false, nil
-	}
+// one decode step or an idle jump to the next arrival. The cluster scheduler
+// drives it, one replica event at a time.
+func (s *server) runOnce() error {
 	prefillTokens, err := s.admit()
 	if err != nil {
-		return false, err
+		return err
 	}
-	if len(s.running) == 0 {
-		if s.pendingLen() == 0 {
-			// Admission aborted or shed the last pending requests: the
-			// server drained without another step.
-			return false, nil
-		}
-		if err := s.jumpToNextArrival(); err != nil {
-			return false, err
-		}
-		return true, nil
+	if len(s.running) > 0 {
+		return decode(s, prefillTokens)
 	}
-	if err := decode(s, prefillTokens); err != nil {
-		return false, err
+	if s.pendingLen() == 0 {
+		// Admission aborted or shed the last pending requests: the server
+		// drained without another step.
+		return nil
 	}
-	return true, nil
+	return s.jumpToNextArrival()
 }
 
 // decode is the step runOnce takes: a variable only so that the package
 // tests can put the single-step reference loop in its place.
 var decode = (*server).step
-
-// run drives the loop to completion. The report is sealed on the error
-// paths too, so callers always see the duration, class rows and percentiles
-// of whatever work completed before the failure.
-func (s *server) run() (Report, error) {
-	for {
-		if more, err := s.runOnce(); err != nil || !more {
-			s.finish()
-			return s.rep, err
-		}
-	}
-}

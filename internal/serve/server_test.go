@@ -10,6 +10,35 @@ import (
 	"repro/internal/sim"
 )
 
+// replicaOf builds the one replica of a scheduler over reqs — the shape
+// Serve runs — and returns its server and arrive, which releases the next
+// request from the scheduler's queue onto the server and returns its track.
+// The queue issues every record, so a record a departed request returned
+// goes to the next arrival, as in a run.
+func replicaOf(t *testing.T, reqs []Request, mgr CacheManager, cfg ServerConfig) (s *server, arrive func() *track) {
+	t.Helper()
+	c, err := newClusterSched(reqs, func(int) CacheManager { return mgr }, ClusterConfig{Replicas: 1, Server: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = c.fleet[0].srv
+	return s, func() *track {
+		w := c.queue.pop()
+		s.push(w, 0)
+		return w
+	}
+}
+
+// replicaWith is replicaOf with every request of reqs released up front.
+func replicaWith(t *testing.T, reqs []Request, mgr CacheManager, cfg ServerConfig) *server {
+	t.Helper()
+	s, arrive := replicaOf(t, reqs, mgr, cfg)
+	for range reqs {
+		arrive()
+	}
+	return s
+}
+
 func TestServeCompletesAllRequests(t *testing.T) {
 	reqs, err := GenRequests(40, GenConfig{MinPrompt: 8, MaxPrompt: 64, MinOutput: 4, MaxOutput: 64}, 7)
 	if err != nil {
@@ -337,20 +366,13 @@ func TestTTFTPreservedAcrossPreemption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	s, err := newServer(reqs, mgr, ServerConfig{MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := replicaWith(t, reqs, mgr, ServerConfig{MaxBatch: 8})
 
 	firstSeen := map[*track]time.Duration{}
 	requeuedAfterFirst := map[*track]bool{}
-	for {
-		more, err := s.runOnce()
-		if err != nil {
+	for s.pendingLen() > 0 || len(s.running) > 0 {
+		if err := s.runOnce(); err != nil {
 			t.Fatal(err)
-		}
-		if !more {
-			break
 		}
 		// Visit every live track (the server retains no per-request records
 		// after completion): the running batch plus both pending indexes.

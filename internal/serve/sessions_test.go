@@ -112,7 +112,7 @@ func TestPrefixMissCounting(t *testing.T) {
 // every resident session prefix must vanish with it.
 func TestCrashClearsResidency(t *testing.T) {
 	mgr := NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64)
-	s, err := newEmptyServer(mgr, ServerConfig{MaxBatch: 2, PrefixReuse: true})
+	s, err := newServer(mgr, ServerConfig{MaxBatch: 2, PrefixReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSessionAccountingInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.run()
+	rep, _, err := c.run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,7 @@ func TestPreemptionStormStepsEachSequenceExactlyOnce(t *testing.T) {
 	}
 	defer inner.Close()
 
-	s, err := newServer(reqs, inner, ServerConfig{MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := replicaWith(t, reqs, inner, ServerConfig{MaxBatch: 8})
 
 	type snap struct {
 		a      *track
