@@ -83,14 +83,11 @@ type Allocator struct {
 	// spare holds block records merged away or released with their
 	// segment; a split remainder or a new segment's block comes from it.
 	spare container.Spares[block]
-	// probe is the search key findBestFit reuses: the tree compares through
-	// a func value, so a key built per lookup would escape to the heap.
-	probe block
 }
 
 type pool struct {
 	isSmall bool
-	free    *container.Tree[*block]
+	free    container.Tree[*block] // inactive blocks by (size, ptr)
 	// whole counts the blocks in free that span their segment alone: the
 	// segments a flush would release.
 	whole int
@@ -122,27 +119,16 @@ func NewWithConfig(driver *cuda.Driver, cfg Config) *Allocator {
 	return &Allocator{
 		driver:   driver,
 		cfg:      cfg,
-		small:    newPool(true),
-		large:    newPool(false),
+		small:    &pool{isSmall: true},
+		large:    &pool{},
 		segments: make(map[cuda.DevicePtr]*segment),
-	}
-}
-
-func newPool(isSmall bool) *pool {
-	return &pool{
-		isSmall: isSmall,
-		free: container.NewTree[*block](func(a, b *block) bool {
-			if a.size != b.size {
-				return a.size < b.size
-			}
-			return a.ptr < b.ptr
-		}),
 	}
 }
 
 // insertFree indexes the inactive block blk through its own tree node.
 func (p *pool) insertFree(blk *block) {
 	blk.node.Value = blk
+	blk.node.Key = blk.freeKey()
 	p.free.InsertNode(&blk.node)
 	if blk.whole() {
 		p.whole++
@@ -156,6 +142,11 @@ func (p *pool) removeFree(blk *block) {
 		p.whole--
 	}
 }
+
+// freeKey is blk's place in its pool's free tree: best fit by size, lowest
+// address on ties. Device pointers are offsets into an int64 address space,
+// so converting one keeps its order.
+func (b *block) freeKey() container.Key { return container.Key{Hi: b.size, Lo: int64(b.ptr)} }
 
 // whole reports whether blk is the only block of its segment.
 func (b *block) whole() bool { return b.prev == nil && b.next == nil }
@@ -220,7 +211,7 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 	blk.allocated = true
 	a.acct.OnAlloc(blk.size)
 
-	buf := &memalloc.Buffer{Ptr: blk.ptr, Requested: size, BlockSize: blk.size}
+	buf := &memalloc.Buffer{Ptr: blk.ptr, BlockSize: blk.size}
 	buf.SetImpl(blk)
 	return buf, nil
 }
@@ -231,8 +222,7 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 // candidates would be wasted whole, so the search reports a miss instead
 // (PyTorch's rule).
 func (a *Allocator) findBestFit(p *pool, size int64) *block {
-	a.probe.size = size
-	n := p.free.Ceil(&a.probe)
+	n := p.free.Ceil(container.Key{Hi: size})
 	if n == nil {
 		return nil
 	}
@@ -429,7 +419,8 @@ func (a *Allocator) FreeBlockSizes() []int64 {
 
 // CheckInvariants validates internal consistency; tests call it after
 // workloads. It verifies that every segment's block chain tiles the segment
-// exactly, that inactive blocks are indexed in their pool's free tree, that
+// exactly, that inactive blocks are indexed in their pool's free tree under
+// their current size and address, that
 // no two inactive neighbours remain unmerged, and that each pool's count of
 // wholly free segments is right.
 func (a *Allocator) CheckInvariants() error {
@@ -456,6 +447,9 @@ func (a *Allocator) CheckInvariants() error {
 				}
 				if !blk.node.Linked() {
 					return fmt.Errorf("caching: inactive block missing from free tree")
+				}
+				if blk.node.Key != blk.freeKey() {
+					return fmt.Errorf("caching: free block at %#x changed under its tree key", uint64(blk.ptr))
 				}
 				prevInactive = true
 			} else {

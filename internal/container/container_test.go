@@ -1,6 +1,8 @@
 package container
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -8,13 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-func intTree() *Tree[int] {
-	return NewTree[int](func(a, b int) bool { return a < b })
-}
-
-// insert links a fresh node holding v into t and returns it.
-func insert[T any](t *Tree[T], v T) *Node[T] {
-	n := &Node[T]{Value: v}
+// insert links a fresh node holding v, keyed by v alone, into t and
+// returns it.
+func insert(t *Tree[int], v int) *Node[int] {
+	n := &Node[int]{Value: v, Key: Key{Hi: int64(v)}}
 	t.InsertNode(n)
 	return n
 }
@@ -29,12 +28,12 @@ func treeContents(t *Tree[int]) []int {
 }
 
 func TestTreeInsertAscend(t *testing.T) {
-	tr := intTree()
+	var tr Tree[int]
 	in := []int{5, 3, 8, 1, 9, 7, 2, 6, 4, 0}
 	for _, v := range in {
-		insert(tr, v)
+		insert(&tr, v)
 	}
-	got := treeContents(tr)
+	got := treeContents(&tr)
 	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	if len(got) != len(want) {
 		t.Fatalf("len = %d, want %d", len(got), len(want))
@@ -49,17 +48,34 @@ func TestTreeInsertAscend(t *testing.T) {
 	}
 }
 
-func TestTreeDuplicates(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 5; i++ {
-		insert(tr, 7)
+// TestTreeKeyOrder pins the key order: Hi first, Lo only between equal His,
+// both signed, and equal keys in insertion order.
+func TestTreeKeyOrder(t *testing.T) {
+	var tr Tree[int]
+	keys := []Key{
+		{Hi: 1, Lo: math.MinInt64}, {Hi: 0, Lo: math.MaxInt64}, {Hi: -1, Lo: 5},
+		{Hi: 1, Lo: -1}, {Hi: math.MinInt64, Lo: 0}, {Hi: 1, Lo: -1}, {Hi: math.MaxInt64, Lo: math.MinInt64},
 	}
-	insert(tr, 3)
-	insert(tr, 9)
+	for i, k := range keys {
+		tr.InsertNode(&Node[int]{Value: i, Key: k})
+	}
+	want := []int{4, 2, 1, 0, 3, 5, 6}
+	if got := treeContents(&tr); !slices.Equal(got, want) {
+		t.Fatalf("ascend order %v, want %v", got, want)
+	}
+}
+
+func TestTreeDuplicates(t *testing.T) {
+	var tr Tree[int]
+	for i := 0; i < 5; i++ {
+		insert(&tr, 7)
+	}
+	insert(&tr, 3)
+	insert(&tr, 9)
 	if tr.Len() != 7 {
 		t.Fatalf("Len = %d, want 7", tr.Len())
 	}
-	got := treeContents(tr)
+	got := treeContents(&tr)
 	want := []int{3, 7, 7, 7, 7, 7, 9}
 	for i := range want {
 		if got[i] != want[i] {
@@ -69,10 +85,10 @@ func TestTreeDuplicates(t *testing.T) {
 }
 
 func TestTreeDeleteByHandle(t *testing.T) {
-	tr := intTree()
+	var tr Tree[int]
 	nodes := make([]*Node[int], 0, 100)
 	for i := 0; i < 100; i++ {
-		nodes = append(nodes, insert(tr, i%10))
+		nodes = append(nodes, insert(&tr, i%10))
 	}
 	// Delete every third node; handles must remain valid for the others.
 	for i := 0; i < 100; i += 3 {
@@ -95,8 +111,8 @@ func TestTreeDeleteByHandle(t *testing.T) {
 }
 
 func TestTreeDeleteStaleHandlePanics(t *testing.T) {
-	tr := intTree()
-	n := insert(tr, 1)
+	var tr Tree[int]
+	n := insert(&tr, 1)
 	tr.Delete(n)
 	defer func() {
 		if recover() == nil {
@@ -107,9 +123,9 @@ func TestTreeDeleteStaleHandlePanics(t *testing.T) {
 }
 
 func TestTreeCeilFloor(t *testing.T) {
-	tr := intTree()
+	var tr Tree[int]
 	for _, v := range []int{10, 20, 30, 40} {
-		insert(tr, v)
+		insert(&tr, v)
 	}
 	tests := []struct {
 		v           int
@@ -122,8 +138,8 @@ func TestTreeCeilFloor(t *testing.T) {
 		{45, -1, 40},
 	}
 	for _, tt := range tests {
-		c := tr.Ceil(tt.v)
-		f := tr.Floor(tt.v)
+		c := tr.Ceil(Key{Hi: int64(tt.v)})
+		f := tr.Floor(Key{Hi: int64(tt.v)})
 		if tt.ceil == -1 && c != nil {
 			t.Errorf("Ceil(%d) = %d, want nil", tt.v, c.Value)
 		} else if tt.ceil != -1 && (c == nil || c.Value != tt.ceil) {
@@ -135,17 +151,90 @@ func TestTreeCeilFloor(t *testing.T) {
 			t.Errorf("Floor(%d) = %v, want %d", tt.v, f, tt.floor)
 		}
 	}
+	// A key between two Hi values' Lo ranges: the Lo of the search key
+	// decides, not only the Hi.
+	if c := tr.Ceil(Key{Hi: 20, Lo: 1}); c == nil || c.Value != 30 {
+		t.Errorf("Ceil({20 1}) = %v, want 30", c)
+	}
+	if f := tr.Floor(Key{Hi: 20, Lo: -1}); f == nil || f.Value != 10 {
+		t.Errorf("Floor({20 -1}) = %v, want 10", f)
+	}
 }
 
 func TestTreeMinMaxEmpty(t *testing.T) {
-	tr := intTree()
+	var tr Tree[int]
 	if tr.Min() != nil || tr.Max() != nil {
 		t.Fatal("Min/Max of empty tree should be nil")
 	}
-	insert(tr, 1)
+	insert(&tr, 1)
 	tr.Clear()
 	if tr.Len() != 0 || tr.Min() != nil {
 		t.Fatal("Clear did not empty the tree")
+	}
+}
+
+// TestTreeMatchesSortedSlice runs random InsertNode, Delete, Ceil and Floor
+// against a reference: a slice of the linked nodes sorted by key, a new
+// node going after every equal key. Keys are drawn from few values, so
+// duplicates are common, and Lo reaches its extremes. Ceil and Floor must
+// return the very node the reference finds, Min and Max its ends, and the
+// traversal the whole slice in order.
+func TestTreeMatchesSortedSlice(t *testing.T) {
+	rng := sim.NewRNG(2024)
+	his := []int64{math.MinInt64, -3, 0, 1, 2, math.MaxInt64}
+	los := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	randKey := func() Key {
+		return Key{Hi: his[rng.Intn(len(his))], Lo: los[rng.Intn(len(los))]}
+	}
+	var tr Tree[int]
+	var ref []*Node[int]
+	firstNotBelow := func(k Key) int { // index of the first key >= k
+		return sort.Search(len(ref), func(i int) bool { return !ref[i].Key.less(k) })
+	}
+	firstAbove := func(k Key) int { // index of the first key > k
+		return sort.Search(len(ref), func(i int) bool { return k.less(ref[i].Key) })
+	}
+	at := func(i int) *Node[int] {
+		if i < 0 || i >= len(ref) {
+			return nil
+		}
+		return ref[i]
+	}
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(4); {
+		case op == 0 || len(ref) == 0:
+			n := &Node[int]{Value: step, Key: randKey()}
+			tr.InsertNode(n)
+			ref = slices.Insert(ref, firstAbove(n.Key), n)
+		case op == 1:
+			i := rng.Intn(len(ref))
+			tr.Delete(ref[i])
+			ref = slices.Delete(ref, i, i+1)
+		default:
+			k := randKey()
+			if got, want := tr.Ceil(k), at(firstNotBelow(k)); got != want {
+				t.Fatalf("step %d: Ceil(%v) = %v, want %v", step, k, got, want)
+			}
+			if got, want := tr.Floor(k), at(firstAbove(k)-1); got != want {
+				t.Fatalf("step %d: Floor(%v) = %v, want %v", step, k, got, want)
+			}
+		}
+		if tr.Len() != len(ref) || tr.Min() != at(0) || tr.Max() != at(len(ref)-1) {
+			t.Fatalf("step %d: Len/Min/Max disagree with the reference", step)
+		}
+		if step%500 == 0 {
+			if err := tr.checkInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			i := 0
+			tr.Ascend(func(n *Node[int]) bool {
+				if n != ref[i] {
+					t.Fatalf("step %d: traversal position %d holds %v, want %v", step, i, n, ref[i])
+				}
+				i++
+				return true
+			})
+		}
 	}
 }
 
@@ -154,13 +243,13 @@ func TestTreeMinMaxEmpty(t *testing.T) {
 // red-black invariants.
 func TestTreeRandomOps(t *testing.T) {
 	rng := sim.NewRNG(12345)
-	tr := intTree()
+	var tr Tree[int]
 	var ref []int
 	handles := map[int][]*Node[int]{}
 	for step := 0; step < 5000; step++ {
 		if rng.Float64() < 0.6 || len(ref) == 0 {
 			v := rng.Intn(200)
-			handles[v] = append(handles[v], insert(tr, v))
+			handles[v] = append(handles[v], insert(&tr, v))
 			ref = append(ref, v)
 		} else {
 			v := ref[rng.Intn(len(ref))]
@@ -185,7 +274,7 @@ func TestTreeRandomOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	sort.Ints(ref)
-	got := treeContents(tr)
+	got := treeContents(&tr)
 	if len(got) != len(ref) {
 		t.Fatalf("len = %d, want %d", len(got), len(ref))
 	}
@@ -202,10 +291,11 @@ func TestTreeRandomOps(t *testing.T) {
 // refuse a double link.
 func TestTreeInsertNodeRelinks(t *testing.T) {
 	rng := sim.NewRNG(99)
-	tr := intTree()
+	var tr Tree[int]
 	nodes := make([]Node[int], 64)
 	for i := range nodes {
 		nodes[i].Value = rng.Intn(40)
+		nodes[i].Key = Key{Hi: int64(nodes[i].Value)}
 	}
 	want := map[int]int{}
 	for step := 0; step < 4000; step++ {
@@ -228,7 +318,7 @@ func TestTreeInsertNodeRelinks(t *testing.T) {
 	}
 	got := map[int]int{}
 	prev := -1
-	for _, v := range treeContents(tr) {
+	for _, v := range treeContents(&tr) {
 		if v < prev {
 			t.Fatalf("traversal not sorted: %d after %d", v, prev)
 		}
@@ -241,7 +331,7 @@ func TestTreeInsertNodeRelinks(t *testing.T) {
 		}
 	}
 
-	linked := &Node[int]{Value: 1}
+	linked := &Node[int]{Value: 1, Key: Key{Hi: 1}}
 	tr.InsertNode(linked)
 	defer func() {
 		if recover() == nil {
@@ -255,14 +345,14 @@ func TestTreeInsertNodeRelinks(t *testing.T) {
 // traversal of the same multiset.
 func TestTreeQuickSorted(t *testing.T) {
 	f := func(vals []int16) bool {
-		tr := intTree()
+		var tr Tree[int]
 		for _, v := range vals {
-			insert(tr, int(v))
+			insert(&tr, int(v))
 		}
 		if err := tr.checkInvariants(); err != nil {
 			return false
 		}
-		got := treeContents(tr)
+		got := treeContents(&tr)
 		want := make([]int, len(vals))
 		for i, v := range vals {
 			want[i] = int(v)

@@ -1,38 +1,45 @@
 // Package container provides the ordered data structures shared by the
-// simulator: a generic red-black tree ordered multiset (the caching and
-// expandable allocators' free lists, the driver's and device's address
-// maps, a server's ready queue), a binary min-heap (the cluster and session
-// event spines) and a small FIFO/LRU queue (GMLake's StitchFree order).
+// simulator: a red-black tree ordered multiset keyed by integer pairs (the
+// caching and expandable allocators' free lists, the driver's and device's
+// address maps, a server's ready queue), a binary min-heap (the cluster and
+// session event spines) and a small FIFO/LRU queue (GMLake's StitchFree
+// order).
 //
 // Every tree element embeds its own Node, so the tree never allocates: an
 // owner that recycles a dead record reuses the record's node with it.
 package container
 
 // Tree is an ordered multiset implemented as a red-black tree. Elements are
-// ordered by the less function supplied at construction; duplicates (elements
-// neither less nor greater than each other) are allowed and kept in insertion
-// order on the right spine.
+// ordered by the Key stored in their node; duplicates (equal keys) are
+// allowed and kept in insertion order on the right spine. The zero Tree is
+// empty and ready to use.
 //
-// Every element embeds its own Node, links it with InsertNode and keeps it
-// as the handle for O(log n) deletion: that is how the allocators remove a
-// specific block or range from an index.
+// Every element embeds its own Node, sets its Key, links it with InsertNode
+// and keeps it as the handle for O(log n) deletion: that is how the
+// allocators remove a specific block or range from an index. The key is a
+// snapshot taken by the caller: changing the element's own fields while it
+// is linked does not reorder the tree.
 type Tree[T any] struct {
 	root *Node[T]
 	size int
-	less func(a, b T) bool
 }
+
+// Key is a node's sort key, ordered by Hi and then by Lo. Every index in
+// the simulator orders by at most two integers — (size, address), an
+// address alone (Lo left zero), (reversed rank, ticket) — so a key is
+// compared inline, with no comparator call and no search key to build.
+type Key struct{ Hi, Lo int64 }
+
+// less orders keys lexicographically.
+func (k Key) less(o Key) bool { return k.Hi < o.Hi || k.Hi == o.Hi && k.Lo < o.Lo }
 
 // Node is an element handle inside a Tree.
 type Node[T any] struct {
 	Value               T
+	Key                 Key
 	left, right, parent *Node[T]
 	red                 bool
 	tree                *Tree[T] // owner; nil after removal
-}
-
-// NewTree returns an empty tree ordered by less.
-func NewTree[T any](less func(a, b T) bool) *Tree[T] {
-	return &Tree[T]{less: less}
 }
 
 // Len reports the number of elements in the tree.
@@ -41,8 +48,8 @@ func (t *Tree[T]) Len() int { return t.size }
 // Linked reports whether n is currently in a tree.
 func (n *Node[T]) Linked() bool { return n.tree != nil }
 
-// InsertNode links the caller's node n into the tree under n.Value. n must be
-// detached: fresh (a zero Node with Value set, possibly embedded in the
+// InsertNode links the caller's node n into the tree under n.Key. n must be
+// detached: fresh (a zero Node with Value and Key set, possibly embedded in the
 // element itself) or removed by Delete. An element that leaves and re-enters
 // a tree many times, like a pool block flipping between active and inactive,
 // keeps one node for life instead of allocating one per entry.
@@ -50,13 +57,13 @@ func (t *Tree[T]) InsertNode(n *Node[T]) {
 	if n.tree != nil {
 		panic("container: InsertNode of node already in a tree")
 	}
-	v := n.Value
+	k := n.Key
 	n.red, n.tree = true, t
 	var parent *Node[T]
 	cur := t.root
 	for cur != nil {
 		parent = cur
-		if t.less(v, cur.Value) {
+		if k.less(cur.Key) {
 			cur = cur.left
 		} else {
 			cur = cur.right
@@ -66,7 +73,7 @@ func (t *Tree[T]) InsertNode(n *Node[T]) {
 	switch {
 	case parent == nil:
 		t.root = n
-	case t.less(v, parent.Value):
+	case k.less(parent.Key):
 		parent.left = n
 	default:
 		parent.right = n
@@ -107,13 +114,13 @@ func (t *Tree[T]) Max() *Node[T] {
 // Next returns the in-order successor of n, or nil.
 func (t *Tree[T]) Next(n *Node[T]) *Node[T] { return n.next() }
 
-// Ceil returns the first node whose value is >= v (i.e. not less than v),
-// or nil if all elements are smaller.
-func (t *Tree[T]) Ceil(v T) *Node[T] {
+// Ceil returns the first node whose key is >= k, or nil if all keys are
+// smaller.
+func (t *Tree[T]) Ceil(k Key) *Node[T] {
 	var best *Node[T]
 	cur := t.root
 	for cur != nil {
-		if t.less(cur.Value, v) {
+		if cur.Key.less(k) {
 			cur = cur.right
 		} else {
 			best = cur
@@ -123,13 +130,13 @@ func (t *Tree[T]) Ceil(v T) *Node[T] {
 	return best
 }
 
-// Floor returns the last node whose value is <= v (i.e. v is not less than
-// it), or nil if all elements are greater.
-func (t *Tree[T]) Floor(v T) *Node[T] {
+// Floor returns the last node whose key is <= k, or nil if all keys are
+// greater.
+func (t *Tree[T]) Floor(k Key) *Node[T] {
 	var best *Node[T]
 	cur := t.root
 	for cur != nil {
-		if t.less(v, cur.Value) {
+		if k.less(cur.Key) {
 			cur = cur.left
 		} else {
 			best = cur
@@ -407,7 +414,7 @@ func (t *Tree[T]) check(n *Node[T]) (blackHeight int, err error) {
 		if n.left.parent != n {
 			return 0, errParentPtr
 		}
-		if t.less(n.Value, n.left.Value) {
+		if n.Key.less(n.left.Key) {
 			return 0, errOrder
 		}
 		if n.red && n.left.red {
@@ -418,7 +425,7 @@ func (t *Tree[T]) check(n *Node[T]) (blackHeight int, err error) {
 		if n.right.parent != n {
 			return 0, errParentPtr
 		}
-		if t.less(n.right.Value, n.Value) {
+		if n.right.Key.less(n.Key) {
 			return 0, errOrder
 		}
 		if n.red && n.right.red {

@@ -133,25 +133,25 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 	case fitExact: // S1
 		a.hits.s1Exact++
 		if fit.exactS != nil {
-			return a.assignSBlock(fit.exactS, size), nil
+			return a.assignSBlock(fit.exactS), nil
 		}
-		return a.assignPBlock(fit.exactP, size), nil
+		return a.assignPBlock(fit.exactP), nil
 
 	case fitSingle: // S2
 		a.hits.s2Single++
-		buf := a.allocSplit(fit.cands[0], rounded, size)
+		buf := a.allocSplit(fit.cands[0], rounded)
 		a.stitchFreeIfNeeded()
 		return buf, nil
 
 	case fitMultiple: // S3
 		a.hits.s3Multiple++
-		buf := a.allocStitch(fit.cands, rounded, size)
+		buf := a.allocStitch(fit.cands, rounded)
 		a.stitchFreeIfNeeded()
 		return buf, nil
 
 	default: // S4 (and S5 on failure)
 		a.hits.s4Insufficient++
-		buf, err := a.allocNew(fit.cands, fit.total, rounded, size)
+		buf, err := a.allocNew(fit.cands, fit.total, rounded)
 		if err == nil {
 			a.stitchFreeIfNeeded()
 		}
@@ -160,7 +160,7 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 }
 
 // assignPBlock hands p to a tensor.
-func (a *Allocator) assignPBlock(p *PBlock, requested int64) *memalloc.Buffer {
+func (a *Allocator) assignPBlock(p *PBlock) *memalloc.Buffer {
 	if p.assigned || p.Active() {
 		panic("core: assign of active pBlock")
 	}
@@ -168,14 +168,14 @@ func (a *Allocator) assignPBlock(p *PBlock, requested int64) *memalloc.Buffer {
 	p.activeRefs++
 	p.class.clear(p.slot)
 	a.acct.OnAlloc(p.size)
-	buf := &memalloc.Buffer{Ptr: p.va, Requested: requested, BlockSize: p.size}
+	buf := &memalloc.Buffer{Ptr: p.va, BlockSize: p.size}
 	buf.SetImpl(p)
 	return buf
 }
 
 // assignSBlock hands s, whose bit is set because no member is active, to a
 // tensor, activating all member pBlocks.
-func (a *Allocator) assignSBlock(s *SBlock, requested int64) *memalloc.Buffer {
+func (a *Allocator) assignSBlock(s *SBlock) *memalloc.Buffer {
 	if s.assigned {
 		panic("core: assign of active sBlock")
 	}
@@ -190,7 +190,7 @@ func (a *Allocator) assignSBlock(s *SBlock, requested int64) *memalloc.Buffer {
 		p.class.clear(p.slot)
 	}
 	a.acct.OnAlloc(s.size)
-	buf := &memalloc.Buffer{Ptr: s.va, Requested: requested, BlockSize: s.size}
+	buf := &memalloc.Buffer{Ptr: s.va, BlockSize: s.size}
 	buf.SetImpl(s)
 	return buf
 }
@@ -220,10 +220,10 @@ func (a *Allocator) deactivatePBlock(p *PBlock) {
 // allocSplit implements S2: split the best-fit pBlock to the exact size, hand
 // out the front, and — per Figure 9 — stitch the two halves into an sBlock
 // that preserves the original size for future exact matches.
-func (a *Allocator) allocSplit(cand *PBlock, rounded, requested int64) *memalloc.Buffer {
+func (a *Allocator) allocSplit(cand *PBlock, rounded int64) *memalloc.Buffer {
 	if cand.size-rounded < ChunkSize {
 		// Remainder below chunk granularity: hand out the whole block.
-		return a.assignPBlock(cand, requested)
+		return a.assignPBlock(cand)
 	}
 	hadOwners := len(cand.owners) > 0
 	front, back := a.split(cand, rounded)
@@ -233,7 +233,7 @@ func (a *Allocator) allocSplit(cand *PBlock, rounded, requested int64) *memalloc
 		// do that.
 		a.sblocks.add(stitchSBlock(a.driver, []*PBlock{front, back}))
 	}
-	return a.assignPBlock(front, requested)
+	return a.assignPBlock(front)
 }
 
 // split divides an inactive pBlock, either rebinding or destroying the
@@ -265,18 +265,18 @@ func (a *Allocator) split(p *PBlock, size int64) (front, back *PBlock) {
 
 // allocStitch implements S3: stitch candidate pBlocks (splitting the last one
 // if the total overshoots) into an exact-size sBlock and hand it out.
-func (a *Allocator) allocStitch(cands []*PBlock, rounded, requested int64) *memalloc.Buffer {
+func (a *Allocator) allocStitch(cands []*PBlock, rounded int64) *memalloc.Buffer {
 	members, total := a.trimCandidates(cands, rounded)
 	if total != rounded {
 		panic(fmt.Sprintf("core: stitch total %d != rounded %d", total, rounded))
 	}
 	if len(members) == 1 {
 		// Trimming collapsed the request onto a single exact block.
-		return a.assignPBlock(members[0], requested)
+		return a.assignPBlock(members[0])
 	}
 	s := stitchSBlock(a.driver, members)
 	a.sblocks.add(s)
-	return a.assignSBlock(s, requested)
+	return a.assignSBlock(s)
 }
 
 // trimCandidates adjusts the candidate set so the combined size equals
@@ -331,7 +331,7 @@ func (a *Allocator) findExactCompletion(cands []*PBlock, need int64) *PBlock {
 // stitch it with whatever candidates exist. On device OOM it garbage-collects
 // inactive physical memory (sparing the candidates) and retries once; if the
 // deficit still cannot be created, S5 reports out-of-memory.
-func (a *Allocator) allocNew(cands []*PBlock, total, rounded, requested int64) (*memalloc.Buffer, error) {
+func (a *Allocator) allocNew(cands []*PBlock, total, rounded int64) (*memalloc.Buffer, error) {
 	deficit := rounded - total
 	fresh, err := newPBlock(a.driver, deficit)
 	if err != nil {
@@ -344,11 +344,11 @@ func (a *Allocator) allocNew(cands []*PBlock, total, rounded, requested int64) (
 	a.pblocks.add(fresh)
 	a.acct.OnReserve(deficit)
 	if len(cands) == 0 {
-		return a.assignPBlock(fresh, requested), nil
+		return a.assignPBlock(fresh), nil
 	}
 	s := stitchSBlock(a.driver, append(cands, fresh))
 	a.sblocks.add(s)
-	return a.assignSBlock(s, requested), nil
+	return a.assignSBlock(s), nil
 }
 
 // s5Error is S5's out-of-memory report. It is formatted only when read: a
@@ -374,7 +374,7 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 	// the sBlocks watching its pBlocks are the only neighbours it touches.
 	switch b := buf.Impl().(type) {
 	case nil:
-		panic("core: Free of unowned or already-freed buffer")
+		panic("core: double Free")
 	case *PBlock:
 		if !b.assigned {
 			panic("core: double Free of pBlock")

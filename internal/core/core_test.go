@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -375,11 +376,67 @@ func TestDoubleFreePanics(t *testing.T) {
 	b := mustAlloc(t, a, 10*sim.MiB)
 	a.Free(b)
 	defer func() {
-		if got := recover(); got != "core: Free of unowned or already-freed buffer" {
+		if got := recover(); got != "core: double Free" {
 			t.Fatalf("second Free panicked with %v", got)
 		}
 	}()
 	a.Free(b)
+}
+
+// TestStaleHandleAfterReuse frees a buffer, lets an exact match hand its
+// pBlock or sBlock record to a new buffer, and frees the first buffer
+// again: the stale handle must panic without touching the new owner.
+func TestStaleHandleAfterReuse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size int64
+		kind string
+		prep func(a *Allocator) // frees what the first Alloc is built from
+	}{
+		{"pBlock", 100 * sim.MiB, "*core.PBlock", func(*Allocator) {}},
+		{"sBlock", 400 * sim.MiB, "*core.SBlock", func(a *Allocator) {
+			b1, b2 := mustAlloc(t, a, 200*sim.MiB), mustAlloc(t, a, 200*sim.MiB)
+			a.Free(b1)
+			a.Free(b2) // the 400 MiB Alloc stitches the two
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, _ := newTestAllocator(sim.GiB)
+			tc.prep(a)
+			bufA := mustAlloc(t, a, tc.size)
+			rec := bufA.Impl()
+			if got := fmt.Sprintf("%T", rec); got != tc.kind {
+				t.Fatalf("the first Alloc is a %s, want a %s", got, tc.kind)
+			}
+			a.Free(bufA)
+			bufB := mustAlloc(t, a, tc.size)
+			if bufB.Impl() != rec {
+				t.Fatal("the second Alloc did not reuse the first one's record")
+			}
+			if got := panicValue(func() { a.Free(bufA) }); got != "core: double Free" {
+				t.Fatalf("Free of the stale handle panicked with %v", got)
+			}
+			if bufB.Impl() != rec || a.Stats().Active != bufB.BlockSize {
+				t.Fatal("the stale Free changed the live buffer's state")
+			}
+			checkInv(t, a)
+			// The record is still assigned: the same size gets another one.
+			other := mustAlloc(t, a, tc.size)
+			if other.Ptr == bufB.Ptr {
+				t.Fatal("the stale Free released the live buffer's record")
+			}
+			a.Free(other)
+			a.Free(bufB)
+			checkInv(t, a)
+		})
+	}
+}
+
+// panicValue runs fn and returns what it panicked with, or nil.
+func panicValue(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
 }
 
 func TestSharedChunkSingleTensor(t *testing.T) {
@@ -597,10 +654,8 @@ func TestBlockAccessors(t *testing.T) {
 }
 
 // TestExactMatchAllocationBudget pins the S1 hot path to one heap allocation
-// per Alloc+Free pair — the returned Buffer (the pair cost five before the
-// block itself became the Buffer's impl and the indexes stopped allocating
-// nodes and probe keys) — for a plain pBlock and for an sBlock whose member
-// pBlocks each carry at least 32 other stitched views.
+// per Alloc+Free pair — the returned Buffer — for a plain pBlock and for an
+// sBlock whose member pBlocks each carry at least 32 other stitched views.
 func TestExactMatchAllocationBudget(t *testing.T) {
 	pair := func(a *Allocator, size int64) func() {
 		return func() {

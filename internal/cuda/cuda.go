@@ -108,15 +108,12 @@ type Driver struct {
 
 	mallocs      map[DevicePtr]mallocAlloc
 	reservations map[DevicePtr]*reservation
-	resByAddr    *container.Tree[*reservation] // ordered by base for range lookup
-	handles      []physical                    // the handle table (see the package comment)
-	freeSlots    []int                         // slots of handles whose memory was reclaimed
+	resByAddr    container.Tree[*reservation] // keyed by base for range lookup
+	handles      []physical                   // the handle table (see the package comment)
+	freeSlots    []int                        // slots of handles whose memory was reclaimed
 
-	// findReservation state: the reservation it resolved last, and the key
-	// its tree search reuses — the tree compares through a func value, so a
-	// key built per lookup would escape to the heap.
-	last  *reservation
-	probe reservation
+	// last is the reservation findReservation resolved last.
+	last *reservation
 }
 
 type mallocAlloc struct {
@@ -162,9 +159,6 @@ func NewDriver(dev *gpu.Device, clock *sim.Clock, model *sim.CostModel) *Driver 
 		cost:         model,
 		mallocs:      make(map[DevicePtr]mallocAlloc),
 		reservations: make(map[DevicePtr]*reservation),
-		resByAddr: container.NewTree[*reservation](func(a, b *reservation) bool {
-			return a.base < b.base
-		}),
 	}
 }
 
@@ -242,7 +236,7 @@ func (d *Driver) MemAddressReserve(size int64) (DevicePtr, error) {
 		size:  size,
 		slots: make([]slot, size/ChunkGranularity),
 	}
-	r.node.Value = r
+	r.node.Value, r.node.Key = r, container.Key{Hi: int64(ptr)}
 	d.resByAddr.InsertNode(&r.node)
 	d.reservations[ptr] = r
 	return ptr, nil
@@ -479,8 +473,7 @@ func (d *Driver) findReservation(ptr DevicePtr, size int64) *reservation {
 	if d.last != nil && d.last.holds(ptr, size) {
 		return d.last
 	}
-	d.probe.base = ptr
-	n := d.resByAddr.Floor(&d.probe)
+	n := d.resByAddr.Floor(container.Key{Hi: int64(ptr)})
 	if n == nil || !n.Value.holds(ptr, size) {
 		return nil
 	}

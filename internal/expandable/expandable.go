@@ -76,8 +76,8 @@ type Allocator struct {
 	frontier int64          // mapped prefix length
 	chunks   []cuda.MemHandle
 
-	blocks *block // address-ordered chain over [0, frontier)
-	free   *container.Tree[*block]
+	blocks *block                 // address-ordered chain over [0, frontier)
+	free   container.Tree[*block] // free blocks by (size, off)
 
 	small *caching.Allocator
 
@@ -96,16 +96,7 @@ type block struct {
 
 // New returns an expandable-segments allocator over driver.
 func New(driver *cuda.Driver) *Allocator {
-	return &Allocator{
-		driver: driver,
-		free: container.NewTree[*block](func(a, b *block) bool {
-			if a.size != b.size {
-				return a.size < b.size
-			}
-			return a.off < b.off
-		}),
-		small: caching.New(driver),
-	}
+	return &Allocator{driver: driver, small: caching.New(driver)}
 }
 
 // NewCompact returns a compaction allocator over driver.
@@ -190,17 +181,13 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 	}
 	blk = a.maybeSplit(blk, rounded)
 	a.acct.OnAlloc(blk.size)
-	blk.buf = &memalloc.Buffer{
-		Ptr:       a.va + cuda.DevicePtr(blk.off),
-		Requested: size,
-		BlockSize: blk.size,
-	}
+	blk.buf = &memalloc.Buffer{Ptr: a.va + cuda.DevicePtr(blk.off), BlockSize: blk.size}
 	blk.buf.SetImpl(blk)
 	return blk.buf, nil
 }
 
 func (a *Allocator) findBestFit(size int64) *block {
-	n := a.free.Ceil(&block{size: size})
+	n := a.free.Ceil(container.Key{Hi: size})
 	if n == nil {
 		return nil
 	}
@@ -209,9 +196,13 @@ func (a *Allocator) findBestFit(size int64) *block {
 	return blk
 }
 
+// freeKey is a free block's place in the index: best fit by size, lowest
+// offset on ties.
+func (b *block) freeKey() container.Key { return container.Key{Hi: b.size, Lo: b.off} }
+
 // insertFree indexes the free block blk through its own tree node.
 func (a *Allocator) insertFree(blk *block) {
-	blk.node.Value = blk
+	blk.node.Value, blk.node.Key = blk, blk.freeKey()
 	a.free.InsertNode(&blk.node)
 }
 
@@ -426,8 +417,8 @@ func (a *Allocator) EmptyCache() {
 func (a *Allocator) Frontier() int64 { return a.frontier }
 
 // CheckInvariants validates the block chain: it must tile [0, frontier)
-// exactly, with free blocks indexed and coalesced, and every live buffer
-// must point at its block.
+// exactly, with free blocks coalesced and indexed under their current size
+// and offset, and every live buffer must point at its block.
 func (a *Allocator) CheckInvariants() error {
 	var off int64
 	prevFree := false
@@ -444,6 +435,9 @@ func (a *Allocator) CheckInvariants() error {
 			}
 			if !blk.node.Linked() {
 				return a.errorf("free block missing from index")
+			}
+			if blk.node.Key != blk.freeKey() {
+				return a.errorf("free block at %d changed under its index key", off)
 			}
 		} else if blk.buf.Ptr != a.va+cuda.DevicePtr(off) {
 			return a.errorf("buffer at %#x, its block at offset %d", blk.buf.Ptr, off)

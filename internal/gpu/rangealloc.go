@@ -32,14 +32,11 @@ var ErrSpaceExhausted = errors.New("gpu: address space exhausted")
 type RangeAllocator struct {
 	span    int64
 	free    int64
-	byAddr  *container.Tree[*freeRange]
-	bySize  *container.Tree[*freeRange]
+	byAddr  container.Tree[*freeRange] // keyed by offset
+	bySize  container.Tree[*freeRange] // keyed by (size, offset)
 	granule int64
 
 	spare container.Spares[freeRange]
-	// probe is the search key Alloc and FreeRange reuse: the trees compare
-	// through a func value, so a key built per lookup would escape.
-	probe freeRange
 }
 
 type freeRange struct {
@@ -53,20 +50,7 @@ func NewRangeAllocator(span, granule int64) *RangeAllocator {
 	if granule <= 0 || span <= 0 || span%granule != 0 {
 		panic(fmt.Sprintf("gpu: bad range allocator span=%d granule=%d", span, granule))
 	}
-	a := &RangeAllocator{
-		span:    span,
-		free:    span,
-		granule: granule,
-		byAddr: container.NewTree[*freeRange](func(x, y *freeRange) bool {
-			return x.offset < y.offset
-		}),
-		bySize: container.NewTree[*freeRange](func(x, y *freeRange) bool {
-			if x.size != y.size {
-				return x.size < y.size
-			}
-			return x.offset < y.offset
-		}),
-	}
+	a := &RangeAllocator{span: span, free: span, granule: granule}
 	a.insertFree(0, span)
 	return a
 }
@@ -85,8 +69,7 @@ func (a *RangeAllocator) Alloc(size int64) (int64, error) {
 		return 0, fmt.Errorf("gpu: Alloc size %d", size)
 	}
 	size = roundUp(size, a.granule)
-	a.probe.offset, a.probe.size = -1, size
-	n := a.bySize.Ceil(&a.probe)
+	n := a.bySize.Ceil(container.Key{Hi: size})
 	if n == nil {
 		return 0, ErrSpaceExhausted
 	}
@@ -113,8 +96,7 @@ func (a *RangeAllocator) FreeRange(offset, size int64) {
 	// Find potential neighbours: greatest free range starting at or before
 	// offset, and the successor after it.
 	var prev, next *freeRange
-	a.probe.offset = offset
-	if fn := a.byAddr.Floor(&a.probe); fn != nil {
+	if fn := a.byAddr.Floor(container.Key{Hi: offset}); fn != nil {
 		prev = fn.Value
 		if nn := a.byAddr.Next(fn); nn != nil {
 			next = nn.Value
@@ -159,6 +141,8 @@ func (a *RangeAllocator) insertFree(offset, size int64) {
 	fr := a.spare.Get()
 	*fr = freeRange{offset: offset, size: size}
 	fr.addrNode.Value, fr.sizeNode.Value = fr, fr
+	fr.addrNode.Key = container.Key{Hi: offset}
+	fr.sizeNode.Key = container.Key{Hi: size, Lo: offset}
 	a.byAddr.InsertNode(&fr.addrNode)
 	a.bySize.InsertNode(&fr.sizeNode)
 }

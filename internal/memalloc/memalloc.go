@@ -10,12 +10,13 @@ import (
 	"repro/internal/cuda"
 )
 
-// Buffer is one live tensor allocation. Requested is the tensor's byte size;
-// BlockSize is the (possibly rounded or split) block actually assigned, which
-// is what "active memory" accounts in the paper's utilization metric.
+// Buffer is one live tensor allocation. BlockSize is the (possibly rounded
+// or split) block actually assigned, which is what "active memory" accounts
+// in the paper's utilization metric; the tensor's own byte size is its
+// caller's to keep. The handle is 32 bytes, Go's 32-byte size class, and
+// every allocator call returns a fresh one.
 type Buffer struct {
 	Ptr       cuda.DevicePtr
-	Requested int64
 	BlockSize int64
 
 	// impl is allocator-private block state.

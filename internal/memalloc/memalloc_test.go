@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/cuda"
 	"repro/internal/gpu"
@@ -22,8 +23,8 @@ func TestNativeAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Requested != 100*sim.MiB || b.BlockSize != 100*sim.MiB {
-		t.Fatalf("buffer sizes %d/%d", b.Requested, b.BlockSize)
+	if b.BlockSize != 100*sim.MiB {
+		t.Fatalf("buffer block size %d", b.BlockSize)
 	}
 	st := n.Stats()
 	if st.Active != 100*sim.MiB || st.Reserved != 100*sim.MiB {
@@ -36,6 +37,15 @@ func TestNativeAllocFree(t *testing.T) {
 	}
 	if free, total := drv.MemGetInfo(); free != total {
 		t.Fatal("device not free")
+	}
+}
+
+// TestBufferHandleSize pins the handle every Alloc returns to Go's 32-byte
+// size class: one more field would put it in the 48-byte class and cost
+// every allocation in every workload half as much heap again.
+func TestBufferHandleSize(t *testing.T) {
+	if got := unsafe.Sizeof(Buffer{}); got != 32 {
+		t.Fatalf("Buffer is %d bytes, want 32", got)
 	}
 }
 

@@ -27,7 +27,7 @@ func (n *Native) Alloc(size int64) (*Buffer, error) {
 	}
 	n.acct.OnReserve(size)
 	n.acct.OnAlloc(size)
-	return &Buffer{Ptr: ptr, Requested: size, BlockSize: size}, nil
+	return &Buffer{Ptr: ptr, BlockSize: size}, nil
 }
 
 // Free implements Allocator.

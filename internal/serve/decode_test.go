@@ -142,7 +142,7 @@ func (a loggedAlloc) Alloc(size int64) (*memalloc.Buffer, error) {
 }
 
 func (a loggedAlloc) Free(b *memalloc.Buffer) {
-	a.log.add('f', b.Requested)
+	a.log.add('f', b.BlockSize)
 	a.Allocator.Free(b)
 }
 

@@ -469,9 +469,8 @@ func (s *server) crash(at time.Duration) (inflight, queued []*track) {
 	}
 	// The crash lost the whole KV cache, session prefixes included: every
 	// residency entry goes at once, so post-restart follow-up turns miss.
-	if s.cfg.PrefixReuse {
-		s.resident = map[string]int{}
-	}
+	// The map keeps its buckets for the sessions that come back.
+	clear(s.resident)
 	s.rep.Crashes++
 	return inflight, queued
 }

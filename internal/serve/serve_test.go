@@ -249,11 +249,11 @@ func (a *recycleAlloc) Name() string { return "recycle" }
 func (a *recycleAlloc) Alloc(size int64) (*memalloc.Buffer, error) {
 	n := len(a.spare)
 	if n == 0 {
-		return &memalloc.Buffer{Requested: size, BlockSize: size}, nil
+		return &memalloc.Buffer{BlockSize: size}, nil
 	}
 	b := a.spare[n-1]
 	a.spare = a.spare[:n-1]
-	b.Requested, b.BlockSize = size, size
+	b.BlockSize = size
 	return b, nil
 }
 func (a *recycleAlloc) Free(b *memalloc.Buffer) { a.spare = append(a.spare, b) }

@@ -212,7 +212,7 @@ type server struct {
 	tally
 
 	future  arrivalQueue
-	ready   *container.Tree[*track]
+	ready   container.Tree[*track]
 	nextTkt int64
 	// spare is the run's free list of tracks, owned by the scheduler's
 	// queue; every replica of the run shares it.
@@ -324,12 +324,6 @@ func newServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
 	if cfg.Timeout > 0 {
 		s.deadlines = make([]batchEvent, 0, 2*cfg.MaxBatch)
 	}
-	s.ready = container.NewTree[*track](func(a, b *track) bool {
-		if ra, rb := s.rank(a), s.rank(b); ra != rb {
-			return ra > rb
-		}
-		return a.seq < b.seq
-	})
 	if cfg.PrefixReuse {
 		s.resident = map[string]int{}
 	}
@@ -360,8 +354,17 @@ func (s *server) push(rec *track, at time.Duration) {
 	if rec.req.ArrivalAt > s.now {
 		s.future.push(rec)
 	} else {
-		s.ready.InsertNode(&rec.node)
+		s.enqueue(rec)
 	}
+}
+
+// enqueue links an arrived request into the ready tree. Its key is taken
+// here, because the rank depends on this server's Aging: the complemented
+// rank puts the highest rank first (^ reverses int64 order without the
+// overflow a negation has at the minimum), then the ticket keeps FIFO.
+func (s *server) enqueue(rec *track) {
+	rec.node.Key = container.Key{Hi: ^s.rank(rec), Lo: rec.seq}
+	s.ready.InsertNode(&rec.node)
 }
 
 // promoteArrivals moves every request whose arrival time has passed from
@@ -372,7 +375,7 @@ func (s *server) promoteArrivals() {
 		if !ok || at > s.now {
 			return
 		}
-		s.ready.InsertNode(&s.future.popMin().node)
+		s.enqueue(s.future.popMin())
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -413,5 +414,47 @@ func TestTTFTPreservedAcrossPreemption(t *testing.T) {
 	}
 	if s.rep.Served != len(reqs) {
 		t.Fatalf("served %d of %d", s.rep.Served, len(reqs))
+	}
+}
+
+// TestReadyOrderAtExtremeRanks fills a server's ready tree with aged ranks
+// at both ends of int64, where negating a rank would overflow: the tree
+// must hand out the highest rank first, same-rank requests by ticket, with
+// aging on (rank Priority·Aging − ArrivalAt) and off (the bare priority).
+func TestReadyOrderAtExtremeRanks(t *testing.T) {
+	reqs := []Request{
+		{ID: 0, Priority: math.MinInt64},
+		{ID: 1, Priority: math.MaxInt64},
+		{ID: 2, Priority: 0, ArrivalAt: 5},
+		{ID: 3, Priority: math.MaxInt64},
+		{ID: 4, Priority: math.MinInt64 + 1},
+		{ID: 5, Priority: math.MinInt64},
+		{ID: 6, Priority: -1},
+		{ID: 7, Priority: 0},
+	}
+	for _, tc := range []struct {
+		aging time.Duration
+		want  []int
+	}{
+		{time.Nanosecond, []int{1, 3, 7, 6, 2, 4, 0, 5}}, // request 2 aged to rank −5
+		{0, []int{1, 3, 2, 7, 6, 4, 0, 5}},
+	} {
+		s, err := newServer(NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64),
+			ServerConfig{MaxBatch: 1, Aging: tc.aging})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spare container.Spares[track]
+		for i := range reqs {
+			s.push(newTrack(&spare, &reqs[i], int64(i)), 5)
+		}
+		var got []int
+		for n := s.ready.Min(); n != nil; n = s.ready.Min() {
+			got = append(got, n.Value.req.ID)
+			s.ready.Delete(n)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("aging %v: ready order %v, want %v", tc.aging, got, tc.want)
+		}
 	}
 }

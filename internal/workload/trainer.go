@@ -46,8 +46,9 @@ type Trainer struct {
 	// allocator still pays each bucket's worst-case packing.
 	stepRNG *sim.RNG
 
-	// Persistent buffers (Setup → Teardown).
-	persistent []*memalloc.Buffer
+	// Persistent buffers (Setup → Teardown) and their requested bytes.
+	persistent      []*memalloc.Buffer
+	persistentBytes int64
 
 	// Per-step live buffers, tracked for cleanup on OOM.
 	stepLive map[*memalloc.Buffer]struct{}
@@ -57,6 +58,8 @@ type Trainer struct {
 	// execution introduce. Deferred buffers pin addresses while logically
 	// dead — the interleaving that fragments the caching allocator.
 	deferred []*memalloc.Buffer
+	// working is transientWorkingSet's scratch list, emptied after each use.
+	working []*memalloc.Buffer
 
 	timeline  *metrics.Timeline
 	steps     int
@@ -163,6 +166,7 @@ func (t *Trainer) persist(size int64) error {
 		return fmt.Errorf("workload: setup: %w", err)
 	}
 	t.persistent = append(t.persistent, b)
+	t.persistentBytes += size
 	return nil
 }
 
@@ -508,21 +512,24 @@ func (t *Trainer) step() error {
 func (t *Trainer) transientWorkingSet(seq, n int) error {
 	m := t.spec.Model
 	total := m.ActivationBytesPerLayer(t.spec.Batch, seq)
-	bufs := make([]*memalloc.Buffer, 0, n)
-	for i := 0; i < n; i++ {
-		b, err := t.stepAlloc(t.sizeVariant(total / int64(n)))
-		if err != nil {
-			for _, bb := range bufs {
-				t.stepFree(bb)
-			}
-			return err
+	bufs := t.working[:0]
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		var b *memalloc.Buffer
+		if b, err = t.stepAlloc(t.sizeVariant(total / int64(n))); err == nil {
+			bufs = append(bufs, b)
 		}
-		bufs = append(bufs, b)
 	}
 	for _, b := range bufs {
-		t.deferFree(b)
+		if err != nil {
+			t.stepFree(b)
+		} else {
+			t.deferFree(b)
+		}
 	}
-	return nil
+	clear(bufs)
+	t.working = bufs[:0]
+	return err
 }
 
 // loraActBytes sizes the retained adapter activations per block.
@@ -539,18 +546,13 @@ func (t *Trainer) Teardown() {
 	for _, b := range t.persistent {
 		t.alloc.Free(b)
 	}
-	t.persistent = nil
+	t.persistent, t.persistentBytes = nil, 0
 	t.setupDone = false
 }
 
-// PersistentBytes reports the bytes held between steps.
-func (t *Trainer) PersistentBytes() int64 {
-	var n int64
-	for _, b := range t.persistent {
-		n += b.Requested
-	}
-	return n
-}
+// PersistentBytes reports the bytes requested for the state held between
+// steps.
+func (t *Trainer) PersistentBytes() int64 { return t.persistentBytes }
 
 // EstimatedStepCompute returns the compute-only lower bound for one step.
 func (t *Trainer) EstimatedStepCompute() time.Duration {
