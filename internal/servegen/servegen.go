@@ -105,7 +105,7 @@ func (d LengthDist) validate(what string) error {
 			return fmt.Errorf("servegen: %s uniform range [%d,%d]", what, d.Min, d.Max)
 		}
 	case DistLognormal:
-		if d.Mean <= 0 || d.CV <= 0 {
+		if !positiveFinite(d.Mean) || !positiveFinite(d.CV) {
 			return fmt.Errorf("servegen: %s lognormal mean %g cv %g", what, d.Mean, d.CV)
 		}
 		if d.Min <= 0 || d.Max < d.Min {
@@ -144,16 +144,35 @@ func (d LengthDist) MeanTokens() float64 {
 	}
 }
 
-func (d LengthDist) sample(rng *sim.RNG) int {
+// positiveFinite reports whether x is in (0, +Inf); NaN is not.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// sampler draws from a LengthDist. A lognormal's μ and σ depend only on the
+// distribution, so a class works them out once, not on every draw.
+type sampler struct {
+	dist      LengthDist
+	mu, sigma float64
+}
+
+func (d LengthDist) sampler() sampler {
+	s := sampler{dist: d}
+	if d.Kind == DistLognormal {
+		sigma2 := math.Log(1 + d.CV*d.CV)
+		s.mu = math.Log(d.Mean) - sigma2/2
+		s.sigma = math.Sqrt(sigma2)
+	}
+	return s
+}
+
+func (s *sampler) sample(rng *sim.RNG) int {
+	d := &s.dist
 	switch d.Kind {
 	case DistDeterministic:
 		return d.Value
 	case DistUniform:
 		return d.Min + rng.Intn(d.Max-d.Min+1)
 	default: // lognormal, discretized by rounding
-		sigma2 := math.Log(1 + d.CV*d.CV)
-		mu := math.Log(d.Mean) - sigma2/2
-		v := int(math.Round(math.Exp(mu + math.Sqrt(sigma2)*normal(rng))))
+		v := int(math.Round(math.Exp(s.mu + s.sigma*normal(rng))))
 		if v < d.Min {
 			v = d.Min
 		}
@@ -255,11 +274,11 @@ func (a ArrivalProcess) validate(what string) error {
 	switch a.Kind {
 	case ArrivalPoisson:
 	case ArrivalGamma:
-		if a.CV <= 0 {
+		if !positiveFinite(a.CV) {
 			return fmt.Errorf("servegen: %s gamma cv %g", what, a.CV)
 		}
 	case ArrivalOnOff:
-		if a.OnFraction <= 0 || a.OnFraction > 1 {
+		if !(a.OnFraction > 0 && a.OnFraction <= 1) {
 			return fmt.Errorf("servegen: %s on-fraction %g", what, a.OnFraction)
 		}
 		if a.Cycle <= 0 {
@@ -274,36 +293,80 @@ func (a ArrivalProcess) validate(what string) error {
 // arrivals generates n arrival times (seconds) at aggregate rate ratePerSec.
 func (a ArrivalProcess) arrivals(rng *sim.RNG, ratePerSec float64, n int) []float64 {
 	out := make([]float64, n)
-	switch a.Kind {
-	case ArrivalGamma:
-		// Interarrival Gamma with mean 1/rate and CV cv: shape k = 1/cv²,
-		// scale θ = cv²/rate.
-		k := 1 / (a.CV * a.CV)
-		theta := 1 / (ratePerSec * k)
-		t := 0.0
+	if a.Kind != ArrivalGamma {
+		s := a.lazy(ratePerSec, n)
 		for i := range out {
-			t += gamma(rng, k) * theta
-			out[i] = t
+			out[i] = s.draw(rng)
 		}
-	case ArrivalOnOff:
-		// Poisson at the boosted on-rate in "on-time", then mapped onto the
-		// wall clock so the aggregate rate stays ratePerSec.
-		onRate := ratePerSec / a.OnFraction
-		cycle := a.Cycle.Seconds()
-		onLen := a.OnFraction * cycle
-		tau := 0.0 // cumulative on-time
-		for i := range out {
-			tau += expDraw(rng, onRate)
-			out[i] = math.Floor(tau/onLen)*cycle + math.Mod(tau, onLen)
-		}
-	default: // Poisson
-		t := 0.0
-		for i := range out {
-			t += expDraw(rng, ratePerSec)
-			out[i] = t
-		}
+		return out
+	}
+	// Interarrival Gamma with mean 1/rate and CV cv: shape k = 1/cv²,
+	// scale θ = cv²/rate.
+	k := 1 / (a.CV * a.CV)
+	theta := 1 / (ratePerSec * k)
+	t := 0.0
+	for i := range out {
+		t += gamma(rng, k) * theta
+		out[i] = t
 	}
 	return out
+}
+
+// stream returns a class's n arrivals at ratePerSec drawn from rng, and
+// leaves rng where drawing all n would: the class draws its lengths from
+// it next. Poisson and on-off consume exactly one draw per arrival, so they
+// draw each arrival when it is read, from a copy of rng, and rng skips the
+// n draws in O(1). Gamma's rejection sampling consumes a variable number,
+// so it draws all n now.
+func (a ArrivalProcess) stream(rng *sim.RNG, ratePerSec float64, n int) arrivalStream {
+	if a.Kind == ArrivalGamma {
+		return arrivalStream{times: a.arrivals(rng, ratePerSec, n), n: n}
+	}
+	s := a.lazy(ratePerSec, n)
+	s.rng = *rng
+	rng.Skip(uint64(n))
+	return s
+}
+
+// lazy returns the stream of a one-draw-per-arrival process (Poisson,
+// on-off) at ratePerSec, drawing from its zero RNG until the caller sets it.
+func (a ArrivalProcess) lazy(ratePerSec float64, n int) arrivalStream {
+	if a.Kind != ArrivalOnOff {
+		return arrivalStream{rate: ratePerSec, n: n}
+	}
+	cycle := a.Cycle.Seconds()
+	return arrivalStream{rate: ratePerSec / a.OnFraction, onLen: a.OnFraction * cycle, cycle: cycle, n: n}
+}
+
+// arrivalStream is a class's n arrival times, read in order. Gamma's are
+// drawn up front. Poisson and on-off draw one exponential gap per arrival:
+// Poisson accumulates the gaps on the wall clock; on-off accumulates them in
+// on-time at the boosted on-rate and maps the sum onto the wall clock, so
+// the aggregate rate stays the class rate.
+type arrivalStream struct {
+	times        []float64 // drawn up front; nil when each is drawn on read
+	rng          sim.RNG   // the lazy draws' own copy of the class RNG
+	rate         float64   // rate of the exponential gaps
+	onLen, cycle float64   // on-off window and cycle in seconds; cycle 0 for Poisson
+	t            float64   // cumulative time, or on-time for on-off
+	n            int
+}
+
+// read returns arrival i; reads must come in order, i = 0, 1, 2, ...
+func (a *arrivalStream) read(i int) float64 {
+	if a.times != nil {
+		return a.times[i]
+	}
+	return a.draw(&a.rng)
+}
+
+// draw returns the next arrival time of a one-draw-per-arrival process.
+func (a *arrivalStream) draw(rng *sim.RNG) float64 {
+	a.t += expDraw(rng, a.rate)
+	if a.cycle == 0 {
+		return a.t
+	}
+	return math.Floor(a.t/a.onLen)*a.cycle + math.Mod(a.t, a.onLen)
 }
 
 // expDraw returns an exponential interarrival at the given rate.
@@ -345,9 +408,10 @@ type Mix struct {
 	Classes []ClientClass
 }
 
-// Validate checks the mix is well-formed.
+// Validate checks the mix is well-formed. Every rate, share, mean and CV
+// must be positive and finite: NaN slips through a plain "<= 0" check.
 func (m Mix) Validate() error {
-	if m.Rate <= 0 {
+	if !positiveFinite(m.Rate) {
 		return fmt.Errorf("servegen: mix %q rate %g", m.Name, m.Rate)
 	}
 	if len(m.Classes) == 0 {
@@ -362,7 +426,7 @@ func (m Mix) Validate() error {
 			return fmt.Errorf("servegen: mix %q repeats class %q", m.Name, c.Name)
 		}
 		seen[c.Name] = true
-		if c.Share <= 0 {
+		if !positiveFinite(c.Share) {
 			return fmt.Errorf("servegen: class %q share %g", c.Name, c.Share)
 		}
 		if err := c.Arrival.validate("class " + c.Name); err != nil {
@@ -409,14 +473,17 @@ func (m Mix) WithBurstCV(cv float64) Mix {
 //
 // The stream is the k-way merge of the classes' sub-streams under the total
 // order (ArrivalAt, class index, session index, turn), cut at n. Only what
-// is served is sampled: a request's lengths are drawn when it becomes its
-// class's head, a session is expanded when the merge frontier reaches its
-// start. Arrival times are the exception — every class still draws all n
-// of them up front, because a class draws its lengths from the same RNG
-// *after* its n arrivals; skipping arrival draws would change every stream.
-// Generation therefore holds 8 B × n × classes of arrival times, not
-// O(clients). n arrivals per class always cover the merged first-n horizon:
-// a lower-rate class spreads its n draws over a longer span.
+// is served is sampled: an arrival time is drawn when the merge reads it, a
+// request's lengths when it becomes its class's head, a session is expanded
+// when the merge frontier reaches its start. A class's RNG yields its n
+// arrival draws first and its lengths after them. Poisson and on-off
+// consume exactly one draw per arrival, so such a class draws arrivals from
+// a copy of its RNG and skips the original past all n in O(1): the lengths
+// come out bit for bit as if every arrival had been drawn. A Gamma class
+// consumes a variable number of draws per arrival, so it alone still draws
+// its n arrival times up front and holds them, 8 B × n. n arrivals per
+// class always cover the merged first-n horizon: a lower-rate class spreads
+// its n draws over a longer span.
 //
 // A session class's arrival process produces session starts rather than
 // individual requests: each start expands into that session's turns (same
@@ -430,8 +497,8 @@ func (m Mix) WithBurstCV(cv float64) Mix {
 // The merge needs each class's arrival times non-decreasing, which every
 // arrival process guarantees by construction up to float rounding (on-off
 // folds cumulative on-time with a floor and a mod that must agree at cycle
-// boundaries); a class that breaks it is an error, never a mis-ordered
-// stream (see merge).
+// boundaries); an arrival the merge reads that breaks it is an error, never
+// a mis-ordered stream (see merge).
 func (m Mix) Generate(n int, seed uint64) ([]serve.Request, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("servegen: %d requests", n)
@@ -450,25 +517,21 @@ func (m Mix) Generate(n int, seed uint64) ([]serve.Request, error) {
 	for k := range m.Classes {
 		c := &m.Classes[k]
 		rng := sim.NewRNG(root.Uint64())
-		streams[k] = classStream{class: c, rng: rng, times: c.Arrival.arrivals(rng, m.Rate*c.Share/totalShare, n)}
+		arr := c.Arrival.stream(rng, m.Rate*c.Share/totalShare, n)
+		streams[k] = newClassStream(c, *rng, arr)
 	}
 	return merge(streams, n)
 }
 
 // merge returns the first n requests of the k-way merge of the class
-// streams, which hold their arrival draws and at least n requests between
-// them, identified 0..n-1. A stream whose arrival times step backwards (NaN
+// streams, which hold at least n requests between them, identified 0..n-1.
+// An arrival the merge reads that steps back from its predecessor (NaN
 // included) is an error.
 func merge(streams []classStream, n int) ([]serve.Request, error) {
 	for k := range streams {
-		s := &streams[k]
-		if i := firstDisorder(s.times); i >= 0 {
-			return nil, fmt.Errorf("servegen: class %q arrival %d at %gs is out of order (after %gs)", s.class.Name, i, s.times[i], s.times[i-1])
+		if err := streams[k].advance(); err != nil {
+			return nil, err
 		}
-		if s.class.Sessions != nil {
-			s.turns = container.NewHeap(turnLess)
-		}
-		s.advance()
 	}
 	out := make([]serve.Request, n)
 	for i := range out {
@@ -481,20 +544,11 @@ func merge(streams []classStream, n int) ([]serve.Request, error) {
 		}
 		out[i] = best.head
 		out[i].ID = i
-		best.advance()
-	}
-	return out, nil
-}
-
-// firstDisorder returns the first index whose arrival time is not at or
-// after its predecessor's (NaN included), or -1 when times is non-decreasing.
-func firstDisorder(times []float64) int {
-	for i := 1; i < len(times); i++ {
-		if !(times[i] >= times[i-1]) {
-			return i
+		if err := best.advance(); err != nil {
+			return nil, err
 		}
 	}
-	return -1
+	return out, nil
 }
 
 // classStream is one class's sub-stream, sampled lazily in the order the
@@ -503,16 +557,34 @@ func firstDisorder(times []float64) int {
 // yet merged, valid while ok.
 type classStream struct {
 	class *ClientClass
-	rng   *sim.RNG
-	times []float64 // all n arrival draws, non-decreasing
-	next  int       // first arrival not yet sampled
+	rng   sim.RNG // the class's length and session draws
+	arr   arrivalStream
+	next  int     // first arrival not yet sampled
+	at    float64 // arrival next, read once next < arr.n
 	head  serve.Request
 	ok    bool
+
+	prompt, output          sampler
+	turnCount, think, delta sampler // session classes only
 
 	// turns holds a session class's expanded, not yet merged turns, minimum
 	// under turnLess first (nil for a one-shot class). Sessions overlap, so a
 	// later session's turn 0 can precede an earlier session's turn 3.
 	turns *container.Heap[sessionTurn]
+}
+
+// newClassStream returns class c's sub-stream over its arrivals arr, drawing
+// lengths and sessions from rng.
+func newClassStream(c *ClientClass, rng sim.RNG, arr arrivalStream) classStream {
+	s := classStream{class: c, rng: rng, arr: arr, prompt: c.Prompt.sampler(), output: c.Output.sampler()}
+	if p := c.Sessions; p != nil {
+		s.turnCount, s.think, s.delta = p.Turns.sampler(), p.Think.sampler(), p.Delta.sampler()
+		s.turns = container.NewHeap(turnLess)
+	}
+	if arr.n > 0 {
+		s.at = s.arr.read(0)
+	}
+	return s
 }
 
 // sessionTurn is one pending turn with the session index that orders it
@@ -534,37 +606,59 @@ func turnLess(a, b sessionTurn) bool {
 	return a.req.Turn < b.req.Turn
 }
 
-// arrivalAt converts an arrival draw to the virtual clock.
-func arrivalAt(sec float64) time.Duration { return time.Duration(sec * float64(time.Second)) }
+// arrivalAt converts an arrival draw to the virtual clock. A draw past the
+// clock's range (≈ 292 years, reached by a class with a tiny share) stays at
+// its end: converting it would wrap to a negative instant that sorts first.
+func arrivalAt(sec float64) time.Duration {
+	ns := sec * float64(time.Second)
+	if ns >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return time.Duration(ns)
+}
 
 // advance samples the class's next head, or clears ok when its n arrivals
 // are used up.
-func (s *classStream) advance() {
+func (s *classStream) advance() error {
 	c := s.class
 	if c.Sessions == nil {
-		if s.ok = s.next < len(s.times); !s.ok {
-			return
+		if s.ok = s.next < s.arr.n; !s.ok {
+			return nil
 		}
 		s.head = serve.Request{
 			Class:     c.Name,
 			SLO:       c.SLO,
 			Priority:  SLOPriority(c.SLO),
-			ArrivalAt: arrivalAt(s.times[s.next]),
-			PromptLen: c.Prompt.sample(s.rng),
-			OutputLen: c.Output.sample(s.rng),
+			ArrivalAt: arrivalAt(s.at),
+			PromptLen: s.prompt.sample(&s.rng),
+			OutputLen: s.output.sample(&s.rng),
 		}
-		s.next++
-		return
+		return s.step()
 	}
 	// Expand every session that starts before the earliest pending turn; one
 	// starting at the same instant has the higher session index and waits.
-	for s.next < len(s.times) && (s.turns.Len() == 0 || arrivalAt(s.times[s.next]) < s.turns.Peek().req.ArrivalAt) {
-		for _, r := range c.Sessions.expand(s.rng, *c, s.next, s.times[s.next]) {
-			s.turns.Push(sessionTurn{req: r, si: s.next})
+	for s.next < s.arr.n && (s.turns.Len() == 0 || arrivalAt(s.at) < s.turns.Peek().req.ArrivalAt) {
+		s.expand(s.next, s.at)
+		if err := s.step(); err != nil {
+			return err
 		}
-		s.next++
 	}
 	if s.ok = s.turns.Len() > 0; s.ok {
 		s.head = s.turns.Pop().req
 	}
+	return nil
+}
+
+// step moves past arrival next and reads the one after it, if any. An
+// arrival before its predecessor (NaN included) is an error.
+func (s *classStream) step() error {
+	s.next++
+	if s.next >= s.arr.n {
+		return nil
+	}
+	prev := s.at
+	if s.at = s.arr.read(s.next); !(s.at >= prev) {
+		return fmt.Errorf("servegen: class %q arrival %d at %gs is out of order (after %gs)", s.class.Name, s.next, s.at, prev)
+	}
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -311,6 +312,52 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: NaN passes every "<= 0" check and ±Inf
+// every lower bound, so each float field is checked for them explicitly.
+// A NaN or infinite lognormal parameter would clamp every draw to Min, and a
+// NaN rate, share, CV or on-fraction would surface only as an out-of-order
+// arrival; both are rejected up front with a one-line error.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(m *Mix)
+	}{
+		{"rate NaN", func(m *Mix) { m.Rate = nan }},
+		{"rate +Inf", func(m *Mix) { m.Rate = inf }},
+		{"share NaN", func(m *Mix) { m.Classes[0].Share = nan }},
+		{"share +Inf", func(m *Mix) { m.Classes[0].Share = inf }},
+		{"prompt mean NaN", func(m *Mix) { m.Classes[0].Prompt = Lognormal(nan, 1, 8, 512) }},
+		{"prompt mean +Inf", func(m *Mix) { m.Classes[0].Prompt = Lognormal(inf, 1, 8, 512) }},
+		{"output cv +Inf", func(m *Mix) { m.Classes[0].Output = Lognormal(100, inf, 4, 320) }},
+		{"output cv NaN", func(m *Mix) { m.Classes[0].Output = Lognormal(100, nan, 4, 320) }},
+		{"session think cv NaN", func(m *Mix) {
+			p := *m.Classes[0].Sessions
+			p.Think = Lognormal(1500, nan, 200, 6000)
+			m.Classes[0].Sessions = &p
+		}},
+		{"gamma cv NaN", func(m *Mix) { m.Classes[1].Arrival = Bursty(nan) }},
+		{"gamma cv +Inf", func(m *Mix) { m.Classes[1].Arrival = Bursty(inf) }},
+		{"on-fraction NaN", func(m *Mix) { m.Classes[1].Arrival = OnOff(nan, time.Second) }},
+	}
+	for _, tc := range cases {
+		m := ChatSessions()
+		m.Classes = append([]ClientClass(nil), m.Classes...)
+		tc.edit(&m)
+		err := m.Validate()
+		if err == nil {
+			t.Errorf("%s: validated", tc.name)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "servegen: ") || strings.Contains(msg, "\n") {
+			t.Errorf("%s: error %q is not one servegen: line", tc.name, msg)
+		}
+		if _, err := m.Generate(10, 1); err == nil {
+			t.Errorf("%s: generated", tc.name)
+		}
+	}
+}
+
 // TestSeedIndependencePerClass: per-class sub-streams are independently
 // seeded, so a class keeps its draws when another class is appended.
 func TestSeedIndependencePerClass(t *testing.T) {
@@ -458,7 +505,7 @@ func referenceMerge(classes []ClientClass, rngs []*sim.RNG, times [][]float64, n
 				Class:     c.Name,
 				SLO:       c.SLO,
 				Priority:  SLOPriority(c.SLO),
-				ArrivalAt: time.Duration(at * float64(time.Second)),
+				ArrivalAt: arrivalAt(at),
 				PromptLen: c.Prompt.sample(rng),
 				OutputLen: c.Output.sample(rng),
 			})
@@ -470,6 +517,65 @@ func referenceMerge(classes []ClientClass, rngs []*sim.RNG, times [][]float64, n
 		all[i].ID = i
 	}
 	return all
+}
+
+// sample is the reference's length draw: the eager generator's, which
+// works a lognormal's μ and σ out again on every draw. Generate's samplers
+// must draw the same values.
+func (d LengthDist) sample(rng *sim.RNG) int {
+	switch d.Kind {
+	case DistDeterministic:
+		return d.Value
+	case DistUniform:
+		return d.Min + rng.Intn(d.Max-d.Min+1)
+	default: // lognormal, discretized by rounding
+		sigma2 := math.Log(1 + d.CV*d.CV)
+		mu := math.Log(d.Mean) - sigma2/2
+		v := int(math.Round(math.Exp(mu + math.Sqrt(sigma2)*normal(rng))))
+		if v < d.Min {
+			v = d.Min
+		}
+		if v > d.Max {
+			v = d.Max
+		}
+		return v
+	}
+}
+
+// expand is the reference's session expansion: the eager generator's, which
+// returns each session's turns in a fresh slice and formats the session ID
+// with fmt.Sprintf. classStream.expand must push the same turns.
+func (p *SessionProfile) expand(rng *sim.RNG, c ClientClass, si int, startSec float64) []serve.Request {
+	turns := p.Turns.sample(rng)
+	if turns < 1 {
+		turns = 1
+	}
+	sid := fmt.Sprintf("%s#%d", c.Name, si)
+	at := startSec
+	prompt := c.Prompt.sample(rng)
+	out := make([]serve.Request, 0, turns)
+	for t := 0; t < turns; t++ {
+		output := c.Output.sample(rng)
+		out = append(out, serve.Request{
+			Class:     c.Name,
+			SLO:       c.SLO,
+			Priority:  SLOPriority(c.SLO),
+			ArrivalAt: arrivalAt(at),
+			PromptLen: prompt,
+			OutputLen: output,
+			SessionID: sid,
+			Turn:      t,
+		})
+		if t == turns-1 {
+			break
+		}
+		at += float64(p.Think.sample(rng)) / 1e3
+		prompt += output + p.Delta.sample(rng)
+		if p.MaxPrompt > 0 && prompt > p.MaxPrompt {
+			prompt = p.MaxPrompt
+		}
+	}
+	return out
 }
 
 // tieMix is a hand-built merge input that forces the merge's tie-breaks:
@@ -485,7 +591,7 @@ func (tm tieMix) streams(seed uint64) []classStream {
 	rngs := classRNGs(seed, len(tm.classes))
 	out := make([]classStream, len(tm.classes))
 	for k := range tm.classes {
-		out[k] = classStream{class: &tm.classes[k], rng: rngs[k], times: tm.offsets[k]}
+		out[k] = newClassStream(&tm.classes[k], *rngs[k], arrivalStream{times: tm.offsets[k], n: len(tm.offsets[k])})
 	}
 	return out
 }
@@ -560,6 +666,26 @@ func TestGenerateMatchesReference(t *testing.T) {
 		Mix{Name: "lopsided", Rate: 50, Classes: []ClientClass{
 			{Name: "heavy", SLO: SLOBatch, Share: 1000, Arrival: OnOff(0.3, 2*time.Second), Prompt: Lognormal(64, 1, 1, 512), Output: Uniform(1, 8)},
 			{Name: "light", SLO: SLOInteractive, Share: 1, Arrival: Poisson(), Prompt: Deterministic(8), Output: Deterministic(8)},
+		}},
+		// Every class draws one value per arrival, so every class reads its
+		// arrivals lazily and draws its lengths from a skipped RNG.
+		Mix{Name: "one-draw-only", Rate: 6, Classes: []ClientClass{
+			{Name: "steady", SLO: SLOInteractive, Share: 3, Arrival: Poisson(), Prompt: Lognormal(120, 1, 8, 512), Output: Lognormal(90, 0.8, 4, 256)},
+			{Name: "waves", SLO: SLOBatch, Share: 2, Arrival: OnOff(0.2, 5*time.Second), Prompt: Uniform(64, 512), Output: Lognormal(40, 0.5, 4, 128)},
+			{Name: "trickle", SLO: SLOStandard, Share: 0.5, Arrival: OnOff(0.7, 700*time.Millisecond), Prompt: Deterministic(32), Output: Uniform(1, 32)},
+		}},
+		// The ghost class serves nothing in the first n, yet draws its
+		// head's lengths from its skipped RNG, after the busy class's.
+		Mix{Name: "ghost-share", Rate: 4, Classes: []ClientClass{
+			{Name: "busy", SLO: SLOStandard, Share: 1, Arrival: Bursty(2), Prompt: Uniform(1, 64), Output: Uniform(1, 64)},
+			{Name: "ghost", SLO: SLOBatch, Share: 1e-9, Arrival: Poisson(), Prompt: Lognormal(64, 1, 1, 512), Output: Uniform(1, 8)},
+		}},
+		// A Poisson session class at a tiny share: a few sessions at the
+		// larger sizes, none at the smaller ones.
+		Mix{Name: "rare-sessions", Rate: 4, Classes: []ClientClass{
+			{Name: "bulk", SLO: SLOBatch, Share: 1, Arrival: OnOff(0.5, 3*time.Second), Prompt: Uniform(1, 64), Output: Uniform(1, 64)},
+			{Name: "chat", SLO: SLOInteractive, Share: 0.002, Arrival: Poisson(), Prompt: Lognormal(96, 0.8, 8, 256), Output: Lognormal(80, 0.8, 4, 160),
+				Sessions: &SessionProfile{Turns: Uniform(2, 5), Think: Lognormal(1500, 0.6, 200, 6000), Delta: Lognormal(48, 0.8, 4, 128), MaxPrompt: 640}},
 		}},
 	)
 	for _, base := range mixes {
@@ -640,6 +766,17 @@ func TestArrivalsNonDecreasing(t *testing.T) {
 	}
 }
 
+// firstDisorder returns the first index whose arrival time is not at or
+// after its predecessor's (NaN included), or -1 when times is non-decreasing.
+func firstDisorder(times []float64) int {
+	for i := 1; i < len(times); i++ {
+		if !(times[i] >= times[i-1]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestGenerateRejectsDisorderedArrivals: arrival times the merge cannot
 // order are an error naming class and index, never a mis-ordered stream.
 // No arrival process draws them, so the test feeds them to merge directly.
@@ -654,11 +791,42 @@ func TestGenerateRejectsDisorderedArrivals(t *testing.T) {
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("err = %v, want prefix %q", err, want)
 	}
+
+	// A lazily drawn stream is checked as the merge reads it. An on-fraction
+	// above 1 (which Validate rejects) makes the on-off fold step back at its
+	// first cycle boundary; the error must name the arrival and times the
+	// eager check over the same draws would have.
+	class := ClientClass{Name: "overlap", SLO: SLOBatch, Share: 1, Arrival: OnOff(1.5, time.Second), Prompt: Uniform(1, 64), Output: Uniform(1, 64)}
+	const n = 40
+	times := class.Arrival.arrivals(classRNGs(3, 1)[0], 4, n)
+	i := firstDisorder(times)
+	if i < 3 || i >= n-2 {
+		t.Fatalf("disorder at arrival %d, want one inside the served prefix", i)
+	}
+	lazy := func() []classStream {
+		rng := classRNGs(3, 1)[0]
+		arr := class.Arrival.stream(rng, 4, n)
+		if arr.times != nil {
+			t.Fatal("on-off arrivals drawn up front")
+		}
+		return []classStream{newClassStream(&class, *rng, arr)}
+	}
+	_, err = merge(lazy(), n)
+	want = fmt.Sprintf("servegen: class %q arrival %d at %gs is out of order (after %gs)", class.Name, i, times[i], times[i-1])
+	if err == nil || err.Error() != want {
+		t.Fatalf("lazy err = %v, want %q", err, want)
+	}
+	// A stream cut before the merge reads the disordered arrival is served:
+	// unread arrivals never reach the stream.
+	if _, err := merge(lazy(), 1); err != nil {
+		t.Fatalf("cut before the disorder: %v", err)
+	}
 }
 
-// TestGenerateAllocationBudget: generation allocates the output, n arrival
-// times per class and little else — an O(classes × n) request buffer cannot
-// come back unnoticed (the eager generator read 1589 B/request here).
+// TestGenerateAllocationBudget: generation allocates the output, the Gamma
+// class's n arrival times and little else — an O(classes × n) request
+// buffer cannot come back unnoticed (the eager generator read 1589
+// B/request here).
 func TestGenerateAllocationBudget(t *testing.T) {
 	const n = 100_000
 	mix := MixedBursty()
@@ -671,5 +839,47 @@ func TestGenerateAllocationBudget(t *testing.T) {
 	}
 	if perReq := float64(after.TotalAlloc-before.TotalAlloc) / n; perReq > 160 {
 		t.Fatalf("Generate allocated %.0f B/request, budget 160", perReq)
+	}
+}
+
+// TestGenerateOneDrawMixBudget: a mix whose classes all draw one value per
+// arrival (Poisson, on-off) holds no arrival times, so generation allocates
+// the output and a constant. Drawing each class's n arrivals up front would
+// add 8 B × n × classes.
+func TestGenerateOneDrawMixBudget(t *testing.T) {
+	const n = 100_000
+	const slack = 64 << 10
+	mix := BatchHeavy()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reqs, err := mix.Generate(n, 7)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(reqs) != n {
+		t.Fatal(len(reqs), err)
+	}
+	budget := n*uint64(unsafe.Sizeof(serve.Request{})) + slack
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("Generate allocated %d B, budget %d (n × sizeof(Request) + %d)", got, budget, slack)
+	}
+}
+
+// TestArrivalsPastClockRange: a class slow enough to draw arrivals past the
+// virtual clock's range (≈ 292 years) keeps them at its end, in order,
+// instead of wrapping them to negative instants.
+func TestArrivalsPastClockRange(t *testing.T) {
+	mix := Mix{Name: "glacial", Rate: 1e-8, Classes: []ClientClass{
+		{Name: "only", SLO: SLOBatch, Share: 1, Arrival: Poisson(), Prompt: Deterministic(8), Output: Deterministic(8)},
+	}}
+	reqs, err := mix.Generate(200, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].ArrivalAt < reqs[i-1].ArrivalAt {
+			t.Fatalf("request %d at %v before %v", i, reqs[i].ArrivalAt, reqs[i-1].ArrivalAt)
+		}
+	}
+	if last := reqs[len(reqs)-1].ArrivalAt; last != math.MaxInt64 {
+		t.Fatalf("last arrival %v, want the clock's end", last)
 	}
 }

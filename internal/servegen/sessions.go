@@ -2,10 +2,10 @@ package servegen
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 // SessionProfile makes a client class multi-turn: every arrival the class's
@@ -60,22 +60,24 @@ func (p *SessionProfile) Describe() string {
 	return fmt.Sprintf("turns %s, think %s ms, delta %s", p.Turns.Describe(), p.Think.Describe(), p.Delta.Describe())
 }
 
-// expand generates the turns of one session of class c starting at startSec.
-// The session's draws come in a fixed order — turns, turn-0 prompt, then per
-// turn output / think / delta — so the sub-stream is byte-reproducible, and
-// all of them consume c's own class RNG, preserving class independence.
-func (p *SessionProfile) expand(rng *sim.RNG, c ClientClass, si int, startSec float64) []serve.Request {
-	turns := p.Turns.sample(rng)
+// expand pushes the turns of session si, starting at startSec, onto the
+// class's turn heap. The session's draws come in a fixed order — turns,
+// turn-0 prompt, then per turn output / think / delta — so the sub-stream is
+// byte-reproducible, and all of them consume the class's own RNG, preserving
+// class independence. The session ID is the one allocation.
+func (s *classStream) expand(si int, startSec float64) {
+	c, p := s.class, s.class.Sessions
+	turns := s.turnCount.sample(&s.rng)
 	if turns < 1 {
 		turns = 1
 	}
-	sid := fmt.Sprintf("%s#%d", c.Name, si)
+	var id [64]byte
+	sid := string(strconv.AppendInt(append(append(id[:0], c.Name...), '#'), int64(si), 10))
 	at := startSec
-	prompt := c.Prompt.sample(rng)
-	out := make([]serve.Request, 0, turns)
+	prompt := s.prompt.sample(&s.rng)
 	for t := 0; t < turns; t++ {
-		output := c.Output.sample(rng)
-		out = append(out, serve.Request{
+		output := s.output.sample(&s.rng)
+		s.turns.Push(sessionTurn{si: si, req: serve.Request{
 			Class:     c.Name,
 			SLO:       c.SLO,
 			Priority:  SLOPriority(c.SLO),
@@ -84,20 +86,19 @@ func (p *SessionProfile) expand(rng *sim.RNG, c ClientClass, si int, startSec fl
 			OutputLen: output,
 			SessionID: sid,
 			Turn:      t,
-		})
+		}})
 		if t == turns-1 {
 			break
 		}
 		// Length draws are validated positive, so the think gap is at least
 		// 1ms: turn arrivals are strictly increasing within a session, and
 		// truncating the merged stream always keeps a turn prefix.
-		at += float64(p.Think.sample(rng)) / 1e3
-		prompt += output + p.Delta.sample(rng)
+		at += float64(s.think.sample(&s.rng)) / 1e3
+		prompt += output + s.delta.sample(&s.rng)
 		if p.MaxPrompt > 0 && prompt > p.MaxPrompt {
 			prompt = p.MaxPrompt
 		}
 	}
-	return out
 }
 
 // ChatSessions returns the session-heavy mix: multi-turn interactive chat —

@@ -12,17 +12,25 @@ type RNG struct {
 	state uint64
 }
 
+// step is what every draw adds to the state (the golden-ratio increment).
+const step = 0x9e3779b97f4a7c15
+
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += step
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// Skip advances r past n draws of Uint64 in O(1). Every draw adds the same
+// increment to the state, so the state Skip(n) leaves is the one n draws
+// would have left, bit for bit (mod 2⁶⁴).
+func (r *RNG) Skip(n uint64) { r.state += n * step }
 
 // Int63n returns a uniformly distributed int64 in [0, n). It panics if n <= 0.
 func (r *RNG) Int63n(n int64) int64 {

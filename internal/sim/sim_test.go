@@ -117,6 +117,27 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestRNGSkip: Skip(n) then Uint64 returns the (n+1)-th sequential draw,
+// including from seeds near 2⁶⁴, where the first draw already wraps the
+// state (the increment is ≈ 0.62 × 2⁶⁴, so longer runs wrap every other draw).
+func TestRNGSkip(t *testing.T) {
+	seeds := []uint64{0, 42, math.MaxUint64, math.MaxUint64 - step + 1, math.MaxUint64 - 1<<20}
+	for _, seed := range seeds {
+		for _, n := range []uint64{0, 1, 2, 1000} {
+			seq, skipped := NewRNG(seed), NewRNG(seed)
+			for i := uint64(0); i < n; i++ {
+				seq.Uint64()
+			}
+			skipped.Skip(n)
+			for i := 0; i < 3; i++ {
+				if got, want := skipped.Uint64(), seq.Uint64(); got != want {
+					t.Fatalf("seed %#x: draw %d after Skip(%d) = %#x, sequential %#x", seed, i, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRNGRanges(t *testing.T) {
 	r := NewRNG(7)
 	for i := 0; i < 10000; i++ {
