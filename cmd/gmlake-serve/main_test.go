@@ -228,6 +228,8 @@ func TestUsageErrors(t *testing.T) {
 		{`-n -3`, `-n must be a positive integer, got -3`},
 		{`-batch 0`, `-batch must be a positive integer, got 0`},
 		{`-trace-in t.jsonl -n 0`, `-n must be a positive integer, got 0`},
+		// Past the generator's bound, refused before it allocates the stream.
+		{`-mix chat-sessions -n 5000000000 -policy chunked`, `servegen: 5000000000 requests, at most 2147483647`},
 		{`-policy bogus`, `unknown policy "bogus" (contiguous, paged, chunked, all)`},
 		{`-replicas 2 -fault-plan crash@t=1s:r7`, `fault`},
 	} {

@@ -1,63 +1,72 @@
 package container
 
-// Heap is a binary min-heap over a strict-weak less ordering — the event
-// spine of the cluster scheduler. Compared to container/heap it needs no
-// interface boxing and no external slice management: Push and Pop are
-// O(log n) on a flat slice.
+// Heap is a binary min-heap of values ordered by the Key pushed with each,
+// compared inline like a Tree's: the cluster's event spine, its re-dispatch
+// pool and a session class's pending turns. The zero Heap is empty and ready
+// to use; Push and Pop are O(log n) on one flat slice, which is reused, so a
+// heap in steady state allocates nothing. Entries with equal keys pop in no
+// particular order: an owner that needs one makes the key unique.
 type Heap[T any] struct {
-	less  func(a, b T) bool
-	items []T
+	items []heapEntry[T]
 }
 
-// NewHeap returns an empty heap ordered by less.
-func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
-	return &Heap[T]{less: less}
+type heapEntry[T any] struct {
+	key Key
+	v   T
 }
 
-// Len returns the number of elements held.
+// Len returns the number of entries held.
 func (h *Heap[T]) Len() int { return len(h.items) }
 
-// Push inserts v.
-func (h *Heap[T]) Push(v T) {
-	h.items = append(h.items, v)
+// Push inserts v under key k.
+func (h *Heap[T]) Push(k Key, v T) {
+	h.items = append(h.items, heapEntry[T]{})
 	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
+		if !k.less(h.items[parent].key) {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		h.items[i] = h.items[parent]
 		i = parent
 	}
+	h.items[i] = heapEntry[T]{key: k, v: v}
 }
 
-// Peek returns the minimum without removing it. It panics on an empty heap;
-// guard with Len.
-func (h *Heap[T]) Peek() T { return h.items[0] }
+// Peek returns the minimum entry without removing it. It panics on an empty
+// heap; guard with Len.
+func (h *Heap[T]) Peek() (Key, T) {
+	e := &h.items[0]
+	return e.key, e.v
+}
 
-// Pop removes and returns the minimum. It panics on an empty heap; guard
-// with Len.
-func (h *Heap[T]) Pop() T {
+// Pop removes and returns the minimum entry. It panics on an empty heap;
+// guard with Len.
+func (h *Heap[T]) Pop() (Key, T) {
 	top := h.items[0]
 	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	var zero T
-	h.items[last] = zero // release references for the garbage collector
+	x := h.items[last]
+	h.items[last] = heapEntry[T]{} // release references for the garbage collector
 	h.items = h.items[:last]
+	if last == 0 {
+		return top.key, top.v
+	}
+	// Sift the hole at the root down to where the last entry belongs.
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.less(h.items[l], h.items[smallest]) {
-			smallest = l
+		c := 2*i + 1
+		if c >= last {
+			break
 		}
-		if r < last && h.less(h.items[r], h.items[smallest]) {
-			smallest = r
+		if r := c + 1; r < last && h.items[r].key.less(h.items[c].key) {
+			c = r
 		}
-		if smallest == i {
-			return top
+		if !h.items[c].key.less(x.key) {
+			break
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
+		h.items[i] = h.items[c]
+		i = c
 	}
+	h.items[i] = x
+	return top.key, top.v
 }

@@ -1,81 +1,139 @@
 package container
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/sim"
 )
 
-// TestHeapSortsArbitraryStreams pushes deterministic pseudo-random values
-// in several interleavings and checks Pop drains them in sorted order.
+// cmpKey is Key's order as a three-way comparison, for the slices package.
+func cmpKey(a, b Key) int {
+	switch {
+	case a.less(b):
+		return -1
+	case b.less(a):
+		return 1
+	}
+	return 0
+}
+
+// heapMatchesSorted pushes n random keys, drawn from few Hi values so that
+// Lo decides often, popping one after about every fourth push when
+// interleave is set, as the spine does between pushes, and then drains the
+// heap. Every Peek and Pop must return the reference's minimum — a sorted
+// slice of the keys held — with the value pushed under it.
+func heapMatchesSorted(t *testing.T, rng *sim.RNG, n int, interleave bool) {
+	t.Helper()
+	var h Heap[int]
+	var ref []Key
+	pop := func() {
+		pk, pv := h.Peek()
+		k, v := h.Pop()
+		if pk != k || pv != v {
+			t.Fatalf("n=%d: Peek (%v, %d) but Pop (%v, %d)", n, pk, pv, k, v)
+		}
+		// The value encodes the key it was pushed under.
+		if k != ref[0] || int64(v) != k.Hi<<8|k.Lo {
+			t.Fatalf("n=%d: pop (%v, %d), want key %v", n, k, v, ref[0])
+		}
+		ref = ref[1:]
+	}
+	for i := 0; i < n; i++ {
+		k := Key{Hi: int64(rng.Intn(64)), Lo: int64(rng.Intn(256))}
+		h.Push(k, int(k.Hi<<8|k.Lo))
+		at, _ := slices.BinarySearchFunc(ref, k, cmpKey)
+		ref = slices.Insert(ref, at, k)
+		if interleave && rng.Intn(4) == 0 {
+			pop()
+		}
+	}
+	if h.Len() != len(ref) {
+		t.Fatalf("n=%d: Len %d, want %d", n, h.Len(), len(ref))
+	}
+	for h.Len() > 0 {
+		pop()
+	}
+}
+
+// TestHeapSortsArbitraryStreams: pushed all at once, random streams drain
+// in sorted Key order.
 func TestHeapSortsArbitraryStreams(t *testing.T) {
-	state := uint64(42)
-	next := func() int {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return int(state % 10_000)
-	}
+	rng := sim.NewRNG(42)
 	for _, n := range []int{0, 1, 2, 7, 100, 4096} {
-		h := NewHeap[int](func(a, b int) bool { return a < b })
-		want := make([]int, n)
-		for i := range want {
-			want[i] = next()
-			h.Push(want[i])
-		}
-		sort.Ints(want)
-		if h.Len() != n {
-			t.Fatalf("n=%d: Len %d", n, h.Len())
-		}
-		for i, w := range want {
-			if got := h.Peek(); got != w {
-				t.Fatalf("n=%d: peek %d = %d, want %d", n, i, got, w)
-			}
-			if got := h.Pop(); got != w {
-				t.Fatalf("n=%d: pop %d = %d, want %d", n, i, got, w)
-			}
-		}
-		if h.Len() != 0 {
-			t.Fatalf("n=%d: %d left after drain", n, h.Len())
-		}
+		heapMatchesSorted(t, rng, n, false)
 	}
 }
 
-// TestHeapInterleavedPushPop mixes pushes and pops: after any prefix the
-// popped values must be the overall minima seen so far.
+// TestHeapInterleavedPushPop: with pops between the pushes, every pop is
+// the minimum of what the heap holds at that moment.
 func TestHeapInterleavedPushPop(t *testing.T) {
-	h := NewHeap[int](func(a, b int) bool { return a < b })
-	h.Push(5)
-	h.Push(3)
-	if got := h.Pop(); got != 3 {
-		t.Fatalf("pop = %d, want 3", got)
+	rng := sim.NewRNG(43)
+	for _, n := range []int{1, 2, 7, 100, 4096} {
+		heapMatchesSorted(t, rng, n, true)
 	}
-	h.Push(1)
-	h.Push(4)
-	for _, want := range []int{1, 4, 5} {
-		if got := h.Pop(); got != want {
-			t.Fatalf("pop = %d, want %d", got, want)
+}
+
+// TestHeapTieOrdering: among equal Hi the smaller Lo pops first, with both
+// halves signed and at their extremes — the (instant, replica) and
+// (arrival, session<<32 | turn) orders the simulator keys on.
+func TestHeapTieOrdering(t *testing.T) {
+	keys := []Key{
+		{Hi: 10, Lo: 3}, {Hi: 10, Lo: 1}, {Hi: 5, Lo: 9}, {Hi: 10, Lo: 2},
+		{Hi: math.MaxInt64, Lo: math.MinInt64}, {Hi: math.MaxInt64, Lo: 1 << 32}, {Hi: math.MaxInt64, Lo: 0},
+		{Hi: -1, Lo: math.MaxInt64}, {Hi: 10, Lo: -7},
+	}
+	var h Heap[int]
+	for i, k := range keys {
+		h.Push(k, i)
+	}
+	want := []int{7, 2, 8, 1, 3, 0, 4, 6, 5}
+	for _, w := range want {
+		if k, v := h.Pop(); v != w || k != keys[w] {
+			t.Fatalf("pop (%v, %d), want (%v, %d)", k, v, keys[w], w)
 		}
 	}
 }
 
-// TestHeapTieOrdering: with a composite key the secondary field must break
-// ties, mirroring the scheduler's (time, replica-index) ordering.
-func TestHeapTieOrdering(t *testing.T) {
-	type ev struct{ at, idx int }
-	h := NewHeap[ev](func(a, b ev) bool {
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		return a.idx < b.idx
+// TestHeapZeroValue: a zero Heap, never constructed, takes pushes and pops,
+// and Pop clears the slot it vacates so the heap pins nothing it gave back.
+func TestHeapZeroValue(t *testing.T) {
+	var h Heap[*int]
+	if h.Len() != 0 {
+		t.Fatal("zero Heap is not empty")
+	}
+	a, b := new(int), new(int)
+	h.Push(Key{Hi: 2}, b)
+	h.Push(Key{Hi: 1}, a)
+	if _, v := h.Pop(); v != a {
+		t.Fatal("zero Heap popped out of order")
+	}
+	if h.items[:2][1].v != nil {
+		t.Fatal("Pop left a reference in the vacated slot")
+	}
+	if _, v := h.Pop(); v != b || h.Len() != 0 {
+		t.Fatal("zero Heap did not drain")
+	}
+	if h.items[:1][0].v != nil {
+		t.Fatal("the last Pop left a reference in its slot")
+	}
+}
+
+// TestHeapSteadyStateAllocatesNothing: once its slice has grown, a heap
+// pushes and pops without allocating.
+func TestHeapSteadyStateAllocatesNothing(t *testing.T) {
+	var h Heap[[5]int]
+	for i := 0; i < 64; i++ {
+		h.Push(Key{Hi: int64(i * 7 % 64)}, [5]int{i})
+	}
+	i := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		h.Push(Key{Hi: i * 31 % 97, Lo: i}, [5]int{int(i)})
+		h.Pop()
 	})
-	h.Push(ev{10, 3})
-	h.Push(ev{10, 1})
-	h.Push(ev{5, 9})
-	h.Push(ev{10, 2})
-	want := []ev{{5, 9}, {10, 1}, {10, 2}, {10, 3}}
-	for _, w := range want {
-		if got := h.Pop(); got != w {
-			t.Fatalf("pop = %+v, want %+v", got, w)
-		}
+	if allocs != 0 {
+		t.Fatalf("steady-state Push+Pop allocated %v times per run", allocs)
 	}
 }

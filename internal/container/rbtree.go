@@ -1,12 +1,16 @@
 // Package container provides the ordered data structures shared by the
-// simulator: a red-black tree ordered multiset keyed by integer pairs (the
-// caching and expandable allocators' free lists, the driver's and device's
-// address maps, a server's ready queue), a binary min-heap (the cluster and
-// session event spines) and a small FIFO/LRU queue (GMLake's StitchFree
-// order).
+// simulator. Two are ordered by the same Key, a pair of integers compared
+// inline: a red-black tree ordered multiset (the caching and expandable
+// allocators' free lists, the driver's and device's address maps, a
+// server's ready queue) and a binary min-heap (the cluster's event spine
+// and re-dispatch pool, a session class's pending turns). Beside them are a
+// small FIFO/LRU queue (GMLake's StitchFree order) and a free list of
+// spare records.
 //
 // Every tree element embeds its own Node, so the tree never allocates: an
-// owner that recycles a dead record reuses the record's node with it.
+// owner that recycles a dead record reuses the record's node with it. A
+// heap holds its entries by value in one reused slice, so a small value
+// keeps its sifts cheap.
 package container
 
 // Tree is an ordered multiset implemented as a red-black tree. Elements are
@@ -24,10 +28,11 @@ type Tree[T any] struct {
 	size int
 }
 
-// Key is a node's sort key, ordered by Hi and then by Lo. Every index in
-// the simulator orders by at most two integers — (size, address), an
-// address alone (Lo left zero), (reversed rank, ticket) — so a key is
-// compared inline, with no comparator call and no search key to build.
+// Key is a tree node's or heap entry's sort key, ordered by Hi and then by
+// Lo. Every index in the simulator orders by at most two integers — (size,
+// address), an address alone (Lo left zero), (reversed rank, ticket),
+// (instant, replica) — so a key is compared inline, with no comparator call
+// and no search key to build.
 type Key struct{ Hi, Lo int64 }
 
 // less orders keys lexicographically.

@@ -310,18 +310,6 @@ func expDur(rng *sim.RNG, mean time.Duration) time.Duration {
 	return d
 }
 
-// redispatch is one request waiting in the re-dispatch pool. A request that
-// was merely queued — displaced by a crash, or an arrival parked while every
-// replica was down — keeps its FIFO ticket in w.seq and may re-enter
-// dispatch at once; an in-flight request granted a retry carries freshTicket
-// instead (it draws one at its destination, like a preemption requeue) and
-// waits out its backoff.
-type redispatch struct {
-	w     *track
-	at    time.Duration // earliest cluster instant it may re-enter dispatch
-	order uint64        // pool FIFO order among equal instants
-}
-
 // freshTicket in a pooled request's ticket slot asks the destination for a
 // new one; real tickets are never negative.
 const freshTicket int64 = -1
@@ -333,9 +321,15 @@ const freshTicket int64 = -1
 // to a scheduler without them.
 type recovery struct {
 	faults *faultSource
-	// pool is ordered by (eligible instant, insertion order).
-	pool   *container.Heap[redispatch]
-	parked uint64
+	// pool holds the requests waiting to re-enter dispatch under the key
+	// (earliest cluster instant they may, parked order), parked counting
+	// them in. A request that was merely queued — displaced by a crash, or
+	// an arrival parked while every replica was down — keeps its FIFO
+	// ticket in seq and may re-enter dispatch at once; an in-flight request
+	// granted a retry carries freshTicket instead (it draws one at its
+	// destination, like a preemption requeue) and waits out its backoff.
+	pool   container.Heap[*track]
+	parked int64
 	// classRetries charges granted retries against the per-class retry
 	// budget; the per-request count is track.retries.
 	classRetries map[string]int
@@ -345,13 +339,7 @@ type recovery struct {
 
 func newRecovery(fc FaultConfig, fleetMax int) *recovery {
 	return &recovery{
-		faults: newFaultSource(fc, fleetMax),
-		pool: container.NewHeap[redispatch](func(a, b redispatch) bool {
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			return a.order < b.order
-		}),
+		faults:       newFaultSource(fc, fleetMax),
 		classRetries: map[string]int{},
 	}
 }
@@ -367,7 +355,7 @@ func (rc *recovery) poolLen() int {
 // park puts a request in the re-dispatch pool until cluster instant at.
 func (rc *recovery) park(w *track, at time.Duration) {
 	rc.parked++
-	rc.pool.Push(redispatch{w: w, at: at, order: rc.parked})
+	rc.pool.Push(container.Key{Hi: int64(at), Lo: rc.parked}, w)
 }
 
 // apply routes one fault event at the current cluster instant. Crashes only

@@ -46,15 +46,6 @@ type clusterReplica struct {
 	eventSeq uint64
 }
 
-// repEvent is one replica's pending next-event entry in the global heap.
-// The ordering (time, then replica index) makes the lowest-index replica run
-// first among simultaneous events.
-type repEvent struct {
-	at  time.Duration
-	ri  int
-	seq uint64
-}
-
 // evSource names where the scheduler's next event comes from. After evNone,
 // the declared order is the precedence among events due at the same instant.
 type evSource int
@@ -89,11 +80,13 @@ type clusterSched struct {
 	now   time.Duration // monotonic cluster event clock
 	fleet []*clusterReplica
 
-	// events is the single global event spine: one (next-event time,
-	// replica) entry per replica with work, min-ordered by (time, index), so
-	// advancing the co-simulation is an O(log fleet) pop rather than a scan
-	// of every replica's clock. Entries are invalidated lazily via eventSeq.
-	events *container.Heap[repEvent]
+	// events is the single global event spine: one entry per replica with
+	// work, the replica's eventSeq under the key (next-event time, replica
+	// index), so advancing the co-simulation is an O(log fleet) pop rather
+	// than a scan of every replica's clock, and the lowest-index replica runs
+	// first among simultaneous events. Entries are invalidated lazily via
+	// eventSeq.
+	events container.Heap[uint64]
 
 	dispatch dispatcher
 	scaler   scaler
@@ -116,12 +109,6 @@ func newClusterSched(reqs []Request, newMgr func(int) CacheManager, cfg ClusterC
 		queue:    queue,
 		dispatch: dispatcher{policy: cfg.Dispatch, base: cfg.AffinityBase},
 		scaler:   scaler{peakReplicas: initial},
-		events: container.NewHeap[repEvent](func(a, b repEvent) bool {
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			return a.ri < b.ri
-		}),
 	}
 	if cfg.Faults.Enabled() {
 		c.recovery = newRecovery(cfg.Faults, fleetMax)
@@ -176,7 +163,7 @@ func (c *clusterSched) touch(ri int) {
 	r := c.fleet[ri]
 	r.eventSeq++
 	if t, ok := r.srv.nextEventTime(); ok {
-		c.events.Push(repEvent{at: t, ri: ri, seq: r.eventSeq})
+		c.events.Push(container.Key{Hi: int64(t), Lo: int64(ri)}, r.eventSeq)
 	}
 }
 
@@ -195,13 +182,13 @@ func (c *clusterSched) place(ri int, w *track, at time.Duration) {
 // discarding stale entries; ri == -1 means every replica is idle.
 func (c *clusterSched) nextStep() (at time.Duration, ri int) {
 	for c.events.Len() > 0 {
-		ev := c.events.Peek()
-		r := c.fleet[ev.ri]
-		if ev.seq != r.eventSeq || r.state == replicaStopped || r.state == replicaDown {
+		k, seq := c.events.Peek()
+		r := c.fleet[k.Lo]
+		if seq != r.eventSeq || r.state == replicaStopped || r.state == replicaDown {
 			c.events.Pop() // stale: superseded, or the replica retired or crashed
 			continue
 		}
-		return ev.at, ev.ri
+		return time.Duration(k.Hi), int(k.Lo)
 	}
 	return 0, -1
 }
@@ -224,8 +211,8 @@ func (c *clusterSched) next() (src evSource, at time.Duration, ri int) {
 			src, at = evFault, fe.At
 		}
 		if c.recovery.pool.Len() > 0 && c.activeCount() > 0 {
-			if t := c.recovery.pool.Peek().at; src == evNone || t < at {
-				src, at = evPool, t
+			if k, _ := c.recovery.pool.Peek(); src == evNone || time.Duration(k.Hi) < at {
+				src, at = evPool, time.Duration(k.Hi)
 			}
 		}
 	}
@@ -265,13 +252,13 @@ func (c *clusterSched) run() (rep ClusterReport, failed int, err error) {
 		case evPool:
 			// A late dispatch decision for displaced queued requests and
 			// parked arrivals, a recompute requeue for retried in-flight ones.
-			e := c.recovery.pool.Pop()
+			_, w := c.recovery.pool.Pop()
 			c.scaler.evaluate(c)
-			to := c.dispatch.pick(c.fleet, *e.w.req)
-			if e.w.seq == freshTicket {
-				e.w.seq = c.fleet[to].srv.ticket()
+			to := c.dispatch.pick(c.fleet, *w.req)
+			if w.seq == freshTicket {
+				w.seq = c.fleet[to].srv.ticket()
 			}
-			c.place(to, e.w, c.now)
+			c.place(to, w, c.now)
 		case evArrival:
 			c.scaler.evaluate(c)
 			w := c.queue.pop()
@@ -355,7 +342,8 @@ func (c *clusterSched) seal() ClusterReport {
 	undispatched := make([]Request, 0, c.queue.left()+c.recovery.poolLen())
 	c.queue.each(func(r *Request) { undispatched = append(undispatched, *r) })
 	for c.recovery.poolLen() > 0 {
-		undispatched = append(undispatched, *c.recovery.pool.Pop().w.req)
+		_, w := c.recovery.pool.Pop()
+		undispatched = append(undispatched, *w.req)
 	}
 	if c.recovery != nil {
 		rep.Retries, rep.Lost = c.recovery.retries, c.recovery.lost

@@ -16,7 +16,10 @@
 // Everything is driven by the repository's seeded PRNG: the same seed yields
 // a byte-identical request stream, so serving experiments are replayable and
 // differential tests can compare KV-cache policies on the exact same
-// traffic.
+// traffic. A float product that feeds a sum or a difference is wrapped in
+// float64(...): the explicit conversion rounds it, so no architecture may
+// fuse the two into one multiply-add, and arm64 draws the bits amd64 does
+// (scripts/fma_check.sh holds the package to it).
 package servegen
 
 import (
@@ -157,8 +160,8 @@ type sampler struct {
 func (d LengthDist) sampler() sampler {
 	s := sampler{dist: d}
 	if d.Kind == DistLognormal {
-		sigma2 := math.Log(1 + d.CV*d.CV)
-		s.mu = math.Log(d.Mean) - sigma2/2
+		sigma2 := math.Log(1 + float64(d.CV*d.CV))
+		s.mu = math.Log(d.Mean) - float64(sigma2/2)
 		s.sigma = math.Sqrt(sigma2)
 	}
 	return s
@@ -172,7 +175,7 @@ func (s *sampler) sample(rng *sim.RNG) int {
 	case DistUniform:
 		return d.Min + rng.Intn(d.Max-d.Min+1)
 	default: // lognormal, discretized by rounding
-		v := int(math.Round(math.Exp(s.mu + s.sigma*normal(rng))))
+		v := int(math.Round(math.Exp(s.mu + float64(s.sigma*normal(rng)))))
 		if v < d.Min {
 			v = d.Min
 		}
@@ -185,7 +188,7 @@ func (s *sampler) sample(rng *sim.RNG) int {
 
 // normal returns a standard normal draw (Box–Muller on the seeded RNG).
 func normal(rng *sim.RNG) float64 {
-	u1 := 1 - rng.Float64() // (0,1]: log never sees 0
+	u1 := 1 - float64(rng.Float64()) // (0,1]: log never sees 0
 	u2 := rng.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
@@ -194,23 +197,23 @@ func normal(rng *sim.RNG) float64 {
 // boosted for k < 1.
 func gamma(rng *sim.RNG, k float64) float64 {
 	if k < 1 {
-		u := 1 - rng.Float64()
+		u := 1 - float64(rng.Float64())
 		return gamma(rng, k+1) * math.Pow(u, 1/k)
 	}
 	d := k - 1.0/3
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := normal(rng)
-		t := 1 + c*x
+		t := 1 + float64(c*x)
 		if t <= 0 {
 			continue
 		}
-		v := t * t * t
+		v := float64(t * t * t)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}
@@ -306,7 +309,7 @@ func (a ArrivalProcess) arrivals(rng *sim.RNG, ratePerSec float64, n int) []floa
 	theta := 1 / (ratePerSec * k)
 	t := 0.0
 	for i := range out {
-		t += gamma(rng, k) * theta
+		t += float64(gamma(rng, k) * theta)
 		out[i] = t
 	}
 	return out
@@ -366,12 +369,12 @@ func (a *arrivalStream) draw(rng *sim.RNG) float64 {
 	if a.cycle == 0 {
 		return a.t
 	}
-	return math.Floor(a.t/a.onLen)*a.cycle + math.Mod(a.t, a.onLen)
+	return float64(math.Floor(a.t/a.onLen)*a.cycle) + math.Mod(a.t, a.onLen)
 }
 
 // expDraw returns an exponential interarrival at the given rate.
 func expDraw(rng *sim.RNG, rate float64) float64 {
-	return -math.Log(1-rng.Float64()) / rate
+	return -math.Log(1-float64(rng.Float64())) / rate
 }
 
 // ClientClass is one tenant population in a mix.
@@ -489,10 +492,15 @@ func (m Mix) WithBurstCV(cv float64) Mix {
 // individual requests: each start expands into that session's turns (same
 // SessionID, consecutive Turn numbers, think-time gaps, growing prompt —
 // see SessionProfile), so the class contributes its sessions' turns to the
-// merge. Turn arrivals are strictly increasing within a session, so the
-// first-n truncation always keeps a prefix of each session's turns — a turn
-// never appears without its predecessors. A mix with no session classes
-// draws exactly the sequence it always did.
+// merge. A session's turns wait in its class's heap as 40-byte records
+// keyed by (arrival, session index, turn) and become requests only when
+// they reach the class's head; n is at most MaxInt32 because the key packs
+// the session index into 32 bits. Turn arrivals are strictly increasing
+// within a session until they saturate at the clock's end, where the key's
+// (session, turn) tie-break alone keeps them in order, so the first-n
+// truncation always keeps a prefix of each session's turns — a turn never
+// appears without its predecessors. A mix with no session classes draws
+// exactly the sequence it always did.
 //
 // The merge needs each class's arrival times non-decreasing, which every
 // arrival process guarantees by construction up to float rounding (on-off
@@ -502,6 +510,9 @@ func (m Mix) WithBurstCV(cv float64) Mix {
 func (m Mix) Generate(n int, seed uint64) ([]serve.Request, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("servegen: %d requests", n)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("servegen: %d requests, at most %d", n, math.MaxInt32)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -567,10 +578,11 @@ type classStream struct {
 	prompt, output          sampler
 	turnCount, think, delta sampler // session classes only
 
-	// turns holds a session class's expanded, not yet merged turns, minimum
-	// under turnLess first (nil for a one-shot class). Sessions overlap, so a
-	// later session's turn 0 can precede an earlier session's turn 3.
-	turns *container.Heap[sessionTurn]
+	// turns holds a session class's expanded, not yet merged turns under
+	// the key turnKey gives them, the earliest first (empty for a one-shot
+	// class). Sessions overlap, so a later session's turn 0 can precede an
+	// earlier session's turn 3.
+	turns container.Heap[sessionTurn]
 }
 
 // newClassStream returns class c's sub-stream over its arrivals arr, drawing
@@ -579,7 +591,6 @@ func newClassStream(c *ClientClass, rng sim.RNG, arr arrivalStream) classStream 
 	s := classStream{class: c, rng: rng, arr: arr, prompt: c.Prompt.sampler(), output: c.Output.sampler()}
 	if p := c.Sessions; p != nil {
 		s.turnCount, s.think, s.delta = p.Turns.sampler(), p.Think.sampler(), p.Delta.sampler()
-		s.turns = container.NewHeap(turnLess)
 	}
 	if arr.n > 0 {
 		s.at = s.arr.read(0)
@@ -587,23 +598,20 @@ func newClassStream(c *ClientClass, rng sim.RNG, arr arrivalStream) classStream 
 	return s
 }
 
-// sessionTurn is one pending turn with the session index that orders it
-// against a same-instant turn of another session.
+// sessionTurn is one pending turn: what its request carries beside the
+// class's constants and the arrival instant its key holds.
 type sessionTurn struct {
-	req serve.Request
-	si  int
+	prompt, output, turn int
+	sid                  string
 }
 
-// turnLess is the order of a session class's buffer under a stable sort by
-// arrival: (ArrivalAt, session index, turn).
-func turnLess(a, b sessionTurn) bool {
-	if a.req.ArrivalAt != b.req.ArrivalAt {
-		return a.req.ArrivalAt < b.req.ArrivalAt
-	}
-	if a.si != b.si {
-		return a.si < b.si
-	}
-	return a.req.Turn < b.req.Turn
+// turnKey is turn's key in its class's heap, the order of the class's turns
+// under a stable sort by arrival: (arrival, session index, turn). Generate
+// bounds n, and with it the session index, by MaxInt32, so the index fills
+// Lo's top half; a turn past 2³² would need more turns pending than memory
+// holds.
+func turnKey(at time.Duration, si, turn int) container.Key {
+	return container.Key{Hi: int64(at), Lo: int64(si)<<32 | int64(turn)}
 }
 
 // arrivalAt converts an arrival draw to the virtual clock. A draw past the
@@ -637,14 +645,29 @@ func (s *classStream) advance() error {
 	}
 	// Expand every session that starts before the earliest pending turn; one
 	// starting at the same instant has the higher session index and waits.
-	for s.next < s.arr.n && (s.turns.Len() == 0 || arrivalAt(s.at) < s.turns.Peek().req.ArrivalAt) {
+	for s.next < s.arr.n {
+		if s.turns.Len() > 0 {
+			if k, _ := s.turns.Peek(); k.Hi <= int64(arrivalAt(s.at)) {
+				break
+			}
+		}
 		s.expand(s.next, s.at)
 		if err := s.step(); err != nil {
 			return err
 		}
 	}
 	if s.ok = s.turns.Len() > 0; s.ok {
-		s.head = s.turns.Pop().req
+		k, t := s.turns.Pop()
+		s.head = serve.Request{
+			Class:     c.Name,
+			SLO:       c.SLO,
+			Priority:  SLOPriority(c.SLO),
+			ArrivalAt: time.Duration(k.Hi),
+			PromptLen: t.prompt,
+			OutputLen: t.output,
+			SessionID: t.sid,
+			Turn:      t.turn,
+		}
 	}
 	return nil
 }

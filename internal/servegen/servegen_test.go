@@ -307,8 +307,17 @@ func TestValidateRejectsMalformed(t *testing.T) {
 			t.Errorf("mix %q generated", m.Name)
 		}
 	}
-	if _, err := ChatHeavy().Generate(0, 1); err == nil {
-		t.Error("n=0 accepted")
+	// n is an int64 so the row past MaxInt32 compiles where int is 32 bits;
+	// there it wraps to a non-positive n, which is rejected too.
+	for _, n := range []int64{0, -1, math.MaxInt32 + 1, math.MaxInt64} {
+		_, err := ChatSessions().Generate(int(n), 1)
+		if err == nil {
+			t.Errorf("n=%d accepted", n)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "servegen: ") || strings.Contains(msg, "\n") {
+			t.Errorf("n=%d: error %q is not one servegen: line", n, msg)
+		}
 	}
 }
 
@@ -529,9 +538,9 @@ func (d LengthDist) sample(rng *sim.RNG) int {
 	case DistUniform:
 		return d.Min + rng.Intn(d.Max-d.Min+1)
 	default: // lognormal, discretized by rounding
-		sigma2 := math.Log(1 + d.CV*d.CV)
-		mu := math.Log(d.Mean) - sigma2/2
-		v := int(math.Round(math.Exp(mu + math.Sqrt(sigma2)*normal(rng))))
+		sigma2 := math.Log(1 + float64(d.CV*d.CV))
+		mu := math.Log(d.Mean) - float64(sigma2/2)
+		v := int(math.Round(math.Exp(mu + float64(math.Sqrt(sigma2)*normal(rng)))))
 		if v < d.Min {
 			v = d.Min
 		}
@@ -680,6 +689,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 			{Name: "busy", SLO: SLOStandard, Share: 1, Arrival: Bursty(2), Prompt: Uniform(1, 64), Output: Uniform(1, 64)},
 			{Name: "ghost", SLO: SLOBatch, Share: 1e-9, Arrival: Poisson(), Prompt: Lognormal(64, 1, 1, 512), Output: Uniform(1, 8)},
 		}},
+		glacialSessions(),
 		// A Poisson session class at a tiny share: a few sessions at the
 		// larger sizes, none at the smaller ones.
 		Mix{Name: "rare-sessions", Rate: 4, Classes: []ClientClass{
@@ -863,10 +873,46 @@ func TestGenerateOneDrawMixBudget(t *testing.T) {
 	}
 }
 
+// TestSessionTurnSize: a pending session turn is what its request carries
+// beside the class's constants and its key, not a whole serve.Request (104
+// bytes): the heap moves these records on every sift.
+func TestSessionTurnSize(t *testing.T) {
+	if size := unsafe.Sizeof(sessionTurn{}); size > 40 {
+		t.Fatalf("sessionTurn is %d bytes, budget 40", size)
+	}
+}
+
+// glacialSessions is one session class so slow that its turns pass the
+// virtual clock's range within a few hundred requests: the saturated turns
+// all arrive at its end, and their order — session by session, turn by
+// turn — rests on the turn key's tie-break alone.
+func glacialSessions() Mix {
+	return Mix{Name: "glacial-sessions", Rate: 1e-8, Classes: []ClientClass{
+		{Name: "glacial", SLO: SLOInteractive, Share: 1, Arrival: Poisson(), Prompt: Uniform(1, 64), Output: Uniform(1, 64),
+			Sessions: &SessionProfile{Turns: Uniform(2, 5), Think: Lognormal(1500, 0.6, 200, 6000), Delta: Uniform(1, 8), MaxPrompt: 640}},
+	}}
+}
+
 // TestArrivalsPastClockRange: a class slow enough to draw arrivals past the
 // virtual clock's range (≈ 292 years) keeps them at its end, in order,
-// instead of wrapping them to negative instants.
+// instead of wrapping them to negative instants. The glacial session mix
+// must saturate follow-up turns, so that its reference comparison tests the
+// turn key's tie-break.
 func TestArrivalsPastClockRange(t *testing.T) {
+	sessions, err := glacialSessions().Generate(500, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saturated := 0
+	for _, r := range sessions {
+		if r.ArrivalAt == math.MaxInt64 && r.Turn > 0 {
+			saturated++
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("glacial-sessions saturates no follow-up turn at n=500")
+	}
+
 	mix := Mix{Name: "glacial", Rate: 1e-8, Classes: []ClientClass{
 		{Name: "only", SLO: SLOBatch, Share: 1, Arrival: Poisson(), Prompt: Deterministic(8), Output: Deterministic(8)},
 	}}

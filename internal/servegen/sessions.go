@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"time"
-
-	"repro/internal/serve"
 )
 
 // SessionProfile makes a client class multi-turn: every arrival the class's
@@ -77,22 +75,14 @@ func (s *classStream) expand(si int, startSec float64) {
 	prompt := s.prompt.sample(&s.rng)
 	for t := 0; t < turns; t++ {
 		output := s.output.sample(&s.rng)
-		s.turns.Push(sessionTurn{si: si, req: serve.Request{
-			Class:     c.Name,
-			SLO:       c.SLO,
-			Priority:  SLOPriority(c.SLO),
-			ArrivalAt: arrivalAt(at),
-			PromptLen: prompt,
-			OutputLen: output,
-			SessionID: sid,
-			Turn:      t,
-		}})
+		s.turns.Push(turnKey(arrivalAt(at), si, t), sessionTurn{prompt: prompt, output: output, turn: t, sid: sid})
 		if t == turns-1 {
 			break
 		}
 		// Length draws are validated positive, so the think gap is at least
-		// 1ms: turn arrivals are strictly increasing within a session, and
-		// truncating the merged stream always keeps a turn prefix.
+		// 1ms: turn arrivals are strictly increasing within a session (until
+		// they saturate at the clock's end, where turnKey orders them by
+		// turn), and truncating the merged stream always keeps a turn prefix.
 		at += float64(s.think.sample(&s.rng)) / 1e3
 		prompt += output + s.delta.sample(&s.rng)
 		if p.MaxPrompt > 0 && prompt > p.MaxPrompt {
