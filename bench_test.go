@@ -275,8 +275,8 @@ func BenchmarkGMLakeStitch(b *testing.B) {
 }
 
 // BenchmarkDriverMapUnmap measures the simulated driver's page table under
-// the call pattern every VMM allocator makes: map N consecutive chunks of one
-// reservation, set access on the range, unmap it. It must read 0 allocs/op at
+// the call pattern GMLake makes: map N consecutive chunks of one reservation
+// in one call, set access on the range, unmap it. It must read 0 allocs/op at
 // every N and the same ns/chunk across N — the host cost of a mapping does
 // not depend on how many mappings its reservation already holds.
 func BenchmarkDriverMapUnmap(b *testing.B) {
@@ -297,10 +297,8 @@ func BenchmarkDriverMapUnmap(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j, h := range handles {
-					if err := d.MemMap(va+cuda.DevicePtr(int64(j)*cuda.ChunkGranularity), h); err != nil {
-						b.Fatal(err)
-					}
+				if err := d.MemMap(va, handles...); err != nil {
+					b.Fatal(err)
 				}
 				if err := d.MemSetAccess(va, size); err != nil {
 					b.Fatal(err)

@@ -91,12 +91,16 @@ func (a *Allocator) bestFit(size int64) bestFitResult {
 func (a *Allocator) collectCandidates(size, minBlock int64) ([]*PBlock, int64) {
 	cands := a.cands[:0]
 	needed := size
-	for p := a.pblocks.max(); p != nil && p.size >= minBlock; p = a.pblocks.prev(p) {
-		if p.size <= needed {
-			cands = append(cands, p)
-			if needed -= p.size; needed == 0 {
-				break
-			}
+	// The walk would pass over blocks larger than the need, so where the
+	// next block is one, it jumps to the largest that is not: every block
+	// it lands on is taken.
+	for p := a.pblocks.floor(needed); p != nil && p.size >= minBlock; {
+		cands = append(cands, p)
+		if needed -= p.size; needed == 0 {
+			break
+		}
+		if p = a.pblocks.prev(p); p != nil && p.size > needed {
+			p = a.pblocks.floor(needed)
 		}
 	}
 	total := size - needed

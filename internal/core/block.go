@@ -33,7 +33,7 @@
 //     is active when a member is, computed from the members when asked.
 //   - A pBlock's bit means "inactive" and is kept eagerly: its 0→1 edge
 //     clears the bit and its 1→0 edge sets it, one word written either way.
-//     ceil, next, prev and max walk classes and set bits, so they see
+//     ceil, floor, next and prev walk classes and set bits, so they see
 //     exactly the inactive set in (size, VA) order and prune nothing.
 //   - An sBlock's bit means "may be available". An unassigned sBlock has its
 //     bit set or sits on the intrusive watcher list of one active member,
@@ -68,8 +68,8 @@
 //	                 pBlock match adds O(log C) to find its class
 //	S2 split         S1 + O(owners) rebinding + O(k) slot shifts for the
 //	                 split block and its halves + the driver's remap
-//	S3 stitch        O(P) candidate walk + S1 + O(k) to file the new sBlock
-//	                 + the driver's maps
+//	S3 stitch        O(taken · log C) candidate walk + S1 + O(k) to file the
+//	                 new sBlock + the driver's maps, one call per member
 //	S4 new memory    S3 + chunk creation; on OOM a GC pass over every pBlock
 //	Free             O(m + watchers); no allocation
 //
@@ -85,6 +85,10 @@
 // active member and were parked again at once. The
 // driver's maps, remaps and unmaps are O(1) per chunk and allocate nothing
 // (package cuda's page table), so they add no term of their own to S2–S4.
+// The S3 walk takes every block it lands on: where the next block in
+// (size, VA) order is larger than the remaining need, it jumps to
+// pPool.floor of the need, so "taken" counts the candidates the stitch
+// uses (about 3 per call on Trainer-LRO).
 //
 // # Convergence
 //
@@ -229,12 +233,11 @@ func newPBlock(drv *cuda.Driver, size int64) (*PBlock, error) {
 	return &PBlock{va: va, size: size, chunks: chunks}, nil
 }
 
-// mapChunksAt maps chunks consecutively starting at va and enables access.
+// mapChunksAt maps chunks consecutively starting at va, in one MemMap
+// call, and enables access.
 func mapChunksAt(drv *cuda.Driver, va cuda.DevicePtr, chunks []cuda.MemHandle) {
-	for i, h := range chunks {
-		if err := drv.MemMap(va+cuda.DevicePtr(int64(i)*ChunkSize), h); err != nil {
-			panic("core: MemMap: " + err.Error())
-		}
+	if err := drv.MemMap(va, chunks...); err != nil {
+		panic("core: MemMap: " + err.Error())
 	}
 	size := int64(len(chunks)) * ChunkSize
 	if err := drv.MemSetAccess(va, size); err != nil {

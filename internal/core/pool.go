@@ -15,8 +15,8 @@ type pClass = sizeClass[*PBlock]
 // size, and nowhere else, so BestFit can scan the inactive ones by size (the
 // paper keeps the pool "sorted by block size in descending order"; we store
 // ascending and walk backwards, which is equivalent). The classes sit in
-// ascending size order and their slots in ascending VA order, so ceil, next,
-// prev and max — the only ways to read the pool — return exactly the
+// ascending size order and their slots in ascending VA order, so ceil, floor,
+// next and prev — the only ways to read the pool — return exactly the
 // inactive set in (size, VA) order by walking classes and set bits. A state
 // flip sets or clears one bit.
 type pPool struct {
@@ -90,6 +90,16 @@ func (pp *pPool) ceil(size int64) *PBlock {
 	return pp.first(i)
 }
 
+// floor returns the largest inactive pBlock of at most size bytes — the
+// highest-addressed one among equals — or nil.
+func (pp *pPool) floor(size int64) *PBlock {
+	i, found := pp.search(size)
+	if found {
+		i++
+	}
+	return pp.last(i)
+}
+
 // next returns the inactive pBlock after p in (size, VA) order, or nil.
 func (pp *pPool) next(p *PBlock) *PBlock {
 	if j := p.class.next(p.slot + 1); j >= 0 {
@@ -107,9 +117,6 @@ func (pp *pPool) prev(p *PBlock) *PBlock {
 	i, _ := pp.search(p.size)
 	return pp.last(i)
 }
-
-// max returns the largest inactive pBlock, or nil.
-func (pp *pPool) max() *PBlock { return pp.last(len(pp.classes)) }
 
 // findExact returns an inactive pBlock of exactly size bytes, or nil.
 // Among equal-sized blocks it prefers one with the fewest sBlocks stitched

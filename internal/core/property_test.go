@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -21,8 +22,9 @@ import (
 // end of the run, and checkReaders after every oracleEvery-th: the sPool's
 // lookup clears stale bits as it goes, so 1 compares the readers at every
 // state and a longer stride lets stale bits pile up across operations
-// before they are read.
-func runOpSeq(t *testing.T, a *Allocator, ops []int16, oracleEvery int) (live []*memalloc.Buffer, ok bool) {
+// before they are read. checkCandidates runs after every operation too,
+// adding what its probes reached to cov.
+func runOpSeq(t *testing.T, a *Allocator, ops []int16, oracleEvery int, cov *walkCoverage) (live []*memalloc.Buffer, ok bool) {
 	for i, op := range ops {
 		if op >= 0 {
 			size := (int64(op)%1024 + 1) * sim.MiB
@@ -35,6 +37,9 @@ func runOpSeq(t *testing.T, a *Allocator, ops []int16, oracleEvery int) (live []
 			live = append(live[:j], live[j+1:]...)
 		}
 		err := a.CheckInvariants()
+		if err == nil {
+			err = checkCandidates(a, cov)
+		}
 		if err == nil && i%oracleEvery == 0 {
 			err = checkReaders(a)
 		}
@@ -68,7 +73,7 @@ func sBlocks(a *Allocator) []*SBlock {
 // return must equal a from-scratch recomputation over every block.
 // For each live sBlock size, sPool.findExact must return the lowest-addressed
 // unassigned sBlock whose members are all inactive; pPool.ceil+next, and
-// max+prev backwards, must enumerate exactly the inactive pBlocks in
+// floor(MaxInt64)+prev backwards, must enumerate exactly the inactive pBlocks in
 // (size, VA) order. The choices BestFit makes from them are named too: for
 // each live pBlock size s, pPool.ceil(s) and ceil(s+ChunkSize) must return
 // the first inactive pBlock at or above the argument in that order, and
@@ -111,7 +116,7 @@ func checkReaders(a *Allocator) error {
 	for p := a.pblocks.ceil(0); p != nil; p = a.pblocks.next(p) {
 		up = append(up, p)
 	}
-	for p := a.pblocks.max(); p != nil; p = a.pblocks.prev(p) {
+	for p := a.pblocks.floor(math.MaxInt64); p != nil; p = a.pblocks.prev(p) {
 		down = append(down, p)
 	}
 	slices.Reverse(down)
@@ -143,6 +148,95 @@ func checkReaders(a *Allocator) error {
 		}
 		if got := a.pblocks.findExact(s); got != want {
 			return fmt.Errorf("pPool.findExact(%d) = %v, brute force finds %v", s, got, want)
+		}
+	}
+	return nil
+}
+
+// refCollectCandidates is collectCandidates as it stepped through every
+// inactive pBlock from the largest down, passing over each one larger than
+// the remaining need: the reference the jumping walk must reproduce. It
+// returns a fresh slice, leaving the allocator's scratch alone, and reports
+// how many blocks the walk passed over and whether a top-up block was added.
+func refCollectCandidates(a *Allocator, size, minBlock int64) (cands []*PBlock, total int64, passed int, topped bool) {
+	needed := size
+	for p := a.pblocks.floor(math.MaxInt64); p != nil && p.size >= minBlock; p = a.pblocks.prev(p) {
+		if p.size > needed {
+			passed++
+			continue
+		}
+		cands = append(cands, p)
+		if needed -= p.size; needed == 0 {
+			break
+		}
+	}
+	total = size - needed
+	if needed > 0 {
+		var top *PBlock
+		scanned := 0
+		for p := a.pblocks.ceil(needed); p != nil && scanned < 8; p = a.pblocks.next(p) {
+			if slices.Contains(cands, p) {
+				continue
+			}
+			scanned++
+			if top == nil || len(p.owners) < len(top.owners) {
+				top = p
+			}
+			if len(top.owners) == 0 {
+				break
+			}
+		}
+		if top != nil {
+			cands = append(cands, top)
+			total += top.size
+			topped = true
+		}
+	}
+	return cands, total, passed, topped
+}
+
+// walkCoverage counts, per pass (0: minBlock = FragLimit, 1: minBlock = 0),
+// the checkCandidates probes whose reference walk passed over a block and
+// those that ended with a top-up block.
+type walkCoverage struct{ passed, topped [2]int }
+
+// checkCandidates holds collectCandidates to refCollectCandidates in both of
+// BestFit's passes, over requests sized to make the walk pass over larger
+// blocks, land exact sums and run short: one chunk past each inactive
+// pBlock size, and the inactive total less a chunk, exact and plus a chunk.
+// The candidates must be the same blocks in the same order, with the same
+// total.
+func checkCandidates(a *Allocator, cov *walkCoverage) error {
+	var sizes []int64
+	var inactive int64
+	for _, c := range a.pblocks.classes {
+		if c.next(0) >= 0 {
+			sizes = append(sizes, c.size+ChunkSize)
+		}
+		for _, p := range c.slots {
+			if !p.Active() {
+				inactive += p.size
+			}
+		}
+	}
+	sizes = append(sizes, inactive-ChunkSize, inactive, inactive+ChunkSize)
+	for _, size := range sizes {
+		if size <= 0 {
+			continue
+		}
+		for pass, minBlock := range []int64{a.cfg.FragLimit, 0} {
+			want, wantTotal, passed, topped := refCollectCandidates(a, size, minBlock)
+			got, total := a.collectCandidates(size, minBlock)
+			if !slices.Equal(got, want) || total != wantTotal {
+				return fmt.Errorf("collectCandidates(%d, %d) takes %d blocks totalling %d, the stepping walk %d totalling %d (or in another order)",
+					size, minBlock, len(got), total, len(want), wantTotal)
+			}
+			if passed > 0 {
+				cov.passed[pass]++
+			}
+			if topped {
+				cov.topped[pass]++
+			}
 		}
 	}
 	return nil
@@ -284,6 +378,7 @@ func TestLazyWake(t *testing.T) {
 // after every operation and after every fifth.
 func quickInvariants(t *testing.T, capacity int64, cfg Config, count int) (gcRuns, stitchFrees int64, maxOwners int) {
 	seqs := 0
+	var cov walkCoverage
 	f := func(ops []int16) bool {
 		dev := gpu.NewDevice("q", capacity)
 		drv := cuda.NewDriver(dev, sim.NewClock(), sim.DefaultCostModel())
@@ -292,7 +387,7 @@ func quickInvariants(t *testing.T, capacity int64, cfg Config, count int) (gcRun
 		if seqs++; seqs%2 == 0 {
 			oracleEvery = 5
 		}
-		live, ok := runOpSeq(t, a, ops, oracleEvery)
+		live, ok := runOpSeq(t, a, ops, oracleEvery, &cov)
 		if !ok {
 			return false
 		}
@@ -322,6 +417,9 @@ func quickInvariants(t *testing.T, capacity int64, cfg Config, count int) (gcRun
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: count}); err != nil {
 		t.Fatal(err)
+	}
+	if slices.Contains(cov.passed[:], 0) || slices.Contains(cov.topped[:], 0) {
+		t.Fatalf("candidate probes per pass: %v passed over a block, %v topped up: sequences missed the walk's paths", cov.passed, cov.topped)
 	}
 	return gcRuns, stitchFrees, maxOwners
 }

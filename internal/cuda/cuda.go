@@ -28,13 +28,15 @@
 // granules it covers; each later granule holds ref 0 and span = minus the
 // distance back to the first; an unmapped granule is all zero. A slot holds
 // no pointer, so a page table is one allocation the garbage collector never
-// scans. On the host MemMap costs O(granules of the handle) — index, check
-// the slots are empty, fill them — and MemSetAccess and MemUnmap cost
-// O(granules of the range) through one walk over the mappings a range
-// contains (reservation.next); none of them allocates or calls through a
-// func value. Resolving an address to its reservation is O(1) when it hits
-// the reservation the previous call resolved (allocators map a block's
-// chunks one after another) and O(log reservations) otherwise.
+// scans. On the host one MemMap call costs O(granules of its handles) —
+// index, check the slots are empty, fill them — resolving the reservation
+// once per run of handles it holds and pricing a chunk size once per run of
+// equal sizes, so an allocator maps a block's chunks in one call.
+// MemSetAccess and MemUnmap cost O(granules of the range) through one walk
+// over the mappings a range contains (reservation.next); none of them
+// allocates or calls through a func value. The reservations have one index,
+// a tree keyed by base: resolving an address is O(1) when it hits the
+// reservation the previous call resolved and O(log reservations) otherwise.
 //
 // # Handle table
 //
@@ -56,6 +58,7 @@ package cuda
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/container"
 	"repro/internal/gpu"
@@ -106,11 +109,10 @@ type Driver struct {
 
 	counters Counters
 
-	mallocs      map[DevicePtr]mallocAlloc
-	reservations map[DevicePtr]*reservation
-	resByAddr    container.Tree[*reservation] // keyed by base for range lookup
-	handles      []physical                   // the handle table (see the package comment)
-	freeSlots    []int                        // slots of handles whose memory was reclaimed
+	mallocs   map[DevicePtr]mallocAlloc
+	resByAddr container.Tree[*reservation] // every reservation, keyed by base
+	handles   []physical                   // the handle table (see the package comment)
+	freeSlots []int                        // slots of handles whose memory was reclaimed
 
 	// last is the reservation findReservation resolved last.
 	last *reservation
@@ -154,11 +156,10 @@ type physical struct {
 // NewDriver creates a driver over dev, charging costs from model to clock.
 func NewDriver(dev *gpu.Device, clock *sim.Clock, model *sim.CostModel) *Driver {
 	return &Driver{
-		dev:          dev,
-		clock:        clock,
-		cost:         model,
-		mallocs:      make(map[DevicePtr]mallocAlloc),
-		reservations: make(map[DevicePtr]*reservation),
+		dev:     dev,
+		clock:   clock,
+		cost:    model,
+		mallocs: make(map[DevicePtr]mallocAlloc),
 	}
 }
 
@@ -238,16 +239,16 @@ func (d *Driver) MemAddressReserve(size int64) (DevicePtr, error) {
 	}
 	r.node.Value, r.node.Key = r, container.Key{Hi: int64(ptr)}
 	d.resByAddr.InsertNode(&r.node)
-	d.reservations[ptr] = r
 	return ptr, nil
 }
 
 // MemAddressFree releases a reservation. All mappings must be unmapped first.
 func (d *Driver) MemAddressFree(ptr DevicePtr, size int64) error {
-	r, ok := d.reservations[ptr]
-	if !ok {
+	n := d.resByAddr.Floor(container.Key{Hi: int64(ptr)})
+	if n == nil || n.Value.base != ptr {
 		return fmt.Errorf("%w: MemAddressFree(%#x)", ErrRangeNotFound, uint64(ptr))
 	}
+	r := n.Value
 	if r.size != size {
 		return fmt.Errorf("%w: MemAddressFree size %d != reserved %d", ErrInvalidValue, size, r.size)
 	}
@@ -258,7 +259,6 @@ func (d *Driver) MemAddressFree(ptr DevicePtr, size int64) error {
 	d.counters.AddressFree++
 	d.dev.ReleaseVA(uint64(ptr), size)
 	d.resByAddr.Delete(&r.node)
-	delete(d.reservations, ptr)
 	if d.last == r {
 		d.last = nil
 	}
@@ -319,41 +319,56 @@ func (d *Driver) MemRelease(h MemHandle) error {
 	return nil
 }
 
-// MemMap maps the whole physical handle h at address ptr, which must lie on
-// a granule boundary inside a reservation with enough room and no
-// overlapping mapping.
-func (d *Driver) MemMap(ptr DevicePtr, h MemHandle) error {
-	p := d.handle(h)
-	if p == nil {
-		return fmt.Errorf("%w: MemMap handle %d", ErrInvalidHandle, h)
-	}
-	r := d.findReservation(ptr, p.size)
-	if r == nil {
-		return fmt.Errorf("%w: MemMap(%#x, %d bytes)", ErrRangeNotFound, uint64(ptr), p.size)
-	}
-	off := int64(ptr - r.base)
-	if off%ChunkGranularity != 0 {
-		return fmt.Errorf("%w: MemMap(%#x): not aligned to %d", ErrInvalidValue, uint64(ptr), ChunkGranularity)
-	}
-	lo, k := int(off/ChunkGranularity), int(p.size/ChunkGranularity)
-	for _, s := range r.slots[lo : lo+k] {
-		if s.span != 0 {
-			return fmt.Errorf("%w: [%#x,%#x)", ErrAlreadyMapped, uint64(ptr), uint64(ptr)+uint64(p.size))
+// MemMap maps the whole physical handles hs one after another from ptr:
+// each lands where the previous one ends, on a granule boundary inside a
+// reservation with enough room and no overlapping mapping. It acts exactly
+// as one cuMemMap per handle in turn: it stops at the first handle that
+// fails, returning that handle's error, and leaves the ones before it
+// mapped. On the host it resolves the reservation once per run of handles
+// the reservation holds and prices a chunk size once per run of equal sizes.
+func (d *Driver) MemMap(ptr DevicePtr, hs ...MemHandle) error {
+	var r *reservation
+	var priced int64
+	var cost time.Duration
+	for _, h := range hs {
+		p := d.handle(h)
+		if p == nil {
+			return fmt.Errorf("%w: MemMap handle %d", ErrInvalidHandle, h)
 		}
+		if r == nil || !r.holds(ptr, p.size) {
+			if r = d.findReservation(ptr, p.size); r == nil {
+				return fmt.Errorf("%w: MemMap(%#x, %d bytes)", ErrRangeNotFound, uint64(ptr), p.size)
+			}
+		}
+		off := int64(ptr - r.base)
+		if off%ChunkGranularity != 0 {
+			return fmt.Errorf("%w: MemMap(%#x): not aligned to %d", ErrInvalidValue, uint64(ptr), ChunkGranularity)
+		}
+		lo, k := int(off/ChunkGranularity), int(p.size/ChunkGranularity)
+		for _, s := range r.slots[lo : lo+k] {
+			if s.span != 0 {
+				return fmt.Errorf("%w: [%#x,%#x)", ErrAlreadyMapped, uint64(ptr), uint64(ptr)+uint64(p.size))
+			}
+		}
+		if p.size != priced {
+			priced, cost = p.size, d.cost.MemMap(p.size)
+		}
+		d.clock.Advance(cost)
+		d.counters.MemMap++
+		r.slots[lo] = slot{ref: uint32(h), span: int32(k)}
+		for i := 1; i < k; i++ {
+			r.slots[lo+i].span = int32(-i)
+		}
+		r.live++
+		p.mapCount++
+		ptr += DevicePtr(p.size)
 	}
-	d.clock.Advance(d.cost.MemMap(p.size))
-	d.counters.MemMap++
-	r.slots[lo] = slot{ref: uint32(h), span: int32(k)}
-	for i := 1; i < k; i++ {
-		r.slots[lo+i].span = int32(-i)
-	}
-	r.live++
-	p.mapCount++
 	return nil
 }
 
 // MemSetAccess enables access on [ptr, ptr+size), which must exactly cover
-// one or more existing mappings. A call that fails changes nothing.
+// one or more existing mappings. A call that fails changes nothing. It
+// prices a mapping size once per run of equal sizes.
 func (d *Driver) MemSetAccess(ptr DevicePtr, size int64) error {
 	r := d.findReservation(ptr, size)
 	if r == nil {
@@ -369,10 +384,15 @@ func (d *Driver) MemSetAccess(ptr DevicePtr, size int64) error {
 	if covered != size {
 		return fmt.Errorf("%w: MemSetAccess covers %d of %d bytes", ErrNotMapped, covered, size)
 	}
+	var priced int32
+	var cost time.Duration
 	for i := r.next(lo, hi); i < hi; i = r.next(i, hi) {
 		s := &r.slots[i]
 		if s.ref&accessBit == 0 {
-			d.clock.Advance(d.cost.MemSetAccess(int64(s.span) * ChunkGranularity))
+			if s.span != priced {
+				priced, cost = s.span, d.cost.MemSetAccess(int64(s.span)*ChunkGranularity)
+			}
+			d.clock.Advance(cost)
 			d.counters.MemSet++
 			s.ref |= accessBit
 		}
@@ -409,8 +429,8 @@ func (d *Driver) MemUnmap(ptr DevicePtr, size int64) error {
 // (each mapping counted once; shared physical chunks counted per mapping).
 func (d *Driver) MappedBytes() int64 {
 	var granules int64
-	for _, r := range d.reservations {
-		for _, s := range r.slots {
+	for n := d.resByAddr.Min(); n != nil; n = d.resByAddr.Next(n) {
+		for _, s := range n.Value.slots {
 			granules += int64(max(s.span, 0))
 		}
 	}

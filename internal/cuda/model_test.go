@@ -3,6 +3,7 @@ package cuda
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -218,7 +219,7 @@ func (m *refDriver) mappedBytes() int64 {
 
 // checkInvariants validates the page tables against the handles they
 // reference, the handle table against its free list, and the driver's
-// reservation indexes.
+// reservation index.
 func (d *Driver) checkInvariants() error {
 	spare := make(map[int]bool)
 	for _, i := range d.freeSlots {
@@ -233,10 +234,15 @@ func (d *Driver) checkInvariants() error {
 		return i >= 0 && i < len(d.handles) && !spare[i]
 	}
 	refs := make(map[int]int) // first granules naming each slot
-	for base, r := range d.reservations {
-		if r.base != base || len(r.slots) != int(r.size/ChunkGranularity) {
-			return fmt.Errorf("reservation %#x: base %#x, %d slots for %d bytes", uint64(base), uint64(r.base), len(r.slots), r.size)
+	lastMemoLive := d.last == nil
+	var prevEnd DevicePtr
+	for n := d.resByAddr.Min(); n != nil; n = d.resByAddr.Next(n) {
+		r, base := n.Value, DevicePtr(n.Key.Hi)
+		if r.base != base || &r.node != n || len(r.slots) != int(r.size/ChunkGranularity) || r.base < prevEnd {
+			return fmt.Errorf("reservation %#x: base %#x, %d slots for %d bytes, or overlapping the one below", uint64(base), uint64(r.base), len(r.slots), r.size)
 		}
+		prevEnd = r.base + DevicePtr(r.size)
+		lastMemoLive = lastMemoLive || d.last == r
 		live := 0
 		for i := 0; i < len(r.slots); {
 			s := r.slots[i]
@@ -282,18 +288,65 @@ func (d *Driver) checkInvariants() error {
 			return fmt.Errorf("handle %d: released and unmapped but not reclaimed", id)
 		}
 	}
-	if d.resByAddr.Len() != len(d.reservations) {
-		return fmt.Errorf("address index holds %d reservations, table %d", d.resByAddr.Len(), len(d.reservations))
-	}
-	if d.last != nil && d.reservations[d.last.base] != d.last {
+	if !lastMemoLive {
 		return fmt.Errorf("last-reservation memo points at freed reservation %#x", uint64(d.last.base))
 	}
 	return nil
 }
 
+// mapEach maps hs one after another from ptr with one call per handle,
+// stopping at the first that fails — what a MemMap over several handles
+// stands for. size returns a handle's size, asked only once it has mapped.
+func mapEach(mapOne func(DevicePtr, MemHandle) error, size func(MemHandle) int64, ptr DevicePtr, hs []MemHandle) (mapped int, err error) {
+	for _, h := range hs {
+		if err := mapOne(ptr, h); err != nil {
+			return mapped, err
+		}
+		ptr += DevicePtr(size(h))
+		mapped++
+	}
+	return mapped, nil
+}
+
+// sameDriverState reports where two drivers' observable VMM state differs:
+// the clock, the counters, the handle table and every reservation's page
+// table.
+func sameDriverState(d, e *Driver) error {
+	if d.Clock().Now() != e.Clock().Now() {
+		return fmt.Errorf("clock %v, per-handle twin %v", d.Clock().Now(), e.Clock().Now())
+	}
+	if d.Counters() != e.Counters() {
+		return fmt.Errorf("Counters %+v, per-handle twin %+v", d.Counters(), e.Counters())
+	}
+	if !slices.Equal(d.handles, e.handles) || !slices.Equal(d.freeSlots, e.freeSlots) {
+		return fmt.Errorf("handle tables differ from the per-handle twin's")
+	}
+	n, o := d.resByAddr.Min(), e.resByAddr.Min()
+	for ; n != nil && o != nil; n, o = d.resByAddr.Next(n), e.resByAddr.Next(o) {
+		if r, q := n.Value, o.Value; r.base != q.base || r.live != q.live || !slices.Equal(r.slots, q.slots) {
+			return fmt.Errorf("page table of reservation %#x differs from the per-handle twin's %#x", uint64(r.base), uint64(q.base))
+		}
+	}
+	if n != nil || o != nil {
+		return fmt.Errorf("%d reservations, per-handle twin %d", d.resByAddr.Len(), e.resByAddr.Len())
+	}
+	return nil
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
 // TestDriverAgainstModel drives random VMM call sequences — valid ones and
 // every flavour of invalid one — through the driver and the naive model, and
-// compares everything a caller can observe after each call.
+// compares everything a caller can observe after each call. A MemMap names
+// one to four handles; a twin driver takes the same calls but maps them one
+// call per handle, and must end every call with the same error text, clock,
+// counters, handle table and page tables (CONTRACTS.md A-2).
 func TestDriverAgainstModel(t *testing.T) {
 	const (
 		capacity = 96 * ChunkGranularity
@@ -305,7 +358,8 @@ func TestDriverAgainstModel(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 7, 42} {
 		rng := sim.NewRNG(seed)
-		d := newTestDriver(capacity)
+		d, twin := newTestDriver(capacity), newTestDriver(capacity)
+		var multiMaps, partialMaps int // MemMaps of several handles that mapped them all, or some
 		m := &refDriver{cost: d.Cost(), free: capacity, handles: make(map[MemHandle]*refHandle)}
 
 		granules := func(max int) int64 { return int64(1+rng.Intn(max)) * ChunkGranularity }
@@ -355,7 +409,7 @@ func TestDriverAgainstModel(t *testing.T) {
 
 		for step := 0; step < steps; step++ {
 			var op string
-			var got, want error
+			var got, got2, want error
 			switch k := rng.Intn(20); {
 			case k < 2:
 				size := granules(16)
@@ -363,18 +417,26 @@ func TestDriverAgainstModel(t *testing.T) {
 					size -= ChunkGranularity / 2
 				}
 				op = fmt.Sprintf("MemAddressReserve(%d)", size)
-				var va DevicePtr
+				var va, va2 DevicePtr
 				va, got = d.MemAddressReserve(size)
+				va2, got2 = twin.MemAddressReserve(size)
 				want = m.reserve(size, va)
+				if va != va2 {
+					t.Fatalf("seed %d step %d: %s = %#x, per-handle twin %#x", seed, step, op, uint64(va), uint64(va2))
+				}
 			case k < 5:
 				size := granules(8)
 				if oneIn(10) {
 					size = ChunkGranularity / 2 * int64(rng.Intn(3))
 				}
 				op = fmt.Sprintf("MemCreate(%d)", size)
-				var h MemHandle
+				var h, h2 MemHandle
 				h, got = d.MemCreate(size)
+				h2, got2 = twin.MemCreate(size)
 				want = m.create(size, h)
+				if h != h2 {
+					t.Fatalf("seed %d step %d: %s = handle %d, per-handle twin %d", seed, step, op, h, h2)
+				}
 				if got == nil {
 					if seen[h] || h == never {
 						t.Fatalf("seed %d step %d: %s = handle %d, issued before or never to be issued", seed, step, op, h)
@@ -384,21 +446,35 @@ func TestDriverAgainstModel(t *testing.T) {
 				}
 			case k < 11:
 				ptr, _ := pickRange()
-				h := anyHandle()
-				op = fmt.Sprintf("MemMap(%#x, %d)", uint64(ptr), h)
-				got, want = d.MemMap(ptr, h), m.mapAt(ptr, h)
+				hs := make([]MemHandle, 1+rng.Intn(4))
+				for i := range hs {
+					hs[i] = anyHandle()
+				}
+				op = fmt.Sprintf("MemMap(%#x, %v)", uint64(ptr), hs)
+				got = d.MemMap(ptr, hs...)
+				size := func(h MemHandle) int64 { return m.handles[h].size }
+				mapOne := func(ptr DevicePtr, h MemHandle) error { return twin.MemMap(ptr, h) }
+				var mapped int
+				mapped, got2 = mapEach(mapOne, size, ptr, hs)
+				_, want = mapEach(m.mapAt, size, ptr, hs)
+				switch {
+				case len(hs) > 1 && got2 == nil:
+					multiMaps++
+				case mapped > 0 && got2 != nil:
+					partialMaps++
+				}
 			case k < 14:
 				ptr, size := pickRange()
 				op = fmt.Sprintf("MemSetAccess(%#x, %d)", uint64(ptr), size)
-				got, want = d.MemSetAccess(ptr, size), m.setAccess(ptr, size)
+				got, got2, want = d.MemSetAccess(ptr, size), twin.MemSetAccess(ptr, size), m.setAccess(ptr, size)
 			case k < 17:
 				ptr, size := pickRange()
 				op = fmt.Sprintf("MemUnmap(%#x, %d)", uint64(ptr), size)
-				got, want = d.MemUnmap(ptr, size), m.unmap(ptr, size)
+				got, got2, want = d.MemUnmap(ptr, size), twin.MemUnmap(ptr, size), m.unmap(ptr, size)
 			case k < 19:
 				h := anyHandle()
 				op = fmt.Sprintf("MemRelease(%d)", h)
-				got, want = d.MemRelease(h), m.release(h)
+				got, got2, want = d.MemRelease(h), twin.MemRelease(h), m.release(h)
 			default:
 				ptr, size := pickRange()
 				if len(m.res) > 0 && !oneIn(4) {
@@ -406,7 +482,14 @@ func TestDriverAgainstModel(t *testing.T) {
 					ptr, size = r.base, r.size
 				}
 				op = fmt.Sprintf("MemAddressFree(%#x, %d)", uint64(ptr), size)
-				got, want = d.MemAddressFree(ptr, size), m.addressFree(ptr, size)
+				got, got2, want = d.MemAddressFree(ptr, size), twin.MemAddressFree(ptr, size), m.addressFree(ptr, size)
+			}
+
+			if errText(got) != errText(got2) {
+				t.Fatalf("seed %d step %d: %s = %v, per-handle twin %v", seed, step, op, got, got2)
+			}
+			if err := sameDriverState(d, twin); err != nil {
+				t.Fatalf("seed %d step %d: %s: %v", seed, step, op, err)
 			}
 
 			if (got == nil) != (want == nil) || !errors.Is(got, want) {
@@ -434,13 +517,100 @@ func TestDriverAgainstModel(t *testing.T) {
 		if m.c.MemMap == 0 || m.c.MemUnmap == 0 || m.c.MemSet == 0 || m.c.AddressFree == 0 || m.c.BytesReleased == 0 {
 			t.Fatalf("seed %d: workload never exercised a success path: %+v", seed, m.c)
 		}
+		if multiMaps == 0 || partialMaps == 0 {
+			t.Fatalf("seed %d: %d MemMaps mapped several handles, %d failed part-way: want both", seed, multiMaps, partialMaps)
+		}
+		t.Logf("seed %d: %d multi, %d partial", seed, multiMaps, partialMaps)
+	}
+}
+
+// TestMemMapStopsAtFirstFailure maps lists of handles that fail part-way —
+// onto an already-mapped granule, through a released handle, off the end of
+// the reservation — and checks that MemMap returns the failing handle's
+// error with the handles before it mapped and none after, leaving the same
+// clock, counters and page table as a driver mapping one handle per call
+// (CONTRACTS.md A-2).
+func TestMemMapStopsAtFirstFailure(t *testing.T) {
+	const g = ChunkGranularity
+	for _, tc := range []struct {
+		name   string
+		at     int64   // granule of the reservation the list starts at
+		sizes  []int64 // granules per handle; 0 names a released handle
+		taken  int64   // granule mapped beforehand, or -1
+		mapped int     // handles mapped before the failure
+		err    error
+	}{
+		{"already mapped granule", 0, []int64{1, 1, 1, 1}, 2, 2, ErrAlreadyMapped},
+		{"stale handle", 0, []int64{1, 0, 1}, -1, 1, ErrInvalidHandle},
+		{"off the reservation", 2, []int64{1, 2}, -1, 1, ErrRangeNotFound},
+		{"whole list", 0, []int64{2, 1, 1}, -1, 3, nil},
+	} {
+		run := func(perHandle bool) (*Driver, []MemHandle, error) {
+			d := newTestDriver(sim.GiB)
+			va, err := d.MemAddressReserve(4 * g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := make([]MemHandle, len(tc.sizes))
+			for i, n := range tc.sizes {
+				if hs[i], err = d.MemCreate(max(n, 1) * g); err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					if err := d.MemRelease(hs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if tc.taken >= 0 {
+				h, err := d.MemCreate(g)
+				if err == nil {
+					err = d.MemMap(va+DevicePtr(tc.taken*g), h)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			ptr := va + DevicePtr(tc.at*g)
+			if !perHandle {
+				return d, hs, d.MemMap(ptr, hs...)
+			}
+			mapOne := func(ptr DevicePtr, h MemHandle) error { return d.MemMap(ptr, h) }
+			size := func(h MemHandle) int64 { return d.handle(h).size }
+			_, err = mapEach(mapOne, size, ptr, hs)
+			return d, hs, err
+		}
+		d, hs, err := run(false)
+		twin, _, err2 := run(true)
+		if errText(err) != errText(err2) || (err == nil) != (tc.err == nil) || !errors.Is(err, tc.err) {
+			t.Errorf("%s: MemMap = %v, per-handle calls %v, want %v", tc.name, err, err2, tc.err)
+		}
+		if err := sameDriverState(d, twin); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		for i, h := range hs {
+			want := 0
+			if i < tc.mapped {
+				want = 1
+			}
+			if p := d.handle(h); p != nil && p.mapCount != want {
+				t.Errorf("%s: handle %d of the list mapped %d times, want %d", tc.name, i, p.mapCount, want)
+			}
+		}
+		want := int64(tc.mapped)
+		if tc.taken >= 0 {
+			want++
+		}
+		if got := d.Counters().MemMap; got != want {
+			t.Errorf("%s: %d cuMemMap calls counted, want %d", tc.name, got, want)
+		}
 	}
 }
 
 // TestMemMapAllocationFree pins the host cost of the mapping hot path: on a
 // warm reservation MemMap, MemSetAccess and MemUnmap allocate nothing, both
 // when every call resolves the reservation the previous one did and when
-// every call has to search for it.
+// every call has to search for it, and when one MemMap maps every chunk.
 func TestMemMapAllocationFree(t *testing.T) {
 	const n = 16
 	d := newTestDriver(sim.GiB)
@@ -482,6 +652,20 @@ func TestMemMapAllocationFree(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(50, cycle(0, 1)); got != 0 {
 		t.Errorf("alternating reservations (memo miss on every call): %.1f allocs per cycle, want 0", got)
+	}
+	whole := func() {
+		if err := d.MemMap(vas[0], handles[0][:]...); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.MemSetAccess(vas[0], n*ChunkGranularity); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.MemUnmap(vas[0], n*ChunkGranularity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(50, whole); got != 0 {
+		t.Errorf("all chunks in one MemMap call: %.1f allocs per cycle, want 0", got)
 	}
 	// Freeing the memoised reservation must leave lookups working and free.
 	if err := d.MemAddressFree(vas[1], n*ChunkGranularity); err != nil {

@@ -290,7 +290,7 @@ func (e *Env) Headline() *Table {
 			continue
 		}
 		completed++
-		saved := float64(base.PeakReserved-gml.PeakReserved) / float64(1<<30)
+		saved := float64(float64(base.PeakReserved-gml.PeakReserved) / float64(1<<30))
 		fragDrop := base.Fragmentation() - gml.Fragmentation()
 		sumSaved += saved
 		sumFragDrop += fragDrop

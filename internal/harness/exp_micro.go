@@ -74,14 +74,7 @@ func (e *Env) timeVMM(block, chunk int64) vmmTimes {
 		}
 		return nil
 	})
-	timed(&v.mapped, func() error {
-		for i, h := range handles {
-			if err := d.MemMap(va+cuda.DevicePtr(int64(i)*chunk), h); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	timed(&v.mapped, func() error { return d.MemMap(va, handles...) })
 	timed(&v.access, func() error { return d.MemSetAccess(va, block) })
 	return v
 }

@@ -184,7 +184,7 @@ func meanCV(xs []float64) (mean, cv float64) {
 	var ss float64
 	for _, x := range xs {
 		d := x - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	std := math.Sqrt(ss / float64(len(xs)))
 	return mean, std / mean

@@ -303,7 +303,7 @@ func (f *faultSource) pop() FaultEvent {
 // CDF, floored at 1ns so consecutive events never collapse onto one
 // instant.
 func expDur(rng *sim.RNG, mean time.Duration) time.Duration {
-	d := time.Duration(-math.Log(1-rng.Float64()) * float64(mean))
+	d := time.Duration(-math.Log(1-float64(rng.Float64())) * float64(mean))
 	if d < time.Nanosecond {
 		d = time.Nanosecond
 	}

@@ -329,8 +329,8 @@ func (c *clusterSched) seal() ClusterReport {
 			r.state = replicaStopped
 		}
 		rep.ReplicaSeconds += r.busy
-		weightedSpan += r.capacity * float64(r.busy)
-		weightedDown += r.capacity * float64(r.downTotal)
+		weightedSpan += float64(r.capacity * float64(r.busy))
+		weightedDown += float64(r.capacity * float64(r.downTotal))
 	}
 	if weightedSpan > 0 {
 		rep.Availability = 1 - weightedDown/weightedSpan

@@ -165,7 +165,7 @@ func (m *CostModel) perChunk(chunkSize int64, op chunkOp) time.Duration {
 			t := (x - lo.log2MiB) / (hi.log2MiB - lo.log2MiB)
 			// Interpolate in log(cost) so the Figure 6 curve is smooth
 			// on its log axis.
-			ms = math.Exp(math.Log(lo.ms[op])*(1-t) + math.Log(hi.ms[op])*t)
+			ms = math.Exp(float64(math.Log(lo.ms[op])*(1-t)) + float64(math.Log(hi.ms[op])*t))
 			break
 		}
 	}

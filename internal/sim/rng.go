@@ -54,7 +54,7 @@ func (r *RNG) Jitter(v int64, spread float64) int64 {
 	if spread <= 0 {
 		return v
 	}
-	f := 1 + spread*(2*r.Float64()-1)
+	f := 1 + float64(spread*(2*float64(r.Float64())-1))
 	out := int64(math.Round(float64(v) * f))
 	if out < 1 {
 		out = 1
