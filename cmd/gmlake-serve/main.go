@@ -264,7 +264,8 @@ func main() {
 		w := cc.Overrides[i].Capacity
 		caps = append(caps, w)
 		if w > 0 && w != 1 {
-			b := int(w*float64(*batch) + 0.5)
+			// float64 rounds the product, so arm64 cannot fuse it with the add.
+			b := int(float64(w*float64(*batch)) + 0.5)
 			if b < 1 {
 				b = 1 // a 0 override would mean "inherit the full batch"
 			}

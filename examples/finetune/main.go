@@ -12,7 +12,14 @@ import (
 	"fmt"
 	"log"
 
-	gmlake "repro"
+	"repro/internal/caching"
+	"repro/internal/core"
+	"repro/internal/cuda"
+	"repro/internal/gpu"
+	"repro/internal/memalloc"
+	"repro/internal/model"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 const (
@@ -21,9 +28,9 @@ const (
 )
 
 func main() {
-	spec := gmlake.TrainSpec{
-		Model:    gmlake.OPT13B,
-		Strategy: gmlake.StrategyLRO,
+	spec := workload.Spec{
+		Model:    model.OPT13B,
+		Strategy: workload.StrategyLRO,
 		World:    4,  // ZeRO-3 over 4 GPUs
 		Batch:    24, // per-GPU micro-batch
 		Seed:     7,
@@ -33,20 +40,20 @@ func main() {
 
 	type outcome struct {
 		name       string
-		stats      gmlake.Stats
+		stats      memalloc.Stats
 		throughput float64
 	}
 	var results []outcome
 
 	for _, which := range []string{"caching", "gmlake"} {
-		sys := gmlake.NewSystem(80 * gmlake.GiB)
-		var alloc gmlake.MemoryAllocator
+		drv := cuda.NewDriver(gpu.NewDevice("sim-gpu", 80*sim.GiB), sim.NewClock(), sim.DefaultCostModel())
+		var alloc memalloc.Allocator
 		if which == "gmlake" {
-			alloc = gmlake.New(sys.Driver)
+			alloc = core.NewDefault(drv)
 		} else {
-			alloc = gmlake.NewCaching(sys.Driver)
+			alloc = caching.New(drv)
 		}
-		tr, err := gmlake.NewTrainer(spec, alloc, sys.Clock)
+		tr, err := workload.NewTrainer(spec, alloc, drv.Clock())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,13 +65,13 @@ func main() {
 				log.Fatalf("%s: step %d: %v", which, i, err)
 			}
 		}
-		start := sys.Clock.Now()
+		start := drv.Clock().Now()
 		for i := 0; i < measuredSteps; i++ {
 			if err := tr.Step(); err != nil {
 				log.Fatalf("%s: measured step: %v", which, err)
 			}
 		}
-		elapsed := (sys.Clock.Now() - start).Seconds()
+		elapsed := (drv.Clock().Now() - start).Seconds()
 		thr := float64(measuredSteps*spec.Batch*spec.World) / elapsed
 		results = append(results, outcome{which, alloc.Stats(), thr})
 		tr.Teardown()
@@ -75,11 +82,11 @@ func main() {
 	for _, r := range results {
 		fmt.Printf("%-10s %13.1fG %13.1fG %11.1f%% %11.1f/s\n",
 			r.name,
-			float64(r.stats.PeakActive)/float64(gmlake.GiB),
-			float64(r.stats.PeakReserved)/float64(gmlake.GiB),
+			float64(r.stats.PeakActive)/float64(sim.GiB),
+			float64(r.stats.PeakReserved)/float64(sim.GiB),
 			100*r.stats.Utilization(), r.throughput)
 	}
 	saved := results[0].stats.PeakReserved - results[1].stats.PeakReserved
 	fmt.Printf("\nGMLake saves %.1f GB of reserved GPU memory on this workload.\n",
-		float64(saved)/float64(gmlake.GiB))
+		float64(saved)/float64(sim.GiB))
 }

@@ -13,25 +13,29 @@ import (
 	"fmt"
 	"log"
 
-	gmlake "repro"
+	"repro/internal/core"
+	"repro/internal/cuda"
+	"repro/internal/gpu"
+	"repro/internal/memalloc"
+	"repro/internal/sim"
 )
 
 func main() {
 	// An 8 GB simulated GPU with the paper-calibrated driver cost model.
-	sys := gmlake.NewSystem(8 * gmlake.GiB)
-	alloc := gmlake.New(sys.Driver)
+	drv := cuda.NewDriver(gpu.NewDevice("sim-gpu", 8*sim.GiB), sim.NewClock(), sim.DefaultCostModel())
+	alloc := core.NewDefault(drv)
 
 	// Allocate four scattered 512 MB tensors and free them.
-	var bufs []*gmlake.Buffer
+	var bufs []*memalloc.Buffer
 	for i := 0; i < 4; i++ {
-		b, err := alloc.Alloc(512 * gmlake.MiB)
+		b, err := alloc.Alloc(512 * sim.MiB)
 		if err != nil {
 			log.Fatal(err)
 		}
 		bufs = append(bufs, b)
 	}
 	fmt.Printf("after 4x512MB allocations: reserved=%s, device used=%s\n",
-		gb(alloc.Stats().Reserved), gb(sys.Device.Used()))
+		gb(alloc.Stats().Reserved), gb(drv.Device().Used()))
 
 	for _, b := range bufs {
 		alloc.Free(b)
@@ -42,7 +46,7 @@ func main() {
 	// A 2 GB request: no single free block is big enough, but stitching
 	// fuses the four 512 MB blocks into one contiguous virtual range
 	// without allocating any new physical memory.
-	big, err := alloc.Alloc(2 * gmlake.GiB)
+	big, err := alloc.Alloc(2 * sim.GiB)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +58,7 @@ func main() {
 
 	// The stitched block is now cached: the same request again is an S1
 	// exact match with zero driver work.
-	big2, err := alloc.Alloc(2 * gmlake.GiB)
+	big2, err := alloc.Alloc(2 * sim.GiB)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func main() {
 
 	st := alloc.Stats()
 	fmt.Printf("\nfinal stats: peak active=%s, peak reserved=%s, utilization=%.1f%%, simulated time=%v\n",
-		gb(st.PeakActive), gb(st.PeakReserved), 100*st.Utilization(), sys.Clock.Now())
+		gb(st.PeakActive), gb(st.PeakReserved), 100*st.Utilization(), drv.Clock().Now())
 }
 
-func gb(n int64) string { return fmt.Sprintf("%.2fGB", float64(n)/float64(gmlake.GiB)) }
+func gb(n int64) string { return fmt.Sprintf("%.2fGB", float64(n)/float64(sim.GiB)) }

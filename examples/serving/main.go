@@ -80,23 +80,36 @@ import (
 	"reflect"
 	"time"
 
-	gmlake "repro"
+	"repro/internal/caching"
+	"repro/internal/core"
+	"repro/internal/cuda"
+	"repro/internal/gpu"
+	"repro/internal/memalloc"
+	"repro/internal/model"
+	"repro/internal/reqtrace"
+	"repro/internal/serve"
+	"repro/internal/servegen"
+	"repro/internal/sim"
 )
 
 func main() {
-	mix := gmlake.MixedBurstyMix()
-	reqs, err := gmlake.GenMixRequests(mix, 150, 7)
+	mix := servegen.MixedBursty()
+	reqs, err := mix.Generate(150, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := gmlake.OPT1_3B
-	srvCfg := gmlake.ServeConfig{MaxBatch: 24}
-	const capacity = 3 * gmlake.GiB / 2
+	cfg := model.OPT1_3B
+	srvCfg := serve.ServerConfig{MaxBatch: 24}
+	const capacity = 3 * sim.GiB / 2
+	// Every run gets its own simulated GPU, driver and clock.
+	newDriver := func() *cuda.Driver {
+		return cuda.NewDriver(gpu.NewDevice("sim-gpu", capacity), sim.NewClock(), sim.DefaultCostModel())
+	}
 
 	fmt.Printf("mix %s: %d requests over %d client classes, %.1f req/s aggregate\n\n",
 		mix.Name, len(reqs), len(mix.Classes), mix.Rate)
 
-	show := func(policy, pool string, rep gmlake.ServeReport, st gmlake.Stats) {
+	show := func(policy, pool string, rep serve.Report, st memalloc.Stats) {
 		fmt.Printf("%s over %s: served %d in %s virtual, %d preemptions, pool util %.1f%%, reserved %s\n",
 			policy, pool, rep.Served, rep.Duration.Round(time.Millisecond), rep.Preemptions,
 			100*st.Utilization(), gb(st.PeakReserved))
@@ -112,10 +125,9 @@ func main() {
 
 	// Pad-to-max baseline.
 	{
-		sys := gmlake.NewSystem(capacity)
-		alloc := gmlake.NewCaching(sys.Driver)
-		mgr := gmlake.NewContiguousKV(alloc, cfg, 1024)
-		rep, err := gmlake.ServeRequests(reqs, mgr, srvCfg)
+		alloc := caching.New(newDriver())
+		mgr := serve.NewContiguousKV(alloc, cfg, 1024)
+		rep, err := serve.Serve(reqs, mgr, srvCfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -124,13 +136,12 @@ func main() {
 
 	// vLLM-style paging.
 	{
-		sys := gmlake.NewSystem(capacity)
-		alloc := gmlake.NewCaching(sys.Driver)
-		mgr, err := gmlake.NewPagedKV(alloc, cfg, 16, 448)
+		alloc := caching.New(newDriver())
+		mgr, err := serve.NewPagedKV(alloc, cfg, 16, 448)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := gmlake.ServeRequests(reqs, mgr, srvCfg)
+		rep, err := serve.Serve(reqs, mgr, srvCfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -140,15 +151,15 @@ func main() {
 
 	// Ordinary-allocator growth, caching vs GMLake underneath.
 	for _, pool := range []string{"caching", "gmlake"} {
-		sys := gmlake.NewSystem(capacity)
-		var alloc gmlake.MemoryAllocator
+		drv := newDriver()
+		var alloc memalloc.Allocator
 		if pool == "gmlake" {
-			alloc = gmlake.New(sys.Driver)
+			alloc = core.NewDefault(drv)
 		} else {
-			alloc = gmlake.NewCaching(sys.Driver)
+			alloc = caching.New(drv)
 		}
-		mgr := gmlake.NewChunkedKV(alloc, cfg, 64)
-		rep, err := gmlake.ServeRequests(reqs, mgr, srvCfg)
+		mgr := serve.NewChunkedKV(alloc, cfg, 64)
+		rep, err := serve.Serve(reqs, mgr, srvCfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -167,19 +178,18 @@ func main() {
 	// manager; join-shortest-queue dispatch routes each arrival to the
 	// least-loaded replica, and priority aging keeps the batch tenant from
 	// starving while the interactive tenants saturate admission.
-	overload, err := gmlake.GenMixRequests(mix.WithRate(4*mix.Rate), 150, 7)
+	overload, err := mix.WithRate(4*mix.Rate).Generate(150, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
-	newMgr := func(int) gmlake.KVCacheManager {
-		sys := gmlake.NewSystem(capacity)
-		return gmlake.NewChunkedKV(gmlake.New(sys.Driver), cfg, 64)
+	newMgr := func(int) serve.CacheManager {
+		return serve.NewChunkedKV(core.NewDefault(newDriver()), cfg, 64)
 	}
 	for _, aging := range []time.Duration{0, 2 * time.Second} {
-		rep, err := gmlake.ServeClusterRequests(overload, newMgr, gmlake.ServeClusterConfig{
+		rep, err := serve.ServeCluster(overload, newMgr, serve.ClusterConfig{
 			Replicas: 3,
-			Dispatch: gmlake.DispatchJSQ,
-			Server:   gmlake.ServeConfig{MaxBatch: 4, Aging: aging},
+			Dispatch: serve.DispatchJSQ,
+			Server:   serve.ServerConfig{MaxBatch: 4, Aging: aging},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -218,12 +228,12 @@ func main() {
 	// marked draining, empties, and leaves — its replica-seconds stop
 	// accruing there, while a static 3-replica fleet pays 3 x makespan.
 	for _, steal := range []bool{false, true} {
-		rep, err := gmlake.ServeClusterRequests(overload, newMgr, gmlake.ServeClusterConfig{
+		rep, err := serve.ServeCluster(overload, newMgr, serve.ClusterConfig{
 			MinReplicas: 1,
 			MaxReplicas: 3,
 			Steal:       steal,
-			Dispatch:    gmlake.DispatchJSQ,
-			Server:      gmlake.ServeConfig{MaxBatch: 4},
+			Dispatch:    serve.DispatchJSQ,
+			Server:      serve.ServerConfig{MaxBatch: 4},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -244,7 +254,7 @@ func main() {
 			rep.E2E.P99.Round(time.Millisecond))
 	}
 	fmt.Println()
-	fmt.Println("a heterogeneous fleet sets ServeClusterConfig.Overrides: serve.ReplicaOverride{Capacity: 2,")
+	fmt.Println("a heterogeneous fleet sets serve.ClusterConfig.Overrides: serve.ReplicaOverride{Capacity: 2,")
 	fmt.Println("MaxBatch: 8} makes replica 0 a double-size instance, and jsq/least-kv divide its")
 	fmt.Println("observed load by the weight so it legitimately absorbs twice the demand.")
 	fmt.Println()
@@ -272,19 +282,19 @@ func main() {
 	// rejects a request at admission the moment its minimum service time
 	// cannot fit inside what remains of the deadline, freeing the batch
 	// slot for a request that can still make it.
-	plan, err := gmlake.ParseServeFaultPlan("crash@t=6s:r1/restart@t=8s:r1")
+	plan, err := serve.ParseFaultPlan("crash@t=6s:r1/restart@t=8s:r1")
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, recov := range []gmlake.ServeRecoveryConfig{
+	for _, recov := range []serve.RecoveryConfig{
 		{},           // abandon crashed in-flight work
 		{Retries: 3}, // retry it, default 50ms delay doubling per attempt
 	} {
-		rep, err := gmlake.ServeClusterRequests(overload, newMgr, gmlake.ServeClusterConfig{
+		rep, err := serve.ServeCluster(overload, newMgr, serve.ClusterConfig{
 			Replicas: 3,
-			Dispatch: gmlake.DispatchJSQ,
-			Server:   gmlake.ServeConfig{MaxBatch: 4, Timeout: 60 * time.Second, Shed: true},
-			Faults:   gmlake.ServeFaultConfig{Plan: plan},
+			Dispatch: serve.DispatchJSQ,
+			Server:   serve.ServerConfig{MaxBatch: 4, Timeout: 60 * time.Second, Shed: true},
+			Faults:   serve.FaultConfig{Plan: plan},
 			Recovery: recov,
 		})
 		if err != nil {
@@ -301,7 +311,7 @@ func main() {
 	fmt.Println()
 	fmt.Println("faults fire only at event boundaries of the co-simulation, so a faulty run is")
 	fmt.Println("exactly as deterministic as a fault-free one: same seed and plan, byte-identical")
-	fmt.Println("report. Seeded MTTF/MTTR streams (ServeFaultConfig{MTTF, MTTR, Seed}) replace the")
+	fmt.Println("report. Seeded MTTF/MTTR streams (serve.FaultConfig{MTTF, MTTR, Seed}) replace the")
 	fmt.Println("script for statistical fault processes; the conf keys are mttf, mttr, fault_plan,")
 	fmt.Println("timeout, retries, backoff, retry_budget and shed (same flags on gmlake-serve).")
 	fmt.Println()
@@ -325,23 +335,23 @@ func main() {
 	// The comparison below is the policy's whole trade, measured: affinity
 	// converts misses into hits and cuts interactive TTFT, at the price of
 	// a stickier (less balanced) assignment than pure jsq.
-	sessMix := gmlake.ChatSessionsMix()
-	sessReqs, err := gmlake.GenMixRequests(sessMix, 150, 7)
+	sessMix := servegen.ChatSessions()
+	sessReqs, err := sessMix.Generate(150, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("mix %s: %d requests (multi-turn sessions over a batch floor)\n", sessMix.Name, len(sessReqs))
-	for _, d := range []gmlake.DispatchPolicy{gmlake.DispatchSessionAffinity, gmlake.DispatchJSQ} {
-		rep, err := gmlake.ServeClusterRequests(sessReqs, newMgr, gmlake.ServeClusterConfig{
+	for _, d := range []serve.DispatchPolicy{serve.DispatchSessionAffinity, serve.DispatchJSQ} {
+		rep, err := serve.ServeCluster(sessReqs, newMgr, serve.ClusterConfig{
 			Replicas: 4,
 			Dispatch: d,
-			Server:   gmlake.ServeConfig{MaxBatch: 8, PrefixReuse: true},
+			Server:   serve.ServerConfig{MaxBatch: 8, PrefixReuse: true},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		label := string(d)
-		if d == gmlake.DispatchSessionAffinity {
+		if d == serve.DispatchSessionAffinity {
 			label = "session-affinity/jsq"
 		}
 		fmt.Printf("  %-20s TTFT p50 %4dms p99 %4dms  %3d hits %3d misses  %5d tokens reused  %3d affinity-routed  assigned %v\n",
@@ -370,35 +380,34 @@ func main() {
 	defer os.RemoveAll(dir)
 	tracePath := filepath.Join(dir, "captured.jsonl")
 
-	capture := gmlake.NewRequestCapture()
+	capture := reqtrace.NewCapture()
 	{
-		sys := gmlake.NewSystem(capacity)
-		mgr := gmlake.NewChunkedKV(gmlake.New(sys.Driver), cfg, 64)
+		mgr := serve.NewChunkedKV(core.NewDefault(newDriver()), cfg, 64)
 		srvCfg := srvCfg
 		srvCfg.OnComplete = capture.Hook()
-		if _, err := gmlake.ServeRequests(reqs, mgr, srvCfg); err != nil {
+		if _, err := serve.Serve(reqs, mgr, srvCfg); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if err := capture.Trace().WriteFile(tracePath); err != nil {
 		log.Fatal(err)
 	}
-	loaded, err := gmlake.ReadRequestTrace(tracePath)
+	loaded, err := reqtrace.ReadFile(tracePath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	replayed, err := loaded.Replay(gmlake.TraceReplayOptions{})
+	replayed, err := loaded.Replay(reqtrace.ReplayOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("captured %d completed requests into %s; replay identical to the generated stream: %v\n",
 		capture.Count(), filepath.Base(tracePath), reflect.DeepEqual(replayed, reqs))
 
-	fitted, err := gmlake.FitRequestTrace(loaded)
+	fitted, err := reqtrace.Fit(loaded)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fitErr, err := gmlake.RequestTraceFitError(loaded, fitted, len(reqs), 7)
+	fitErr, err := reqtrace.FitError(loaded, fitted, len(reqs), 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -419,7 +428,7 @@ func main() {
 
 	// Streaming percentiles: every latency table above was exact — each
 	// digest retains raw samples and applies the exact nearest-rank rule
-	// up to ServeConfig.ExactSamples values (default 8192, so small runs
+	// up to ServerConfig.ExactSamples values (default 8192, so small runs
 	// like this one render byte-identically to the historical tables). One
 	// sample past
 	// the threshold the digest spills into a fixed-size deterministic
@@ -430,12 +439,11 @@ func main() {
 	// ones, and the retained/sketched sample counts show the footprint
 	// trade directly. The conf key is exact_samples:<n>
 	// (-exact-samples on gmlake-serve and gmlake-bench).
-	serveWith := func(exactSamples int) gmlake.ServeReport {
-		sys := gmlake.NewSystem(capacity)
-		mgr := gmlake.NewChunkedKV(gmlake.New(sys.Driver), cfg, 64)
+	serveWith := func(exactSamples int) serve.Report {
+		mgr := serve.NewChunkedKV(core.NewDefault(newDriver()), cfg, 64)
 		cfg := srvCfg
 		cfg.ExactSamples = exactSamples
-		rep, err := gmlake.ServeRequests(reqs, mgr, cfg)
+		rep, err := serve.Serve(reqs, mgr, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -448,4 +456,4 @@ func main() {
 		sketchRep.E2E.P50, sketchRep.E2E.P99, sketchRep.RetainedSamples, sketchRep.SketchedSamples)
 }
 
-func gb(n int64) string { return fmt.Sprintf("%.2f GB", float64(n)/float64(gmlake.GiB)) }
+func gb(n int64) string { return fmt.Sprintf("%.2f GB", float64(n)/float64(sim.GiB)) }

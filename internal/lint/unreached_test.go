@@ -19,12 +19,12 @@ var stdInterfaceMethods = []string{
 
 // TestNoTestOnlyAPI pins the set of declared functions that no program in
 // the module can reach. The walk follows Node.Calls from every main and
-// init, every exported function of the root facade package, every function
-// a package-level initializer references, and every method whose name an
-// interface in the module (or stdInterfaceMethods) declares — calls through
-// interfaces create no edge, so implementations are assumed live. What is
-// left, outside benchmark/, is called by tests only or by nothing, and must
-// equal testdata/unreached.golden: one `pkg.Func — why it stays` per line.
+// init, every function a package-level initializer references, and every
+// method whose name an interface in the module (or stdInterfaceMethods)
+// declares — calls through interfaces create no edge, so implementations
+// are assumed live. What is left, outside benchmark/, is called by tests
+// only or by nothing, and must equal testdata/unreached.golden: one
+// `pkg.Func — why it stays` per line.
 // A new function that only tests call fails here until it is used, deleted
 // or justified in that file.
 func TestNoTestOnlyAPI(t *testing.T) {
@@ -85,8 +85,6 @@ func TestNoTestOnlyAPI(t *testing.T) {
 		switch name := n.Obj.Name(); {
 		case sig.Recv() == nil && (name == "main" || name == "init"):
 			root(n)
-		case sig.Recv() == nil && n.Pkg.Dir == l.root && n.Obj.Exported():
-			root(n)
 		case sig.Recv() != nil && ifaceMethods[name]:
 			root(n)
 		}
@@ -135,7 +133,7 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	sort.Strings(unjustified)
 	sort.Strings(stale)
 	for _, name := range unjustified {
-		t.Errorf("%s is reached by no main, facade function, initializer or interface: use it, delete it, or justify it in %s", name, golden)
+		t.Errorf("%s is reached by no main, initializer or interface: use it, delete it, or justify it in %s", name, golden)
 	}
 	for _, name := range stale {
 		t.Errorf("%s lists %s, which is reachable now (or gone): drop the line", golden, name)

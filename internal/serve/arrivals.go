@@ -90,16 +90,16 @@ func (c *inputCursor) each(f func(*Request)) {
 
 // arrivalQueue indexes a server's not-yet-arrived requests by (ArrivalAt,
 // ticket): the tracks the scheduler pushed — a dispatch that runs ahead of
-// its replica's clock. Those arrive in queue order on every live path, so the
-// queue is a flat sorted cursor: push is an append and promotion advances the
-// head, with none of the per-request node allocation and rebalancing a tree
-// pays. Sorted pushes are not part of the contract, though: one that lands
-// out of order marks the queue dirty and the next read re-sorts the remaining
-// entries once.
+// its replica's clock. Only an arrival-time dispatch to an idle server whose
+// clock lags lands here, and those come off the input cursor in (ArrivalAt,
+// ticket) order; steals, pool re-dispatches and evictions have arrived
+// already and go to the ready queue. So the queue is a flat sorted cursor:
+// push is an append and promotion advances the head, with none of the
+// per-request node allocation and rebalancing a tree pays. A push that would
+// break the order panics.
 type arrivalQueue struct {
 	items []*track
 	head  int
-	dirty bool
 }
 
 // compareArrival is the queue order: arrival time, then FIFO ticket.
@@ -111,17 +111,10 @@ func compareArrival(a, b *track) int {
 }
 
 func (q *arrivalQueue) push(w *track) {
-	if n := len(q.items); !q.dirty && n > q.head && compareArrival(w, q.items[n-1]) < 0 {
-		q.dirty = true
+	if n := len(q.items); n > q.head && compareArrival(w, q.items[n-1]) < 0 {
+		panic("serve: out-of-order arrival")
 	}
 	q.items = append(q.items, w)
-}
-
-func (q *arrivalQueue) sort() {
-	if q.dirty {
-		slices.SortFunc(q.items[q.head:], compareArrival)
-		q.dirty = false
-	}
 }
 
 // peek is the earliest pending arrival time.
@@ -129,7 +122,6 @@ func (q *arrivalQueue) peek() (time.Duration, bool) {
 	if q.len() == 0 {
 		return 0, false
 	}
-	q.sort()
 	return q.items[q.head].req.ArrivalAt, true
 }
 
@@ -137,7 +129,6 @@ func (q *arrivalQueue) peek() (time.Duration, bool) {
 // be empty. A vacated item slot is zeroed so the popped request's record is
 // not pinned by the backing array, and fully drained items recycle it.
 func (q *arrivalQueue) popMin() *track {
-	q.sort()
 	w := q.items[q.head]
 	q.items[q.head] = nil
 	q.head++
@@ -151,7 +142,6 @@ func (q *arrivalQueue) len() int { return len(q.items) - q.head }
 
 // each visits the tracks of the pending arrivals in queue order.
 func (q *arrivalQueue) each(f func(*track)) {
-	q.sort()
 	for _, w := range q.items[q.head:] {
 		f(w)
 	}

@@ -489,10 +489,10 @@ func TestServeSealKeepsUnarrivedClasses(t *testing.T) {
 	}
 }
 
-// TestArrivalQueueSortsLatePushes: the queue does not assume sorted pushes.
-// One that lands out of (ArrivalAt, ticket) order, before or after pops,
-// still peeks and pops in that order.
-func TestArrivalQueueSortsLatePushes(t *testing.T) {
+// TestArrivalQueueRejectsLatePushes: pushes in (ArrivalAt, ticket) order,
+// before and after pops, peek and pop first in, first out; a push that
+// lands before the queue's tail panics.
+func TestArrivalQueueRejectsLatePushes(t *testing.T) {
 	at := func(s int) time.Duration { return time.Duration(s) * time.Second }
 	var q arrivalQueue
 	push := func(s int, seq int64) { q.push(&track{req: &Request{ArrivalAt: at(s)}, seq: seq}) }
@@ -507,17 +507,34 @@ func TestArrivalQueueSortsLatePushes(t *testing.T) {
 			got = append(got, [2]int64{int64(w.req.ArrivalAt / time.Second), w.seq})
 		}
 	}
-	for i, s := range []int{9, 4, 0, 6, 4} {
-		push(s, int64(10-i))
+	for i, s := range []int{0, 4, 4, 6, 9} {
+		push(s, int64(i))
 	}
 	pop(2)
-	push(5, 1)
+	push(9, 7)
 	pop(q.len())
-	want := [][2]int64{{0, 8}, {4, 6}, {4, 9}, {5, 1}, {6, 7}, {9, 10}}
+	push(1, 0) // a drained queue takes any arrival
+	pop(1)
+	want := [][2]int64{{0, 0}, {4, 1}, {4, 2}, {6, 3}, {9, 4}, {9, 7}, {1, 0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("pop order (seconds, ticket)\n got %v\nwant %v", got, want)
 	}
 	if _, ok := q.peek(); ok {
 		t.Fatal("peek on a drained queue")
+	}
+
+	push(5, 3)
+	for _, late := range [][2]int64{{4, 9}, {5, 2}} {
+		func() {
+			defer func() {
+				if r := recover(); r != "serve: out-of-order arrival" {
+					t.Errorf("push %v after (5, 3): recovered %v", late, r)
+				}
+			}()
+			push(int(late[0]), late[1])
+		}()
+	}
+	if q.len() != 1 {
+		t.Fatalf("a rejected push was kept: %d pending", q.len())
 	}
 }

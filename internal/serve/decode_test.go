@@ -73,7 +73,7 @@ func (s *server) refStep(prefillTokens int64) error {
 		}
 	}
 	s.tick++
-	s.now += s.cfg.StepTime + time.Duration(prefillTokens)*s.cfg.PrefillTokenTime
+	s.now += stepTime + time.Duration(prefillTokens)*prefillTokenTime
 
 	if u := s.mgr.UsedBytes(); u > s.rep.PeakUsed {
 		s.rep.PeakUsed = u

@@ -90,7 +90,7 @@ func TestServedRequestAllocatesNothing(t *testing.T) {
 	reqs := make([]Request, 110)
 	for i := range reqs {
 		// One arrival per step: each step is due exactly the next request.
-		reqs[i] = Request{ID: i, Class: "chat", PromptLen: 32, OutputLen: 1, ArrivalAt: time.Duration(i) * DefaultStepTime}
+		reqs[i] = Request{ID: i, Class: "chat", PromptLen: 32, OutputLen: 1, ArrivalAt: time.Duration(i) * stepTime}
 	}
 	s, arrive := replicaOf(t, reqs, stubKV{}, ServerConfig{MaxBatch: 2, ExactSamples: -1})
 	serveOne := func() {

@@ -220,22 +220,18 @@ func (rc RecoveryConfig) validate() error {
 }
 
 // faultSource is the merged, time-ordered feed of fault events for one run:
-// either the sorted scripted plan behind a cursor, or one lazily generated
-// alternating crash/restart stream per potential replica. peek and pop are
-// deterministic functions of the configuration, never of scheduler state.
+// one heap keyed (time, replica) holding either the whole scripted plan or
+// the pending event of one lazily generated alternating crash/restart
+// stream per potential replica. Keys are unique (validate rejects two plan
+// events for one replica at one instant; a stream has one pending event),
+// so the order is sortedPlan's. peek and pop are deterministic functions of
+// the configuration, never of scheduler state.
 type faultSource struct {
-	plan   []FaultEvent
-	cursor int
-
-	streams    []faultStream
+	pending container.Heap[FaultEvent]
+	// rngs[i] draws replica i's successor events in MTTF mode; nil for a
+	// scripted plan.
+	rngs       []*sim.RNG
 	mttf, mttr time.Duration
-}
-
-// faultStream is one replica's pending next event plus the generator that
-// produces its successors.
-type faultStream struct {
-	rng  *sim.RNG
-	next FaultEvent
 }
 
 // newFaultSource builds the feed for a fleet of at most fleetMax replicas.
@@ -243,58 +239,47 @@ type faultStream struct {
 // (Seed, replica index), so the fault history of replica i does not depend
 // on how many replicas the autoscaler actually spawned.
 func newFaultSource(fc FaultConfig, fleetMax int) *faultSource {
+	f := &faultSource{}
 	if len(fc.Plan) > 0 {
-		return &faultSource{plan: sortedPlan(fc.Plan)}
-	}
-	f := &faultSource{mttf: fc.MTTF, mttr: fc.MTTR, streams: make([]faultStream, fleetMax)}
-	for i := range f.streams {
-		rng := sim.NewRNG(fc.Seed + 0x9e3779b97f4a7c15*uint64(i+1))
-		f.streams[i] = faultStream{
-			rng:  rng,
-			next: FaultEvent{At: expDur(rng, fc.MTTF), Kind: FaultCrash, Replica: i},
+		for _, e := range fc.Plan {
+			f.push(e)
 		}
+		return f
+	}
+	f.mttf, f.mttr, f.rngs = fc.MTTF, fc.MTTR, make([]*sim.RNG, fleetMax)
+	for i := range f.rngs {
+		f.rngs[i] = sim.NewRNG(fc.Seed + 0x9e3779b97f4a7c15*uint64(i+1))
+		f.push(FaultEvent{At: expDur(f.rngs[i], fc.MTTF), Kind: FaultCrash, Replica: i})
 	}
 	return f
 }
 
-// earliest returns the stream index holding the earliest pending event,
-// ties to the lowest replica index.
-func (f *faultSource) earliest() int {
-	best := 0
-	for i := 1; i < len(f.streams); i++ {
-		if f.streams[i].next.At < f.streams[best].next.At {
-			best = i
-		}
-	}
-	return best
+func (f *faultSource) push(e FaultEvent) {
+	f.pending.Push(container.Key{Hi: int64(e.At), Lo: int64(e.Replica)}, e)
 }
 
 // peek returns the next fault event without consuming it. MTTF streams are
 // endless, so ok is false only for an exhausted scripted plan.
 func (f *faultSource) peek() (FaultEvent, bool) {
-	if f.streams == nil {
-		if f.cursor >= len(f.plan) {
-			return FaultEvent{}, false
-		}
-		return f.plan[f.cursor], true
+	if f.pending.Len() == 0 {
+		return FaultEvent{}, false
 	}
-	return f.streams[f.earliest()].next, true
+	_, e := f.pending.Peek()
+	return e, true
 }
 
 // pop consumes the next fault event; in MTTF mode the popped stream draws
 // its successor (a restart after a crash, the next crash after a restart).
 func (f *faultSource) pop() FaultEvent {
-	if f.streams == nil {
-		e := f.plan[f.cursor]
-		f.cursor++
+	_, e := f.pending.Pop()
+	if f.rngs == nil {
 		return e
 	}
-	st := &f.streams[f.earliest()]
-	e := st.next
+	rng := f.rngs[e.Replica]
 	if e.Kind == FaultCrash {
-		st.next = FaultEvent{At: e.At + expDur(st.rng, f.mttr), Kind: FaultRestart, Replica: e.Replica}
+		f.push(FaultEvent{At: e.At + expDur(rng, f.mttr), Kind: FaultRestart, Replica: e.Replica})
 	} else {
-		st.next = FaultEvent{At: e.At + expDur(st.rng, f.mttf), Kind: FaultCrash, Replica: e.Replica}
+		f.push(FaultEvent{At: e.At + expDur(rng, f.mttf), Kind: FaultCrash, Replica: e.Replica})
 	}
 	return e
 }

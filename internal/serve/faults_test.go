@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -166,6 +167,136 @@ func TestMTTFStreamDeterministic(t *testing.T) {
 			t.Fatalf("replica %d: first event %v, want crash", e.Replica, e.Kind)
 		}
 		last[e.Replica], prevAt[e.Replica] = e.Kind, e.At
+	}
+}
+
+// scanFaultSource is the fault feed as it was before the heap: the sorted
+// plan behind a cursor, or each stream's pending event found by a linear
+// scan that breaks ties to the lowest replica. TestFaultHeapMatchesScan
+// holds faultSource to it.
+type scanFaultSource struct {
+	plan       []FaultEvent
+	cursor     int
+	streams    []scanFaultStream
+	mttf, mttr time.Duration
+}
+
+type scanFaultStream struct {
+	rng  *sim.RNG
+	next FaultEvent
+}
+
+func newScanFaultSource(fc FaultConfig, fleetMax int) *scanFaultSource {
+	if len(fc.Plan) > 0 {
+		return &scanFaultSource{plan: sortedPlan(fc.Plan)}
+	}
+	f := &scanFaultSource{mttf: fc.MTTF, mttr: fc.MTTR, streams: make([]scanFaultStream, fleetMax)}
+	for i := range f.streams {
+		rng := sim.NewRNG(fc.Seed + 0x9e3779b97f4a7c15*uint64(i+1))
+		f.streams[i] = scanFaultStream{rng: rng, next: FaultEvent{At: expDur(rng, fc.MTTF), Kind: FaultCrash, Replica: i}}
+	}
+	return f
+}
+
+func (f *scanFaultSource) earliest() int {
+	best := 0
+	for i := 1; i < len(f.streams); i++ {
+		if f.streams[i].next.At < f.streams[best].next.At {
+			best = i
+		}
+	}
+	return best
+}
+
+func (f *scanFaultSource) peek() (FaultEvent, bool) {
+	if f.streams == nil {
+		if f.cursor >= len(f.plan) {
+			return FaultEvent{}, false
+		}
+		return f.plan[f.cursor], true
+	}
+	return f.streams[f.earliest()].next, true
+}
+
+func (f *scanFaultSource) pop() FaultEvent {
+	if f.streams == nil {
+		e := f.plan[f.cursor]
+		f.cursor++
+		return e
+	}
+	st := &f.streams[f.earliest()]
+	e := st.next
+	if e.Kind == FaultCrash {
+		st.next = FaultEvent{At: e.At + expDur(st.rng, f.mttr), Kind: FaultRestart, Replica: e.Replica}
+	} else {
+		st.next = FaultEvent{At: e.At + expDur(st.rng, f.mttf), Kind: FaultCrash, Replica: e.Replica}
+	}
+	return e
+}
+
+// TestFaultHeapMatchesScan: the keyed heap feeds the same fault events in
+// the same order as the scan it replaced, over random MTTF configurations
+// (nanosecond means make streams tie at one instant) and random valid
+// plans handed over in shuffled order.
+func TestFaultHeapMatchesScan(t *testing.T) {
+	same := func(what string, fc FaultConfig, fleet, pops int) {
+		t.Helper()
+		got, want := newFaultSource(fc, fleet), newScanFaultSource(fc, fleet)
+		for i := 0; i < pops; i++ {
+			g, gok := got.peek()
+			w, wok := want.peek()
+			if g != w || gok != wok {
+				t.Fatalf("%s: peek %d: %+v %v, scan %+v %v", what, i, g, gok, w, wok)
+			}
+			if !wok {
+				return
+			}
+			if g, w := got.pop(), want.pop(); g != w {
+				t.Fatalf("%s: pop %d: %+v, scan %+v", what, i, g, w)
+			}
+		}
+	}
+	rng := sim.NewRNG(42)
+	for _, fleet := range []int{1, 2, 3, 5, 8, 13, 32, 64} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			unit := time.Millisecond
+			if seed == 1 {
+				unit = time.Nanosecond
+			}
+			fc := FaultConfig{
+				MTTF: time.Duration(1+rng.Intn(1000)) * unit,
+				MTTR: time.Duration(1+rng.Intn(100)) * unit,
+				Seed: seed,
+			}
+			same(fmt.Sprintf("fleet %d mttf %v mttr %v seed %d", fleet, fc.MTTF, fc.MTTR, seed), fc, fleet, 10000)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		fleet := 1 + rng.Intn(64)
+		var plan []FaultEvent
+		for r := 0; r < fleet; r++ {
+			var at time.Duration
+			for k, n := 0, rng.Intn(6); k < n; k++ {
+				at += time.Duration(1+rng.Intn(3)) * time.Second // coarse, so replicas tie
+				kind := FaultCrash
+				if k%2 == 1 {
+					kind = FaultRestart
+				}
+				plan = append(plan, FaultEvent{At: at, Kind: kind, Replica: r})
+			}
+		}
+		if len(plan) == 0 {
+			continue
+		}
+		for i := len(plan) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			plan[i], plan[j] = plan[j], plan[i]
+		}
+		fc := FaultConfig{Plan: plan}
+		if err := fc.validate(fleet); err != nil {
+			t.Fatalf("trial %d: generated plan invalid: %v", trial, err)
+		}
+		same(fmt.Sprintf("trial %d plan %v", trial, plan), fc, fleet, len(plan)+1)
 	}
 }
 

@@ -9,27 +9,19 @@ import (
 	"repro/internal/container"
 )
 
-// Default step costs. Latency is simulated, not measured: one decode step
-// across the batch costs StepTime, and every prompt token prefilled in a
-// step adds PrefillTokenTime — A100-class magnitudes, enough to turn
-// queueing and preemption into TTFT/E2E differences.
+// Step costs. Latency is simulated, not measured: one decode step across
+// the batch costs stepTime, and every prompt token prefilled in a step adds
+// prefillTokenTime — A100-class magnitudes, enough to turn queueing and
+// preemption into TTFT/E2E differences.
 const (
-	DefaultStepTime         = 30 * time.Millisecond
-	DefaultPrefillTokenTime = 100 * time.Microsecond
+	stepTime         = 30 * time.Millisecond
+	prefillTokenTime = 100 * time.Microsecond
 )
 
 // ServerConfig tunes the continuous-batching loop.
 type ServerConfig struct {
 	// MaxBatch caps concurrently decoding sequences.
 	MaxBatch int
-
-	// StepTime is the simulated duration of one decode step across the
-	// batch (0 = DefaultStepTime).
-	StepTime time.Duration
-
-	// PrefillTokenTime is the simulated cost per prompt token prefilled
-	// during a step (0 = DefaultPrefillTokenTime).
-	PrefillTokenTime time.Duration
 
 	// Aging is the priority-aging rate: a waiting request's effective
 	// priority rises by one full priority level per Aging of queue wait,
@@ -53,12 +45,12 @@ type ServerConfig struct {
 
 	// Shed enables deadline-aware admission shedding (requires Timeout):
 	// when admission considers a request whose remaining slack cannot
-	// cover even its minimum service time — PrefillTokenTime·PromptLen +
-	// StepTime·OutputLen, the cost of running it alone on an idle server —
-	// the request is rejected up front (Report.Shed) instead of burning
-	// decode steps on a provably missed deadline. Graceful degradation
-	// under overload: survivors' goodput rises because doomed requests
-	// stop competing for the batch.
+	// cover even its minimum service time — its prompt's prefill plus one
+	// decode step per output token, the cost of running it alone on an
+	// idle server — the request is rejected up front (Report.Shed) instead
+	// of burning decode steps on a provably missed deadline. Graceful
+	// degradation under overload: survivors' goodput rises because doomed
+	// requests stop competing for the batch.
 	Shed bool
 
 	// OnComplete, when non-nil, is invoked once per request at the virtual
@@ -205,7 +197,7 @@ func popEvent(q *[]batchEvent) batchEvent {
 // the sequences with an event, plus O(1) for everyone else.
 type server struct {
 	mgr CacheManager
-	cfg ServerConfig // step costs resolved to their defaults
+	cfg ServerConfig
 
 	now time.Duration
 	rep Report
@@ -293,8 +285,8 @@ func (cfg ServerConfig) validate(where string) error {
 	if cfg.MaxBatch <= 0 {
 		return fmt.Errorf("serve: %smax batch %d", where, cfg.MaxBatch)
 	}
-	names := [...]string{"step time", "prefill token time", "aging", "timeout"}
-	for i, d := range [...]time.Duration{cfg.StepTime, cfg.PrefillTokenTime, cfg.Aging, cfg.Timeout} {
+	names := [...]string{"aging", "timeout"}
+	for i, d := range [...]time.Duration{cfg.Aging, cfg.Timeout} {
 		if d < 0 {
 			return fmt.Errorf("serve: %snegative %s %v", where, names[i], d)
 		}
@@ -310,12 +302,6 @@ func (cfg ServerConfig) validate(where string) error {
 func newServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
 	if err := cfg.validate(""); err != nil {
 		return nil, err
-	}
-	if cfg.StepTime == 0 {
-		cfg.StepTime = DefaultStepTime
-	}
-	if cfg.PrefillTokenTime == 0 {
-		cfg.PrefillTokenTime = DefaultPrefillTokenTime
 	}
 	s := &server{mgr: mgr, cfg: cfg, tally: newTally(resolveExactSamples(cfg.ExactSamples)),
 		events: make([]batchEvent, 0, 2*cfg.MaxBatch)}
@@ -392,7 +378,7 @@ func (s *server) deadline(rec *track) time.Duration {
 // of prefilling its prompt and decoding every output token alone on an idle
 // server. Queueing, batching and preemption only add to it.
 func (s *server) minServiceTime(rec *track) time.Duration {
-	return time.Duration(rec.req.PromptLen)*s.cfg.PrefillTokenTime + time.Duration(rec.req.OutputLen)*s.cfg.StepTime
+	return time.Duration(rec.req.PromptLen)*prefillTokenTime + time.Duration(rec.req.OutputLen)*stepTime
 }
 
 // drop removes a request that will never be served (expired or shed) from
@@ -672,7 +658,7 @@ func (s *server) step(prefillTokens int64) error {
 	}
 	s.mgr.Decode()
 	s.tick++
-	s.now += s.cfg.StepTime + time.Duration(prefillTokens)*s.cfg.PrefillTokenTime
+	s.now += stepTime + time.Duration(prefillTokens)*prefillTokenTime
 
 	s.rep.PeakUsed = max(s.rep.PeakUsed, s.mgr.UsedBytes())
 	s.rep.PeakLogical = max(s.rep.PeakLogical, s.mgr.LogicalBytes())

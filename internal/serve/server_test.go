@@ -74,8 +74,6 @@ func TestServeValidatesConfig(t *testing.T) {
 		want    string
 	}{
 		{ServerConfig{}, 2, "max batch 0"},
-		{ServerConfig{MaxBatch: 2, StepTime: -time.Millisecond}, 0, "negative step time -1ms"},
-		{ServerConfig{MaxBatch: 2, PrefillTokenTime: -time.Microsecond}, 0, "negative prefill token time -1µs"},
 		{ServerConfig{MaxBatch: 2, Aging: -time.Second}, 0, "negative aging -1s"},
 		{ServerConfig{MaxBatch: 2, Timeout: -time.Second}, 0, "negative timeout -1s"},
 		{ServerConfig{MaxBatch: 2, Shed: true}, 0, "shed needs a timeout to shed against"},

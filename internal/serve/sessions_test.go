@@ -77,7 +77,7 @@ func TestPrefixReuseCutsTTFT(t *testing.T) {
 	if on.PrefixHits != 1 || on.ReusedTokens != 272 {
 		t.Fatalf("hits %d reused %d, want 1/272", on.PrefixHits, on.ReusedTokens)
 	}
-	saved := time.Duration(on.ReusedTokens) * DefaultPrefillTokenTime
+	saved := time.Duration(on.ReusedTokens) * prefillTokenTime
 	if got, want := off.TTFT.P99-on.TTFT.P99, saved; got != want {
 		t.Fatalf("turn-1 TTFT saved %v, want exactly %v (off %v on %v)",
 			got, want, off.TTFT.P99, on.TTFT.P99)
