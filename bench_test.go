@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/caching"
 	"repro/internal/core"
@@ -459,6 +460,50 @@ func BenchmarkServe(b *testing.B) {
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		if _, err := serve.Serve(reqs, mgr, serve.ServerConfig{MaxBatch: 32}); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(mallocs)/float64(b.N)/n, "allocs/request")
+	b.ReportMetric(float64(bytes)/float64(b.N)/n, "B/request")
+}
+
+// BenchmarkServeCluster measures whole ServeCluster runs in fleet-64's
+// shape over a fixed stream: 20 000 mixed-bursty requests at 2×64 times the
+// mix's rate on 64 JSQ replicas (batch 32, 2 s aging), each a ChunkedKV in
+// 64-token chunks over the caching allocator on a 4 GiB device.
+// allocs/request and B/request count the ServeCluster call alone, not the
+// fresh devices and managers each iteration builds; beyond the buffer
+// handles they are the cluster layer's and the latency digests' share.
+func BenchmarkServeCluster(b *testing.B) {
+	const n, replicas = 20_000, 64
+	mix := servegen.MixedBursty()
+	reqs, err := mix.WithRate(2*replicas*mix.Rate).Generate(n, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := serve.ClusterConfig{
+		Replicas: replicas,
+		Dispatch: serve.DispatchJSQ,
+		Server:   serve.ServerConfig{MaxBatch: 32, Aging: 2 * time.Second},
+	}
+	mgrs := make([]serve.CacheManager, replicas)
+	var before, after runtime.MemStats
+	var mallocs, bytes uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for r := range mgrs {
+			mgrs[r] = serve.NewChunkedKV(caching.New(newBenchDriver(4*sim.GiB)), model.OPT1_3B, 64)
+		}
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		if _, err := serve.ServeCluster(reqs, func(r int) serve.CacheManager { return mgrs[r] }, cfg); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

@@ -113,6 +113,7 @@ type Driver struct {
 	resByAddr container.Tree[*reservation] // every reservation, keyed by base
 	handles   []physical                   // the handle table (see the package comment)
 	freeSlots []int                        // slots of handles whose memory was reclaimed
+	granted   []int32                      // MemSetAccess's scratch: the granules it set
 
 	// last is the reservation findReservation resolved last.
 	last *reservation
@@ -368,7 +369,9 @@ func (d *Driver) MemMap(ptr DevicePtr, hs ...MemHandle) error {
 
 // MemSetAccess enables access on [ptr, ptr+size), which must exactly cover
 // one or more existing mappings. A call that fails changes nothing. It
-// prices a mapping size once per run of equal sizes.
+// prices a mapping size once per run of equal sizes. One walk checks the
+// coverage and sets the bits; the clock and counters are charged once the
+// coverage is known, and a failing call clears the bits it set.
 func (d *Driver) MemSetAccess(ptr DevicePtr, size int64) error {
 	r := d.findReservation(ptr, size)
 	if r == nil {
@@ -376,28 +379,31 @@ func (d *Driver) MemSetAccess(ptr DevicePtr, size int64) error {
 	}
 	lo, hi := r.granules(ptr, size)
 	covered := int64(0)
-	for i := r.next(lo, hi); i < hi; i = r.next(i, hi) {
-		k := int(r.slots[i].span)
-		covered += int64(k) * ChunkGranularity
-		i += k
-	}
-	if covered != size {
-		return fmt.Errorf("%w: MemSetAccess covers %d of %d bytes", ErrNotMapped, covered, size)
-	}
 	var priced int32
-	var cost time.Duration
+	var cost, charge time.Duration
+	set := d.granted[:0]
 	for i := r.next(lo, hi); i < hi; i = r.next(i, hi) {
 		s := &r.slots[i]
+		covered += int64(s.span) * ChunkGranularity
 		if s.ref&accessBit == 0 {
 			if s.span != priced {
 				priced, cost = s.span, d.cost.MemSetAccess(int64(s.span)*ChunkGranularity)
 			}
-			d.clock.Advance(cost)
-			d.counters.MemSet++
+			charge += cost
 			s.ref |= accessBit
+			set = append(set, int32(i))
 		}
 		i += int(s.span)
 	}
+	d.granted = set
+	if covered != size {
+		for _, i := range set {
+			r.slots[i].ref &^= accessBit
+		}
+		return fmt.Errorf("%w: MemSetAccess covers %d of %d bytes", ErrNotMapped, covered, size)
+	}
+	d.clock.Advance(charge)
+	d.counters.MemSet += int64(len(set))
 	return nil
 }
 

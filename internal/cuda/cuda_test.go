@@ -3,6 +3,7 @@ package cuda
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -208,6 +209,113 @@ func TestVMMValidation(t *testing.T) {
 	// Mapping a released handle must fail.
 	if err := d.MemMap(va+DevicePtr(2*sim.MiB), h2); !errors.Is(err, ErrInvalidHandle) {
 		t.Errorf("MemMap of released handle err = %v, want ErrInvalidHandle", err)
+	}
+}
+
+// TestMemSetAccessGapAtEnd: a range whose mappings cover all but its last
+// granule fails with ErrNotMapped after the one walk has already granted
+// access to the mappings before the gap. The failed call must leave every
+// access bit as it found it — the two it set cleared, the one set earlier
+// kept — and charge no clock time and count no call.
+func TestMemSetAccessGapAtEnd(t *testing.T) {
+	d := newTestDriver(sim.GiB)
+	va, err := d.MemAddressReserve(4 * ChunkGranularity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := int64(0); g < 3; g++ {
+		h, err := d.MemCreate(ChunkGranularity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.MemMap(va+DevicePtr(g*ChunkGranularity), h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.MemSetAccess(va+DevicePtr(ChunkGranularity), ChunkGranularity); err != nil {
+		t.Fatal(err)
+	}
+	r := d.findReservation(va, 4*ChunkGranularity)
+	bits := func() (b [4]bool) {
+		for g := range b {
+			b[g] = r.slots[g].ref&accessBit != 0
+		}
+		return b
+	}
+	now, counters, before := d.Clock().Now(), d.Counters(), bits()
+	if err := d.MemSetAccess(va, 4*ChunkGranularity); !errors.Is(err, ErrNotMapped) {
+		t.Fatalf("MemSetAccess over a trailing gap err = %v, want ErrNotMapped", err)
+	}
+	if got := bits(); got != before {
+		t.Errorf("access bits %v after the failed call, want %v", got, before)
+	}
+	if d.Clock().Now() != now || d.Counters() != counters {
+		t.Errorf("failed MemSetAccess moved the clock by %v, counters %+v -> %+v",
+			d.Clock().Now()-now, counters, d.Counters())
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.MemSetAccess(va, 3*ChunkGranularity); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Counters().MemSet; got != counters.MemSet+2 {
+		t.Errorf("MemSet = %d after covering the three mappings, want %d", got, counters.MemSet+2)
+	}
+}
+
+// TestCheckInvariantsCatchesCorruption gives the driver's checker teeth:
+// each corruption of a small mapped state — a 4-granule reservation with a
+// 2-granule handle mapped at its start and access set — must fail
+// CheckInvariants with the message of the rule it breaks.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(d *Driver, r *reservation)
+		want    string
+	}{
+		{"free slot listed twice", func(d *Driver, r *reservation) {
+			d.freeSlots = append(d.freeSlots, 0, 0)
+		}, "free list holds slot 0 twice"},
+		{"unmapped granule with state", func(d *Driver, r *reservation) {
+			r.slots[3].ref = 1
+		}, "unmapped slot 3 holds state"},
+		{"broken continuation", func(d *Driver, r *reservation) {
+			r.slots[1].span = -2
+		}, "slot 1 is not granule 1"},
+		{"live count off by one", func(d *Driver, r *reservation) {
+			r.live++
+		}, "live = 2, page table holds 1"},
+		{"map count off by one", func(d *Driver, r *reservation) {
+			d.handles[0].mapCount++
+		}, "has mapCount 2, 1 mappings name it"},
+		{"stale reservation memo", func(d *Driver, r *reservation) {
+			d.last = &reservation{}
+		}, "last-reservation memo"},
+	}
+	for _, tc := range cases {
+		d := newTestDriver(sim.GiB)
+		va, err := d.MemAddressReserve(4 * ChunkGranularity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := d.MemCreate(2 * ChunkGranularity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.MemMap(va, h); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.MemSetAccess(va, 2*ChunkGranularity); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("%s: set-up: %v", tc.name, err)
+		}
+		tc.corrupt(d, d.findReservation(va, 4*ChunkGranularity))
+		if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

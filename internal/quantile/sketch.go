@@ -31,6 +31,8 @@ package quantile
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -46,6 +48,10 @@ type table struct {
 	alpha float64
 	bound []int64
 	rep   []int64
+	// edge[b] is the first bucket whose bound reaches 2^b − 1, so a value
+	// of bit length b lies in one of the buckets edge[b−1] … edge[b]: one
+	// octave, ≈ 35 bounds at the default α.
+	edge [64]int32
 }
 
 // defaultTable is the shared bucket geometry for DefaultAlpha, built once
@@ -96,7 +102,19 @@ func buildTable(alpha float64) *table {
 			b = b + 1
 		}
 	}
+	for b := range t.edge {
+		t.edge[b] = int32(sort.Search(len(t.bound), func(i int) bool { return t.bound[i] >= int64(uint64(1)<<b-1) }))
+	}
 	return t
+}
+
+// bucket returns the index of the bucket that counts v > 0, the first bound
+// ≥ v, searching only v's octave.
+func (t *table) bucket(v int64) int {
+	b := bits.Len64(uint64(v))
+	lo := int(t.edge[b-1])
+	i, _ := slices.BinarySearch(t.bound[lo:t.edge[b]+1], v)
+	return lo + i
 }
 
 // Sketch is a mergeable streaming quantile sketch. The zero value is not
@@ -162,8 +180,7 @@ func (s *Sketch) Add(v int64) {
 		s.low++
 		return
 	}
-	i := sort.Search(len(s.geo.bound), func(i int) bool { return s.geo.bound[i] >= v })
-	s.counts[i]++
+	s.counts[s.geo.bucket(v)]++
 }
 
 // Rank returns an approximation of the k-th smallest added value (1-based),

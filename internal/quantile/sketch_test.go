@@ -236,3 +236,33 @@ func TestSketchEdgeCases(t *testing.T) {
 		t.Fatal("alpha 1 must be rejected")
 	}
 }
+
+// TestBucketIndexMatchesSearch: the per-octave bucket index picks the same
+// bucket as a binary search over the whole bound table for every value
+// below 2^20, every bound and its two neighbours, and MaxInt64, at the
+// default α and at a coarser and a finer one.
+func TestBucketIndexMatchesSearch(t *testing.T) {
+	for _, alpha := range []float64{DefaultAlpha, 0.05, 0.001} {
+		geo := geometry(alpha)
+		check := func(v int64) {
+			if v <= 0 {
+				return
+			}
+			want := sort.Search(len(geo.bound), func(i int) bool { return geo.bound[i] >= v })
+			if got := geo.bucket(v); got != want {
+				t.Fatalf("α %v: bucket(%d) = %d, want %d", alpha, v, got, want)
+			}
+		}
+		for v := int64(1); v < 1<<20; v++ {
+			check(v)
+		}
+		for _, b := range geo.bound {
+			check(b - 1)
+			check(b)
+			if b < math.MaxInt64 {
+				check(b + 1)
+			}
+		}
+		check(math.MaxInt64)
+	}
+}

@@ -27,9 +27,9 @@ func resolveExactSamples(v int) int {
 	return v
 }
 
-// latDigest accumulates one latency distribution (TTFT or E2E, per class or
-// aggregate). It retains raw samples exactly up to limit; the first sample
-// beyond the limit spills everything into a mergeable quantile sketch
+// latDigest accumulates one latency distribution (TTFT or E2E, per class).
+// It retains raw samples exactly up to limit; the first sample beyond the
+// limit spills everything into a mergeable quantile sketch
 // (internal/quantile) and the digest stays O(1) from then on. Whether a
 // digest is exact or sketched is a pure function of its total sample count,
 // so merging per-replica digests in any order agrees with a single-stream
@@ -38,24 +38,38 @@ type latDigest struct {
 	limit int
 	exact []time.Duration
 	sk    *quantile.Sketch
+	due   int64 // samples the coming merges bring, announced before the first
 }
 
 func newLatDigest(limit int) *latDigest { return &latDigest{limit: limit} }
 
-// spill moves every retained sample into the sketch.
-func (d *latDigest) spill() {
-	if d.sk == nil {
-		d.sk = quantile.New()
+// addTo counts every sample of d into sk. Sketches at the same alpha always
+// merge, and every one comes from quantile.New.
+func (d *latDigest) addTo(sk *quantile.Sketch) {
+	if d.sk != nil {
+		_ = sk.Merge(d.sk)
 	}
 	for _, v := range d.exact {
-		d.sk.Add(int64(v))
+		sk.Add(int64(v))
 	}
-	d.exact = nil
 }
 
-// add records one sample.
+// spill moves every retained sample into a sketch.
+func (d *latDigest) spill() {
+	if d.sk == nil {
+		sk := quantile.New()
+		d.addTo(sk)
+		d.sk, d.exact = sk, nil
+	}
+}
+
+// add records one sample. The retained samples grow by doubling, up to the
+// limit, so each is copied about once on the way there.
 func (d *latDigest) add(v time.Duration) {
 	if d.sk == nil && len(d.exact) < d.limit {
+		if len(d.exact) == cap(d.exact) {
+			d.exact = append(make([]time.Duration, 0, min(max(2*len(d.exact), 16), d.limit)), d.exact...)
+		}
 		d.exact = append(d.exact, v)
 		return
 	}
@@ -77,40 +91,76 @@ func (d *latDigest) sketched() int64 {
 	return d.sk.Count()
 }
 
-// merge folds src into d without modifying src. The merged digest stays
-// exact only while the combined count fits d's limit — the same rule a
-// single digest fed both streams would apply.
+func (d *latDigest) count() int64 { return d.retained() + d.sketched() }
+
+// merge folds src into d without modifying src. The first merge sizes d
+// once for the due samples announced for all of them: a slice of exactly
+// that many while they fit the limit, a sketch from the start past it (a
+// sketched source means the same) — the rule a single digest fed every
+// sample would apply.
 func (d *latDigest) merge(src *latDigest) {
-	if d.sk == nil && src.sk == nil && len(d.exact)+len(src.exact) <= d.limit {
+	if d.due > int64(d.limit) {
+		d.sk = quantile.New()
+	} else if d.due > 0 {
+		d.exact = make([]time.Duration, 0, d.due)
+	}
+	d.due = 0
+	if d.sk == nil {
 		d.exact = append(d.exact, src.exact...)
-		return
-	}
-	d.spill()
-	if src.sk != nil {
-		// Sketches at the same alpha always merge; both sides come from
-		// quantile.New.
-		_ = d.sk.Merge(src.sk)
-	}
-	for _, v := range src.exact {
-		d.sk.Add(int64(v))
+	} else {
+		src.addTo(d.sk)
 	}
 }
 
 // summary renders the digest's nearest-rank percentiles: the exact rule on
-// the retained samples, the sketch's rank query (same integer rank
-// arithmetic, within the sketch's documented error bound) after a spill.
+// the retained samples (sorting them in place), the sketch's rank query
+// (same integer rank arithmetic, within the sketch's documented error
+// bound) after a spill.
 func (d *latDigest) summary() LatencySummary {
 	if d.sk == nil {
 		return summarize(d.exact)
 	}
-	n := d.sk.Count()
-	if n == 0 {
-		return LatencySummary{}
+	return nearestRanks(d.sk.Count(), func(k int64) time.Duration { return time.Duration(d.sk.Rank(k)) })
+}
+
+// union renders the percentiles of the union of ds's samples, read where
+// they lie — what one digest fed every sample would report — and counts
+// those samples in rep's retained or sketched total. While the union fits
+// limit no digest is sketched and every one has been summarized, so its
+// samples are sorted, and a merge walk over them reads the nearest ranks.
+// Past the limit one sketch is built from all of them.
+func union(ds []*latDigest, limit int, rep *Report) LatencySummary {
+	var n int64
+	for _, d := range ds {
+		n += d.count()
 	}
-	at := func(pct int64) time.Duration {
-		return time.Duration(d.sk.Rank((n*pct + 99) / 100))
+	if n > int64(limit) {
+		u := &latDigest{limit: limit, due: n}
+		for _, d := range ds {
+			u.merge(d)
+		}
+		rep.SketchedSamples += n
+		return u.summary()
 	}
-	return LatencySummary{P50: at(50), P95: at(95), P99: at(99)}
+	rep.RetainedSamples += n
+	rest := make([][]time.Duration, len(ds))
+	for i, d := range ds {
+		rest[i] = d.exact
+	}
+	var walked int64
+	var v time.Duration
+	return nearestRanks(n, func(k int64) time.Duration {
+		for ; walked < k; walked++ {
+			m := -1
+			for i, r := range rest {
+				if len(r) > 0 && (m < 0 || r[0] < rest[m][0]) {
+					m = i
+				}
+			}
+			v, rest[m] = rest[m][0], rest[m][1:]
+		}
+		return v
+	})
 }
 
 // classAgg is the one record of a client class on a tally: served count,

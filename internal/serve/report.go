@@ -19,13 +19,17 @@ type LatencySummary struct {
 // rank once n grows past the epsilon's resolution. For n >= 1 and
 // 1 <= pct <= 100 the index is always in [0, n).
 func summarize(samples []time.Duration) LatencySummary {
-	if len(samples) == 0 {
+	slices.Sort(samples)
+	return nearestRanks(int64(len(samples)), func(k int64) time.Duration { return samples[k-1] })
+}
+
+// nearestRanks renders the nearest-rank percentiles of n samples, rank(k)
+// returning the k-th smallest (1-based); it asks for increasing k.
+func nearestRanks(n int64, rank func(k int64) time.Duration) LatencySummary {
+	if n == 0 {
 		return LatencySummary{}
 	}
-	slices.Sort(samples)
-	at := func(pct int) time.Duration {
-		return samples[(len(samples)*pct+99)/100-1]
-	}
+	at := func(pct int64) time.Duration { return rank((n*pct + 99) / 100) }
 	return LatencySummary{P50: at(50), P95: at(95), P99: at(99)}
 }
 
@@ -107,7 +111,10 @@ type Report struct {
 	// (aggregate and per-class) still hold exactly; SketchedSamples counts
 	// the samples absorbed into fixed-size quantile sketches instead. Their
 	// split is the run's metrics-memory story: retained samples cost O(1)
-	// memory each, sketched samples cost nothing beyond the sketch.
+	// memory each, sketched samples cost nothing beyond the sketch. The
+	// aggregate holds no samples of its own: it counts the class samples it
+	// reads, as retained while their union fits ExactSamples and as
+	// sketched past it, as a digest fed every sample would hold them.
 	RetainedSamples int64
 	SketchedSamples int64
 }
@@ -136,7 +143,7 @@ func (r Report) Class(name string) *ClassReport {
 // digests the moment they happen, so no per-request record outlives its
 // request and report memory is bounded by ExactSamples, not by the stream
 // length); a cluster merges its replicas' tallies into a fresh one. seal
-// renders either the same way, deriving the aggregate percentiles from the
+// renders either the same way, reading the aggregate percentiles from the
 // class digests.
 type tally struct {
 	limit   int // exact-retention threshold of every digest
@@ -184,12 +191,13 @@ func (t *tally) recordUnfinished(rec *track) {
 	}
 }
 
-// merge folds src into t without modifying src. Latency digests union their
-// samples — percentiles of the union, never averages of percentiles. While
-// the combined sample count of a digest fits the exact-retention threshold
-// the union stays raw and the merged percentiles are exact; past it the
-// union lives in a mergeable quantile sketch, whose bucket-wise merge makes
-// the result independent of merge order.
+// merge folds src into t without modifying src; mergeReports has sized
+// t's digests for every source first. Latency digests union their samples
+// — percentiles of the union, never averages of percentiles. While the
+// combined sample count of a digest fits the exact-retention threshold the
+// union stays raw and the merged percentiles are exact; past it the union
+// lives in a mergeable quantile sketch, whose bucket-wise merge makes the
+// result independent of merge order.
 func (t *tally) merge(src *tally) {
 	t.batchSum += src.batchSum
 	t.wasteSum += src.wasteSum
@@ -212,10 +220,11 @@ func (t *tally) merge(src *tally) {
 // retained-versus-sketched sample split over every digest (the peak-RSS
 // proxy the scale benchmark records). The roster is exactly the set of
 // rostered classes — completions plus unfinished requests — so the rows
-// stay truthful when a run is sealed mid-failure. The aggregate digests are
-// the class digests merged in name order: the union of their samples, and
-// exact or sketched by the same count rule a digest fed every sample
-// directly would have applied.
+// stay truthful when a run is sealed mid-failure. The aggregate
+// percentiles are those of the union of the class digests' samples, read
+// where they lie (union), and the aggregate counts the samples it reads:
+// as retained while the union fits the exact-retention threshold, as
+// sketched past it.
 func (t *tally) seal(rep *Report) {
 	if rep.Steps > 0 {
 		rep.MeanWaste = t.wasteSum / float64(rep.Steps)
@@ -228,12 +237,11 @@ func (t *tally) seal(rep *Report) {
 		}
 	}
 	sort.Strings(names)
-	allTTFT, allE2E := newLatDigest(t.limit), newLatDigest(t.limit)
+	ttft, e2e := make([]*latDigest, len(names)), make([]*latDigest, len(names))
 	rep.Classes = make([]ClassReport, 0, len(names))
-	for _, name := range names {
+	for i, name := range names {
 		a := t.classes[name]
-		allTTFT.merge(a.ttft)
-		allE2E.merge(a.e2e)
+		ttft[i], e2e[i] = a.ttft, a.e2e
 		rep.RetainedSamples += a.ttft.retained() + a.e2e.retained()
 		rep.SketchedSamples += a.ttft.sketched() + a.e2e.sketched()
 		cr := ClassReport{
@@ -252,15 +260,15 @@ func (t *tally) seal(rep *Report) {
 		}
 		rep.Classes = append(rep.Classes, cr)
 	}
-	rep.TTFT, rep.E2E = allTTFT.summary(), allE2E.summary()
-	rep.RetainedSamples += allTTFT.retained() + allE2E.retained()
-	rep.SketchedSamples += allTTFT.sketched() + allE2E.sketched()
+	rep.TTFT, rep.E2E = union(ttft, t.limit, rep), union(e2e, t.limit, rep)
 }
 
 // mergeReports builds the cluster-level Report from finished replicas:
 // counters summed, Duration the longest makespan, everything derived sealed
 // from the merged tallies. undispatched requests (present only when a failed
-// run sealed early) join the class roster without samples.
+// run sealed early) join the class roster without samples. The replicas'
+// class digests are counted before they are merged, so that each cluster
+// digest is sized once for all of them.
 func mergeReports(replicas []*server, undispatched []Request) Report {
 	var m Report
 	// The fleet shares one ExactSamples setting (per-replica overrides
@@ -286,6 +294,13 @@ func mergeReports(replicas []*server, undispatched []Request) Report {
 		m.PrefixMisses += s.rep.PrefixMisses
 		m.ReusedTokens += s.rep.ReusedTokens
 		m.Duration = max(m.Duration, s.rep.Duration)
+		for name, a := range s.classes {
+			dst := t.class(name)
+			dst.ttft.due += a.ttft.count()
+			dst.e2e.due += a.e2e.count()
+		}
+	}
+	for _, s := range replicas {
 		t.merge(&s.tally)
 	}
 	t.seal(&m)

@@ -39,9 +39,9 @@
 //     the class has anything to report there; so a class appears in a report
 //     only once it is rostered — by a completion, an unfinished request at
 //     seal, or a failed run's undispatched requests. A cluster report merges
-//     the replicas' records class by class. There is no aggregate record:
-//     the aggregate percentiles are computed at seal from the union of the
-//     class digests.
+//     the replicas' records class by class, each cluster digest sized once
+//     from the replicas' counts. There is no aggregate record: the aggregate
+//     percentiles are read at seal from the class digests where they lie.
 //   - A KV sequence is a slot of its manager's seqTable, the one table under
 //     the three policies: Admit issues the slot (released slots first, so the
 //     table stays at the live-sequence high-water mark), Release vacates it

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/memalloc"
@@ -195,10 +197,22 @@ func (t *Trainer) stepFree(b *memalloc.Buffer) {
 // abortStep frees every step-transient buffer after an OOM.
 func (t *Trainer) abortStep() {
 	t.deferred = t.deferred[:0]
+	t.freeStepLive()
+}
+
+// freeStepLive frees the step-transient buffers in ascending address order,
+// so the allocator sees the same Free sequence on every run — not the map's
+// iteration order.
+func (t *Trainer) freeStepLive() {
+	live := make([]*memalloc.Buffer, 0, len(t.stepLive))
 	for b := range t.stepLive {
-		t.alloc.Free(b)
-		delete(t.stepLive, b)
+		live = append(live, b)
 	}
+	slices.SortFunc(live, func(a, b *memalloc.Buffer) int { return cmp.Compare(a.Ptr, b.Ptr) })
+	for _, b := range live {
+		t.alloc.Free(b)
+	}
+	clear(t.stepLive)
 }
 
 // deferWindow is how many logically-dead transient buffers stay pinned
@@ -539,10 +553,7 @@ func (t *Trainer) loraActBytes(seq int) int64 {
 
 // Teardown frees persistent state. Safe after OOM'd steps.
 func (t *Trainer) Teardown() {
-	for b := range t.stepLive {
-		t.alloc.Free(b)
-		delete(t.stepLive, b)
-	}
+	t.freeStepLive()
 	for _, b := range t.persistent {
 		t.alloc.Free(b)
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/caching"
@@ -164,6 +165,39 @@ func TestOOMCleanup(t *testing.T) {
 	tr.Teardown()
 	if alloc.Stats().Active != 0 {
 		t.Fatal("teardown after OOM leaked")
+	}
+}
+
+// TestOOMFreeOrder: after an out-of-memory step the trainer frees its
+// step-transient buffers, and on teardown the rest, in an order that does
+// not depend on map iteration: two trainers that OOM at the same step over
+// recording allocators record the same event stream. The abort frees at
+// least eight live buffers, so a map-ordered free sequence would differ
+// between the two almost surely.
+func TestOOMFreeOrder(t *testing.T) {
+	run := func() []optrace.Event {
+		alloc, clock := newHarness(12 * sim.GiB)
+		rec := optrace.NewRecorder(alloc, clock)
+		tr, _ := NewTrainer(Spec{Model: model.OPT1_3B, Strategy: StrategyR, World: 4, Batch: 64}, rec, clock)
+		if err := tr.Setup(); err != nil {
+			t.Fatalf("setup should fit: %v", err)
+		}
+		if err := tr.Step(); !errors.Is(err, cuda.ErrOutOfMemory) {
+			t.Fatalf("Step err = %v, want OOM", err)
+		}
+		events := rec.Trace().Events
+		aborted := 0
+		for i := len(events) - 1; i >= 0 && events[i].Op == optrace.OpFree; i-- {
+			aborted++
+		}
+		if aborted < 8 {
+			t.Fatalf("the aborted step freed %d buffers, want at least 8", aborted)
+		}
+		tr.Teardown()
+		return rec.Trace().Events
+	}
+	if a, b := run(), run(); !slices.Equal(a, b) {
+		t.Fatal("two identical trainers recorded different allocation streams after an OOM step")
 	}
 }
 

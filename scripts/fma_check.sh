@@ -10,7 +10,8 @@
 #
 # The listing is the compiler's own (-gcflags=-S applies to the named
 # packages only), and the build cache replays it, so the check holds on a
-# warm cache too.
+# warm cache too. -o /dev/null discards what the build links, so a lone main
+# package neither collides with its own directory nor leaves a binary behind.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +19,7 @@ if [ $# -eq 0 ]; then
   echo "usage: scripts/fma_check.sh <package>…" >&2
   exit 2
 fi
-if ! listing=$(GOARCH=arm64 go build -gcflags=-S "$@" 2>&1); then
+if ! listing=$(GOARCH=arm64 go build -o /dev/null -gcflags=-S "$@" 2>&1); then
   grep -v '^[[:space:]]' <<<"$listing" | tail -20 >&2
   echo "fma: the arm64 build of $* failed" >&2
   exit 1
