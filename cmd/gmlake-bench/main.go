@@ -8,12 +8,17 @@
 //	gmlake-bench -experiment all -out results.txt
 //	gmlake-bench -experiment headline -parallel 8
 //	gmlake-bench -experiment figure10 -cpuprofile cpu.out -memprofile mem.out
+//	gmlake-bench -experiment figure14 -csv out/
 //
 // Each experiment prints the same rows or series the paper reports, with the
 // paper's expected values in the notes. Runs are deterministic: the same
 // seed replays identical allocation streams, and because experiment cells
 // share nothing and join by index, -parallel changes only wall-clock time —
 // the rendered tables are byte-identical at any worker count.
+//
+// With -csv, the memory timelines behind Figures 5 and 14 also go to
+// <dir>/<id>_<name>.csv, one "seconds,active_bytes,reserved_bytes" row per
+// sample in simulated time.
 package main
 
 import (
@@ -22,7 +27,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/cmd/internal/profile"
@@ -36,6 +43,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		exp      = flag.String("experiment", "all", "experiment id (or 'all')")
 		out      = flag.String("out", "", "also write results to this file")
+		csvDir   = flag.String("csv", "", "also write each table's memory timelines to this directory as <id>_<name>.csv")
 		seed     = flag.Uint64("seed", 7, "workload generator seed")
 		capacity = flag.Int64("capacity-gb", 80, "per-GPU memory in GiB")
 		minSteps = flag.Int("min-steps", 40, "minimum training steps per run")
@@ -67,6 +75,11 @@ func main() {
 	}
 	if *maxSteps < *minSteps {
 		usage(fmt.Errorf("-max-steps %d is below -min-steps %d", *maxSteps, *minSteps))
+	}
+	if *csvDir != "" {
+		if fi, err := os.Stat(*csvDir); err != nil || !fi.IsDir() {
+			usage(fmt.Errorf("-csv %s is not a directory", *csvDir))
+		}
 	}
 	// Ids match exactly, as RunExperiment matches them: an id that passes
 	// here must not render nothing there.
@@ -126,10 +139,45 @@ func main() {
 		tables := env.RunExperiment(id)
 		for _, t := range tables {
 			t.Render(w)
+			if *csvDir == "" {
+				continue
+			}
+			if err := writeCSV(w, *csvDir, t); err != nil {
+				fmt.Fprintln(os.Stderr, "gmlake-bench:", err)
+				os.Exit(1)
+			}
 		}
 		//lint:ignore wallclock real elapsed time for operator progress, outside simulated time
 		fmt.Fprintf(w, "(%s completed in %s)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// writeCSV writes each of t's timelines to dir/<id>_<name>.csv, in name
+// order, and reports each file on w.
+func writeCSV(w io.Writer, dir string, t *harness.Table) error {
+	names := make([]string, 0, len(t.Timelines))
+	for name := range t.Timelines {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		tl := t.Timelines[name]
+		path := filepath.Join(dir, t.ID+"_"+name+".csv")
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		err = tl.WriteCSV(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s (%d samples, peak active %.1f GB, peak reserved %.1f GB)\n",
+			path, tl.Len(), float64(tl.PeakActive())/(1<<30), float64(tl.PeakReserved())/(1<<30))
+	}
+	return nil
 }
 
 // usage reports a bad command line: one line on stderr, exit 2.

@@ -55,6 +55,7 @@ func run(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 // 2, nothing on stdout, never a stack trace or an empty success — and
 // gmlake-bench's own checks say it in one line.
 func TestUsageErrors(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
 	for _, tc := range []struct{ args, want string }{
 		{`-experiment TABLE1`, `gmlake-bench: unknown experiment "TABLE1" (use -list)`},
 		{`-experiment nope`, `gmlake-bench: unknown experiment "nope" (use -list)`},
@@ -65,6 +66,7 @@ func TestUsageErrors(t *testing.T) {
 		{`-capacity-gb 8589934592`, `gmlake-bench: -capacity-gb 8589934592 does not fit in bytes`},
 		{`-experiment figure3 -min-steps 50 -max-steps 3`, `gmlake-bench: -max-steps 3 is below -min-steps 50`},
 		{`-parallel -1`, `gmlake-bench: conf: parallel must be a non-negative integer, got "-1"`},
+		{`-experiment figure14 -csv ` + missing, `gmlake-bench: -csv ` + missing + ` is not a directory`},
 		{`-bogus`, `flag provided but not defined: -bogus`},
 	} {
 		stdout, stderr, exit := run(t, strings.Fields(tc.args)...)
@@ -109,5 +111,35 @@ func TestTable1MatchesHarnessGolden(t *testing.T) {
 	}
 	if got := elapsed.ReplaceAllString(stdout, ""); got != string(want) {
 		t.Errorf("stdout\n%s\nwant table1.golden\n%s", got, want)
+	}
+}
+
+// TestCSV: -csv writes one file per timeline of the rendered tables, each
+// with the documented header, three columns per row and as many rows as its
+// "wrote" line reports.
+func TestCSV(t *testing.T) {
+	dir := t.TempDir()
+	stdout, stderr, exit := run(t, "-experiment", "figure14", "-csv", dir)
+	if exit != 0 || stderr != "" || !strings.HasPrefix(stdout, "== figure14: ") {
+		t.Fatalf("exit %d, stderr %q, stdout\n%s", exit, stderr, stdout)
+	}
+	for _, name := range []string{"caching", "gmlake"} {
+		path := filepath.Join(dir, "figure14_"+name+".csv")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if lines[0] != "seconds,active_bytes,reserved_bytes" {
+			t.Errorf("%s: header %q", path, lines[0])
+		}
+		for _, row := range lines[1:] {
+			if strings.Count(row, ",") != 2 {
+				t.Errorf("%s: row %q is not three columns", path, row)
+			}
+		}
+		if want := fmt.Sprintf("wrote %s (%d samples, ", path, len(lines)-1); !strings.Contains(stdout, want) {
+			t.Errorf("stdout does not report %q:\n%s", want, stdout)
+		}
 	}
 }

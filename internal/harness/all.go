@@ -21,11 +21,12 @@ func experiments() []experiment {
 		{"figure4", one((*Env).Figure4)},
 		{"figure5", one((*Env).Figure5)},
 		{"figure6", one((*Env).Figure6)},
+		{"motivation", one((*Env).Motivation)},
 		{"figure10", (*Env).Figure10},
 		{"figure11", (*Env).Figure11},
 		{"figure12", one((*Env).Figure12)},
 		{"figure13", (*Env).Figure13},
-		{"figure14", one(func(e *Env) *Table { t, _ := e.Figure14(); return t })},
+		{"figure14", one((*Env).Figure14)},
 		{"headline", one((*Env).Headline)},
 		{"extended", one((*Env).Extended)},
 		{"ablations", one((*Env).Ablations)},

@@ -202,7 +202,7 @@ func (e *Env) Figure13() []*Table {
 // batch size where the baseline OOMs (72 in the paper; 84 under our memory
 // sizing): per-phase active and reserved timelines for both allocators,
 // plus the convergence observation.
-func (e *Env) Figure14() (*Table, map[string]*metrics.Timeline) {
+func (e *Env) Figure14() *Table {
 	spec := workload.Spec{Model: model.GPTNeoX20B, Strategy: workload.StrategyLR, World: 4, Batch: 84}
 	runs := runCells(e, []string{AllocCaching, AllocGMLake}, func(name string) RunResult {
 		return e.RunWorkload(spec, name, RunOptions{Timeline: true})
@@ -210,19 +210,17 @@ func (e *Env) Figure14() (*Table, map[string]*metrics.Timeline) {
 	base, gml := runs[0], runs[1]
 
 	t := &Table{
-		ID:     "figure14",
-		Title:  "Memory trace summary (GPT-NeoX-20B, LR, batch 84, 4 GPUs)",
-		Header: []string{"Allocator", "Completed steps", "OOM", "PeakActive(GB)", "PeakReserved(GB)", "Thru(samples/s)"},
+		ID:        "figure14",
+		Title:     "Memory trace summary (GPT-NeoX-20B, LR, batch 84, 4 GPUs)",
+		Header:    []string{"Allocator", "Completed steps", "OOM", "PeakActive(GB)", "PeakReserved(GB)", "Thru(samples/s)"},
+		Timelines: map[string]*metrics.Timeline{AllocCaching: base.Timeline, AllocGMLake: gml.Timeline},
 	}
 	for _, r := range []RunResult{base, gml} {
 		t.AddRow(r.Allocator, fmt.Sprintf("%d", r.Steps), fmt.Sprintf("%v", r.OOM),
 			gb(r.PeakActive), gb(r.PeakReserved), thrOrOOM(r))
 	}
 	t.AddNote("paper: PyTorch dies with OOM at ~200s while GMLake runs; reserved ~= active for GMLake; GMLake reaches steady state after ~4 iterations")
-	return t, map[string]*metrics.Timeline{
-		AllocCaching: base.Timeline,
-		AllocGMLake:  gml.Timeline,
-	}
+	return t
 }
 
 // headlineGrid enumerates the paper's §5 aggregate: 76 workloads over 8

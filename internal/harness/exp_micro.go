@@ -176,3 +176,21 @@ func (e *Env) NativeVsCachingSpeedup(allocs int) float64 {
 	}
 	return float64(run(AllocNative)) / float64(run(AllocCaching))
 }
+
+// Motivation renders §2.2's case for a caching allocator: how much slower
+// the native allocator is, over allocator time alone and over whole
+// training steps.
+func (e *Env) Motivation() *Table {
+	t := &Table{
+		ID:     "motivation",
+		Title:  "Native vs caching allocator slowdown (§2.2)",
+		Header: []string{"Measure", "Native/Caching"},
+	}
+	const pairs = 2000
+	t.AddRow(fmt.Sprintf("allocator time, %d (alloc,free) pairs", pairs), fmt.Sprintf("%.1fx", e.NativeVsCachingSpeedup(pairs)))
+	step := e.NativeSlowdownEndToEnd()
+	t.AddRow("step time, OPT-1.3B fine-tune (R, 4 GPUs, batch 16)", fmt.Sprintf("%.1fx", step))
+	t.AddNote("paper: training with the native allocator is 9.7x slower end to end (abstract: ~10x); simulated %.1fx, a gap of %.1f", step, 9.7-step)
+	t.AddNote("compute that no allocator changes dilutes the allocator-time ratio into the step-time one")
+	return t
+}

@@ -65,45 +65,40 @@ func (e *Env) utilizationTable(id, title, axis string, labels []string, specs []
 // Figure5 reproduces the footprint-irregularity statistics: GPT-NeoX-20B
 // training with and without LR, counting allocations and their mean size.
 // The paper reports ~46k allocations at ~93 MB average for the plain run vs
-// ~76k at ~85 MB with LR — more and smaller requests.
+// ~76k at ~85 MB with LR — more and smaller requests. The table carries the
+// memory-footprint timelines behind the figure's two panels.
 func (e *Env) Figure5() *Table {
 	t := &Table{
-		ID:     "figure5",
-		Title:  "Request-stream statistics (GPT-NeoX-20B, caching allocator)",
-		Header: []string{"Config", "Allocs", "MeanSize(MB)", "Allocs/step", "Utilization"},
+		ID:        "figure5",
+		Title:     "Request-stream statistics (GPT-NeoX-20B, caching allocator)",
+		Header:    []string{"Config", "Allocs", "MeanSize(MB)", "Allocs/step", "Utilization"},
+		Timelines: map[string]*metrics.Timeline{},
 	}
 	type config struct {
-		label    string
-		strategy workload.Strategy
+		label, timeline string
+		strategy        workload.Strategy
 	}
-	cfgs := []config{{"Original", workload.StrategyN}, {"+LR", workload.StrategyLR}}
-	// Each cell is a run plus a short traced re-run for the mean request
-	// size.
-	for _, row := range runCells(e, cfgs, func(c config) []string {
+	type cell struct {
+		row      []string
+		timeline *metrics.Timeline
+	}
+	cfgs := []config{{"Original", "original", workload.StrategyN}, {"+LR", "with-LR", workload.StrategyLR}}
+	// Each cell is a run, a short traced re-run for the mean request size
+	// and a 12-step timeline run for the footprint panel.
+	for i, c := range runCells(e, cfgs, func(c config) cell {
 		spec := workload.Spec{Model: model.GPTNeoX20B, Strategy: c.strategy, World: 8, Batch: 4}
 		res := e.RunWorkload(spec, AllocCaching, RunOptions{})
 		mean := e.TraceRun(spec, 8).Stats().MeanBytes
-		return []string{c.label,
+		return cell{[]string{c.label,
 			fmt.Sprintf("%d", res.AllocCount),
 			fmt.Sprintf("%.0f", float64(mean)/float64(sim.MiB)),
 			fmt.Sprintf("%d", res.AllocCount/int64(max(res.Steps, 1))),
-			pct(res.Utilization())}
+			pct(res.Utilization())},
+			e.RunWorkload(spec, AllocCaching, RunOptions{Timeline: true, Steps: 12}).Timeline}
 	}) {
-		t.AddRow(row...)
+		t.AddRow(c.row...)
+		t.Timelines[cfgs[i].timeline] = c.timeline
 	}
 	t.AddNote("paper: plain run ~46k allocations averaging ~93MB; +LR run ~76k averaging ~85MB (more, smaller, more irregular)")
 	return t
-}
-
-// Figure5Timelines returns the memory-footprint timelines behind Figure 5's
-// two panels, for CSV export by cmd/gmlake-trace.
-func (e *Env) Figure5Timelines() (plain, lr *metrics.Timeline) {
-	specs := []workload.Spec{
-		{Model: model.GPTNeoX20B, Strategy: workload.StrategyN, World: 8, Batch: 4},
-		{Model: model.GPTNeoX20B, Strategy: workload.StrategyLR, World: 8, Batch: 4},
-	}
-	runs := runCells(e, specs, func(spec workload.Spec) RunResult {
-		return e.RunWorkload(spec, AllocCaching, RunOptions{Timeline: true, Steps: 12})
-	})
-	return runs[0].Timeline, runs[1].Timeline
 }

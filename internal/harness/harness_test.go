@@ -175,10 +175,17 @@ func TestRunExperimentUnknown(t *testing.T) {
 	}
 }
 
+// TestNativeSlowdown: the native allocator makes training clearly slower
+// end to end, and its allocator-time ratio, which no compute dilutes,
+// exceeds the end-to-end one.
 func TestNativeSlowdown(t *testing.T) {
-	ratio := fastEnv().NativeSlowdownEndToEnd()
+	e := fastEnv()
+	ratio := e.NativeSlowdownEndToEnd()
 	if ratio < 1.5 {
 		t.Fatalf("native end-to-end slowdown = %.2fx, want clearly slower (paper 9.7x)", ratio)
+	}
+	if alloc := e.NativeVsCachingSpeedup(2000); alloc <= ratio {
+		t.Fatalf("native allocator-time ratio %.2fx is not above the end-to-end %.2fx", alloc, ratio)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // Table is a renderable experiment result: a title, a header row, data rows
@@ -14,6 +16,9 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// Timelines are the named memory traces behind the table (Figures 5
+	// and 14), for CSV export; Render does not show them.
+	Timelines map[string]*metrics.Timeline
 }
 
 // AddRow appends a data row.

@@ -26,9 +26,6 @@ func (tl *Timeline) Record(t time.Duration, active, reserved int64) {
 	tl.samples = append(tl.samples, Sample{T: t, Active: active, Reserved: reserved})
 }
 
-// Samples returns the recorded series.
-func (tl *Timeline) Samples() []Sample { return tl.samples }
-
 // Len returns the number of samples.
 func (tl *Timeline) Len() int { return len(tl.samples) }
 

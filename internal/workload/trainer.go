@@ -320,14 +320,16 @@ func (t *Trainer) stepSeq() int {
 	return seq
 }
 
-// Step runs one training iteration. On out-of-memory every step-transient
-// buffer is freed and the error returned; persistent state stays valid so
-// the harness can report OOM and tear down cleanly.
+// Step runs one training iteration. On out-of-memory the timeline records
+// the failing instant, every step-transient buffer is freed and the error
+// returned; persistent state stays valid so the harness can report OOM and
+// tear down cleanly.
 func (t *Trainer) Step() error {
 	if !t.setupDone {
 		return fmt.Errorf("workload: Step before Setup")
 	}
 	if err := t.step(); err != nil {
+		t.sample()
 		t.abortStep()
 		return err
 	}

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/caching"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/memalloc"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/optrace"
 	"repro/internal/sim"
@@ -166,6 +169,44 @@ func TestOOMCleanup(t *testing.T) {
 	if alloc.Stats().Active != 0 {
 		t.Fatal("teardown after OOM leaked")
 	}
+}
+
+// TestOOMSampled: a timeline records the failing instant of an
+// out-of-memory step, before the abort frees the step's buffers, so a trace
+// whose first step OOMs does not stop at setup.
+func TestOOMSampled(t *testing.T) {
+	alloc, clock := newHarness(6 * sim.GiB)
+	tr, _ := NewTrainer(Spec{Model: model.OPT1_3B, Strategy: StrategyN, World: 4, Batch: 64}, alloc, clock)
+	var tl metrics.Timeline
+	tr.SetTimeline(&tl)
+	if err := tr.Setup(); err != nil {
+		t.Fatalf("setup should fit: %v", err)
+	}
+	if err := tr.Step(); !errors.Is(err, cuda.ErrOutOfMemory) {
+		t.Fatalf("Step err = %v, want OOM", err)
+	}
+	var csv strings.Builder
+	if err := tl.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(csv.String()), "\n")[1:]
+	if len(rows) != 2 {
+		t.Fatalf("timeline has %d samples, want setup and OOM:\n%s", len(rows), csv.String())
+	}
+	var active, reserved [2]int64
+	for i, row := range rows {
+		var secs float64
+		if _, err := fmt.Sscanf(row, "%f,%d,%d", &secs, &active[i], &reserved[i]); err != nil {
+			t.Fatalf("row %q: %v", row, err)
+		}
+	}
+	if active[1] <= active[0] {
+		t.Errorf("OOM sample holds %d active bytes, no more than setup's %d: it was taken after the abort", active[1], active[0])
+	}
+	if reserved[1] < reserved[0] {
+		t.Errorf("OOM sample reserves %d bytes, below setup's %d", reserved[1], reserved[0])
+	}
+	tr.Teardown()
 }
 
 // TestOOMFreeOrder: after an out-of-memory step the trainer frees its
