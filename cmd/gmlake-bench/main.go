@@ -48,9 +48,9 @@ func main() {
 		capacity = flag.Int64("capacity-gb", 80, "per-GPU memory in GiB")
 		minSteps = flag.Int("min-steps", 40, "minimum training steps per run")
 		maxSteps = flag.Int("max-steps", 200, "maximum training steps per run")
-		// The serving knobs the experiments share with gmlake-serve are the
-		// same keys, with the same values, docs and cross-key rules.
-		keys = conf.RegisterFlags(flag.CommandLine, "parallel", "trace_in", "trace_scale", "exact_samples")
+		// The worker-pool bound is gmlake-serve's parallel key, with the
+		// same values, doc and error text.
+		keys = conf.RegisterFlags(flag.CommandLine, "parallel")
 		prof = profile.Register()
 	)
 	flag.Parse()
@@ -104,9 +104,6 @@ func main() {
 	env.TotalSteps = *minSteps
 	env.MaxSteps = *maxSteps
 	env.Parallelism = cfg.Parallelism
-	env.TraceIn = cfg.TraceIn
-	env.TraceScale = cfg.TraceScale
-	env.ExactSamples = cfg.Cluster.Server.ExactSamples
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

@@ -68,6 +68,9 @@ func TestUsageErrors(t *testing.T) {
 		{`-parallel -1`, `gmlake-bench: conf: parallel must be a non-negative integer, got "-1"`},
 		{`-experiment figure14 -csv ` + missing, `gmlake-bench: -csv ` + missing + ` is not a directory`},
 		{`-bogus`, `flag provided but not defined: -bogus`},
+		// Trace replay and digest tuning are gmlake-serve's flags alone.
+		{`-trace-in t.jsonl`, `flag provided but not defined: -trace-in`},
+		{`-exact-samples -1`, `flag provided but not defined: -exact-samples`},
 	} {
 		stdout, stderr, exit := run(t, strings.Fields(tc.args)...)
 		if exit != 2 || stdout != "" || strings.Contains(stderr, "goroutine ") {

@@ -176,6 +176,15 @@ func TestUsageErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "t.jsonl"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A valid two-request trace whose second arrival, 10 µs, scaled by
+	// 1e-15 lands past the clock's range.
+	late := `{"format":"reqtrace","version":1}
+{"arrival_ns":0,"prompt_tokens":8,"output_tokens":4}
+{"arrival_ns":10000,"prompt_tokens":8,"output_tokens":4}
+`
+	if err := os.WriteFile(filepath.Join(dir, "late.jsonl"), []byte(late), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ args, want string }{
 		{`-warp-speed 9`, `flag provided but not defined: -warp-speed`},
 		{`-n many`, `invalid value "many" for flag -n`},
@@ -228,6 +237,10 @@ func TestUsageErrors(t *testing.T) {
 		{`-n -3`, `-n must be a positive integer, got -3`},
 		{`-batch 0`, `-batch must be a positive integer, got 0`},
 		{`-trace-in t.jsonl -n 0`, `-n must be a positive integer, got 0`},
+		// Trace files: a missing one, and a replay past the clock's range.
+		{`-trace-in /nonexistent/prod.jsonl`, `reqtrace: open /nonexistent/prod.jsonl`},
+		{`-trace-in late.jsonl -trace-scale 1e-15 -policy chunked`,
+			`reqtrace: replayed request 1 arrives past the clock's range at scale 1e-15`},
 		// Past the generator's bound, refused before it allocates the stream.
 		{`-mix chat-sessions -n 5000000000 -policy chunked`, `servegen: 5000000000 requests, at most 2147483647`},
 		{`-policy bogus`, `unknown policy "bogus" (contiguous, paged, chunked, all)`},

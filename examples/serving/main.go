@@ -430,15 +430,14 @@ func main() {
 	// digest retains raw samples and applies the exact nearest-rank rule
 	// up to ServerConfig.ExactSamples values (default 8192, so small runs
 	// like this one render byte-identically to the historical tables). One
-	// sample past
-	// the threshold the digest spills into a fixed-size deterministic
-	// quantile sketch, so a 10M-request run keeps a few thousand buckets
-	// instead of millions of samples, within a ~1% relative rank-error
-	// bound. ExactSamples: -1 forces the sketch path from the first
-	// sample — on the same stream its percentiles land next to the exact
-	// ones, and the retained/sketched sample counts show the footprint
-	// trade directly. The conf key is exact_samples:<n>
-	// (-exact-samples on gmlake-serve and gmlake-bench).
+	// sample past the threshold the digest spills into a fixed-size
+	// deterministic quantile sketch, so a 10M-request run keeps a few
+	// thousand buckets instead of millions of samples, within a ~1%
+	// relative rank-error bound. ExactSamples: -1 forces the sketch path
+	// from the first sample — on the same stream its percentiles land next
+	// to the exact ones, and the retained/sketched sample counts show the
+	// footprint trade directly. The conf key is exact_samples:<n>
+	// (-exact-samples on gmlake-serve).
 	serveWith := func(exactSamples int) serve.Report {
 		mgr := serve.NewChunkedKV(core.NewDefault(newDriver()), cfg, 64)
 		cfg := srvCfg

@@ -24,9 +24,9 @@
 // (one replica unless replicas or max_replicas says otherwise) that
 // cmd/gmlake-serve completes with the batch limit and the fault seed — the
 // two things no key names — and serves as it is; cmd/gmlake-bench takes
-// four of the keys' flags. (internal/harness is configured through its own
-// Env fields and uses this package only to build its rigs' allocators by
-// name.)
+// one of the keys' flags, -parallel. (internal/harness is configured
+// through its own Env fields and uses this package only to build its rigs'
+// allocators by name.)
 package conf
 
 import (
@@ -63,9 +63,9 @@ type Config struct {
 	ServeRate float64 // aggregate requests/second override (0 = mix default)
 	BurstCV   float64 // bursty-class interarrival CV override (0 = mix default)
 
-	// Request-trace knobs (internal/reqtrace; consumed by the serving
-	// runners, ignored by Build). TraceScale and Fit require TraceIn —
-	// Validate rejects them without it.
+	// Request-trace knobs (internal/reqtrace; consumed by gmlake-serve,
+	// ignored by Build). TraceScale and Fit require TraceIn — Validate
+	// rejects them without it.
 	TraceIn    string  // replay this trace file instead of a synthetic mix
 	TraceOut   string  // capture the completed run into this trace file
 	TraceScale float64 // replay rate multiplier (0 = recorded rate)

@@ -40,17 +40,7 @@ func experiments() []experiment {
 		{"servemix", one((*Env).ServeMixExperiment)},
 		{"servecluster", (*Env).ServeClusterExperiment},
 		{"serveelastic", (*Env).ServeElasticExperiment},
-		{"servetrace", func(e *Env) []*Table {
-			ts, err := e.ServeTraceExperiment()
-			if err != nil {
-				// Trace paths come from user configuration: surface the load
-				// error as a rendered note rather than panicking the suite.
-				t := &Table{ID: "servetrace", Title: "request-trace replay and calibration"}
-				t.AddNote("error: %v", err)
-				return []*Table{t}
-			}
-			return ts
-		}},
+		{"servetrace", (*Env).ServeTraceExperiment},
 		{"servefault", (*Env).ServeFaultExperiment},
 		{"servesession", one((*Env).ServeSessionExperiment)},
 		{"fragindex", one((*Env).FragIndexExperiment)},

@@ -198,14 +198,16 @@ func (e *Env) Figure13() []*Table {
 	return tables
 }
 
-// Figure14 reproduces the memory-trace comparison on GPT-NeoX-20B at the
-// batch size where the baseline OOMs (72 in the paper; 84 under our memory
-// sizing): per-phase active and reserved timelines for both allocators,
-// plus the convergence observation.
+// figure14Spec is Figure 14's workload: GPT-NeoX-20B at the batch size
+// where the baseline OOMs (72 in the paper; 84 under our memory sizing).
+var figure14Spec = workload.Spec{Model: model.GPTNeoX20B, Strategy: workload.StrategyLR, World: 4, Batch: 84}
+
+// Figure14 reproduces the memory-trace comparison on figure14Spec: active
+// and reserved timelines for both allocators, plus the convergence
+// observation.
 func (e *Env) Figure14() *Table {
-	spec := workload.Spec{Model: model.GPTNeoX20B, Strategy: workload.StrategyLR, World: 4, Batch: 84}
 	runs := runCells(e, []string{AllocCaching, AllocGMLake}, func(name string) RunResult {
-		return e.RunWorkload(spec, name, RunOptions{Timeline: true})
+		return e.RunWorkload(figure14Spec, name, RunOptions{Timeline: true})
 	})
 	base, gml := runs[0], runs[1]
 

@@ -96,14 +96,12 @@ type fleetRun struct {
 }
 
 // sweep runs the cells on the parallel engine, joined in cell order. It is
-// the one place the fleet experiments reach ServeCluster and apply
-// Env.ExactSamples.
+// the one place the fleet experiments reach ServeCluster.
 func (e *Env) sweep(cells []fleetCell) []fleetRun {
 	return runCells(e, cells, func(c fleetCell) fleetRun {
 		if c.newMgr == nil {
 			c.newMgr = e.clusterMgrFactory()
 		}
-		c.cfg.Server.ExactSamples = e.ExactSamples
 		rep, err := serve.ServeCluster(c.reqs, c.newMgr, c.cfg)
 		return fleetRun{rep, err}
 	})

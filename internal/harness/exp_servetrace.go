@@ -32,44 +32,22 @@ type serveTraceResult struct {
 // fit-error table (moment match + KS distance) quantifying how much of the
 // hand-picked mix the calibration recovered.
 //
-// With Env.TraceIn set the canonical mixes are replaced by the trace file:
-// the experiment replays it (rate-scaled by Env.TraceScale) and compares
-// against its fitted mix. A missing or malformed file is returned as an
-// error — trace paths come from user configuration, so they must not panic
-// the harness.
+// The experiment serves only the canonical mixes. A trace file is replayed
+// or fitted by gmlake-serve -trace-in (with -trace-scale, -fit), whose
+// -policy chunked defaults are this testbed: a 1.5 GiB device, batch 24,
+// chunked KV over the caching allocator.
 //
 // Cells run on the parallel experiment engine (one cell per mix, each on
 // private rigs), so the tables are byte-identical at any parallelism.
-func (e *Env) ServeTraceExperiment() ([]*Table, error) {
-	type cell struct {
-		name string
-		reqs []serve.Request
-	}
-	var cells []cell
-	if e.TraceIn != "" {
-		tr, err := reqtrace.ReadFile(e.TraceIn)
-		if err != nil {
-			return nil, err
-		}
-		reqs, err := tr.Replay(reqtrace.ReplayOptions{Scale: e.TraceScale})
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, cell{name: e.TraceIn, reqs: reqs})
-	} else {
-		for _, mix := range servegen.Mixes() {
-			cells = append(cells, cell{name: mix.Name, reqs: e.stream(mix, serveMixRequests)})
-		}
-	}
-
-	results := runCells(e, cells, func(c cell) serveTraceResult {
-		return e.serveTraceCell(c.name, c.reqs)
+func (e *Env) ServeTraceExperiment() []*Table {
+	results := runCells(e, servegen.Mixes(), func(mix servegen.Mix) serveTraceResult {
+		return e.serveTraceCell(mix.Name, e.stream(mix, serveMixRequests))
 	})
 
 	main := &Table{
 		ID: "servetrace",
 		Title: fmt.Sprintf("Generate→capture→replay→calibrate round trip, OPT-1.3B, %d requests, %s GB device",
-			len(cells[0].reqs), gb(serveMixCapacity)),
+			serveMixRequests, gb(serveMixCapacity)),
 		Header: []string{"mix", "source", "class", "SLO",
 			"served", "TTFT p50", "TTFT p99", "e2e p50", "e2e p99", "preempt"},
 	}
@@ -94,7 +72,7 @@ func (e *Env) ServeTraceExperiment() ([]*Table, error) {
 		100*serveTraceRateTol, 100*serveTraceLenTol)
 	fit.AddNote("length (ALL row); per-class KS distances expose what moment matching hides, e.g. an")
 	fit.AddNote("extreme-burst class fitted as on-off rather than Gamma.")
-	return []*Table{main, fit}, nil
+	return []*Table{main, fit}
 }
 
 // serveTraceCell runs one mix's generate→capture→replay→fit pipeline.
@@ -103,7 +81,7 @@ func (e *Env) serveTraceCell(name string, reqs []serve.Request) serveTraceResult
 		r := e.newServeRig(AllocCaching)
 		mgr := serve.NewChunkedKV(r.alloc, model.OPT1_3B, serveMixChunkTokens)
 		rep, err := serve.Serve(stream, mgr, serve.ServerConfig{
-			MaxBatch: serveMixMaxBatch, OnComplete: hook, ExactSamples: e.ExactSamples,
+			MaxBatch: serveMixMaxBatch, OnComplete: hook,
 		})
 		if err != nil {
 			panic("harness: servetrace " + name + ": " + err.Error())

@@ -25,7 +25,7 @@ func (e *Env) ServingExperiment() *Table {
 	if err != nil {
 		panic("harness: " + err.Error())
 	}
-	srvCfg := serve.ServerConfig{MaxBatch: 12, ExactSamples: e.ExactSamples}
+	srvCfg := serve.ServerConfig{MaxBatch: 12}
 
 	// Cells: one serving run per policy × pool on the full-size training
 	// device (the paged slab sized to match); each cell owns its rig and

@@ -21,7 +21,10 @@
 // e.sweepTable runs them and prefixes each row with its cell's key. What a
 // failed cell means is an argument of sweepTable, not a convention: a fail
 // row renders it (the tables whose tight pools may OOM), nil panics with
-// the table id and cell key (a fleet that must serve its stream).
+// the table id and cell key (a fleet that must serve its stream). The
+// serving experiments serve generated mixes at the serve package's defaults
+// (exact latency digests); replaying a trace file or tuning the digests is
+// gmlake-serve's job, on the same serving testbed.
 //
 // To add a serving experiment, write its []fleetVariant and row function,
 // call grid and sweepTable, and add its id to experiments() in all.go; then
@@ -65,7 +68,9 @@ const (
 )
 
 // Env fixes the simulated testbed: A100-80GB-class devices and the
-// calibrated driver cost model.
+// calibrated driver cost model. Its fields are the device capacity, the
+// step budget, the seed and the worker count; the serving experiments take
+// no serving options from it.
 type Env struct {
 	// Capacity is the per-GPU memory (default 80 GiB, the paper's A100).
 	Capacity int64
@@ -95,21 +100,6 @@ type Env struct {
 	// by cell index so rendered tables are byte-identical to a sequential
 	// run. 0 means GOMAXPROCS; 1 forces sequential execution.
 	Parallelism int
-
-	// TraceIn, when set, points the servetrace experiment at a request
-	// trace file (internal/reqtrace JSONL or CSV) to replay and calibrate
-	// instead of the canonical synthetic mixes; TraceScale rate-scales the
-	// replay (0 = the recorded rate). A bad path surfaces as an error from
-	// the experiment, never a panic.
-	TraceIn    string
-	TraceScale float64
-
-	// ExactSamples is the serving experiments' latency-digest exact-
-	// retention threshold (serve.ServerConfig.ExactSamples): 0 keeps the
-	// serve default — large enough that every canonical experiment stays
-	// on the exact nearest-rank path and tables render byte-identically —
-	// and a negative value sketches from the first sample.
-	ExactSamples int
 }
 
 // NewEnv returns the default environment.

@@ -21,6 +21,30 @@ func fastEnv() *Env {
 	return e
 }
 
+// TestFigure14TimelinePeaks: each Figure 14 run's timeline reaches the
+// run's peaks, so the -csv files and their "wrote" lines show the peaks the
+// table reports — at the full budget and at the golden one. The caching
+// run's peaks match to the byte. GMLake's reported peak active is the sum
+// of its large and small pools' own peaks (memalloc.Stats.Add, an upper
+// bound), so its timeline, which samples the pools' joint total, may sit
+// below it by less than the table's 0.1 GB resolution.
+func TestFigure14TimelinePeaks(t *testing.T) {
+	for _, e := range []*Env{NewEnv(), goldenEnv(1)} {
+		for _, name := range []string{AllocCaching, AllocGMLake} {
+			res := e.RunWorkload(figure14Spec, name, RunOptions{Timeline: true})
+			active, reserved := res.Timeline.PeakActive(), res.Timeline.PeakReserved()
+			if reserved != res.PeakReserved {
+				t.Errorf("%s at %d steps: timeline peak reserved %d, run peak %d", name, e.TotalSteps, reserved, res.PeakReserved)
+			}
+			exact := name == AllocCaching && active == res.PeakActive
+			bounded := name == AllocGMLake && active <= res.PeakActive && gb(active) == gb(res.PeakActive)
+			if !exact && !bounded {
+				t.Errorf("%s at %d steps: timeline peak active %d, run peak %d", name, e.TotalSteps, active, res.PeakActive)
+			}
+		}
+	}
+}
+
 func TestTable1MatchesPaper(t *testing.T) {
 	tbl := NewEnv().Table1()
 	if len(tbl.Rows) != 3 {

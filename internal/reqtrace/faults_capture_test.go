@@ -44,7 +44,7 @@ func TestCaptureOnceUnderFaults(t *testing.T) {
 			cap.Count(), rep.Served)
 	}
 	seen := map[int]bool{}
-	for _, r := range cap.Trace().Requests() {
+	for _, r := range cap.Trace().Records {
 		if seen[r.ID] {
 			t.Fatalf("request %d captured twice", r.ID)
 		}

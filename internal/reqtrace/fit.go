@@ -82,9 +82,9 @@ func splitClasses(t Trace) map[string]*classSamples {
 			c = &classSamples{slo: r.SLO}
 			byClass[name] = c
 		}
-		c.arrivals = append(c.arrivals, r.Arrival.Seconds())
-		c.prompts = append(c.prompts, r.Prompt)
-		c.outputs = append(c.outputs, r.Output)
+		c.arrivals = append(c.arrivals, r.ArrivalAt.Seconds())
+		c.prompts = append(c.prompts, r.PromptLen)
+		c.outputs = append(c.outputs, r.OutputLen)
 	}
 	return byClass
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/servegen"
 )
 
@@ -163,10 +164,10 @@ func TestFitArrivalFamilies(t *testing.T) {
 // TestFitDegenerate: identical lengths fit a deterministic distribution;
 // zero-span and empty traces fail with clear errors.
 func TestFitDegenerate(t *testing.T) {
-	tr := Trace{Records: []Record{
-		{Arrival: 0, Prompt: 64, Output: 8},
-		{Arrival: time.Second, Prompt: 64, Output: 8},
-		{Arrival: 2 * time.Second, Prompt: 64, Output: 8},
+	tr := Trace{Records: []serve.Request{
+		{ArrivalAt: 0, PromptLen: 64, OutputLen: 8},
+		{ArrivalAt: time.Second, PromptLen: 64, OutputLen: 8},
+		{ArrivalAt: 2 * time.Second, PromptLen: 64, OutputLen: 8},
 	}}
 	m, err := Fit(tr)
 	if err != nil {
@@ -186,7 +187,7 @@ func TestFitDegenerate(t *testing.T) {
 	if _, err := Fit(Trace{}); err == nil {
 		t.Error("empty trace fitted")
 	}
-	zero := Trace{Records: []Record{{Prompt: 1, Output: 1}}}
+	zero := Trace{Records: []serve.Request{{PromptLen: 1, OutputLen: 1}}}
 	if _, err := Fit(zero); err == nil || !strings.Contains(err.Error(), "span") {
 		t.Errorf("zero-span trace: %v", err)
 	}

@@ -66,8 +66,8 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		for i, r := range tr.Records {
 			b := back.Records[i]
-			if b.Arrival != r.Arrival || b.Priority != r.Priority ||
-				b.Prompt != r.Prompt || b.Output != r.Output {
+			if b.ArrivalAt != r.ArrivalAt || b.Priority != r.Priority ||
+				b.PromptLen != r.PromptLen || b.OutputLen != r.OutputLen {
 				t.Fatalf("record %d round-tripped %+v as %+v", i, r, b)
 			}
 		}

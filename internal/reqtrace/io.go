@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // The on-disk formats. Both are versioned and both round-trip a trace
@@ -83,12 +85,12 @@ func (t Trace) WriteJSONL(w io.Writer) error {
 	}
 	for i, r := range t.Records {
 		jr := jsonRecord{
-			ArrivalNS: int64(r.Arrival),
+			ArrivalNS: int64(r.ArrivalAt),
 			Class:     r.Class,
 			SLO:       r.SLO,
 			Priority:  r.Priority,
-			Prompt:    r.Prompt,
-			Output:    r.Output,
+			Prompt:    r.PromptLen,
+			Output:    r.OutputLen,
 			SessionID: r.SessionID,
 			Turn:      r.Turn,
 		}
@@ -118,11 +120,11 @@ func (t Trace) WriteCSV(w io.Writer) error {
 	}
 	for _, r := range t.Records {
 		row := []string{
-			strconv.FormatInt(int64(r.Arrival), 10),
+			strconv.FormatInt(int64(r.ArrivalAt), 10),
 			r.Class, r.SLO,
 			strconv.Itoa(r.Priority),
-			strconv.Itoa(r.Prompt),
-			strconv.Itoa(r.Output),
+			strconv.Itoa(r.PromptLen),
+			strconv.Itoa(r.OutputLen),
 		}
 		if sessions {
 			row = append(row, r.SessionID, strconv.Itoa(r.Turn))
@@ -189,13 +191,14 @@ func readJSONL(br *bufio.Reader) (Trace, error) {
 		if err := json.Unmarshal([]byte(s), &jr); err != nil {
 			return Trace{}, fmt.Errorf("reqtrace: line %d: %w", line, err)
 		}
-		t.Records = append(t.Records, Record{
-			Arrival:   time.Duration(jr.ArrivalNS),
+		t.Records = append(t.Records, serve.Request{
+			ID:        len(t.Records),
+			ArrivalAt: time.Duration(jr.ArrivalNS),
 			Class:     jr.Class,
 			SLO:       jr.SLO,
 			Priority:  jr.Priority,
-			Prompt:    jr.Prompt,
-			Output:    jr.Output,
+			PromptLen: jr.Prompt,
+			OutputLen: jr.Output,
 			SessionID: jr.SessionID,
 			Turn:      jr.Turn,
 		})
@@ -251,7 +254,8 @@ func readCSV(br *bufio.Reader) (Trace, error) {
 		prio, err2 := strconv.Atoi(row[3])
 		prompt, err3 := strconv.Atoi(row[4])
 		output, err4 := strconv.Atoi(row[5])
-		rec := Record{
+		rec := serve.Request{
+			ID:    i,
 			Class: row[1],
 			SLO:   row[2],
 		}
@@ -265,10 +269,10 @@ func readCSV(br *bufio.Reader) (Trace, error) {
 				return Trace{}, fmt.Errorf("reqtrace: CSV row %d: %w", i+1, err)
 			}
 		}
-		rec.Arrival = time.Duration(arrival)
+		rec.ArrivalAt = time.Duration(arrival)
 		rec.Priority = prio
-		rec.Prompt = prompt
-		rec.Output = output
+		rec.PromptLen = prompt
+		rec.OutputLen = output
 		t.Records = append(t.Records, rec)
 	}
 	return t, nil

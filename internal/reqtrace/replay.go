@@ -54,8 +54,10 @@ type ReplayOptions struct {
 }
 
 // Replay turns the trace back into a request stream. With the zero options
-// the stream is exactly Requests(): the same tuples servegen generated, so
-// serving it reproduces the original report byte for byte.
+// the stream is exactly Records: the same tuples servegen generated, so
+// serving it reproduces the original report byte for byte. A scaled or
+// looped arrival past the virtual clock's range is an error, not a wrapped
+// negative instant.
 func (t Trace) Replay(opts ReplayOptions) ([]serve.Request, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -88,29 +90,32 @@ func (t Trace) Replay(opts ReplayOptions) ([]serve.Request, error) {
 	for i := range out {
 		r := t.Records[i%n0]
 		pass := i / n0
-		at := r.Arrival + time.Duration(pass)*period
-		if scale != 1 {
-			at = time.Duration(float64(at) / scale)
+		at := r.ArrivalAt
+		// A period past the range has wrapped negative.
+		fits := pass == 0 || period > 0 && period <= (math.MaxInt64-at)/time.Duration(pass)
+		if fits {
+			at += time.Duration(pass) * period
 		}
-		sid := r.SessionID
-		if sid != "" && pass > 0 {
+		if fits && scale != 1 {
+			// float64(MaxInt64) rounds up to 2^63, the first value past
+			// the range.
+			f := float64(at) / scale
+			fits = f < float64(math.MaxInt64)
+			at = time.Duration(f)
+		}
+		if !fits {
+			return nil, fmt.Errorf("reqtrace: replayed request %d arrives past the clock's range at scale %g", i, scale)
+		}
+		r.ID = i
+		r.ArrivalAt = at
+		if r.SessionID != "" && pass > 0 {
 			// Each loop pass replays distinct conversations: suffixing the
 			// session id by the pass keeps a looped session from colliding
 			// with its earlier copies (same turns, much later arrivals),
 			// which would violate turn ordering and fake prefix hits.
-			sid = fmt.Sprintf("%s~%d", sid, pass)
+			r.SessionID = fmt.Sprintf("%s~%d", r.SessionID, pass)
 		}
-		out[i] = serve.Request{
-			ID:        i,
-			Class:     r.Class,
-			SLO:       r.SLO,
-			Priority:  r.Priority,
-			ArrivalAt: at,
-			PromptLen: r.Prompt,
-			OutputLen: r.Output,
-			SessionID: sid,
-			Turn:      r.Turn,
-		}
+		out[i] = r
 	}
 	return out, nil
 }

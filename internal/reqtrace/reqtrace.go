@@ -14,6 +14,10 @@
 // exactly, so capture→write→read→replay reproduces a serving report byte
 // for byte.
 //
+// A record is a serve.Request whose ID is its position in the trace, so a
+// request field a trace should carry is added once: to the on-disk mapping
+// in io.go (jsonRecord and the CSV row).
+//
 // This package records *serving requests*; its sibling internal/optrace
 // records *allocator operations* (every Alloc/Free a workload issues against
 // a memory allocator, the paper's Figure 5 streams).
@@ -31,35 +35,20 @@ import (
 // Readers reject traces from a newer format rather than misparse them.
 const Version = 1
 
-// Record is one request of a trace: everything needed to re-issue the
-// request on a serving substrate. Arrival is the offset from the trace
-// start on the virtual clock; token counts are the request's prompt and
-// output lengths.
-type Record struct {
-	Arrival  time.Duration
-	Class    string
-	SLO      string
-	Priority int
-	Prompt   int
-	Output   int
-
-	// SessionID and Turn carry the request's multi-turn session identity
-	// (serve.Request.SessionID/Turn). Both zero for one-shot requests —
-	// traces captured before the session format extension read back with
-	// exactly these zero values.
-	SessionID string
-	Turn      int
-}
-
 // Trace is an ordered request trace: records sorted by arrival offset.
+// A record is a serve.Request — everything needed to re-issue the request
+// on a serving substrate — whose ID is its position in Records; ArrivalAt
+// is the offset from the trace start on the virtual clock.
 type Trace struct {
-	Records []Record
+	Records []serve.Request
 }
 
 // FromRequests converts a request stream into a trace. Records are stably
 // sorted by (arrival, ID), which canonicalizes any completion or shard
 // order back to the generator's arrival order — the property that makes
-// generate→capture→replay round-trip exactly.
+// generate→capture→replay round-trip exactly — and then renumbered by
+// position, exactly how servegen numbers a generated stream after its
+// arrival sort.
 func FromRequests(reqs []serve.Request) Trace {
 	sorted := append([]serve.Request(nil), reqs...)
 	sort.SliceStable(sorted, func(i, j int) bool {
@@ -68,41 +57,10 @@ func FromRequests(reqs []serve.Request) Trace {
 		}
 		return sorted[i].ID < sorted[j].ID
 	})
-	t := Trace{Records: make([]Record, len(sorted))}
-	for i, r := range sorted {
-		t.Records[i] = Record{
-			Arrival:   r.ArrivalAt,
-			Class:     r.Class,
-			SLO:       r.SLO,
-			Priority:  r.Priority,
-			Prompt:    r.PromptLen,
-			Output:    r.OutputLen,
-			SessionID: r.SessionID,
-			Turn:      r.Turn,
-		}
+	for i := range sorted {
+		sorted[i].ID = i
 	}
-	return t
-}
-
-// Requests converts the trace back into a request stream, numbering the
-// requests 0..n-1 in record order — exactly how servegen numbers a
-// generated stream after its arrival sort.
-func (t Trace) Requests() []serve.Request {
-	out := make([]serve.Request, len(t.Records))
-	for i, r := range t.Records {
-		out[i] = serve.Request{
-			ID:        i,
-			Class:     r.Class,
-			SLO:       r.SLO,
-			Priority:  r.Priority,
-			ArrivalAt: r.Arrival,
-			PromptLen: r.Prompt,
-			OutputLen: r.Output,
-			SessionID: r.SessionID,
-			Turn:      r.Turn,
-		}
-	}
-	return out
+	return Trace{Records: sorted}
 }
 
 // Validate checks the trace is well-formed: at least one record, arrivals
@@ -116,15 +74,15 @@ func (t Trace) Validate() error {
 	}
 	lastTurn := map[string]int{}
 	for i, r := range t.Records {
-		if r.Arrival < 0 {
-			return fmt.Errorf("reqtrace: record %d arrival %v", i, r.Arrival)
+		if r.ArrivalAt < 0 {
+			return fmt.Errorf("reqtrace: record %d arrival %v", i, r.ArrivalAt)
 		}
-		if i > 0 && r.Arrival < t.Records[i-1].Arrival {
+		if i > 0 && r.ArrivalAt < t.Records[i-1].ArrivalAt {
 			return fmt.Errorf("reqtrace: record %d arrival %v before record %d at %v",
-				i, r.Arrival, i-1, t.Records[i-1].Arrival)
+				i, r.ArrivalAt, i-1, t.Records[i-1].ArrivalAt)
 		}
-		if r.Prompt <= 0 || r.Output <= 0 {
-			return fmt.Errorf("reqtrace: record %d tokens prompt=%d output=%d", i, r.Prompt, r.Output)
+		if r.PromptLen <= 0 || r.OutputLen <= 0 {
+			return fmt.Errorf("reqtrace: record %d tokens prompt=%d output=%d", i, r.PromptLen, r.OutputLen)
 		}
 		if r.SessionID == "" {
 			if r.Turn != 0 {
@@ -149,7 +107,7 @@ func (t Trace) Span() time.Duration {
 	if len(t.Records) == 0 {
 		return 0
 	}
-	return t.Records[len(t.Records)-1].Arrival
+	return t.Records[len(t.Records)-1].ArrivalAt
 }
 
 // ClassStats is the per-client-class slice of a trace summary.
@@ -191,8 +149,8 @@ func (t Trace) Stats() Stats {
 	}
 	byClass := map[string]*ClassStats{}
 	for _, r := range t.Records {
-		s.MeanPrompt += float64(r.Prompt)
-		s.MeanOutput += float64(r.Output)
+		s.MeanPrompt += float64(r.PromptLen)
+		s.MeanOutput += float64(r.OutputLen)
 		name := r.Class
 		if name == "" {
 			name = "default"
@@ -200,24 +158,24 @@ func (t Trace) Stats() Stats {
 		c := byClass[name]
 		if c == nil {
 			c = &ClassStats{Class: name, SLO: r.SLO,
-				MinPrompt: r.Prompt, MaxPrompt: r.Prompt,
-				MinOutput: r.Output, MaxOutput: r.Output}
+				MinPrompt: r.PromptLen, MaxPrompt: r.PromptLen,
+				MinOutput: r.OutputLen, MaxOutput: r.OutputLen}
 			byClass[name] = c
 		}
 		c.Requests++
-		c.MeanPrompt += float64(r.Prompt)
-		c.MeanOutput += float64(r.Output)
-		if r.Prompt < c.MinPrompt {
-			c.MinPrompt = r.Prompt
+		c.MeanPrompt += float64(r.PromptLen)
+		c.MeanOutput += float64(r.OutputLen)
+		if r.PromptLen < c.MinPrompt {
+			c.MinPrompt = r.PromptLen
 		}
-		if r.Prompt > c.MaxPrompt {
-			c.MaxPrompt = r.Prompt
+		if r.PromptLen > c.MaxPrompt {
+			c.MaxPrompt = r.PromptLen
 		}
-		if r.Output < c.MinOutput {
-			c.MinOutput = r.Output
+		if r.OutputLen < c.MinOutput {
+			c.MinOutput = r.OutputLen
 		}
-		if r.Output > c.MaxOutput {
-			c.MaxOutput = r.Output
+		if r.OutputLen > c.MaxOutput {
+			c.MaxOutput = r.OutputLen
 		}
 	}
 	s.MeanPrompt /= float64(s.Requests)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/servegen"
 )
 
@@ -20,16 +21,16 @@ func genTrace(t *testing.T, n int) Trace {
 	return FromRequests(reqs)
 }
 
-// TestRequestsRoundTrip: FromRequests ∘ Requests is the identity on a
-// generated stream — the trace layer neither loses nor reorders anything.
+// TestRequestsRoundTrip: FromRequests keeps a generated stream as its
+// records unchanged — the trace layer neither loses nor reorders anything,
+// and servegen's IDs are already the records' positions.
 func TestRequestsRoundTrip(t *testing.T) {
 	reqs, err := servegen.MixedBursty().Generate(200, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := FromRequests(reqs).Requests()
-	if !reflect.DeepEqual(got, reqs) {
-		t.Fatal("FromRequests∘Requests is not the identity on a generated stream")
+	if got := FromRequests(reqs).Records; !reflect.DeepEqual(got, reqs) {
+		t.Fatal("FromRequests altered a generated stream")
 	}
 }
 
@@ -132,7 +133,7 @@ func TestStats(t *testing.T) {
 	if s.Requests != 300 {
 		t.Fatalf("requests %d", s.Requests)
 	}
-	if s.Span != tr.Records[len(tr.Records)-1].Arrival {
+	if s.Span != tr.Records[len(tr.Records)-1].ArrivalAt {
 		t.Fatalf("span %v", s.Span)
 	}
 	mix := servegen.MixedBursty()
@@ -161,7 +162,7 @@ func TestStats(t *testing.T) {
 // (with the constant-period shift), and Scale rescales arrivals only.
 func TestReplayOptions(t *testing.T) {
 	tr := genTrace(t, 100)
-	orig := tr.Requests()
+	orig := tr.Records
 
 	got, err := tr.Replay(ReplayOptions{})
 	if err != nil {
@@ -186,11 +187,11 @@ func TestReplayOptions(t *testing.T) {
 	span := tr.Span()
 	period := span + span/time.Duration(len(tr.Records)-1)
 	for i := 100; i < 150; i++ {
-		want := tr.Records[i-100].Arrival + period
+		want := tr.Records[i-100].ArrivalAt + period
 		if long[i].ArrivalAt != want {
 			t.Fatalf("looped request %d arrives at %v, want %v", i, long[i].ArrivalAt, want)
 		}
-		if long[i].PromptLen != tr.Records[i-100].Prompt {
+		if long[i].PromptLen != tr.Records[i-100].PromptLen {
 			t.Fatalf("looped request %d lost its token counts", i)
 		}
 		if long[i].ID != i {
@@ -215,5 +216,49 @@ func TestReplayOptions(t *testing.T) {
 		if _, err := tr.Replay(bad); err == nil {
 			t.Fatalf("replay accepted %+v", bad)
 		}
+	}
+}
+
+// TestReplayPastClockRange: a scaled or looped arrival past the virtual
+// clock's range is one error naming the request and the scale, never a
+// stream whose arrivals wrapped to negative instants.
+func TestReplayPastClockRange(t *testing.T) {
+	// Span 3·2^60 and one gap of as much: the loop period is 6·2^60, so
+	// the first looped arrival lands exactly on 2^63.
+	late := FromRequests([]serve.Request{
+		{ArrivalAt: 1 << 61, PromptLen: 1, OutputLen: 1},
+		{ArrivalAt: 3 << 60, PromptLen: 1, OutputLen: 1},
+	})
+	// A span past half the range: the loop period itself overflows.
+	wide := FromRequests([]serve.Request{
+		{PromptLen: 1, OutputLen: 1},
+		{ArrivalAt: 3 << 61, PromptLen: 1, OutputLen: 1},
+	})
+	for _, tc := range []struct {
+		name string
+		tr   Trace
+		opts ReplayOptions
+		want string
+	}{
+		{"scaled", genTrace(t, 50), ReplayOptions{Scale: 1e-15},
+			"reqtrace: replayed request 0 arrives past the clock's range at scale 1e-15"},
+		{"scaled onto 2^63", late, ReplayOptions{Scale: 0.25},
+			"reqtrace: replayed request 0 arrives past the clock's range at scale 0.25"},
+		{"looped onto 2^63", late, ReplayOptions{N: 3},
+			"reqtrace: replayed request 2 arrives past the clock's range at scale 1"},
+		{"loop period overflows", wide, ReplayOptions{N: 3},
+			"reqtrace: replayed request 2 arrives past the clock's range at scale 1"},
+	} {
+		got, err := tc.tr.Replay(tc.opts)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+		if got != nil {
+			t.Errorf("%s: a failed replay returned %d requests", tc.name, len(got))
+		}
+	}
+	// Arrivals just inside the range still replay.
+	if _, err := late.Replay(ReplayOptions{Scale: 0.5}); err != nil {
+		t.Errorf("in-range scale refused: %v", err)
 	}
 }

@@ -143,9 +143,9 @@ func TestCaptureCanonicalOrder(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Records[0].Arrival != 10 || tr.Records[0].Prompt != 1 ||
-		tr.Records[1].Arrival != 10 || tr.Records[1].Prompt != 2 ||
-		tr.Records[2].Arrival != 30 {
+	if tr.Records[0].ArrivalAt != 10 || tr.Records[0].PromptLen != 1 ||
+		tr.Records[1].ArrivalAt != 10 || tr.Records[1].PromptLen != 2 ||
+		tr.Records[2].ArrivalAt != 30 {
 		t.Fatalf("capture did not canonicalize: %+v", tr.Records)
 	}
 }

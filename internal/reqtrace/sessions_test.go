@@ -13,12 +13,12 @@ import (
 )
 
 func sessionTrace() Trace {
-	return Trace{Records: []Record{
-		{Arrival: 0, Class: "chat", SLO: "interactive", Priority: 2, Prompt: 64, Output: 16, SessionID: "c#0", Turn: 0},
-		{Arrival: 100 * time.Millisecond, Class: "batch", SLO: "batch", Prompt: 128, Output: 32},
-		{Arrival: 2 * time.Second, Class: "chat", SLO: "interactive", Priority: 2, Prompt: 104, Output: 20, SessionID: "c#0", Turn: 1},
-		{Arrival: 5 * time.Second, Class: "chat", SLO: "interactive", Priority: 2, Prompt: 148, Output: 12, SessionID: "c#0", Turn: 2},
-	}}
+	return FromRequests([]serve.Request{
+		{ArrivalAt: 0, Class: "chat", SLO: "interactive", Priority: 2, PromptLen: 64, OutputLen: 16, SessionID: "c#0", Turn: 0},
+		{ArrivalAt: 100 * time.Millisecond, Class: "batch", SLO: "batch", PromptLen: 128, OutputLen: 32},
+		{ArrivalAt: 2 * time.Second, Class: "chat", SLO: "interactive", Priority: 2, PromptLen: 104, OutputLen: 20, SessionID: "c#0", Turn: 1},
+		{ArrivalAt: 5 * time.Second, Class: "chat", SLO: "interactive", Priority: 2, PromptLen: 148, OutputLen: 12, SessionID: "c#0", Turn: 2},
+	})
 }
 
 // TestSessionTraceRoundTrip: session identity survives both file formats
@@ -49,9 +49,9 @@ func TestSessionTraceRoundTrip(t *testing.T) {
 // TestSessionlessOutputUnchanged: a trace with no sessions must serialize
 // byte-for-byte in the pre-session layouts — no new columns, no new keys.
 func TestSessionlessOutputUnchanged(t *testing.T) {
-	tr := Trace{Records: []Record{
-		{Arrival: 0, Class: "chat", SLO: "interactive", Priority: 2, Prompt: 64, Output: 16},
-		{Arrival: time.Second, Prompt: 32, Output: 8},
+	tr := Trace{Records: []serve.Request{
+		{ArrivalAt: 0, Class: "chat", SLO: "interactive", Priority: 2, PromptLen: 64, OutputLen: 16},
+		{ArrivalAt: time.Second, PromptLen: 32, OutputLen: 8},
 	}}
 	var jsonl bytes.Buffer
 	if err := tr.WriteJSONL(&jsonl); err != nil {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // TestStatsEdgeCases hardens Stats against the degenerate shapes a capture
@@ -42,8 +44,8 @@ func TestStatsEdgeCases(t *testing.T) {
 			// One record arriving at offset 0: span 0, so no rate is
 			// computable — it must report 0, not +Inf.
 			name: "single-at-zero",
-			trace: Trace{Records: []Record{
-				{Arrival: 0, Class: "chat", SLO: "interactive", Prompt: 120, Output: 64},
+			trace: Trace{Records: []serve.Request{
+				{ArrivalAt: 0, Class: "chat", SLO: "interactive", PromptLen: 120, OutputLen: 64},
 			}},
 			reqs: 1,
 		},
@@ -51,17 +53,17 @@ func TestStatsEdgeCases(t *testing.T) {
 			// One record at a positive offset: the span is that offset and
 			// the rate is finite.
 			name: "single-late",
-			trace: Trace{Records: []Record{
-				{Arrival: 2 * time.Second, Prompt: 8, Output: 4},
+			trace: Trace{Records: []serve.Request{
+				{ArrivalAt: 2 * time.Second, PromptLen: 8, OutputLen: 4},
 			}},
 			reqs: 1, span: 2 * time.Second, rate: 0.5,
 		},
 		{
 			// All records at the same instant: positive count, zero span.
 			name: "simultaneous",
-			trace: Trace{Records: []Record{
-				{Arrival: 0, Prompt: 10, Output: 5},
-				{Arrival: 0, Prompt: 30, Output: 15},
+			trace: Trace{Records: []serve.Request{
+				{ArrivalAt: 0, PromptLen: 10, OutputLen: 5},
+				{ArrivalAt: 0, PromptLen: 30, OutputLen: 15},
 			}},
 			reqs: 2,
 		},
@@ -82,8 +84,8 @@ func TestStatsEdgeCases(t *testing.T) {
 	}
 
 	// The single-record class row carries the degenerate moments exactly.
-	s := Trace{Records: []Record{
-		{Arrival: 0, Class: "chat", SLO: "interactive", Prompt: 120, Output: 64},
+	s := Trace{Records: []serve.Request{
+		{ArrivalAt: 0, Class: "chat", SLO: "interactive", PromptLen: 120, OutputLen: 64},
 	}}.Stats()
 	if len(s.Classes) != 1 {
 		t.Fatalf("classes = %d", len(s.Classes))

@@ -88,7 +88,9 @@ func NewTrainer(spec Spec, alloc memalloc.Allocator, clock *sim.Clock) (*Trainer
 func (t *Trainer) Steps() int { return t.steps }
 
 // SetTimeline attaches a timeline that records (time, active, reserved)
-// samples at phase boundaries.
+// samples at phase boundaries and after every step-transient allocation:
+// active and reserved bytes only rise inside an allocation, so the
+// timeline's peaks are the run's.
 func (t *Trainer) SetTimeline(tl *metrics.Timeline) { t.timeline = tl }
 
 func (t *Trainer) sample() {
@@ -179,13 +181,14 @@ func (t *Trainer) adapterBytesPerLayer() int64 {
 }
 
 // stepAlloc allocates a per-step transient buffer, tracking it for OOM
-// cleanup.
+// cleanup, and samples the timeline after it.
 func (t *Trainer) stepAlloc(size int64) (*memalloc.Buffer, error) {
 	b, err := t.alloc.Alloc(size)
 	if err != nil {
 		return nil, err
 	}
 	t.stepLive[b] = struct{}{}
+	t.sample()
 	return b, nil
 }
 
