@@ -30,6 +30,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"text/tabwriter"
 	"time"
 
 	"repro/cmd/internal/profile"
@@ -40,7 +41,7 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list experiment ids and exit")
+		list     = flag.Bool("list", false, "list experiment ids with the claim each serves, and exit")
 		exp      = flag.String("experiment", "all", "experiment id (or 'all')")
 		out      = flag.String("out", "", "also write results to this file")
 		csvDir   = flag.String("csv", "", "also write each table's memory timelines to this directory as <id>_<name>.csv")
@@ -92,9 +93,11 @@ func main() {
 	}
 
 	if *list {
+		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
 		for _, id := range harness.Experiments {
-			fmt.Println(id)
+			fmt.Fprintf(tw, "%s\t%s\n", id, harness.Claims[id])
 		}
+		tw.Flush()
 		return
 	}
 

@@ -89,10 +89,20 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestList: -list prints one "id  claim" line per experiment, in order,
+// the claims aligned two spaces past the longest id.
 func TestList(t *testing.T) {
+	width := 0
+	for _, id := range harness.Experiments {
+		width = max(width, len(id))
+	}
+	var want strings.Builder
+	for _, id := range harness.Experiments {
+		fmt.Fprintf(&want, "%-*s  %s\n", width, id, harness.Claims[id])
+	}
 	stdout, stderr, exit := run(t, "-list")
-	if want := strings.Join(harness.Experiments, "\n") + "\n"; exit != 0 || stderr != "" || stdout != want {
-		t.Errorf("-list: exit %d, stderr %q, stdout\n%s\nwant\n%s", exit, stderr, stdout, want)
+	if exit != 0 || stderr != "" || stdout != want.String() {
+		t.Errorf("-list: exit %d, stderr %q, stdout\n%s\nwant\n%s", exit, stderr, stdout, want.String())
 	}
 }
 

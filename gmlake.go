@@ -49,8 +49,8 @@
 //     mixes, cluster dispatch, sessions, faults and request traces.
 //
 // Shorter runnable Example functions sit beside the packages they
-// document: internal/core, internal/workload, internal/stream,
-// internal/fragstat and internal/parallel.
+// document: internal/core, internal/workload, internal/stream and
+// internal/fragstat.
 //
 // # Fixed points
 //

@@ -52,51 +52,6 @@ func (e *Env) ZeROExperiment() *Table {
 	return t
 }
 
-// TopologyExperiment sizes 3D-parallel decompositions of GPT-NeoX-20B with
-// the memory planner: which topologies fit an 80 GiB device and where the
-// per-rank demand goes.
-func (e *Env) TopologyExperiment() *Table {
-	t := &Table{
-		ID:     "topology",
-		Title:  "3D parallelism memory plan, GPT-NeoX-20B (micro-batch 4, 1F1B)",
-		Header: []string{"topology", "world", "zero", "max rank (GB)", "state (GB)", "acts (GB)", "fits 80GB"},
-	}
-	cfg := model.GPTNeoX20B
-	cases := []struct {
-		topo parallel.Topology
-		zero parallel.ZeROStage
-	}{
-		{parallel.Topology{DP: 1, TP: 1, PP: 1}, parallel.Stage0},
-		{parallel.Topology{DP: 4, TP: 1, PP: 1}, parallel.Stage3},
-		{parallel.Topology{DP: 1, TP: 4, PP: 1}, parallel.Stage0},
-		{parallel.Topology{DP: 1, TP: 1, PP: 4}, parallel.Stage0},
-		{parallel.Topology{DP: 2, TP: 2, PP: 2}, parallel.Stage1},
-		{parallel.Topology{DP: 4, TP: 2, PP: 2}, parallel.Stage3},
-	}
-	for _, row := range runCells(e, cases, func(c struct {
-		topo parallel.Topology
-		zero parallel.ZeROStage
-	}) []string {
-		plan, err := parallel.PlanMemory(cfg, c.topo, c.zero, parallel.OneFOneB, 4, 0)
-		if err != nil {
-			panic("harness: " + err.Error())
-		}
-		var worst parallel.RankDemand
-		for _, d := range plan.Stages {
-			if d.Total() > worst.Total() {
-				worst = d
-			}
-		}
-		return []string{c.topo.String(), fmt.Sprint(c.topo.World()), c.zero.String(),
-			gb(plan.MaxRankBytes()), gb(worst.State.Total()), gb(worst.Activations),
-			fmt.Sprint(plan.Fits(80*sim.GiB, 0.1))}
-	}) {
-		t.AddRow(row...)
-	}
-	t.AddNote("20B parameters at 16 bytes/param need 325 GB of state: no single 80 GB device fits without sharding.")
-	return t
-}
-
 // RecomputeExperiment tabulates checkpointing plans for GPT-NeoX-20B: how
 // the planner trades activation memory against recompute time, and how a
 // byte budget picks the cheapest feasible segmentation.

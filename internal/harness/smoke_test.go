@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -54,5 +57,40 @@ func TestAllExperimentsSmoke(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// claimForm is the shape of an experiment's claim: a paper anchor or
+// "beyond: " and an aim or ROADMAP item, then a colon and the claim.
+var claimForm = regexp.MustCompile(`^(abstract|§\d+(\.\d+)*|(Table|Figure) \d+|beyond: (north star|aim [1-4]|item \d+(\([a-z]\))?)): \S`)
+
+// citedTest matches a pkg.TestName citation inside a claim.
+var citedTest = regexp.MustCompile(`\b([a-z]+)\.(Test\w+)\b`)
+
+// TestEveryExperimentClaims holds the claims index true: every experiment
+// names the claim it serves in the agreed form, and every test a claim
+// cites as its tie exists in the named internal package.
+func TestEveryExperimentClaims(t *testing.T) {
+	for _, x := range experiments() {
+		if !claimForm.MatchString(x.claim) {
+			t.Errorf("%s: claim %q is not \"<anchor>: <claim>\"", x.id, x.claim)
+		}
+		for _, m := range citedTest.FindAllStringSubmatch(x.claim, -1) {
+			files, err := filepath.Glob(filepath.Join("..", m[1], "*_test.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				found = found || strings.Contains(string(src), "func "+m[2]+"(t *testing.T)")
+			}
+			if !found {
+				t.Errorf("%s: claim cites %s.%s, which no test file of internal/%s declares", x.id, m[1], m[2], m[1])
+			}
+		}
 	}
 }

@@ -58,8 +58,7 @@ type Optimizer struct {
 	alloc  memalloc.Allocator
 	cpu    stream.ID // the CPU modeled as one more executor
 
-	steps     int64
-	hostState int64
+	steps int64
 }
 
 // NewOptimizer creates an offloaded optimizer for a parameter shard of
@@ -78,15 +77,8 @@ func NewOptimizer(cfg OptimizerConfig, engine *Engine, alloc memalloc.Allocator,
 		engine: engine,
 		alloc:  alloc,
 		cpu:    engine.Scheduler().NewStream(),
-		// fp32 master + momentum + variance = 3 × 4 bytes per parameter,
-		// i.e. 6× the fp16 shard (ZeRO-Offload's host footprint).
-		hostState: 6 * paramBytes,
 	}, nil
 }
-
-// HostStateBytes returns the resident host memory the optimizer state
-// occupies.
-func (o *Optimizer) HostStateBytes() int64 { return o.hostState }
 
 // Steps returns how many optimizer steps ran.
 func (o *Optimizer) Steps() int64 { return o.steps }

@@ -19,17 +19,6 @@ func newTestStack(capacity int64) (*Engine, *stream.Scheduler, memalloc.Allocato
 	return NewEngine(DefaultPCIe(), sched), sched, caching.New(drv)
 }
 
-func TestHostStateIsSixTimesShard(t *testing.T) {
-	e, _, _ := newTestStack(sim.GiB)
-	o, err := NewOptimizer(OptimizerConfig{Pinned: true}, e, nil, 100*sim.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := o.HostStateBytes(); got != 600*sim.MiB {
-		t.Fatalf("host state = %d, want 600 MiB", got)
-	}
-}
-
 func TestNewOptimizerValidation(t *testing.T) {
 	e, _, _ := newTestStack(sim.GiB)
 	if _, err := NewOptimizer(OptimizerConfig{}, e, nil, 0); err == nil {

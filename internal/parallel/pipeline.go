@@ -67,12 +67,6 @@ func (c PipelineConfig) PeakMicrobatchesInFlight(stage int) int {
 	}
 }
 
-// StageActivationBytes returns stage's peak buffered activation bytes given
-// the per-microbatch activation footprint of that stage's layers.
-func (c PipelineConfig) StageActivationBytes(stage int, perMicrobatch int64) int64 {
-	return int64(c.PeakMicrobatchesInFlight(stage)) * perMicrobatch
-}
-
 // PartitionLayers splits n layers into the pipeline's stages as evenly as
 // possible (earlier stages take the remainder, Megatron's convention).
 // The result holds each stage's layer count and sums to n.

@@ -65,13 +65,6 @@ func TestPeakInFlightPanicsOutOfRange(t *testing.T) {
 	PipelineConfig{Stages: 2, MicroBatches: 2}.PeakMicrobatchesInFlight(2)
 }
 
-func TestStageActivationBytes(t *testing.T) {
-	c := PipelineConfig{Stages: 2, MicroBatches: 8, Schedule: GPipe}
-	if got := c.StageActivationBytes(0, 100); got != 800 {
-		t.Fatalf("got %d, want 800", got)
-	}
-}
-
 func TestPartitionLayers(t *testing.T) {
 	c := PipelineConfig{Stages: 4, MicroBatches: 4, Schedule: GPipe}
 	parts, err := c.PartitionLayers(10)

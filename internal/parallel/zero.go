@@ -1,9 +1,9 @@
-// Package parallel models the distributed-training decompositions the paper
-// names in §2.4 — ZeRO data parallelism, tensor parallelism and pipeline
-// parallelism — at the granularity the allocators care about: how many bytes
-// of parameters, gradients, optimizer state and activations each rank must
-// hold, and how the decomposition slices formerly-large tensors into the
-// many smaller ones that fragment the baseline allocator (Observation 2).
+// Package parallel models two distributed-training decompositions at the
+// granularity the allocators care about: ZeRO stages, which set how many
+// bytes of parameters, gradients and optimizer state each data-parallel
+// rank holds and slice formerly-large tensors into world-dependent shards
+// (Observation 2), and pipeline schedules, which set how many microbatches'
+// activations each stage buffers.
 package parallel
 
 import (
