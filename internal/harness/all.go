@@ -39,7 +39,6 @@ func experiments() []experiment {
 		{"cluster", "beyond: aim 3: a job runs out of memory when its worst rank does, which rank 0 understates", one((*Env).ClusterExperiment)},
 		{"zero", "Figure 4: ZeRO-3 slices each rank's state into world-dependent shards; stage-3 state is the trainer's (workload.TestTrainerPersistentMatchesZeROModel)", one((*Env).ZeROExperiment)},
 		{"recompute", "Figure 5: checkpointing trades resident activations for short-lived recompute tensors; the planner is the trainer's (workload.TestTrainerRecomputeConsistentWithPlanner)", one((*Env).RecomputeExperiment)},
-		{"offload", "beyond: item 1(c): the host-spill link model, a pipelined optimizer step over PCIe and NVLink", one((*Env).OffloadExperiment)},
 		{"streams", "beyond: aim 3: cross-stream frees defer, and GMLake reserves less than caching when buffers are shared (harness.TestStreamsExperimentShape)", one((*Env).StreamsExperiment)},
 		{"serving", "Table 3: in-tensor paging and pool-level stitching work at different scopes", one((*Env).ServingExperiment)},
 		{"servemix", "beyond: north star: per-SLO-class latency and KV occupancy of each serving policy", one((*Env).ServeMixExperiment)},

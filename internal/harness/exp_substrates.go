@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/memalloc"
 	"repro/internal/model"
-	"repro/internal/offload"
 	"repro/internal/parallel"
 	"repro/internal/pipesim"
 	"repro/internal/recompute"
@@ -61,7 +60,7 @@ func (e *Env) RecomputeExperiment() *Table {
 		Title:  "Activation checkpointing plans, GPT-NeoX-20B batch 16",
 		Header: []string{"plan", "segments", "peak acts (GB)", "stored (GB)", "extra time", "vs store-all"},
 	}
-	m := recompute.ForModel(model.GPTNeoX20B, 16, 0, 0)
+	m := recompute.ForModel(model.GPTNeoX20B, 16)
 	full := m.Evaluate(recompute.NoRecompute())
 
 	// The plans are chosen up front; the cells evaluate them. m is shared
@@ -95,69 +94,6 @@ func (e *Env) RecomputeExperiment() *Table {
 	}
 	t.AddNote("checkpointing converts a big resident activation set into per-segment recompute bursts of")
 	t.AddNote("short-lived tensors — the small-and-frequent request pattern of Figure 5's right panel.")
-	return t
-}
-
-// OffloadExperiment measures the ZeRO-Offload optimizer pipeline on the
-// virtual clock: pipelined versus serial step time across bucket sizes and
-// interconnects, plus the GPU staging churn the strategy induces.
-func (e *Env) OffloadExperiment() *Table {
-	t := &Table{
-		ID:     "offload",
-		Title:  "ZeRO-Offload optimizer step, OPT-13B shard on 4 GPUs",
-		Header: []string{"link", "bucket", "pipelined", "serial", "speedup", "staging allocs"},
-	}
-	// One rank's fp16 gradient shard of OPT-13B across 4 GPUs.
-	shard := model.ShardBytes(model.OPT13B.Params()*model.DTypeBytes, 4)
-	links := []struct {
-		name string
-		link func() *offload.Link
-		pin  bool
-	}{
-		{"pcie-pinned", offload.DefaultPCIe, true},
-		{"pcie-pageable", offload.DefaultPCIe, false},
-		{"nvlink-c2c", offload.NVLinkC2C, true},
-	}
-	// One cell per link × bucket; the link constructors run inside the cell
-	// so concurrent cells never share a Link value.
-	type cell struct {
-		linkIdx int
-		bucket  int64
-	}
-	var cells []cell
-	for i := range links {
-		for _, bucket := range []int64{16 * sim.MiB, 64 * sim.MiB, 256 * sim.MiB} {
-			cells = append(cells, cell{linkIdx: i, bucket: bucket})
-		}
-	}
-	for _, row := range runCells(e, cells, func(c cell) []string {
-		l := links[c.linkIdx]
-		r := e.newRig(AllocCaching)
-		sched := stream.NewScheduler(r.clock)
-		engine := offload.NewEngine(l.link(), sched)
-		opt, err := offload.NewOptimizer(offload.OptimizerConfig{
-			Bucket:     c.bucket,
-			Pinned:     l.pin,
-			StageOnGPU: true,
-		}, engine, r.alloc, shard)
-		if err != nil {
-			panic("harness: " + err.Error())
-		}
-		elapsed, err := opt.Step(shard)
-		if err != nil {
-			panic("harness: " + err.Error())
-		}
-		serial := opt.SerialStepEstimate(shard)
-		return []string{l.name, sim.FormatBytes(c.bucket),
-			elapsed.Round(time.Millisecond).String(),
-			serial.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.2fx", float64(serial)/float64(elapsed)),
-			fmt.Sprint(r.alloc.Stats().AllocCount)}
-	}) {
-		t.AddRow(row...)
-	}
-	t.AddNote("the bucketed D2H → CPU-Adam → H2D pipeline hides most transfer time behind CPU compute;")
-	t.AddNote("every bucket is one staging alloc+free on the GPU — offload's contribution to Observation 1.")
 	return t
 }
 

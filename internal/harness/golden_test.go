@@ -12,7 +12,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden/<id>.golden from the Parallelism=1 rendering")
 
 // goldenEnv is the one budget every testdata/golden file is recorded at,
-// small enough that all 28 experiments render in seconds.
+// small enough that all 27 experiments render in seconds.
 func goldenEnv(parallelism int) *Env {
 	e := NewEnv()
 	e.TotalSteps, e.MaxSteps, e.MeasureSteps = 3, 6, 2

@@ -54,16 +54,6 @@ func TestRecomputeExperimentShape(t *testing.T) {
 	}
 }
 
-func TestOffloadExperimentShape(t *testing.T) {
-	tbl := NewEnv().OffloadExperiment()
-	for _, row := range tbl.Rows {
-		speed := strings.TrimSuffix(row[4], "x")
-		if v := cell(t, speed); v < 1.0 {
-			t.Fatalf("pipeline slower than serial: %v", row)
-		}
-	}
-}
-
 func TestStreamsExperimentShape(t *testing.T) {
 	tbl := NewEnv().StreamsExperiment()
 	byKey := map[string]float64{}

@@ -217,7 +217,7 @@ func TestBudgetProperty(t *testing.T) {
 }
 
 func TestForModelBuildsPaperModels(t *testing.T) {
-	m := ForModel(model.OPT13B, 16, 0, 0)
+	m := ForModel(model.OPT13B, 16)
 	if len(m.Layers) != model.OPT13B.Layers {
 		t.Fatalf("layers = %d, want %d", len(m.Layers), model.OPT13B.Layers)
 	}

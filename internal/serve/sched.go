@@ -127,7 +127,14 @@ func newClusterSched(reqs []Request, newMgr func(int) CacheManager, cfg ClusterC
 // cannot fail mid-run in practice.
 func (c *clusterSched) spawn() error {
 	i := len(c.fleet)
-	s, err := newServer(c.newMgr(i), c.cfg.serverConfig(i))
+	// A replica never runs more sequences than the run has requests, so the
+	// batch bound newServer sizes its event and track lists by is capped
+	// there: the cap never binds an admission.
+	sc := c.cfg.serverConfig(i)
+	if n := len(c.queue.reqs); n > 0 && n < sc.MaxBatch {
+		sc.MaxBatch = n
+	}
+	s, err := newServer(c.newMgr(i), sc)
 	if err != nil {
 		return err
 	}

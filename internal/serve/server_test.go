@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -453,6 +454,36 @@ func TestReadyOrderAtExtremeRanks(t *testing.T) {
 		}
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("aging %v: ready order %v, want %v", tc.aging, got, tc.want)
+		}
+	}
+}
+
+// TestMaxBatchCappedAtRequests: a replica never runs more sequences than
+// the run has requests, so a batch bound far above the request count serves
+// exactly what the request count serves, and the server's event and track
+// lists are sized by the requests, not by the bound.
+func TestMaxBatchCappedAtRequests(t *testing.T) {
+	reqs, err := GenRequests(10, GenConfig{MinPrompt: 8, MaxPrompt: 64, MinOutput: 4, MaxOutput: 64}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(maxBatch int) Report {
+		cfg := ServerConfig{MaxBatch: maxBatch, Timeout: time.Hour}
+		rep, err := Serve(reqs, NewChunkedKV(newServeAlloc(8*sim.GiB), model.OPT1_3B, 64), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if got, want := run(1<<20), run(10); !reflect.DeepEqual(got, want) {
+		t.Errorf("MaxBatch 1<<20 report %+v,\nMaxBatch 10 report %+v", got, want)
+	}
+	s := replicaWith(t, reqs, NewChunkedKV(newServeAlloc(8*sim.GiB), model.OPT1_3B, 64),
+		ServerConfig{MaxBatch: 1 << 20, Timeout: time.Hour})
+	for name, c := range map[string]int{"events": cap(s.events), "deadlines": cap(s.deadlines),
+		"due": cap(s.due), "ending": cap(s.ending)} {
+		if c > 2*len(reqs) {
+			t.Errorf("%s capacity %d for %d requests", name, c, len(reqs))
 		}
 	}
 }

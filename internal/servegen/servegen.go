@@ -277,8 +277,10 @@ func (a ArrivalProcess) validate(what string) error {
 	switch a.Kind {
 	case ArrivalPoisson:
 	case ArrivalGamma:
-		if !positiveFinite(a.CV) {
-			return fmt.Errorf("servegen: %s gamma cv %g", what, a.CV)
+		// The draws' shape 1/cv² must be positive and finite too: a CV
+		// near 0 or huge passes as a number but draws NaN arrivals.
+		if !positiveFinite(a.CV) || !positiveFinite(1/(a.CV*a.CV)) {
+			return fmt.Errorf("servegen: %s gamma cv %g (shape 1/cv² out of range)", what, a.CV)
 		}
 	case ArrivalOnOff:
 		if !(a.OnFraction > 0 && a.OnFraction <= 1) {

@@ -347,6 +347,8 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		}},
 		{"gamma cv NaN", func(m *Mix) { m.Classes[1].Arrival = Bursty(nan) }},
 		{"gamma cv +Inf", func(m *Mix) { m.Classes[1].Arrival = Bursty(inf) }},
+		{"gamma cv 1e-300 (shape +Inf)", func(m *Mix) { m.Classes[1].Arrival = Bursty(1e-300) }},
+		{"gamma cv 1e200 (shape 0)", func(m *Mix) { m.Classes[1].Arrival = Bursty(1e200) }},
 		{"on-fraction NaN", func(m *Mix) { m.Classes[1].Arrival = OnOff(nan, time.Second) }},
 	}
 	for _, tc := range cases {

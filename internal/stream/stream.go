@@ -46,9 +46,6 @@ func NewScheduler(clock *sim.Clock) *Scheduler {
 	return &Scheduler{clock: clock, frontiers: make([]time.Duration, 1)}
 }
 
-// Clock returns the virtual clock the scheduler charges.
-func (s *Scheduler) Clock() *sim.Clock { return s.clock }
-
 // NewStream creates a new stream and returns its ID.
 func (s *Scheduler) NewStream() ID {
 	s.frontiers = append(s.frontiers, s.clock.Now())
@@ -93,15 +90,6 @@ func (s *Scheduler) Synchronize(id ID) {
 func (s *Scheduler) SynchronizeAll() {
 	for id := range s.frontiers {
 		s.Synchronize(ID(id))
-	}
-}
-
-// WaitEvent makes stream id wait for e before running work enqueued later
-// (cudaStreamWaitEvent): the stream's frontier can never fall before the
-// event's completion time.
-func (s *Scheduler) WaitEvent(id ID, e Event) {
-	if e.when > s.frontier(id) {
-		s.frontiers[id] = e.when
 	}
 }
 

@@ -96,36 +96,6 @@ func TestZeroEventIsComplete(t *testing.T) {
 	}
 }
 
-func TestWaitEventOrdersAcrossStreams(t *testing.T) {
-	clock := sim.NewClock()
-	s := NewScheduler(clock)
-	producer := s.NewStream()
-	consumer := s.NewStream()
-
-	s.Launch(producer, 10*time.Millisecond)
-	e := s.Record(producer)
-	s.WaitEvent(consumer, e)
-	s.Launch(consumer, 2*time.Millisecond)
-
-	s.Synchronize(consumer)
-	if got := clock.Now(); got != 12*time.Millisecond {
-		t.Fatalf("consumer done at %v, want 12ms (after producer)", got)
-	}
-}
-
-func TestWaitEventInThePastIsNoop(t *testing.T) {
-	clock := sim.NewClock()
-	s := NewScheduler(clock)
-	e := s.Record(DefaultStream) // completes immediately
-	s2 := s.NewStream()
-	s.Launch(s2, 5*time.Millisecond)
-	s.WaitEvent(s2, e)
-	s.Synchronize(s2)
-	if got := clock.Now(); got != 5*time.Millisecond {
-		t.Fatalf("past event delayed stream: %v", got)
-	}
-}
-
 func TestEventsRecordedCounter(t *testing.T) {
 	s := NewScheduler(sim.NewClock())
 	s.Record(DefaultStream)

@@ -53,7 +53,7 @@ func TestTrainerPersistentMatchesZeROModel(t *testing.T) {
 func TestTrainerRecomputeConsistentWithPlanner(t *testing.T) {
 	cfg := model.OPT1_3B
 	batch := 16
-	m := recompute.ForModel(cfg, batch, 0, 0)
+	m := recompute.ForModel(cfg, batch)
 	storeAll := m.Evaluate(recompute.NoRecompute()).PeakBytes
 	sqrtPlan, err := recompute.SqrtN(len(m.Layers))
 	if err != nil {
