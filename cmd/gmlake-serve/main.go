@@ -15,7 +15,7 @@
 //	gmlake-serve -mix chat-sessions -replicas 4 -dispatch session-affinity -prefix-reuse -policy chunked
 //	gmlake-serve -mix chat-heavy -trace-out captured.jsonl -policy chunked
 //	gmlake-serve -trace-in captured.jsonl -trace-scale 2 -policy chunked
-//	gmlake-serve -trace-in prod.csv -fit -policy chunked
+//	gmlake-serve -trace-in prod.jsonl -fit -policy chunked
 //	gmlake-serve -replicas 3 -mttf 2s -mttr 400ms -timeout 30s -retries 3 -policy chunked
 //	gmlake-serve -replicas 2 -fault-plan "crash@t=12s:r1/restart@t=14s:r1" -timeout 30s -retries 1 -shed -policy chunked
 //	gmlake-serve -conf backend:gmlake -policy chunked -n 20000 -cpuprofile cpu.out -memprofile mem.out
@@ -29,13 +29,13 @@
 // one table (internal/conf/fields.go); `gmlake-serve -h` prints it.
 //
 // With -trace-in the request stream is replayed from a request trace file
-// (internal/reqtrace JSONL or CSV) instead of generated: -trace-scale
-// multiplies the replayed request rate, -n (when given explicitly)
-// truncates or loops the trace, and -fit calibrates a servegen mix to the
-// trace — printing the fitted classes and a per-class fit-error report —
-// and serves the fitted mix instead of the replay. With -trace-out the
-// completed run is captured back into a trace file (generate → capture →
-// replay round-trips byte-identically).
+// (internal/reqtrace JSONL) instead of generated: -trace-scale multiplies
+// the replayed request rate, -n (when given explicitly) truncates or loops
+// the trace, and -fit calibrates a servegen mix to the trace — printing the
+// fitted classes and a per-class fit-error report — and serves the fitted
+// mix instead of the replay. With -trace-out the completed run is captured
+// back into a trace file (generate → capture → replay round-trips
+// byte-identically).
 //
 // With -replicas > 1 the stream is served by a multi-replica cluster —
 // each replica on its own device and pool behind a cluster-level admission

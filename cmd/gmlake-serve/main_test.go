@@ -185,6 +185,11 @@ func TestUsageErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "late.jsonl"), []byte(late), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A trace in the retired #reqtrace CSV layout.
+	old := "#reqtrace v1\narrival_ns,class,slo,priority,prompt_tokens,output_tokens\n0,chat,interactive,2,120,64\n"
+	if err := os.WriteFile(filepath.Join(dir, "old.csv"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ args, want string }{
 		{`-warp-speed 9`, `flag provided but not defined: -warp-speed`},
 		{`-n many`, `invalid value "many" for flag -n`},
@@ -217,6 +222,9 @@ func TestUsageErrors(t *testing.T) {
 		// Values the flags' "> 0" guards used to skip silently (exit 0).
 		{`-rate -5`, `conf: serve_rate must be a positive finite number, got "-5"`},
 		{`-burst-cv -1`, `conf: burst_cv must be a positive finite number, got "-1"`},
+		// A CV whose Gamma scale cv²/rate overflows at the class's low rate.
+		{`-n 50 -mix mixed-bursty -burst-cv 1e154 -rate 0.01`,
+			`servegen: class "agent" gamma cv 1e+154 at rate 0.0025/s (scale cv²/rate out of range)`},
 		{`-trace-scale -2`, `conf: trace_scale must be a positive finite number, got "-2"`},
 		{`-trace-in t.jsonl -trace-scale -2`, `conf: trace_scale must be a positive finite number, got "-2"`},
 		{`-backoff NaN -retries 1 -timeout 1s`, `conf: backoff must be a finite number >= 1, got "NaN"`},
@@ -237,8 +245,10 @@ func TestUsageErrors(t *testing.T) {
 		{`-n -3`, `-n must be a positive integer, got -3`},
 		{`-batch 0`, `-batch must be a positive integer, got 0`},
 		{`-trace-in t.jsonl -n 0`, `-n must be a positive integer, got 0`},
-		// Trace files: a missing one, and a replay past the clock's range.
+		// Trace files: a missing one, a CSV-era one, and a replay past the
+		// clock's range.
 		{`-trace-in /nonexistent/prod.jsonl`, `reqtrace: open /nonexistent/prod.jsonl`},
+		{`-trace-in old.csv`, `reqtrace: old.csv: bad JSONL header "#reqtrace v1"`},
 		{`-trace-in late.jsonl -trace-scale 1e-15 -policy chunked`,
 			`reqtrace: replayed request 1 arrives past the clock's range at scale 1e-15`},
 		// Past the generator's bound, refused before it allocates the stream.

@@ -50,24 +50,8 @@
 //
 // # Request-trace file format
 //
-// A request trace stores one record per request — arrival offset
-// (integer nanoseconds), client class, SLO tag, priority, prompt tokens,
-// output tokens — sorted by arrival, in either of two versioned formats:
-//
-// JSONL (default; a header object, then one record per line):
-//
-//	{"format":"reqtrace","version":1}
-//	{"arrival_ns":212334791,"class":"chat","slo":"interactive","priority":2,"prompt_tokens":120,"output_tokens":64}
-//
-// CSV (written for .csv paths; a version comment, a column header, rows):
-//
-//	#reqtrace v1
-//	arrival_ns,class,slo,priority,prompt_tokens,output_tokens
-//	212334791,chat,interactive,2,120,64
-//
-// Readers sniff the format from the first byte, reject newer versions, and
-// validate ordering and token counts on load. Arrival offsets are exact
-// integer nanoseconds, which is what makes file round trips byte-identical.
+// The trace file is internal/reqtrace's versioned JSONL, described in its
+// io.go.
 //
 // Run with: go run ./examples/serving
 package main
@@ -407,10 +391,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fitErr, err := reqtrace.FitError(loaded, fitted, len(reqs), 7)
+	synth, err := fitted.Generate(len(reqs), 7)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fitErr := reqtrace.CompareTraces(loaded, reqtrace.FromRequests(synth))
 	fmt.Printf("fitted mix: %d classes at %.1f req/s; fit error vs trace: rate %.1f%%, prompt mean %.1f%%, output mean %.1f%%\n",
 		len(fitted.Classes), fitted.Rate, 100*fitErr.RateErr, 100*fitErr.PromptMeanErr, 100*fitErr.OutputMeanErr)
 	stats := loaded.Stats()

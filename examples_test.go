@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -13,6 +14,7 @@ import (
 // The programs are deterministic; after an intended change, rerecord with
 // `go run ./examples/<name> > testdata/examples/<name>.golden`.
 func TestExamplesOutput(t *testing.T) {
+	readSources(t)
 	dir := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./examples/...").CombinedOutput(); err != nil {
 		t.Fatalf("build examples: %v\n%s", err, out)
@@ -38,5 +40,31 @@ func TestExamplesOutput(t *testing.T) {
 				t.Errorf("stdout\n%s\nwant\n%s", stdout.String(), want)
 			}
 		})
+	}
+}
+
+// readSources reads every Go file of the examples and of the module
+// packages they import. The examples are built by a child go build, whose
+// reads go test's cache does not see; reading the sources here keys a
+// cached pass on them, so an edit to any of them reruns the test.
+func readSources(t *testing.T) {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-deps", "-f", "{{if not .Standard}}{{.Dir}}{{end}}", "./examples/...").Output()
+	if err != nil {
+		t.Fatalf("list example sources: %v", err)
+	}
+	for _, d := range strings.Split(string(out), "\n") {
+		if d == "" { // a standard-library package
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(d, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files in %q: %v", d, err)
+		}
+		for _, f := range files {
+			if _, err := os.ReadFile(f); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -112,7 +112,7 @@ var fields = []field{
 	{"shed", "shed", "reject at admission the requests that provably cannot meet the deadline (needs timeout)",
 		parsed(parseBool, func(c *Config) *bool { return &c.Cluster.Server.Shed })},
 
-	{"trace_in", "trace-in", "replay the request trace at `path` (JSONL or CSV) instead of generating a mix",
+	{"trace_in", "trace-in", "replay the request trace at `path` (JSONL) instead of generating a mix",
 		parsed(parsePath, func(c *Config) *string { return &c.TraceIn })},
 	{"trace_out", "trace-out", "capture the completed run into the trace file at `path`",
 		parsed(parsePath, func(c *Config) *string { return &c.TraceOut })},

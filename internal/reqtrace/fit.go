@@ -25,7 +25,7 @@ const (
 // and token-length distributions from sample moments (deterministic when
 // degenerate, lognormal with the observed mean/CV clamped to the observed
 // range otherwise). The fitted mix is a parametric model, not a copy: the
-// quality of the fit is measured by FitError, never assumed.
+// quality of the fit is measured by CompareTraces, never assumed.
 func Fit(t Trace) (servegen.Mix, error) {
 	if err := t.Validate(); err != nil {
 		return servegen.Mix{}, err
@@ -234,28 +234,11 @@ func (r FitReport) Class(name string) *ClassFitError {
 	return nil
 }
 
-// FitError generates n requests from the mix under the given seed and
-// measures how the synthetic stream deviates from the reference trace:
-// moment matches (rate, mean lengths) and per-class KS distances. It is the
-// honesty check behind Fit — run it on the fitted mix to know how much to
-// trust the calibration, or on a hand-picked mix to see what calibration
-// would buy. A caller that already generated (and, typically, served) the
-// mix's stream can compare it directly with CompareTraces instead of
-// regenerating.
-func FitError(t Trace, m servegen.Mix, n int, seed uint64) (FitReport, error) {
-	if err := t.Validate(); err != nil {
-		return FitReport{}, err
-	}
-	reqs, err := m.Generate(n, seed)
-	if err != nil {
-		return FitReport{}, err
-	}
-	return CompareTraces(t, FromRequests(reqs)), nil
-}
-
 // CompareTraces measures how the synth trace deviates from the reference
-// trace t — the comparison half of FitError, for callers that already hold
-// the synthetic stream.
+// trace t: moment matches (rate, mean lengths) and per-class KS distances.
+// It is the honesty check behind Fit — compare a stream generated from the
+// fitted mix to know how much to trust the calibration, or one from a
+// hand-picked mix to see what calibration would buy.
 func CompareTraces(t, synth Trace) FitReport {
 	obsStats, synStats := t.Stats(), synth.Stats()
 	rep := FitReport{

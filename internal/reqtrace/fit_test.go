@@ -85,10 +85,11 @@ func TestFitErrorWithinTolerance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := FitError(tr, m, n, 11)
+			synth, err := m.Generate(n, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rep := CompareTraces(tr, FromRequests(synth))
 			if rep.RateErr > 0.15 {
 				t.Errorf("aggregate rate error %.1f%% above 15%%", 100*rep.RateErr)
 			}

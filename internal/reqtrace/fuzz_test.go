@@ -14,9 +14,10 @@ import (
 // arrivals and bad token counts must surface as errors, never as panics
 // or as invalid traces.
 //
-// Seeds: the checked-in Azure-styled sample, its CSV rendering, and a few
-// minimal hand-written valid and near-valid inputs so mutation starts on
-// both sides of every validation boundary.
+// Seeds: the checked-in Azure-styled sample, a few minimal hand-written
+// valid and near-valid inputs so mutation starts on both sides of every
+// validation boundary, and files in the retired #reqtrace CSV layouts as
+// rejection seeds.
 func FuzzReadTrace(f *testing.F) {
 	sample, err := os.ReadFile("testdata/azure_llm_sample.jsonl")
 	if err != nil {
@@ -24,22 +25,16 @@ func FuzzReadTrace(f *testing.F) {
 	}
 	f.Add(sample)
 
-	tr, err := Read(bytes.NewReader(sample))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var csvBuf bytes.Buffer
-	if err := tr.WriteCSV(&csvBuf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(csvBuf.Bytes())
-
 	f.Add([]byte("{\"format\":\"reqtrace\",\"version\":1}\n{\"arrival_ns\":0,\"prompt_tokens\":1,\"output_tokens\":1}\n"))
-	f.Add([]byte("#reqtrace v1\narrival_ns,class,slo,priority,prompt_tokens,output_tokens\n0,chat,interactive,2,120,64\n"))
 	f.Add([]byte("{\"format\":\"reqtrace\",\"version\":99}\n"))                                                                                                                        // newer than supported
-	f.Add([]byte("#reqtrace v1\nwrong,header\n"))                                                                                                                                      // bad CSV header
 	f.Add([]byte("{\"format\":\"reqtrace\",\"version\":1}\n{\"arrival_ns\":5,\"prompt_tokens\":1,\"output_tokens\":1}\n{\"arrival_ns\":3,\"prompt_tokens\":1,\"output_tokens\":1}\n")) // out of order
 	f.Add([]byte("plain text"))
+
+	// The retired #reqtrace CSV layouts: six columns, eight (sessions), and
+	// a bad column header.
+	f.Add([]byte("#reqtrace v1\narrival_ns,class,slo,priority,prompt_tokens,output_tokens\n0,chat,interactive,2,120,64\n"))
+	f.Add([]byte("#reqtrace v1\narrival_ns,class,slo,priority,prompt_tokens,output_tokens,session_id,turn\n0,chat,interactive,2,120,64,c#0,0\n"))
+	f.Add([]byte("#reqtrace v1\nwrong,header\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))

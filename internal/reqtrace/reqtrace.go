@@ -10,13 +10,13 @@
 // burstiness, on-off duty cycles, length distributions — from any trace so
 // hand-picked mixes can be replaced by calibrated ones.
 //
-// Traces persist as versioned JSONL or CSV (see io.go); both round-trip
+// Traces persist as versioned JSONL (see io.go), which round-trips
 // exactly, so capture→write→read→replay reproduces a serving report byte
 // for byte.
 //
 // A record is a serve.Request whose ID is its position in the trace, so a
 // request field a trace should carry is added once: to the on-disk mapping
-// in io.go (jsonRecord and the CSV row).
+// in io.go (jsonRecord).
 //
 // This package records *serving requests*; its sibling internal/optrace
 // records *allocator operations* (every Alloc/Free a workload issues against

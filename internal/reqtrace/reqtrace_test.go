@@ -2,6 +2,7 @@ package reqtrace
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -34,50 +35,48 @@ func TestRequestsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFileFormatsRoundTrip: JSONL and CSV both reproduce the trace exactly,
-// and Read sniffs either format.
+// TestFileFormatsRoundTrip: JSONL reproduces the trace exactly, and
+// re-encoding the decoded trace is byte-identical.
 func TestFileFormatsRoundTrip(t *testing.T) {
 	tr := genTrace(t, 150)
-	for _, f := range []struct {
-		name  string
-		write func(Trace, *bytes.Buffer) error
-	}{
-		{"jsonl", func(tr Trace, b *bytes.Buffer) error { return tr.WriteJSONL(b) }},
-		{"csv", func(tr Trace, b *bytes.Buffer) error { return tr.WriteCSV(b) }},
-	} {
-		t.Run(f.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := f.write(tr, &buf); err != nil {
-				t.Fatal(err)
-			}
-			got, err := Read(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, tr) {
-				t.Fatalf("%s round trip altered the trace", f.name)
-			}
-			// Re-encoding the decoded trace is byte-identical.
-			var buf2 bytes.Buffer
-			if err := f.write(got, &buf2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-				t.Fatalf("%s re-encoding is not byte-identical", f.name)
-			}
-		})
-	}
+	t.Run("jsonl", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tr) {
+			t.Fatal("round trip altered the trace")
+		}
+		var buf2 bytes.Buffer
+		if err := got.WriteJSONL(&buf2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+			t.Fatal("re-encoding is not byte-identical")
+		}
+	})
 }
 
-// TestWriteFilePicksFormat: .csv paths write CSV, anything else JSONL, and
-// ReadFile loads both.
+// TestWriteFilePicksFormat: every path gets JSONL whatever its extension,
+// and ReadFile loads it back unchanged.
 func TestWriteFilePicksFormat(t *testing.T) {
 	tr := genTrace(t, 40)
+	var want bytes.Buffer
+	if err := tr.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	for _, name := range []string{"t.jsonl", "t.csv", "t.trace"} {
 		path := dir + "/" + name
 		if err := tr.WriteFile(path); err != nil {
 			t.Fatal(err)
+		}
+		if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, want.Bytes()) {
+			t.Fatalf("%s: not the JSONL rendering (err %v)", name, err)
 		}
 		got, err := ReadFile(path)
 		if err != nil {
@@ -89,15 +88,16 @@ func TestWriteFilePicksFormat(t *testing.T) {
 	}
 }
 
-// TestReadRejects covers the reader's failure modes: junk, newer versions,
-// malformed records and invalid traces, each with a clear error.
+// TestReadRejects covers the reader's failure modes: junk (a file in the
+// retired #reqtrace CSV layout among it), newer versions, malformed records
+// and invalid traces, each with a clear error.
 func TestReadRejects(t *testing.T) {
 	cases := []struct {
 		name, in, want string
 	}{
-		{"junk", "hello\n", "unrecognized trace format"},
+		{"junk", "hello\n", "bad JSONL header"},
 		{"newer-jsonl", `{"format":"reqtrace","version":99}` + "\n", "newer than supported"},
-		{"newer-csv", "#reqtrace v99\n", "newer than supported"},
+		{"csv-era", "#reqtrace v1\narrival_ns,class,slo,priority,prompt_tokens,output_tokens\n0,chat,interactive,2,120,64\n", "bad JSONL header"},
 		{"bad-header", `{"format":"memtrace","version":1}` + "\n", "bad JSONL header"},
 		{"bad-record", `{"format":"reqtrace","version":1}` + "\n" + `{"arrival_ns":"x"}` + "\n", "line 2"},
 		{"empty-trace", `{"format":"reqtrace","version":1}` + "\n", "empty trace"},

@@ -21,33 +21,25 @@ func sessionTrace() Trace {
 	})
 }
 
-// TestSessionTraceRoundTrip: session identity survives both file formats
+// TestSessionTraceRoundTrip: session identity survives the JSONL format
 // numerically exactly, alongside sessionless records in the same trace.
 func TestSessionTraceRoundTrip(t *testing.T) {
 	want := sessionTrace()
-	for _, f := range []struct {
-		name  string
-		write func(Trace, *bytes.Buffer) error
-	}{
-		{"jsonl", func(tr Trace, b *bytes.Buffer) error { return tr.WriteJSONL(b) }},
-		{"csv", func(tr Trace, b *bytes.Buffer) error { return tr.WriteCSV(b) }},
-	} {
-		var buf bytes.Buffer
-		if err := f.write(want, &buf); err != nil {
-			t.Fatalf("%s: %v", f.name, err)
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s round trip diverged:\ngot  %+v\nwant %+v", f.name, got, want)
-		}
+	var buf bytes.Buffer
+	if err := want.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip diverged:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
 // TestSessionlessOutputUnchanged: a trace with no sessions must serialize
-// byte-for-byte in the pre-session layouts — no new columns, no new keys.
+// in the pre-session layout — no new keys.
 func TestSessionlessOutputUnchanged(t *testing.T) {
 	tr := Trace{Records: []serve.Request{
 		{ArrivalAt: 0, Class: "chat", SLO: "interactive", Priority: 2, PromptLen: 64, OutputLen: 16},
@@ -60,39 +52,25 @@ func TestSessionlessOutputUnchanged(t *testing.T) {
 	if strings.Contains(jsonl.String(), "session_id") || strings.Contains(jsonl.String(), "turn") {
 		t.Fatalf("sessionless JSONL mentions session fields:\n%s", jsonl.String())
 	}
-	var csv bytes.Buffer
-	if err := tr.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(csv.String(), "session_id") {
-		t.Fatalf("sessionless CSV grew the session columns:\n%s", csv.String())
-	}
-	if !strings.Contains(csv.String(), "arrival_ns,class,slo,priority,prompt_tokens,output_tokens\n") {
-		t.Fatalf("sessionless CSV header changed:\n%s", csv.String())
-	}
 }
 
-// TestPreSessionFilesStillRead: v1 fixtures written before the session
-// extension — six-column CSV, JSONL without session keys — read back with
-// zero session fields.
+// TestPreSessionFilesStillRead: a v1 JSONL fixture written before the
+// session extension (no session keys) reads back with zero session fields.
 func TestPreSessionFilesStillRead(t *testing.T) {
 	jsonl := `{"format":"reqtrace","version":1}
 {"arrival_ns":0,"class":"chat","slo":"interactive","priority":2,"prompt_tokens":120,"output_tokens":64}
 {"arrival_ns":212334791,"prompt_tokens":32,"output_tokens":8}
 `
-	csv := "#reqtrace v1\narrival_ns,class,slo,priority,prompt_tokens,output_tokens\n0,chat,interactive,2,120,64\n212334791,,,0,32,8\n"
-	for name, text := range map[string]string{"jsonl": jsonl, "csv": csv} {
-		tr, err := Read(strings.NewReader(text))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(tr.Records) != 2 {
-			t.Fatalf("%s: %d records", name, len(tr.Records))
-		}
-		for i, r := range tr.Records {
-			if r.SessionID != "" || r.Turn != 0 {
-				t.Errorf("%s record %d: unexpected session identity %q/%d", name, i, r.SessionID, r.Turn)
-			}
+	tr, err := Read(strings.NewReader(jsonl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Records) != 2 {
+		t.Fatalf("%d records", len(tr.Records))
+	}
+	for i, r := range tr.Records {
+		if r.SessionID != "" || r.Turn != 0 {
+			t.Errorf("record %d: unexpected session identity %q/%d", i, r.SessionID, r.Turn)
 		}
 	}
 }
@@ -165,7 +143,7 @@ func TestSessionCaptureRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := rec.Trace().WriteCSV(&buf); err != nil {
+	if err := rec.Trace().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Read(&buf)
@@ -177,6 +155,6 @@ func TestSessionCaptureRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(replayed, reqs) {
-		t.Fatal("session stream did not round-trip through capture and CSV")
+		t.Fatal("session stream did not round-trip through capture and JSONL")
 	}
 }

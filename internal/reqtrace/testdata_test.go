@@ -49,10 +49,11 @@ func TestLoadSampleTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := FitError(tr, m, 96, 7)
+	synth, err := m.Generate(96, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := CompareTraces(tr, FromRequests(synth))
 	if rep.RateErr > 0.25 {
 		t.Errorf("sample fit rate error %.1f%%", 100*rep.RateErr)
 	}

@@ -305,16 +305,20 @@ func (a ArrivalProcess) arrivals(rng *sim.RNG, ratePerSec float64, n int) []floa
 		}
 		return out
 	}
-	// Interarrival Gamma with mean 1/rate and CV cv: shape k = 1/cv²,
-	// scale θ = cv²/rate.
-	k := 1 / (a.CV * a.CV)
-	theta := 1 / (ratePerSec * k)
+	k, theta := gammaParams(a.CV, ratePerSec)
 	t := 0.0
 	for i := range out {
 		t += float64(gamma(rng, k) * theta)
 		out[i] = t
 	}
 	return out
+}
+
+// gammaParams returns the shape k = 1/cv² and scale θ = cv²/rate of Gamma
+// interarrivals with mean 1/rate and CV cv.
+func gammaParams(cv, ratePerSec float64) (k, theta float64) {
+	k = 1 / (cv * cv)
+	return k, 1 / (ratePerSec * k)
 }
 
 // stream returns a class's n arrivals at ratePerSec drawn from rng, and
@@ -423,6 +427,7 @@ func (m Mix) Validate() error {
 		return fmt.Errorf("servegen: mix %q has no classes", m.Name)
 	}
 	seen := map[string]bool{}
+	var totalShare float64
 	for _, c := range m.Classes {
 		if c.Name == "" {
 			return fmt.Errorf("servegen: mix %q has an unnamed class", m.Name)
@@ -447,6 +452,17 @@ func (m Mix) Validate() error {
 			if err := c.Sessions.validate("class " + c.Name); err != nil {
 				return err
 			}
+		}
+		totalShare += c.Share
+	}
+	// A Gamma class's scale θ = cv²/rate, at the class rate Generate
+	// derives, overflows at a huge CV and a low rate even when the shape is
+	// in range, and would draw NaN arrivals.
+	for _, c := range m.Classes {
+		rate := m.Rate * c.Share / totalShare
+		if _, theta := gammaParams(c.Arrival.CV, rate); c.Arrival.Kind == ArrivalGamma && !positiveFinite(theta) {
+			return fmt.Errorf("servegen: class %q gamma cv %g at rate %g/s (scale cv²/rate out of range)",
+				c.Name, c.Arrival.CV, rate)
 		}
 	}
 	return nil

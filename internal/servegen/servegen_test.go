@@ -349,6 +349,7 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"gamma cv +Inf", func(m *Mix) { m.Classes[1].Arrival = Bursty(inf) }},
 		{"gamma cv 1e-300 (shape +Inf)", func(m *Mix) { m.Classes[1].Arrival = Bursty(1e-300) }},
 		{"gamma cv 1e200 (shape 0)", func(m *Mix) { m.Classes[1].Arrival = Bursty(1e200) }},
+		{"gamma cv 1e154 at a low rate (scale +Inf)", func(m *Mix) { m.Rate = 0.01; m.Classes[1].Arrival = Bursty(1e154) }},
 		{"on-fraction NaN", func(m *Mix) { m.Classes[1].Arrival = OnOff(nan, time.Second) }},
 	}
 	for _, tc := range cases {
