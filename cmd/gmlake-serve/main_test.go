@@ -225,6 +225,11 @@ func TestUsageErrors(t *testing.T) {
 		// A CV whose Gamma scale cv²/rate overflows at the class's low rate.
 		{`-n 50 -mix mixed-bursty -burst-cv 1e154 -rate 0.01`,
 			`servegen: class "agent" gamma cv 1e+154 at rate 0.0025/s (scale cv²/rate out of range)`},
+		// A class rate so low that its mean interarrival 1/rate overflows.
+		{`-n 50 -mix batch-heavy -rate 1e-320 -policy chunked`,
+			`servegen: class "batch-eval" rate 6e-321/s (mean interarrival 1/rate out of range)`},
+		{`-n 50 -mix chat-sessions -rate 1e-320 -policy chunked`,
+			`servegen: class "chat-turns" rate 8e-321/s (mean interarrival 1/rate out of range)`},
 		{`-trace-scale -2`, `conf: trace_scale must be a positive finite number, got "-2"`},
 		{`-trace-in t.jsonl -trace-scale -2`, `conf: trace_scale must be a positive finite number, got "-2"`},
 		{`-backoff NaN -retries 1 -timeout 1s`, `conf: backoff must be a finite number >= 1, got "NaN"`},
@@ -280,6 +285,10 @@ func TestRunFailures(t *testing.T) {
 	}{
 		{`-n 50 -policy chunked -replicas 2 -fault-plan crash@t=0s:r0/crash@t=0s:r1 -timeout 10s`,
 			"== chunked: failed: serve: 50 request(s) stranded in the re-dispatch pool", "OOM", 1},
+		// Arrivals saturated at the clock's end: the first step there would
+		// wrap the clock to negative latencies.
+		{`-n 50 -mix batch-heavy -rate 1e-9 -policy chunked`,
+			"== chunked: failed: serve: replica 0: serve: a 817.8ms step at t=2562047h47m16.854775807s would run past the clock's range", "ALL", 1},
 		{`-n 60 -policy all -capacity-gb 0.05`, "== paged: OOM: ", "failed", 0},
 		{`-n 20 -policy paged -capacity-gb 1e-9`, "== paged: OOM: replica 0: paged slab on a 1-byte device", "failed", 0},
 	} {

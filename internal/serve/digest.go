@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/quantile"
@@ -28,18 +30,23 @@ func resolveExactSamples(v int) int {
 }
 
 // latDigest accumulates one latency distribution (TTFT or E2E, per class).
-// It retains raw samples exactly up to limit; the first sample beyond the
-// limit spills everything into a mergeable quantile sketch
-// (internal/quantile) and the digest stays O(1) from then on. Whether a
-// digest is exact or sketched is a pure function of its total sample count,
-// so merging per-replica digests in any order agrees with a single-stream
-// digest on which side of the threshold it lands.
+// It retains raw samples exactly up to limit, in runs of 16, 32, 64, 128 and
+// then 256 slots each: a run is filled in turn and never copied or regrown.
+// The first sample beyond the limit spills everything into a mergeable
+// quantile sketch (internal/quantile) and the digest stays O(1) from then
+// on. Whether a digest is exact or sketched is a pure function of its total
+// sample count, so merging per-replica digests in any order agrees with a
+// single-stream digest on which side of the threshold it lands.
 type latDigest struct {
 	limit int
-	exact []time.Duration
+	n     int // retained samples, over every run
+	runs  [][]time.Duration
 	sk    *quantile.Sketch
-	due   int64 // samples the coming merges bring, announced before the first
 }
+
+// firstRun and lastRun bound a run's slots: run i opens with firstRun<<i
+// slots, at most lastRun, and never reaches past the limit.
+const firstRun, lastRun = 16, 256
 
 func newLatDigest(limit int) *latDigest { return &latDigest{limit: limit} }
 
@@ -49,8 +56,10 @@ func (d *latDigest) addTo(sk *quantile.Sketch) {
 	if d.sk != nil {
 		_ = sk.Merge(d.sk)
 	}
-	for _, v := range d.exact {
-		sk.Add(int64(v))
+	for _, r := range d.runs {
+		for _, v := range r {
+			sk.Add(int64(v))
+		}
 	}
 }
 
@@ -59,30 +68,34 @@ func (d *latDigest) spill() {
 	if d.sk == nil {
 		sk := quantile.New()
 		d.addTo(sk)
-		d.sk, d.exact = sk, nil
+		d.sk, d.runs, d.n = sk, nil, 0
 	}
 }
 
-// add records one sample. The retained samples grow by doubling, up to the
-// limit, so each is copied about once on the way there.
+// add records one sample, opening a new run when the last one is full.
 func (d *latDigest) add(v time.Duration) {
-	if d.sk == nil && len(d.exact) < d.limit {
-		if len(d.exact) == cap(d.exact) {
-			d.exact = append(make([]time.Duration, 0, min(max(2*len(d.exact), 16), d.limit)), d.exact...)
+	if d.sk == nil && d.n < d.limit {
+		last := len(d.runs) - 1
+		if last < 0 || len(d.runs[last]) == cap(d.runs[last]) {
+			if d.runs == nil {
+				d.runs = make([][]time.Duration, 0, 8) // the runs of the first 1 008 samples
+			}
+			size := min(firstRun<<min(len(d.runs), 4), lastRun, d.limit-d.n)
+			d.runs = append(d.runs, make([]time.Duration, 0, size))
+			last++
 		}
-		d.exact = append(d.exact, v)
+		d.runs[last] = append(d.runs[last], v)
+		d.n++
 		return
 	}
 	d.spill()
 	d.sk.Add(int64(v))
 }
 
-// retained and sketched split count by storage: raw samples held exactly
-// versus samples absorbed into the fixed-size sketch — the report's
+// retained and sketched split the sample count by storage: raw samples held
+// exactly versus samples absorbed into the fixed-size sketch — the report's
 // memory-footprint proxy.
-func (d *latDigest) retained() int64 {
-	return int64(len(d.exact))
-}
+func (d *latDigest) retained() int64 { return int64(d.n) }
 
 func (d *latDigest) sketched() int64 {
 	if d.sk == nil {
@@ -91,76 +104,75 @@ func (d *latDigest) sketched() int64 {
 	return d.sk.Count()
 }
 
-func (d *latDigest) count() int64 { return d.retained() + d.sketched() }
-
-// merge folds src into d without modifying src. The first merge sizes d
-// once for the due samples announced for all of them: a slice of exactly
-// that many while they fit the limit, a sketch from the start past it (a
-// sketched source means the same) — the rule a single digest fed every
-// sample would apply.
+// merge folds src into d without modifying src — the rule a single digest
+// fed every sample would apply. While both are exact and their samples
+// together fit the limit, d shares src's runs, each clipped to its length so
+// that a later add to either digest can never write into the other's
+// samples; past the limit, or from a sketched source, d spills and src's
+// samples join its sketch, whose bucket-wise merge is independent of order.
 func (d *latDigest) merge(src *latDigest) {
-	if d.due > int64(d.limit) {
-		d.sk = quantile.New()
-	} else if d.due > 0 {
-		d.exact = make([]time.Duration, 0, d.due)
+	if d.sk == nil && src.sk == nil && d.n+src.n <= d.limit {
+		for _, r := range src.runs {
+			d.runs = append(d.runs, r[:len(r):len(r)])
+		}
+		d.n += src.n
+		return
 	}
-	d.due = 0
-	if d.sk == nil {
-		d.exact = append(d.exact, src.exact...)
-	} else {
-		src.addTo(d.sk)
-	}
+	d.spill()
+	src.addTo(d.sk)
 }
 
 // summary renders the digest's nearest-rank percentiles: the exact rule on
-// the retained samples (sorting them in place), the sketch's rank query
-// (same integer rank arithmetic, within the sketch's documented error
-// bound) after a spill.
+// the retained samples (sorting each run in place and reading the ranks
+// where the runs lie), the sketch's rank query (same integer rank
+// arithmetic, within the sketch's documented error bound) after a spill.
 func (d *latDigest) summary() LatencySummary {
-	if d.sk == nil {
-		return summarize(d.exact)
+	if d.sk != nil {
+		return nearestRanks(d.sk.Count(), func(k int64) time.Duration { return time.Duration(d.sk.Rank(k)) })
 	}
-	return nearestRanks(d.sk.Count(), func(k int64) time.Duration { return time.Duration(d.sk.Rank(k)) })
+	for _, r := range d.runs {
+		slices.Sort(r)
+	}
+	return nearestRanks(int64(d.n), d.rank)
+}
+
+// rank returns the k-th smallest retained sample (1 ≤ k ≤ n) of sorted runs:
+// the least value v with at least k samples ≤ v, by a binary search over
+// values that counts the samples ≤ v in each run.
+func (d *latDigest) rank(k int64) time.Duration {
+	lo, hi := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
+	for _, r := range d.runs {
+		lo, hi = min(lo, r[0]), max(hi, r[len(r)-1])
+	}
+	for lo < hi {
+		mid := lo + time.Duration(uint64(hi-lo)/2) // hi-lo wraps to the right unsigned distance
+		var atMost int64
+		for _, r := range d.runs {
+			i, _ := slices.BinarySearch(r, mid+1) // mid < hi, so mid+1 cannot overflow
+			atMost += int64(i)
+		}
+		if atMost >= k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // union renders the percentiles of the union of ds's samples, read where
 // they lie — what one digest fed every sample would report — and counts
-// those samples in rep's retained or sketched total. While the union fits
-// limit no digest is sketched and every one has been summarized, so its
-// samples are sorted, and a merge walk over them reads the nearest ranks.
-// Past the limit one sketch is built from all of them.
+// those samples in rep's retained or sketched total. It merges them into a
+// scratch digest, which shares their runs while the union fits limit and
+// holds one sketch of them all past it.
 func union(ds []*latDigest, limit int, rep *Report) LatencySummary {
-	var n int64
+	u := newLatDigest(limit)
 	for _, d := range ds {
-		n += d.count()
+		u.merge(d)
 	}
-	if n > int64(limit) {
-		u := &latDigest{limit: limit, due: n}
-		for _, d := range ds {
-			u.merge(d)
-		}
-		rep.SketchedSamples += n
-		return u.summary()
-	}
-	rep.RetainedSamples += n
-	rest := make([][]time.Duration, len(ds))
-	for i, d := range ds {
-		rest[i] = d.exact
-	}
-	var walked int64
-	var v time.Duration
-	return nearestRanks(n, func(k int64) time.Duration {
-		for ; walked < k; walked++ {
-			m := -1
-			for i, r := range rest {
-				if len(r) > 0 && (m < 0 || r[0] < rest[m][0]) {
-					m = i
-				}
-			}
-			v, rest[m] = rest[m][0], rest[m][1:]
-		}
-		return v
-	})
+	rep.RetainedSamples += u.retained()
+	rep.SketchedSamples += u.sketched()
+	return u.summary()
 }
 
 // classAgg is the one record of a client class on a tally: served count,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -10,6 +11,13 @@ import (
 
 	"repro/internal/sim"
 )
+
+// summarize is the nearest-rank rule on one slice of samples, sorted in
+// place: the reference the digests' runs are read against.
+func summarize(samples []time.Duration) LatencySummary {
+	slices.Sort(samples)
+	return nearestRanks(int64(len(samples)), func(k int64) time.Duration { return samples[k-1] })
+}
 
 // TestSealedLatencyIgnoresSplit pins CONTRACTS.md C-9: the sealed latency
 // fields of a report do not depend on how its samples are split across
@@ -108,5 +116,126 @@ func TestSealedLatencyIgnoresSplit(t *testing.T) {
 	if exactAgg == 0 || sketchedAgg == 0 || mixed == 0 {
 		t.Errorf("cases with an exact aggregate %d, a sketched one %d, exact classes under a sketched aggregate %d: want each at least once",
 			exactAgg, sketchedAgg, mixed)
+	}
+}
+
+// TestDigestRunsMatchSummarize: the percentiles read from sorted runs where
+// they lie equal summarize of the runs' concatenation, for random samples
+// with ties and the extremes 0 and MaxInt64, split into runs at random.
+func TestDigestRunsMatchSummarize(t *testing.T) {
+	rng := sim.NewRNG(3)
+	for c := 0; c < 500; c++ {
+		n := 1 + rng.Intn(600)
+		spread := []int64{1, 4, 1000, math.MaxInt64}[rng.Intn(4)]
+		all := make([]time.Duration, n)
+		for i := range all {
+			switch rng.Intn(20) {
+			case 0:
+				all[i] = 0
+			case 1:
+				all[i] = math.MaxInt64
+			default:
+				all[i] = time.Duration(rng.Int63n(spread))
+			}
+		}
+		d := &latDigest{limit: n, n: n}
+		for rest := slices.Clone(all); len(rest) > 0; {
+			k := 1 + rng.Intn(len(rest))
+			d.runs = append(d.runs, rest[:k:k])
+			rest = rest[k:]
+		}
+		if got, want := d.summary(), summarize(all); got != want {
+			t.Fatalf("case %d: %d samples in %d runs: %+v, summarize %+v", c, n, len(d.runs), got, want)
+		}
+	}
+}
+
+// TestDigestRunsNeverGrow: a digest's runs are 16, 32, 64, 128 and then 256
+// slots; each is filled in turn and never reallocated, so after 780 adds the
+// runs hold at most one 256-slot run beyond the samples.
+func TestDigestRunsNeverGrow(t *testing.T) {
+	const n = 780
+	d := newLatDigest(DefaultExactSamples)
+	var first []*time.Duration // each run's first slot, taken when it opens
+	for i := 0; i < n; i++ {
+		d.add(time.Duration(n - i))
+		if len(d.runs) > len(first) {
+			first = append(first, &d.runs[len(d.runs)-1][0])
+		}
+		for j, r := range d.runs {
+			if &r[0] != first[j] {
+				t.Fatalf("add %d reallocated run %d", i, j)
+			}
+		}
+	}
+	var slots int
+	for j, r := range d.runs {
+		if want := min(16<<j, 256); cap(r) != want {
+			t.Errorf("run %d has %d slots, want %d", j, cap(r), want)
+		}
+		slots += cap(r)
+	}
+	if d.retained() != n || slots > n+256 {
+		t.Errorf("%d retained samples in %d slots, want %d in at most %d", d.retained(), slots, n, n+256)
+	}
+}
+
+// TestDigestMergeSharesRuns: a merge shares its sources' runs instead of
+// copying them, and later adds on either side never reach the other: adds
+// to the merged digest leave every source run's contents and length
+// unchanged, and adds to a source leave the merged digest's samples alone.
+func TestDigestMergeSharesRuns(t *testing.T) {
+	rng := sim.NewRNG(5)
+	sizes := []int{20, 47, 60, 100} // each leaves its last run with free slots
+	srcs := make([]*latDigest, len(sizes))
+	var before [][]time.Duration
+	for i, size := range sizes {
+		srcs[i] = newLatDigest(DefaultExactSamples)
+		for j := 0; j < size; j++ {
+			srcs[i].add(time.Duration(rng.Int63n(1000)))
+		}
+		for _, r := range srcs[i].runs {
+			before = append(before, slices.Clone(r))
+		}
+	}
+	d := newLatDigest(DefaultExactSamples)
+	for _, s := range srcs {
+		d.merge(s)
+	}
+	if len(d.runs) != len(before) {
+		t.Fatalf("merged digest has %d runs, the sources %d", len(d.runs), len(before))
+	}
+	k := 0
+	for _, s := range srcs {
+		for _, r := range s.runs {
+			if &d.runs[k][0] != &r[0] {
+				t.Errorf("run %d was copied, not shared", k)
+			}
+			k++
+		}
+	}
+	for i := 0; i < 500; i++ {
+		d.add(time.Duration(1000 + i))
+	}
+	merged := slices.Clone(d.runs)
+	for i := range merged {
+		merged[i] = slices.Clone(merged[i])
+	}
+	k = 0
+	for _, s := range srcs {
+		for _, r := range s.runs {
+			if !slices.Equal(r, before[k]) {
+				t.Errorf("run %d changed under adds to the merged digest: %v, was %v", k, r, before[k])
+			}
+			k++
+		}
+		for i := 0; i < 50; i++ {
+			s.add(-1)
+		}
+	}
+	for i, r := range d.runs {
+		if !slices.Equal(r, merged[i]) {
+			t.Errorf("merged run %d changed under adds to a source: %v, was %v", i, r, merged[i])
+		}
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,5 +120,26 @@ func TestServeSingleRequestReport(t *testing.T) {
 	}
 	if got := rep.Classes[0]; math.IsNaN(got.MeanKVTokens) || math.IsNaN(got.KVShare) {
 		t.Errorf("NaN in the class row: %+v", got)
+	}
+}
+
+// TestStepPastClockRange: a request that arrives a millisecond before the
+// clock's end cannot be served, since its first step would carry the clock
+// past its range. The run fails with one serve: error that names the range
+// instead of wrapping to negative latencies, and the request's deadline
+// (arrival plus timeout, past the range too) saturates instead of wrapping
+// to an instant it has already missed.
+func TestStepPastClockRange(t *testing.T) {
+	reqs := []Request{{ID: 0, PromptLen: 16, OutputLen: 4, Class: "late", ArrivalAt: math.MaxInt64 - time.Millisecond}}
+	mgr := NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64)
+	rep, err := Serve(reqs, mgr, ServerConfig{MaxBatch: 4, Timeout: time.Second})
+	if err == nil || !strings.HasPrefix(err.Error(), "serve: ") || !strings.Contains(err.Error(), "past the clock's range") {
+		t.Fatalf("err %v, want the clock's range", err)
+	}
+	if rep.Steps != 0 || rep.DeadlineMisses != 0 || rep.Served != 0 {
+		t.Errorf("%d steps, %d deadline misses, %d served; want none", rep.Steps, rep.DeadlineMisses, rep.Served)
+	}
+	if rep.TTFT.P50 < 0 || rep.E2E.P50 < 0 || rep.Duration < 0 {
+		t.Errorf("negative latency or duration: TTFT %+v E2E %+v duration %v", rep.TTFT, rep.E2E, rep.Duration)
 	}
 }

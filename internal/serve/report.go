@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"slices"
 	"sort"
 	"time"
 )
@@ -11,20 +10,14 @@ type LatencySummary struct {
 	P50, P95, P99 time.Duration
 }
 
-// summarize computes the nearest-rank percentiles of samples (sorted in
-// place). The nearest rank of the pct-th percentile over n samples is
-// ceil(n*pct/100), computed in exact integer arithmetic: products like
-// 0.95*n are not exactly representable in binary floating point, so the
-// former float formulation needed an epsilon that silently picks the wrong
-// rank once n grows past the epsilon's resolution. For n >= 1 and
-// 1 <= pct <= 100 the index is always in [0, n).
-func summarize(samples []time.Duration) LatencySummary {
-	slices.Sort(samples)
-	return nearestRanks(int64(len(samples)), func(k int64) time.Duration { return samples[k-1] })
-}
-
 // nearestRanks renders the nearest-rank percentiles of n samples, rank(k)
-// returning the k-th smallest (1-based); it asks for increasing k.
+// returning the k-th smallest (1-based); it asks for increasing k. The
+// nearest rank of the pct-th percentile over n samples is ceil(n*pct/100),
+// computed in exact integer arithmetic: products like 0.95*n are not exactly
+// representable in binary floating point, so a float formulation needs an
+// epsilon that silently picks the wrong rank once n grows past the
+// epsilon's resolution. For n >= 1 and 1 <= pct <= 100 the rank is always
+// in [1, n].
 func nearestRanks(n int64, rank func(k int64) time.Duration) LatencySummary {
 	if n == 0 {
 		return LatencySummary{}
@@ -191,13 +184,12 @@ func (t *tally) recordUnfinished(rec *track) {
 	}
 }
 
-// merge folds src into t without modifying src; mergeReports has sized
-// t's digests for every source first. Latency digests union their samples
-// — percentiles of the union, never averages of percentiles. While the
-// combined sample count of a digest fits the exact-retention threshold the
-// union stays raw and the merged percentiles are exact; past it the union
-// lives in a mergeable quantile sketch, whose bucket-wise merge makes the
-// result independent of merge order.
+// merge folds src into t without modifying src. Latency digests union their
+// samples — percentiles of the union, never averages of percentiles. While
+// the combined sample count of a digest fits the exact-retention threshold
+// the union shares src's runs of raw samples and the merged percentiles are
+// exact; past it the union lives in a mergeable quantile sketch, whose
+// bucket-wise merge makes the result independent of merge order.
 func (t *tally) merge(src *tally) {
 	t.batchSum += src.batchSum
 	t.wasteSum += src.wasteSum
@@ -266,9 +258,8 @@ func (t *tally) seal(rep *Report) {
 // mergeReports builds the cluster-level Report from finished replicas:
 // counters summed, Duration the longest makespan, everything derived sealed
 // from the merged tallies. undispatched requests (present only when a failed
-// run sealed early) join the class roster without samples. The replicas'
-// class digests are counted before they are merged, so that each cluster
-// digest is sized once for all of them.
+// run sealed early) join the class roster without samples. The cluster
+// digests share the replicas' runs of samples rather than copying them.
 func mergeReports(replicas []*server, undispatched []Request) Report {
 	var m Report
 	// The fleet shares one ExactSamples setting (per-replica overrides
@@ -294,13 +285,6 @@ func mergeReports(replicas []*server, undispatched []Request) Report {
 		m.PrefixMisses += s.rep.PrefixMisses
 		m.ReusedTokens += s.rep.ReusedTokens
 		m.Duration = max(m.Duration, s.rep.Duration)
-		for name, a := range s.classes {
-			dst := t.class(name)
-			dst.ttft.due += a.ttft.count()
-			dst.e2e.due += a.e2e.count()
-		}
-	}
-	for _, s := range replicas {
 		t.merge(&s.tally)
 	}
 	t.seal(&m)

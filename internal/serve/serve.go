@@ -39,9 +39,10 @@
 //     the class has anything to report there; so a class appears in a report
 //     only once it is rostered — by a completion, an unfinished request at
 //     seal, or a failed run's undispatched requests. A cluster report merges
-//     the replicas' records class by class, each cluster digest sized once
-//     from the replicas' counts. There is no aggregate record: the aggregate
-//     percentiles are read at seal from the class digests where they lie.
+//     the replicas' records class by class, each cluster digest sharing the
+//     replicas' runs of samples instead of copying them. There is no
+//     aggregate record: the aggregate percentiles are read at seal from the
+//     class digests' runs where they lie.
 //   - A KV sequence is a slot of its manager's seqTable, the one table under
 //     the three policies: Admit issues the slot (released slots first, so the
 //     table stays at the live-sequence high-water mark), Release vacates it
@@ -62,8 +63,9 @@
 // # Latency reporting: exact, then sketched
 //
 // Every latency distribution a report renders (TTFT and E2E, aggregate and
-// per class) streams through a digest that retains raw samples and applies
-// the exact nearest-rank percentile rule up to
+// per class) streams through a digest that retains raw samples — in runs of
+// 16 up to 256 slots, filled in turn and never copied — and applies the
+// exact nearest-rank percentile rule up to
 // ServerConfig.ExactSamples values (DefaultExactSamples when zero, so
 // ordinary runs render byte-identical to the historical exact tables).
 // One sample past the threshold the digest spills into a fixed-size

@@ -3,6 +3,7 @@ package serve
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -369,8 +370,12 @@ func (s *server) promoteArrivals() {
 func (s *server) pendingLen() int { return s.future.len() + s.ready.Len() }
 
 // deadline is rec's absolute completion deadline; meaningful only when a
-// timeout is configured.
+// timeout is configured. A deadline past the clock's range stays at its end
+// instead of wrapping to a negative instant that every request has missed.
 func (s *server) deadline(rec *track) time.Duration {
+	if rec.req.ArrivalAt > math.MaxInt64-s.cfg.Timeout {
+		return math.MaxInt64
+	}
 	return rec.req.ArrivalAt + s.cfg.Timeout
 }
 
@@ -617,8 +622,13 @@ func (s *server) preemptFor(keep *track) bool {
 // order (preempting when that hits the memory wall), one O(1) manager call
 // decodes a token for every sequence, the clock advances, the step's
 // admissions stream their first token, and completions and deadline aborts
-// leave the batch in reverse admission order.
+// leave the batch in reverse admission order. A step that would carry the
+// clock past its range fails before it changes anything.
 func (s *server) step(prefillTokens int64) error {
+	took := stepTime + time.Duration(prefillTokens)*prefillTokenTime
+	if s.now > math.MaxInt64-took {
+		return fmt.Errorf("serve: a %v step at t=%v would run past the clock's range (≈ 292 years)", took, s.now)
+	}
 	s.rep.Steps++
 	s.batchSum += int64(len(s.running))
 
@@ -658,7 +668,7 @@ func (s *server) step(prefillTokens int64) error {
 	}
 	s.mgr.Decode()
 	s.tick++
-	s.now += stepTime + time.Duration(prefillTokens)*prefillTokenTime
+	s.now += took
 
 	s.rep.PeakUsed = max(s.rep.PeakUsed, s.mgr.UsedBytes())
 	s.rep.PeakLogical = max(s.rep.PeakLogical, s.mgr.LogicalBytes())

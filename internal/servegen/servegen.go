@@ -455,11 +455,16 @@ func (m Mix) Validate() error {
 		}
 		totalShare += c.Share
 	}
-	// A Gamma class's scale θ = cv²/rate, at the class rate Generate
-	// derives, overflows at a huge CV and a low rate even when the shape is
-	// in range, and would draw NaN arrivals.
+	// At a tiny aggregate rate the class rate Generate derives can underflow,
+	// so that the mean interarrival 1/rate overflows (1/rate is positive and
+	// finite exactly when the rate and it both are); and a Gamma class's
+	// scale θ = cv²/rate overflows at a huge CV and a low rate even when the
+	// shape is in range. Each would draw NaN arrivals.
 	for _, c := range m.Classes {
 		rate := m.Rate * c.Share / totalShare
+		if !positiveFinite(1 / rate) {
+			return fmt.Errorf("servegen: class %q rate %g/s (mean interarrival 1/rate out of range)", c.Name, rate)
+		}
 		if _, theta := gammaParams(c.Arrival.CV, rate); c.Arrival.Kind == ArrivalGamma && !positiveFinite(theta) {
 			return fmt.Errorf("servegen: class %q gamma cv %g at rate %g/s (scale cv²/rate out of range)",
 				c.Name, c.Arrival.CV, rate)

@@ -351,6 +351,8 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"gamma cv 1e200 (shape 0)", func(m *Mix) { m.Classes[1].Arrival = Bursty(1e200) }},
 		{"gamma cv 1e154 at a low rate (scale +Inf)", func(m *Mix) { m.Rate = 0.01; m.Classes[1].Arrival = Bursty(1e154) }},
 		{"on-fraction NaN", func(m *Mix) { m.Classes[1].Arrival = OnOff(nan, time.Second) }},
+		{"rate 1e-320 (1/rate +Inf)", func(m *Mix) { m.Rate = 1e-320 }},
+		{"share 1e-320 of the rate (class rate 0)", func(m *Mix) { m.Classes[0].Share = 1e-320 }},
 	}
 	for _, tc := range cases {
 		m := ChatSessions()
