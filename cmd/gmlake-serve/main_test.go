@@ -277,8 +277,24 @@ func TestUsageErrors(t *testing.T) {
 // 0 — while anything else (here every replica crashing with no restart, so
 // the stream strands in the re-dispatch pool) is a "failed:" row, one
 // gmlake-serve: line on stderr and exit 1, so a script cannot mistake a
-// scheduling dead end for a memory finding.
+// scheduling dead end for a memory finding. A trace request past serve's
+// token bound, or whose priority overflows its aged rank, is refused before
+// it is served: a MaxInt prompt used to hang contiguous, panic paged and
+// hand chunked's allocator a negative size, and the priority was served last.
 func TestRunFailures(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"maxp.jsonl": `{"arrival_ns":0,"prompt_tokens":9223372036854775807,"output_tokens":4}
+{"arrival_ns":1000,"prompt_tokens":10,"output_tokens":4}`,
+		"prio.jsonl": `{"arrival_ns":0,"class":"low","prompt_tokens":100,"output_tokens":50}
+{"arrival_ns":0,"class":"low","prompt_tokens":100,"output_tokens":50}
+{"arrival_ns":1,"class":"high","priority":10000000000,"prompt_tokens":100,"output_tokens":50}`,
+	} {
+		trace := "{\"format\":\"reqtrace\",\"version\":1}\n" + body + "\n"
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
 		args, want, not string
 		exit            int
@@ -291,8 +307,16 @@ func TestRunFailures(t *testing.T) {
 			"== chunked: failed: serve: replica 0: serve: a 817.8ms step at t=2562047h47m16.854775807s would run past the clock's range", "ALL", 1},
 		{`-n 60 -policy all -capacity-gb 0.05`, "== paged: OOM: ", "failed", 0},
 		{`-n 20 -policy paged -capacity-gb 1e-9`, "== paged: OOM: replica 0: paged slab on a 1-byte device", "failed", 0},
+		{`-trace-in maxp.jsonl -policy contiguous`,
+			"== contiguous: failed: serve: request 0 has 9223372036854775807 prompt and 4 output tokens, past the bound of 16777216 each", "OOM", 1},
+		{`-trace-in maxp.jsonl -policy paged`,
+			"== paged: failed: serve: request 0 has 9223372036854775807 prompt and 4 output tokens, past the bound of 16777216 each", "OOM", 1},
+		{`-trace-in maxp.jsonl -policy chunked`,
+			"== chunked: failed: serve: request 0 has 9223372036854775807 prompt and 4 output tokens, past the bound of 16777216 each", "OOM", 1},
+		{`-trace-in prio.jsonl -policy chunked -batch 1 -aging 1s`,
+			"== chunked: failed: serve: request 2 priority 10000000000 overflows its aged rank under aging 1s", "OOM", 1},
 	} {
-		stdout, stderr, exit := run(t, t.TempDir(), strings.Fields(tc.args)...)
+		stdout, stderr, exit := run(t, dir, strings.Fields(tc.args)...)
 		if exit != tc.exit || !strings.Contains(stdout, tc.want) || strings.Contains(stdout, tc.not) {
 			t.Errorf("gmlake-serve %s: exit %d, want %d and a %q row without %q:\n%s", tc.args, exit, tc.exit, tc.want, tc.not, stdout)
 		}

@@ -3,7 +3,7 @@ package reqtrace
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/servegen"
@@ -24,33 +24,24 @@ const (
 // with the observed duty cycle when arrivals bunch into separated bursts)
 // and token-length distributions from sample moments (deterministic when
 // degenerate, lognormal with the observed mean/CV clamped to the observed
-// range otherwise). The fitted mix is a parametric model, not a copy: the
-// quality of the fit is measured by CompareTraces, never assumed.
+// range otherwise). It reads its classes, shares and rate from the trace's
+// Stats. The fitted mix is a parametric model, not a copy: the quality of
+// the fit is measured by CompareTraces, never assumed.
 func Fit(t Trace) (servegen.Mix, error) {
 	if err := t.Validate(); err != nil {
 		return servegen.Mix{}, err
 	}
-	span := t.Span().Seconds()
+	s := t.Stats()
+	span := s.Span.Seconds()
 	if span <= 0 {
 		return servegen.Mix{}, fmt.Errorf("reqtrace: trace span is zero — cannot estimate rates")
 	}
-	byClass := splitClasses(t)
-	names := make([]string, 0, len(byClass))
-	for name := range byClass {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	m := servegen.Mix{
-		Name: "fitted",
-		Rate: float64(len(t.Records)) / span,
-	}
-	for _, name := range names {
-		c := byClass[name]
+	m := servegen.Mix{Name: "fitted", Rate: s.RatePerSec}
+	for _, c := range s.Classes {
 		m.Classes = append(m.Classes, servegen.ClientClass{
-			Name:    name,
-			SLO:     c.slo,
-			Share:   float64(len(c.arrivals)) / float64(len(t.Records)),
+			Name:    c.Class,
+			SLO:     c.SLO,
+			Share:   c.Share,
 			Arrival: fitArrival(c.arrivals, span),
 			Prompt:  fitLength(c.prompts),
 			Output:  fitLength(c.outputs),
@@ -60,33 +51,6 @@ func Fit(t Trace) (servegen.Mix, error) {
 		return servegen.Mix{}, fmt.Errorf("reqtrace: fitted mix invalid: %w", err)
 	}
 	return m, nil
-}
-
-// classSamples are one class's raw observations.
-type classSamples struct {
-	slo      string
-	arrivals []float64 // seconds
-	prompts  []int
-	outputs  []int
-}
-
-func splitClasses(t Trace) map[string]*classSamples {
-	byClass := map[string]*classSamples{}
-	for _, r := range t.Records {
-		name := r.Class
-		if name == "" {
-			name = "default"
-		}
-		c := byClass[name]
-		if c == nil {
-			c = &classSamples{slo: r.SLO}
-			byClass[name] = c
-		}
-		c.arrivals = append(c.arrivals, r.ArrivalAt.Seconds())
-		c.prompts = append(c.prompts, r.PromptLen)
-		c.outputs = append(c.outputs, r.OutputLen)
-	}
-	return byClass
 }
 
 // fitArrival picks the arrival family for one class's arrival offsets over
@@ -198,22 +162,18 @@ type ClassFitError struct {
 	Class string
 	SLO   string
 
-	TraceRequests int // class requests in the reference trace
-	SynthRequests int // class requests in the generated stream
-
 	RateErr       float64 // mean arrival rate
 	PromptMeanErr float64 // mean prompt tokens
 	OutputMeanErr float64 // mean output tokens
 
-	ArrivalKS float64 // interarrival-gap distributions
-	PromptKS  float64 // prompt-length distributions
-	OutputKS  float64 // output-length distributions
+	PromptKS float64 // prompt-length distributions
+	OutputKS float64 // output-length distributions
 }
 
 // FitReport is the fit-error report of one mix against a reference trace:
 // aggregate moment-match errors plus the per-class breakdown, classes
-// sorted by name. A class present on only one side reports relative errors
-// of 1 with zero requests on the missing side.
+// sorted by name. A class present on only one side keeps that side's SLO
+// and reports every error as 1.
 type FitReport struct {
 	// RateErr, PromptMeanErr and OutputMeanErr are the aggregate
 	// moment-match errors over the whole stream.
@@ -224,71 +184,45 @@ type FitReport struct {
 	Classes []ClassFitError
 }
 
-// Class returns the named class's row, or nil.
-func (r FitReport) Class(name string) *ClassFitError {
-	for i := range r.Classes {
-		if r.Classes[i].Class == name {
-			return &r.Classes[i]
-		}
-	}
-	return nil
-}
-
 // CompareTraces measures how the synth trace deviates from the reference
 // trace t: moment matches (rate, mean lengths) and per-class KS distances.
 // It is the honesty check behind Fit — compare a stream generated from the
 // fitted mix to know how much to trust the calibration, or one from a
-// hand-picked mix to see what calibration would buy.
+// hand-picked mix to see what calibration would buy. It walks the two
+// traces' Stats classes, both sorted by name, side by side; a shared class
+// takes the reference trace's SLO.
 func CompareTraces(t, synth Trace) FitReport {
-	obsStats, synStats := t.Stats(), synth.Stats()
+	obs, syn := t.Stats(), synth.Stats()
 	rep := FitReport{
-		RateErr:       relErr(synStats.RatePerSec, obsStats.RatePerSec),
-		PromptMeanErr: relErr(synStats.MeanPrompt, obsStats.MeanPrompt),
-		OutputMeanErr: relErr(synStats.MeanOutput, obsStats.MeanOutput),
+		RateErr:       relErr(syn.RatePerSec, obs.RatePerSec),
+		PromptMeanErr: relErr(syn.MeanPrompt, obs.MeanPrompt),
+		OutputMeanErr: relErr(syn.MeanOutput, obs.MeanOutput),
 	}
-
-	obs, syn := splitClasses(t), splitClasses(synth)
-	names := map[string]bool{}
-	for name := range obs {
-		names[name] = true
+	oneSided := func(c ClassStats) ClassFitError {
+		return ClassFitError{Class: c.Class, SLO: c.SLO,
+			RateErr: 1, PromptMeanErr: 1, OutputMeanErr: 1, PromptKS: 1, OutputKS: 1}
 	}
-	for name := range syn {
-		names[name] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for name := range names {
-		sorted = append(sorted, name)
-	}
-	sort.Strings(sorted)
-
-	for _, name := range sorted {
-		o, s := obs[name], syn[name]
-		ce := ClassFitError{Class: name}
+	o, s := obs.Classes, syn.Classes
+	for len(o) > 0 || len(s) > 0 {
 		switch {
-		case o == nil: // invented by the mix
-			ce.SLO = s.slo
-			ce.SynthRequests = len(s.arrivals)
-			ce.RateErr, ce.PromptMeanErr, ce.OutputMeanErr = 1, 1, 1
-			ce.ArrivalKS, ce.PromptKS, ce.OutputKS = 1, 1, 1
-		case s == nil: // dropped by the mix
-			ce.SLO = o.slo
-			ce.TraceRequests = len(o.arrivals)
-			ce.RateErr, ce.PromptMeanErr, ce.OutputMeanErr = 1, 1, 1
-			ce.ArrivalKS, ce.PromptKS, ce.OutputKS = 1, 1, 1
+		case len(s) == 0 || len(o) > 0 && o[0].Class < s[0].Class: // dropped by the mix
+			rep.Classes = append(rep.Classes, oneSided(o[0]))
+			o = o[1:]
+		case len(o) == 0 || s[0].Class < o[0].Class: // invented by the mix
+			rep.Classes = append(rep.Classes, oneSided(s[0]))
+			s = s[1:]
 		default:
-			ce.SLO = o.slo
-			ce.TraceRequests = len(o.arrivals)
-			ce.SynthRequests = len(s.arrivals)
-			ce.RateErr = relErr(
-				rate(s.arrivals, synth.Span().Seconds()),
-				rate(o.arrivals, t.Span().Seconds()))
-			ce.PromptMeanErr = relErr(meanInt(s.prompts), meanInt(o.prompts))
-			ce.OutputMeanErr = relErr(meanInt(s.outputs), meanInt(o.outputs))
-			ce.ArrivalKS = ksFloats(gapsOf(o.arrivals), gapsOf(s.arrivals))
-			ce.PromptKS = ksInts(o.prompts, s.prompts)
-			ce.OutputKS = ksInts(o.outputs, s.outputs)
+			rep.Classes = append(rep.Classes, ClassFitError{
+				Class:         o[0].Class,
+				SLO:           o[0].SLO,
+				RateErr:       relErr(s[0].RatePerSec, o[0].RatePerSec),
+				PromptMeanErr: relErr(s[0].MeanPrompt, o[0].MeanPrompt),
+				OutputMeanErr: relErr(s[0].MeanOutput, o[0].MeanOutput),
+				PromptKS:      ks(o[0].prompts, s[0].prompts),
+				OutputKS:      ks(o[0].outputs, s[0].outputs),
+			})
+			o, s = o[1:], s[1:]
 		}
-		rep.Classes = append(rep.Classes, ce)
 	}
 	return rep
 }
@@ -303,67 +237,17 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / want
 }
 
-func rate(times []float64, span float64) float64 {
-	if span <= 0 {
-		return 0
-	}
-	return float64(len(times)) / span
-}
-
-func meanInt(xs []int) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += float64(x)
-	}
-	return sum / float64(len(xs))
-}
-
-func gapsOf(times []float64) []float64 {
-	if len(times) < 2 {
-		return nil
-	}
-	gaps := make([]float64, len(times)-1)
-	for i := range gaps {
-		gaps[i] = times[i+1] - times[i]
-	}
-	return gaps
-}
-
-// ksInts is the two-sample KS distance over integer samples.
-func ksInts(a, b []int) float64 {
-	fa := make([]float64, len(a))
-	for i, v := range a {
-		fa[i] = float64(v)
-	}
-	fb := make([]float64, len(b))
-	for i, v := range b {
-		fb[i] = float64(v)
-	}
-	return ksFloats(fa, fb)
-}
-
-// ksFloats is the two-sample Kolmogorov–Smirnov statistic: the maximum gap
-// between the two empirical CDFs. Inputs are copied before sorting. An
-// empty side yields 1 (maximal mismatch) unless both are empty.
-func ksFloats(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		if len(a) == len(b) {
-			return 0
-		}
-		return 1
-	}
-	a = append([]float64(nil), a...)
-	b = append([]float64(nil), b...)
-	sort.Float64s(a)
-	sort.Float64s(b)
+// ks is the two-sample Kolmogorov–Smirnov statistic of two non-empty
+// samples: the maximum gap between their empirical CDFs. It sorts both in
+// place.
+func ks(a, b []int) float64 {
+	slices.Sort(a)
+	slices.Sort(b)
 	var i, j int
 	var d float64
 	na, nb := float64(len(a)), float64(len(b))
 	for i < len(a) && j < len(b) {
-		x := a[i]
-		if b[j] < x {
-			x = b[j]
-		}
+		x := min(a[i], b[j])
 		for i < len(a) && a[i] <= x {
 			i++
 		}

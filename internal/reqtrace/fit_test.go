@@ -89,7 +89,8 @@ func TestFitErrorWithinTolerance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := CompareTraces(tr, FromRequests(synth))
+			st := FromRequests(synth)
+			rep := CompareTraces(tr, st)
 			if rep.RateErr > 0.15 {
 				t.Errorf("aggregate rate error %.1f%% above 15%%", 100*rep.RateErr)
 			}
@@ -100,15 +101,52 @@ func TestFitErrorWithinTolerance(t *testing.T) {
 			if len(rep.Classes) != len(mix.Classes) {
 				t.Fatalf("fit report covers %d classes, mix has %d", len(rep.Classes), len(mix.Classes))
 			}
+			obs, syn := tr.Stats(), st.Stats()
 			for _, ce := range rep.Classes {
-				if ce.TraceRequests == 0 || ce.SynthRequests == 0 {
-					t.Errorf("class %s missing on one side: %d/%d", ce.Class, ce.TraceRequests, ce.SynthRequests)
+				if o, s := findClass(obs, ce.Class), findClass(syn, ce.Class); o == nil || s == nil {
+					t.Errorf("class %s missing on one side: %v/%v", ce.Class, o != nil, s != nil)
 				}
 				if ce.PromptKS < 0 || ce.PromptKS > 1 || ce.OutputKS < 0 || ce.OutputKS > 1 {
 					t.Errorf("class %s KS outside [0,1]: %+v", ce.Class, ce)
 				}
 			}
 		})
+	}
+}
+
+// TestCompareTracesOneSidedClasses: a class only one trace has gets a row
+// with its own side's SLO and every error at 1, and the rows of both sides'
+// classes come out in name order. A shared class takes the reference
+// trace's SLO.
+func TestCompareTracesOneSidedClasses(t *testing.T) {
+	tr := Trace{Records: []serve.Request{
+		{ArrivalAt: 0, Class: "a", SLO: "interactive", PromptLen: 50, OutputLen: 5},
+		{ArrivalAt: time.Second, Class: "b", SLO: "standard", PromptLen: 100, OutputLen: 10},
+		{ArrivalAt: 2 * time.Second, Class: "a", SLO: "interactive", PromptLen: 70, OutputLen: 7},
+	}}
+	synth := Trace{Records: []serve.Request{
+		{ArrivalAt: 0, Class: "c", SLO: "batch", PromptLen: 300, OutputLen: 30},
+		{ArrivalAt: time.Second, Class: "b", SLO: "batch", PromptLen: 100, OutputLen: 10},
+		{ArrivalAt: 2 * time.Second, Class: "c", SLO: "batch", PromptLen: 200, OutputLen: 20},
+	}}
+	rep := CompareTraces(tr, synth)
+	if len(rep.Classes) != 3 {
+		t.Fatalf("%d rows, want a, b, c: %+v", len(rep.Classes), rep.Classes)
+	}
+	for i, want := range []struct {
+		class, slo string
+		err        float64
+	}{{"a", "interactive", 1}, {"b", "standard", 0}, {"c", "batch", 1}} {
+		ce := rep.Classes[i]
+		if ce.Class != want.class || ce.SLO != want.slo {
+			t.Errorf("row %d is class %q SLO %q, want %q %q", i, ce.Class, ce.SLO, want.class, want.slo)
+		}
+		for _, e := range []float64{ce.RateErr, ce.PromptMeanErr, ce.OutputMeanErr, ce.PromptKS, ce.OutputKS} {
+			if e != want.err {
+				t.Errorf("class %s errors %+v, want all %g", ce.Class, ce, want.err)
+				break
+			}
+		}
 	}
 }
 

@@ -110,7 +110,8 @@ func (t Trace) Span() time.Duration {
 	return t.Records[len(t.Records)-1].ArrivalAt
 }
 
-// ClassStats is the per-client-class slice of a trace summary.
+// ClassStats is the per-client-class slice of a trace summary. It keeps the
+// class's samples in trace order for Fit and CompareTraces.
 type ClassStats struct {
 	Class string
 	SLO   string
@@ -121,8 +122,9 @@ type ClassStats struct {
 	RatePerSec float64
 
 	MeanPrompt, MeanOutput float64
-	MinPrompt, MaxPrompt   int
-	MinOutput, MaxOutput   int
+
+	arrivals         []float64 // offsets in seconds
+	prompts, outputs []int
 }
 
 // Stats summarizes a trace: aggregate rate and token means plus the
@@ -138,7 +140,8 @@ type Stats struct {
 }
 
 // Stats computes the trace summary. An empty class name reports as
-// "default", matching how serve reports it.
+// "default", matching how serve reports it. It is the one place a trace is
+// grouped by class: Fit and CompareTraces read their classes from it.
 func (t Trace) Stats() Stats {
 	s := Stats{Requests: len(t.Records), Span: t.Span()}
 	if s.Requests == 0 {
@@ -157,26 +160,14 @@ func (t Trace) Stats() Stats {
 		}
 		c := byClass[name]
 		if c == nil {
-			c = &ClassStats{Class: name, SLO: r.SLO,
-				MinPrompt: r.PromptLen, MaxPrompt: r.PromptLen,
-				MinOutput: r.OutputLen, MaxOutput: r.OutputLen}
+			c = &ClassStats{Class: name, SLO: r.SLO}
 			byClass[name] = c
 		}
-		c.Requests++
 		c.MeanPrompt += float64(r.PromptLen)
 		c.MeanOutput += float64(r.OutputLen)
-		if r.PromptLen < c.MinPrompt {
-			c.MinPrompt = r.PromptLen
-		}
-		if r.PromptLen > c.MaxPrompt {
-			c.MaxPrompt = r.PromptLen
-		}
-		if r.OutputLen < c.MinOutput {
-			c.MinOutput = r.OutputLen
-		}
-		if r.OutputLen > c.MaxOutput {
-			c.MaxOutput = r.OutputLen
-		}
+		c.arrivals = append(c.arrivals, r.ArrivalAt.Seconds())
+		c.prompts = append(c.prompts, r.PromptLen)
+		c.outputs = append(c.outputs, r.OutputLen)
 	}
 	s.MeanPrompt /= float64(s.Requests)
 	s.MeanOutput /= float64(s.Requests)
@@ -187,6 +178,7 @@ func (t Trace) Stats() Stats {
 	sort.Strings(names)
 	for _, name := range names {
 		c := byClass[name]
+		c.Requests = len(c.prompts)
 		c.Share = float64(c.Requests) / float64(s.Requests)
 		if sec := s.Span.Seconds(); sec > 0 {
 			c.RatePerSec = float64(c.Requests) / sec

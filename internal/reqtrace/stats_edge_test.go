@@ -91,8 +91,7 @@ func TestStatsEdgeCases(t *testing.T) {
 		t.Fatalf("classes = %d", len(s.Classes))
 	}
 	c := s.Classes[0]
-	if c.Share != 1 || c.MeanPrompt != 120 || c.MeanOutput != 64 ||
-		c.MinPrompt != 120 || c.MaxPrompt != 120 || c.RatePerSec != 0 {
+	if c.Share != 1 || c.MeanPrompt != 120 || c.MeanOutput != 64 || c.RatePerSec != 0 {
 		t.Errorf("single-record class row %+v", c)
 	}
 }

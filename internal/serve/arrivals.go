@@ -3,26 +3,42 @@ package serve
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
 	"repro/internal/container"
 )
 
+// MaxRequestTokens bounds a request's prompt and its output length. It keeps
+// a sequence's KV bytes under every model configuration, its prefill time and
+// its TotalTokens inside int64.
+const MaxRequestTokens = 1 << 24
+
 // arrivalOrder is the one pass over an input stream before it is served: it
-// rejects a request with nothing to prefill or nothing to decode, and returns
-// the order the stream is released in — arrival time, input order preserved
-// among ties, so a request's input index doubles as its FIFO ticket. The
-// order is the stable permutation of input indexes, or nil when reqs is
-// already non-decreasing in ArrivalAt (every generated stream is; no
-// allocation).
-func arrivalOrder(reqs []Request) ([]int, error) {
+// rejects a request with nothing to prefill or nothing to decode, one past
+// MaxRequestTokens, and under aging one whose aged rank would overflow (see
+// agedRankFits), and returns the order the stream is released in — arrival
+// time, input order preserved among ties, so a request's input index doubles
+// as its FIFO ticket. The order is the stable permutation of input indexes,
+// or nil when reqs is already non-decreasing in ArrivalAt (every generated
+// stream is; no allocation).
+func arrivalOrder(reqs []Request, aging time.Duration) ([]int, error) {
 	for i := range reqs {
-		if err := checkPrompt(&reqs[i]); err != nil {
+		r := &reqs[i]
+		if err := checkPrompt(r); err != nil {
 			return nil, err
 		}
-		if r := &reqs[i]; r.OutputLen <= 0 {
+		if r.OutputLen <= 0 {
 			return nil, fmt.Errorf("serve: request %d has %d output tokens", r.ID, r.OutputLen)
+		}
+		if r.PromptLen > MaxRequestTokens || r.OutputLen > MaxRequestTokens {
+			return nil, fmt.Errorf("serve: request %d has %d prompt and %d output tokens, past the bound of %d each",
+				r.ID, r.PromptLen, r.OutputLen, MaxRequestTokens)
+		}
+		if aging > 0 && !agedRankFits(r.Priority, aging, r.ArrivalAt) {
+			return nil, fmt.Errorf("serve: request %d priority %d overflows its aged rank under aging %v",
+				r.ID, r.Priority, aging)
 		}
 	}
 	if slices.IsSortedFunc(reqs, func(a, b Request) int { return cmp.Compare(a.ArrivalAt, b.ArrivalAt) }) {
@@ -34,6 +50,20 @@ func arrivalOrder(reqs []Request) ([]int, error) {
 	}
 	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(reqs[i].ArrivalAt, reqs[j].ArrivalAt) })
 	return order, nil
+}
+
+// agedRankFits reports whether server.rank's Priority·aging − at stays
+// inside int64: |Priority|·aging ≤ MaxInt64 − |at|. The minimum int, whose
+// absolute value overflows, does not fit.
+func agedRankFits(priority int, aging, at time.Duration) bool {
+	if priority == math.MinInt {
+		return false
+	}
+	if at < 0 {
+		at = -at
+	}
+	room := math.MaxInt64 - int64(at) // negative only for at = MinInt64
+	return room >= 0 && int64(max(priority, -priority)) <= room/int64(aging)
 }
 
 // inputCursor walks the caller's request slice in arrivalOrder without
@@ -49,8 +79,8 @@ type inputCursor struct {
 	spare container.Spares[track]
 }
 
-func newInputCursor(reqs []Request) (inputCursor, error) {
-	order, err := arrivalOrder(reqs)
+func newInputCursor(reqs []Request, aging time.Duration) (inputCursor, error) {
+	order, err := arrivalOrder(reqs, aging)
 	return inputCursor{reqs: reqs, order: order}, err
 }
 

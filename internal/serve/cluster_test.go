@@ -386,10 +386,10 @@ func TestClusterSingleReplicaMatchesServeUnsortedInput(t *testing.T) {
 		}
 		tied = append(tied, r)
 	}
-	if po, _ := arrivalOrder(plain); po == nil {
+	if po, _ := arrivalOrder(plain, 0); po == nil {
 		t.Fatal("plain input is arrival-ordered; the permutation path is not exercised")
 	}
-	if to, _ := arrivalOrder(tied); to == nil {
+	if to, _ := arrivalOrder(tied, 0); to == nil {
 		t.Fatal("inputs are arrival-ordered; the permutation path is not exercised")
 	}
 	for _, tc := range []struct {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -418,5 +419,81 @@ func TestServeRejectsNonPositiveTokens(t *testing.T) {
 		if fmt.Sprint(err) != tc.want {
 			t.Errorf("ServeCluster: %v, want %s", err, tc.want)
 		}
+	}
+}
+
+// TestServeRejectsOversizedRequests: a prompt or an output past
+// MaxRequestTokens is refused before anything is served, under every
+// manager. A MaxInt prompt used to wrap TotalTokens negative, so contiguous
+// admitted it and stepped forever, paged's block count wrapped into a slice
+// panic and chunked asked its allocator for a negative size.
+func TestServeRejectsOversizedRequests(t *testing.T) {
+	managers := []struct {
+		name string
+		mk   func() CacheManager
+	}{
+		{"contiguous", func() CacheManager { return NewContiguousKV(newServeAlloc(sim.GiB), model.OPT1_3B, 512) }},
+		{"paged", func() CacheManager {
+			p, err := NewPagedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 16, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}},
+		{"chunked", func() CacheManager { return NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64) }},
+	}
+	for _, bad := range []Request{
+		{ID: 3, PromptLen: math.MaxInt, OutputLen: 4},
+		{ID: 3, PromptLen: 10, OutputLen: math.MaxInt},
+	} {
+		want := fmt.Sprintf("serve: request 3 has %d prompt and %d output tokens, past the bound of %d each",
+			bad.PromptLen, bad.OutputLen, MaxRequestTokens)
+		for _, m := range managers {
+			_, err := Serve(append(mixedStream(3), bad), m.mk(), ServerConfig{MaxBatch: 4})
+			if fmt.Sprint(err) != want {
+				t.Errorf("%s: %v, want %s", m.name, err, want)
+			}
+		}
+	}
+	if _, err := arrivalOrder([]Request{{PromptLen: MaxRequestTokens, OutputLen: MaxRequestTokens}}, 0); err != nil {
+		t.Errorf("a request at the bound: %v", err)
+	}
+}
+
+// TestAgedRankBound: under aging a request's rank is Priority·Aging −
+// ArrivalAt, so a priority whose product overflows int64 used to wrap and be
+// served last. A priority at the bound keeps its place at the front; one
+// past it, on either side, is refused. Without aging nothing is refused.
+func TestAgedRankBound(t *testing.T) {
+	const aging = time.Second
+	top := math.MaxInt64 / int(aging)
+	stream := func(priority int) []Request {
+		return []Request{
+			{ID: 0, Class: "low", PromptLen: 100, OutputLen: 50},
+			{ID: 1, Class: "low", PromptLen: 100, OutputLen: 50},
+			{ID: 2, Class: "high", Priority: priority, PromptLen: 100, OutputLen: 50},
+		}
+	}
+	run := func(reqs []Request, aging time.Duration) (Report, error) {
+		return Serve(reqs, NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64), ServerConfig{MaxBatch: 1, Aging: aging})
+	}
+	rep, err := run(stream(top), aging)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if high, low := rep.Class("high").TTFT.P99, rep.Class("low").TTFT.P50; high >= low {
+		t.Errorf("priority %d at the bound: TTFT %v, not before the low class's %v", top, high, low)
+	}
+	for _, p := range []int{top + 1, -top - 1, math.MinInt} {
+		want := fmt.Sprintf("serve: request 2 priority %d overflows its aged rank under aging 1s", p)
+		if _, err := run(stream(p), aging); fmt.Sprint(err) != want {
+			t.Errorf("priority %d: %v, want %s", p, err, want)
+		}
+		if _, err := run(stream(p), 0); err != nil {
+			t.Errorf("priority %d without aging: %v", p, err)
+		}
+	}
+	if _, err := arrivalOrder([]Request{{Priority: -top, PromptLen: 1, OutputLen: 1}}, aging); err != nil {
+		t.Errorf("priority %d at the bound: %v", -top, err)
 	}
 }

@@ -49,7 +49,6 @@ func TestPickAllocatesNothing(t *testing.T) {
 // AllocsPerRun counts around it is the server's own bookkeeping.
 type stubKV struct{}
 
-func (stubKV) Name() string                     { return "stub" }
 func (stubKV) Admit(Request) (SeqHandle, error) { return 1, nil }
 func (stubKV) Append(SeqHandle) error           { return nil }
 func (stubKV) Reserve(SeqHandle) (int, error)   { return 1 << 30, nil }

@@ -164,9 +164,6 @@ func NewContiguousKV(alloc memalloc.Allocator, cfg model.Config, maxTokens int) 
 	return c
 }
 
-// Name implements CacheManager.
-func (c *ContiguousKV) Name() string { return "contiguous" }
-
 // Admit implements CacheManager.
 func (c *ContiguousKV) Admit(r Request) (SeqHandle, error) {
 	if err := checkPrompt(&r); err != nil {
@@ -221,9 +218,6 @@ func NewPagedKV(alloc memalloc.Allocator, cfg model.Config, blockTokens, totalBl
 	p.grow = p.addBlock
 	return p, nil
 }
-
-// Name implements CacheManager.
-func (p *PagedKV) Name() string { return "paged" }
 
 // Close releases the slab.
 func (p *PagedKV) Close() { p.alloc.Free(p.slab) }
@@ -312,9 +306,6 @@ func NewChunkedKV(alloc memalloc.Allocator, cfg model.Config, chunkTokens int) *
 	c.grow = c.addChunk
 	return c
 }
-
-// Name implements CacheManager.
-func (c *ChunkedKV) Name() string { return "chunked" }
 
 // Admit implements CacheManager.
 func (c *ChunkedKV) Admit(r Request) (SeqHandle, error) {

@@ -98,7 +98,7 @@ func newClusterSched(reqs []Request, newMgr func(int) CacheManager, cfg ClusterC
 	if err != nil {
 		return nil, err
 	}
-	queue, err := newInputCursor(reqs)
+	queue, err := newInputCursor(reqs, cfg.Server.Aging)
 	if err != nil {
 		return nil, err
 	}

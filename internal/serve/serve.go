@@ -277,9 +277,6 @@ type SeqHandle int
 // the manager only at those boundaries (Reserve) and once per decode step
 // (Decode), never once per token per sequence.
 type CacheManager interface {
-	// Name identifies the policy in reports.
-	Name() string
-
 	// Admit reserves KV storage for a request's prompt. It fails when the
 	// backing memory cannot hold the sequence; the server then retries
 	// after other sequences complete.

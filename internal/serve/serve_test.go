@@ -366,11 +366,12 @@ func TestKVConformance(t *testing.T) {
 	defer paged.Close()
 	chunked := NewChunkedKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 16)
 	for _, tc := range []struct {
+		name  string
 		mgr   CacheManager
 		table *seqTable
-	}{{contig, &contig.seqTable}, {paged, &paged.seqTable}, {chunked, &chunked.seqTable}} {
+	}{{"contiguous", contig, &contig.seqTable}, {"paged", paged, &paged.seqTable}, {"chunked", chunked, &chunked.seqTable}} {
 		mgr, table := tc.mgr, tc.table
-		t.Run(mgr.Name(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			req := Request{PromptLen: 16, OutputLen: 8}
 			fill := func() (live []SeqHandle) {
 				for len(live) < 1000 {
@@ -429,19 +430,21 @@ func TestKVConformance(t *testing.T) {
 			}
 		})
 	}
-	for _, mk := range []func() CacheManager{
-		func() CacheManager { return NewContiguousKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 64) },
-		func() CacheManager {
+	for _, tc := range []struct {
+		name string
+		mk   func() CacheManager
+	}{
+		{"contiguous", func() CacheManager { return NewContiguousKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 64) }},
+		{"paged", func() CacheManager {
 			p, err := NewPagedKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 16, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p
-		},
-		func() CacheManager { return NewChunkedKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 16) },
+		}},
+		{"chunked", func() CacheManager { return NewChunkedKV(newServeAlloc(64*sim.MiB), model.OPT1_3B, 16) }},
 	} {
-		a := mk()
-		t.Run(a.Name()+"/reserve-decode", func(t *testing.T) { checkReserveDecode(t, a, mk()) })
+		t.Run(tc.name+"/reserve-decode", func(t *testing.T) { checkReserveDecode(t, tc.mk(), tc.mk()) })
 	}
 }
 

@@ -254,7 +254,8 @@ type server struct {
 // fixed per-request integer, and the same O(log n) tree indexes that serve
 // static priorities serve aged ones — no re-keying as the clock advances.
 // A requeued (preempted) request keeps its original ArrivalAt, so its age
-// keeps counting from first arrival across preemptions.
+// keeps counting from first arrival across preemptions. arrivalOrder refuses
+// a request whose aged rank would overflow int64 (agedRankFits).
 func (s *server) rank(rec *track) int64 {
 	if s.cfg.Aging <= 0 {
 		return int64(rec.req.Priority)

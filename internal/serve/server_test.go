@@ -203,16 +203,16 @@ func TestServeRandomMixesProperty(t *testing.T) {
 		for _, mgr := range mgrs {
 			rep, err := Serve(reqs, mgr, ServerConfig{MaxBatch: 6})
 			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, mgr.Name(), err)
+				t.Fatalf("seed %d %T: %v", seed, mgr, err)
 			}
 			if rep.Served != len(reqs) {
-				t.Fatalf("seed %d %s: served %d/%d", seed, mgr.Name(), rep.Served, len(reqs))
+				t.Fatalf("seed %d %T: served %d/%d", seed, mgr, rep.Served, len(reqs))
 			}
 			if mgr.UsedBytes() != 0 || mgr.LogicalBytes() != 0 {
-				t.Fatalf("seed %d %s: manager not drained", seed, mgr.Name())
+				t.Fatalf("seed %d %T: manager not drained", seed, mgr)
 			}
 			if rep.MeanWaste < 0 || rep.MeanWaste > 1 {
-				t.Fatalf("seed %d %s: waste %v", seed, mgr.Name(), rep.MeanWaste)
+				t.Fatalf("seed %d %T: waste %v", seed, mgr, rep.MeanWaste)
 			}
 		}
 	}
