@@ -1,9 +1,9 @@
 // Micro-benchmarks: the host cost of the hot paths under the paper's
 // allocator, the simulated driver's page table and the caching baseline,
 // and of request-stream generation. CI runs the GMLake*, DriverMapUnmap,
-// CachingBestFit, CachingSplitFree, CachingRefusal, TrainerStep,
-// TrainerConverge, Generate and Serve ones on every push to show allocs/op, ns/request and
-// allocs/request; `go run ./benchmark` is the benchmark that
+// CachingBestFit, CachingSplitFree, CachingRefusal, CachingEqualSizes,
+// TrainerStep, TrainerConverge, Generate and Serve ones on every push to
+// show allocs/op, ns/request and allocs/request; `go run ./benchmark` is the benchmark that
 // performance claims rest on, and the tables of the paper's evaluation are
 // pinned by internal/harness/testdata/golden.
 package gmlake
@@ -361,6 +361,50 @@ func BenchmarkCachingRefusal(b *testing.B) {
 		if _, err := alloc.Alloc(80 * sim.MiB); err == nil {
 			b.Fatal("Alloc on a full device succeeded")
 		}
+	}
+}
+
+// BenchmarkCachingEqualSizes measures the caching allocator's best fit when
+// N equal-size inactive blocks lie between live ones, so they cannot merge,
+// and each request is one unit larger: the lookup passes over all N before
+// it splits a cached 20 MiB segment, and the Free merges the split back.
+// The size bins walk those N blocks where a tree would descend log N
+// levels; this is the index's worst case, recorded rather than gated.
+func BenchmarkCachingEqualSizes(b *testing.B) {
+	const size = 2 * sim.MiB
+	for _, n := range []int{64, 1024} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			alloc := caching.New(newBenchDriver(16 * sim.GiB))
+			// Whole 20 MiB segments of ten blocks, every other one of the
+			// first 2n freed.
+			bufs := make([]*memalloc.Buffer, (2*n+9)/10*10)
+			for i := range bufs {
+				buf, err := alloc.Alloc(size)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bufs[i] = buf
+			}
+			for i := 0; i < 2*n; i += 2 {
+				alloc.Free(bufs[i])
+			}
+			if got := alloc.FreeBlockCount(); got != n {
+				b.Fatalf("%d inactive blocks, want %d", got, n)
+			}
+			op := func() {
+				buf, err := alloc.Alloc(size + caching.MinBlockSize)
+				if err != nil {
+					b.Fatal(err)
+				}
+				alloc.Free(buf)
+			}
+			op() // the first request's segment stays cached
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
 	}
 }
 

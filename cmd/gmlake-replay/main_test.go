@@ -102,6 +102,12 @@ func TestEveryBackendIsSelectable(t *testing.T) {
 // and no stack trace.
 func TestUsageErrors(t *testing.T) {
 	dir, _ := record(t)
+	// An 8 EiB alloc after a 100 MiB one: it used to replay as a normal
+	// table with a negative average and exit 0.
+	huge := `{"format":"gmlake-trace","version":1,"events":[{"Op":0,"ID":1,"Size":104857600,"T":0},{"Op":1,"ID":1,"Size":0,"T":1},{"Op":0,"ID":2,"Size":9223372036854775807,"T":2},{"Op":1,"ID":2,"Size":0,"T":3}]}`
+	if err := os.WriteFile(filepath.Join(dir, "huge.json"), []byte(huge+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ args, want string }{
 		{`-in t.json -capacity-gb 0`, `-capacity-gb must be positive, got 0`},
 		{`-in t.json -capacity-gb -4`, `-capacity-gb must be positive, got -4`},
@@ -110,6 +116,8 @@ func TestUsageErrors(t *testing.T) {
 		{`-in t.json -alloc bogus`, `unknown allocator "bogus" (caching, gmlake, expandable, compact, native or all)`},
 		{`-in t.json -alloc caching-tuned`, `unknown allocator "caching-tuned"`},
 		{`-in missing.json`, `open missing.json`},
+		{`-in huge.json -alloc caching -capacity-gb 4`, `optrace: event 2: alloc of 9223372036854775807 bytes is above the 1125899906842624-byte request limit`},
+		{`-in huge.json -alloc all`, `optrace: event 2: alloc of 9223372036854775807 bytes`},
 		{`-record -model nope`, `unknown model "nope"`},
 		{`-record -strategy X`, `unknown strategy letter 'X'`},
 		{``, `either -record or -in <trace.json> is required`},

@@ -6,7 +6,16 @@
 //
 //  1. Requests are rounded to 512-byte multiples and served from a small
 //     pool (requests ≤ 1 MiB, backed by 2 MiB segments) or a large pool.
-//  2. Best fit: the smallest cached inactive block that fits is chosen.
+//  2. Best fit: the smallest cached inactive block that fits is chosen,
+//     the lowest address among equal sizes. Each pool files its inactive
+//     blocks in size bins, four per power of two of the 512-byte unit, each
+//     bin a list in (size, address) order, with a bitmap of the non-empty
+//     bins (TensorFlow's BFC allocator bins its free chunks the same way).
+//     A lookup walks the request's own bin to the first block that fits,
+//     else takes the head of the next non-empty bin from the bitmap; a
+//     free walks one bin to its slot. A walk is O(blocks in one bin), where
+//     a tree is O(log n): its worst case is many inactive blocks of one
+//     size under a request just above it (BenchmarkCachingEqualSizes).
 //  3. Split: if the chosen block leaves a usable remainder, it is split;
 //     the two halves stay linked so they can re-merge.
 //  4. Free does not call the driver — the block is marked inactive and
@@ -27,6 +36,7 @@ package caching
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/container"
 	"repro/internal/cuda"
@@ -77,8 +87,11 @@ type Allocator struct {
 	cfg    Config
 	acct   memalloc.Accounting
 
-	small, large *pool
-	segments     map[cuda.DevicePtr]*segment
+	small, large pool
+
+	// segs lists every live segment, newest first; nsegs counts them.
+	segs  *segment
+	nsegs int
 
 	// spare holds block records merged away or released with their
 	// segment; a split remainder or a new segment's block comes from it.
@@ -86,28 +99,47 @@ type Allocator struct {
 }
 
 type pool struct {
-	isSmall bool
-	free    container.Tree[*block] // inactive blocks by (size, ptr)
-	// whole counts the blocks in free that span their segment alone: the
-	// segments a flush would release.
-	whole int
+	// bins[j] heads the list of inactive blocks in bin base+j (binOf), in
+	// (size, ptr) order; bit j of nonEmpty is set exactly when it is
+	// non-empty. base is the bin of the pool's smallest possible block, and
+	// bins reaches the bin of its largest segment.
+	bins     []*block
+	nonEmpty [binWords]uint64
+	base     int
+	// free counts the inactive blocks in bins; whole counts those that span
+	// their segment alone: the segments a flush would release.
+	free, whole int
+}
+
+// binWords is the bitmap's length: the large pool's bins, from 1 MiB up to
+// memalloc.MaxAllocSize, the largest segment an allocator makes.
+const binWords = 2
+
+// binOf returns the bin of an inactive block of size bytes (a positive
+// multiple of MinBlockSize): four bins per power of two of the unit, so it
+// rises with size and a bin's sizes lie within 25% of its lowest.
+func binOf(size int64) int {
+	units := uint64(size / MinBlockSize)
+	log := bits.Len64(units) - 1
+	return 4*log + int(units<<2>>log&3)
 }
 
 type segment struct {
-	ptr   cuda.DevicePtr
 	size  int64
 	pool  *pool
-	first *block
+	first *block // at the segment's base address
+	next  *segment
 }
 
 type block struct {
-	seg       *segment
-	ptr       cuda.DevicePtr
-	size      int64
-	allocated bool
-	prev      *block // address-order neighbours inside the segment
-	next      *block
-	node      container.Node[*block] // linked into pool.free while inactive
+	seg  *segment
+	ptr  cuda.DevicePtr
+	size int64
+	prev *block // address-order neighbours inside the segment
+	next *block
+	// binPrev and binNext link an inactive block into its pool's bin.
+	binPrev, binNext *block
+	allocated        bool
 }
 
 // New returns a caching allocator over driver with PyTorch's default
@@ -116,37 +148,83 @@ func New(driver *cuda.Driver) *Allocator { return NewWithConfig(driver, Config{}
 
 // NewWithConfig returns a caching allocator with tuning knobs set.
 func NewWithConfig(driver *cuda.Driver, cfg Config) *Allocator {
-	return &Allocator{
-		driver:   driver,
-		cfg:      cfg,
-		small:    &pool{isSmall: true},
-		large:    &pool{},
-		segments: make(map[cuda.DevicePtr]*segment),
-	}
+	a := &Allocator{driver: driver, cfg: cfg}
+	// A large-pool block is a request above SmallSize or a split remainder
+	// of at least SmallSize.
+	a.large.base = binOf(SmallSize)
+	return a
 }
 
-// insertFree indexes the inactive block blk through its own tree node.
+// ceil returns the smallest inactive block of at least size bytes, the
+// lowest address among equals, or nil: the first fit in the request's own
+// bin, else the head of the next non-empty bin.
+func (p *pool) ceil(size int64) *block {
+	i := binOf(size) - p.base
+	if i >= len(p.bins) {
+		return nil
+	}
+	for blk := p.bins[i]; blk != nil; blk = blk.binNext {
+		if blk.size >= size {
+			return blk
+		}
+	}
+	i++
+	for w := i >> 6; w < binWords; w++ {
+		word := p.nonEmpty[w]
+		if w == i>>6 {
+			word &^= 1<<(i&63) - 1
+		}
+		if word != 0 {
+			return p.bins[w<<6+bits.TrailingZeros64(word)]
+		}
+	}
+	return nil
+}
+
+// insertFree files the inactive block blk in its bin, after every block
+// that precedes it in (size, ptr) order.
 func (p *pool) insertFree(blk *block) {
-	blk.node.Value = blk
-	blk.node.Key = blk.freeKey()
-	p.free.InsertNode(&blk.node)
+	i := binOf(blk.size) - p.base
+	var prev *block
+	next := p.bins[i]
+	for next != nil && (next.size < blk.size || next.size == blk.size && next.ptr < blk.ptr) {
+		prev, next = next, next.binNext
+	}
+	blk.binPrev, blk.binNext = prev, next
+	if prev == nil {
+		p.bins[i] = blk
+		p.nonEmpty[i>>6] |= 1 << (i & 63)
+	} else {
+		prev.binNext = blk
+	}
+	if next != nil {
+		next.binPrev = blk
+	}
+	p.free++
 	if blk.whole() {
 		p.whole++
 	}
 }
 
-// removeFree takes blk out of the free tree; the caller relinks it after.
+// removeFree unlinks blk from its bin; the caller relinks it after.
 func (p *pool) removeFree(blk *block) {
-	p.free.Delete(&blk.node)
+	if prev := blk.binPrev; prev != nil {
+		prev.binNext = blk.binNext
+	} else {
+		i := binOf(blk.size) - p.base
+		p.bins[i] = blk.binNext
+		if blk.binNext == nil {
+			p.nonEmpty[i>>6] &^= 1 << (i & 63)
+		}
+	}
+	if next := blk.binNext; next != nil {
+		next.binPrev = blk.binPrev
+	}
+	p.free--
 	if blk.whole() {
 		p.whole--
 	}
 }
-
-// freeKey is blk's place in its pool's free tree: best fit by size, lowest
-// address on ties. Device pointers are offsets into an int64 address space,
-// so converting one keeps its order.
-func (b *block) freeKey() container.Key { return container.Key{Hi: b.size, Lo: int64(b.ptr)} }
 
 // whole reports whether blk is the only block of its segment.
 func (b *block) whole() bool { return b.prev == nil && b.next == nil }
@@ -183,9 +261,9 @@ func allocationSize(size int64) int64 {
 
 func (a *Allocator) poolFor(size int64) *pool {
 	if size <= SmallSize {
-		return a.small
+		return &a.small
 	}
-	return a.large
+	return &a.large
 }
 
 // Alloc implements memalloc.Allocator: best fit, then split (paper Figure 2b
@@ -193,6 +271,9 @@ func (a *Allocator) poolFor(size int64) *pool {
 func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("caching: Alloc(%d)", size)
+	}
+	if size > memalloc.MaxAllocSize {
+		return nil, &memalloc.TooLargeError{Allocator: "caching", Size: size}
 	}
 	a.driver.Clock().Advance(a.driver.Cost().HostOp())
 
@@ -222,12 +303,11 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 // candidates would be wasted whole, so the search reports a miss instead
 // (PyTorch's rule).
 func (a *Allocator) findBestFit(p *pool, size int64) *block {
-	n := p.free.Ceil(container.Key{Hi: size})
-	if n == nil {
+	blk := p.ceil(size)
+	if blk == nil {
 		return nil
 	}
-	blk := n.Value
-	if a.cfg.MaxSplitSize > 0 && !p.isSmall &&
+	if a.cfg.MaxSplitSize > 0 && p == &a.large &&
 		blk.size > a.cfg.MaxSplitSize && blk.size-size > OversizeSlack {
 		return nil
 	}
@@ -257,11 +337,17 @@ func (a *Allocator) allocSegment(p *pool, size int64) (*block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("caching: %w", err)
 	}
-	seg := &segment{ptr: ptr, size: segSize, pool: p}
+	// The bins reach the largest segment: a pool never used costs nothing,
+	// and the small pool's first segment sizes its bins for good.
+	if n := binOf(segSize) - p.base + 1; n > len(p.bins) {
+		p.bins = append(p.bins, make([]*block, n-len(p.bins))...)
+	}
+	seg := &segment{size: segSize, pool: p, next: a.segs}
 	blk := a.spare.Get()
 	*blk = block{seg: seg, ptr: ptr, size: segSize}
 	seg.first = blk
-	a.segments[ptr] = seg
+	a.segs = seg
+	a.nsegs++
 	a.acct.OnReserve(segSize)
 	return blk, nil
 }
@@ -278,8 +364,8 @@ func (e mallocError) Unwrap() error { return e.err }
 
 // splitRemainder is the smallest usable split remainder per pool: 512 B for
 // the small pool, 1 MiB for the large pool (PyTorch's should_split rule).
-func splitRemainder(p *pool) int64 {
-	if p.isSmall {
+func (a *Allocator) splitRemainder(p *pool) int64 {
+	if p == &a.small {
 		return MinBlockSize
 	}
 	return SmallSize
@@ -290,10 +376,10 @@ func splitRemainder(p *pool) int64 {
 // MaxSplitSize are handed out whole.
 func (a *Allocator) maybeSplit(p *pool, blk *block, size int64) *block {
 	remaining := blk.size - size
-	if remaining < splitRemainder(p) {
+	if remaining < a.splitRemainder(p) {
 		return blk
 	}
-	if a.cfg.MaxSplitSize > 0 && !p.isSmall && blk.size > a.cfg.MaxSplitSize {
+	if a.cfg.MaxSplitSize > 0 && p == &a.large && blk.size > a.cfg.MaxSplitSize {
 		return blk
 	}
 	rest := a.spare.Get()
@@ -363,30 +449,27 @@ func (a *Allocator) Free(buf *memalloc.Buffer) {
 func (a *Allocator) EmptyCache() { a.releaseCachedSegments() }
 
 // releaseCachedSegments cudaFrees every segment whose whole span is a single
-// inactive block, returning the number of segments released. The pools'
-// whole counts make it O(1) when there is nothing to release, and stop the
-// scan at the last one when there is.
+// inactive block, newest segment first, returning the number released. The
+// pools' whole counts make it O(1) when there is nothing to release, and
+// stop the scan at the last one when there is.
 func (a *Allocator) releaseCachedSegments() int {
-	if a.flushable() == 0 {
-		return 0
-	}
 	released := 0
-	for ptr, seg := range a.segments {
+	for link := &a.segs; *link != nil && a.flushable() > 0; {
+		seg := *link
 		blk := seg.first
 		if blk.allocated || blk.next != nil {
+			link = &seg.next
 			continue
 		}
 		seg.pool.removeFree(blk)
-		if err := a.driver.Free(seg.ptr); err != nil {
+		if err := a.driver.Free(blk.ptr); err != nil {
 			panic("caching: releasing cached segment: " + err.Error())
 		}
 		a.acct.OnRelease(seg.size)
-		delete(a.segments, ptr)
+		*link = seg.next
+		a.nsegs--
 		a.spare.Put(blk)
 		released++
-		if a.flushable() == 0 {
-			break
-		}
 	}
 	return released
 }
@@ -395,37 +478,81 @@ func (a *Allocator) releaseCachedSegments() int {
 func (a *Allocator) flushable() int { return a.small.whole + a.large.whole }
 
 // SegmentCount reports live segments (diagnostics).
-func (a *Allocator) SegmentCount() int { return len(a.segments) }
+func (a *Allocator) SegmentCount() int { return a.nsegs }
 
 // FreeBlockCount reports cached inactive blocks across both pools
 // (diagnostics; a growing count under an irregular workload is the
 // fragmentation the paper describes).
-func (a *Allocator) FreeBlockCount() int {
-	return a.small.free.Len() + a.large.free.Len()
-}
+func (a *Allocator) FreeBlockCount() int { return a.small.free + a.large.free }
 
 // FreeBlockSizes returns the size of every cached inactive block, ascending
 // per pool; fragstat consumes it for fragmentation indices.
 func (a *Allocator) FreeBlockSizes() []int64 {
 	out := make([]int64, 0, a.FreeBlockCount())
-	for _, p := range []*pool{a.small, a.large} {
-		p.free.Ascend(func(n *container.Node[*block]) bool {
-			out = append(out, n.Value.size)
-			return true
-		})
+	for _, p := range []*pool{&a.small, &a.large} {
+		for _, head := range p.bins {
+			for blk := head; blk != nil; blk = blk.binNext {
+				out = append(out, blk.size)
+			}
+		}
 	}
 	return out
 }
 
+// checkBins verifies p's index: every block in bin binOf(size), inactive
+// and of this pool, every bin in (size, ptr) order with intact back links,
+// a bitmap bit set exactly when its bin is non-empty, and the free count
+// equal to the blocks filed. It adds each filed block to binned.
+func (p *pool) checkBins(binned map[*block]bool) error {
+	n := 0
+	for j := 0; j < binWords*64; j++ {
+		bin := p.base + j
+		var head *block
+		if j < len(p.bins) {
+			head = p.bins[j]
+		}
+		if (p.nonEmpty[j>>6]>>(j&63)&1 == 1) != (head != nil) {
+			return fmt.Errorf("caching: bin %d's bitmap bit disagrees with its list", bin)
+		}
+		var prev *block
+		for blk := head; blk != nil; prev, blk = blk, blk.binNext {
+			switch {
+			case blk.allocated || blk.seg.pool != p:
+				return fmt.Errorf("caching: bin %d holds a block at %#x that is not inactive in its pool", bin, uint64(blk.ptr))
+			case binOf(blk.size) != bin:
+				return fmt.Errorf("caching: a %d-byte block sits in bin %d, not %d", blk.size, bin, binOf(blk.size))
+			case blk.binPrev != prev:
+				return fmt.Errorf("caching: broken bin %d links", bin)
+			case prev != nil && (prev.size > blk.size || prev.size == blk.size && prev.ptr >= blk.ptr):
+				return fmt.Errorf("caching: bin %d is out of (size, ptr) order at %#x", bin, uint64(blk.ptr))
+			}
+			binned[blk] = true
+			n++
+		}
+	}
+	if n != p.free {
+		return fmt.Errorf("caching: pool counts %d inactive blocks, its bins hold %d", p.free, n)
+	}
+	return nil
+}
+
 // CheckInvariants validates internal consistency; tests call it after
 // workloads. It verifies that every segment's block chain tiles the segment
-// exactly, that inactive blocks are indexed in their pool's free tree under
-// their current size and address, that
-// no two inactive neighbours remain unmerged, and that each pool's count of
-// wholly free segments is right.
+// exactly, that no two inactive neighbours remain unmerged, that each
+// pool's bins hold exactly its inactive blocks, each in bin binOf(size) and
+// every bin in (size, ptr) order with its bitmap bit set exactly when it is
+// non-empty, and that the segment and wholly-free-segment counts are right.
 func (a *Allocator) CheckInvariants() error {
+	binned := map[*block]bool{}
+	for _, p := range []*pool{&a.small, &a.large} {
+		if err := p.checkBins(binned); err != nil {
+			return err
+		}
+	}
 	whole := map[*pool]int{}
-	for _, seg := range a.segments {
+	segs, inactive := 0, 0
+	for seg := a.segs; seg != nil; seg = seg.next {
+		segs++
 		if blk := seg.first; !blk.allocated && blk.whole() {
 			whole[seg.pool]++
 		}
@@ -435,7 +562,7 @@ func (a *Allocator) CheckInvariants() error {
 			if blk.seg != seg {
 				return fmt.Errorf("caching: block segment pointer mismatch")
 			}
-			if blk.ptr != seg.ptr+cuda.DevicePtr(total) {
+			if blk.ptr != seg.first.ptr+cuda.DevicePtr(total) {
 				return fmt.Errorf("caching: block chain has a gap at %#x", uint64(blk.ptr))
 			}
 			if blk.next != nil && blk.next.prev != blk {
@@ -445,23 +572,25 @@ func (a *Allocator) CheckInvariants() error {
 				if prevInactive {
 					return fmt.Errorf("caching: adjacent inactive blocks not merged")
 				}
-				if !blk.node.Linked() {
-					return fmt.Errorf("caching: inactive block missing from free tree")
+				if !binned[blk] {
+					return fmt.Errorf("caching: inactive block at %#x missing from its bin", uint64(blk.ptr))
 				}
-				if blk.node.Key != blk.freeKey() {
-					return fmt.Errorf("caching: free block at %#x changed under its tree key", uint64(blk.ptr))
-				}
-				prevInactive = true
-			} else {
-				prevInactive = false
+				inactive++
 			}
+			prevInactive = !blk.allocated
 			total += blk.size
 		}
 		if total != seg.size {
 			return fmt.Errorf("caching: segment tiles %d of %d bytes", total, seg.size)
 		}
 	}
-	for _, p := range []*pool{a.small, a.large} {
+	if segs != a.nsegs {
+		return fmt.Errorf("caching: counts %d segments, lists %d", a.nsegs, segs)
+	}
+	if inactive != len(binned) {
+		return fmt.Errorf("caching: bins hold %d blocks, segments %d inactive ones", len(binned), inactive)
+	}
+	for _, p := range []*pool{&a.small, &a.large} {
 		if p.whole != whole[p] {
 			return fmt.Errorf("caching: pool counts %d wholly free segments, has %d", p.whole, whole[p])
 		}

@@ -1,11 +1,13 @@
 // Package container provides the ordered data structures shared by the
 // simulator. Two are ordered by the same Key, a pair of integers compared
-// inline: a red-black tree ordered multiset (the caching and expandable
-// allocators' free lists, the driver's and device's address maps, a
-// server's ready queue) and a binary min-heap (the cluster's event spine
+// inline: a red-black tree ordered multiset (the expandable allocator's
+// free list, the driver's and device's address maps, a server's ready
+// queue) and a binary min-heap (the cluster's event spine
 // and re-dispatch pool, a session class's pending turns). Beside them are a
 // small FIFO/LRU queue (GMLake's StitchFree order) and a free list of
-// spare records.
+// spare records. The caching allocator's free lists are its own size bins,
+// not a Tree: under its traffic a few list links beat the tree's pointer
+// chasing.
 //
 // Every tree element embeds its own Node, so the tree never allocates: an
 // owner that recycles a dead record reuses the record's node with it. A

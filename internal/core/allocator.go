@@ -115,6 +115,9 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: Alloc(%d)", size)
 	}
+	if size > memalloc.MaxAllocSize {
+		return nil, &memalloc.TooLargeError{Allocator: a.Name(), Size: size}
+	}
 	if size < SmallThreshold {
 		buf, err := a.small.Alloc(size)
 		if err != nil {

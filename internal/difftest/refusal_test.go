@@ -2,9 +2,11 @@ package difftest
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/caching"
+	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/cuda"
 	"repro/internal/expandable"
@@ -118,6 +120,11 @@ func TestRefusalTexts(t *testing.T) {
 			_, err := a.Alloc(32 * sim.MiB)
 			return err
 		}, "compact: gpu: out of device memory: segment frontier at 50331648 of 67108864"},
+
+		{"memalloc.TooLargeError", func(t *testing.T) error {
+			_, err := core.NewDefault(refusalDriver(64 * sim.MiB)).Alloc(math.MaxInt64)
+			return err
+		}, "gmlake: Alloc(9223372036854775807) is above the 1125899906842624-byte request limit: gpu: out of device memory"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.refuse(t)
@@ -143,4 +150,39 @@ func pagedKV(t *testing.T, blocks int) *serve.PagedKV {
 		t.Fatal(err)
 	}
 	return kv
+}
+
+// TestOversizeRequestRefused: a request above memalloc.MaxAllocSize — up to
+// MaxInt64, which rounding used to wrap to a negative size and serve from a
+// cached block — is refused by every backend with an out-of-memory error,
+// after a 100 MiB alloc and free have left a block cached, and leaves the
+// allocator's statistics and invariants as they were. A pool allocator
+// refuses it before any rounding and says so with memalloc.TooLargeError.
+func TestOversizeRequestRefused(t *testing.T) {
+	for _, name := range conf.Backends() {
+		for _, size := range []int64{math.MaxInt64, math.MaxInt64 - 511, math.MaxInt64 - 2*sim.MiB, memalloc.MaxAllocSize + 1} {
+			a, err := conf.Config{Backend: name}.Build(refusalDriver(4 * sim.GiB))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Free(mustAlloc(t, a, 100*sim.MiB))
+			before := a.Stats()
+			buf, err := a.Alloc(size)
+			if !errors.Is(err, cuda.ErrOutOfMemory) || buf != nil {
+				t.Fatalf("%s.Alloc(%d) = %v, %v; want an out-of-memory refusal", name, size, buf, err)
+			}
+			var tooLarge *memalloc.TooLargeError
+			if name != "native" && !errors.As(err, &tooLarge) {
+				t.Errorf("%s.Alloc(%d): %v, want a memalloc.TooLargeError", name, size, err)
+			}
+			if after := a.Stats(); after != before {
+				t.Errorf("%s.Alloc(%d) moved the statistics: %+v, then %+v", name, size, before, after)
+			}
+			if c, ok := a.(interface{ CheckInvariants() error }); ok {
+				if err := c.CheckInvariants(); err != nil {
+					t.Errorf("%s.Alloc(%d): %v", name, size, err)
+				}
+			}
+		}
+	}
 }

@@ -158,6 +158,9 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 	if size <= 0 {
 		return nil, a.errorf("Alloc(%d)", size)
 	}
+	if size > memalloc.MaxAllocSize {
+		return nil, &memalloc.TooLargeError{Allocator: a.Name(), Size: size}
+	}
 	if size < SmallThreshold {
 		return a.small.Alloc(size)
 	}

@@ -7,8 +7,30 @@
 package memalloc
 
 import (
+	"fmt"
+
 	"repro/internal/cuda"
 )
+
+// MaxAllocSize is the largest request a pool allocator takes: 1 PiB, far
+// above any modelled device and far below where rounding a request up to
+// 2 MiB would wrap past MaxInt64.
+const MaxAllocSize = 1 << 50
+
+// TooLargeError is a pool allocator's refusal of a request above
+// MaxAllocSize, made before any rounding and changing no state. No device
+// could hold the request, so it wraps cuda.ErrOutOfMemory.
+type TooLargeError struct {
+	Allocator string
+	Size      int64
+}
+
+func (e *TooLargeError) Error() string {
+	return fmt.Sprintf("%s: Alloc(%d) is above the %d-byte request limit: %v", e.Allocator, e.Size, int64(MaxAllocSize), cuda.ErrOutOfMemory)
+}
+
+// Unwrap makes errors.Is(err, cuda.ErrOutOfMemory) hold.
+func (e *TooLargeError) Unwrap() error { return cuda.ErrOutOfMemory }
 
 // Buffer is one live tensor allocation. BlockSize is the (possibly rounded
 // or split) block actually assigned, which is what "active memory" accounts

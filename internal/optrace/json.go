@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/memalloc"
 )
 
 // jsonTrace is the on-disk format: a small header guards against replaying
@@ -46,8 +48,9 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// Validate checks stream well-formedness: allocation IDs are unique and
-// positive sizes, frees reference live allocations exactly once.
+// Validate checks stream well-formedness: allocation IDs are unique, sizes
+// are positive and at most memalloc.MaxAllocSize, and frees reference live
+// allocations exactly once.
 func (t *Trace) Validate() error {
 	live := make(map[int64]bool, len(t.Events)/2)
 	for i, e := range t.Events {
@@ -55,6 +58,9 @@ func (t *Trace) Validate() error {
 		case OpAlloc:
 			if e.Size <= 0 {
 				return fmt.Errorf("optrace: event %d: alloc of %d bytes", i, e.Size)
+			}
+			if e.Size > memalloc.MaxAllocSize {
+				return fmt.Errorf("optrace: event %d: alloc of %d bytes is above the %d-byte request limit", i, e.Size, int64(memalloc.MaxAllocSize))
 			}
 			if live[e.ID] {
 				return fmt.Errorf("optrace: event %d: duplicate alloc id %d", i, e.ID)

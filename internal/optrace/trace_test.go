@@ -2,6 +2,8 @@ package optrace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -201,6 +203,22 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
+	}
+}
+
+// TestValidateRefusesOversizeAlloc: an alloc above memalloc.MaxAllocSize is
+// refused with its event's index; one at the limit passes.
+func TestValidateRefusesOversizeAlloc(t *testing.T) {
+	for _, size := range []int64{memalloc.MaxAllocSize + 1, math.MaxInt64} {
+		tr := Trace{Events: []Event{{Op: OpAlloc, ID: 1, Size: 4}, {Op: OpFree, ID: 1}, {Op: OpAlloc, ID: 2, Size: size}}}
+		want := fmt.Sprintf("optrace: event 2: alloc of %d bytes is above the %d-byte request limit", size, int64(memalloc.MaxAllocSize))
+		if err := tr.Validate(); err == nil || err.Error() != want {
+			t.Errorf("Validate of a %d-byte alloc = %v, want %q", size, err, want)
+		}
+	}
+	tr := Trace{Events: []Event{{Op: OpAlloc, ID: 1, Size: memalloc.MaxAllocSize}}}
+	if err := tr.Validate(); err != nil {
+		t.Errorf("Validate refused an alloc at the limit: %v", err)
 	}
 }
 

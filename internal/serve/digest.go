@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"slices"
 	"time"
 
@@ -136,29 +135,62 @@ func (d *latDigest) summary() LatencySummary {
 	return nearestRanks(int64(d.n), d.rank)
 }
 
-// rank returns the k-th smallest retained sample (1 ≤ k ≤ n) of sorted runs:
-// the least value v with at least k samples ≤ v, by a binary search over
-// values that counts the samples ≤ v in each run.
+// rank returns the k-th smallest retained sample (1 ≤ k ≤ n) of sorted runs.
+// It keeps a window of candidates per run and takes each round's pivot from
+// the data: the middle sample of the widest window. Counting the samples
+// below and equal to the pivot in every window either names the pivot as
+// the answer or drops it and everything on the far side of k, at least half
+// of the widest window; on latency samples about log2(n) rounds do. The
+// windows live on the stack up to 512 runs, beyond that in one allocation.
 func (d *latDigest) rank(k int64) time.Duration {
-	lo, hi := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
+	var buf [512]rankWindow
+	wins := buf[:0]
+	if len(d.runs) > len(buf) {
+		wins = make([]rankWindow, 0, len(d.runs))
+	}
 	for _, r := range d.runs {
-		lo, hi = min(lo, r[0]), max(hi, r[len(r)-1])
+		wins = append(wins, rankWindow{hi: int32(len(r))})
 	}
-	for lo < hi {
-		mid := lo + time.Duration(uint64(hi-lo)/2) // hi-lo wraps to the right unsigned distance
-		var atMost int64
-		for _, r := range d.runs {
-			i, _ := slices.BinarySearch(r, mid+1) // mid < hi, so mid+1 cannot overflow
-			atMost += int64(i)
+	for {
+		widest := 0
+		for j, w := range wins {
+			if w.hi-w.lo > wins[widest].hi-wins[widest].lo {
+				widest = j
+			}
 		}
-		if atMost >= k {
-			hi = mid
-		} else {
-			lo = mid + 1
+		pivot := d.runs[widest][(wins[widest].lo+wins[widest].hi)/2]
+		var below, atMost int64
+		for j := range wins {
+			w := &wins[j]
+			r := d.runs[j][:w.hi]
+			lt, _ := slices.BinarySearch(r[w.lo:], pivot)
+			w.lt = w.lo + int32(lt)
+			w.le = w.lt
+			for int(w.le) < len(r) && r[w.le] == pivot {
+				w.le++
+			}
+			below += int64(w.lt - w.lo)
+			atMost += int64(w.le - w.lo)
+		}
+		switch {
+		case k <= below:
+			for j := range wins {
+				wins[j].hi = wins[j].lt
+			}
+		case k > atMost:
+			for j := range wins {
+				wins[j].lo = wins[j].le
+			}
+			k -= atMost
+		default:
+			return pivot
 		}
 	}
-	return lo
 }
+
+// rankWindow is one run's candidates in rank, run[lo:hi], and where a
+// round's pivot cuts them: run[lo:lt] lie below it, run[lt:le] equal it.
+type rankWindow struct{ lo, hi, lt, le int32 }
 
 // union renders the percentiles of the union of ds's samples, read where
 // they lie — what one digest fed every sample would report — and counts

@@ -121,12 +121,25 @@ func TestSealedLatencyIgnoresSplit(t *testing.T) {
 
 // TestDigestRunsMatchSummarize: the percentiles read from sorted runs where
 // they lie equal summarize of the runs' concatenation, for random samples
-// with ties and the extremes 0 and MaxInt64, split into runs at random.
+// with ties and the extremes 0 and MaxInt64, split into runs at random; for
+// samples drawn from three values; for runs that each repeat one value; and
+// for runs of one sample each, more runs than rank keeps on its stack.
 func TestDigestRunsMatchSummarize(t *testing.T) {
+	const (
+		random = iota
+		duplicates
+		equalRuns
+		singles
+		shapes
+	)
 	rng := sim.NewRNG(3)
-	for c := 0; c < 500; c++ {
+	for c := 0; c < 4*500; c++ {
+		shape := c % shapes
 		n := 1 + rng.Intn(600)
 		spread := []int64{1, 4, 1000, math.MaxInt64}[rng.Intn(4)]
+		if shape == duplicates {
+			spread = 3
+		}
 		all := make([]time.Duration, n)
 		for i := range all {
 			switch rng.Intn(20) {
@@ -141,11 +154,22 @@ func TestDigestRunsMatchSummarize(t *testing.T) {
 		d := &latDigest{limit: n, n: n}
 		for rest := slices.Clone(all); len(rest) > 0; {
 			k := 1 + rng.Intn(len(rest))
+			if shape == singles {
+				k = 1
+			}
+			if shape == equalRuns {
+				for i := range rest[:k] {
+					rest[i] = rest[0]
+				}
+			}
 			d.runs = append(d.runs, rest[:k:k])
 			rest = rest[k:]
 		}
+		if shape == equalRuns {
+			all = slices.Concat(d.runs...)
+		}
 		if got, want := d.summary(), summarize(all); got != want {
-			t.Fatalf("case %d: %d samples in %d runs: %+v, summarize %+v", c, n, len(d.runs), got, want)
+			t.Fatalf("case %d (shape %d): %d samples in %d runs: %+v, summarize %+v", c, shape, n, len(d.runs), got, want)
 		}
 	}
 }
