@@ -176,24 +176,22 @@ func (c Config) Validate() error {
 // A backend is one allocator the backend key selects.
 type backend struct {
 	name  string
-	pools bool // caches freed device memory (all but the native strawman)
 	build func(c Config, driver *cuda.Driver) memalloc.Allocator
 }
 
 // backends is the one table of allocators by name, in the row order of a
 // side-by-side comparison; the first is the default. The backend key
 // validates against it, Build constructs from it, and everything that
-// picks an allocator by name — the harness rigs, gmlake-replay, the
-// differential tests, the examples — goes through Backends/Pools and
-// Build.
+// picks an allocator by name — the harness rigs, the differential tests,
+// the examples — goes through Backends and Build.
 var backends = []backend{
-	{"caching", true, func(c Config, driver *cuda.Driver) memalloc.Allocator {
+	{"caching", func(c Config, driver *cuda.Driver) memalloc.Allocator {
 		return caching.NewWithConfig(driver, caching.Config{
 			MaxSplitSize: c.MaxSplitSizeMB * sim.MiB,
 			GCThreshold:  c.GCThreshold,
 		})
 	}},
-	{"gmlake", true, func(c Config, driver *cuda.Driver) memalloc.Allocator {
+	{"gmlake", func(c Config, driver *cuda.Driver) memalloc.Allocator {
 		gc := core.DefaultConfig()
 		if c.FragLimitMB > 0 {
 			gc.FragLimit = c.FragLimitMB * sim.MiB
@@ -206,24 +204,16 @@ var backends = []backend{
 		}
 		return core.New(driver, gc)
 	}},
-	{"expandable", true, func(_ Config, driver *cuda.Driver) memalloc.Allocator { return expandable.New(driver) }},
-	{"compact", true, func(_ Config, driver *cuda.Driver) memalloc.Allocator { return expandable.NewCompact(driver) }},
-	{"native", false, func(_ Config, driver *cuda.Driver) memalloc.Allocator { return memalloc.NewNative(driver) }},
+	{"expandable", func(_ Config, driver *cuda.Driver) memalloc.Allocator { return expandable.New(driver) }},
+	{"compact", func(_ Config, driver *cuda.Driver) memalloc.Allocator { return expandable.NewCompact(driver) }},
+	{"native", func(_ Config, driver *cuda.Driver) memalloc.Allocator { return memalloc.NewNative(driver) }},
 }
 
 // Backends returns every backend name, in table order.
-func Backends() []string { return backendNames(false) }
-
-// Pools returns the backends that pool device memory — the rows of an
-// allocator comparison; native, which holds nothing back, is left out.
-func Pools() []string { return backendNames(true) }
-
-func backendNames(poolsOnly bool) []string {
-	var names []string
-	for _, b := range backends {
-		if b.pools || !poolsOnly {
-			names = append(names, b.name)
-		}
+func Backends() []string {
+	names := make([]string, len(backends))
+	for i, b := range backends {
+		names[i] = b.name
 	}
 	return names
 }

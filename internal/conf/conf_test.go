@@ -106,9 +106,7 @@ func TestBuildAllBackends(t *testing.T) {
 }
 
 // TestBackendTable: the backend key and Build accept exactly the names of
-// the backend table — each builds the allocator of that name — and Pools is
-// the table without native. (cmd/gmlake-replay's test holds its -alloc
-// values and help text to the same Backends().)
+// the backend table, and each builds the allocator of that name.
 func TestBackendTable(t *testing.T) {
 	for _, name := range Backends() {
 		cfg, err := Parse("backend:" + name)
@@ -129,9 +127,6 @@ func TestBackendTable(t *testing.T) {
 	}
 	if a, err := (Config{}).Build(newDriver()); err != nil || a.Name() != Backends()[0] {
 		t.Errorf("the zero Config builds %v, %v; want the first backend", a, err)
-	}
-	if want := slices.DeleteFunc(Backends(), func(n string) bool { return n == "native" }); !slices.Equal(Pools(), want) {
-		t.Errorf("Pools() = %v, want %v", Pools(), want)
 	}
 }
 

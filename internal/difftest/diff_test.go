@@ -20,10 +20,14 @@ import (
 )
 
 // allAllocators builds one fresh instance of every pooling allocator in
-// conf's backend table, each on its own device.
+// conf's backend table, each on its own device; native, which holds nothing
+// back, is left out.
 func allAllocators(capacity int64) map[string]memalloc.Allocator {
 	all := map[string]memalloc.Allocator{}
-	for _, name := range conf.Pools() {
+	for _, name := range conf.Backends() {
+		if name == "native" {
+			continue
+		}
 		drv := cuda.NewDriver(gpu.NewDevice("diff", capacity), sim.NewClock(), sim.DefaultCostModel())
 		alloc, err := conf.Config{Backend: name}.Build(drv)
 		if err != nil {

@@ -43,16 +43,6 @@ var (
 // All lists the evaluated models.
 var All = []Config{GPT2, OPT1_3B, GLM10B, OPT13B, Vicuna13B, GPTNeoX20B}
 
-// ByName returns the model with the given name.
-func ByName(name string) (Config, error) {
-	for _, m := range All {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Config{}, fmt.Errorf("model: unknown model %q", name)
-}
-
 // LayerParams returns the parameter count of one transformer block:
 // attention (4 H²) plus MLP (8 H²) plus norms/biases (~13 H).
 func (c Config) LayerParams() int64 {

@@ -34,19 +34,6 @@ func TestConfigsSane(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	m, err := ByName("OPT-13B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Hidden != 5120 {
-		t.Fatalf("OPT-13B hidden = %d", m.Hidden)
-	}
-	if _, err := ByName("GPT-5"); err == nil {
-		t.Fatal("unknown model lookup succeeded")
-	}
-}
-
 func TestShardBytes(t *testing.T) {
 	tests := []struct {
 		total int64

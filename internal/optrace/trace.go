@@ -1,8 +1,10 @@
 // Package optrace records and replays allocator operation streams. A
 // Recorder wraps any memalloc.Allocator and logs every Alloc/Free with its
 // virtual timestamp; the log supports the paper's Figure 5 stream statistics
-// (allocation count and mean size), JSON export, and deterministic replay
-// against a different allocator for differential testing.
+// (allocation count and mean size). Replay applies a stream to another
+// allocator and Validate checks a stream's well-formedness: the
+// differential tests (internal/difftest) run both over their generated
+// streams on every backend.
 //
 // Its sibling internal/reqtrace records *serving requests* (arrival, class,
 // SLO, token counts) at the inference-serving layer instead; the two observe
@@ -64,6 +66,36 @@ func (t *Trace) Stats() Stats {
 		s.MeanBytes = s.Bytes / s.Allocs
 	}
 	return s
+}
+
+// Validate checks stream well-formedness: allocation IDs are unique, sizes
+// are positive and at most memalloc.MaxAllocSize, and frees reference live
+// allocations exactly once.
+func (t *Trace) Validate() error {
+	live := make(map[int64]bool, len(t.Events)/2)
+	for i, e := range t.Events {
+		switch e.Op {
+		case OpAlloc:
+			if e.Size <= 0 {
+				return fmt.Errorf("optrace: event %d: alloc of %d bytes", i, e.Size)
+			}
+			if e.Size > memalloc.MaxAllocSize {
+				return fmt.Errorf("optrace: event %d: alloc of %d bytes is above the %d-byte request limit", i, e.Size, int64(memalloc.MaxAllocSize))
+			}
+			if live[e.ID] {
+				return fmt.Errorf("optrace: event %d: duplicate alloc id %d", i, e.ID)
+			}
+			live[e.ID] = true
+		case OpFree:
+			if !live[e.ID] {
+				return fmt.Errorf("optrace: event %d: free of unknown or freed id %d", i, e.ID)
+			}
+			delete(live, e.ID)
+		default:
+			return fmt.Errorf("optrace: event %d: unknown op %d", i, e.Op)
+		}
+	}
+	return nil
 }
 
 // Recorder wraps an allocator and records its request stream.

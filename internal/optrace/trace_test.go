@@ -1,12 +1,9 @@
 package optrace
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/caching"
 	"repro/internal/core"
@@ -150,48 +147,6 @@ func TestRecorderDelegates(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	orig := &Trace{Events: []Event{
-		{Op: OpAlloc, ID: 1, Size: 4 * sim.MiB, T: time.Millisecond},
-		{Op: OpAlloc, ID: 2, Size: 8 * sim.MiB, T: 2 * time.Millisecond},
-		{Op: OpFree, ID: 1, T: 3 * time.Millisecond},
-		{Op: OpFree, ID: 2, T: 4 * time.Millisecond},
-	}}
-	var buf bytes.Buffer
-	if err := orig.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Events) != len(orig.Events) {
-		t.Fatalf("%d events", len(got.Events))
-	}
-	for i := range orig.Events {
-		if got.Events[i] != orig.Events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, got.Events[i], orig.Events[i])
-		}
-	}
-}
-
-func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
-		t.Fatal("accepted garbage")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"format":"other","version":1}`)); err == nil {
-		t.Fatal("accepted wrong format")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"format":"gmlake-trace","version":99}`)); err == nil {
-		t.Fatal("accepted wrong version")
-	}
-	// Structurally bad streams.
-	bad := `{"format":"gmlake-trace","version":1,"events":[{"Op":1,"ID":7}]}`
-	if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
-		t.Fatal("accepted free of unknown id")
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	cases := []Trace{
 		{Events: []Event{{Op: OpAlloc, ID: 1, Size: 0}}},                                           // zero size
@@ -219,33 +174,5 @@ func TestValidateRefusesOversizeAlloc(t *testing.T) {
 	tr := Trace{Events: []Event{{Op: OpAlloc, ID: 1, Size: memalloc.MaxAllocSize}}}
 	if err := tr.Validate(); err != nil {
 		t.Errorf("Validate refused an alloc at the limit: %v", err)
-	}
-}
-
-func TestRecordedTraceSurvivesJSONAndReplays(t *testing.T) {
-	clock := sim.NewClock()
-	dev := gpu.NewDevice("t", sim.GiB)
-	rec := NewRecorder(caching.New(cuda.NewDriver(dev, clock, sim.DefaultCostModel())), clock)
-	b1, _ := rec.Alloc(16 * sim.MiB)
-	b2, _ := rec.Alloc(32 * sim.MiB)
-	rec.Free(b1)
-	rec.Free(b2)
-
-	var buf bytes.Buffer
-	if err := rec.Trace().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock2 := sim.NewClock()
-	dev2 := gpu.NewDevice("t2", sim.GiB)
-	target := caching.New(cuda.NewDriver(dev2, clock2, sim.DefaultCostModel()))
-	if err := Replay(loaded, target); err != nil {
-		t.Fatal(err)
-	}
-	if target.Stats().Active != 0 {
-		t.Fatal("replay leaked")
 	}
 }
