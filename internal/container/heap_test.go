@@ -75,6 +75,50 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 	}
 }
 
+// TestHeapReplaceTopMatchesPopPush: seeded random sequences of Push, Pop
+// and ReplaceTop pop the same (key, value) order as the same sequences with
+// each ReplaceTop done as a Pop followed by a Push. Keys repeat their Hi
+// often, and their Lo, a draw counter, makes each unique, so the order is
+// fully determined; the value encodes the key.
+func TestHeapReplaceTopMatchesPopPush(t *testing.T) {
+	rng := sim.NewRNG(44)
+	for round := 0; round < 200; round++ {
+		var h, ref Heap[int64]
+		var drawn int64
+		ops := 1 + rng.Intn(600)
+		for i := 0; i < ops; i++ {
+			drawn++
+			k := Key{Hi: int64(rng.Intn(32)), Lo: drawn}
+			v := k.Hi<<32 | k.Lo
+			switch op := rng.Intn(3); {
+			case h.Len() == 0 || op == 0:
+				h.Push(k, v)
+				ref.Push(k, v)
+			case op == 1:
+				hk, hv := h.Pop()
+				rk, rv := ref.Pop()
+				if hk != rk || hv != rv {
+					t.Fatalf("round %d op %d: Pop (%v, %d), reference (%v, %d)", round, i, hk, hv, rk, rv)
+				}
+			default:
+				h.ReplaceTop(k, v)
+				ref.Pop()
+				ref.Push(k, v)
+			}
+			if h.Len() != ref.Len() {
+				t.Fatalf("round %d op %d: Len %d, reference %d", round, i, h.Len(), ref.Len())
+			}
+		}
+		for h.Len() > 0 {
+			hk, hv := h.Pop()
+			rk, rv := ref.Pop()
+			if hk != rk || hv != rv || hv != hk.Hi<<32|hk.Lo {
+				t.Fatalf("round %d drain: Pop (%v, %d), reference (%v, %d)", round, hk, hv, rk, rv)
+			}
+		}
+	}
+}
+
 // TestHeapTieOrdering: among equal Hi the smaller Lo pops first, with both
 // halves signed and at their extremes — the (instant, replica) and
 // (arrival, session<<32 | turn) orders the simulator keys on.
@@ -121,7 +165,7 @@ func TestHeapZeroValue(t *testing.T) {
 }
 
 // TestHeapSteadyStateAllocatesNothing: once its slice has grown, a heap
-// pushes and pops without allocating.
+// pushes, pops and replaces its top without allocating.
 func TestHeapSteadyStateAllocatesNothing(t *testing.T) {
 	var h Heap[[5]int]
 	for i := 0; i < 64; i++ {
@@ -132,8 +176,9 @@ func TestHeapSteadyStateAllocatesNothing(t *testing.T) {
 		i++
 		h.Push(Key{Hi: i * 31 % 97, Lo: i}, [5]int{int(i)})
 		h.Pop()
+		h.ReplaceTop(Key{Hi: i * 17 % 89, Lo: i}, [5]int{int(i)})
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Push+Pop allocated %v times per run", allocs)
+		t.Fatalf("steady-state Push+Pop+ReplaceTop allocated %v times per run", allocs)
 	}
 }

@@ -41,10 +41,10 @@ func roomStream(seed uint64, ops int, small bool) (capacity int64, stream []room
 
 // runRoomStream applies stream to a GMLake allocator with cfg on a device of
 // capacity bytes. On every refused request of at least one chunk it checks
-// A-4: the live large requests, each rounded to a chunk, plus what the small
-// pool reserves (read after the refusal, so after its GC), plus the refused
-// request rounded to a chunk, exceed the device. It returns the indexes of
-// the refused calls.
+// A-4: the small pool caches nothing a flush would release (its GC ran
+// before the refusal), and the live large requests, each rounded to a chunk,
+// plus what the small pool reserves, plus the refused request rounded to a
+// chunk, exceed the device. It returns the indexes of the refused calls.
 func runRoomStream(capacity int64, stream []roomOp, cfg Config) (refused []int, err error) {
 	drv := cuda.NewDriver(gpu.NewDevice("room", capacity), sim.NewClock(), sim.DefaultCostModel())
 	a := New(drv, cfg)
@@ -79,7 +79,14 @@ func runRoomStream(capacity int64, stream []roomOp, cfg Config) (refused []int, 
 		if rounded == 0 {
 			continue
 		}
+		// S5 flushed the small pool's cache before refusing, so a flush now
+		// must find nothing to release.
 		smallReserved := a.small.Stats().Reserved
+		a.small.EmptyCache()
+		if flushed := smallReserved - a.small.Stats().Reserved; flushed != 0 {
+			return refused, fmt.Errorf("call %d: refused %d bytes while the small pool cached %d releasable bytes",
+				i, op.size, flushed)
+		}
 		if room := capacity - liveLarge - smallReserved; rounded <= room {
 			return refused, fmt.Errorf("call %d: refused %d bytes with %d live large bytes and %d small-pool bytes on a %d-byte device (%d bytes of room)",
 				i, op.size, liveLarge, smallReserved, capacity, room)

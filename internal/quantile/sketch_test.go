@@ -266,3 +266,55 @@ func TestBucketIndexMatchesSearch(t *testing.T) {
 		check(math.MaxInt64)
 	}
 }
+
+// TestBucketWalkBound: from the sub-octave index's entry, bucket steps at
+// most once past it at α = 1% and 5%, and at most four times at 0.1%, for
+// the highest value of every slot — the farthest any value of the slot
+// walks.
+func TestBucketWalkBound(t *testing.T) {
+	for _, c := range []struct {
+		alpha float64
+		walk  int
+	}{{DefaultAlpha, 1}, {0.05, 1}, {0.001, 4}} {
+		geo := geometry(c.alpha)
+		worst := 0
+		for b := 1; b < 64; b++ {
+			for j := range geo.sub[b] {
+				// The slot's highest value: one below the next slot's
+				// lowest, or its only value in an octave of at most 2^7.
+				var hi int64
+				if b > subBits+1 {
+					hi = int64(uint64(1<<subBits+j+1)<<(b-subBits-1) - 1)
+				} else {
+					hi = int64(1<<subBits+j) >> (subBits + 1 - b)
+				}
+				if _, vj := slot(hi); vj != j {
+					continue // a slot no value takes
+				}
+				want := sort.Search(len(geo.bound), func(i int) bool { return geo.bound[i] >= hi })
+				worst = max(worst, want-int(geo.sub[b][j]))
+			}
+		}
+		if worst != c.walk {
+			t.Errorf("α %v: bucket walks at most %d steps past the index, want %d", c.alpha, worst, c.walk)
+		}
+	}
+}
+
+// BenchmarkSketchAdd is Add on latency-shaped values, log-uniform over
+// 1 µs–100 s in nanoseconds (27 octaves), the bucket lookup a sketched
+// latency digest makes per sample.
+func BenchmarkSketchAdd(b *testing.B) {
+	rng := xorshift(9)
+	vals := make([]int64, 4096)
+	for i := range vals {
+		u := float64(rng.next()>>11) / (1 << 53)
+		vals[i] = int64(1e3 * math.Exp(u*math.Log(1e8)))
+	}
+	s := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Add(vals[i&(len(vals)-1)])
+	}
+}

@@ -286,12 +286,14 @@ func TestClusterMergePercentilesFromRawSamples(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, l := range latencies {
-			s.recordCompletion(&track{
+			rec := &track{
 				req:        &Request{ID: i, Class: "c"},
 				hasFirst:   true,
 				firstToken: l,
 				done:       l,
-			})
+			}
+			rec.cls = s.class(rec.class()) // as admit caches it
+			s.recordCompletion(rec)
 		}
 		return s
 	}

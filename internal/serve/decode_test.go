@@ -76,13 +76,14 @@ func (s *server) refStep(prefillTokens int64) error {
 	s.tick++
 	s.now += stepTime + time.Duration(prefillTokens)*prefillTokenTime
 
-	if u := s.mgr.UsedBytes(); u > s.rep.PeakUsed {
+	u, l := s.mgr.UsedBytes(), s.mgr.LogicalBytes()
+	if u > s.rep.PeakUsed {
 		s.rep.PeakUsed = u
 	}
-	if l := s.mgr.LogicalBytes(); l > s.rep.PeakLogical {
+	if l > s.rep.PeakLogical {
 		s.rep.PeakLogical = l
 	}
-	s.wasteSum += WasteRatio(s.mgr)
+	s.wasteSum += wasteRatio(u, l)
 
 	for i := len(s.running) - 1; i >= 0; i-- {
 		a := s.running[i]

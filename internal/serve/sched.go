@@ -165,12 +165,27 @@ func (c *clusterSched) activeCount() int {
 // change its next-event time (a dispatch, a step, a steal). The previous
 // entry — if any — becomes stale via the sequence bump; a fresh entry is
 // pushed only when the replica still has work. Every replica therefore has
-// at most one live entry, keyed by its current nextEventTime.
+// at most one live entry, keyed by its current nextEventTime. When that
+// entry is the heap's minimum — after a step it always is — it is re-keyed
+// in place, or popped when the replica has no more work, instead of being
+// left behind for nextStep to discard.
 func (c *clusterSched) touch(ri int) {
 	r := c.fleet[ri]
+	top := false
+	if c.events.Len() > 0 {
+		k, seq := c.events.Peek()
+		top = k.Lo == int64(ri) && seq == r.eventSeq
+	}
 	r.eventSeq++
-	if t, ok := r.srv.nextEventTime(); ok {
-		c.events.Push(container.Key{Hi: int64(t), Lo: int64(ri)}, r.eventSeq)
+	t, ok := r.srv.nextEventTime()
+	k := container.Key{Hi: int64(t), Lo: int64(ri)}
+	switch {
+	case top && ok:
+		c.events.ReplaceTop(k, r.eventSeq)
+	case top:
+		c.events.Pop()
+	case ok:
+		c.events.Push(k, r.eventSeq)
 	}
 }
 

@@ -305,12 +305,11 @@ type CacheManager interface {
 	LogicalBytes() int64
 }
 
-// WasteRatio returns 1 − logical/used for a manager snapshot; zero when
-// nothing is allocated.
-func WasteRatio(m CacheManager) float64 {
-	used := m.UsedBytes()
+// wasteRatio is 1 − logical/used for a manager's UsedBytes and LogicalBytes
+// read at one instant; zero when nothing is allocated.
+func wasteRatio(used, logical int64) float64 {
 	if used == 0 {
 		return 0
 	}
-	return 1 - float64(m.LogicalBytes())/float64(used)
+	return 1 - float64(logical)/float64(used)
 }

@@ -79,7 +79,7 @@ func TestContiguousLifecycleAndWaste(t *testing.T) {
 	if mgr.UsedBytes() < 1024*perTok {
 		t.Fatalf("used = %d, want ≥ full padded buffer", mgr.UsedBytes())
 	}
-	if w := WasteRatio(mgr); w < 0.85 {
+	if w := waste(mgr); w < 0.85 {
 		t.Fatalf("pad-to-max waste = %.2f, expected ≥ 0.85 for a 100/1024 fill", w)
 	}
 	for i := 0; i < 50; i++ {
@@ -132,7 +132,7 @@ func TestPagedBlockAccounting(t *testing.T) {
 		t.Fatalf("used = %d, want 3 blocks", got)
 	}
 	// Waste bounded by the partial block: 48−33 = 15 tokens.
-	if w := WasteRatio(mgr); w > float64(15)/float64(48)+1e-9 {
+	if w := waste(mgr); w > float64(15)/float64(48)+1e-9 {
 		t.Fatalf("paged waste %.3f above partial-block bound", w)
 	}
 	// 15 appends fill block 3; the 16th takes a 4th block.
@@ -310,7 +310,7 @@ func TestWasteOrderingAcrossPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wc, wp, wk := WasteRatio(contig), WasteRatio(paged), WasteRatio(chunked)
+	wc, wp, wk := waste(contig), waste(paged), waste(chunked)
 	if !(wk < wp && wp < wc) {
 		t.Fatalf("waste ordering chunked %.3f < paged %.3f < contiguous %.3f violated", wk, wp, wc)
 	}
@@ -521,3 +521,6 @@ func checkReserveDecode(t *testing.T, a, b CacheManager) {
 		t.Fatalf("after releasing everything: used %d/%d, logical %d/%d", a.UsedBytes(), b.UsedBytes(), a.LogicalBytes(), b.LogicalBytes())
 	}
 }
+
+// waste is the step's waste ratio for m's gauges as they stand.
+func waste(m CacheManager) float64 { return wasteRatio(m.UsedBytes(), m.LogicalBytes()) }

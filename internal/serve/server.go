@@ -156,20 +156,13 @@ func (t *track) last() int64 { return t.base + int64(t.req.OutputLen) - 1 }
 
 // batchEvent is one entry of a server's batch indexes: the sequence
 // admitted as order has its next event at decode tick key (see
-// track.reserve) or, in the deadline index, its deadline at key. Entries are
-// dropped lazily: one whose sequence has left the batch is discarded when
-// popped (see server.lookup).
+// track.reserve) or, in the deadline index, its deadline at key. An index
+// is ordered latest first, by (key, order): its next event is its last
+// entry, so popping is O(1), and filing one is a binary search and a copy of
+// the at most two entries per batch slot after it. Entries are dropped
+// lazily: one whose sequence has left the batch is discarded when popped
+// (see server.lookup).
 type batchEvent struct{ key, order int64 }
-
-// laterEvent orders an index latest first, by (key, order): its next event
-// is its last entry, so popping is O(1), and filing one is a binary search
-// and a copy of the at most two entries per batch slot before it.
-func laterEvent(a, b batchEvent) int {
-	if c := cmp.Compare(b.key, a.key); c != 0 {
-		return c
-	}
-	return cmp.Compare(b.order, a.order)
-}
 
 // popEvent removes and returns the next event of the index q.
 func popEvent(q *[]batchEvent) batchEvent {
@@ -533,15 +526,25 @@ func (s *server) schedule(a *track, boundary int64) {
 	s.file(&s.events, batchEvent{min(boundary, last), a.admitOrder})
 }
 
-// file adds e to the index q. At twice the batch size q first drops its
-// dead entries — at least half, since a running sequence has at most one
-// live entry — so it never outgrows the room newServer made for it.
+// file adds e to the index q, before the first entry not later than e. At
+// twice the batch size q first drops its dead entries — at least half, since
+// a running sequence has at most one live entry — so it never outgrows the
+// room newServer made for it, and the append below never allocates.
 func (s *server) file(q *[]batchEvent, e batchEvent) {
 	if len(*q) == 2*s.cfg.MaxBatch {
 		*q = slices.DeleteFunc(*q, func(e batchEvent) bool { return s.lookup(e.order) == nil })
 	}
-	i, _ := slices.BinarySearchFunc(*q, e, laterEvent)
-	*q = slices.Insert(*q, i, e)
+	lo, hi := 0, len(*q)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); (*q)[m].key > e.key || (*q)[m].key == e.key && (*q)[m].order > e.order {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	*q = append(*q, batchEvent{})
+	copy((*q)[lo+1:], (*q)[lo:])
+	(*q)[lo] = e
 }
 
 // lookup returns the running sequence admitted as order, nil once it has
@@ -671,9 +674,10 @@ func (s *server) step(prefillTokens int64) error {
 	s.tick++
 	s.now += took
 
-	s.rep.PeakUsed = max(s.rep.PeakUsed, s.mgr.UsedBytes())
-	s.rep.PeakLogical = max(s.rep.PeakLogical, s.mgr.LogicalBytes())
-	s.wasteSum += WasteRatio(s.mgr)
+	used, logical := s.mgr.UsedBytes(), s.mgr.LogicalBytes()
+	s.rep.PeakUsed = max(s.rep.PeakUsed, used)
+	s.rep.PeakLogical = max(s.rep.PeakLogical, logical)
+	s.wasteSum += wasteRatio(used, logical)
 
 	for _, a := range s.due[len(s.due)-nFresh:] {
 		if a.handle != 0 && !a.hasFirst {
@@ -733,11 +737,13 @@ func (s *server) complete(a *track) {
 
 // recordCompletion feeds one completed request into its class's latency
 // digests — the streaming replacement for retaining the request's record
-// until the end of the run. Completion implies a first token (step sets it
-// before completing anything), so the request contributes one TTFT and one
-// E2E sample.
+// until the end of the run — and lists the class in the report. The class
+// record is the one rec's admission on this server cached. Completion
+// implies a first token (step sets it before completing anything), so the
+// request contributes one TTFT and one E2E sample.
 func (s *server) recordCompletion(rec *track) {
-	a := s.roster(rec)
+	a := rec.cls
+	a.list(rec.req.SLO)
 	a.served++
 	a.ttft.add(rec.firstToken - rec.req.ArrivalAt)
 	a.e2e.add(rec.done - rec.req.ArrivalAt)

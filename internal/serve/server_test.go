@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/container"
 	"repro/internal/model"
@@ -485,5 +486,18 @@ func TestMaxBatchCappedAtRequests(t *testing.T) {
 		if c > 2*len(reqs) {
 			t.Errorf("%s capacity %d for %d requests", name, c, len(reqs))
 		}
+	}
+}
+
+// TestRecordSizes pins the two records the serving loop moves most: a
+// request's track, one per request in flight (144 bytes, a Go size class of
+// its own), and a batch index entry, copied on every filing. Outgrowing
+// either shows up in the benchmark's bytes_per_item and ns_per_item.
+func TestRecordSizes(t *testing.T) {
+	if size := unsafe.Sizeof(track{}); size > 144 {
+		t.Errorf("track is %d bytes, budget 144", size)
+	}
+	if size := unsafe.Sizeof(batchEvent{}); size != 16 {
+		t.Errorf("batchEvent is %d bytes, want 16", size)
 	}
 }
