@@ -42,10 +42,9 @@
 // queue — and the merged report's percentiles come from the union of the
 // replicas' raw samples. With -max-replicas > 0 the fleet is elastic: a
 // queue-depth autoscaler spawns replicas (up to the ceiling) when the
-// queued backlog exceeds -scale-up per active replica, and drains one —
-// only after it has fully emptied — when the backlog falls to -scale-down
-// per remaining replica, with at least -scale-cooldown of virtual time
-// between decisions. -steal enables work-stealing re-dispatch: a replica
+// queued backlog exceeds 4 per active replica, and drains one — only after
+// it has fully emptied — when the backlog falls to 1 per remaining replica,
+// with at least 250ms of virtual time between decisions. -steal enables work-stealing re-dispatch: a replica
 // that goes idle takes queued (never running) requests from a backlogged
 // peer, so dispatch is no longer decide-once at arrival. -replica-caps
 // makes the fleet heterogeneous: "2,1" gives replica 0 twice the device
@@ -69,11 +68,11 @@
 // leaves dispatch, and rejoins empty after its restart. Queued requests it
 // held are re-dispatched for free; in-flight ones are retried up to
 // -retries times with exponential -backoff (recompute from scratch — TTFT
-// survives only if the first token had already streamed), bounded per
-// class by -retry-budget. -timeout sets a per-request deadline (goodput
-// counts only in-deadline completions) and -shed rejects requests at
-// admission once the deadline is provably unreachable. The fault seed is
-// the workload seed, so one -seed pins the whole run, faults included.
+// survives only if the first token had already streamed). -timeout sets a
+// per-request deadline (goodput counts only in-deadline completions) and
+// -shed rejects requests at admission once the deadline is provably
+// unreachable. The fault seed is the workload seed, so one -seed pins the
+// whole run, faults included.
 //
 // -cpuprofile and -memprofile write host profiles of the run for `go tool
 // pprof`; they observe the host only and change no report.
@@ -351,9 +350,6 @@ func main() {
 		retryStr := "none"
 		if cc.Recovery.Retries > 0 {
 			retryStr = fmt.Sprintf("%d with backoff", cc.Recovery.Retries)
-			if cc.Recovery.RetryBudget > 0 {
-				retryStr += fmt.Sprintf(", budget %d/class", cc.Recovery.RetryBudget)
-			}
 		}
 		fmt.Printf("faults: %s; deadline %s; retries %s\n", faultStr, deadlineStr, retryStr)
 	}

@@ -86,35 +86,30 @@ func TestGolden(t *testing.T) {
 // flagSamples gives every key flag a value and the -conf keys it needs
 // beside it. TestFlagIsItsKey fails when -h lists a flag with no entry here.
 var flagSamples = map[string]struct{ val, with string }{
-	"mix":            {val: "chat-sessions"},
-	"rate":           {val: "9"},
-	"burst-cv":       {val: "6"},
-	"parallel":       {val: "2"},
-	"replicas":       {val: "3"},
-	"dispatch":       {val: "least-kv", with: "replicas:3"},
-	"aging":          {val: "2s"},
-	"exact-samples":  {val: "-1"},
-	"prefix-reuse":   {val: "true", with: "serve_mix:chat-sessions"},
-	"affinity-base":  {val: "least-kv", with: "serve_mix:chat-sessions,replicas:3,dispatch:session-affinity,prefix_reuse:true"},
-	"min-replicas":   {val: "2", with: "max_replicas:5"},
-	"max-replicas":   {val: "5"},
-	"scale-up":       {val: "2", with: "max_replicas:5"},
-	"scale-down":     {val: "2", with: "max_replicas:5,scale_up:8"},
-	"scale-cooldown": {val: "1s", with: "max_replicas:5"},
-	"steal":          {val: "true", with: "replicas:3"},
-	"replica-caps":   {val: "2/1", with: "replicas:2,dispatch:jsq"},
-	"mttf":           {val: "2s", with: "replicas:3,mttr:400ms"},
-	"mttr":           {val: "400ms", with: "replicas:3,mttf:2s"},
-	"fault-plan":     {val: "crash@t=3s:r1/restart@t=5s:r1", with: "replicas:2"},
-	"timeout":        {val: "10s"},
-	"retries":        {val: "3", with: "replicas:3,mttf:2s,mttr:400ms,timeout:30s"},
-	"backoff":        {val: "1.5", with: "replicas:3,mttf:2s,mttr:400ms,timeout:30s,retries:3"},
-	"retry-budget":   {val: "2", with: "replicas:3,mttf:2s,mttr:400ms,timeout:30s,retries:3"},
-	"shed":           {val: "true", with: "timeout:10s"},
-	"trace-in":       {val: "in.jsonl"},
-	"trace-out":      {val: "out.jsonl"},
-	"trace-scale":    {val: "2", with: "trace_in:in.jsonl"},
-	"fit":            {val: "true", with: "trace_in:in.jsonl"},
+	"mix":           {val: "chat-sessions"},
+	"rate":          {val: "9"},
+	"burst-cv":      {val: "6"},
+	"parallel":      {val: "2"},
+	"replicas":      {val: "3"},
+	"dispatch":      {val: "least-kv", with: "replicas:3"},
+	"aging":         {val: "2s"},
+	"prefix-reuse":  {val: "true", with: "serve_mix:chat-sessions"},
+	"affinity-base": {val: "least-kv", with: "serve_mix:chat-sessions,replicas:3,dispatch:session-affinity,prefix_reuse:true"},
+	"min-replicas":  {val: "2", with: "max_replicas:5"},
+	"max-replicas":  {val: "5"},
+	"steal":         {val: "true", with: "replicas:3"},
+	"replica-caps":  {val: "2/1", with: "replicas:2,dispatch:jsq"},
+	"mttf":          {val: "2s", with: "replicas:3,mttr:400ms"},
+	"mttr":          {val: "400ms", with: "replicas:3,mttf:2s"},
+	"fault-plan":    {val: "crash@t=3s:r1/restart@t=5s:r1", with: "replicas:2"},
+	"timeout":       {val: "10s"},
+	"retries":       {val: "3", with: "replicas:3,mttf:2s,mttr:400ms,timeout:30s"},
+	"backoff":       {val: "1.5", with: "replicas:3,mttf:2s,mttr:400ms,timeout:30s,retries:3"},
+	"shed":          {val: "true", with: "timeout:10s"},
+	"trace-in":      {val: "in.jsonl"},
+	"trace-out":     {val: "out.jsonl"},
+	"trace-scale":   {val: "2", with: "trace_in:in.jsonl"},
+	"fit":           {val: "true", with: "trace_in:in.jsonl"},
 }
 
 // TestFlagIsItsKey: for every key flag that -h lists, -<flag>=v and -conf
@@ -198,6 +193,18 @@ func TestUsageErrors(t *testing.T) {
 		{`-conf frag_limit_mb`, `conf: "frag_limit_mb" is not key:value`},
 		{`-dispatch jqs`, `conf: serve: unknown dispatch policy "jqs" (did you mean "jsq"?`},
 		{`-mix nope`, `conf: servegen: unknown mix "nope"`},
+		// The digest limit, the autoscaler's thresholds and the per-class
+		// retry budget are constants: neither a flag nor a key sets them.
+		{`-exact-samples -1`, `flag provided but not defined: -exact-samples`},
+		{`-scale-up 2 -max-replicas 5`, `flag provided but not defined: -scale-up`},
+		{`-scale-down 2 -max-replicas 5`, `flag provided but not defined: -scale-down`},
+		{`-scale-cooldown 1s -max-replicas 5`, `flag provided but not defined: -scale-cooldown`},
+		{`-retry-budget 4 -retries 3 -timeout 30s`, `flag provided but not defined: -retry-budget`},
+		{`-conf exact_samples:-1`, `conf: unknown key "exact_samples"`},
+		{`-conf scale_up:2,max_replicas:5`, `conf: unknown key "scale_up"`},
+		{`-conf scale_down:2,max_replicas:5`, `conf: unknown key "scale_down"`},
+		{`-conf scale_cooldown:1s,max_replicas:5`, `conf: unknown key "scale_cooldown"`},
+		{`-conf retry_budget:4,retries:3,timeout:30s`, `conf: unknown key "retry_budget"`},
 
 		{`-fit`, `conf: fit requires trace_in`},
 		{`-conf fit:true`, `conf: fit requires trace_in`},
@@ -211,8 +218,6 @@ func TestUsageErrors(t *testing.T) {
 		{`-conf retries:3`, `conf: retries requires timeout`},
 		{`-backoff 2 -timeout 30s`, `conf: backoff requires retries`},
 		{`-conf backoff:2,timeout:30s`, `conf: backoff requires retries`},
-		{`-retry-budget 4 -timeout 30s`, `conf: retry_budget requires retries`},
-		{`-conf retry_budget:4,timeout:30s`, `conf: retry_budget requires retries`},
 		{`-shed`, `conf: shed requires timeout`},
 		{`-conf shed:true`, `conf: shed requires timeout`},
 		{`-affinity-base jsq`, `conf: affinity_base requires dispatch:session-affinity`},

@@ -39,14 +39,15 @@
 //
 // # Examples
 //
-// Three complete programs, whose output TestExamplesOutput pins:
+// Two complete programs, whose output TestExamplesOutput pins:
 //
 //   - examples/quickstart: stitching four scattered free blocks into one
 //     allocation, against the caching baseline;
 //   - examples/finetune: a LoRA + recomputation fine-tuning run under both
-//     allocators;
-//   - examples/serving: the serving simulator end to end — KV policies,
-//     mixes, cluster dispatch, sessions, faults and request traces.
+//     allocators.
+//
+// The serving simulator runs end to end under cmd/gmlake-serve and the
+// harness's serving experiments, whose outputs their own goldens pin.
 //
 // Shorter runnable Example functions sit beside the packages they
 // document: internal/core, internal/workload, internal/stream and

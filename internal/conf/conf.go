@@ -75,11 +75,10 @@ type Config struct {
 	// hand to serve.ServeCluster, and the only copy of its knobs: every
 	// cluster, session, elastic, fault and recovery key writes its leaf
 	// directly. replicas, dispatch, affinity_base, min_replicas,
-	// max_replicas, scale_up, scale_down, scale_cooldown and steal land on
-	// the ClusterConfig itself, replica_caps as Overrides[i].Capacity;
-	// aging, exact_samples, prefix_reuse, timeout and shed on Server;
-	// mttf, mttr and fault_plan on Faults; retries, backoff and
-	// retry_budget on Recovery. Parse sets Replicas to 1 when neither
+	// max_replicas and steal land on the ClusterConfig itself,
+	// replica_caps as Overrides[i].Capacity; aging, prefix_reuse, timeout
+	// and shed on Server; mttf, mttr and fault_plan on Faults; retries and
+	// backoff on Recovery. Parse sets Replicas to 1 when neither
 	// replicas nor max_replicas is given. No key names Server.MaxBatch,
 	// Faults.Seed or a replica's MaxBatch override: the caller fills them.
 	// Build ignores Cluster.
@@ -163,8 +162,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("conf: retries requires timeout (unbounded retries need a deadline)")
 	case cc.Recovery.Backoff > 0 && cc.Recovery.Retries == 0:
 		return fmt.Errorf("conf: backoff requires retries")
-	case cc.Recovery.RetryBudget > 0 && cc.Recovery.Retries == 0:
-		return fmt.Errorf("conf: retry_budget requires retries")
 	case cc.Server.Shed && cc.Server.Timeout == 0:
 		return fmt.Errorf("conf: shed requires timeout")
 	case cc.AffinityBase != "" && cc.Dispatch != serve.DispatchSessionAffinity:

@@ -274,30 +274,6 @@ func TestParseClusterKeys(t *testing.T) {
 	}
 }
 
-func TestParseExactSamples(t *testing.T) {
-	cfg, err := Parse("backend:gmlake,serve_mix:mixed,exact_samples:500")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Cluster.Server.ExactSamples != 500 {
-		t.Fatalf("exact_samples = %d", cfg.Cluster.Server.ExactSamples)
-	}
-	// Negative means sketch-only, zero means the serve default: both valid.
-	cfg, err = Parse("backend:caching,exact_samples:-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Cluster.Server.ExactSamples != -1 {
-		t.Fatalf("exact_samples = %d", cfg.Cluster.Server.ExactSamples)
-	}
-	if cfg, err = Parse("backend:caching"); err != nil || cfg.Cluster.Server.ExactSamples != 0 {
-		t.Fatalf("exact_samples default: %d, %v", cfg.Cluster.Server.ExactSamples, err)
-	}
-	if _, err := Parse("exact_samples:lots"); err == nil {
-		t.Fatal("accepted non-integer exact_samples")
-	}
-}
-
 // clusterKeyErrorCases is also a seed table of FuzzParse.
 var clusterKeyErrorCases = []string{
 	"replicas:0",       // cluster needs at least one replica
@@ -318,16 +294,13 @@ func TestParseClusterKeyErrors(t *testing.T) {
 }
 
 func TestParseElasticKeys(t *testing.T) {
-	cfg, err := Parse("min_replicas:1,max_replicas:6,scale_up:8,scale_down:2,scale_cooldown:500ms,steal:true,replica_caps:2/1/1.5")
+	cfg, err := Parse("min_replicas:1,max_replicas:6,steal:true,replica_caps:2/1/1.5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc := cfg.Cluster
 	if cc.MinReplicas != 1 || cc.MaxReplicas != 6 {
 		t.Fatalf("bounds = [%d, %d]", cc.MinReplicas, cc.MaxReplicas)
-	}
-	if cc.ScaleUpDepth != 8 || cc.ScaleDownDepth != 2 || cc.ScaleCooldown != 500*time.Millisecond {
-		t.Fatalf("scaler knobs: %+v", cc)
 	}
 	if !cc.Steal {
 		t.Fatal("steal:true not captured")
@@ -349,9 +322,6 @@ func TestParseElasticKeys(t *testing.T) {
 var elasticKeyErrorCases = []string{
 	"min_replicas:0",      // positive
 	"max_replicas:-3",     // negative
-	"scale_up:0",          // positive
-	"scale_down:none",     // not a number
-	"scale_cooldown:-1s",  // negative duration
 	"steal:perhaps",       // not a bool
 	"replica_caps:2/0/1",  // zero weight
 	"replica_caps:2,1",    // comma splits keys, not weights

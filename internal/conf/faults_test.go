@@ -9,7 +9,7 @@ import (
 )
 
 func TestParseFaultKeys(t *testing.T) {
-	cfg, err := Parse("mttf:2m,mttr:15s,timeout:30s,retries:3,backoff:1.5,retry_budget:8,shed:true")
+	cfg, err := Parse("mttf:2m,mttr:15s,timeout:30s,retries:3,backoff:1.5,shed:true")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,8 +17,7 @@ func TestParseFaultKeys(t *testing.T) {
 	if cc.Faults.MTTF != 2*time.Minute || cc.Faults.MTTR != 15*time.Second {
 		t.Fatalf("mttf/mttr %v/%v", cc.Faults.MTTF, cc.Faults.MTTR)
 	}
-	if cc.Server.Timeout != 30*time.Second || cc.Recovery.Retries != 3 || cc.Recovery.Backoff != 1.5 ||
-		cc.Recovery.RetryBudget != 8 || !cc.Server.Shed {
+	if cc.Server.Timeout != 30*time.Second || cc.Recovery.Retries != 3 || cc.Recovery.Backoff != 1.5 || !cc.Server.Shed {
 		t.Fatalf("recovery knobs: %+v", cc)
 	}
 
@@ -55,7 +54,6 @@ var faultKeyErrorCases = []struct {
 	{"backoff:1.5,timeout:30s", "retries"},
 	{"backoff:0.5,retries:2,timeout:30s", ">= 1"},
 	{"backoff:NaN,retries:2,timeout:30s", ">= 1"},
-	{"retry_budget:4,timeout:30s", "retries"},
 	{"shed:yes-please,timeout:30s", "bool"},
 	{"shed:true", "timeout"},
 }
@@ -76,7 +74,7 @@ func TestParseFaultKeyErrors(t *testing.T) {
 // TestClusterCarriesFaultConfig: the fault and recovery keys land in the
 // ClusterConfig's Faults, Recovery and Server, where serve reads them.
 func TestClusterCarriesFaultConfig(t *testing.T) {
-	cfg, err := Parse("replicas:2,mttf:2m,mttr:15s,timeout:30s,retries:3,backoff:1.5,retry_budget:8,shed:true")
+	cfg, err := Parse("replicas:2,mttf:2m,mttr:15s,timeout:30s,retries:3,backoff:1.5,shed:true")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +82,7 @@ func TestClusterCarriesFaultConfig(t *testing.T) {
 	if cc.Faults.MTTF != 2*time.Minute || cc.Faults.MTTR != 15*time.Second {
 		t.Fatalf("faults not wired: %+v", cc.Faults)
 	}
-	if cc.Recovery.Retries != 3 || cc.Recovery.Backoff != 1.5 || cc.Recovery.RetryBudget != 8 {
+	if cc.Recovery.Retries != 3 || cc.Recovery.Backoff != 1.5 {
 		t.Fatalf("recovery not wired: %+v", cc.Recovery)
 	}
 	if cc.Server.Timeout != 30*time.Second || !cc.Server.Shed {

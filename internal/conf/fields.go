@@ -73,8 +73,6 @@ var fields = []field{
 		parsed(parseDispatch, func(c *Config) *serve.DispatchPolicy { return &c.Cluster.Dispatch })},
 	{"aging", "aging", "priority aging: a waiting request gains one priority level per `duration` of queue wait (0 = off)",
 		parsed(parseNonNegDuration, func(c *Config) *time.Duration { return &c.Cluster.Server.Aging })},
-	{"exact_samples", "exact-samples", "latency digests keep `n` raw samples for exact percentiles before sketching (0 = 8192, negative = sketch at once)",
-		parsed(parseExactSamples, func(c *Config) *int { return &c.Cluster.Server.ExactSamples })},
 	{"prefix_reuse", "prefix-reuse", "session KV prefix reuse: a follow-up turn skips the prefill still resident on its replica",
 		parsed(parseBool, func(c *Config) *bool { return &c.Cluster.Server.PrefixReuse })},
 	{"affinity_base", "affinity-base", "fallback `policy` of session-affinity for requests with no resident prefix (default jsq; needs dispatch session-affinity)",
@@ -84,12 +82,6 @@ var fields = []field{
 		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.MinReplicas })},
 	{"max_replicas", "max-replicas", "autoscaler ceiling `n`; setting it turns queue-depth autoscaling on",
 		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.MaxReplicas })},
-	{"scale_up", "scale-up", "queued backlog `n` per active replica that spawns one more (default 4)",
-		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.ScaleUpDepth })},
-	{"scale_down", "scale-down", "backlog `n` per remaining replica at which one drains, leaving once empty (default 1)",
-		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.ScaleDownDepth })},
-	{"scale_cooldown", "scale-cooldown", "minimum virtual `duration` between scale decisions (default 250ms)",
-		parsed(parseNonNegDuration, func(c *Config) *time.Duration { return &c.Cluster.ScaleCooldown })},
 	{"steal", "steal", "work stealing: an idle replica takes queued (never running) requests from a backlogged peer",
 		parsed(parseBool, func(c *Config) *bool { return &c.Cluster.Steal })},
 	{"replica_caps", "replica-caps", "per-replica capacity `weights` such as 2/1/1 (flags also take 2,1,1): memory, batch limit and dispatch share scale with them",
@@ -107,8 +99,6 @@ var fields = []field{
 		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.Recovery.Retries })},
 	{"backoff", "backoff", "exponential retry-backoff `multiplier` >= 1 (default 2; needs retries)",
 		parsed(parseBackoff, func(c *Config) *float64 { return &c.Cluster.Recovery.Backoff })},
-	{"retry_budget", "retry-budget", "total retries `n` one client class may consume (default unlimited; needs retries)",
-		parsed(parsePositive[int], func(c *Config) *int { return &c.Cluster.Recovery.RetryBudget })},
 	{"shed", "shed", "reject at admission the requests that provably cannot meet the deadline (needs timeout)",
 		parsed(parseBool, func(c *Config) *bool { return &c.Cluster.Server.Shed })},
 
@@ -191,14 +181,6 @@ func parsePositive[T int | int64](key, val string) (T, error) {
 		return 0, fmt.Errorf("conf: %s must be a positive integer, got %q", key, val)
 	}
 	return T(n), nil
-}
-
-func parseExactSamples(key, val string) (int, error) {
-	n, err := strconv.ParseInt(val, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("conf: %s must be an integer (negative = sketch-only), got %q", key, val)
-	}
-	return int(n), nil
 }
 
 // parseParallel parses an int32-sized count, so "NaN", floats and junk are

@@ -28,14 +28,10 @@ var keySamples = map[string]struct{ val, with string }{
 	"replicas":                     {val: "3"},
 	"dispatch":                     {val: "jsq"},
 	"aging":                        {val: "2s"},
-	"exact_samples":                {val: "-1"},
 	"prefix_reuse":                 {val: "true"},
 	"affinity_base":                {val: "least-kv", with: "dispatch:session-affinity"},
 	"min_replicas":                 {val: "2"},
 	"max_replicas":                 {val: "4"},
-	"scale_up":                     {val: "8"},
-	"scale_down":                   {val: "2"},
-	"scale_cooldown":               {val: "500ms"},
 	"steal":                        {val: "true"},
 	"replica_caps":                 {val: "2/1"},
 	"mttf":                         {val: "8s", with: "mttr:1s"},
@@ -44,7 +40,6 @@ var keySamples = map[string]struct{ val, with string }{
 	"timeout":                      {val: "30s"},
 	"retries":                      {val: "3", with: "timeout:30s"},
 	"backoff":                      {val: "1.5", with: "timeout:30s,retries:3"},
-	"retry_budget":                 {val: "8", with: "timeout:30s,retries:3"},
 	"shed":                         {val: "true", with: "timeout:30s"},
 	"trace_in":                     {val: "t.jsonl"},
 	"trace_out":                    {val: "t.jsonl"},
@@ -173,7 +168,7 @@ func FuzzParse(f *testing.F) {
 		s := keySamples[fd.key]
 		f.Add(strings.TrimPrefix(s.with+","+fd.key+":"+s.val, ","))
 	}
-	for _, table := range [][]string{parseErrorCases, serveKeyErrorCases, clusterKeyErrorCases, elasticKeyErrorCases, sessionKeyErrorCases} {
+	for _, table := range [][]string{parseErrorCases, serveKeyErrorCases, clusterKeyErrorCases, elasticKeyErrorCases, sessionKeyErrorCases, deletedKeyCases} {
 		for _, s := range table {
 			f.Add(s)
 		}

@@ -17,7 +17,7 @@ func TestUnknownKeySuggestions(t *testing.T) {
 		{"maxreplicas:8", "max_replicas"},
 		{"trace_n:x.jsonl", "trace_in"},
 		{"backoffs:2", "backoff"},
-		{"scale_cool_down:1s", "scale_cooldown"},
+		{"prefix_re_use:true", "prefix_reuse"},
 		{"garbage_collection_treshold:0.5", "garbage_collection_threshold"},
 		{"warp_speed:9", ""},
 		{"zzzzqqq:1", ""},
@@ -39,6 +39,29 @@ func TestUnknownKeySuggestions(t *testing.T) {
 			}
 		} else if !strings.Contains(msg, `did you mean "`+c.suggest+`"`) {
 			t.Errorf("Parse(%q) = %q, want suggestion %q", c.in, msg, c.suggest)
+		}
+	}
+}
+
+// deletedKeyCases name the settings that became constants — the digest
+// limit, the autoscaler's thresholds and the per-class retry budget — each
+// with a value the key once accepted and one it once refused. Also a seed
+// table of FuzzParse.
+var deletedKeyCases = []string{
+	"exact_samples:500", "exact_samples:lots",
+	"scale_up:8", "scale_up:0",
+	"scale_down:2", "scale_down:none",
+	"scale_cooldown:500ms", "scale_cooldown:-1s",
+	"retry_budget:8,timeout:30s,retries:3", "retry_budget:-4,timeout:30s,retries:3",
+}
+
+// TestDeletedKeysUnknown: whatever its value, a deleted key is refused as an
+// unknown key, not parsed and not refused for its value.
+func TestDeletedKeysUnknown(t *testing.T) {
+	for _, s := range deletedKeyCases {
+		key, _, _ := strings.Cut(s, ":")
+		if _, err := Parse(s); err == nil || !strings.HasPrefix(err.Error(), `conf: unknown key "`+key+`"`) {
+			t.Errorf("Parse(%q) = %v, want unknown key %q", s, err, key)
 		}
 	}
 }

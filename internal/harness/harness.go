@@ -22,9 +22,8 @@
 // failed cell means is an argument of sweepTable, not a convention: a fail
 // row renders it (the tables whose tight pools may OOM), nil panics with
 // the table id and cell key (a fleet that must serve its stream). The
-// serving experiments serve generated mixes at the serve package's defaults
-// (exact latency digests); replaying a trace file or tuning the digests is
-// gmlake-serve's job, on the same serving testbed.
+// serving experiments serve generated mixes at the serve package's defaults;
+// replaying a trace file is gmlake-serve's job, on the same serving testbed.
 //
 // To add a serving experiment, write its []fleetVariant and row function,
 // call grid and sweepTable, and add its id to experiments() in all.go; then

@@ -49,26 +49,16 @@ type ClusterConfig struct {
 	// watches the cluster backlog in virtual time and keeps between
 	// MinReplicas and MaxReplicas replicas active. MinReplicas 0 means 1.
 	// The scaler spawns a replica when the queued backlog exceeds
-	// ScaleUpDepth per active replica, and starts draining one when the
-	// backlog would leave at most ScaleDownDepth per remaining replica.
-	// A draining replica accepts no new dispatches and leaves the fleet
-	// only after it has fully emptied; scale-ups reuse draining or drained
-	// replicas before growing the fleet. Consecutive scale decisions are
-	// at least ScaleCooldown of virtual time apart. All decisions happen
-	// at event boundaries of the co-simulation, so elastic runs are as
-	// deterministic as static ones.
+	// DefaultScaleUpDepth per active replica, and starts draining one when
+	// the backlog would leave at most DefaultScaleDownDepth per remaining
+	// replica. A draining replica accepts no new dispatches and leaves the
+	// fleet only after it has fully emptied; scale-ups reuse draining or
+	// drained replicas before growing the fleet. Consecutive scale
+	// decisions are at least DefaultScaleCooldown of virtual time apart.
+	// All decisions happen at event boundaries of the co-simulation, so
+	// elastic runs are as deterministic as static ones.
 	MinReplicas int
 	MaxReplicas int
-	// ScaleUpDepth is the queued-requests-per-active-replica backlog that
-	// triggers a spawn (0 = DefaultScaleUpDepth).
-	ScaleUpDepth int
-	// ScaleDownDepth is the backlog per remaining replica below which one
-	// replica starts draining (0 = DefaultScaleDownDepth; use a negative
-	// value to effectively never scale down).
-	ScaleDownDepth int
-	// ScaleCooldown is the minimum virtual time between scale decisions
-	// (0 = DefaultScaleCooldown).
-	ScaleCooldown time.Duration
 
 	// Steal enables work-stealing re-dispatch: when a replica is starving
 	// (nothing decoding, nothing admissible) while another holds queued
@@ -84,10 +74,10 @@ type ClusterConfig struct {
 	// dispatch, and rejoins empty at its restart event. See FaultConfig.
 	Faults FaultConfig
 	// Recovery is the crash-retry policy for in-flight requests lost to a
-	// crash: bounded retries with exponential backoff and a per-class
-	// retry budget. The zero value abandons crashed in-flight work (it is
-	// counted in ClusterReport.Lost); queued requests on a crashed replica
-	// are always re-dispatched free of charge. See RecoveryConfig.
+	// crash: bounded retries with exponential backoff. The zero value
+	// abandons crashed in-flight work (it is counted in ClusterReport.Lost);
+	// queued requests on a crashed replica are always re-dispatched free of
+	// charge. See RecoveryConfig.
 	Recovery RecoveryConfig
 }
 
@@ -131,10 +121,10 @@ type ClusterReport struct {
 
 	// Retries counts granted re-dispatches of requests that were decoding
 	// on a replica when it crashed; Lost counts the ones abandoned because
-	// the retry cap or their class's retry budget was exhausted (queued
-	// requests displaced by a crash are re-dispatched without consuming
-	// either, and appear in neither counter — nor in Assigned, which only
-	// records arrival-time dispatch decisions).
+	// their retry cap was exhausted (queued requests displaced by a crash
+	// are re-dispatched without consuming a retry, and appear in neither
+	// counter — nor in Assigned, which only records arrival-time dispatch
+	// decisions).
 	Retries int
 	Lost    int
 	// AffinityRouted counts dispatch decisions session-affinity resolved
@@ -185,9 +175,6 @@ func (cfg ClusterConfig) validate() (initial, fleetMax int, err error) {
 	if cfg.MinReplicas < 0 || cfg.MaxReplicas < 0 {
 		return 0, 0, fmt.Errorf("serve: negative replica bounds [%d, %d]", cfg.MinReplicas, cfg.MaxReplicas)
 	}
-	if cfg.ScaleCooldown < 0 {
-		return 0, 0, fmt.Errorf("serve: negative scale cooldown %v", cfg.ScaleCooldown)
-	}
 	if cfg.MaxReplicas > 0 {
 		min := max(cfg.MinReplicas, 1)
 		if min > cfg.MaxReplicas {
@@ -202,8 +189,8 @@ func (cfg ClusterConfig) validate() (initial, fleetMax int, err error) {
 			initial = cfg.Replicas
 		}
 	} else {
-		if cfg.MinReplicas > 0 || cfg.ScaleUpDepth > 0 || cfg.ScaleDownDepth != 0 || cfg.ScaleCooldown > 0 {
-			return 0, 0, fmt.Errorf("serve: autoscaling knobs need MaxReplicas > 0")
+		if cfg.MinReplicas > 0 {
+			return 0, 0, fmt.Errorf("serve: min replicas %d need MaxReplicas > 0", cfg.MinReplicas)
 		}
 		if cfg.Replicas <= 0 {
 			return 0, 0, fmt.Errorf("serve: cluster needs >= 1 replica, got %d", cfg.Replicas)
@@ -231,7 +218,7 @@ func (cfg ClusterConfig) validate() (initial, fleetMax int, err error) {
 		if o.MaxBatch < 0 {
 			return 0, 0, fmt.Errorf("serve: replica %d override %+v", i, o)
 		}
-		if err := cfg.serverConfig(i).validate(fmt.Sprintf("replica %d ", i)); err != nil {
+		if err := cfg.serverConfig(i).validate(i); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -268,15 +255,6 @@ func (cfg ClusterConfig) dispatchPolicies() (dispatch, base DispatchPolicy, err 
 func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	cfg.Dispatch, cfg.AffinityBase, _ = cfg.dispatchPolicies()
 	cfg.MinReplicas = max(cfg.MinReplicas, 1)
-	if cfg.ScaleUpDepth == 0 {
-		cfg.ScaleUpDepth = DefaultScaleUpDepth
-	}
-	if cfg.ScaleDownDepth == 0 {
-		cfg.ScaleDownDepth = DefaultScaleDownDepth
-	}
-	if cfg.ScaleCooldown == 0 {
-		cfg.ScaleCooldown = DefaultScaleCooldown
-	}
 	if cfg.Recovery.Backoff == 0 {
 		cfg.Recovery.Backoff = DefaultBackoff
 	}

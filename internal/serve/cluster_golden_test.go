@@ -96,10 +96,8 @@ func clusterGoldenConfigs() []goldenConfig {
 			Server:    ServerConfig{MaxBatch: 2},
 			Overrides: []ReplicaOverride{{Capacity: 2, MaxBatch: 6}, {Capacity: 0.5}}}},
 		{"elastic", ClusterConfig{MinReplicas: 1, MaxReplicas: 4, Dispatch: DispatchJSQ,
-			ScaleUpDepth: 3, ScaleCooldown: 200 * time.Millisecond,
 			Server: ServerConfig{MaxBatch: 2}}},
-		{"elastic-steal", ClusterConfig{MinReplicas: 1, MaxReplicas: 5, Dispatch: DispatchLeastKV,
-			Steal: true, ScaleUpDepth: 2, ScaleDownDepth: 1,
+		{"elastic-steal", ClusterConfig{MinReplicas: 1, MaxReplicas: 5, Dispatch: DispatchLeastKV, Steal: true,
 			Server: ServerConfig{MaxBatch: 2, Aging: 3 * time.Second}}},
 		// An explicit round-robin base: "" would mean jsq here, although
 		// ParseDispatch("") is round-robin everywhere else.
@@ -112,7 +110,7 @@ func clusterGoldenConfigs() []goldenConfig {
 		{"plan-recovery", ClusterConfig{Replicas: 3, Dispatch: DispatchLeastKV,
 			Server:   ServerConfig{MaxBatch: 3, Timeout: 4 * time.Second, Shed: true},
 			Faults:   FaultConfig{Plan: plan},
-			Recovery: RecoveryConfig{Retries: 2, Backoff: 1.5, RetryBudget: 6}}},
+			Recovery: RecoveryConfig{Retries: 2, Backoff: 1.5}}},
 		// Every replica crashes at t=0 and none restarts: arrivals park in
 		// the re-dispatch pool and the run seals with the stranded error.
 		{"all-down", ClusterConfig{Replicas: 2, Server: ServerConfig{MaxBatch: 2},
@@ -122,7 +120,7 @@ func clusterGoldenConfigs() []goldenConfig {
 			Dispatch: DispatchSessionAffinity,
 			Server:   ServerConfig{MaxBatch: 3, Timeout: 20 * time.Second, Shed: true, PrefixReuse: true},
 			Faults:   FaultConfig{MTTF: 1500 * time.Millisecond, MTTR: 200 * time.Millisecond, Seed: 3},
-			Recovery: RecoveryConfig{Retries: 3, Backoff: 1.5, RetryBudget: 16}}},
+			Recovery: RecoveryConfig{Retries: 3, Backoff: 1.5}}},
 	}
 }
 
@@ -132,8 +130,11 @@ func clusterGoldenConfigs() []goldenConfig {
 // benchmark's sim_digest uses, so any change the virtual clock can see moves
 // a line. The file was recorded from commit 48babfe, before the scheduler was
 // rewritten; it uses only ServeCluster and the shared test streams, so it can
-// be reproduced by copying this file into a checkout of that commit. After an
-// intended change to the simulation, regenerate with
+// be reproduced by copying this file into a checkout of that commit. The
+// cells of elastic, elastic-steal, plan-recovery and chaos were re-recorded
+// when the autoscaler's thresholds and the per-class retry budget became
+// constants: there they need the thresholds' defaults and no retry budget.
+// After an intended change to the simulation, regenerate with
 //
 //	go test ./internal/serve -run TestClusterReportGoldens -update
 //

@@ -281,10 +281,7 @@ func TestServeAgingSingleServer(t *testing.T) {
 // samples, not an average of per-replica percentiles.
 func TestClusterMergePercentilesFromRawSamples(t *testing.T) {
 	mk := func(latencies ...time.Duration) *server {
-		s, err := newServer(NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64), ServerConfig{MaxBatch: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newServer(NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64), ServerConfig{MaxBatch: 1})
 		for i, l := range latencies {
 			rec := &track{
 				req:        &Request{ID: i, Class: "c"},

@@ -7,26 +7,13 @@ import (
 	"repro/internal/quantile"
 )
 
-// DefaultExactSamples is the exact-retention threshold of the latency
-// digests when ServerConfig.ExactSamples is zero: up to this many raw
-// samples per digest are kept and summarized by the exact nearest-rank rule;
-// one sample more and the whole digest spills into a fixed-size quantile
-// sketch. The default keeps every harness experiment (≤ a few thousand
-// requests) on the exact path — their tables render byte-identically —
-// while million-request runs stay flat in memory.
+// DefaultExactSamples is the exact-retention threshold of every latency
+// digest a server keeps: up to this many raw samples per digest are kept and
+// summarized by the exact nearest-rank rule; one sample more and the whole
+// digest spills into a fixed-size quantile sketch. It keeps every harness
+// experiment (≤ a few thousand requests) on the exact path — their tables
+// render byte-identically — while million-request runs stay flat in memory.
 const DefaultExactSamples = 8192
-
-// resolveExactSamples maps the ServerConfig knob to a digest limit:
-// 0 = DefaultExactSamples, negative = sketch-only from the first sample.
-func resolveExactSamples(v int) int {
-	if v == 0 {
-		return DefaultExactSamples
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
 
 // latDigest accumulates one latency distribution (TTFT or E2E, per class).
 // It retains raw samples exactly up to limit, in runs of 16, 32, 64, 128 and

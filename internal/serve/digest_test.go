@@ -35,8 +35,7 @@ func TestSealedLatencyIgnoresSplit(t *testing.T) {
 	rng := sim.NewRNG(9)
 	var exactAgg, sketchedAgg, mixed int
 	for c := 0; c < cases; c++ {
-		knob := []int{-1, 1, 2 + rng.Intn(40), DefaultExactSamples}[c%4]
-		limit := resolveExactSamples(knob)
+		limit := []int{0, 1, 2 + rng.Intn(40), DefaultExactSamples}[c%4] // 0 is sketch-only
 		n := []int{limit, limit + 1, rng.Intn(2*limit + 20)}[rng.Intn(3)]
 		classes, replicas := 1+rng.Intn(5), 1+rng.Intn(64)
 		spread := []int64{8, 1000, 1e10}[rng.Intn(3)] // ties to distinct values
@@ -88,7 +87,7 @@ func TestSealedLatencyIgnoresSplit(t *testing.T) {
 		want.TTFT, want.E2E = aggTTFT.summary(), aggE2E.summary()
 
 		got := mergeReports(servers, nil)
-		label := fmt.Sprintf("case %d: ExactSamples %d, %d requests over %d classes and %d replicas", c, knob, n, classes, replicas)
+		label := fmt.Sprintf("case %d: exact limit %d, %d requests over %d classes and %d replicas", c, limit, n, classes, replicas)
 		if got.TTFT != want.TTFT || got.E2E != want.E2E {
 			t.Fatalf("%s: aggregate TTFT %+v E2E %+v, reference %+v %+v", label, got.TTFT, got.E2E, want.TTFT, want.E2E)
 		}

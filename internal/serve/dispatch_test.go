@@ -91,7 +91,8 @@ func TestServedRequestAllocatesNothing(t *testing.T) {
 		// One arrival per step: each step is due exactly the next request.
 		reqs[i] = Request{ID: i, Class: "chat", PromptLen: 32, OutputLen: 1, ArrivalAt: time.Duration(i) * stepTime}
 	}
-	s, arrive := replicaOf(t, reqs, stubKV{}, ServerConfig{MaxBatch: 2, ExactSamples: -1})
+	s, arrive := replicaOf(t, reqs, stubKV{}, ServerConfig{MaxBatch: 2})
+	s.tally = newTally(0) // sketch-only: a retained sample would grow a run
 	serveOne := func() {
 		arrive()
 		if _, err := s.admit(); err != nil || len(s.running) != 1 {

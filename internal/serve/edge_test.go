@@ -49,9 +49,9 @@ func TestSummarizeEdgeCases(t *testing.T) {
 }
 
 // TestLatDigestEmptySummary: a digest that never saw a sample renders zero
-// percentiles on both the exact path and the sketch path (negative
-// ExactSamples sketches from the first sample, so its empty state is an
-// empty sketch rather than an empty slice).
+// percentiles on both the exact path and the sketch path (a limit of 0
+// sketches from the first sample, so its empty state is an empty sketch
+// rather than an empty slice).
 func TestLatDigestEmptySummary(t *testing.T) {
 	if got := newLatDigest(DefaultExactSamples).summary(); got != (LatencySummary{}) {
 		t.Errorf("empty exact digest = %+v", got)

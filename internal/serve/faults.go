@@ -200,10 +200,6 @@ type RecoveryConfig struct {
 	// (0 = DefaultBackoff): retry k of a request re-enters dispatch
 	// DefaultRetryDelay·Backoff^(k−1) after the crash.
 	Backoff float64
-	// RetryBudget caps the total retries any one client class may consume
-	// across the run — a noisy class that keeps landing on crashing
-	// replicas cannot monopolize recovery capacity. 0 means unlimited.
-	RetryBudget int
 }
 
 func (rc RecoveryConfig) validate() error {
@@ -212,9 +208,6 @@ func (rc RecoveryConfig) validate() error {
 	}
 	if rc.Backoff != 0 && (rc.Backoff < 1 || math.IsNaN(rc.Backoff) || math.IsInf(rc.Backoff, 0)) {
 		return fmt.Errorf("serve: backoff %v must be >= 1", rc.Backoff)
-	}
-	if rc.RetryBudget < 0 {
-		return fmt.Errorf("serve: negative retry budget %d", rc.RetryBudget)
 	}
 	return nil
 }
@@ -315,18 +308,14 @@ type recovery struct {
 	// destination, like a preemption requeue) and waits out its backoff.
 	pool   container.Heap[*track]
 	parked int64
-	// classRetries charges granted retries against the per-class retry
-	// budget; the per-request count is track.retries.
-	classRetries map[string]int
-	retries      int
-	lost         int
+	// retries and lost count granted and refused retries; the per-request
+	// count is track.retries.
+	retries int
+	lost    int
 }
 
 func newRecovery(fc FaultConfig, fleetMax int) *recovery {
-	return &recovery{
-		faults:       newFaultSource(fc, fleetMax),
-		classRetries: map[string]int{},
-	}
+	return &recovery{faults: newFaultSource(fc, fleetMax)}
 }
 
 // poolLen is the re-dispatch pool's size (0 on a zero-fault run).
@@ -370,9 +359,9 @@ func (rc *recovery) apply(c *clusterSched, fe FaultEvent) {
 // down its KV and batch (recompute semantics — see (*server).crash);
 // displaced queued requests re-enter dispatch through the pool immediately
 // and for free, while in-flight ones must win a retry grant — bounded per
-// request and per class — or be abandoned as lost. Either way the
-// replica's outstanding-KV gauge drains to zero, keeping load-aware
-// dispatch honest about the survivors.
+// request — or be abandoned as lost. Either way the replica's
+// outstanding-KV gauge drains to zero, keeping load-aware dispatch honest
+// about the survivors.
 func (rc *recovery) crash(c *clusterSched, r *clusterReplica) {
 	inflight, queued := r.srv.crash(c.now)
 	r.state = replicaDown
@@ -399,17 +388,13 @@ func (rc *recovery) crash(c *clusterSched, r *clusterReplica) {
 	}
 }
 
-// grant charges one retry for rec against the per-request cap and its
-// class's budget, returning the 1-based attempt number when granted.
+// grant charges one retry for rec against the per-request cap, returning
+// the 1-based attempt number when granted.
 func (rc *recovery) grant(policy RecoveryConfig, rec *track) (int, bool) {
 	if rec.retries >= policy.Retries {
 		return 0, false
 	}
-	if b := policy.RetryBudget; b > 0 && rc.classRetries[rec.class()] >= b {
-		return 0, false
-	}
 	rec.retries++
-	rc.classRetries[rec.class()]++
 	rc.retries++
 	return rec.retries, true
 }

@@ -120,10 +120,9 @@ func TestRecoveryConfigValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", RecoveryConfig{}, true},
-		{"full", RecoveryConfig{Retries: 3, Backoff: 1.5, RetryBudget: 8}, true},
+		{"full", RecoveryConfig{Retries: 3, Backoff: 1.5}, true},
 		{"negative-retries", RecoveryConfig{Retries: -1}, false},
 		{"backoff-below-one", RecoveryConfig{Backoff: 0.5}, false},
-		{"negative-budget", RecoveryConfig{RetryBudget: -1}, false},
 	} {
 		err := tc.rc.validate()
 		if tc.ok && err != nil {
@@ -320,7 +319,7 @@ func TestZeroFaultDifferential(t *testing.T) {
 			t.Fatalf("baseline: %v", err)
 		}
 		armed := cfg
-		armed.Recovery = RecoveryConfig{Retries: 3, Backoff: 2, RetryBudget: 4}
+		armed.Recovery = RecoveryConfig{Retries: 3, Backoff: 2}
 		got, err := ServeCluster(reqs, chunkedFactory(8*sim.GiB), armed)
 		if err != nil {
 			t.Fatalf("armed recovery: %v", err)
@@ -456,37 +455,6 @@ func TestCrashedReplicaKeepsClassOffItsRoster(t *testing.T) {
 	}
 	if len(rep.Replicas[0].Classes) != 0 || len(rep.Replicas[1].Classes) != 2 {
 		t.Errorf("rosters: crashed replica %+v, survivor %+v", rep.Replicas[0].Classes, rep.Replicas[1].Classes)
-	}
-}
-
-// TestRetryBudgetCapsClass: a per-class budget of 1 grants the first
-// crashed in-flight request of the class its retry and abandons the rest.
-func TestRetryBudgetCapsClass(t *testing.T) {
-	reqs := []Request{
-		{ID: 0, Class: "chat", PromptLen: 32, OutputLen: 400},
-		{ID: 1, Class: "chat", PromptLen: 32, OutputLen: 400},
-	}
-	rep, err := ServeCluster(reqs, chunkedFactory(8*sim.GiB), ClusterConfig{
-		Replicas: 2,
-		Server:   ServerConfig{MaxBatch: 2},
-		Dispatch: DispatchRoundRobin,
-		Faults: FaultConfig{Plan: []FaultEvent{
-			{At: time.Second, Kind: FaultCrash, Replica: 0},
-			{At: 1100 * time.Millisecond, Kind: FaultCrash, Replica: 1},
-			{At: 2 * time.Second, Kind: FaultRestart, Replica: 0},
-			{At: 2100 * time.Millisecond, Kind: FaultRestart, Replica: 1},
-		}},
-		Recovery: RecoveryConfig{Retries: 3, RetryBudget: 1},
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	// The first crash grants the class its single budgeted retry; the
-	// retried request lands on replica 1 and is in-flight again when that
-	// replica crashes too, so both it and replica 1's own request are
-	// denied and lost.
-	if rep.Retries != 1 || rep.Lost != 2 {
-		t.Fatalf("retries=%d lost=%d, want exactly 1 retry granted and 2 lost", rep.Retries, rep.Lost)
 	}
 }
 
@@ -651,7 +619,7 @@ func TestChaosDeterminism(t *testing.T) {
 		{MinReplicas: 1, MaxReplicas: 4, Steal: true, Dispatch: DispatchLeastKV,
 			Server:   ServerConfig{MaxBatch: 4, Timeout: 30 * time.Second, Shed: true},
 			Faults:   FaultConfig{MTTF: 1500 * time.Millisecond, MTTR: 200 * time.Millisecond, Seed: 3},
-			Recovery: RecoveryConfig{Retries: 3, Backoff: 1.5, RetryBudget: 16}},
+			Recovery: RecoveryConfig{Retries: 3, Backoff: 1.5}},
 	} {
 		var mgrs []CacheManager
 		factory := func(i int) CacheManager {

@@ -106,8 +106,8 @@ type Report struct {
 	// split is the run's metrics-memory story: retained samples cost O(1)
 	// memory each, sketched samples cost nothing beyond the sketch. The
 	// aggregate holds no samples of its own: it counts the class samples it
-	// reads, as retained while their union fits ExactSamples and as
-	// sketched past it, as a digest fed every sample would hold them.
+	// reads, as retained while their union fits the exact-retention limit
+	// and as sketched past it, as a digest fed every sample would hold them.
 	RetainedSamples int64
 	SketchedSamples int64
 }
@@ -134,10 +134,10 @@ func (r Report) Class(name string) *ClassReport {
 // record per client class (see classAgg) plus the per-step batch and waste
 // sums. A server feeds one as its run proceeds (completions reach the
 // digests the moment they happen, so no per-request record outlives its
-// request and report memory is bounded by ExactSamples, not by the stream
-// length); a cluster merges its replicas' tallies into a fresh one. seal
-// renders either the same way, reading the aggregate percentiles from the
-// class digests.
+// request and report memory is bounded by DefaultExactSamples, not by the
+// stream length); a cluster merges its replicas' tallies into a fresh one.
+// seal renders either the same way, reading the aggregate percentiles from
+// the class digests.
 type tally struct {
 	limit   int // exact-retention threshold of every digest
 	classes map[string]*classAgg
@@ -262,8 +262,8 @@ func (t *tally) seal(rep *Report) {
 // digests share the replicas' runs of samples rather than copying them.
 func mergeReports(replicas []*server, undispatched []Request) Report {
 	var m Report
-	// The fleet shares one ExactSamples setting (per-replica overrides
-	// cover capacity and batch only), so replica 0's limit is the cluster's.
+	// Every replica's digests share one exact-retention limit, so replica
+	// 0's is the cluster's.
 	t := newTally(replicas[0].limit)
 	for i := range undispatched {
 		t.roster(&track{req: &undispatched[i]})

@@ -2,14 +2,17 @@ package serve
 
 import "time"
 
-// Autoscaler defaults (see ClusterConfig).
+// The autoscaler's thresholds (see ClusterConfig.MaxReplicas): a spawn past
+// DefaultScaleUpDepth queued requests per active replica, a drain at
+// DefaultScaleDownDepth per remaining replica, decisions at least
+// DefaultScaleCooldown of virtual time apart.
 const (
 	DefaultScaleUpDepth   = 4
 	DefaultScaleDownDepth = 1
 	DefaultScaleCooldown  = 250 * time.Millisecond
 )
 
-// scaler is the queue-depth autoscaler's own state; its knobs are the
+// scaler is the queue-depth autoscaler's own state; its bounds are the
 // scheduler's ClusterConfig. Idle (and all zero but peakReplicas) on a
 // static fleet.
 type scaler struct {
@@ -28,7 +31,7 @@ func (s *scaler) evaluate(c *clusterSched) {
 		return
 	}
 	s.retire(c.fleet)
-	if s.scaled && c.now-s.lastScale < c.cfg.ScaleCooldown {
+	if s.scaled && c.now-s.lastScale < DefaultScaleCooldown {
 		return
 	}
 	active, backlog := 0, c.recovery.poolLen()
@@ -42,11 +45,11 @@ func (s *scaler) evaluate(c *clusterSched) {
 		}
 	}
 	switch {
-	case backlog > c.cfg.ScaleUpDepth*active && active < c.cfg.MaxReplicas:
+	case backlog > DefaultScaleUpDepth*active && active < c.cfg.MaxReplicas:
 		c.activateOne()
 		s.spawns++
 		s.peakReplicas = max(s.peakReplicas, active+1)
-	case active > c.cfg.MinReplicas && backlog <= c.cfg.ScaleDownDepth*(active-1):
+	case active > c.cfg.MinReplicas && backlog <= DefaultScaleDownDepth*(active-1):
 		// Drain the highest-index active replica: the fleet shrinks from
 		// the top, mirroring how it grew.
 		for i := len(c.fleet) - 1; i >= 0; i-- {
@@ -92,8 +95,5 @@ func (c *clusterSched) activateOne() {
 			return
 		}
 	}
-	if err := c.spawn(); err != nil {
-		// Unreachable: every config in [0, fleetMax) was validated.
-		panic("serve: mid-run spawn failed: " + err.Error())
-	}
+	c.spawn()
 }

@@ -115,17 +115,15 @@ func newClusterSched(reqs []Request, newMgr func(int) CacheManager, cfg ClusterC
 	}
 
 	for i := 0; i < initial; i++ {
-		if err := c.spawn(); err != nil {
-			return nil, err
-		}
+		c.spawn()
 	}
 	return c, nil
 }
 
 // spawn appends a fresh replica to the fleet with the cluster clock as its
-// busy-span start. Configurations were validated up front, so construction
-// cannot fail mid-run in practice.
-func (c *clusterSched) spawn() error {
+// busy-span start. validate checked every replica configuration the run can
+// spawn, so construction cannot fail.
+func (c *clusterSched) spawn() {
 	i := len(c.fleet)
 	// A replica never runs more sequences than the run has requests, so the
 	// batch bound newServer sizes its event and track lists by is capped
@@ -134,10 +132,7 @@ func (c *clusterSched) spawn() error {
 	if n := len(c.queue.reqs); n > 0 && n < sc.MaxBatch {
 		sc.MaxBatch = n
 	}
-	s, err := newServer(c.newMgr(i), sc)
-	if err != nil {
-		return err
-	}
+	s := newServer(c.newMgr(i), sc)
 	// Reserve the global ticket range [0, len(reqs)) for dispatched
 	// requests; requeued preemptions draw above it.
 	s.nextTkt = int64(len(c.queue.reqs))
@@ -147,7 +142,6 @@ func (c *clusterSched) spawn() error {
 		w = 1
 	}
 	c.fleet = append(c.fleet, &clusterReplica{srv: s, capacity: w, spawnAt: c.now})
-	return nil
 }
 
 // activeCount is the number of dispatchable replicas.

@@ -65,9 +65,8 @@
 // Every latency distribution a report renders (TTFT and E2E, aggregate and
 // per class) streams through a digest that retains raw samples — in runs of
 // 16 up to 256 slots, filled in turn and never copied — and applies the
-// exact nearest-rank percentile rule up to
-// ServerConfig.ExactSamples values (DefaultExactSamples when zero, so
-// ordinary runs render byte-identical to the historical exact tables).
+// exact nearest-rank percentile rule up to DefaultExactSamples values, so
+// ordinary runs render byte-identical to the historical exact tables.
 // One sample past the threshold the digest spills into a fixed-size
 // deterministic mergeable quantile sketch (internal/quantile) and stays
 // O(1) in memory from then on: a 10M-request run holds a few thousand
@@ -76,8 +75,7 @@
 // sketched is a pure function of its total sample count, so cluster
 // union-merges agree with a single-stream digest regardless of merge
 // order. Report.RetainedSamples and Report.SketchedSamples expose the
-// split — the memory-footprint proxy the scale benchmark tracks. Negative
-// ExactSamples sketches from the first sample.
+// split — the memory-footprint proxy the scale benchmark tracks.
 //
 // # Sessions and KV prefix reuse
 //
@@ -117,9 +115,9 @@
 // Recovery mirrors the preemption semantics: queued requests displaced by
 // a crash are re-dispatched immediately (a late dispatch decision, FIFO
 // ticket kept), while in-flight sequences are retried with recompute-from-
-// scratch cost under ClusterConfig.Recovery's bounded retries, exponential
-// backoff and per-class retry budget — their TTFT survives only if the
-// first token had already streamed. Requests denied a retry are Lost.
+// scratch cost under ClusterConfig.Recovery's bounded retries and
+// exponential backoff — their TTFT survives only if the first token had
+// already streamed. Requests denied a retry are Lost.
 // Request deadlines (ServerConfig.Timeout) bound end-to-end latency across
 // retries; deadline-aware admission shedding (ServerConfig.Shed) rejects
 // requests that provably cannot meet them. Reports grow Crashes, Restarts,
@@ -258,7 +256,7 @@ func GenRequests(n int, cfg GenConfig, seed uint64) ([]Request, error) {
 // rows and percentiles of whatever work completed before the failure.
 func Serve(reqs []Request, mgr CacheManager, cfg ServerConfig) (Report, error) {
 	// The server's own check first: its errors name no replica.
-	if err := cfg.validate(""); err != nil {
+	if err := cfg.validate(-1); err != nil {
 		return Report{}, err
 	}
 	c, err := newClusterSched(reqs, func(int) CacheManager { return mgr }, ClusterConfig{Replicas: 1, Server: cfg})

@@ -19,7 +19,9 @@ const (
 	prefillTokenTime = 100 * time.Microsecond
 )
 
-// ServerConfig tunes the continuous-batching loop.
+// ServerConfig tunes the continuous-batching loop. Its latency digests are
+// not a setting: each keeps DefaultExactSamples samples exactly and sketches
+// past them (see the package comment).
 type ServerConfig struct {
 	// MaxBatch caps concurrently decoding sequences.
 	MaxBatch int
@@ -62,16 +64,6 @@ type ServerConfig struct {
 	// (reqtrace canonicalizes by sorting on arrival). It must not mutate
 	// the server.
 	OnComplete func(Request)
-
-	// ExactSamples is the exact-retention threshold of every latency digest
-	// (aggregate and per-class TTFT/E2E): up to this many raw samples are
-	// retained and summarized by the exact nearest-rank rule; one more and
-	// the digest spills into a fixed-size mergeable quantile sketch
-	// (internal/quantile, 1% relative error), keeping memory flat however
-	// long the run. 0 means DefaultExactSamples — large enough that the
-	// existing experiment tables stay byte-identical — and a negative value
-	// sketches from the first sample.
-	ExactSamples int
 
 	// PrefixReuse enables session KV prefix reuse: the server remembers,
 	// per SessionID, the context tokens (prompt+output) of the session's
@@ -274,31 +266,39 @@ func (s *server) victimLess(a, b *track) bool {
 	return a.admitOrder > b.admitOrder
 }
 
-// validate checks one server configuration. where names the replica in a
-// cluster's pre-flight ("replica 2 ") and is empty for a single server.
-func (cfg ServerConfig) validate(where string) error {
+// validate checks one server configuration: replica i's in a cluster's
+// pre-flight, or a single server's own (replica -1), whose errors name no
+// replica.
+func (cfg ServerConfig) validate(replica int) error {
 	if cfg.MaxBatch <= 0 {
-		return fmt.Errorf("serve: %smax batch %d", where, cfg.MaxBatch)
+		return fmt.Errorf("serve: %smax batch %d", replicaPrefix(replica), cfg.MaxBatch)
 	}
 	names := [...]string{"aging", "timeout"}
 	for i, d := range [...]time.Duration{cfg.Aging, cfg.Timeout} {
 		if d < 0 {
-			return fmt.Errorf("serve: %snegative %s %v", where, names[i], d)
+			return fmt.Errorf("serve: %snegative %s %v", replicaPrefix(replica), names[i], d)
 		}
 	}
 	if cfg.Shed && cfg.Timeout == 0 {
-		return fmt.Errorf("serve: %sshed needs a timeout to shed against", where)
+		return fmt.Errorf("serve: %sshed needs a timeout to shed against", replicaPrefix(replica))
 	}
 	return nil
 }
 
-// newServer builds the loop with nothing pending; the cluster scheduler
-// places requests one by one.
-func newServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
-	if err := cfg.validate(""); err != nil {
-		return nil, err
+// replicaPrefix names replica i in an error ("replica 2 "; "" for -1). Only
+// the error paths format it, so a valid configuration allocates nothing.
+func replicaPrefix(replica int) string {
+	if replica < 0 {
+		return ""
 	}
-	s := &server{mgr: mgr, cfg: cfg, tally: newTally(resolveExactSamples(cfg.ExactSamples)),
+	return fmt.Sprintf("replica %d ", replica)
+}
+
+// newServer builds the loop with nothing pending; the cluster scheduler
+// places requests one by one. The cluster's pre-flight has already checked
+// cfg.
+func newServer(mgr CacheManager, cfg ServerConfig) *server {
+	s := &server{mgr: mgr, cfg: cfg, tally: newTally(DefaultExactSamples),
 		events: make([]batchEvent, 0, 2*cfg.MaxBatch)}
 	lists := make([]*track, 2*cfg.MaxBatch) // each holds at most the batch
 	s.due, s.ending = lists[:0:cfg.MaxBatch], lists[cfg.MaxBatch:cfg.MaxBatch]
@@ -308,7 +308,7 @@ func newServer(mgr CacheManager, cfg ServerConfig) (*server, error) {
 	if cfg.PrefixReuse {
 		s.resident = map[string]int{}
 	}
-	return s, nil
+	return s
 }
 
 // ticket draws a fresh FIFO ticket: behind everything already waiting here.

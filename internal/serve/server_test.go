@@ -439,11 +439,8 @@ func TestReadyOrderAtExtremeRanks(t *testing.T) {
 		{time.Nanosecond, []int{1, 3, 7, 6, 2, 4, 0, 5}}, // request 2 aged to rank −5
 		{0, []int{1, 3, 2, 7, 6, 4, 0, 5}},
 	} {
-		s, err := newServer(NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64),
+		s := newServer(NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64),
 			ServerConfig{MaxBatch: 1, Aging: tc.aging})
-		if err != nil {
-			t.Fatal(err)
-		}
 		var spare container.Spares[track]
 		for i := range reqs {
 			s.push(newTrack(&spare, &reqs[i], int64(i)), 5)

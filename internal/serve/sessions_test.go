@@ -112,10 +112,7 @@ func TestPrefixMissCounting(t *testing.T) {
 // every resident session prefix must vanish with it.
 func TestCrashClearsResidency(t *testing.T) {
 	mgr := NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64)
-	s, err := newServer(mgr, ServerConfig{MaxBatch: 2, PrefixReuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(mgr, ServerConfig{MaxBatch: 2, PrefixReuse: true})
 	s.resident["a#0"] = 128
 	s.resident["b#0"] = 64
 	if !s.hasResident("a#0") {
