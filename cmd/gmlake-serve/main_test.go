@@ -238,6 +238,10 @@ func TestUsageErrors(t *testing.T) {
 		{`-trace-scale -2`, `conf: trace_scale must be a positive finite number, got "-2"`},
 		{`-trace-in t.jsonl -trace-scale -2`, `conf: trace_scale must be a positive finite number, got "-2"`},
 		{`-backoff NaN -retries 1 -timeout 1s`, `conf: backoff must be a finite number >= 1, got "NaN"`},
+		// A last retry delay, 50 ms·1e308², past the clock's range; the
+		// conversion used to wrap and retry at once.
+		{`-n 40 -policy chunked -replicas 2 -mttf 200ms -mttr 50ms -timeout 100s -retries 3 -backoff 1e308`,
+			`serve: backoff 1e+308 delays retry 3 by +Inf ns, past the clock's range`},
 		{`-replicas 0`, `conf: replicas must be a positive integer, got "0"`},
 		{`-steal=perhaps`, `conf: steal must be a bool, got "perhaps"`},
 		{`-replica-caps 2,0`, `conf: replica_caps must be a positive finite number, got "0"`},

@@ -24,8 +24,8 @@ func experiments() []experiment {
 	return []experiment{
 		{"table1", "Table 1: VMM allocation of 2 GB costs far more than one cudaMalloc, most at small chunks", one((*Env).Table1)},
 		{"figure3", "Figure 3: caching-allocator utilization falls as strategies combine (P to PLRO)", one((*Env).Figure3)},
-		{"figure4", "Figure 4: caching-allocator utilization falls as the GPU count grows", one((*Env).Figure4)},
-		{"figure5", "Figure 5: LoRA and recomputation make allocations more frequent and smaller", one((*Env).Figure5)},
+		{"figure4", "Figure 4: caching-allocator utilization falls as the GPU count grows; each rank holds its ZeRO-3 shards (workload.TestTrainerPersistentMatchesZeRO3)", one((*Env).Figure4)},
+		{"figure5", "Figure 5: LoRA and recomputation make allocations more frequent and smaller; checkpointing cuts the trainer's activations (workload.TestTrainerCheckpointingCutsActivations)", one((*Env).Figure5)},
 		{"figure6", "Figure 6: VMM allocation time grows as the chunk size shrinks", one((*Env).Figure6)},
 		{"motivation", "§2.2: the native allocator is far slower than the caching allocator", one((*Env).Motivation)},
 		{"figure10", "Figure 10: GMLake cuts reserved memory under every strategy combination", (*Env).Figure10},
@@ -37,8 +37,6 @@ func experiments() []experiment {
 		{"extended", "§6: stitching against expandable segments and copy-based compaction", one((*Env).Extended)},
 		{"ablations", "beyond: aim 2: each GMLake design choice (split rebind, fragmentation limit, stitched-pool cap) earns its default", one((*Env).Ablations)},
 		{"cluster", "beyond: aim 3: a job runs out of memory when its worst rank does, which rank 0 understates", one((*Env).ClusterExperiment)},
-		{"zero", "Figure 4: ZeRO-3 slices each rank's state into world-dependent shards; stage-3 state is the trainer's (workload.TestTrainerPersistentMatchesZeROModel)", one((*Env).ZeROExperiment)},
-		{"recompute", "Figure 5: checkpointing trades resident activations for short-lived recompute tensors; the planner is the trainer's (workload.TestTrainerRecomputeConsistentWithPlanner)", one((*Env).RecomputeExperiment)},
 		{"streams", "beyond: aim 3: cross-stream frees defer, and GMLake reserves less than caching when buffers are shared (harness.TestStreamsExperimentShape)", one((*Env).StreamsExperiment)},
 		{"serving", "Table 3: in-tensor paging and pool-level stitching work at different scopes", one((*Env).ServingExperiment)},
 		{"servemix", "beyond: north star: per-SLO-class latency and KV occupancy of each serving policy", one((*Env).ServeMixExperiment)},

@@ -12,7 +12,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden/<id>.golden from the Parallelism=1 rendering")
 
 // goldenEnv is the one budget every testdata/golden file is recorded at,
-// small enough that all 27 experiments render in seconds.
+// small enough that all 25 experiments render in seconds.
 func goldenEnv(parallelism int) *Env {
 	e := NewEnv()
 	e.TotalSteps, e.MaxSteps, e.MeasureSteps = 3, 6, 2
@@ -88,5 +88,21 @@ func TestExperimentGoldens(t *testing.T) {
 				t.Errorf("Parallelism 8 drifted from %s at %s", goldenPath(x.id), firstDiff(par, string(want)))
 			}
 		})
+	}
+}
+
+// TestNoOrphanGoldens fails on a testdata/golden file whose id names no
+// experiment: a golden that outlives its experiment pins nothing, and
+// deleting the one without the other is how such a file is left behind.
+func TestNoOrphanGoldens(t *testing.T) {
+	files, err := filepath.Glob(goldenPath("*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		id := strings.TrimSuffix(filepath.Base(f), ".golden")
+		if _, ok := Claims[id]; !ok {
+			t.Errorf("%s pins no experiment: %q is not in experiments()", f, id)
+		}
 	}
 }

@@ -17,43 +17,6 @@ func cell(t *testing.T, s string) float64 {
 	return v
 }
 
-func TestZeROExperimentShape(t *testing.T) {
-	tbl := NewEnv().ZeROExperiment()
-	// Rows are (stage × world) ordered; world-16 ZeRO-3 must hold far less
-	// than world-16 ZeRO-0.
-	var z0w16, z3w16 float64
-	for _, row := range tbl.Rows {
-		if row[0] == "ZeRO-0" && row[1] == "16" {
-			z0w16 = cell(t, row[5])
-		}
-		if row[0] == "ZeRO-3" && row[1] == "16" {
-			z3w16 = cell(t, row[5])
-		}
-	}
-	if z0w16 == 0 || z3w16 == 0 {
-		t.Fatal("missing rows")
-	}
-	if z3w16*8 > z0w16 {
-		t.Fatalf("ZeRO-3/16 %v GB not ~16x below ZeRO-0 %v GB", z3w16, z0w16)
-	}
-}
-
-func TestRecomputeExperimentShape(t *testing.T) {
-	tbl := NewEnv().RecomputeExperiment()
-	var storeAll, sqrtN float64
-	for _, row := range tbl.Rows {
-		switch row[0] {
-		case "store-all":
-			storeAll = cell(t, row[2])
-		case "sqrt(N)":
-			sqrtN = cell(t, row[2])
-		}
-	}
-	if sqrtN*3 > storeAll {
-		t.Fatalf("sqrtN peak %v not well below store-all %v", sqrtN, storeAll)
-	}
-}
-
 func TestStreamsExperimentShape(t *testing.T) {
 	tbl := NewEnv().StreamsExperiment()
 	byKey := map[string]float64{}

@@ -1,4 +1,4 @@
-package parallel
+package pipesim
 
 import "fmt"
 
@@ -37,34 +37,15 @@ type PipelineConfig struct {
 // Validate checks the configuration.
 func (c PipelineConfig) Validate() error {
 	if c.Stages <= 0 {
-		return fmt.Errorf("parallel: %d pipeline stages", c.Stages)
+		return fmt.Errorf("pipesim: %d pipeline stages", c.Stages)
 	}
 	if c.MicroBatches <= 0 {
-		return fmt.Errorf("parallel: %d microbatches", c.MicroBatches)
+		return fmt.Errorf("pipesim: %d microbatches", c.MicroBatches)
 	}
 	if c.Schedule != GPipe && c.Schedule != OneFOneB {
-		return fmt.Errorf("parallel: unknown schedule %v", c.Schedule)
+		return fmt.Errorf("pipesim: unknown schedule %v", c.Schedule)
 	}
 	return nil
-}
-
-// PeakMicrobatchesInFlight returns how many microbatches' activations stage
-// (0-based) holds at its worst moment.
-func (c PipelineConfig) PeakMicrobatchesInFlight(stage int) int {
-	if stage < 0 || stage >= c.Stages {
-		panic(fmt.Sprintf("parallel: stage %d of %d", stage, c.Stages))
-	}
-	switch c.Schedule {
-	case OneFOneB:
-		// Warm-up depth: earlier stages run ahead by the distance to the
-		// last stage, bounded by the microbatch count.
-		if inflight := c.Stages - stage; inflight < c.MicroBatches {
-			return inflight
-		}
-		return c.MicroBatches
-	default: // GPipe buffers everything until the flush
-		return c.MicroBatches
-	}
 }
 
 // PartitionLayers splits n layers into the pipeline's stages as evenly as
@@ -75,7 +56,7 @@ func (c PipelineConfig) PartitionLayers(n int) ([]int, error) {
 		return nil, err
 	}
 	if n < c.Stages {
-		return nil, fmt.Errorf("parallel: %d layers across %d stages", n, c.Stages)
+		return nil, fmt.Errorf("pipesim: %d layers across %d stages", n, c.Stages)
 	}
 	per, rem := n/c.Stages, n%c.Stages
 	out := make([]int, c.Stages)

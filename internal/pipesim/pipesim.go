@@ -9,6 +9,9 @@
 // pool keeps recycling under load. With sequence-length jitter the recycled
 // blocks no longer fit exactly, which fragments the splitting-based caching
 // allocator but not GMLake's stitching.
+//
+// PipelineConfig and its two Schedules describe the simulated pipeline;
+// they live here because nothing but this simulation runs one.
 package pipesim
 
 import (
@@ -16,7 +19,6 @@ import (
 
 	"repro/internal/memalloc"
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 )
 
@@ -28,8 +30,9 @@ type Op struct {
 
 // StageSchedule returns the execution order of stage (0-based) under cfg:
 // F/B ops over cfg.MicroBatches microbatches. The in-flight activation
-// count never exceeds parallel.PipelineConfig.PeakMicrobatchesInFlight.
-func StageSchedule(cfg parallel.PipelineConfig, stage int) ([]Op, error) {
+// count peaks at MicroBatches under GPipe and at min(Stages − stage,
+// MicroBatches) under 1F1B; TestScheduleProperty holds it to that bound.
+func StageSchedule(cfg PipelineConfig, stage int) ([]Op, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -39,7 +42,7 @@ func StageSchedule(cfg parallel.PipelineConfig, stage int) ([]Op, error) {
 	m := cfg.MicroBatches
 	ops := make([]Op, 0, 2*m)
 	switch cfg.Schedule {
-	case parallel.GPipe:
+	case GPipe:
 		// All forwards, then backwards in reverse order (the autograd
 		// graph unwinds LIFO).
 		for i := 0; i < m; i++ {
@@ -70,7 +73,7 @@ func StageSchedule(cfg parallel.PipelineConfig, stage int) ([]Op, error) {
 // Config describes one pipeline-parallel training simulation.
 type Config struct {
 	Model model.Config
-	Pipe  parallel.PipelineConfig
+	Pipe  PipelineConfig
 
 	// MicroBatch is the per-microbatch sample count.
 	MicroBatch int

@@ -10,16 +10,15 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/memalloc"
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 )
 
-func pipeCfg(stages, micro int, sched parallel.Schedule) parallel.PipelineConfig {
-	return parallel.PipelineConfig{Stages: stages, MicroBatches: micro, Schedule: sched}
+func pipeCfg(stages, micro int, sched Schedule) PipelineConfig {
+	return PipelineConfig{Stages: stages, MicroBatches: micro, Schedule: sched}
 }
 
 func TestGPipeScheduleShape(t *testing.T) {
-	ops, err := StageSchedule(pipeCfg(4, 3, parallel.GPipe), 1)
+	ops, err := StageSchedule(pipeCfg(4, 3, GPipe), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func TestGPipeScheduleShape(t *testing.T) {
 func TestOneFOneBScheduleShape(t *testing.T) {
 	// Stage 2 of 4, 6 microbatches: warmup 2 forwards, then B/F pairs,
 	// then drain.
-	ops, err := StageSchedule(pipeCfg(4, 6, parallel.OneFOneB), 2)
+	ops, err := StageSchedule(pipeCfg(4, 6, OneFOneB), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,25 +62,25 @@ func TestOneFOneBScheduleShape(t *testing.T) {
 }
 
 func TestScheduleValidation(t *testing.T) {
-	if _, err := StageSchedule(pipeCfg(0, 4, parallel.GPipe), 0); err == nil {
+	if _, err := StageSchedule(pipeCfg(0, 4, GPipe), 0); err == nil {
 		t.Fatal("accepted zero stages")
 	}
-	if _, err := StageSchedule(pipeCfg(2, 4, parallel.GPipe), 2); err == nil {
+	if _, err := StageSchedule(pipeCfg(2, 4, GPipe), 2); err == nil {
 		t.Fatal("accepted out-of-range stage")
 	}
 }
 
 // Property: every schedule runs each microbatch's F exactly once before its
 // B, ends with nothing in flight, and its in-flight peak matches the
-// PipelineConfig bound.
+// closed form peakMicrobatchesInFlight.
 func TestScheduleProperty(t *testing.T) {
 	prop := func(stagesRaw, microRaw, stageRaw uint8, oneF bool) bool {
 		stages := int(stagesRaw)%12 + 1
 		micro := int(microRaw)%24 + 1
 		stage := int(stageRaw) % stages
-		sched := parallel.GPipe
+		sched := GPipe
 		if oneF {
-			sched = parallel.OneFOneB
+			sched = OneFOneB
 		}
 		cfg := pipeCfg(stages, micro, sched)
 		ops, err := StageSchedule(cfg, stage)
@@ -109,7 +108,7 @@ func TestScheduleProperty(t *testing.T) {
 				delete(inFlight, op.Microbatch)
 			}
 		}
-		return len(inFlight) == 0 && peak == cfg.PeakMicrobatchesInFlight(stage)
+		return len(inFlight) == 0 && peak == peakMicrobatchesInFlight(cfg, stage)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -129,7 +128,7 @@ func newStageAlloc(capacity int64, gmlake bool) func(int) memalloc.Allocator {
 func TestRunCompletesWithoutLeak(t *testing.T) {
 	cfg := Config{
 		Model:      model.OPT1_3B,
-		Pipe:       pipeCfg(4, 8, parallel.OneFOneB),
+		Pipe:       pipeCfg(4, 8, OneFOneB),
 		MicroBatch: 4,
 		Steps:      3,
 	}
@@ -156,11 +155,11 @@ func TestRunCompletesWithoutLeak(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	bad := Config{Model: model.OPT1_3B, Pipe: pipeCfg(4, 8, parallel.GPipe)}
+	bad := Config{Model: model.OPT1_3B, Pipe: pipeCfg(4, 8, GPipe)}
 	if _, err := Run(bad, newStageAlloc(sim.GiB, false)); err == nil {
 		t.Fatal("accepted zero microbatch")
 	}
-	bad = Config{Model: model.OPT1_3B, Pipe: pipeCfg(4, 8, parallel.GPipe), MicroBatch: 2, SeqJitter: 1.5}
+	bad = Config{Model: model.OPT1_3B, Pipe: pipeCfg(4, 8, GPipe), MicroBatch: 2, SeqJitter: 1.5}
 	if _, err := Run(bad, newStageAlloc(sim.GiB, false)); err == nil {
 		t.Fatal("accepted jitter ≥ 1")
 	}
@@ -169,7 +168,7 @@ func TestRunValidation(t *testing.T) {
 func TestGPipeHoldsMoreThanOneFOneB(t *testing.T) {
 	base := Config{
 		Model:      model.OPT1_3B,
-		Pipe:       pipeCfg(4, 16, parallel.GPipe),
+		Pipe:       pipeCfg(4, 16, GPipe),
 		MicroBatch: 4,
 		Steps:      2,
 	}
@@ -177,7 +176,7 @@ func TestGPipeHoldsMoreThanOneFOneB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.Pipe.Schedule = parallel.OneFOneB
+	base.Pipe.Schedule = OneFOneB
 	ob, err := Run(base, newStageAlloc(60*sim.GiB, false))
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +190,7 @@ func TestGPipeHoldsMoreThanOneFOneB(t *testing.T) {
 func TestJitterFragmentsCachingNotGMLake(t *testing.T) {
 	cfg := Config{
 		Model:      model.OPT1_3B,
-		Pipe:       pipeCfg(2, 8, parallel.OneFOneB),
+		Pipe:       pipeCfg(2, 8, OneFOneB),
 		MicroBatch: 8,
 		SeqJitter:  0.2,
 		Steps:      8,
@@ -218,7 +217,7 @@ func TestJitterFragmentsCachingNotGMLake(t *testing.T) {
 func TestOOMReportedPerStage(t *testing.T) {
 	cfg := Config{
 		Model:      model.OPT13B,
-		Pipe:       pipeCfg(2, 8, parallel.GPipe),
+		Pipe:       pipeCfg(2, 8, GPipe),
 		MicroBatch: 8,
 		Steps:      1,
 	}

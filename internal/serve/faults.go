@@ -198,7 +198,8 @@ type RecoveryConfig struct {
 	Retries int
 	// Backoff is the exponential backoff multiplier, >= 1
 	// (0 = DefaultBackoff): retry k of a request re-enters dispatch
-	// DefaultRetryDelay·Backoff^(k−1) after the crash.
+	// DefaultRetryDelay·Backoff^(k−1) after the crash. The last retry's
+	// delay must be below 2^63 ns, the clock's range.
 	Backoff float64
 }
 
@@ -208,6 +209,15 @@ func (rc RecoveryConfig) validate() error {
 	}
 	if rc.Backoff != 0 && (rc.Backoff < 1 || math.IsNaN(rc.Backoff) || math.IsInf(rc.Backoff, 0)) {
 		return fmt.Errorf("serve: backoff %v must be >= 1", rc.Backoff)
+	}
+	backoff := rc.Backoff
+	if backoff == 0 {
+		backoff = DefaultBackoff
+	}
+	// The last retry's delay must be a Duration: past 2^63 ns the
+	// conversion in crash would wrap to a negative instant.
+	if last := float64(DefaultRetryDelay) * math.Pow(backoff, float64(rc.Retries-1)); rc.Retries > 0 && !(last < 1<<63) {
+		return fmt.Errorf("serve: backoff %v delays retry %d by %.3g ns, past the clock's range", backoff, rc.Retries, last)
 	}
 	return nil
 }
@@ -374,9 +384,15 @@ func (rc *recovery) crash(c *clusterSched, r *clusterReplica) {
 	for _, rec := range inflight {
 		r.dispatchedTokens -= int64(rec.req.TotalTokens())
 		if k, ok := rc.grant(c.cfg.Recovery, rec); ok {
-			delay := float64(DefaultRetryDelay) * math.Pow(c.cfg.Recovery.Backoff, float64(k-1))
+			// validate keeps the delay inside a Duration; the instant
+			// saturates at the clock's end rather than wrap.
+			delay := time.Duration(float64(DefaultRetryDelay) * math.Pow(c.cfg.Recovery.Backoff, float64(k-1)))
+			at := time.Duration(math.MaxInt64)
+			if c.now <= math.MaxInt64-delay {
+				at = c.now + delay
+			}
 			rec.seq = freshTicket
-			rc.park(rec, c.now+time.Duration(delay))
+			rc.park(rec, at)
 		} else {
 			rc.lost++
 			// The request dies with the replica that was serving it: it

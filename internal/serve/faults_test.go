@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,6 +124,16 @@ func TestRecoveryConfigValidate(t *testing.T) {
 		{"full", RecoveryConfig{Retries: 3, Backoff: 1.5}, true},
 		{"negative-retries", RecoveryConfig{Retries: -1}, false},
 		{"backoff-below-one", RecoveryConfig{Backoff: 0.5}, false},
+		// The last retry's delay, 50 ms·Backoff^(Retries−1), must stay
+		// below 2^63 ns; a zero Backoff reads as DefaultBackoff.
+		{"last-delay-past-clock", RecoveryConfig{Retries: 3, Backoff: 1e308}, false},
+		{"last-delay-just-past-clock", RecoveryConfig{Retries: 2, Backoff: 2e11}, false},
+		{"last-delay-just-inside-clock", RecoveryConfig{Retries: 2, Backoff: 1.8e11}, true},
+		{"default-backoff-past-clock", RecoveryConfig{Retries: 40}, false},
+		{"default-backoff-inside-clock", RecoveryConfig{Retries: 30}, true},
+		{"huge-backoff-one-retry", RecoveryConfig{Retries: 1, Backoff: 1e308}, true},
+		{"no-retries-huge-backoff", RecoveryConfig{Backoff: 1e308}, true},
+		{"max-retries-unit-backoff", RecoveryConfig{Retries: math.MaxInt, Backoff: 1}, true},
 	} {
 		err := tc.rc.validate()
 		if tc.ok && err != nil {

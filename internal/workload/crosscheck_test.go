@@ -7,16 +7,14 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/model"
-	"repro/internal/parallel"
-	"repro/internal/recompute"
 	"repro/internal/sim"
 )
 
-// The trainer sizes its persistent residents from first principles (per-layer
-// shards); internal/parallel sizes them analytically (whole-model ZeRO
-// breakdown). The two models were written independently — this test pins
-// them against each other so neither drifts.
-func TestTrainerPersistentMatchesZeROModel(t *testing.T) {
+// The trainer sizes its persistent residents layer by layer (per-layer
+// shards); ZeRO-3's closed form shards the whole model's fp16 parameters,
+// fp16 gradients and fp32 optimizer state across the world. This test pins
+// the one to the other so the trainer cannot drift from ZeRO-3.
+func TestTrainerPersistentMatchesZeRO3(t *testing.T) {
 	for _, world := range []int{1, 4, 16} {
 		spec := Spec{Model: model.OPT13B, Strategy: StrategyN, World: world, Batch: 1}
 		clock := sim.NewClock()
@@ -32,34 +30,31 @@ func TestTrainerPersistentMatchesZeROModel(t *testing.T) {
 		got := tr.PersistentBytes()
 		tr.Teardown()
 
-		state, err := parallel.ZeROState(model.OPT13B.Params(), world, parallel.Stage3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := state.Total()
+		params := model.OPT13B.Params()
+		want := 2*model.ShardBytes(params*model.DTypeBytes, world) +
+			model.ShardBytes(params*model.OptimBytesPerParam, world)
 		// Per-layer shard rounding and the embedding's separate shard put
 		// the two within a few percent, never a factor.
 		ratio := float64(got) / float64(want)
 		if ratio < 0.9 || ratio > 1.1 {
-			t.Fatalf("world %d: trainer persists %s, ZeRO-3 model says %s (ratio %.3f)",
+			t.Fatalf("world %d: trainer persists %s, ZeRO-3 says %s (ratio %.3f)",
 				world, sim.FormatBytes(got), sim.FormatBytes(want), ratio)
 		}
 	}
 }
 
-// The trainer's recomputation strategy and the recompute planner describe
-// the same mechanism; their activation ceilings must agree in direction:
-// checkpointed peak ≤ planner's √N peak bound ≤ store-all.
-func TestTrainerRecomputeConsistentWithPlanner(t *testing.T) {
+// The trainer's recomputation strategy checkpoints every layer: a layer's
+// input (C bytes) stays for the backward pass, and one layer's activations
+// (A bytes) are rebuilt at a time. Over L layers that cuts the activation
+// peak from L·A to L·C + A, so checkpointing must shrink the trainer's
+// transient peak, and by a factor in the range of L·A / (L·C + A).
+func TestTrainerCheckpointingCutsActivations(t *testing.T) {
 	cfg := model.OPT1_3B
 	batch := 16
-	m := recompute.ForModel(cfg, batch)
-	storeAll := m.Evaluate(recompute.NoRecompute()).PeakBytes
-	sqrtPlan, err := recompute.SqrtN(len(m.Layers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sqrtPeak := m.Evaluate(sqrtPlan).PeakBytes
+	act := cfg.ActivationBytesPerLayer(batch, cfg.SeqLen)
+	ck := cfg.CheckpointBytesPerLayer(batch, cfg.SeqLen)
+	layers := int64(cfg.Layers)
+	closedForm := float64(layers*act) / float64(layers*ck+act)
 
 	run := func(strategy Strategy) int64 {
 		clock := sim.NewClock()
@@ -83,16 +78,16 @@ func TestTrainerRecomputeConsistentWithPlanner(t *testing.T) {
 		return peak
 	}
 	plain := run(StrategyN)
-	ck := run(StrategyR)
-	if ck >= plain {
+	checkpointed := run(StrategyR)
+	if checkpointed >= plain {
 		t.Fatalf("recomputation did not reduce transient peak: %s vs %s",
-			sim.FormatBytes(ck), sim.FormatBytes(plain))
+			sim.FormatBytes(checkpointed), sim.FormatBytes(plain))
 	}
-	// Direction-consistency with the planner: the trainer's reduction factor
-	// should be at least half of the planner's √N factor.
-	plannerFactor := float64(storeAll) / float64(sqrtPeak)
-	trainerFactor := float64(plain) / float64(ck)
-	if trainerFactor < plannerFactor/4 {
-		t.Fatalf("trainer reduction %.1fx far below planner's %.1fx", trainerFactor, plannerFactor)
+	// The transient peak also holds gathered parameters, gradients and
+	// logits, which checkpointing does not shrink, so the trainer's factor
+	// falls short of the closed form, but by less than 4x.
+	trainerFactor := float64(plain) / float64(checkpointed)
+	if trainerFactor < closedForm/4 {
+		t.Fatalf("trainer reduction %.2fx far below the closed form's %.2fx", trainerFactor, closedForm)
 	}
 }
