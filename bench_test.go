@@ -66,7 +66,7 @@ func BenchmarkGMLakeExactMatch(b *testing.B) {
 // views per pBlock on train-lro). Each pair flips the pBlock's state twice
 // and a flip writes the pBlock alone — the views learn of it when they are
 // next looked up — so ns/op must read the same at every count and allocs/op
-// stays at the one returned Buffer.
+// at 0: the returned Buffer comes from the allocator's handle slab.
 func BenchmarkGMLakeExactMatchOwners(b *testing.B) {
 	const shared = 600 * sim.MiB
 	for _, owners := range []int{1, 16, 64, 256} {
@@ -108,7 +108,7 @@ func BenchmarkGMLakeExactMatchOwners(b *testing.B) {
 // every other one by VA held active, the lowest-addressed among them. The
 // lookup reads the first set bit of the size's class past one clear bit, and
 // a state flip writes one bit, so ns/op must read about the same at every k
-// (within 1.5× from 64 to 8192) and allocs/op stays at the returned Buffer.
+// (within 1.5× from 64 to 8192) and allocs/op at 0 (the handle slab).
 func BenchmarkGMLakeSizeClass(b *testing.B) {
 	const size = 4 * sim.MiB
 	for _, k := range []int{64, 1024, 8192} {

@@ -83,9 +83,10 @@ const OversizeSlack = 20 * sim.MiB
 
 // Allocator is the caching allocator.
 type Allocator struct {
-	driver *cuda.Driver
-	cfg    Config
-	acct   memalloc.Accounting
+	driver  *cuda.Driver
+	cfg     Config
+	acct    memalloc.Accounting
+	handles memalloc.Handles
 
 	small, large pool
 
@@ -292,9 +293,7 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 	blk.allocated = true
 	a.acct.OnAlloc(blk.size)
 
-	buf := &memalloc.Buffer{Ptr: blk.ptr, BlockSize: blk.size}
-	buf.SetImpl(blk)
-	return buf, nil
+	return a.handles.New(blk.ptr, blk.size, blk), nil
 }
 
 // findBestFit removes and returns the smallest inactive block that fits, or

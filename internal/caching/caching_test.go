@@ -315,9 +315,10 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 	}
 }
 
-// TestSplitFreeAllocationBudget holds a warm split+free cycle to the one
-// allocation a handed-out buffer costs: the split remainder is a record the
-// previous Free merged away.
+// TestSplitFreeAllocationBudget holds a warm split+free cycle to no
+// allocation: the split remainder is a record the previous Free merged away,
+// and the handle comes from the allocator's slab (one slab per 255 handles
+// averages to 0 over AllocsPerRun's truncated mean).
 func TestSplitFreeAllocationBudget(t *testing.T) {
 	a, _ := newTestAllocator(sim.GiB)
 	cycle := func() {
@@ -328,8 +329,8 @@ func TestSplitFreeAllocationBudget(t *testing.T) {
 		a.Free(buf)
 	}
 	cycle()
-	if n := testing.AllocsPerRun(100, cycle); n != 1 {
-		t.Fatalf("a warm split+free cycle allocates %v times, want 1 (the buffer)", n)
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a warm split+free cycle allocates %v times, want 0", n)
 	}
 }
 

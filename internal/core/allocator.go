@@ -52,9 +52,10 @@ func DefaultConfig() Config {
 // Allocator is the GMLake allocator (paper Figure 7, right side). It
 // implements memalloc.Allocator.
 type Allocator struct {
-	driver *cuda.Driver
-	cfg    Config
-	acct   memalloc.Accounting
+	driver  *cuda.Driver
+	cfg     Config
+	acct    memalloc.Accounting
+	handles memalloc.Handles
 
 	pblocks *pPool
 	sblocks *sPool
@@ -171,9 +172,7 @@ func (a *Allocator) assignPBlock(p *PBlock) *memalloc.Buffer {
 	p.activeRefs++
 	p.class.clear(p.slot)
 	a.acct.OnAlloc(p.size)
-	buf := &memalloc.Buffer{Ptr: p.va, BlockSize: p.size}
-	buf.SetImpl(p)
-	return buf
+	return a.handles.New(p.va, p.size, p)
 }
 
 // assignSBlock hands s, whose bit is set because no member is active, to a
@@ -193,9 +192,7 @@ func (a *Allocator) assignSBlock(s *SBlock) *memalloc.Buffer {
 		p.class.clear(p.slot)
 	}
 	a.acct.OnAlloc(s.size)
-	buf := &memalloc.Buffer{Ptr: s.va, BlockSize: s.size}
-	buf.SetImpl(s)
-	return buf
+	return a.handles.New(s.va, s.size, s)
 }
 
 // deactivatePBlock decrements p's active references. On the 1→0 edge p's

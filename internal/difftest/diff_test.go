@@ -28,14 +28,41 @@ func allAllocators(capacity int64) map[string]memalloc.Allocator {
 		if name == "native" {
 			continue
 		}
-		drv := cuda.NewDriver(gpu.NewDevice("diff", capacity), sim.NewClock(), sim.DefaultCostModel())
-		alloc, err := conf.Config{Backend: name}.Build(drv)
-		if err != nil {
-			panic(err)
-		}
-		all[name] = alloc
+		all[name] = buildBackend(name, capacity)
 	}
 	return all
+}
+
+// buildBackend builds conf's backend name on a device of its own.
+func buildBackend(name string, capacity int64) memalloc.Allocator {
+	drv := cuda.NewDriver(gpu.NewDevice("diff", capacity), sim.NewClock(), sim.DefaultCostModel())
+	alloc, err := conf.Config{Backend: name}.Build(drv)
+	if err != nil {
+		panic(err)
+	}
+	return alloc
+}
+
+// issuedOnce passes calls through to an allocator and fails the test when
+// Alloc returns a handle it returned before: CONTRACTS.md A-1 holds because
+// no handle is ever issued twice. seen keeps every handle reachable, so a
+// reissue cannot hide behind a recycled address.
+type issuedOnce struct {
+	memalloc.Allocator
+	t    *testing.T
+	name string
+	seen map[*memalloc.Buffer]bool
+}
+
+func (o *issuedOnce) Alloc(size int64) (*memalloc.Buffer, error) {
+	b, err := o.Allocator.Alloc(size)
+	if b != nil {
+		if o.seen[b] {
+			o.t.Fatalf("%s returned handle %p a second time", o.name, b)
+		}
+		o.seen[b] = true
+	}
+	return b, err
 }
 
 // genStream builds a random but well-formed alloc/free stream with the
@@ -101,8 +128,11 @@ func TestDifferentialRandomStreams(t *testing.T) {
 			want := stream.Stats()
 
 			results := map[string]memalloc.Stats{}
-			for name, alloc := range allAllocators(capacity) {
-				if err := optrace.Replay(stream, alloc); err != nil {
+			allocs := allAllocators(capacity)
+			allocs["native"] = buildBackend("native", capacity)
+			for name, alloc := range allocs {
+				issued := &issuedOnce{Allocator: alloc, t: t, name: name, seen: map[*memalloc.Buffer]bool{}}
+				if err := optrace.Replay(stream, issued); err != nil {
 					t.Fatalf("%s: replay failed on an amply sized device: %v", name, err)
 				}
 				st := alloc.Stats()

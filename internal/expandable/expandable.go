@@ -69,6 +69,7 @@ const SyncStall = 5 * time.Millisecond
 type Allocator struct {
 	driver   *cuda.Driver
 	acct     memalloc.Accounting
+	handles  memalloc.Handles
 	compacts bool
 
 	va       cuda.DevicePtr // segment base (reserved once, lazily)
@@ -184,8 +185,7 @@ func (a *Allocator) Alloc(size int64) (*memalloc.Buffer, error) {
 	}
 	blk = a.maybeSplit(blk, rounded)
 	a.acct.OnAlloc(blk.size)
-	blk.buf = &memalloc.Buffer{Ptr: a.va + cuda.DevicePtr(blk.off), BlockSize: blk.size}
-	blk.buf.SetImpl(blk)
+	blk.buf = a.handles.New(a.va+cuda.DevicePtr(blk.off), blk.size, blk)
 	return blk.buf, nil
 }
 

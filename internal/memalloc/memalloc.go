@@ -35,8 +35,9 @@ func (e *TooLargeError) Unwrap() error { return cuda.ErrOutOfMemory }
 // Buffer is one live tensor allocation. BlockSize is the (possibly rounded
 // or split) block actually assigned, which is what "active memory" accounts
 // in the paper's utilization metric; the tensor's own byte size is its
-// caller's to keep. The handle is 32 bytes, Go's 32-byte size class, and
-// every allocator call returns a fresh one.
+// caller's to keep. The handle is 32 bytes. Every allocator call returns a
+// fresh one from the allocator's Handles slab, and no handle is ever
+// reissued: a freed one stays detached from every block record.
 type Buffer struct {
 	Ptr       cuda.DevicePtr
 	BlockSize int64
@@ -51,6 +52,29 @@ func (b *Buffer) Impl() any { return b.impl }
 
 // SetImpl attaches allocator-private state; for allocator implementations.
 func (b *Buffer) SetImpl(v any) { b.impl = v }
+
+// handleSlab caps a Handles slab at 255 handles. Slabs hold 2^k − 1 of
+// them — 15, 31, 63, 127, 255 — because a pointer-bearing Go object above
+// 512 B carries an 8-byte malloc header, so 32·n + 8 fills the 480 B, 1, 2,
+// 4 and 8 KiB size classes exactly.
+const handleSlab = 255
+
+// Handles issues an allocator's buffers from slabs it owns, so the common
+// Alloc makes no heap object of its own. Each handle is issued once; a live
+// one keeps its slab reachable, a freed one (impl detached) no block record.
+type Handles struct {
+	slab []Buffer
+}
+
+// New returns a fresh handle for the block at ptr, starting a new slab when
+// the current one is used up.
+func (h *Handles) New(ptr cuda.DevicePtr, blockSize int64, impl any) *Buffer {
+	if len(h.slab) == cap(h.slab) {
+		h.slab = make([]Buffer, 0, min(max(2*cap(h.slab)+1, 15), handleSlab))
+	}
+	h.slab = append(h.slab, Buffer{Ptr: ptr, BlockSize: blockSize, impl: impl})
+	return &h.slab[len(h.slab)-1]
+}
 
 // Allocator is the tensor-facing memory allocator interface.
 type Allocator interface {

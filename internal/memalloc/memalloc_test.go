@@ -2,6 +2,7 @@ package memalloc
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -40,12 +41,34 @@ func TestNativeAllocFree(t *testing.T) {
 	}
 }
 
-// TestBufferHandleSize pins the handle every Alloc returns to Go's 32-byte
-// size class: one more field would put it in the 48-byte class and cost
+// TestBufferHandleSize pins the handle every Alloc returns to 32 bytes:
+// that is what packs a full slab of 255 handles plus Go's 8-byte malloc
+// header into the 8 KiB size class (handleSlab). One more field would cost
 // every allocation in every workload half as much heap again.
 func TestBufferHandleSize(t *testing.T) {
 	if got := unsafe.Sizeof(Buffer{}); got != 32 {
 		t.Fatalf("Buffer is %d bytes, want 32", got)
+	}
+}
+
+// TestHandlesSlabs: Handles issues each handle once, with the fields it was
+// given, from slabs of 15, 31, 63, 127 and then 255 handles.
+func TestHandlesSlabs(t *testing.T) {
+	var h Handles
+	seen := map[*Buffer]bool{}
+	var caps []int
+	for i := range 1000 {
+		b := h.New(cuda.DevicePtr(i), int64(i), i)
+		if seen[b] || b.Ptr != cuda.DevicePtr(i) || b.BlockSize != int64(i) || b.Impl() != i {
+			t.Fatalf("handle %d: reissued %v, fields %+v", i, seen[b], *b)
+		}
+		seen[b] = true
+		if len(h.slab) == 1 {
+			caps = append(caps, cap(h.slab))
+		}
+	}
+	if want := []int{15, 31, 63, 127, 255, 255, 255}; !slices.Equal(caps, want) {
+		t.Fatalf("slab sizes %v, want %v", caps, want)
 	}
 }
 

@@ -7,8 +7,9 @@ import "repro/internal/cuda"
 // — about 10x slower end to end than the caching allocator — and as the
 // simplest possible reference implementation for differential tests.
 type Native struct {
-	driver *cuda.Driver
-	acct   Accounting
+	driver  *cuda.Driver
+	acct    Accounting
+	handles Handles
 }
 
 // NewNative returns a native allocator over driver.
@@ -27,7 +28,7 @@ func (n *Native) Alloc(size int64) (*Buffer, error) {
 	}
 	n.acct.OnReserve(size)
 	n.acct.OnAlloc(size)
-	return &Buffer{Ptr: ptr, BlockSize: size}, nil
+	return n.handles.New(ptr, size, nil), nil
 }
 
 // Free implements Allocator.

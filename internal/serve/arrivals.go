@@ -24,8 +24,12 @@ const MaxRequestTokens = 1 << 24
 // or nil when reqs is already non-decreasing in ArrivalAt (every generated
 // stream is; no allocation).
 func arrivalOrder(reqs []Request, aging time.Duration) ([]int, error) {
+	sorted := true
 	for i := range reqs {
 		r := &reqs[i]
+		if i > 0 && r.ArrivalAt < reqs[i-1].ArrivalAt {
+			sorted = false
+		}
 		if err := checkPrompt(r); err != nil {
 			return nil, err
 		}
@@ -41,7 +45,7 @@ func arrivalOrder(reqs []Request, aging time.Duration) ([]int, error) {
 				r.ID, r.Priority, aging)
 		}
 	}
-	if slices.IsSortedFunc(reqs, func(a, b Request) int { return cmp.Compare(a.ArrivalAt, b.ArrivalAt) }) {
+	if sorted {
 		return nil, nil
 	}
 	order := make([]int, len(reqs))

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/sim"
 )
 
@@ -86,12 +87,27 @@ func TestReadmissionAllocatesNothing(t *testing.T) {
 // arrival's record, issued by the scheduler's queue, is the one the previous
 // request returned when it completed.
 func TestServedRequestAllocatesNothing(t *testing.T) {
+	servedAllocations(t, stubKV{})
+}
+
+// TestChunkedServeAllocatesNothing is the same loop over a real chunked KV
+// manager on a warm caching allocator: the allocator handles come from the
+// allocator's slab, so a served request allocates nothing on the host.
+func TestChunkedServeAllocatesNothing(t *testing.T) {
+	servedAllocations(t, NewChunkedKV(newServeAlloc(sim.GiB), model.OPT1_3B, 64))
+}
+
+// servedAllocations serves one request per step through a warm one-replica
+// server over mgr and fails unless arrival, admission and completion
+// allocate nothing.
+func servedAllocations(t *testing.T, mgr CacheManager) {
+	t.Helper()
 	reqs := make([]Request, 110)
 	for i := range reqs {
 		// One arrival per step: each step is due exactly the next request.
 		reqs[i] = Request{ID: i, Class: "chat", PromptLen: 32, OutputLen: 1, ArrivalAt: time.Duration(i) * stepTime}
 	}
-	s, arrive := replicaOf(t, reqs, stubKV{}, ServerConfig{MaxBatch: 2})
+	s, arrive := replicaOf(t, reqs, mgr, ServerConfig{MaxBatch: 2})
 	s.tally = newTally(0) // sketch-only: a retained sample would grow a run
 	serveOne := func() {
 		arrive()
