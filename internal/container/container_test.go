@@ -373,11 +373,18 @@ func TestTreeQuickSorted(t *testing.T) {
 	}
 }
 
+// push links a fresh node holding v at the back of q.
+func push[T any](q *Queue[T], v T) *QueueNode[T] {
+	n := &QueueNode[T]{Value: v}
+	q.PushNode(n)
+	return n
+}
+
 func TestQueueBasic(t *testing.T) {
 	var q Queue[string]
-	a := q.PushBack("a")
-	b := q.PushBack("b")
-	c := q.PushBack("c")
+	a := push(&q, "a")
+	b := push(&q, "b")
+	c := push(&q, "c")
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
@@ -403,7 +410,7 @@ func TestQueueBasic(t *testing.T) {
 
 func TestQueueRemoveStalePanics(t *testing.T) {
 	var q Queue[int]
-	n := q.PushBack(1)
+	n := push(&q, 1)
 	q.Remove(n)
 	defer func() {
 		if recover() == nil {
@@ -413,9 +420,30 @@ func TestQueueRemoveStalePanics(t *testing.T) {
 	q.Remove(n)
 }
 
+// TestQueueNodeReuse pins that a node Remove unlinked can be pushed again,
+// and that pushing a node still in a queue panics.
+func TestQueueNodeReuse(t *testing.T) {
+	var q Queue[int]
+	a, b := push(&q, 1), push(&q, 2)
+	q.Remove(a)
+	a.Value = 3
+	q.PushNode(a)
+	var got []int
+	q.Each(func(v int) bool { got = append(got, v); return true })
+	if len(got) != 2 || got[0] != 2 || got[1] != 3 || q.Front() != b {
+		t.Fatalf("after reusing a node the queue reads %v, want [2 3]", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PushNode of a linked node did not panic")
+		}
+	}()
+	q.PushNode(b)
+}
+
 func TestQueueMoveToBackSingle(t *testing.T) {
 	var q Queue[int]
-	n := q.PushBack(1)
+	n := push(&q, 1)
 	q.MoveToBack(n) // no-op, must not corrupt
 	if q.Front() != n || q.Len() != 1 {
 		t.Fatal("MoveToBack on singleton corrupted the queue")
@@ -426,7 +454,7 @@ func TestQueueLRUPattern(t *testing.T) {
 	var q Queue[int]
 	nodes := make([]*QueueNode[int], 10)
 	for i := range nodes {
-		nodes[i] = q.PushBack(i)
+		nodes[i] = push(&q, i)
 	}
 	// Touch evens; odds should be evicted first.
 	for i := 0; i < 10; i += 2 {
@@ -443,7 +471,8 @@ func TestQueueLRUPattern(t *testing.T) {
 }
 
 // TestSparesReuse pins the free list's contract: Get hands back the most
-// recently kept record as it was, and asks the heap only when none is kept.
+// recently kept record as it was, and takes a slab entry only when none is
+// kept.
 func TestSparesReuse(t *testing.T) {
 	var s Spares[[2]int]
 	a, b := s.Get(), s.Get()
@@ -461,5 +490,18 @@ func TestSparesReuse(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { s.Put(s.Get()) }); n != 0 {
 		t.Fatalf("a warm Get/Put pair allocates %v times, want 0", n)
+	}
+	// With none kept, Gets take zero records from slabs of 1, 3, …, 127
+	// and then 255: 1 000 of them allocate ten slabs.
+	fresh := func() {
+		var f Spares[[2]int]
+		for range 1000 {
+			if r := f.Get(); *r != [2]int{} {
+				t.Fatalf("a slab record holds %v, want zero", *r)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(1, fresh); n != 10 {
+		t.Fatalf("1 000 Gets from a fresh list allocate %v times, want 10", n)
 	}
 }

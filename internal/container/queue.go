@@ -2,7 +2,8 @@ package container
 
 // Queue is a generic doubly-linked queue used for LRU bookkeeping (GMLake's
 // StitchFree evicts least-recently-used sBlocks). Elements are addressed by
-// *QueueNode handles so that touching an element (move-to-back) is O(1).
+// *QueueNode handles, which the caller allocates and links in, so that
+// touching an element (move-to-back) is O(1).
 //
 // The zero value is an empty queue ready to use.
 type Queue[T any] struct {
@@ -20,9 +21,14 @@ type QueueNode[T any] struct {
 // Len reports the number of elements in the queue.
 func (q *Queue[T]) Len() int { return q.size }
 
-// PushBack appends v and returns its handle (most-recently-used position).
-func (q *Queue[T]) PushBack(v T) *QueueNode[T] {
-	n := &QueueNode[T]{Value: v, queue: q}
+// PushNode appends n, a node in no queue whose Value the caller has set,
+// at the most-recently-used position. The caller owns the node, so it can
+// reuse one that Remove has unlinked.
+func (q *Queue[T]) PushNode(n *QueueNode[T]) {
+	if n.queue != nil {
+		panic("container: PushNode of node already in a queue")
+	}
+	n.queue = q
 	if q.tail == nil {
 		q.head, q.tail = n, n
 	} else {
@@ -31,7 +37,6 @@ func (q *Queue[T]) PushBack(v T) *QueueNode[T] {
 		q.tail = n
 	}
 	q.size++
-	return n
 }
 
 // Front returns the oldest element's handle (least-recently-used), or nil.

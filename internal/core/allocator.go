@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/caching"
+	"repro/internal/container"
 	"repro/internal/cuda"
 	"repro/internal/memalloc"
 	"repro/internal/sim"
@@ -60,6 +61,11 @@ type Allocator struct {
 	pblocks *pPool
 	sblocks *sPool
 
+	// pspare and sspare keep the records of retired blocks: every split,
+	// stitch and new pBlock takes its record from them.
+	pspare container.Spares[PBlock]
+	sspare container.Spares[SBlock]
+
 	// small serves sub-2 MiB requests with the original splitting method.
 	small *caching.Allocator
 
@@ -72,8 +78,11 @@ type Allocator struct {
 	gcRuns      int64
 
 	// cands is the scratch slice bestFit returns its candidates in; an
-	// sBlock stitched from them stores its own copy.
-	cands []*PBlock
+	// sBlock stitched from them stores its own copy. victims and owners are
+	// gcInactive's and dropOwners' scratch.
+	cands   []*PBlock
+	victims []*PBlock
+	owners  []*SBlock
 }
 
 // New returns a GMLake allocator over driver with cfg.
@@ -231,7 +240,7 @@ func (a *Allocator) allocSplit(cand *PBlock, rounded int64) *memalloc.Buffer {
 		// Preserve the original size for future exact matches (Figure 9's
 		// S2 side effect); with rebinding, surviving owner sBlocks already
 		// do that.
-		a.sblocks.add(stitchSBlock(a.driver, []*PBlock{front, back}))
+		a.sblocks.add(a.stitchSBlock([]*PBlock{front, back}))
 	}
 	return a.assignPBlock(front)
 }
@@ -241,7 +250,8 @@ func (a *Allocator) allocSplit(cand *PBlock, rounded int64) *memalloc.Buffer {
 func (a *Allocator) split(p *PBlock, size int64) (front, back *PBlock) {
 	var rebind []*SBlock
 	if a.cfg.RebindOnSplit {
-		rebind, p.owners = p.owners, nil
+		// p's record keeps the list's array, cleared when it is retired.
+		rebind, p.owners = p.owners, p.owners[:0]
 		for _, s := range rebind {
 			if s.assigned {
 				panic("core: owner sBlock assigned while member inactive")
@@ -252,14 +262,18 @@ func (a *Allocator) split(p *PBlock, size int64) (front, back *PBlock) {
 		a.dropOwners(p)
 	}
 	a.pblocks.remove(p)
-	front, back = splitPBlock(a.driver, p, size)
+	front, back = a.splitPBlock(p, size)
 	a.pblocks.add(front)
 	a.pblocks.add(back)
+	front.owners = slices.Grow(front.owners, len(rebind))
+	back.owners = slices.Grow(back.owners, len(rebind))
 	for _, s := range rebind {
 		replaceMember(s, p, front, back)
 		front.owners = append(front.owners, s)
 		back.owners = append(back.owners, s)
 	}
+	// replaceMember finds p by address: only now may its record be reused.
+	a.retirePBlock(p)
 	return front, back
 }
 
@@ -274,7 +288,7 @@ func (a *Allocator) allocStitch(cands []*PBlock, rounded int64) *memalloc.Buffer
 		// Trimming collapsed the request onto a single exact block.
 		return a.assignPBlock(members[0])
 	}
-	s := stitchSBlock(a.driver, members)
+	s := a.stitchSBlock(members)
 	a.sblocks.add(s)
 	return a.assignSBlock(s)
 }
@@ -307,7 +321,7 @@ func (a *Allocator) trimCandidates(cands []*PBlock, rounded int64) ([]*PBlock, i
 	hadOwners := len(last.owners) > 0
 	front, back := a.split(last, need)
 	if !hadOwners && !a.cfg.RebindOnSplit {
-		a.sblocks.add(stitchSBlock(a.driver, []*PBlock{front, back}))
+		a.sblocks.add(a.stitchSBlock([]*PBlock{front, back}))
 	}
 	cands[len(cands)-1] = front
 	return cands, rounded
@@ -333,10 +347,10 @@ func (a *Allocator) findExactCompletion(cands []*PBlock, need int64) *PBlock {
 // deficit still cannot be created, S5 reports out-of-memory.
 func (a *Allocator) allocNew(cands []*PBlock, total, rounded int64) (*memalloc.Buffer, error) {
 	deficit := rounded - total
-	fresh, err := newPBlock(a.driver, deficit)
+	fresh, err := a.newPBlock(deficit)
 	if err != nil {
 		a.gcInactive(cands)
-		fresh, err = newPBlock(a.driver, deficit)
+		fresh, err = a.newPBlock(deficit)
 		if err != nil {
 			return nil, &s5Error{rounded: rounded, deficit: deficit, err: err}
 		}
@@ -346,7 +360,7 @@ func (a *Allocator) allocNew(cands []*PBlock, total, rounded int64) (*memalloc.B
 	if len(cands) == 0 {
 		return a.assignPBlock(fresh), nil
 	}
-	s := stitchSBlock(a.driver, append(cands, fresh))
+	s := a.stitchSBlock(append(cands, fresh))
 	a.sblocks.add(s)
 	return a.assignSBlock(s), nil
 }
@@ -432,12 +446,6 @@ func (a *Allocator) oldestUnassigned() *SBlock {
 
 func byVA(a, b *SBlock) int { return cmp.Compare(a.va, b.va) }
 
-// dropSBlock unstitches s and removes it from the pool.
-func (a *Allocator) dropSBlock(s *SBlock) {
-	a.sblocks.remove(s)
-	unstitchSBlock(a.driver, s)
-}
-
 // dropOwners unstitches every sBlock referencing p. Only legal when p is
 // inactive, which guarantees no tensor lives in any of those sBlocks.
 func (a *Allocator) dropOwners(p *PBlock) {
@@ -446,14 +454,15 @@ func (a *Allocator) dropOwners(p *PBlock) {
 	}
 	// Unstitching edits p.owners and issues driver calls (unmap, VA free):
 	// walk a copy, in VA order whatever order the views were stitched in.
-	owners := slices.Clone(p.owners)
-	slices.SortFunc(owners, byVA)
-	for _, s := range owners {
+	a.owners = append(a.owners[:0], p.owners...)
+	slices.SortFunc(a.owners, byVA)
+	for _, s := range a.owners {
 		if s.assigned {
 			panic("core: owner sBlock assigned while member inactive")
 		}
 		a.dropSBlock(s)
 	}
+	clear(a.owners)
 }
 
 // gcInactive releases the physical memory of every inactive pBlock except
@@ -461,7 +470,7 @@ func (a *Allocator) dropOwners(p *PBlock) {
 // to the caching allocator's cache flush.
 func (a *Allocator) gcInactive(keep []*PBlock) {
 	a.gcRuns++
-	var victims []*PBlock
+	victims := a.victims[:0]
 	for _, c := range a.pblocks.classes {
 		for _, p := range c.slots {
 			if !p.Active() && !slices.Contains(keep, p) {
@@ -477,8 +486,10 @@ func (a *Allocator) gcInactive(keep []*PBlock) {
 		a.dropOwners(p)
 		a.pblocks.remove(p)
 		a.acct.OnRelease(p.size)
-		destroyPBlock(a.driver, p)
+		a.destroyPBlock(p)
 	}
+	clear(victims)
+	a.victims = victims
 	a.small.EmptyCache()
 }
 

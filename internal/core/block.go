@@ -64,14 +64,25 @@
 // "words" the bitmap words it scans, and "watchers" the sBlocks waiting on
 // the m pBlocks:
 //
-//	S1 exact match   O(stale·m + m + words), one allocation (the Buffer); a
-//	                 pBlock match adds O(log C) to find its class
+//	S1 exact match   O(stale·m + m + words), no allocation (the Buffer is
+//	                 the next entry of a handle slab); a pBlock match adds
+//	                 O(log C) to find its class
 //	S2 split         S1 + O(owners) rebinding + O(k) slot shifts for the
 //	                 split block and its halves + the driver's remap
 //	S3 stitch        O(taken · log C) candidate walk + S1 + O(k) to file the
 //	                 new sBlock + the driver's maps, one call per member
 //	S4 new memory    S3 + chunk creation; on OOM a GC pass over every pBlock
 //	Free             O(m + watchers); no allocation
+//
+// S2–S4 and teardown reuse records: every pBlock, sBlock, size class and
+// LRU node comes from a free list its owner keeps (container.Spares), which
+// split, dropSBlock and gcInactive refill with the records' list capacity
+// kept, and the driver reuses reservation records and page tables the same
+// way. What still allocates is a list that outgrows the capacity its record
+// brought: a stitch's member list (sized with room for one split) and page
+// table, and its members' owner lists. A split's halves share their pBlock's
+// chunk list. A warm stitch → free → EmptyCache cycle allocates nothing
+// (TestStitchCycleAllocationBudget).
 //
 // Neither S1 nor Free depends on how many views are stitched over the
 // pBlocks that flip, and a flip costs O(1) whatever the pool holds. A stale
@@ -202,35 +213,55 @@ func (s *SBlock) slotRef() *int32 { return &s.slot }
 // one AddrReserve, then Create+Map per 2 MiB chunk, then SetAccess — the
 // paper's Figure 8 "Alloc" primitive. This is the only operation in GMLake
 // that allocates new physical memory.
-func newPBlock(drv *cuda.Driver, size int64) (*PBlock, error) {
+func (a *Allocator) newPBlock(size int64) (*PBlock, error) {
 	if size <= 0 || size%ChunkSize != 0 {
 		return nil, fmt.Errorf("core: pBlock size %d not a positive multiple of %d", size, ChunkSize)
 	}
+	drv := a.driver
 	va, err := drv.MemAddressReserve(size)
 	if err != nil {
 		return nil, err
 	}
+	p := a.pBlock(va, size)
 	n := size / ChunkSize
-	chunks := make([]cuda.MemHandle, 0, n)
+	p.chunks = slices.Grow(p.chunks, int(n))
 	for i := int64(0); i < n; i++ {
 		h, err := drv.MemCreate(ChunkSize)
 		if err != nil {
 			// Roll back everything created so far.
-			unmapAndReleaseChunks(drv, va, chunks)
+			unmapAndReleaseChunks(drv, va, p.chunks)
 			if e := drv.MemAddressFree(va, size); e != nil {
 				panic("core: rollback MemAddressFree: " + e.Error())
 			}
+			a.retirePBlock(p)
 			return nil, err
 		}
 		if err := drv.MemMap(va+cuda.DevicePtr(i*ChunkSize), h); err != nil {
 			panic("core: MemMap into fresh reservation: " + err.Error())
 		}
-		chunks = append(chunks, h)
+		p.chunks = append(p.chunks, h)
 	}
 	if err := drv.MemSetAccess(va, size); err != nil {
 		panic("core: MemSetAccess on fresh pBlock: " + err.Error())
 	}
-	return &PBlock{va: va, size: size, chunks: chunks}, nil
+	return p, nil
+}
+
+// pBlock returns a record for the pBlock at va of size bytes: a retired one
+// from the allocator's spares, with the capacity of its chunk and owner
+// lists, or a zero one from a slab.
+func (a *Allocator) pBlock(va cuda.DevicePtr, size int64) *PBlock {
+	p := a.pspare.Get()
+	p.va, p.size = va, size
+	return p
+}
+
+// retirePBlock puts back the record of a pBlock that left the pool. Its
+// lists keep their capacity, and it keeps no pointer.
+func (a *Allocator) retirePBlock(p *PBlock) {
+	clear(p.owners[:cap(p.owners)])
+	*p = PBlock{chunks: p.chunks[:0], owners: p.owners[:0]}
+	a.pspare.Put(p)
 }
 
 // mapChunksAt maps chunks consecutively starting at va, in one MemMap
@@ -266,11 +297,12 @@ func unmapAndReleaseChunks(drv *cuda.Driver, va cuda.DevicePtr, chunks []cuda.Me
 // addresses and remapped physical chunks; the previous pBlock structure is
 // subsequently removed"). The physical chunks are reused — no cuMemCreate —
 // so splitting costs only remapping, which is the VMM advantage over copying
-// defragmenters.
+// defragmenters. The halves share p's chunk list, each capped at its own
+// part, so p's record is retired without it.
 //
 // The caller must have destroyed or rebound every sBlock referencing p and
 // must remove p from the pools.
-func splitPBlock(drv *cuda.Driver, p *PBlock, size int64) (front, back *PBlock) {
+func (a *Allocator) splitPBlock(p *PBlock, size int64) (front, back *PBlock) {
 	if size <= 0 || size%ChunkSize != 0 || size >= p.size {
 		panic(fmt.Sprintf("core: splitPBlock(%d) of pBlock size %d", size, p.size))
 	}
@@ -278,29 +310,28 @@ func splitPBlock(drv *cuda.Driver, p *PBlock, size int64) (front, back *PBlock) 
 		panic("core: splitPBlock with live sBlock owners")
 	}
 	// Tear down the old view.
-	if err := drv.MemUnmap(p.va, p.size); err != nil {
+	if err := a.driver.MemUnmap(p.va, p.size); err != nil {
 		panic("core: splitPBlock unmap: " + err.Error())
 	}
-	if err := drv.MemAddressFree(p.va, p.size); err != nil {
+	if err := a.driver.MemAddressFree(p.va, p.size); err != nil {
 		panic("core: splitPBlock address free: " + err.Error())
 	}
 	k := size / ChunkSize
-	frontChunks := p.chunks[:k]
-	backChunks := p.chunks[k:]
-
-	front = remapAsPBlock(drv, size, frontChunks)
-	back = remapAsPBlock(drv, p.size-size, backChunks)
+	front = a.remapAsPBlock(size, p.chunks[:k:k])
+	back = a.remapAsPBlock(p.size-size, p.chunks[k:])
 	p.chunks = nil
 	return front, back
 }
 
-func remapAsPBlock(drv *cuda.Driver, size int64, chunks []cuda.MemHandle) *PBlock {
-	va, err := drv.MemAddressReserve(size)
+func (a *Allocator) remapAsPBlock(size int64, chunks []cuda.MemHandle) *PBlock {
+	va, err := a.driver.MemAddressReserve(size)
 	if err != nil {
 		panic("core: remapAsPBlock reserve: " + err.Error())
 	}
-	mapChunksAt(drv, va, chunks)
-	return &PBlock{va: va, size: size, chunks: chunks}
+	mapChunksAt(a.driver, va, chunks)
+	p := a.pBlock(va, size)
+	p.chunks = chunks
+	return p
 }
 
 // stitchSBlock builds an sBlock over members: one VA reservation of the
@@ -308,7 +339,7 @@ func remapAsPBlock(drv *cuda.Driver, size int64, chunks []cuda.MemHandle) *PBloc
 // Stitch). sBlocks never create physical chunks — the same physical memory
 // is now reachable through both the pBlock VAs and the stitched VA. The
 // sBlock keeps its own copy of members, so callers may pass scratch.
-func stitchSBlock(drv *cuda.Driver, members []*PBlock) *SBlock {
+func (a *Allocator) stitchSBlock(members []*PBlock) *SBlock {
 	if len(members) == 0 {
 		panic("core: stitchSBlock with no members")
 	}
@@ -316,16 +347,20 @@ func stitchSBlock(drv *cuda.Driver, members []*PBlock) *SBlock {
 	for _, p := range members {
 		total += p.size
 	}
-	va, err := drv.MemAddressReserve(total)
+	va, err := a.driver.MemAddressReserve(total)
 	if err != nil {
 		panic("core: stitchSBlock reserve: " + err.Error())
 	}
 	off := cuda.DevicePtr(0)
 	for _, p := range members {
-		mapChunksAt(drv, va+off, p.chunks)
+		mapChunksAt(a.driver, va+off, p.chunks)
 		off += cuda.DevicePtr(p.size)
 	}
-	s := &SBlock{va: va, size: total, members: slices.Clone(members)}
+	// A record from the spares is zero but for its members' capacity. The
+	// list keeps room for one more: a member's split inserts a member.
+	s := a.sspare.Get()
+	s.va, s.size = va, total
+	s.members = append(slices.Grow(s.members, len(members)+1), members...)
 	for _, p := range members {
 		p.owners = append(p.owners, s)
 	}
@@ -333,36 +368,32 @@ func stitchSBlock(drv *cuda.Driver, members []*PBlock) *SBlock {
 }
 
 // replaceMember substitutes pBlock old with its two split halves in s's
-// member list, keeping the stitched order. No driver work is needed: s maps
-// physical chunks, and the split reused them untouched.
+// member list, in place, keeping the stitched order. No driver work is
+// needed: s maps physical chunks, and the split reused them untouched.
 func replaceMember(s *SBlock, old, front, back *PBlock) {
-	for i, m := range s.members {
-		if m != old {
-			continue
-		}
-		out := make([]*PBlock, 0, len(s.members)+1)
-		out = append(out, s.members[:i]...)
-		out = append(out, front, back)
-		out = append(out, s.members[i+1:]...)
-		s.members = out
-		if int(s.hint) > i {
-			s.hint++ // still the same member, one slot further on
-		}
-		return
+	i := slices.Index(s.members, old)
+	if i < 0 {
+		panic("core: replaceMember: old pBlock not a member")
 	}
-	panic("core: replaceMember: old pBlock not a member")
+	s.members[i] = front
+	s.members = slices.Insert(s.members, i+1, back)
+	if int(s.hint) > i {
+		s.hint++ // still the same member, one slot further on
+	}
 }
 
-// unstitchSBlock tears down an sBlock's VA view. Member pBlocks and their
-// physical chunks are untouched.
-func unstitchSBlock(drv *cuda.Driver, s *SBlock) {
+// dropSBlock removes s from the pool, tears down its VA view and retires
+// its record, which keeps the capacity of its member list and no pointer.
+// Member pBlocks and their physical chunks are untouched.
+func (a *Allocator) dropSBlock(s *SBlock) {
 	if s.assigned {
 		panic("core: unstitch of assigned sBlock")
 	}
-	if err := drv.MemUnmap(s.va, s.size); err != nil {
+	a.sblocks.remove(s)
+	if err := a.driver.MemUnmap(s.va, s.size); err != nil {
 		panic("core: unstitch unmap: " + err.Error())
 	}
-	if err := drv.MemAddressFree(s.va, s.size); err != nil {
+	if err := a.driver.MemAddressFree(s.va, s.size); err != nil {
 		panic("core: unstitch address free: " + err.Error())
 	}
 	for _, p := range s.members {
@@ -372,21 +403,24 @@ func unstitchSBlock(drv *cuda.Driver, s *SBlock) {
 		}
 		p.owners = slices.Delete(p.owners, i, i+1)
 	}
-	s.members = nil
+	clear(s.members[:cap(s.members)])
+	*s = SBlock{members: s.members[:0]}
+	a.sspare.Put(s)
 }
 
-// destroyPBlock releases a pBlock's physical chunks and VA. The caller must
-// have destroyed its owner sBlocks first and removed it from the pools.
-func destroyPBlock(drv *cuda.Driver, p *PBlock) {
+// destroyPBlock releases a pBlock's physical chunks and VA and retires its
+// record. The caller must have destroyed its owner sBlocks first and
+// removed it from the pools.
+func (a *Allocator) destroyPBlock(p *PBlock) {
 	if p.Active() {
 		panic("core: destroy of active pBlock")
 	}
 	if len(p.owners) != 0 {
 		panic("core: destroy of pBlock with live sBlock owners")
 	}
-	unmapAndReleaseChunks(drv, p.va, p.chunks)
-	if err := drv.MemAddressFree(p.va, p.size); err != nil {
+	unmapAndReleaseChunks(a.driver, p.va, p.chunks)
+	if err := a.driver.MemAddressFree(p.va, p.size); err != nil {
 		panic("core: destroyPBlock address free: " + err.Error())
 	}
-	p.chunks = nil
+	a.retirePBlock(p)
 }

@@ -716,3 +716,28 @@ func TestExactMatchAllocationBudget(t *testing.T) {
 	}
 	checkInv(t, a)
 }
+
+// TestStitchCycleAllocationBudget pins the record reuse of the S3 path: a
+// warm cycle shaped like BenchmarkGMLakeStitch — two pBlocks freed, stitched
+// by a request of their joint size, the view freed, the pools emptied —
+// allocates nothing. Every pBlock, sBlock, LRU node and reservation comes
+// from a retired record, and each list from a retired record's capacity
+// (25 times per cycle when each was allocated anew).
+func TestStitchCycleAllocationBudget(t *testing.T) {
+	a, _ := newTestAllocator(8 * sim.GiB)
+	cycle := func() {
+		b1, b2 := mustAlloc(t, a, 128*sim.MiB), mustAlloc(t, a, 128*sim.MiB)
+		a.Free(b1)
+		a.Free(b2)
+		a.Free(mustAlloc(t, a, 256*sim.MiB))
+		a.EmptyCache()
+	}
+	_, _, s3Before, _ := a.StrategyCounts()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("stitch, free and EmptyCache: %.0f allocations per cycle, want 0", n)
+	}
+	if _, _, s3, _ := a.StrategyCounts(); s3-s3Before != 101 {
+		t.Fatalf("%d of 101 cycles stitched", s3-s3Before)
+	}
+	checkInv(t, a)
+}

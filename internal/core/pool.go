@@ -20,9 +20,10 @@ type pClass = sizeClass[*PBlock]
 // inactive set in (size, VA) order by walking classes and set bits. A state
 // flip sets or clears one bit.
 type pPool struct {
-	classes []*pClass // ascending size, none empty
-	count   int       // pBlocks in the classes
-	bytes   int64     // Σ sizes of all pBlocks == GMLake's reserved memory
+	classes []*pClass                // ascending size, none empty
+	count   int                      // pBlocks in the classes
+	bytes   int64                    // Σ sizes of all pBlocks == GMLake's reserved memory
+	spare   container.Spares[pClass] // emptied classes, capacity kept
 }
 
 // search returns the index of the first class of at least size bytes, and
@@ -39,7 +40,9 @@ func (pp *pPool) add(p *PBlock) {
 	pp.bytes += p.size
 	i, found := pp.search(p.size)
 	if !found {
-		pp.classes = slices.Insert(pp.classes, i, &pClass{size: p.size})
+		c := pp.spare.Get()
+		c.size = p.size
+		pp.classes = slices.Insert(pp.classes, i, c)
 	}
 	p.class = pp.classes[i]
 	p.class.insert(p)
@@ -56,6 +59,7 @@ func (pp *pPool) remove(p *PBlock) {
 	if len(c.slots) == 0 {
 		i, _ := pp.search(c.size)
 		pp.classes = slices.Delete(pp.classes, i, i+1)
+		pp.spare.Put(c)
 	}
 }
 
@@ -156,9 +160,11 @@ type sClass = sizeClass[*SBlock]
 // of its size and nowhere else; beside them runs the LRU queue StitchFree
 // evicts from.
 type sPool struct {
-	classes map[int64]*sClass // none empty
-	count   int               // sBlocks in the classes
+	classes map[int64]*sClass        // none empty
+	count   int                      // sBlocks in the classes
+	spare   container.Spares[sClass] // emptied classes, capacity kept
 	lru     container.Queue[*SBlock]
+	nodes   container.Spares[container.QueueNode[*SBlock]] // dead LRU nodes
 }
 
 // add registers a freshly stitched, unassigned sBlock, its bit set: it is
@@ -170,11 +176,14 @@ func (sp *sPool) add(s *SBlock) {
 	sp.count++
 	c := sp.classes[s.size]
 	if c == nil {
-		c = &sClass{size: s.size}
+		c = sp.spare.Get()
+		c.size = s.size
 		sp.classes[s.size] = c
 	}
 	s.class = c
-	s.lru = sp.lru.PushBack(s)
+	s.lru = sp.nodes.Get()
+	s.lru.Value = s
+	sp.lru.PushNode(s.lru)
 	c.insert(s)
 }
 
@@ -186,10 +195,13 @@ func (sp *sPool) remove(s *SBlock) {
 	}
 	if c.remove(s.slot); len(c.slots) == 0 {
 		delete(sp.classes, s.size)
+		sp.spare.Put(c)
 	}
 	s.class = nil
 	if s.lru != nil {
 		sp.lru.Remove(s.lru)
+		s.lru.Value = nil
+		sp.nodes.Put(s.lru)
 		s.lru = nil
 	}
 }

@@ -670,7 +670,8 @@ func TestSizeClassIndex(t *testing.T) {
 
 // TestBlockSizeClasses keeps the watcher links, size-class slots and scan
 // hint from pushing either block into a larger allocation size class (80
-// and 96 bytes): blocks are allocated on every stitch and split.
+// and 96 bytes): block records come from the allocator's slabs, so their
+// size sets a slab's, and an LRU node embedded in SBlock would not fit.
 func TestBlockSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(SBlock{}); got > 80 {
 		t.Errorf("SBlock is %d bytes, want <= 80", got)

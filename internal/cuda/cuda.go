@@ -28,7 +28,11 @@
 // granules it covers; each later granule holds ref 0 and span = minus the
 // distance back to the first; an unmapped granule is all zero. A slot holds
 // no pointer, so a page table is one allocation the garbage collector never
-// scans. On the host one MemMap call costs O(granules of its handles) —
+// scans. MemAddressFree keeps the record and its page table, all zero once
+// unmapped, on a free list for the next MemAddressReserve, which reuses the
+// table if it holds the new range and otherwise allocates one of exactly
+// its size: a warm reserve/free cycle of equal size allocates nothing. On
+// the host one MemMap call costs O(granules of its handles) —
 // index, check the slots are empty, fill them — resolving the reservation
 // once per run of handles it holds and pricing a chunk size once per run of
 // equal sizes, so an allocator maps a block's chunks in one call.
@@ -110,10 +114,11 @@ type Driver struct {
 	counters Counters
 
 	mallocs   map[DevicePtr]mallocAlloc
-	resByAddr container.Tree[*reservation] // every reservation, keyed by base
-	handles   []physical                   // the handle table (see the package comment)
-	freeSlots []int                        // slots of handles whose memory was reclaimed
-	granted   []int32                      // MemSetAccess's scratch: the granules it set
+	resByAddr container.Tree[*reservation]  // every reservation, keyed by base
+	handles   []physical                    // the handle table (see the package comment)
+	freeSlots []int                         // slots of handles whose memory was reclaimed
+	granted   []int32                       // MemSetAccess's scratch: the granules it set
+	spareRes  container.Spares[reservation] // freed reservations, page tables kept
 
 	// last is the reservation findReservation resolved last.
 	last *reservation
@@ -233,11 +238,16 @@ func (d *Driver) MemAddressReserve(size int64) (DevicePtr, error) {
 		return 0, err
 	}
 	ptr := DevicePtr(va)
-	r := &reservation{
-		base:  ptr,
-		size:  size,
-		slots: make([]slot, size/ChunkGranularity),
+	// A freed reservation's page table is all zero: reuse it if it holds
+	// this one, or else allocate one of exactly this size.
+	r := d.spareRes.Get()
+	n := int(size / ChunkGranularity)
+	if n <= cap(r.slots) {
+		r.slots = r.slots[:n]
+	} else {
+		r.slots = make([]slot, n)
 	}
+	r.base, r.size, r.live = ptr, size, 0
 	r.node.Value, r.node.Key = r, container.Key{Hi: int64(ptr)}
 	d.resByAddr.InsertNode(&r.node)
 	return ptr, nil
@@ -263,6 +273,8 @@ func (d *Driver) MemAddressFree(ptr DevicePtr, size int64) error {
 	if d.last == r {
 		d.last = nil
 	}
+	r.node.Value = nil
+	d.spareRes.Put(r)
 	return nil
 }
 

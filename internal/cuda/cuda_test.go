@@ -442,9 +442,10 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 	}
 }
 
-// TestVMMCycleAllocationFree pins the recycling of handle records: once
-// warm, a chunk's whole life (create, map, set access, unmap, release)
-// allocates nothing.
+// TestVMMCycleAllocationFree pins the recycling of handle and reservation
+// records: once warm, a chunk's whole life (create, map, set access, unmap,
+// release) allocates nothing, and nor does reserving and freeing a range of
+// the size freed last, whose record and page table are reused.
 func TestVMMCycleAllocationFree(t *testing.T) {
 	const n = 4
 	d := newTestDriver(sim.GiB)
@@ -481,6 +482,18 @@ func TestVMMCycleAllocationFree(t *testing.T) {
 	}
 	if d.LiveHandles() != 0 || d.MappedBytes() != 0 {
 		t.Fatalf("%d handles, %d bytes mapped after the cycle", d.LiveHandles(), d.MappedBytes())
+	}
+	reserve := func() {
+		va, err := d.MemAddressReserve(n * ChunkGranularity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.MemAddressFree(va, n*ChunkGranularity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, reserve); got != 0 {
+		t.Errorf("MemAddressReserve/MemAddressFree: %.1f allocs per cycle, want 0", got)
 	}
 }
 

@@ -116,12 +116,21 @@ func genStream(seed uint64, ops int, maxLive int64) *optrace.Trace {
 	return t
 }
 
+// TestDifferentialRandomStreams replays seeded streams on every backend.
+// Seeds 1–12 are 600 ops; seed 13 is long enough that every backend issues
+// more than the 746 handles of its first six slabs (15 + 31 + 63 + 127 +
+// 255 + 255), so a reissue from a later slab, or from a recycled block
+// record, fails here too.
 func TestDifferentialRandomStreams(t *testing.T) {
 	const capacity = 64 * sim.GiB
-	for seed := uint64(1); seed <= 12; seed++ {
-		seed := seed
+	const firstSlabs = 746
+	for seed := uint64(1); seed <= 13; seed++ {
+		ops := 600
+		if seed == 13 {
+			ops = 3000
+		}
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			stream := genStream(seed, 600, 24*sim.GiB)
+			stream := genStream(seed, ops, 24*sim.GiB)
 			if err := stream.Validate(); err != nil {
 				t.Fatalf("generator produced invalid stream: %v", err)
 			}
@@ -134,6 +143,9 @@ func TestDifferentialRandomStreams(t *testing.T) {
 				issued := &issuedOnce{Allocator: alloc, t: t, name: name, seen: map[*memalloc.Buffer]bool{}}
 				if err := optrace.Replay(stream, issued); err != nil {
 					t.Fatalf("%s: replay failed on an amply sized device: %v", name, err)
+				}
+				if n := len(issued.seen); seed == 13 && n <= firstSlabs {
+					t.Fatalf("%s issued %d handles, want more than %d", name, n, firstSlabs)
 				}
 				st := alloc.Stats()
 				if st.Active != 0 {

@@ -377,6 +377,7 @@ func (rc *recovery) crash(c *clusterSched, r *clusterReplica) {
 	r.state = replicaDown
 	r.downSince = c.now
 	r.eventSeq++ // its pending heap entry, if any, is now stale
+	r.live = false
 	for _, w := range queued {
 		r.dispatchedTokens -= int64(w.req.TotalTokens())
 		rc.park(w, c.now)

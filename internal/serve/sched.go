@@ -40,10 +40,14 @@ type clusterReplica struct {
 	downTotal time.Duration
 
 	// eventSeq versions the replica's entry in the scheduler's event heap:
-	// every touch bumps it, so events pushed earlier become stale and are
-	// discarded on pop instead of being searched for and removed (lazy
-	// invalidation).
+	// every touch that moves the entry bumps it, so events pushed earlier
+	// become stale and are discarded on pop instead of being searched for
+	// and removed (lazy invalidation). live reports that the entry under
+	// eventSeq is in the heap, keyed by liveAt; whatever kills it clears
+	// live.
 	eventSeq uint64
+	live     bool
+	liveAt   time.Duration
 }
 
 // evSource names where the scheduler's next event comes from. After evNone,
@@ -162,16 +166,21 @@ func (c *clusterSched) activeCount() int {
 // at most one live entry, keyed by its current nextEventTime. When that
 // entry is the heap's minimum — after a step it always is — it is re-keyed
 // in place, or popped when the replica has no more work, instead of being
-// left behind for nextStep to discard.
+// left behind for nextStep to discard. A touch that leaves the replica's
+// entry (or its absence) as it is changes nothing.
 func (c *clusterSched) touch(ri int) {
 	r := c.fleet[ri]
+	t, ok := r.srv.nextEventTime()
+	if ok == r.live && (!ok || t == r.liveAt) {
+		return
+	}
 	top := false
 	if c.events.Len() > 0 {
 		k, seq := c.events.Peek()
 		top = k.Lo == int64(ri) && seq == r.eventSeq
 	}
 	r.eventSeq++
-	t, ok := r.srv.nextEventTime()
+	r.live, r.liveAt = ok, t
 	k := container.Key{Hi: int64(t), Lo: int64(ri)}
 	switch {
 	case top && ok:
@@ -202,6 +211,9 @@ func (c *clusterSched) nextStep() (at time.Duration, ri int) {
 		r := c.fleet[k.Lo]
 		if seq != r.eventSeq || r.state == replicaStopped || r.state == replicaDown {
 			c.events.Pop() // stale: superseded, or the replica retired or crashed
+			if seq == r.eventSeq {
+				r.live = false
+			}
 			continue
 		}
 		return time.Duration(k.Hi), int(k.Lo)
